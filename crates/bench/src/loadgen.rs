@@ -523,6 +523,11 @@ pub fn run_h2_migrating(cfg: &LoadgenConfig) -> LoadResult {
             }
             cycles
         });
+        // The clients start once the first rebalance has moved something:
+        // the window then overlaps live migration however fast they are.
+        while fs.cluster().migration_parts_moved_count() == 0 {
+            std::thread::yield_now();
+        }
         let r = drive("H2Cloud-migrating", &fs, &cost, &plans, cfg.pace);
         stop.store(true, Ordering::Relaxed);
         let cycles = operator.join().expect("operator thread"); // h2lint: allow(panic-safety): bench harness fails fast; the cluster is healthy by construction

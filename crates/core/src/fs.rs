@@ -853,22 +853,19 @@ impl H2Cloud {
         let mut entries: Vec<DirEntry> = Vec::with_capacity(children.len());
         let store = self.cluster().clone();
         let mut fetched: Vec<Option<u64>> = vec![None; children.len()];
-        {
-            let fetched = std::cell::RefCell::new(&mut fetched);
-            ctx.parallel(children.len(), |ctx, i| {
-                let (name, _t) = &children[i];
-                match store.head(ctx, &keys.child(ns, name)) {
-                    Ok(info) => {
-                        fetched.borrow_mut()[i] = Some(info.modified_ms);
-                        Ok(())
-                    }
-                    // A child whose object lags behind its NameRing entry
-                    // (eventual consistency) still lists from tuple data.
-                    Err(H2Error::NotFound(_)) => Ok(()),
-                    Err(e) => Err(e),
+        ctx.parallel(children.len(), |ctx, i| {
+            let (name, _t) = &children[i];
+            match store.head(ctx, &keys.child(ns, name)) {
+                Ok(info) => {
+                    fetched[i] = Some(info.modified_ms);
+                    Ok(())
                 }
-            })?;
-        }
+                // A child whose object lags behind its NameRing entry
+                // (eventual consistency) still lists from tuple data.
+                Err(H2Error::NotFound(_)) => Ok(()),
+                Err(e) => Err(e),
+            }
+        })?;
         for (i, (name, t)) in children.into_iter().enumerate() {
             let (kind, size) = match t.child {
                 ChildRef::File { size } => (EntryKind::File, size),

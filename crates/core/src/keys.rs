@@ -12,6 +12,10 @@
 //! `/` cannot appear in child names ([`h2fsapi::FsPath`] forbids it), so the
 //! `/NameRing/` suffix can never collide with a real child.
 
+use std::cell::RefCell;
+use std::fmt::{self, Write};
+use std::sync::Arc;
+
 use h2util::{NamespaceId, NodeId, Timestamp};
 use swiftsim::ObjectKey;
 
@@ -28,25 +32,51 @@ pub struct DirDescriptor {
     pub created: Timestamp,
 }
 
-/// Key factory binding an account to H2Cloud's (unindexed) container.
+/// Key factory binding an account to H2Cloud's (unindexed) container. It
+/// holds the account and container names in the shared form [`ObjectKey`]
+/// wants, so minting a key costs one allocation: the object name.
 #[derive(Debug, Clone)]
 pub struct H2Keys {
-    account: String,
+    account: Arc<str>,
+    container: Arc<str>,
 }
 
 /// The container every H2 object lives in. Unindexed: H2 needs no
 /// file-path DB — that is the point of the design.
 pub const H2_CONTAINER: &str = "h2";
 
+thread_local! {
+    /// Where object names are formatted before being copied, exactly
+    /// sized, into their `Arc<str>`; reused so formatting allocates nothing.
+    static NAME_BUF: RefCell<String> = const { RefCell::new(String::new()) };
+    /// The container name every factory made on this thread hands out (one
+    /// per thread, so client threads do not share its refcount).
+    static CONTAINER: Arc<str> = H2_CONTAINER.into();
+}
+
 impl H2Keys {
     pub fn new(account: &str) -> Self {
         H2Keys {
-            account: account.to_string(),
+            account: account.into(),
+            container: CONTAINER.with(Arc::clone),
         }
     }
 
     pub fn account(&self) -> &str {
         &self.account
+    }
+
+    fn key(&self, name: fmt::Arguments<'_>) -> ObjectKey {
+        let name = NAME_BUF.with_borrow_mut(|buf| {
+            buf.clear();
+            buf.write_fmt(name).expect("formatting into a String");
+            Arc::from(buf.as_str())
+        });
+        ObjectKey {
+            account: self.account.clone(),
+            container: self.container.clone(),
+            name,
+        }
     }
 
     /// Namespace-decorated relative path of a direct child.
@@ -56,21 +86,19 @@ impl H2Keys {
 
     /// Object key of a direct child (file content or dir descriptor).
     pub fn child(&self, ns: NamespaceId, name: &str) -> ObjectKey {
-        ObjectKey::new(&self.account, H2_CONTAINER, &Self::child_rel(ns, name))
+        self.key(format_args!("{ns}::{name}"))
     }
 
     /// Object key of a namespace's NameRing.
     pub fn namering(&self, ns: NamespaceId) -> ObjectKey {
-        ObjectKey::new(&self.account, H2_CONTAINER, &format!("{ns}::/NameRing/"))
+        self.key(format_args!("{ns}::/NameRing/"))
     }
 
     /// Object key of one patch in a node's chain for a NameRing.
     pub fn patch(&self, ns: NamespaceId, node: NodeId, patch_no: u32) -> ObjectKey {
-        ObjectKey::new(
-            &self.account,
-            H2_CONTAINER,
-            &format!("{ns}::/NameRing/.Node{node}.Patch{patch_no:04}"),
-        )
+        self.key(format_args!(
+            "{ns}::/NameRing/.Node{node}.Patch{patch_no:04}"
+        ))
     }
 
     /// Object key of part `i` of a multipart file's content. `stamp` is the
@@ -79,11 +107,7 @@ impl H2Keys {
     /// `/Part/` sits in the reserved `::/` namespace — `/` cannot appear in
     /// child names, so parts can never collide with a real child.
     pub fn part(&self, ns: NamespaceId, name: &str, stamp: u64, i: u32) -> ObjectKey {
-        ObjectKey::new(
-            &self.account,
-            H2_CONTAINER,
-            &format!("{ns}::/Part/{stamp:016x}/{name}.{i:05}"),
-        )
+        self.key(format_args!("{ns}::/Part/{stamp:016x}/{name}.{i:05}"))
     }
 }
 
@@ -103,6 +127,18 @@ mod tests {
         assert_eq!(
             H2Keys::child_rel(ns(), "file1"),
             "06.01.1469346604539::file1"
+        );
+    }
+
+    #[test]
+    fn keys_share_the_factorys_account_and_container() {
+        let k = H2Keys::new("alice");
+        let (a, b) = (k.child(ns(), "x"), k.namering(ns()));
+        assert!(Arc::ptr_eq(&a.account, &b.account));
+        assert!(Arc::ptr_eq(&a.container, &b.container));
+        assert_eq!(
+            a,
+            swiftsim::ObjectKey::new("alice", H2_CONTAINER, &H2Keys::child_rel(ns(), "x"))
         );
     }
 

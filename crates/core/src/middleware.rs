@@ -26,7 +26,7 @@
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use h2util::chunker::{self, ChunkParams};
 use h2util::hash::{hash128, Digest128};
@@ -581,10 +581,18 @@ impl H2Middleware {
         (n << 8) | (self.node.0 as u64 & 0xff)
     }
 
+    /// Built once per process: every plain file object shares this map.
     fn file_meta() -> Meta {
-        let mut meta = Meta::new();
-        meta.insert("content-type".into(), CONTENT_TYPE_FILE.into());
-        meta
+        static META: OnceLock<Meta> = OnceLock::new();
+        META.get_or_init(|| Meta::from([("content-type".into(), CONTENT_TYPE_FILE.into())]))
+            .clone()
+    }
+
+    /// As [`Self::file_meta`], for directory descriptors.
+    fn dir_meta() -> Meta {
+        static META: OnceLock<Meta> = OnceLock::new();
+        META.get_or_init(|| Meta::from([("content-type".into(), "h2/dir".into())]))
+            .clone()
     }
 
     fn manifest_meta(total: u64) -> Meta {
@@ -735,22 +743,19 @@ impl H2Middleware {
     ) -> Result<Payload> {
         let n = m.part_count() as usize;
         let mut fetched: Vec<Option<Payload>> = vec![None; n];
-        {
-            let fetched = std::cell::RefCell::new(&mut fetched);
-            ctx.parallel(n, |ctx, i| {
-                let pkey = keys.part(ns, name, m.stamp, i as u32);
-                let obj = self.with_retry(ctx, "get_part", |ctx| self.store.get(ctx, &pkey))?;
-                if obj.payload.len() != m.part_size(i as u32) {
-                    return Err(H2Error::Corrupt(format!(
-                        "part {pkey} holds {} bytes, manifest says {}",
-                        obj.payload.len(),
-                        m.part_size(i as u32)
-                    )));
-                }
-                fetched.borrow_mut()[i] = Some(obj.payload);
-                Ok(())
-            })?;
-        }
+        ctx.parallel(n, |ctx, i| {
+            let pkey = keys.part(ns, name, m.stamp, i as u32);
+            let obj = self.with_retry(ctx, "get_part", |ctx| self.store.get(ctx, &pkey))?;
+            if obj.payload.len() != m.part_size(i as u32) {
+                return Err(H2Error::Corrupt(format!(
+                    "part {pkey} holds {} bytes, manifest says {}",
+                    obj.payload.len(),
+                    m.part_size(i as u32)
+                )));
+            }
+            fetched[i] = Some(obj.payload);
+            Ok(())
+        })?;
         if !m.inline {
             return Ok(Payload::Simulated {
                 size: m.total,
@@ -941,26 +946,17 @@ impl H2Middleware {
         //    mid-wave failure releases exactly the references taken.
         let mut landed: Vec<bool> = vec![false; chunks.len()];
         if !chunks.is_empty() {
-            let wave = {
-                let landed = std::cell::RefCell::new(&mut landed);
-                ctx.parallel(chunks.len(), |ctx, i| {
-                    let c = &chunks[i];
-                    let leaf = Self::cas_leaf(&payload, c);
-                    self.with_retry(ctx, "cas_put_block", |ctx| {
-                        self.store
-                            .cas_put_block(
-                                ctx,
-                                &c.digest.to_hex(),
-                                leaf.clone(),
-                                Meta::new(),
-                                c.len,
-                            )
-                            .map(|_| ())
-                    })?;
-                    landed.borrow_mut()[i] = true;
-                    Ok(())
-                })
-            };
+            let wave = ctx.parallel(chunks.len(), |ctx, i| {
+                let c = &chunks[i];
+                let leaf = Self::cas_leaf(&payload, c);
+                self.with_retry(ctx, "cas_put_block", |ctx| {
+                    self.store
+                        .cas_put_block(ctx, &c.digest.to_hex(), leaf.clone(), Meta::new(), c.len)
+                        .map(|_| ())
+                })?;
+                landed[i] = true;
+                Ok(())
+            });
             if let Err(e) = wave {
                 let owned = chunks
                     .iter()
@@ -1067,15 +1063,11 @@ impl H2Middleware {
         for _ in 0..m.depth {
             let n = entries.len();
             let mut fetched: Vec<Option<Vec<(Digest128, u64)>>> = vec![None; n];
-            {
-                let fetched = std::cell::RefCell::new(&mut fetched);
-                ctx.parallel(n, |ctx, i| {
-                    let (d, len) = entries[i];
-                    let children = self.cas_fetch_branch(ctx, d, len)?;
-                    fetched.borrow_mut()[i] = Some(children);
-                    Ok(())
-                })?;
-            }
+            ctx.parallel(n, |ctx, i| {
+                let (d, len) = entries[i];
+                fetched[i] = Some(self.cas_fetch_branch(ctx, d, len)?);
+                Ok(())
+            })?;
             entries = fetched
                 .into_iter()
                 .flat_map(|c| c.expect("every branch fetched"))
@@ -1092,15 +1084,11 @@ impl H2Middleware {
         // content address.
         let n = entries.len();
         let mut leaves: Vec<Option<Payload>> = vec![None; n];
-        if n > 0 {
-            let leaves = std::cell::RefCell::new(&mut leaves);
-            ctx.parallel(n, |ctx, i| {
-                let (d, len) = entries[i];
-                let p = self.cas_fetch_leaf(ctx, d, len, m.inline)?;
-                leaves.borrow_mut()[i] = Some(p);
-                Ok(())
-            })?;
-        }
+        ctx.parallel(n, |ctx, i| {
+            let (d, len) = entries[i];
+            leaves[i] = Some(self.cas_fetch_leaf(ctx, d, len, m.inline)?);
+            Ok(())
+        })?;
         if !m.inline {
             return Ok(Payload::Simulated {
                 size: m.total,
@@ -2323,12 +2311,10 @@ impl H2Middleware {
         name: &str,
         desc: &DirDescriptor,
     ) -> Result<()> {
-        let mut meta = Meta::new();
-        meta.insert("content-type".into(), "h2/dir".into());
         let key = keys.child(parent_ns, name);
         let payload = Payload::from_string(formatter::dir_to_string(desc));
         self.with_retry(ctx, "put_descriptor", |ctx| {
-            self.store.put(ctx, &key, payload.clone(), meta.clone())
+            self.store.put(ctx, &key, payload.clone(), Self::dir_meta())
         })
     }
 

@@ -232,12 +232,19 @@ fn parallel_fanout_beats_serial_transfer() {
 }
 
 /// A resolve level served from the parsed-ring cache charges the in-memory
-/// `cached_lookup_cpu`, not the full uncached `lookup_cpu` + ring GET.
+/// `cached_lookup_cpu`, not the full uncached `lookup_cpu` + ring GET; a
+/// path-cache hit replaces the whole walk with one `path_cache_cpu` probe.
+/// The caches under test are named explicitly, so the pinned charges hold
+/// whatever the feature flags make the defaults.
 #[test]
 fn cached_resolve_is_cheaper_than_uncached() {
-    let stat_cost = |cache_capacity: usize| {
+    // Cost of the second STAT of a depth-2 file (the first one fills
+    // whichever caches are on).
+    let stat_cost = |cache_capacity: usize, path_cache: bool| {
         let fs = H2Cloud::new(H2Config {
             cache_capacity,
+            path_cache,
+            neg_cache: false,
             ..H2Config::default()
         });
         let model = fs.cost_model();
@@ -246,16 +253,23 @@ fn cached_resolve_is_cheaper_than_uncached() {
         fs.mkdir(&mut ctx, "alice", &p("/a")).unwrap();
         fs.write(&mut ctx, "alice", &p("/a/f"), FileContent::Simulated(64))
             .unwrap();
+        fs.stat(&mut ctx, "alice", &p("/a/f")).unwrap();
         let mut stat_ctx = OpCtx::new(model.clone());
         fs.stat(&mut stat_ctx, "alice", &p("/a/f")).unwrap();
         (stat_ctx.elapsed(), stat_ctx.counts().gets, model)
     };
-    let (warm, warm_gets, model) = stat_cost(64);
-    let (cold, cold_gets, _) = stat_cost(0);
-    // Both levels come out of the cache (write-through keeps it fresh): no
-    // ring GETs, and only the cheap per-level in-memory charge.
+    let (warm, warm_gets, model) = stat_cost(64, false);
+    let (cold, cold_gets, _) = stat_cost(0, false);
+    let (pathed, pathed_gets, _) = stat_cost(64, true);
+    // Ring cache only: both levels come out of the cache (write-through
+    // keeps it fresh) — no ring GETs, one in-memory charge per level.
     assert_eq!(warm_gets, 0);
     assert_eq!(warm, model.cached_lookup_cpu * 2);
+    // No cache: one ring GET per level.
     assert_eq!(cold_gets, 2);
     assert!(warm < cold, "{warm:?} !< {cold:?}");
+    // Path cache: the full path hits, so the walk never starts.
+    assert_eq!(pathed_gets, 0);
+    assert_eq!(pathed, model.path_cache_cpu);
+    assert!(pathed < warm, "{pathed:?} !< {warm:?}");
 }

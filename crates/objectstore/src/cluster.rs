@@ -24,6 +24,17 @@
 //! only ever purges replicas *not newer than* the version it decided on
 //! ([`StorageNode::purge_upto`]), so a concurrent write can never be undone
 //! by the replicator.
+//!
+//! # The request path
+//!
+//! A request builds its ring key and hashes it once ([`KeyRef`]); that
+//! hash picks the partition, the op stripe, the catalog shard, every node
+//! stripe and the bucket inside each map. It loads the cluster's shape —
+//! ring, nodes, pending migration, fault injector — as one immutable
+//! `Topology` snapshot (one lock, one refcount) and passes it down. A
+//! read asks each device for its vote and takes a replica only from a
+//! device that beats the best so far ([`StorageNode::probe_newer`]); a
+//! write builds one [`Record`] and hands every device a pointer to it.
 
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -38,8 +49,9 @@ use h2util::trace::{STAGE_CLOUD, STAGE_MIGRATE, STAGE_QUORUM, STAGE_REPLICA};
 use h2util::{hash64, CostModel, H2Error, OpCtx, OrderedMutex, OrderedRwLock, PrimKind, Result};
 
 use crate::container::{ContainerIndex, IndexRecord, ListEntry, ListOptions};
+use crate::key::{stripe_of, KeyMap, KeyRef, Keyed, PassThrough, RingKey, WriteKey};
 use crate::lock_rank;
-use crate::node::StorageNode;
+use crate::node::{Record, ReplicaProbe, StorageNode, StoredReplica};
 use crate::object::{Meta, Object, ObjectInfo, ObjectKey, Payload};
 use crate::ObjectStore;
 
@@ -103,8 +115,10 @@ struct ContainerState {
     index: ContainerIndex,
 }
 
-type ContainerShard = OrderedRwLock<HashMap<(String, String), ContainerState>>;
-type CatalogShard = OrderedRwLock<HashMap<String, u64>>;
+/// Account → container → state: both levels are looked up by `&str`, so a
+/// request checks its container without building a key.
+type ContainerShard = OrderedRwLock<HashMap<String, HashMap<String, ContainerState>>>;
+type CatalogShard = OrderedRwLock<KeyMap<u64>>;
 
 /// An in-flight live rebalance. Created atomically with a ring swap; the
 /// previous ring keeps serving as a *handoff source* for every partition
@@ -126,25 +140,49 @@ struct Migration {
     total: usize,
 }
 
-/// The simulated object storage cloud.
-pub struct Cluster {
-    /// Current placement ring. Swapped atomically by the topology ops
-    /// ([`Cluster::add_node`] / [`Cluster::drain_node`] /
-    /// [`Cluster::set_weight`]); every operation works on the snapshot it
-    /// takes at entry.
-    ring: RwLock<Arc<Ring>>,
+/// The cluster's shape as one immutable value. Every request loads the
+/// current one once, at entry, and works on it throughout; whoever changes
+/// any part publishes a whole new value ([`Cluster::publish`]). Readers
+/// therefore never see a ring without the migration record that goes with
+/// it, or a device id without its node.
+#[derive(Clone)]
+struct Topology {
+    /// Placement ring, replaced by the topology ops ([`Cluster::add_node`]
+    /// / [`Cluster::drain_node`] / [`Cluster::set_weight`]).
+    ring: Arc<Ring>,
     /// Storage nodes, append-only: `nodes[id.0]` is the device's node
     /// forever — drained devices leave the ring but keep their node (and
     /// any not-yet-migrated replicas) until migration/repair empties it.
-    nodes: RwLock<Vec<Arc<StorageNode>>>,
+    nodes: Vec<Arc<StorageNode>>,
+    /// In-flight rebalance, if any (see [`Migration`]).
+    migration: Option<Arc<Migration>>,
+    /// Active request-level fault injector: one deterministic draw stream
+    /// for front-door decisions and per-replica faults alike. `None` =
+    /// fault plane disabled.
+    fault: Option<Arc<FaultInjector>>,
+}
+
+impl Topology {
+    fn node(&self, id: DeviceId) -> &StorageNode {
+        &self.nodes[id.0 as usize]
+    }
+
+    fn fault(&self) -> Option<&FaultInjector> {
+        self.fault.as_deref()
+    }
+}
+
+/// The simulated object storage cloud.
+pub struct Cluster {
+    /// The current [`Topology`]. An unranked leaf lock: held only to clone
+    /// the `Arc` out or to swap a new one in, never across anything else.
+    topo: RwLock<Arc<Topology>>,
     /// Bumped on every ring swap; callers caching placement decisions can
     /// use it as an invalidation fingerprint.
     ring_epoch: AtomicU64,
-    /// In-flight rebalance, if any (see [`Migration`]).
-    migration: RwLock<Option<Arc<Migration>>>,
     /// Serializes operator topology changes end to end (finish the prior
     /// migration, rebuild, swap).
-    topology: Mutex<()>,
+    topology_ops: Mutex<()>,
     /// Lock-stripe count, remembered so nodes added later match.
     stripes: usize,
     cfg: ClusterConfig,
@@ -157,7 +195,7 @@ pub struct Cluster {
     /// sharded by ring-key hash.
     catalog: Box<[CatalogShard]>,
     catalog_bytes: AtomicU64,
-    /// Per-key write stripes: `op_locks[hash(ring_key) % n]` serializes
+    /// Per-key write stripes: `op_locks[stripe_of(hash(ring_key), n)]` serializes
     /// mutations (and repair) of the same key without blocking other keys.
     /// Rank [`lock_rank::OP_STRIPE`], the hierarchy's outermost tier: it
     /// must be taken before any node stripe or map shard, and never two at
@@ -172,9 +210,6 @@ pub struct Cluster {
     /// [`Cluster::flush_index_updates`] runs.
     async_index: std::sync::atomic::AtomicBool,
     pending_index: RwLock<std::collections::VecDeque<IndexUpdate>>,
-    /// Active request-level fault injector, shared with every storage node
-    /// (one deterministic draw stream). `None` = fault plane disabled.
-    fault: RwLock<Option<Arc<FaultInjector>>>,
     /// Hedged replica reads: probe every assigned device as one parallel
     /// wave (virtual cost = the slowest probe of the wave, not the sum)
     /// and, when the assigned set is suspect, scan the handoffs as a
@@ -224,16 +259,111 @@ enum IndexUpdate {
     },
 }
 
-/// Outcome of probing one assigned device during a replica read. Collected
-/// per device (serially or as a hedged wave) and folded in device order so
-/// both execution shapes produce byte-identical results.
-enum ReplicaVote {
-    /// Device marked down: not counted reachable, triggers the handoff scan.
-    Down,
-    /// Injected per-replica fault: treated like a transient timeout.
-    Faulted,
-    /// Device answered; `None` means it holds no replica of the key.
-    Probed(Option<crate::node::StoredReplica>),
+/// What a quorum read has learnt so far. Votes are folded in as each device
+/// answers, in device order, so the serial and the hedged execution shape
+/// produce byte-identical results.
+#[derive(Default)]
+struct Quorum {
+    /// Newest replica seen; the first device to report a stamp keeps it.
+    best: Option<StoredReplica>,
+    /// Devices that could be asked at all.
+    reachable: usize,
+    /// An assigned device was down or drew a fault.
+    assigned_down: bool,
+    /// An injected fault hid an assigned device's answer.
+    replica_faulted: bool,
+    /// The answer every up assigned device has given so far (inner `None`:
+    /// "I hold nothing"); outer `None` until the first one answers.
+    agreed: Option<Option<u64>>,
+    /// Two up assigned devices answered differently.
+    split: bool,
+}
+
+impl Quorum {
+    fn best_ms(&self) -> Option<u64> {
+        self.best.as_ref().map(|r| r.modified_ms)
+    }
+
+    /// Fold in one device's vote. An assigned device's answer also counts
+    /// toward agreement; a handoff only toward reachability.
+    fn hear(&mut self, vote: ReplicaProbe, handoff: bool) {
+        let stamp = match vote {
+            ReplicaProbe::Down => {
+                self.assigned_down |= !handoff;
+                return;
+            }
+            ReplicaProbe::Faulted => {
+                self.assigned_down = true;
+                self.replica_faulted = true;
+                return;
+            }
+            ReplicaProbe::Miss => None,
+            ReplicaProbe::Hit { modified_ms, .. } => Some(modified_ms),
+        };
+        self.reachable += 1;
+        if !handoff {
+            self.split |= *self.agreed.get_or_insert(stamp) != stamp;
+        }
+    }
+
+    /// Whether the assigned set might be stale: a device could not be
+    /// asked, nothing was found, or the up devices do not all hold the
+    /// same version.
+    fn assigned_suspect(&self) -> bool {
+        self.assigned_down || self.best.is_none() || self.split
+    }
+}
+
+/// Run `probe` for devices `0..k` in index order: as one parallel wave when
+/// `hedged` (the read waits for the slowest probe of the wave, not their
+/// sum), serially otherwise. Same probes, same order, same fault draws
+/// either way — [`OpCtx::parallel`] executes its items in index order and
+/// only *charges* them as concurrent.
+fn wave(
+    ctx: &mut OpCtx,
+    hedged: bool,
+    k: usize,
+    mut probe: impl FnMut(&mut OpCtx, usize),
+) -> Result<()> {
+    if hedged {
+        ctx.parallel(k, |ctx, i| {
+            probe(ctx, i);
+            Ok(())
+        })
+    } else {
+        (0..k).for_each(|i| probe(ctx, i));
+        Ok(())
+    }
+}
+
+/// Ring keys seen by a sweep over the devices (repair, migration).
+type KeySet = HashSet<RingKey, std::hash::BuildHasherDefault<PassThrough>>;
+
+/// Newest version of `key` (tombstones included) on the reachable ones of
+/// `nodes`; the first device holding the newest stamp supplies it.
+fn newest_on<'a>(
+    nodes: impl Iterator<Item = &'a StorageNode>,
+    key: KeyRef<'_>,
+) -> Option<StoredReplica> {
+    let mut newest: Option<StoredReplica> = None;
+    for n in nodes {
+        let than = newest.as_ref().map(|r| r.modified_ms);
+        if let (Some(r), _) = n.probe_newer(key, than, None) {
+            newest = Some(r);
+        }
+    }
+    newest
+}
+
+/// The [`Object`] a reader gets for a stored replica: shares the payload
+/// and the meta with it.
+fn object_of(key: &ObjectKey, r: &StoredReplica) -> Object {
+    Object {
+        key: key.clone(),
+        payload: r.record.payload.clone(),
+        meta: r.record.meta.clone(),
+        modified_ms: r.modified_ms,
+    }
 }
 
 impl Cluster {
@@ -258,20 +388,20 @@ impl Cluster {
                 stripes,
             )));
         }
-        let injector = cfg
+        let fault = cfg
             .faults
             .clone()
             .filter(FaultPlan::is_active)
             .map(|p| Arc::new(FaultInjector::new(p)));
-        for n in &nodes {
-            n.set_fault_injector(injector.clone());
-        }
         let cluster = Arc::new(Cluster {
-            ring: RwLock::new(Arc::new(rb.build())),
-            nodes: RwLock::new(nodes),
+            topo: RwLock::new(Arc::new(Topology {
+                ring: Arc::new(rb.build()),
+                nodes,
+                migration: None,
+                fault,
+            })),
             ring_epoch: AtomicU64::new(0),
-            migration: RwLock::new(None),
-            topology: Mutex::new(()),
+            topology_ops: Mutex::new(()),
             stripes,
             cfg,
             accounts: RwLock::new(HashSet::new()),
@@ -290,7 +420,7 @@ impl Cluster {
                     OrderedRwLock::new(
                         lock_rank::MAP_SHARD,
                         "objectstore.catalog_shard",
-                        HashMap::new(),
+                        KeyMap::default(),
                     )
                 })
                 .collect::<Vec<_>>()
@@ -303,7 +433,6 @@ impl Cluster {
             ms: AtomicU64::new(1_600_000_000_000),
             async_index: std::sync::atomic::AtomicBool::new(false),
             pending_index: RwLock::new(std::collections::VecDeque::new()),
-            fault: RwLock::new(injector),
             hedged: std::sync::atomic::AtomicBool::new(false),
             hedged_reads: AtomicU64::new(0),
             handoff_scans_skipped: AtomicU64::new(0),
@@ -357,20 +486,17 @@ impl Cluster {
     /// must be off before running [`Cluster::repair`] when seeded replay
     /// matters (repair's sweep order is nondeterministic).
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        let injector = plan
+        let fault = plan
             .filter(FaultPlan::is_active)
             .map(|p| Arc::new(FaultInjector::new(p)));
-        for n in self.nodes_snapshot() {
-            n.set_fault_injector(injector.clone());
-        }
-        *self.fault.write() = injector;
+        self.publish(|t| Topology { fault, ..t.clone() });
     }
 
     /// Snapshot of what the active injector has done so far (`None` when
     /// the fault plane is disabled). Chaos tests compare this across runs
     /// to assert byte-identical replay.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.fault.read().as_ref().map(|i| i.stats())
+        self.topology().fault().map(FaultInjector::stats)
     }
 
     /// Switch the container listing DB to asynchronous (eventually
@@ -419,7 +545,21 @@ impl Cluster {
     /// lifetime even across a concurrent rebalance — operations that need
     /// placement coherence take one snapshot and use it throughout.
     pub fn ring(&self) -> Arc<Ring> {
-        self.ring.read().clone()
+        self.topology().ring.clone()
+    }
+
+    /// The current topology snapshot: what a request loads once, at entry.
+    fn topology(&self) -> Arc<Topology> {
+        self.topo.read().clone()
+    }
+
+    /// Replace the topology with `next(current)`, atomically with respect
+    /// to every other publisher. Because a reader only ever holds one
+    /// whole snapshot, whatever `next` changes together becomes visible
+    /// together.
+    fn publish(&self, next: impl FnOnce(&Topology) -> Topology) {
+        let mut cur = self.topo.write();
+        *cur = Arc::new(next(&cur));
     }
 
     /// Monotone fingerprint of the placement ring: bumped on every
@@ -436,55 +576,60 @@ impl Cluster {
         self.ms.fetch_add(1, Ordering::Relaxed)
     }
 
-    fn node(&self, id: DeviceId) -> Arc<StorageNode> {
-        self.nodes.read()[id.0 as usize].clone()
-    }
-
-    fn nodes_snapshot(&self) -> Vec<Arc<StorageNode>> {
-        self.nodes.read().clone()
-    }
-
     fn container_shard(&self, account: &str, container: &str) -> &ContainerShard {
         let h = hash64(account.as_bytes()) ^ hash64(container.as_bytes()).rotate_left(1);
         &self.containers[h as usize % self.containers.len()]
     }
 
-    fn catalog_shard(&self, ring_key: &str) -> &CatalogShard {
-        &self.catalog[hash64(ring_key.as_bytes()) as usize % self.catalog.len()]
+    fn catalog_shard(&self, hash: u64) -> &CatalogShard {
+        &self.catalog[stripe_of(hash, self.catalog.len())]
     }
 
-    fn op_lock(&self, ring_key: &str) -> &OrderedMutex<()> {
-        &self.op_locks[hash64(ring_key.as_bytes()) as usize % self.op_locks.len()]
+    fn op_lock(&self, hash: u64) -> &OrderedMutex<()> {
+        &self.op_locks[stripe_of(hash, self.op_locks.len())]
     }
 
     /// Failure injection: take a storage node down / bring it back.
     pub fn set_node_down(&self, id: DeviceId, down: bool) {
-        self.node(id).set_down(down);
+        self.topology().node(id).set_down(down);
     }
 
     pub fn node_is_down(&self, id: DeviceId) -> bool {
-        self.node(id).is_down()
+        self.topology().node(id).is_down()
     }
 
     // ----- elastic topology ------------------------------------------------
 
-    /// Install `new_ring` and register the partitions whose assignment
-    /// changed as a pending migration. Ordering matters: the migration
-    /// record goes in *before* the ring swap, so any operation that
-    /// snapshots the new ring is guaranteed to also see the pending set
-    /// (the reverse order would open a window where a reader uses the new
-    /// placement with no old-assignment fallback). Callers hold the
-    /// topology lock.
-    fn swap_ring(&self, new_ring: Ring) {
-        let old = self.ring();
-        let changed = old.changed_parts(&new_ring);
-        *self.migration.write() = Some(Arc::new(Migration {
-            old_ring: old,
+    /// Install `new_ring` (and the node of a device it adds) and register
+    /// the partitions whose assignment changed as a pending migration — in
+    /// one publish, so any operation that sees the new ring also sees the
+    /// pending set and the old assignment to fall back on. Callers hold
+    /// the topology-ops lock, so the ring cannot change under them.
+    fn swap_ring(&self, new_ring: Ring, added: Option<Arc<StorageNode>>) {
+        let old_ring = self.ring();
+        let changed = old_ring.changed_parts(&new_ring);
+        let migration = Arc::new(Migration {
+            old_ring,
             total: changed.len(),
             pending: Mutex::new(changed.into_iter().collect()),
-        }));
-        *self.ring.write() = Arc::new(new_ring);
+        });
+        self.publish(|t| Topology {
+            ring: Arc::new(new_ring),
+            nodes: t.nodes.iter().cloned().chain(added).collect(),
+            migration: Some(migration),
+            fault: t.fault.clone(),
+        });
         self.ring_epoch.fetch_add(1, Ordering::Release);
+    }
+
+    /// Drop `mig` from the topology once its pending set has drained (a
+    /// no-op if a later rebalance already replaced it); the old ring then
+    /// becomes garbage.
+    fn retire_migration(&self, mig: &Arc<Migration>) {
+        self.publish(|t| Topology {
+            migration: t.migration.clone().filter(|m| !Arc::ptr_eq(m, mig)),
+            ..t.clone()
+        });
     }
 
     /// Topology-op preamble: serialize against other operator ops and
@@ -492,7 +637,7 @@ impl Cluster {
     /// swap on top of an unfinished migration would lose the old-ring
     /// fallback for its still-pending partitions.
     fn topology_guard(&self) -> Result<std::sync::MutexGuard<'_, ()>> {
-        let guard = self.topology.lock();
+        let guard = self.topology_ops.lock();
         self.migrate_all();
         if self.migration_active() {
             return Err(H2Error::Unavailable(
@@ -514,14 +659,13 @@ impl Cluster {
             )));
         }
         let _t = self.topology_guard()?;
-        let id = DeviceId(self.nodes.read().len() as u16);
+        let topo = self.topology();
+        let id = DeviceId(topo.nodes.len() as u16);
         let node = Arc::new(StorageNode::with_stripes(id, zone, self.stripes));
-        node.set_fault_injector(self.fault.read().clone());
-        self.nodes.write().push(node);
-        let new_ring = self.ring().rebuild(|b| {
+        let new_ring = topo.ring.rebuild(|b| {
             b.add_device(id, zone, weight);
         });
-        self.swap_ring(new_ring);
+        self.swap_ring(new_ring, Some(node));
         Ok(id)
     }
 
@@ -545,7 +689,7 @@ impl Cluster {
         let new_ring = ring.rebuild(|b| {
             b.remove_device(id);
         });
-        self.swap_ring(new_ring);
+        self.swap_ring(new_ring, None);
         Ok(())
     }
 
@@ -565,7 +709,7 @@ impl Cluster {
         let new_ring = ring.rebuild(|b| {
             b.set_weight(id, weight);
         });
-        self.swap_ring(new_ring);
+        self.swap_ring(new_ring, None);
         Ok(())
     }
 
@@ -578,10 +722,10 @@ impl Cluster {
     /// later round. When the pending set drains, the migration record is
     /// dropped and the old ring becomes garbage.
     pub fn migrate_step(&self, max_parts: usize) -> usize {
-        let Some(mig) = self.migration.read().clone() else {
+        let topo = self.topology();
+        let Some(mig) = topo.migration.clone() else {
             return 0;
         };
-        let ring = self.ring();
         let batch: Vec<u64> = {
             let pending = mig.pending.lock();
             let mut v: Vec<u64> = pending.iter().copied().collect();
@@ -590,21 +734,18 @@ impl Cluster {
             v
         };
         if batch.is_empty() {
-            *self.migration.write() = None;
+            self.retire_migration(&mig);
             return 0;
         }
         // Union of keys anywhere (old assignment included — those devices
         // may already be out of the new ring), grouped by partition.
         let batch_set: HashSet<u64> = batch.iter().copied().collect();
-        let mut by_part: HashMap<u64, Vec<String>> = HashMap::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        for n in self.nodes_snapshot() {
+        let mut by_part: HashMap<u64, Vec<RingKey>> = HashMap::new();
+        let mut seen: KeySet = KeySet::default();
+        for n in &topo.nodes {
             for key in n.keys() {
-                if !seen.insert(key.clone()) {
-                    continue;
-                }
-                let part = ring.partition_of(key.as_bytes());
-                if batch_set.contains(&part) {
+                let part = topo.ring.partition_of_hash(key.at().hash);
+                if batch_set.contains(&part) && seen.insert(key.clone()) {
                     by_part.entry(part).or_default().push(key);
                 }
             }
@@ -612,18 +753,15 @@ impl Cluster {
         let mut flipped = 0usize;
         for part in batch {
             let mut keys = by_part.remove(&part).unwrap_or_default();
-            keys.sort_unstable();
-            if self.migrate_partition(&mig, &ring, part, &keys) {
+            keys.sort_unstable_by(|a, b| a.as_str().cmp(b.as_str()));
+            if self.migrate_partition(&topo, &mig, part, &keys) {
                 mig.pending.lock().remove(&part);
                 self.migration_parts_moved.fetch_add(1, Ordering::Relaxed);
                 flipped += 1;
             }
         }
         if mig.pending.lock().is_empty() {
-            let mut guard = self.migration.write();
-            if guard.as_ref().is_some_and(|m| Arc::ptr_eq(m, &mig)) {
-                *guard = None;
-            }
+            self.retire_migration(&mig);
         }
         flipped
     }
@@ -649,55 +787,40 @@ impl Cluster {
     /// lock client writers hold — so the copy never races a write to the
     /// same key; writes to *other* keys of the partition land on the new
     /// assignment directly (plus the dual-apply) and need no copy.
-    fn migrate_partition(&self, mig: &Migration, ring: &Ring, part: u64, keys: &[String]) -> bool {
-        let new_assigned = ring.devices_for_part(part);
+    fn migrate_partition(
+        &self,
+        topo: &Topology,
+        mig: &Migration,
+        part: u64,
+        keys: &[RingKey],
+    ) -> bool {
+        let new_assigned = topo.ring.devices_for_part(part);
         let old_assigned = mig.old_ring.devices_for_part(part);
         let quorum = self.cfg.replicas / 2 + 1;
         let mut can_flip = true;
         for key in keys {
-            let _guard = self.op_lock(key).lock();
+            let at = key.at();
+            let _guard = self.op_lock(at.hash).lock();
             // Racing `delete_account`: replicas of a dead account are
             // garbage, not data to migrate — `repair` purges them.
-            if let Some(account) = key.strip_prefix('/').and_then(|k| k.split('/').next()) {
-                if !self.account_exists(account) {
-                    continue;
-                }
+            if !self.account_of_key_exists(key) {
+                continue;
             }
             // Newest version across both assignments (incl. tombstones).
-            let mut newest: Option<crate::node::StoredReplica> = None;
-            for &dev in old_assigned.iter().chain(new_assigned) {
-                if let Some(r) = self.node(dev).get_raw(key) {
-                    if newest
-                        .as_ref()
-                        .is_none_or(|b| r.modified_ms > b.modified_ms)
-                    {
-                        newest = Some(r);
-                    }
-                }
-            }
-            let Some(newest) = newest else { continue };
+            let devs = old_assigned.iter().chain(new_assigned);
+            let Some(newest) = newest_on(devs.map(|&d| topo.node(d)), at) else {
+                continue;
+            };
             let mut holders = 0usize;
             for &dev in new_assigned {
-                let n = self.node(dev);
+                let n = topo.node(dev);
                 if n.is_down() {
                     continue;
                 }
-                if n.get_raw(key).map(|r| r.modified_ms) == Some(newest.modified_ms) {
-                    holders += 1;
-                    continue;
+                if n.stamp(at) != Some(newest.modified_ms) {
+                    n.store(&WriteKey::of(key), newest.placed(false), None);
+                    self.migration_keys_copied.fetch_add(1, Ordering::Relaxed);
                 }
-                if newest.deleted {
-                    n.delete_repair(key, newest.modified_ms);
-                } else {
-                    n.put_repair(
-                        key,
-                        newest.payload.clone(),
-                        newest.meta.clone(),
-                        newest.modified_ms,
-                        false,
-                    );
-                }
-                self.migration_keys_copied.fetch_add(1, Ordering::Relaxed);
                 holders += 1;
             }
             if holders < quorum {
@@ -707,20 +830,28 @@ impl Cluster {
         can_flip
     }
 
+    /// Whether the account a ring key belongs to still exists.
+    fn account_of_key_exists(&self, key: &RingKey) -> bool {
+        key.as_str()
+            .strip_prefix('/')
+            .and_then(|k| k.split('/').next())
+            .is_none_or(|account| self.account_exists(account))
+    }
+
     /// Whether a rebalance is still in flight (pending partitions exist).
     pub fn migration_active(&self) -> bool {
-        self.migration.read().is_some()
+        self.topology().migration.is_some()
     }
 
     /// Partitions the active migration started with (0 when idle).
     pub fn migration_total_parts(&self) -> usize {
-        self.migration.read().as_ref().map_or(0, |m| m.total)
+        self.topology().migration.as_ref().map_or(0, |m| m.total)
     }
 
     /// Pending (not yet flipped) partitions of the active migration.
     pub fn migration_pending_parts(&self) -> usize {
-        self.migration
-            .read()
+        self.topology()
+            .migration
             .as_ref()
             .map_or(0, |m| m.pending.lock().len())
     }
@@ -789,33 +920,33 @@ impl Cluster {
             return Err(H2Error::NoSuchAccount(name.to_string()));
         }
         for shard in self.containers.iter() {
-            shard.write().retain(|(a, _), _| a != name);
+            shard.write().remove(name);
         }
         // Drop the account's objects from reachable nodes and the catalog.
         let prefix = format!("/{name}/");
-        let doomed: Vec<String> = self
+        let doomed: Vec<RingKey> = self
             .catalog
             .iter()
             .flat_map(|shard| {
                 shard
                     .read()
                     .keys()
-                    .filter(|k| k.starts_with(&prefix))
+                    .filter(|k| k.as_str().starts_with(&prefix))
                     .cloned()
                     .collect::<Vec<_>>()
             })
             .collect();
         let dropped = doomed.len();
+        let topo = self.topology();
         for key in doomed {
-            let _guard = self.op_lock(&key).lock();
-            if let Some(size) = self.catalog_shard(&key).write().remove(&key) {
-                self.catalog_bytes.fetch_sub(size, Ordering::Relaxed);
-            }
+            let at = key.at();
+            let _guard = self.op_lock(at.hash).lock();
+            self.catalog_remove(at);
             // All nodes, not just ring members: replicas of a mid-migration
             // key may still sit on drained (ex-ring) devices.
-            for n in self.nodes_snapshot() {
+            for n in &topo.nodes {
                 if !n.is_down() {
-                    n.purge(&key);
+                    n.purge(at);
                 }
             }
         }
@@ -833,14 +964,14 @@ impl Cluster {
             return Err(H2Error::NoSuchAccount(account.to_string()));
         }
         let mut shard = self.container_shard(account, container).write();
-        let key = (account.to_string(), container.to_string());
-        if shard.contains_key(&key) {
+        let containers = shard.entry(account.to_string()).or_default();
+        if containers.contains_key(container) {
             return Err(H2Error::AlreadyExists(format!(
                 "container {account}/{container}"
             )));
         }
-        shard.insert(
-            key,
+        containers.insert(
+            container.to_string(),
             ContainerState {
                 indexed,
                 index: ContainerIndex::new(),
@@ -849,26 +980,40 @@ impl Cluster {
         Ok(())
     }
 
-    fn check_container(&self, account: &str, container: &str) -> Result<()> {
-        if self
-            .container_shard(account, container)
-            .read()
-            .contains_key(&(account.to_string(), container.to_string()))
-        {
-            Ok(())
-        } else {
-            Err(H2Error::NotFound(format!(
-                "container {account}/{container}"
-            )))
-        }
+    /// Run `f` on a container's state, if the container exists.
+    fn with_container<T>(
+        &self,
+        account: &str,
+        container: &str,
+        f: impl FnOnce(&ContainerState) -> T,
+    ) -> Option<T> {
+        let shard = self.container_shard(account, container).read();
+        shard.get(account)?.get(container).map(f)
+    }
+
+    /// As [`Cluster::with_container`], for updates.
+    fn with_container_mut<T>(
+        &self,
+        key: &ObjectKey,
+        f: impl FnOnce(&mut ContainerState) -> T,
+    ) -> Option<T> {
+        let mut shard = self.container_shard(&key.account, &key.container).write();
+        shard
+            .get_mut(&*key.account)?
+            .get_mut(&*key.container)
+            .map(f)
+    }
+
+    fn check_container(&self, key: &ObjectKey) -> Result<()> {
+        self.with_container(&key.account, &key.container, |_| ())
+            .ok_or_else(|| {
+                H2Error::NotFound(format!("container {}/{}", key.account, key.container))
+            })
     }
 
     /// Rows currently held in this container's listing DB (0 if unindexed).
     pub fn index_rows(&self, account: &str, container: &str) -> u64 {
-        self.container_shard(account, container)
-            .read()
-            .get(&(account.to_string(), container.to_string()))
-            .map(|c| c.index.len() as u64)
+        self.with_container(account, container, |c| c.index.len() as u64)
             .unwrap_or(0)
     }
 
@@ -880,6 +1025,7 @@ impl Cluster {
                 shard
                     .read()
                     .values()
+                    .flat_map(HashMap::values)
                     .filter(|c| c.indexed)
                     .map(|c| c.index.index_bytes())
                     .sum::<u64>()
@@ -895,6 +1041,7 @@ impl Cluster {
                 shard
                     .read()
                     .values()
+                    .flat_map(HashMap::values)
                     .filter(|c| c.indexed)
                     .map(|c| c.index.len() as u64)
                     .sum::<u64>()
@@ -919,8 +1066,8 @@ impl Cluster {
 
     /// Live replica count per device (balance inspection).
     pub fn device_loads(&self) -> Vec<(DeviceId, usize)> {
-        self.nodes
-            .read()
+        self.topology()
+            .nodes
             .iter()
             .map(|n| (n.id(), n.replica_count()))
             .collect()
@@ -933,9 +1080,16 @@ impl Cluster {
     /// `Ok(Some(k))`: a write request must tear — apply at most `k` replica
     /// placements, then report failure. `Err`: fail up front, no state
     /// touched.
-    fn fault_gate(&self, ctx: &mut OpCtx, class: OpClass, target: &str) -> Result<Option<usize>> {
-        let inj = self.fault.read().clone();
-        let Some(inj) = inj else { return Ok(None) };
+    fn fault_gate(
+        &self,
+        ctx: &mut OpCtx,
+        topo: &Topology,
+        class: OpClass,
+        target: &str,
+    ) -> Result<Option<usize>> {
+        let Some(inj) = topo.fault() else {
+            return Ok(None);
+        };
         match inj.decide(class) {
             FaultDecision::Clean => Ok(None),
             FaultDecision::Slow(d) => {
@@ -958,51 +1112,37 @@ impl Cluster {
         }
     }
 
-    /// One per-replica read fault draw (the replica behaves as unreachable
-    /// for this request only).
-    fn replica_read_faulted(&self) -> bool {
-        self.fault
-            .read()
-            .as_ref()
-            .is_some_and(|i| i.replica_fails(OpClass::Get))
-    }
-
     // ----- replica placement helpers --------------------------------------
 
-    /// Write one replica set with quorum + handoffs. Returns Err if quorum
-    /// unreachable. `time_charged` handles parallel-vs-serial replication.
+    /// Write one replica set with quorum + handoffs: every device gets a
+    /// pointer to the same `replica` (a tombstone when `replica.deleted`).
+    /// Returns Err if quorum unreachable.
     ///
     /// `cap` is the torn-write injection hook: when `Some(k)`, at most `k`
     /// replicas are written and the call always reports `Unavailable` —
     /// the proxy "crashed" mid-replication (fail-after-write). State is
     /// partially applied; repair and the retry layer must absorb it.
-    #[allow(clippy::too_many_arguments)]
     fn replicated_put_capped(
         &self,
         ctx: &mut OpCtx,
-        ring_key: &str,
-        payload: &Payload,
-        meta: &Meta,
-        ms: u64,
-        tombstone: bool,
+        topo: &Topology,
+        key: &WriteKey<'_>,
+        replica: &StoredReplica,
         cap: Option<usize>,
     ) -> Result<()> {
-        let verb = if tombstone { "delete" } else { "put" };
-        let ring = self.ring();
-        let part = ring.partition_of(ring_key.as_bytes());
-        let assigned = ring.devices_for_part(part);
+        let verb = if replica.deleted { "delete" } else { "put" };
+        let ring_key = key.at().text;
+        let part = topo.ring.partition_of_hash(key.at().hash);
+        let assigned = topo.ring.devices_for_part(part);
         let quorum = self.cfg.replicas / 2 + 1;
         let mut placed = 0usize;
         for &dev in assigned {
             if cap.is_some_and(|c| placed >= c) {
                 break;
             }
-            let ok = if tombstone {
-                self.node(dev).delete(ring_key, ms)
-            } else {
-                self.node(dev)
-                    .put(ring_key, payload.clone(), meta.clone(), ms, false)
-            };
+            let ok = topo
+                .node(dev)
+                .store(key, replica.placed(false), topo.fault());
             ctx.span_instant(STAGE_REPLICA, verb, || {
                 vec![
                     ("dev", dev.0.to_string()),
@@ -1017,16 +1157,13 @@ impl Cluster {
             }
         }
         if placed < self.cfg.replicas {
-            for dev in ring.handoffs(part) {
+            for dev in topo.ring.handoffs(part) {
                 if placed >= self.cfg.replicas || cap.is_some_and(|c| placed >= c) {
                     break;
                 }
-                let ok = if tombstone {
-                    self.node(dev).delete(ring_key, ms)
-                } else {
-                    self.node(dev)
-                        .put(ring_key, payload.clone(), meta.clone(), ms, true)
-                };
+                let ok = topo
+                    .node(dev)
+                    .store(key, replica.placed(true), topo.fault());
                 ctx.span_instant(STAGE_REPLICA, verb, || {
                     vec![
                         ("dev", dev.0.to_string()),
@@ -1051,61 +1188,79 @@ impl Cluster {
                 self.cfg.replicas
             )));
         }
-        if placed >= quorum {
-            // Dual-apply: an acked write must stay readable through a
-            // concurrent rebalance. Two placements can diverge from the
-            // snapshot this call used: (a) the topology swapped mid-call
-            // (re-home onto the *current* assignment), and (b) the key's
-            // partition is still pending migration, so readers may resolve
-            // it through the *old* ring's assignment (old-assignment-as-
-            // handoff). Both checks run after the quorum placement, so a
-            // completed migration can never have scanned past this key
-            // without one of them firing. Repair-path primitives are used
-            // so no extra fault draws are consumed — an acked write stays
-            // acked regardless of the fault plan, and seeded replay stays
-            // byte-identical whether or not a migration is running.
-            let mut extra: Vec<DeviceId> = Vec::new();
-            let cur = self.ring();
-            if !Arc::ptr_eq(&cur, &ring) {
-                for &dev in cur.devices_for_part(part) {
-                    if !assigned.contains(&dev) {
+        if placed < quorum {
+            return Err(H2Error::Unavailable(format!(
+                "only {placed}/{quorum} replicas reachable for {ring_key}"
+            )));
+        }
+        // Dual-apply: an acked write must stay readable through a
+        // concurrent rebalance. Two placements can diverge from the
+        // snapshot this request works on, so the topology is loaded a
+        // second time here, *after* the quorum placement: (a) it swapped
+        // mid-call (re-home onto the *current* assignment), and (b) the
+        // key's partition is still pending migration, so readers may
+        // resolve it through the *old* ring's assignment (old-assignment-
+        // as-handoff). Because both checks run after the placement, a
+        // completed migration can never have scanned past this key without
+        // one of them firing. No injector is passed, so no extra fault
+        // draws are consumed — an acked write stays acked regardless of
+        // the fault plan, and seeded replay stays byte-identical whether
+        // or not a migration is running.
+        let now = self.topology();
+        let mut extra: Vec<DeviceId> = Vec::new();
+        if !Arc::ptr_eq(&now.ring, &topo.ring) {
+            for &dev in now.ring.devices_for_part(part) {
+                if !assigned.contains(&dev) {
+                    extra.push(dev);
+                }
+            }
+        }
+        if let Some(mig) = &now.migration {
+            if mig.pending.lock().contains(&part) {
+                for &dev in mig.old_ring.devices_for_part(part) {
+                    if !assigned.contains(&dev) && !extra.contains(&dev) {
                         extra.push(dev);
                     }
                 }
             }
-            if let Some(mig) = self.migration.read().clone() {
-                if mig.pending.lock().contains(&part) {
-                    for &dev in mig.old_ring.devices_for_part(part) {
-                        if !assigned.contains(&dev) && !extra.contains(&dev) {
-                            extra.push(dev);
-                        }
-                    }
-                }
+        }
+        if !extra.is_empty() {
+            for &dev in &extra {
+                now.node(dev).store(key, replica.placed(true), None);
+                ctx.span_instant(STAGE_MIGRATE, verb, || {
+                    vec![("dev", dev.0.to_string()), ("dual", "yes".to_string())]
+                });
             }
-            if !extra.is_empty() {
-                for &dev in &extra {
-                    if tombstone {
-                        self.node(dev).delete_repair(ring_key, ms);
-                    } else {
-                        self.node(dev).put_repair(
-                            ring_key,
-                            payload.clone(),
-                            meta.clone(),
-                            ms,
-                            true,
-                        );
-                    }
-                    ctx.span_instant(STAGE_MIGRATE, verb, || {
-                        vec![("dev", dev.0.to_string()), ("dual", "yes".to_string())]
-                    });
-                }
-                self.migration_dual_writes.fetch_add(1, Ordering::Relaxed);
+            self.migration_dual_writes.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    /// One device's part in a quorum read: its vote, its span record, and
+    /// its replica if that beats the best so far. Assigned devices draw
+    /// the per-replica read fault; handoffs are consulted whether up or
+    /// down, draw nothing, and only count toward reachability.
+    fn probe_device(
+        ctx: &mut OpCtx,
+        topo: &Topology,
+        dev: DeviceId,
+        key: KeyRef<'_>,
+        handoff: bool,
+        seen: &mut Quorum,
+    ) {
+        let fault = if handoff { None } else { topo.fault() };
+        let (newer, vote) = topo.node(dev).probe_newer(key, seen.best_ms(), fault);
+        ctx.span_instant(STAGE_REPLICA, "read", || {
+            let mut notes = vec![("dev", dev.0.to_string())];
+            if handoff {
+                notes.push(("handoff", "yes".to_string()));
             }
-            Ok(())
-        } else {
-            Err(H2Error::Unavailable(format!(
-                "only {placed}/{quorum} replicas reachable for {ring_key}"
-            )))
+            notes.push(("vote", vote.vote()));
+            notes
+        });
+        seen.hear(vote, handoff);
+        if newer.is_some() {
+            seen.best = newer;
         }
     }
 
@@ -1123,128 +1278,24 @@ impl Cluster {
     /// agree, handoffs cannot hold anything newer that matters — agreement
     /// after a full outage is repaired by [`Cluster::repair`], as in real
     /// Swift.
+    ///
+    /// `expected_ms` is the caller's freshness floor, if it has one (see
+    /// [`Cluster::get_expecting`]).
     fn read_replica(
         &self,
         ctx: &mut OpCtx,
-        ring_key: &str,
-    ) -> Result<Option<crate::node::StoredReplica>> {
-        self.read_replica_expecting(ctx, ring_key, None)
-    }
-
-    /// One assigned-device probe: the is-down check, the per-replica fault
-    /// draw, and the actual peek, with its span record. Factored out so the
-    /// serial loop and the hedged parallel wave run the identical sequence
-    /// per device (the fault draws stay deterministic either way —
-    /// [`OpCtx::parallel`] executes its items in index order and only
-    /// *charges* them as concurrent).
-    fn probe_assigned(&self, ctx: &mut OpCtx, dev: DeviceId, ring_key: &str) -> ReplicaVote {
-        let n = self.node(dev);
-        if n.is_down() {
-            ctx.span_instant(STAGE_REPLICA, "read", || {
-                vec![("dev", dev.0.to_string()), ("vote", "down".to_string())]
-            });
-            return ReplicaVote::Down;
-        }
-        if self.replica_read_faulted() {
-            // Injected per-replica fault: treat the device as
-            // unreachable for this one request (handoffs consulted,
-            // reachability not counted), same as a transient timeout.
-            ctx.span_instant(STAGE_REPLICA, "read", || {
-                vec![("dev", dev.0.to_string()), ("vote", "faulted".to_string())]
-            });
-            return ReplicaVote::Faulted;
-        }
-        let (r, probe) = n.probe(ring_key);
-        ctx.span_instant(STAGE_REPLICA, "read", || {
-            vec![("dev", dev.0.to_string()), ("vote", probe.vote())]
-        });
-        ReplicaVote::Probed(r)
-    }
-
-    /// One handoff-device probe (handoffs are consulted whether up or
-    /// down; only up ones count toward reachability).
-    fn probe_handoff(
-        &self,
-        ctx: &mut OpCtx,
-        dev: DeviceId,
-        ring_key: &str,
-    ) -> (bool, Option<crate::node::StoredReplica>) {
-        let n = self.node(dev);
-        let up = !n.is_down();
-        let (r, probe) = n.probe(ring_key);
-        ctx.span_instant(STAGE_REPLICA, "read", || {
-            vec![
-                ("dev", dev.0.to_string()),
-                ("handoff", "yes".to_string()),
-                ("vote", probe.vote()),
-            ]
-        });
-        (up, r)
-    }
-
-    fn read_replica_expecting(
-        &self,
-        ctx: &mut OpCtx,
-        ring_key: &str,
+        topo: &Topology,
+        key: KeyRef<'_>,
         expected_ms: Option<u64>,
-    ) -> Result<Option<crate::node::StoredReplica>> {
-        fn consider(best: &mut Option<crate::node::StoredReplica>, r: crate::node::StoredReplica) {
-            if best.as_ref().is_none_or(|b| r.modified_ms > b.modified_ms) {
-                *best = Some(r);
-            }
-        }
-        let ring = self.ring();
-        let part = ring.partition_of(ring_key.as_bytes());
+    ) -> Result<Option<StoredReplica>> {
+        let part = topo.ring.partition_of_hash(key.hash);
         let hedged = self.hedged.load(Ordering::Relaxed);
-        let assigned: Vec<DeviceId> = ring.devices_for_part(part).to_vec();
-        let votes: Vec<ReplicaVote> = if hedged {
-            // All assigned probes go out as one wave: the read waits for
-            // the slowest probe of the wave, not their sum.
-            let mut slots: Vec<Option<ReplicaVote>> = Vec::new();
-            slots.resize_with(assigned.len(), || None);
-            {
-                let slots = std::cell::RefCell::new(&mut slots);
-                ctx.parallel(assigned.len(), |ctx, i| {
-                    let v = self.probe_assigned(ctx, assigned[i], ring_key);
-                    slots.borrow_mut()[i] = Some(v);
-                    Ok(())
-                })?;
-            }
-            slots
-                .into_iter()
-                .map(|v| v.expect("every probe ran"))
-                .collect()
-        } else {
-            assigned
-                .iter()
-                .map(|&dev| self.probe_assigned(ctx, dev, ring_key))
-                .collect()
-        };
-        let mut best: Option<crate::node::StoredReplica> = None;
-        let mut reachable = 0usize;
-        let mut any_assigned_down = false;
-        let mut any_replica_faulted = false;
-        // Stamps seen on *up* assigned devices (None = no replica there).
-        let mut up_stamps: Vec<Option<u64>> = Vec::new();
-        for vote in votes {
-            match vote {
-                ReplicaVote::Down => any_assigned_down = true,
-                ReplicaVote::Faulted => {
-                    any_assigned_down = true;
-                    any_replica_faulted = true;
-                }
-                ReplicaVote::Probed(r) => {
-                    reachable += 1;
-                    up_stamps.push(r.as_ref().map(|r| r.modified_ms));
-                    if let Some(r) = r {
-                        consider(&mut best, r);
-                    }
-                }
-            }
-        }
-        let best_ms = best.as_ref().map(|r| r.modified_ms);
-        let assigned_suspect =
-            any_assigned_down || best.is_none() || up_stamps.iter().any(|s| *s != best_ms);
+        let assigned = topo.ring.devices_for_part(part);
+        let mut seen = Quorum::default();
+        wave(ctx, hedged, assigned.len(), |ctx, i| {
+            Self::probe_device(ctx, topo, assigned[i], key, false, &mut seen)
+        })?;
+        let best_ms = seen.best_ms();
         // Expected-stamp shortcut: with every assigned device up and
         // answering (no down, no fault draw), a best stamp at or past the
         // caller's floor makes the handoff scan provably redundant *for
@@ -1254,8 +1305,8 @@ impl Cluster {
         // lagging assigned replica triggers the scan in that state, and
         // the laggard is by definition older than best.
         let provably_fresh =
-            !any_assigned_down && expected_ms.is_some_and(|e| best_ms.is_some_and(|b| b >= e));
-        if assigned_suspect && provably_fresh {
+            !seen.assigned_down && expected_ms.is_some_and(|e| best_ms.is_some_and(|b| b >= e));
+        if seen.assigned_suspect() && provably_fresh {
             self.handoff_scans_skipped.fetch_add(1, Ordering::Relaxed);
             ctx.span_note("handoff_scan", || {
                 format!(
@@ -1264,22 +1315,22 @@ impl Cluster {
                     expected_ms.unwrap_or(0)
                 )
             });
-        } else if assigned_suspect {
+        } else if seen.assigned_suspect() {
             ctx.span_note("handoff_scan", || {
-                if any_assigned_down {
+                if seen.assigned_down {
                     "assigned device down or faulted".to_string()
                 } else {
                     "assigned replicas missing or disagreeing".to_string()
                 }
             });
-            let mut handoffs: Vec<DeviceId> = ring.handoffs(part);
+            let mut handoffs: Vec<DeviceId> = topo.ring.handoffs(part);
             // Migration handoff rescue: while this partition is pending,
             // the authoritative copies may still sit only on the *old*
             // ring's assigned devices (and those devices may have left the
             // new ring entirely, e.g. a drain). Extend the scan with the
             // old assignment so a read issued between the ring swap and
             // the partition's copy-then-flip never misses an acked write.
-            if let Some(mig) = self.migration.read().clone() {
+            if let Some(mig) = &topo.migration {
                 if mig.pending.lock().contains(&part) {
                     let mut rescued = false;
                     for &dev in mig.old_ring.devices_for_part(part) {
@@ -1296,59 +1347,36 @@ impl Cluster {
                     }
                 }
             }
-            if hedged && !handoffs.is_empty() {
+            let hedge = hedged && !handoffs.is_empty();
+            if hedge {
                 // Hedge: the fallback probes fan out as their own wave
                 // instead of serialising after the assigned ones.
                 self.hedged_reads.fetch_add(1, Ordering::Relaxed);
                 ctx.span_note("hedge", || {
                     format!("{} handoffs probed in parallel", handoffs.len())
                 });
-                let mut slots: Vec<Option<(bool, Option<crate::node::StoredReplica>)>> = Vec::new();
-                slots.resize_with(handoffs.len(), || None);
-                {
-                    let slots = std::cell::RefCell::new(&mut slots);
-                    ctx.parallel(handoffs.len(), |ctx, i| {
-                        let p = self.probe_handoff(ctx, handoffs[i], ring_key);
-                        slots.borrow_mut()[i] = Some(p);
-                        Ok(())
-                    })?;
-                }
-                for slot in slots {
-                    let (up, r) = slot.expect("every probe ran");
-                    if up {
-                        reachable += 1;
-                    }
-                    if let Some(r) = r {
-                        consider(&mut best, r);
-                    }
-                }
-            } else {
-                for dev in handoffs {
-                    let (up, r) = self.probe_handoff(ctx, dev, ring_key);
-                    if up {
-                        reachable += 1;
-                    }
-                    if let Some(r) = r {
-                        consider(&mut best, r);
-                    }
-                }
             }
+            wave(ctx, hedge, handoffs.len(), |ctx, i| {
+                Self::probe_device(ctx, topo, handoffs[i], key, true, &mut seen)
+            })?;
         }
-        if best.is_none() && reachable == 0 {
+        if seen.best.is_none() && seen.reachable == 0 {
             return Err(H2Error::Unavailable(format!(
-                "no device reachable for {ring_key}"
+                "no device reachable for {}",
+                key.text
             )));
         }
-        if best.is_none() && any_replica_faulted {
+        if seen.best.is_none() && seen.replica_faulted {
             // An injected fault hid at least one assigned replica and no
             // copy was found elsewhere: the hidden device may be the only
             // holder, so absence cannot be concluded — report a retryable
             // outage instead of a (possibly wrong) verified miss.
             return Err(H2Error::Unavailable(format!(
-                "replica fault hides {ring_key}; absence unverified"
+                "replica fault hides {}; absence unverified",
+                key.text
             )));
         }
-        Ok(best.filter(|r| !r.deleted))
+        Ok(seen.best.filter(|r| !r.deleted))
     }
 
     fn charge_replica_time(&self, ctx: &mut OpCtx, per_replica: std::time::Duration) {
@@ -1360,16 +1388,12 @@ impl Cluster {
     }
 
     fn container_indexed(&self, key: &ObjectKey) -> bool {
-        self.container_shard(&key.account, &key.container)
-            .read()
-            .get(&(key.account.to_string(), key.container.to_string()))
-            .map(|s| s.indexed)
+        self.with_container(&key.account, &key.container, |c| c.indexed)
             .unwrap_or(false)
     }
 
     fn index_apply_upsert(&self, key: &ObjectKey, size: u64, ms: u64, ctype: &str) {
-        let mut shard = self.container_shard(&key.account, &key.container).write();
-        if let Some(state) = shard.get_mut(&(key.account.to_string(), key.container.to_string())) {
+        self.with_container_mut(key, |state| {
             if state.indexed {
                 state.index.upsert(
                     &key.name,
@@ -1380,21 +1404,22 @@ impl Cluster {
                     },
                 );
             }
-        }
+        });
     }
 
     fn index_apply_remove(&self, key: &ObjectKey) -> bool {
-        let mut shard = self.container_shard(&key.account, &key.container).write();
-        match shard.get_mut(&(key.account.to_string(), key.container.to_string())) {
-            Some(state) if state.indexed => state.index.remove(&key.name),
-            _ => false,
-        }
+        self.with_container_mut(key, |state| state.indexed && state.index.remove(&key.name))
+            .unwrap_or(false)
     }
 
-    fn index_upsert(&self, ctx: &mut OpCtx, key: &ObjectKey, size: u64, ms: u64, ctype: &str) {
+    /// Record a write in the container's listing DB, if it keeps one (H2's
+    /// containers do not, and pay nothing here). The content type is the
+    /// `content-type` entry of the written `meta`.
+    fn index_upsert(&self, ctx: &mut OpCtx, key: &ObjectKey, size: u64, ms: u64, meta: &Meta) {
         if !self.container_indexed(key) {
             return;
         }
+        let ctype = meta.get("content-type").map_or("", String::as_str);
         if self.async_index.load(Ordering::Relaxed) {
             // Asynchronous container update: the client does not wait (and
             // is not charged); the listing lags until the updater runs.
@@ -1423,21 +1448,27 @@ impl Cluster {
         }
     }
 
-    fn catalog_put(&self, ring_key: &str, size: u64) {
-        let mut cat = self.catalog_shard(ring_key).write();
-        match cat.insert(ring_key.to_string(), size) {
+    fn catalog_put(&self, key: &WriteKey<'_>, size: u64) {
+        let at = key.at();
+        let mut cat = self.catalog_shard(at.hash).write();
+        match cat.get_mut(&at as &dyn Keyed) {
             Some(old) => {
-                self.catalog_bytes.fetch_sub(old, Ordering::Relaxed);
-                self.catalog_bytes.fetch_add(size, Ordering::Relaxed);
+                self.catalog_bytes.fetch_sub(*old, Ordering::Relaxed);
+                *old = size;
             }
             None => {
-                self.catalog_bytes.fetch_add(size, Ordering::Relaxed);
+                cat.insert(key.owned(), size);
             }
         }
+        self.catalog_bytes.fetch_add(size, Ordering::Relaxed);
     }
 
-    fn catalog_remove(&self, ring_key: &str) {
-        if let Some(size) = self.catalog_shard(ring_key).write().remove(ring_key) {
+    fn catalog_remove(&self, key: KeyRef<'_>) {
+        let removed = self
+            .catalog_shard(key.hash)
+            .write()
+            .remove(&key as &dyn Keyed);
+        if let Some(size) = removed {
             self.catalog_bytes.fetch_sub(size, Ordering::Relaxed);
         }
     }
@@ -1455,70 +1486,58 @@ impl Cluster {
     /// racing newer write is never removed or resurrected.
     pub fn repair(&self) -> usize {
         let mut moved = 0usize;
-        let ring = self.ring();
+        let topo = self.topology();
         // All nodes, not just current ring members: drained (ex-ring)
         // devices may still hold replicas from before their drain, and
         // those must be found, re-homed, and eventually purged.
-        let nodes = self.nodes_snapshot();
+        let nodes = &topo.nodes;
         // Collect the union of keys present anywhere.
-        let mut keys: HashSet<String> = HashSet::new();
-        for n in &nodes {
+        let mut keys = KeySet::default();
+        for n in nodes {
             if !n.is_down() {
                 keys.extend(n.keys());
             }
         }
         for key in keys {
-            let _guard = self.op_lock(&key).lock();
+            let at = key.at();
+            let _guard = self.op_lock(at.hash).lock();
             // Replicas of a deleted account linger on devices that were
             // down during `delete_account`; drop them once reachable.
-            if let Some(account) = key.strip_prefix('/').and_then(|k| k.split('/').next()) {
-                if !self.account_exists(account) {
-                    for n in &nodes {
-                        if !n.is_down() && n.get_raw(&key).is_some() {
-                            n.purge(&key);
-                            moved += 1;
-                        }
+            if !self.account_of_key_exists(&key) {
+                for n in nodes {
+                    if n.stamp(at).is_some() {
+                        n.purge(at);
+                        moved += 1;
                     }
-                    continue;
                 }
+                continue;
             }
-            let part = ring.partition_of(key.as_bytes());
-            let assigned: Vec<DeviceId> = ring.devices_for_part(part).to_vec();
+            let part = topo.ring.partition_of_hash(at.hash);
+            let assigned = topo.ring.devices_for_part(part);
             // Find newest version anywhere reachable (incl. tombstones).
             // Scan every node — ring handoffs cover all in-ring devices,
             // but a drained device outside the ring can hold the newest
             // copy (e.g. it was drained right after taking a write).
-            let mut newest: Option<crate::node::StoredReplica> = None;
-            let all_devs: Vec<DeviceId> = nodes.iter().map(|n| n.id()).collect();
-            for &dev in &all_devs {
-                if let Some(r) = self.node(dev).get_raw(&key) {
-                    if newest
-                        .as_ref()
-                        .is_none_or(|b| r.modified_ms > b.modified_ms)
-                    {
-                        newest = Some(r);
-                    }
-                }
-            }
-            let Some(newest) = newest else { continue };
+            let Some(newest) = newest_on(nodes.iter().map(|n| &**n), at) else {
+                continue;
+            };
+            let ms = newest.modified_ms;
             if newest.deleted {
                 // Reclaim the tombstone only when every device that could
                 // hold a stale live copy is reachable — otherwise a replica
                 // on a downed node would resurrect once the node returns
                 // (the reason real Swift keeps tombstones for reclaim_age).
-                if all_devs.iter().all(|&d| !self.node(d).is_down()) {
-                    for &dev in &all_devs {
-                        self.node(dev).purge_upto(&key, newest.modified_ms);
+                if nodes.iter().all(|n| !n.is_down()) {
+                    for n in nodes {
+                        n.purge_upto(at, ms);
                     }
                 } else {
                     // Propagate the tombstone to reachable devices that
                     // missed it, so the delete survives further failures.
-                    for &dev in &assigned {
-                        let n = self.node(dev);
-                        if !n.is_down()
-                            && n.get_raw(&key).map(|r| r.modified_ms) != Some(newest.modified_ms)
-                        {
-                            n.delete_repair(&key, newest.modified_ms);
+                    for &dev in assigned {
+                        let n = topo.node(dev);
+                        if !n.is_down() && n.stamp(at) != Some(ms) {
+                            n.store(&WriteKey::of(&key), newest.placed(false), None);
                         }
                     }
                     moved += 1;
@@ -1526,20 +1545,10 @@ impl Cluster {
                 continue;
             }
             // Install newest on assigned devices that lack it.
-            for &dev in &assigned {
-                let n = self.node(dev);
-                if n.is_down() {
-                    continue;
-                }
-                let have = n.get_raw(&key).map(|r| r.modified_ms);
-                if have != Some(newest.modified_ms) {
-                    n.put_repair(
-                        &key,
-                        newest.payload.clone(),
-                        newest.meta.clone(),
-                        newest.modified_ms,
-                        false,
-                    );
+            for &dev in assigned {
+                let n = topo.node(dev);
+                if !n.is_down() && n.stamp(at) != Some(ms) {
+                    n.store(&WriteKey::of(&key), newest.placed(false), None);
                     moved += 1;
                 }
             }
@@ -1547,13 +1556,12 @@ impl Cluster {
             // it — but never a handoff copy newer than the version we
             // reconciled (a concurrent writer may have just landed there).
             let all_assigned_have = assigned.iter().all(|&d| {
-                self.node(d).is_down()
-                    || self.node(d).get_raw(&key).map(|r| r.modified_ms) == Some(newest.modified_ms)
+                let n = topo.node(d);
+                n.is_down() || n.stamp(at) == Some(ms)
             });
             if all_assigned_have {
-                for &dev in all_devs.iter().filter(|d| !assigned.contains(d)) {
-                    let n = self.node(dev);
-                    if !n.is_down() && n.purge_upto(&key, newest.modified_ms) {
+                for n in nodes.iter().filter(|n| !assigned.contains(&n.id())) {
+                    if !n.is_down() && n.purge_upto(at, ms) {
                         moved += 1;
                     }
                 }
@@ -1572,26 +1580,91 @@ impl Cluster {
         payload: Payload,
         meta: Meta,
     ) -> Result<u64> {
-        self.check_container(&key.account, &key.container)?;
+        self.write_object(ctx, key, payload, meta, false)
+            .map(|(ms, _)| ms)
+    }
+
+    /// The PUT behind [`Cluster::put_stamped`] and
+    /// [`Cluster::put_returning_prev`]: replicate one new version under the
+    /// key's op stripe, then account for it. With `read_prev` the live
+    /// version it displaces is read first, inside the same critical
+    /// section, and returned.
+    fn write_object(
+        &self,
+        ctx: &mut OpCtx,
+        key: &ObjectKey,
+        payload: Payload,
+        meta: Meta,
+        read_prev: bool,
+    ) -> Result<(u64, Option<StoredReplica>)> {
+        self.check_container(key)?;
         let ring_key = key.ring_key();
+        let at = KeyRef::new(&ring_key);
         ctx.span(STAGE_CLOUD, "PUT", |ctx| {
             ctx.span_note("key", || ring_key.clone());
-            let torn = self.fault_gate(ctx, OpClass::Put, &ring_key)?;
+            let topo = self.topology();
+            let torn = self.fault_gate(ctx, &topo, OpClass::Put, &ring_key)?;
             let size = payload.len();
             ctx.charge(PrimKind::Put, std::time::Duration::ZERO);
-            let ctype = meta.get("content-type").cloned().unwrap_or_default();
-            let _guard = self.op_lock(&ring_key).lock();
+            let record = Record::new(payload, meta);
+            let _guard = self.op_lock(at.hash).lock();
+            let prev = if read_prev {
+                // h2lint: allow(guard-across-blocking): the per-key op stripe serializes the read-modify-write (read prev + replicate + catalog + index) by design; only same-key ops wait.
+                ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
+                    self.read_replica(ctx, &topo, at, None)
+                })?
+            } else {
+                None
+            };
             let ms = self.next_ms();
+            let wkey = WriteKey::new(at);
+            let replica = StoredReplica::live(record, ms, false);
             // A torn write applies to a strict subset of replicas, then
             // errors out before the catalog/index updates — fail-after-write.
-            // h2lint: allow(guard-across-blocking): the per-key op stripe serializes the read-modify-write (replicate + catalog + index) by design; only same-key ops wait.
             ctx.span(STAGE_QUORUM, "replicate", |ctx| {
                 self.charge_replica_time(ctx, self.cfg.cost.put_cost(size as usize));
-                self.replicated_put_capped(ctx, &ring_key, &payload, &meta, ms, false, torn)
+                self.replicated_put_capped(ctx, &topo, &wkey, &replica, torn)
             })?;
-            self.catalog_put(&ring_key, size);
-            self.index_upsert(ctx, key, size, ms, &ctype);
-            Ok(ms)
+            self.catalog_put(&wkey, size);
+            self.index_upsert(ctx, key, size, ms, &replica.record.meta);
+            Ok((ms, prev))
+        })
+    }
+
+    /// The DELETE behind [`ObjectStore::delete`] and
+    /// [`Cluster::delete_returning_prev`]: tombstone the key under its op
+    /// stripe and return the live version the tombstone displaced. A
+    /// missing object is NotFound.
+    fn delete_object(&self, ctx: &mut OpCtx, key: &ObjectKey) -> Result<StoredReplica> {
+        self.check_container(key)?;
+        let ring_key = key.ring_key();
+        let at = KeyRef::new(&ring_key);
+        ctx.span(STAGE_CLOUD, "DELETE", |ctx| {
+            ctx.span_note("key", || ring_key.clone());
+            let topo = self.topology();
+            let torn = self.fault_gate(ctx, &topo, OpClass::Delete, &ring_key)?;
+            let _guard = self.op_lock(at.hash).lock();
+            // h2lint: allow(guard-across-blocking): the per-key op stripe serializes the read-modify-write (read prev + tombstone + catalog) by design; only same-key ops wait.
+            let existing = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
+                self.read_replica(ctx, &topo, at, None)
+            })?;
+            let Some(existing) = existing else {
+                ctx.charge(PrimKind::Delete, self.cfg.cost.delete_cost());
+                // An earlier torn delete may have tombstoned every replica
+                // without reaching the catalog; absence is now confirmed, so
+                // heal that divergence (a no-op in the common case).
+                self.catalog_remove(at);
+                return Err(H2Error::NotFound(ring_key.clone()));
+            };
+            let tombstone = StoredReplica::tombstone(self.next_ms());
+            ctx.charge(PrimKind::Delete, std::time::Duration::ZERO);
+            ctx.span(STAGE_QUORUM, "replicate", |ctx| {
+                self.charge_replica_time(ctx, self.cfg.cost.delete_cost());
+                self.replicated_put_capped(ctx, &topo, &WriteKey::new(at), &tombstone, torn)
+            })?;
+            self.catalog_remove(at);
+            self.index_remove(ctx, key);
+            Ok(existing)
         })
     }
 
@@ -1606,19 +1679,21 @@ impl Cluster {
         key: &ObjectKey,
         expected_ms: Option<u64>,
     ) -> Result<Object> {
-        self.check_container(&key.account, &key.container)?;
+        self.check_container(key)?;
         let ring_key = key.ring_key();
+        let at = KeyRef::new(&ring_key);
         ctx.span(STAGE_CLOUD, "GET", |ctx| {
             ctx.span_note("key", || ring_key.clone());
-            self.fault_gate(ctx, OpClass::Get, &ring_key)?;
+            let topo = self.topology();
+            self.fault_gate(ctx, &topo, OpClass::Get, &ring_key)?;
             let found = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
-                let r = self.read_replica_expecting(ctx, &ring_key, expected_ms)?;
-                let len = r.as_ref().map_or(0, |r| r.payload.len() as usize);
+                let r = self.read_replica(ctx, &topo, at, expected_ms)?;
+                let len = r.as_ref().map_or(0, |r| r.record.payload.len() as usize);
                 ctx.charge(PrimKind::Get, self.cfg.cost.get_cost(len));
                 Ok(r)
             })?;
             match found {
-                Some(r) => Ok(StorageNode::to_object(key, r)),
+                Some(r) => Ok(object_of(key, &r)),
                 None => Err(H2Error::NotFound(ring_key.clone())),
             }
         })
@@ -1637,6 +1712,11 @@ impl Cluster {
     /// The object key a CAS block is stored under.
     pub fn cas_block_key(digest_hex: &str) -> ObjectKey {
         ObjectKey::new(CAS_ACCOUNT, CAS_CONTAINER, digest_hex)
+    }
+
+    /// The ring key of [`Cluster::cas_block_key`], without building it.
+    fn cas_ring_key(digest_hex: &str) -> String {
+        format!("/{CAS_ACCOUNT}/{CAS_CONTAINER}/{digest_hex}")
     }
 
     fn cas_ref_shard(&self, digest_hex: &str) -> &OrderedMutex<HashMap<String, u64>> {
@@ -1690,11 +1770,12 @@ impl Cluster {
         meta: Meta,
         logical_len: u64,
     ) -> Result<bool> {
-        let key = Self::cas_block_key(digest_hex);
-        let ring_key = key.ring_key();
+        let ring_key = Self::cas_ring_key(digest_hex);
+        let at = KeyRef::new(&ring_key);
         ctx.span(STAGE_CLOUD, "CAS-PUT", |ctx| {
             ctx.span_note("key", || ring_key.clone());
-            let _guard = self.op_lock(&ring_key).lock();
+            let topo = self.topology();
+            let _guard = self.op_lock(at.hash).lock();
             // The count is stable while the block's op stripe is held
             // (incref/decref take the same stripe), so check-then-act here
             // is atomic even though the shard lock is scoped per access.
@@ -1704,7 +1785,7 @@ impl Cluster {
                 .contains_key(digest_hex);
             if live {
                 // h2lint: allow(guard-across-blocking): the block op stripe pins the refcount across the share's HEAD round trip by design; only same-block ops wait.
-                self.fault_gate(ctx, OpClass::Head, &ring_key)?;
+                self.fault_gate(ctx, &topo, OpClass::Head, &ring_key)?;
                 ctx.charge(PrimKind::Head, self.cfg.cost.head_cost());
                 if let Some(rc) = self.cas_ref_shard(digest_hex).lock().get_mut(digest_hex) {
                     *rc += 1;
@@ -1715,16 +1796,17 @@ impl Cluster {
                 ctx.span_note("dedup", || format!("shared, {logical_len} bytes saved"));
                 return Ok(false);
             }
-            let torn = self.fault_gate(ctx, OpClass::Put, &ring_key)?;
+            let torn = self.fault_gate(ctx, &topo, OpClass::Put, &ring_key)?;
             let size = payload.len();
             ctx.charge(PrimKind::Put, std::time::Duration::ZERO);
-            let ms = self.next_ms();
+            let wkey = WriteKey::new(at);
+            let replica = StoredReplica::live(Record::new(payload, meta), self.next_ms(), false);
             // h2lint: allow(guard-across-blocking): the block op stripe serializes the write-then-refcount by design; only same-block ops wait.
             ctx.span(STAGE_QUORUM, "replicate", |ctx| {
                 self.charge_replica_time(ctx, self.cfg.cost.put_cost(size as usize));
-                self.replicated_put_capped(ctx, &ring_key, &payload, &meta, ms, false, torn)
+                self.replicated_put_capped(ctx, &topo, &wkey, &replica, torn)
             })?;
-            self.catalog_put(&ring_key, size);
+            self.catalog_put(&wkey, size);
             self.cas_ref_shard(digest_hex)
                 .lock()
                 .insert(digest_hex.to_string(), 1);
@@ -1737,11 +1819,10 @@ impl Cluster {
     /// the block is not live: the caller lost the race with a delete that
     /// reclaimed it, and must roll back any increfs it already took.
     pub fn cas_incref(&self, ctx: &mut OpCtx, digest_hex: &str) -> Result<()> {
-        let key = Self::cas_block_key(digest_hex);
-        let ring_key = key.ring_key();
-        self.fault_gate(ctx, OpClass::Head, &ring_key)?;
+        let ring_key = Self::cas_ring_key(digest_hex);
+        self.fault_gate(ctx, &self.topology(), OpClass::Head, &ring_key)?;
         ctx.charge(PrimKind::Head, self.cfg.cost.head_cost());
-        let _guard = self.op_lock(&ring_key).lock();
+        let _guard = self.op_lock(KeyRef::new(&ring_key).hash).lock();
         match self.cas_ref_shard(digest_hex).lock().get_mut(digest_hex) {
             Some(rc) => {
                 *rc += 1;
@@ -1752,16 +1833,16 @@ impl Cluster {
     }
 
     /// Drop one reference to a block. When the count reaches zero the
-    /// block is reclaimed — replicas tombstoned via the repair-path
-    /// primitive (no fault draws: reclamation must not tear), catalog row
+    /// block is reclaimed — replicas tombstoned with no injector passed
+    /// (no fault draws: reclamation must not tear), catalog row
     /// dropped — and the block's final content is returned so the caller
     /// can cascade to any child blocks it references. `Ok(None)` when the
     /// block stays live, or was not refcounted at all (a retried delete,
     /// or a block orphaned by an earlier torn write).
     pub fn cas_decref(&self, ctx: &mut OpCtx, digest_hex: &str) -> Result<Option<Object>> {
-        let key = Self::cas_block_key(digest_hex);
-        let ring_key = key.ring_key();
-        let _guard = self.op_lock(&ring_key).lock();
+        let ring_key = Self::cas_ring_key(digest_hex);
+        let at = KeyRef::new(&ring_key);
+        let _guard = self.op_lock(at.hash).lock();
         let reclaim = {
             let mut shard = self.cas_ref_shard(digest_hex).lock();
             match shard.get_mut(digest_hex) {
@@ -1781,28 +1862,25 @@ impl Cluster {
         }
         // h2lint: allow(guard-across-blocking): block reclamation (read newest + tombstone + catalog) is a read-modify-write under the block's op stripe by design; only same-block ops wait.
         ctx.charge(PrimKind::Delete, self.cfg.cost.delete_cost());
-        let ms = self.next_ms();
-        let mut newest: Option<crate::node::StoredReplica> = None;
-        for n in self.nodes_snapshot() {
-            if n.is_down() {
-                // Stale replicas on downed devices are tolerated: with the
-                // refcount entry gone they are garbage, and a future write
-                // of the same content overwrites them with identical bytes.
-                continue;
+        let wkey = WriteKey::new(at);
+        let tombstone = StoredReplica::tombstone(self.next_ms());
+        let mut newest: Option<StoredReplica> = None;
+        // Stale replicas on downed devices are tolerated (a down device
+        // answers no probe): with the refcount entry gone they are garbage,
+        // and a future write of the same content overwrites them with
+        // identical bytes.
+        for n in &self.topology().nodes {
+            let newest_live = newest.as_ref().map(|r| r.modified_ms);
+            let (r, vote) = n.probe_newer(at, newest_live, None);
+            if let Some(r) = r.filter(|r| !r.deleted) {
+                newest = Some(r);
             }
-            if let Some(r) = n.get_raw(&ring_key) {
-                if !r.deleted
-                    && newest
-                        .as_ref()
-                        .is_none_or(|b| r.modified_ms > b.modified_ms)
-                {
-                    newest = Some(r);
-                }
-                n.delete_repair(&ring_key, ms);
+            if matches!(vote, ReplicaProbe::Hit { .. }) {
+                n.store(&wkey, tombstone.placed(false), None);
             }
         }
-        self.catalog_remove(&ring_key);
-        Ok(newest.map(|r| StorageNode::to_object(&key, r)))
+        self.catalog_remove(at);
+        Ok(newest.map(|r| object_of(&Self::cas_block_key(digest_hex), &r)))
     }
 
     /// [`ObjectStore::put`] that atomically returns the live object it
@@ -1817,28 +1895,8 @@ impl Cluster {
         payload: Payload,
         meta: Meta,
     ) -> Result<Option<Object>> {
-        self.check_container(&key.account, &key.container)?;
-        let ring_key = key.ring_key();
-        ctx.span(STAGE_CLOUD, "PUT", |ctx| {
-            ctx.span_note("key", || ring_key.clone());
-            let torn = self.fault_gate(ctx, OpClass::Put, &ring_key)?;
-            let size = payload.len();
-            ctx.charge(PrimKind::Put, std::time::Duration::ZERO);
-            let ctype = meta.get("content-type").cloned().unwrap_or_default();
-            let _guard = self.op_lock(&ring_key).lock();
-            // h2lint: allow(guard-across-blocking): the per-key op stripe serializes the read-modify-write (read prev + replicate + catalog + index) by design; only same-key ops wait.
-            let prev = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
-                self.read_replica(ctx, &ring_key)
-            })?;
-            let ms = self.next_ms();
-            ctx.span(STAGE_QUORUM, "replicate", |ctx| {
-                self.charge_replica_time(ctx, self.cfg.cost.put_cost(size as usize));
-                self.replicated_put_capped(ctx, &ring_key, &payload, &meta, ms, false, torn)
-            })?;
-            self.catalog_put(&ring_key, size);
-            self.index_upsert(ctx, key, size, ms, &ctype);
-            Ok(prev.map(|r| StorageNode::to_object(key, r)))
-        })
+        let (_, prev) = self.write_object(ctx, key, payload, meta, true)?;
+        Ok(prev.map(|r| object_of(key, &r)))
     }
 
     /// [`ObjectStore::delete`] that atomically returns the object the
@@ -1846,39 +1904,7 @@ impl Cluster {
     /// `delete`, which also makes a retried CAS delete idempotent: the
     /// second attempt finds nothing and therefore decrefs nothing.
     pub fn delete_returning_prev(&self, ctx: &mut OpCtx, key: &ObjectKey) -> Result<Object> {
-        self.check_container(&key.account, &key.container)?;
-        let ring_key = key.ring_key();
-        ctx.span(STAGE_CLOUD, "DELETE", |ctx| {
-            ctx.span_note("key", || ring_key.clone());
-            let torn = self.fault_gate(ctx, OpClass::Delete, &ring_key)?;
-            let _guard = self.op_lock(&ring_key).lock();
-            // h2lint: allow(guard-across-blocking): the per-key op stripe serializes the read-modify-write (read prev + tombstone + catalog) by design; only same-key ops wait.
-            let existing = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
-                self.read_replica(ctx, &ring_key)
-            })?;
-            let Some(existing) = existing else {
-                ctx.charge(PrimKind::Delete, self.cfg.cost.delete_cost());
-                self.catalog_remove(&ring_key);
-                return Err(H2Error::NotFound(ring_key.clone()));
-            };
-            let ms = self.next_ms();
-            ctx.charge(PrimKind::Delete, std::time::Duration::ZERO);
-            ctx.span(STAGE_QUORUM, "replicate", |ctx| {
-                self.charge_replica_time(ctx, self.cfg.cost.delete_cost());
-                self.replicated_put_capped(
-                    ctx,
-                    &ring_key,
-                    &Payload::Inline(bytes::Bytes::new()),
-                    &Meta::new(),
-                    ms,
-                    true,
-                    torn,
-                )
-            })?;
-            self.catalog_remove(&ring_key);
-            self.index_remove(ctx, key);
-            Ok(StorageNode::to_object(key, existing))
-        })
+        self.delete_object(ctx, key).map(|r| object_of(key, &r))
     }
 }
 
@@ -1892,88 +1918,66 @@ impl ObjectStore for Cluster {
     }
 
     fn head(&self, ctx: &mut OpCtx, key: &ObjectKey) -> Result<ObjectInfo> {
-        self.check_container(&key.account, &key.container)?;
+        self.check_container(key)?;
         let ring_key = key.ring_key();
+        let at = KeyRef::new(&ring_key);
         ctx.span(STAGE_CLOUD, "HEAD", |ctx| {
             ctx.span_note("key", || ring_key.clone());
             ctx.charge(PrimKind::Head, self.cfg.cost.head_cost());
-            self.fault_gate(ctx, OpClass::Head, &ring_key)?;
+            let topo = self.topology();
+            self.fault_gate(ctx, &topo, OpClass::Head, &ring_key)?;
             let found = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
-                self.read_replica(ctx, &ring_key)
+                self.read_replica(ctx, &topo, at, None)
             })?;
             match found {
-                Some(r) => Ok(StorageNode::to_object(key, r).info()),
+                Some(r) => Ok(ObjectInfo {
+                    key: key.clone(),
+                    size: r.record.payload.len(),
+                    etag: r.record.etag(),
+                    meta: r.record.meta.clone(),
+                    modified_ms: r.modified_ms,
+                }),
                 None => Err(H2Error::NotFound(ring_key.clone())),
             }
         })
     }
 
     fn delete(&self, ctx: &mut OpCtx, key: &ObjectKey) -> Result<()> {
-        self.check_container(&key.account, &key.container)?;
-        let ring_key = key.ring_key();
-        ctx.span(STAGE_CLOUD, "DELETE", |ctx| {
-            ctx.span_note("key", || ring_key.clone());
-            let torn = self.fault_gate(ctx, OpClass::Delete, &ring_key)?;
-            let _guard = self.op_lock(&ring_key).lock();
-            // h2lint: allow(guard-across-blocking): the per-key op stripe serializes the read-modify-write (read + tombstone + catalog) by design; only same-key ops wait.
-            let existing = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
-                self.read_replica(ctx, &ring_key)
-            })?;
-            if existing.is_none() {
-                ctx.charge(PrimKind::Delete, self.cfg.cost.delete_cost());
-                // An earlier torn delete may have tombstoned every replica
-                // without reaching the catalog; absence is now confirmed, so
-                // heal that divergence (a no-op in the common case).
-                self.catalog_remove(&ring_key);
-                return Err(H2Error::NotFound(ring_key.clone()));
-            }
-            let ms = self.next_ms();
-            ctx.charge(PrimKind::Delete, std::time::Duration::ZERO);
-            ctx.span(STAGE_QUORUM, "replicate", |ctx| {
-                self.charge_replica_time(ctx, self.cfg.cost.delete_cost());
-                self.replicated_put_capped(
-                    ctx,
-                    &ring_key,
-                    &Payload::Inline(bytes::Bytes::new()),
-                    &Meta::new(),
-                    ms,
-                    true,
-                    torn,
-                )
-            })?;
-            self.catalog_remove(&ring_key);
-            self.index_remove(ctx, key);
-            Ok(())
-        })
+        self.delete_object(ctx, key).map(|_| ())
     }
 
     fn copy(&self, ctx: &mut OpCtx, src: &ObjectKey, dst: &ObjectKey) -> Result<()> {
-        self.check_container(&src.account, &src.container)?;
-        self.check_container(&dst.account, &dst.container)?;
+        self.check_container(src)?;
+        self.check_container(dst)?;
         let src_key = src.ring_key();
         let dst_key = dst.ring_key();
+        let (src_at, dst_at) = (KeyRef::new(&src_key), KeyRef::new(&dst_key));
         ctx.span(STAGE_CLOUD, "COPY", |ctx| {
             ctx.span_note("src", || src_key.clone());
             ctx.span_note("dst", || dst_key.clone());
-            let torn = self.fault_gate(ctx, OpClass::Copy, &src_key)?;
+            let topo = self.topology();
+            let torn = self.fault_gate(ctx, &topo, OpClass::Copy, &src_key)?;
             let found = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
-                self.read_replica(ctx, &src_key)
+                self.read_replica(ctx, &topo, src_at, None)
             })?;
             let Some(r) = found else {
                 ctx.charge(PrimKind::Copy, self.cfg.cost.copy_cost(0));
                 return Err(H2Error::NotFound(src_key.clone()));
             };
-            let size = r.payload.len();
+            let size = r.record.payload.len();
             ctx.charge(PrimKind::Copy, self.cfg.cost.copy_cost(size as usize));
-            let ctype = r.meta.get("content-type").cloned().unwrap_or_default();
-            let _guard = self.op_lock(&dst_key).lock();
+            let _guard = self.op_lock(dst_at.hash).lock();
             let ms = self.next_ms();
+            // The copy is a new version of the same content: it shares the
+            // source's record.
+            let wkey = WriteKey::new(dst_at);
+            let replica = StoredReplica::live(r.record, ms, false);
             // h2lint: allow(guard-across-blocking): the destination op stripe serializes the copy's write half by design; only same-key ops wait.
             ctx.span(STAGE_QUORUM, "replicate", |ctx| {
-                self.replicated_put_capped(ctx, &dst_key, &r.payload, &r.meta, ms, false, torn)
+                self.replicated_put_capped(ctx, &topo, &wkey, &replica, torn)
             })?;
-            self.catalog_put(&dst_key, size);
-            self.index_upsert(ctx, dst, size, ms, &ctype);
+            self.catalog_put(&wkey, size);
+            self.index_upsert(ctx, dst, size, ms, &replica.record.meta);
             Ok(())
         })
     }
@@ -1987,21 +1991,19 @@ impl ObjectStore for Cluster {
     ) -> Result<Vec<ListEntry>> {
         ctx.span(STAGE_CLOUD, "LIST", |ctx| {
             ctx.span_note("container", || format!("{account}/{container}"));
-            self.fault_gate(ctx, OpClass::List, container)?;
-            // Scope the shard guard to the index walk: the virtual-time
+            self.fault_gate(ctx, &self.topology(), OpClass::List, container)?;
+            // The shard guard is scoped to the index walk: the virtual-time
             // charges below must not run with the container shard held.
-            let (rows, index_len) = {
-                let shard = self.container_shard(account, container).read();
-                let state = shard
-                    .get(&(account.to_string(), container.to_string()))
-                    .ok_or_else(|| H2Error::NotFound(format!("container {account}/{container}")))?;
-                if !state.indexed {
-                    return Err(H2Error::Unsupported(
-                        "container has no listing index (created unindexed)",
-                    ));
-                }
-                (state.index.list(opts), state.index.len() as u64)
-            };
+            let (rows, index_len) = self
+                .with_container(account, container, |state| {
+                    if !state.indexed {
+                        return Err(H2Error::Unsupported(
+                            "container has no listing index (created unindexed)",
+                        ));
+                    }
+                    Ok((state.index.list(opts), state.index.len() as u64))
+                })
+                .ok_or_else(|| H2Error::NotFound(format!("container {account}/{container}")))??;
             ctx.charge(PrimKind::DbQuery, self.cfg.cost.db_query_cost(index_len));
             ctx.charge_time(self.cfg.cost.per_entry_cpu * rows.len() as u32);
             Ok(rows)
@@ -2126,6 +2128,30 @@ mod tests {
     }
 
     #[test]
+    fn head_projects_the_winning_version() {
+        let c = cluster();
+        let mut ctx = OpCtx::for_test();
+        let meta = Meta::from([("kind".to_string(), "file".to_string())]);
+        c.put(
+            &mut ctx,
+            &key("f"),
+            Payload::from_static("old"),
+            Meta::new(),
+        )
+        .unwrap();
+        let ms = c
+            .put_stamped(&mut ctx, &key("f"), Payload::from_static("body"), meta)
+            .unwrap();
+        let info = c.head(&mut ctx, &key("f")).unwrap();
+        assert_eq!(info.key, key("f"));
+        assert_eq!(info.size, 4);
+        assert_eq!(info.etag, Payload::from_static("body").digest());
+        assert_eq!(info.meta["kind"], "file");
+        assert_eq!(info.modified_ms, ms);
+        assert_eq!(ctx.counts().heads, 1);
+    }
+
+    #[test]
     fn listing_reflects_puts_and_deletes() {
         let c = cluster();
         let mut ctx = OpCtx::for_test();
@@ -2237,10 +2263,10 @@ mod tests {
             .unwrap();
         c.delete(&mut ctx, &key("f")).unwrap();
         // Tombstones still occupy device maps until repair.
-        let before: usize = c.nodes_snapshot().iter().map(|n| n.keys().len()).sum();
+        let before: usize = c.topology().nodes.iter().map(|n| n.keys().len()).sum();
         assert!(before > 0);
         c.repair();
-        let after: usize = c.nodes_snapshot().iter().map(|n| n.keys().len()).sum();
+        let after: usize = c.topology().nodes.iter().map(|n| n.keys().len()).sum();
         assert_eq!(after, 0);
         assert!(c.get(&mut ctx, &key("f")).is_err());
     }
@@ -2328,12 +2354,19 @@ mod tests {
         // replica survives the account deletion.
         c.set_node_down(dev, false);
         assert!(
-            c.node(dev).get_raw(&key("f").ring_key()).is_some(),
+            c.topology()
+                .node(dev)
+                .get_raw(&key("f").ring_key())
+                .is_some(),
             "down node should have kept its replica"
         );
         // Repair reconciles: the account is gone, so the orphan is purged.
         assert!(c.repair() > 0);
-        assert!(c.node(dev).get_raw(&key("f").ring_key()).is_none());
+        assert!(c
+            .topology()
+            .node(dev)
+            .get_raw(&key("f").ring_key())
+            .is_none());
         // A recreated account starts clean — no resurrected objects.
         c.create_account("alice").unwrap();
         c.create_container("alice", "fs", true).unwrap();
@@ -2889,6 +2922,10 @@ mod tests {
         let c = cluster();
         let mut ctx = OpCtx::for_test();
         let hex = h2util::hash128(b"blockbody").to_hex();
+        assert_eq!(
+            Cluster::cas_ring_key(&hex),
+            Cluster::cas_block_key(&hex).ring_key()
+        );
         let fresh = c
             .cas_put_block(
                 &mut ctx,

@@ -5,6 +5,8 @@
 //! (§5.1). This crate reproduces that substrate in-process:
 //!
 //! * [`object`] — accounts, containers, object keys and payloads.
+//! * [`key`] — ring keys that carry their placement hash, and the maps
+//!   keyed by them.
 //! * [`node`] — a storage node: one in-memory device holding replicas.
 //! * [`container`] — the per-container sorted listing DB, i.e. exactly the
 //!   "file-path DB (with SQLite or MySQL)" that OpenStack Swift bolts onto
@@ -20,6 +22,7 @@
 
 pub mod cluster;
 pub mod container;
+pub mod key;
 pub mod node;
 pub mod object;
 

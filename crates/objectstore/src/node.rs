@@ -6,20 +6,24 @@
 //! keyed by ring-key hash, each behind its own `RwLock`. The down flag is a
 //! plain atomic — checking it costs one relaxed load on the hot path.
 //!
+//! A map entry is small — stamp, flags and a pointer — and the content it
+//! points to ([`Record`]) is written once and shared by every replica of
+//! that version, so a probe that only votes reads the entry and nothing
+//! behind it.
+//!
 //! Nodes can be marked down (failure injection); the proxy then routes to
 //! handoff devices, and [`crate::cluster::Cluster::repair`] later restores
 //! proper placement — the moral equivalent of Swift's object replicator.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use parking_lot::RwLock;
-
+use crate::key::{stripe_of, KeyMap, KeyRef, Keyed, RingKey, WriteKey};
 use crate::lock_rank;
-use crate::object::{Meta, Object, ObjectKey, Payload};
+use crate::object::{Meta, Payload};
 use h2ring::DeviceId;
 use h2util::faults::{FaultInjector, OpClass};
+use h2util::hash::Digest128;
 use h2util::OrderedRwLock;
 
 /// Default lock-stripe count per device. Sixteen stripes keep the per-key
@@ -27,11 +31,37 @@ use h2util::OrderedRwLock;
 /// per-node footprint stays trivial (16 empty HashMaps).
 pub const DEFAULT_NODE_STRIPES: usize = 16;
 
-/// One replica as stored on a device.
-#[derive(Debug, Clone)]
-pub struct StoredReplica {
+/// The content of one object version. Immutable once written; the replicas
+/// that store the version and the readers that fetched it all hold the same
+/// allocation.
+#[derive(Debug)]
+pub struct Record {
     pub payload: Payload,
     pub meta: Meta,
+    etag: OnceLock<Digest128>,
+}
+
+impl Record {
+    pub fn new(payload: Payload, meta: Meta) -> Arc<Self> {
+        Arc::new(Record {
+            payload,
+            meta,
+            etag: OnceLock::new(),
+        })
+    }
+
+    /// Content digest, hashed at most once per version: by the first HEAD
+    /// that asks, never on the write path (NameRings and blocks are written
+    /// often and never HEADed).
+    pub fn etag(&self) -> Digest128 {
+        *self.etag.get_or_init(|| self.payload.digest())
+    }
+}
+
+/// One replica as stored on a device: the version's stamp and flags inline,
+/// its content behind a shared pointer.
+#[derive(Debug, Clone)]
+pub struct StoredReplica {
     pub modified_ms: u64,
     /// True when this replica lives here only because an assigned device
     /// was down at write time (Swift handoff semantics).
@@ -39,6 +69,37 @@ pub struct StoredReplica {
     /// Tombstone: the object was deleted at `modified_ms`; kept so late
     /// replicas don't resurrect deleted data during repair.
     pub deleted: bool,
+    pub record: Arc<Record>,
+}
+
+impl StoredReplica {
+    /// A live replica of `record`, written at `modified_ms`.
+    pub fn live(record: Arc<Record>, modified_ms: u64, handoff: bool) -> Self {
+        StoredReplica {
+            modified_ms,
+            handoff,
+            deleted: false,
+            record,
+        }
+    }
+
+    /// A tombstone stamped `modified_ms`.
+    pub fn tombstone(modified_ms: u64) -> Self {
+        StoredReplica {
+            modified_ms,
+            handoff: false,
+            deleted: true,
+            record: Record::new(Payload::Inline(bytes::Bytes::new()), Meta::new()),
+        }
+    }
+
+    /// The same version as it would sit on another device.
+    pub fn placed(&self, handoff: bool) -> Self {
+        StoredReplica {
+            handoff,
+            ..self.clone()
+        }
+    }
 }
 
 /// Outcome of one replica probe, as observed by the cluster read path.
@@ -49,8 +110,11 @@ pub struct StoredReplica {
 /// vocabulary next to the storage it describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicaProbe {
-    /// Device down (or treated as unreachable for this request).
+    /// Device down.
     Down,
+    /// Injected per-replica fault: the device is up but treated as
+    /// unreachable for this one request, like a transient timeout.
+    Faulted,
     /// Device up but holds nothing under this key.
     Miss,
     /// Device answered with a replica (possibly a tombstone).
@@ -59,10 +123,11 @@ pub enum ReplicaProbe {
 
 impl ReplicaProbe {
     /// Short label recorded as the device's vote in trace span notes:
-    /// `down` / `miss` / `ms=17` / `tomb ms=17`.
+    /// `down` / `faulted` / `miss` / `ms=17` / `tomb ms=17`.
     pub fn vote(&self) -> String {
         match self {
             ReplicaProbe::Down => "down".to_string(),
+            ReplicaProbe::Faulted => "faulted".to_string(),
             ReplicaProbe::Miss => "miss".to_string(),
             ReplicaProbe::Hit {
                 modified_ms,
@@ -81,18 +146,12 @@ impl ReplicaProbe {
 pub struct StorageNode {
     id: DeviceId,
     zone: u8,
-    /// Lock stripes: `stripes[hash(key) % n]` owns every replica whose ring
-    /// key hashes there. All per-key operations touch exactly one stripe.
-    /// Rank [`lock_rank::NODE_STRIPE`]: acquired after the proxy's op
-    /// stripe, before any map shard (validated in debug builds).
-    stripes: Box<[OrderedRwLock<HashMap<String, StoredReplica>>]>,
+    /// Lock stripes: `stripes[stripe_of(hash(key), n)]` owns every replica
+    /// whose ring key hashes there. All per-key operations touch exactly
+    /// one stripe. Rank [`lock_rank::NODE_STRIPE`]: acquired after the
+    /// proxy's op stripe, before any map shard (validated in debug builds).
+    stripes: Box<[OrderedRwLock<KeyMap<StoredReplica>>]>,
     down: AtomicBool,
-    /// Shared request-level fault injector (chaos harness). When set, each
-    /// client-path put/delete draws a per-replica fault and may behave as
-    /// unreachable for that one request. Repair-path variants bypass it:
-    /// the replicator's sweep order is nondeterministic, so drawing faults
-    /// there would break seeded replay.
-    fault: RwLock<Option<Arc<FaultInjector>>>,
 }
 
 impl StorageNode {
@@ -112,27 +171,13 @@ impl StorageNode {
                     OrderedRwLock::new(
                         lock_rank::NODE_STRIPE,
                         "objectstore.node_stripe",
-                        HashMap::new(),
+                        KeyMap::default(),
                     )
                 })
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             down: AtomicBool::new(false),
-            fault: RwLock::new(None),
         }
-    }
-
-    /// Install (or clear) the shared fault injector for this device.
-    pub fn set_fault_injector(&self, inj: Option<Arc<FaultInjector>>) {
-        *self.fault.write() = inj;
-    }
-
-    /// One per-replica fault draw for this request class.
-    fn request_fails(&self, class: OpClass) -> bool {
-        self.fault
-            .read()
-            .as_ref()
-            .is_some_and(|i| i.replica_fails(class))
     }
 
     pub fn id(&self) -> DeviceId {
@@ -143,9 +188,8 @@ impl StorageNode {
         self.zone
     }
 
-    fn stripe(&self, ring_key: &str) -> &OrderedRwLock<HashMap<String, StoredReplica>> {
-        let i = h2util::hash64(ring_key.as_bytes()) as usize % self.stripes.len();
-        &self.stripes[i]
+    fn stripe(&self, hash: u64) -> &OrderedRwLock<KeyMap<StoredReplica>> {
+        &self.stripes[stripe_of(hash, self.stripes.len())]
     }
 
     /// Failure injection: a down node rejects all traffic.
@@ -157,10 +201,7 @@ impl StorageNode {
         self.down.load(Ordering::Acquire)
     }
 
-    /// Write (or overwrite) a replica. Last-writer-wins by `modified_ms`:
-    /// a stale write never clobbers a newer replica or tombstone.
-    /// Returns false if the node is down or an injected per-replica fault
-    /// makes it unreachable for this request.
+    /// Write (or overwrite) a live replica; see [`StorageNode::store`].
     pub fn put(
         &self,
         ring_key: &str,
@@ -169,165 +210,144 @@ impl StorageNode {
         modified_ms: u64,
         handoff: bool,
     ) -> bool {
-        if self.is_down() || self.request_fails(OpClass::Put) {
-            return false;
-        }
-        self.apply_put(ring_key, payload, meta, modified_ms, handoff);
-        true
+        let replica = StoredReplica::live(Record::new(payload, meta), modified_ms, handoff);
+        self.store(&WriteKey::new(KeyRef::new(ring_key)), replica, None)
     }
 
-    /// Repair-path put: identical semantics but never consults the fault
-    /// injector (see the `fault` field note on replay determinism).
-    pub fn put_repair(
+    /// Tombstone a replica; see [`StorageNode::store`].
+    pub fn delete(&self, ring_key: &str, modified_ms: u64) -> bool {
+        let tombstone = StoredReplica::tombstone(modified_ms);
+        self.store(&WriteKey::new(KeyRef::new(ring_key)), tombstone, None)
+    }
+
+    /// Install `replica` under `key`. Last-writer-wins by `modified_ms`: a
+    /// stale write never clobbers a newer replica or tombstone. A tombstone
+    /// is recorded even for an object this device never saw, so a late
+    /// replicated PUT cannot resurrect it; it keeps the `handoff` flag of
+    /// the replica it replaces (false when there was none).
+    ///
+    /// Returns false — nothing written — if the node is down or if `fault`,
+    /// the request's injector, draws a per-replica fault: the device then
+    /// behaves as unreachable for this one request. Client-path writes pass
+    /// the injector; repair, migration and reclamation pass `None`, because
+    /// their sweep order is nondeterministic and drawing there would break
+    /// seeded replay.
+    pub fn store(
         &self,
-        ring_key: &str,
-        payload: Payload,
-        meta: Meta,
-        modified_ms: u64,
-        handoff: bool,
+        key: &WriteKey<'_>,
+        replica: StoredReplica,
+        fault: Option<&FaultInjector>,
     ) -> bool {
-        if self.is_down() {
+        let class = if replica.deleted {
+            OpClass::Delete
+        } else {
+            OpClass::Put
+        };
+        if self.is_down() || fault.is_some_and(|f| f.replica_fails(class)) {
             return false;
         }
-        self.apply_put(ring_key, payload, meta, modified_ms, handoff);
-        true
-    }
-
-    fn apply_put(
-        &self,
-        ring_key: &str,
-        payload: Payload,
-        meta: Meta,
-        modified_ms: u64,
-        handoff: bool,
-    ) {
-        let mut store = self.stripe(ring_key).write();
-        match store.get(ring_key) {
-            Some(existing) if existing.modified_ms > modified_ms => {}
-            _ => {
-                store.insert(
-                    ring_key.to_string(),
-                    StoredReplica {
-                        payload,
-                        meta,
-                        modified_ms,
-                        handoff,
-                        deleted: false,
-                    },
-                );
+        let at = key.at();
+        let mut store = self.stripe(at.hash).write();
+        match store.get_mut(&at as &dyn Keyed) {
+            Some(existing) if existing.modified_ms > replica.modified_ms => {}
+            Some(existing) => {
+                let handoff = if replica.deleted {
+                    existing.handoff
+                } else {
+                    replica.handoff
+                };
+                *existing = StoredReplica { handoff, ..replica };
+            }
+            None => {
+                let handoff = replica.handoff && !replica.deleted;
+                store.insert(key.owned(), StoredReplica { handoff, ..replica });
             }
         }
+        true
     }
 
     /// Read a replica (not tombstoned). `None` when down or absent.
     pub fn get(&self, ring_key: &str) -> Option<StoredReplica> {
-        if self.is_down() {
-            return None;
-        }
-        self.stripe(ring_key)
-            .read()
-            .get(ring_key)
-            .filter(|r| !r.deleted)
-            .cloned()
+        self.get_raw(ring_key).filter(|r| !r.deleted)
     }
 
     /// Raw replica including tombstones (repair needs to see them).
     pub fn get_raw(&self, ring_key: &str) -> Option<StoredReplica> {
-        if self.is_down() {
-            return None;
-        }
-        self.stripe(ring_key).read().get(ring_key).cloned()
+        self.probe(ring_key).0
     }
 
     /// Raw fetch plus the structured outcome the trace layer records as
-    /// this device's quorum vote. Equivalent to [`StorageNode::get_raw`]
-    /// with the reason for `None` made explicit.
+    /// this device's quorum vote.
     pub fn probe(&self, ring_key: &str) -> (Option<StoredReplica>, ReplicaProbe) {
+        self.probe_newer(KeyRef::new(ring_key), None, None)
+    }
+
+    /// One quorum-read probe: always reports this device's vote, and hands
+    /// the replica back only when its stamp is strictly newer than `than`,
+    /// the best the caller holds so far (`None`: any replica is). A device
+    /// that merely agrees, or lags, costs the reader no refcount traffic.
+    ///
+    /// `fault` is the request's injector, drawn only once the node is known
+    /// to be up (as in [`StorageNode::store`]); probes that must not draw —
+    /// handoff scans, repair, migration — pass `None`.
+    pub fn probe_newer(
+        &self,
+        key: KeyRef<'_>,
+        than: Option<u64>,
+        fault: Option<&FaultInjector>,
+    ) -> (Option<StoredReplica>, ReplicaProbe) {
         if self.is_down() {
             return (None, ReplicaProbe::Down);
         }
-        match self.get_raw(ring_key) {
+        if fault.is_some_and(|f| f.replica_fails(OpClass::Get)) {
+            return (None, ReplicaProbe::Faulted);
+        }
+        match self.stripe(key.hash).read().get(&key as &dyn Keyed) {
             Some(r) => {
-                let p = ReplicaProbe::Hit {
+                let vote = ReplicaProbe::Hit {
                     modified_ms: r.modified_ms,
                     tombstone: r.deleted,
                 };
-                (Some(r), p)
+                let newer = than.is_none_or(|best| r.modified_ms > best);
+                (newer.then(|| r.clone()), vote)
             }
             None => (None, ReplicaProbe::Miss),
         }
     }
 
-    /// Tombstone a replica. Returns false if the node is down or an
-    /// injected per-replica fault makes it unreachable for this request.
-    pub fn delete(&self, ring_key: &str, modified_ms: u64) -> bool {
-        if self.is_down() || self.request_fails(OpClass::Delete) {
-            return false;
-        }
-        self.apply_delete(ring_key, modified_ms);
-        true
-    }
-
-    /// Repair-path delete: never consults the fault injector.
-    pub fn delete_repair(&self, ring_key: &str, modified_ms: u64) -> bool {
-        if self.is_down() {
-            return false;
-        }
-        self.apply_delete(ring_key, modified_ms);
-        true
-    }
-
-    fn apply_delete(&self, ring_key: &str, modified_ms: u64) {
-        let mut store = self.stripe(ring_key).write();
-        match store.get_mut(ring_key) {
-            Some(r) => {
-                if modified_ms >= r.modified_ms {
-                    r.deleted = true;
-                    r.modified_ms = modified_ms;
-                    r.payload = Payload::Inline(bytes::Bytes::new());
-                    r.meta.clear();
-                }
-            }
-            None => {
-                // Tombstone for an object this device never saw — still
-                // recorded so a late replicated PUT cannot resurrect it.
-                store.insert(
-                    ring_key.to_string(),
-                    StoredReplica {
-                        payload: Payload::Inline(bytes::Bytes::new()),
-                        meta: Meta::new(),
-                        modified_ms,
-                        handoff: false,
-                        deleted: true,
-                    },
-                );
-            }
+    /// Stamp of whatever this device holds under `key`, tombstones
+    /// included; `None` when down or absent. Copies nothing.
+    pub fn stamp(&self, key: KeyRef<'_>) -> Option<u64> {
+        match self.probe_newer(key, Some(u64::MAX), None).1 {
+            ReplicaProbe::Hit { modified_ms, .. } => Some(modified_ms),
+            _ => None,
         }
     }
 
     /// Drop a replica entirely (used by repair when moving handoffs home,
     /// and by tombstone reclamation).
-    pub fn purge(&self, ring_key: &str) {
-        self.stripe(ring_key).write().remove(ring_key);
+    pub fn purge(&self, key: KeyRef<'_>) {
+        self.stripe(key.hash).write().remove(&key as &dyn Keyed);
     }
 
     /// Drop a replica only if it is not newer than `upto_ms`. Repair uses
     /// this instead of [`purge`](Self::purge) so a writer racing the
     /// replicator can never have its just-written newer replica removed.
     /// Returns true when a replica was removed.
-    pub fn purge_upto(&self, ring_key: &str, upto_ms: u64) -> bool {
-        let mut store = self.stripe(ring_key).write();
-        match store.get(ring_key) {
+    pub fn purge_upto(&self, key: KeyRef<'_>, upto_ms: u64) -> bool {
+        let mut store = self.stripe(key.hash).write();
+        match store.get(&key as &dyn Keyed) {
             Some(r) if r.modified_ms <= upto_ms => {
-                store.remove(ring_key);
+                store.remove(&key as &dyn Keyed);
                 true
             }
             _ => false,
         }
     }
 
-    /// Snapshot of all keys currently held (including tombstones).
-    pub fn keys(&self) -> Vec<String> {
+    /// Snapshot of all keys currently held (including tombstones). The
+    /// keys share the stored text; nothing is copied or re-hashed.
+    pub fn keys(&self) -> Vec<RingKey> {
         let mut out = Vec::new();
         for s in self.stripes.iter() {
             out.extend(s.read().keys().cloned());
@@ -351,20 +371,10 @@ impl StorageNode {
                 s.read()
                     .values()
                     .filter(|r| !r.deleted)
-                    .map(|r| r.payload.len())
+                    .map(|r| r.record.payload.len())
                     .sum::<u64>()
             })
             .sum()
-    }
-
-    /// Materialise an [`Object`] from a stored replica.
-    pub fn to_object(key: &ObjectKey, r: StoredReplica) -> Object {
-        Object {
-            key: key.clone(),
-            payload: r.payload,
-            meta: r.meta,
-            modified_ms: r.modified_ms,
-        }
     }
 }
 
@@ -374,6 +384,12 @@ mod tests {
 
     fn node() -> StorageNode {
         StorageNode::new(DeviceId(0), 0)
+    }
+
+    fn sorted_keys(n: &StorageNode) -> Vec<String> {
+        let mut keys: Vec<String> = n.keys().iter().map(|k| k.as_str().to_string()).collect();
+        keys.sort();
+        keys
     }
 
     #[test]
@@ -406,7 +422,7 @@ mod tests {
         let n = node();
         assert!(n.put("/a/c/o", Payload::from_static("hi"), Meta::new(), 1, false));
         let r = n.get("/a/c/o").unwrap();
-        assert_eq!(r.payload.as_str(), Some("hi"));
+        assert_eq!(r.record.payload.as_str(), Some("hi"));
         assert!(!r.handoff);
         assert_eq!(n.replica_count(), 1);
         assert_eq!(n.bytes(), 2);
@@ -417,9 +433,9 @@ mod tests {
         let n = node();
         n.put("/k", Payload::from_static("new"), Meta::new(), 10, false);
         n.put("/k", Payload::from_static("stale"), Meta::new(), 5, false);
-        assert_eq!(n.get("/k").unwrap().payload.as_str(), Some("new"));
+        assert_eq!(n.get("/k").unwrap().record.payload.as_str(), Some("new"));
         n.put("/k", Payload::from_static("newest"), Meta::new(), 20, false);
-        assert_eq!(n.get("/k").unwrap().payload.as_str(), Some("newest"));
+        assert_eq!(n.get("/k").unwrap().record.payload.as_str(), Some("newest"));
     }
 
     #[test]
@@ -434,7 +450,7 @@ mod tests {
         assert!(n.get("/k").is_none());
         // A genuinely newer write may recreate.
         n.put("/k", Payload::from_static("alive"), Meta::new(), 12, false);
-        assert_eq!(n.get("/k").unwrap().payload.as_str(), Some("alive"));
+        assert_eq!(n.get("/k").unwrap().record.payload.as_str(), Some("alive"));
     }
 
     #[test]
@@ -470,7 +486,7 @@ mod tests {
         let n = node();
         n.put("/k", Payload::from_static("x"), Meta::new(), 1, true);
         assert!(n.get("/k").unwrap().handoff);
-        n.purge("/k");
+        n.purge(KeyRef::new("/k"));
         assert!(n.get_raw("/k").is_none());
         assert_eq!(n.keys().len(), 0);
     }
@@ -480,13 +496,13 @@ mod tests {
         let n = node();
         n.put("/k", Payload::from_static("v2"), Meta::new(), 20, true);
         // Replicator decided on ms 10 → the newer handoff copy survives.
-        assert!(!n.purge_upto("/k", 10));
-        assert_eq!(n.get("/k").unwrap().payload.as_str(), Some("v2"));
+        assert!(!n.purge_upto(KeyRef::new("/k"), 10));
+        assert_eq!(n.get("/k").unwrap().record.payload.as_str(), Some("v2"));
         // With a current horizon it goes.
-        assert!(n.purge_upto("/k", 20));
+        assert!(n.purge_upto(KeyRef::new("/k"), 20));
         assert!(n.get_raw("/k").is_none());
         // Absent key: no-op.
-        assert!(!n.purge_upto("/k", 99));
+        assert!(!n.purge_upto(KeyRef::new("/k"), 99));
     }
 
     #[test]
@@ -501,39 +517,116 @@ mod tests {
         }
         assert_eq!(one.replica_count(), many.replica_count());
         assert_eq!(one.bytes(), many.bytes());
-        let mut ka = one.keys();
-        let mut kb = many.keys();
-        ka.sort();
-        kb.sort();
-        assert_eq!(ka, kb);
+        assert_eq!(sorted_keys(&one), sorted_keys(&many));
         for i in 0..64 {
             let key = format!("/a/c/obj{i}");
             assert_eq!(
-                one.get(&key).unwrap().payload,
-                many.get(&key).unwrap().payload
+                one.get(&key).unwrap().record.payload,
+                many.get(&key).unwrap().record.payload
             );
         }
     }
 
     #[test]
     fn replica_faults_reject_requests_but_repair_path_bypasses() {
-        use h2util::faults::{FaultInjector, FaultPlan};
+        use h2util::faults::FaultPlan;
         let n = node();
-        n.set_fault_injector(Some(Arc::new(FaultInjector::new(
-            FaultPlan::new(1).with_replica_errors(1.0),
-        ))));
-        assert!(!n.put("/k", Payload::from_static("x"), Meta::new(), 1, false));
+        let inj = FaultInjector::new(FaultPlan::new(1).with_replica_errors(1.0));
+        let key = WriteKey::new(KeyRef::new("/k"));
+        let v1 = StoredReplica::live(
+            Record::new(Payload::from_static("x"), Meta::new()),
+            1,
+            false,
+        );
+        assert!(!n.store(&key, v1.clone(), Some(&inj)));
         assert!(n.get_raw("/k").is_none());
-        assert!(!n.delete("/k", 2));
-        // The repair path ignores injection entirely.
-        assert!(n.put_repair("/k", Payload::from_static("x"), Meta::new(), 3, false));
-        assert_eq!(n.get("/k").unwrap().payload.as_str(), Some("x"));
-        assert!(n.delete_repair("/k", 4));
+        assert!(!n.store(&key, StoredReplica::tombstone(2), Some(&inj)));
+        // The repair path passes no injector and always lands.
+        assert!(n.store(&key, v1, None));
+        assert_eq!(n.get("/k").unwrap().record.payload.as_str(), Some("x"));
+        assert!(n.store(&key, StoredReplica::tombstone(4), None));
         assert!(n.get_raw("/k").unwrap().deleted);
-        // Clearing the injector restores normal behavior.
-        n.set_fault_injector(None);
-        assert!(n.put("/k", Payload::from_static("y"), Meta::new(), 5, false));
-        assert_eq!(n.get("/k").unwrap().payload.as_str(), Some("y"));
+        // An up node's probe draws too; a down node draws nothing, so the
+        // fault stream stays aligned with the devices actually asked.
+        assert_eq!(
+            n.probe_newer(key.at(), None, Some(&inj)).1,
+            ReplicaProbe::Faulted
+        );
+        let draws = inj.stats().draws;
+        n.set_down(true);
+        assert!(!n.store(&key, StoredReplica::tombstone(5), Some(&inj)));
+        assert_eq!(
+            n.probe_newer(key.at(), None, Some(&inj)).1,
+            ReplicaProbe::Down
+        );
+        assert_eq!(inj.stats().draws, draws);
+    }
+
+    #[test]
+    fn probe_newer_votes_always_and_clones_only_the_newer() {
+        let n = node();
+        let at = KeyRef::new("/k");
+        n.put("/k", Payload::from_static("x"), Meta::new(), 7, false);
+        let hit = ReplicaProbe::Hit {
+            modified_ms: 7,
+            tombstone: false,
+        };
+        // Older and equal bests get the vote but no replica.
+        for best in [7, 8] {
+            let (r, vote) = n.probe_newer(at, Some(best), None);
+            assert!(r.is_none(), "best {best}");
+            assert_eq!(vote, hit);
+        }
+        let (r, vote) = n.probe_newer(at, Some(6), None);
+        assert_eq!(r.unwrap().modified_ms, 7);
+        assert_eq!(vote, hit);
+        // A newer tombstone is handed back: it must be able to win the read.
+        n.delete("/k", 9);
+        let (r, vote) = n.probe_newer(at, Some(7), None);
+        assert!(r.unwrap().deleted);
+        assert_eq!(
+            vote,
+            ReplicaProbe::Hit {
+                modified_ms: 9,
+                tombstone: true
+            }
+        );
+        n.set_down(true);
+        assert_eq!(n.probe_newer(at, None, None).1, ReplicaProbe::Down);
+        assert_eq!(n.probe_newer(at, Some(0), None).1, ReplicaProbe::Down);
+        assert_eq!(n.stamp(at), None);
+    }
+
+    #[test]
+    fn replicas_of_one_version_share_its_record_and_key() {
+        let (a, b) = (node(), StorageNode::new(DeviceId(1), 1));
+        let key = WriteKey::new(KeyRef::new("/k"));
+        let v = StoredReplica::live(
+            Record::new(Payload::from_static("x"), Meta::new()),
+            1,
+            false,
+        );
+        assert!(a.store(&key, v.placed(false), None));
+        assert!(b.store(&key, v.placed(true), None));
+        let (ra, rb) = (a.get("/k").unwrap(), b.get("/k").unwrap());
+        assert!(Arc::ptr_eq(&ra.record, &rb.record));
+        assert!(!ra.handoff && rb.handoff);
+        assert!(std::ptr::eq(
+            a.keys()[0].as_str().as_ptr(),
+            b.keys()[0].as_str().as_ptr()
+        ));
+        // The digest is computed on demand, once for all holders.
+        assert_eq!(ra.record.etag(), Payload::from_static("x").digest());
+    }
+
+    #[test]
+    fn tombstone_keeps_the_handoff_flag_of_what_it_replaces() {
+        let n = node();
+        n.put("/k", Payload::from_static("x"), Meta::new(), 1, true);
+        n.delete("/k", 2);
+        let r = n.get_raw("/k").unwrap();
+        assert!(r.deleted && r.handoff);
+        assert!(r.record.payload.is_empty() && r.record.meta.is_empty());
     }
 
     #[test]
@@ -553,7 +646,7 @@ mod tests {
                             false
                         ));
                         assert_eq!(
-                            n.get(&key).unwrap().payload.as_str(),
+                            n.get(&key).unwrap().record.payload.as_str(),
                             Some(format!("{t}-{i}").as_str())
                         );
                     }

@@ -4,6 +4,7 @@ use bytes::Bytes;
 use h2util::hash::{hash128, Digest128};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Index;
 use std::sync::Arc;
 
 /// Fully qualified object name `/account/container/object`, the unit the
@@ -26,7 +27,13 @@ impl ObjectKey {
 
     /// The byte string fed to the placement hash.
     pub fn ring_key(&self) -> String {
-        format!("/{}/{}/{}", self.account, self.container, self.name)
+        let mut s =
+            String::with_capacity(3 + self.account.len() + self.container.len() + self.name.len());
+        for part in [&self.account, &self.container, &self.name] {
+            s.push('/');
+            s.push_str(part);
+        }
+        s
     }
 }
 
@@ -91,7 +98,58 @@ impl Payload {
 }
 
 /// Small user-metadata map attached to an object (Swift `X-Object-Meta-*`).
-pub type Meta = BTreeMap<String, String>;
+///
+/// Copy-on-write: a clone is a refcount bump, so the replicas of a version
+/// and every reader's [`Object`] share one map, and an empty meta allocates
+/// nothing. `None` is the only empty representation (nothing removes single
+/// entries), which keeps the derived equality exact.
+#[derive(Clone, Default, PartialEq)]
+pub struct Meta(Option<Arc<BTreeMap<String, String>>>);
+
+impl Meta {
+    pub fn new() -> Self {
+        Meta(None)
+    }
+
+    pub fn get(&self, key: &str) -> Option<&String> {
+        self.0.as_ref()?.get(key)
+    }
+
+    /// Set `key`, copying the map first if a clone still shares it.
+    pub fn insert(&mut self, key: String, value: String) -> Option<String> {
+        Arc::make_mut(self.0.get_or_insert_with(Arc::default)).insert(key, value)
+    }
+
+    pub fn clear(&mut self) {
+        self.0 = None;
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_none()
+    }
+}
+
+impl<const N: usize> From<[(String, String); N]> for Meta {
+    fn from(entries: [(String, String); N]) -> Self {
+        Meta((N > 0).then(|| Arc::new(BTreeMap::from(entries))))
+    }
+}
+
+impl Index<&str> for Meta {
+    type Output = String;
+
+    fn index(&self, key: &str) -> &String {
+        self.get(key).expect("no such meta key")
+    }
+}
+
+impl fmt::Debug for Meta {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().flat_map(|m| m.iter()))
+            .finish()
+    }
+}
 
 /// A stored object: payload + metadata + write stamp.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,18 +159,6 @@ pub struct Object {
     pub meta: Meta,
     /// Milliseconds of the winning write (last-writer-wins across replicas).
     pub modified_ms: u64,
-}
-
-impl Object {
-    pub fn info(&self) -> ObjectInfo {
-        ObjectInfo {
-            key: self.key.clone(),
-            size: self.payload.len(),
-            etag: self.payload.digest(),
-            meta: self.meta.clone(),
-            modified_ms: self.modified_ms,
-        }
-    }
 }
 
 /// HEAD response: everything but the payload.
@@ -150,18 +196,27 @@ mod tests {
     }
 
     #[test]
-    fn object_info_projects_fields() {
-        let key = ObjectKey::new("a", "c", "o");
-        let obj = Object {
-            key: key.clone(),
-            payload: Payload::from_static("x"),
-            meta: Meta::from([("kind".to_string(), "file".to_string())]),
-            modified_ms: 99,
-        };
-        let info = obj.info();
-        assert_eq!(info.key, key);
-        assert_eq!(info.size, 1);
-        assert_eq!(info.modified_ms, 99);
-        assert_eq!(info.meta["kind"], "file");
+    fn meta_is_copy_on_write() {
+        assert!(Meta::new().is_empty());
+        assert_eq!(Meta::new(), Meta::default());
+        assert_eq!(Meta::from([]), Meta::new());
+        let mut a = Meta::from([("kind".to_string(), "file".to_string())]);
+        let b = a.clone();
+        assert_eq!(a, b);
+        assert_eq!(b["kind"], "file");
+        // Writing to one clone leaves the other as it was.
+        assert_eq!(
+            a.insert("kind".to_string(), "dir".to_string()).as_deref(),
+            Some("file")
+        );
+        a.insert("owner".to_string(), "alice".to_string());
+        assert_eq!(a["kind"], "dir");
+        assert_eq!(b["kind"], "file");
+        assert_eq!(b.get("owner"), None);
+        assert_ne!(a, b);
+        // Cleared is the same value as never filled.
+        a.clear();
+        assert_eq!(a, Meta::new());
+        assert_eq!(format!("{b:?}"), r#"{"kind": "file"}"#);
     }
 }

@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 use h2ring::DeviceId;
 use h2util::{CostModel, OpCtx};
@@ -260,4 +261,134 @@ proptest! {
         want.sort();
         prop_assert_eq!(got, want);
     }
+}
+
+/// One writer overwrites a key with matched `(payload_i, meta_i)` pairs
+/// while readers GET and HEAD it. A version's payload, meta and digest live
+/// in one shared record, so whatever version a reader gets, it gets whole.
+#[test]
+fn readers_racing_an_overwriting_writer_never_see_a_mixed_version() {
+    const VERSIONS: u32 = 2_000;
+    let cluster = Cluster::new(ClusterConfig {
+        nodes: 8,
+        replicas: 3,
+        part_power: 7,
+        cost: Arc::new(CostModel::zero()),
+        faults: None,
+    });
+    cluster.create_account("a").unwrap();
+    cluster.create_container("a", "c", false).unwrap();
+    let key = ObjectKey::new("a", "c", "contended");
+    let body = |i: u32| format!("payload of version {i}");
+    let put = |i: u32| {
+        let meta = Meta::from([("gen".to_string(), i.to_string())]);
+        cluster
+            .put(
+                &mut OpCtx::for_test(),
+                &key,
+                Payload::from_string(body(i)),
+                meta,
+            )
+            .unwrap();
+    };
+    put(0);
+    let start = Barrier::new(3);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            (1..=VERSIONS).for_each(put);
+            done.store(true, Ordering::Release);
+        });
+        for _ in 0..2 {
+            s.spawn(|| {
+                let mut ctx = OpCtx::for_test();
+                start.wait();
+                let mut last = 0u32;
+                // At least one pass after the writer has finished, so the
+                // final version is checked even if this thread was starved.
+                loop {
+                    let finished = done.load(Ordering::Acquire);
+                    let obj = cluster.get(&mut ctx, &key).unwrap();
+                    let gen: u32 = obj.meta["gen"].parse().unwrap();
+                    assert_eq!(obj.payload.as_str(), Some(body(gen).as_str()));
+                    assert!(gen >= last, "GET went back from {last} to {gen}");
+                    let info = cluster.head(&mut ctx, &key).unwrap();
+                    let head_gen: u32 = info.meta["gen"].parse().unwrap();
+                    let expect = Payload::from_string(body(head_gen));
+                    assert_eq!((info.size, info.etag), (expect.len(), expect.digest()));
+                    assert!(head_gen >= gen, "HEAD went back from {gen} to {head_gen}");
+                    last = head_gen;
+                    if finished {
+                        assert_eq!(last, VERSIONS);
+                        break;
+                    }
+                }
+            });
+        }
+    });
+}
+
+/// A reader racing a topology swap never sees the new ring without the
+/// migration record that tells it where the data still is. With one replica
+/// there is no second copy to fall back on, and a drained device is not even
+/// among the new ring's handoffs: a read that used the new placement for a
+/// moved, not yet migrated partition without the old assignment would come
+/// back NotFound.
+#[test]
+fn readers_racing_add_node_and_drain_find_every_key() {
+    let cluster = Cluster::new(ClusterConfig {
+        nodes: 4,
+        replicas: 1,
+        part_power: 6,
+        cost: Arc::new(CostModel::zero()),
+        faults: None,
+    });
+    cluster.create_account("a").unwrap();
+    cluster.create_container("a", "c", false).unwrap();
+    let keys: Vec<ObjectKey> = (0..256)
+        .map(|i| ObjectKey::new("a", "c", &format!("obj{i:03}")))
+        .collect();
+    for (i, k) in keys.iter().enumerate() {
+        let body = Payload::from_string(i.to_string());
+        cluster
+            .put(&mut OpCtx::for_test(), k, body, Meta::new())
+            .unwrap();
+    }
+    let start = Barrier::new(3);
+    let swapped = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            // The drain first finishes the add's migration, then swaps and
+            // migrates nothing: device 0's partitions stay pending, their
+            // only copies on a device outside the ring, for as long as the
+            // readers run.
+            cluster.add_node(9, 1.0).unwrap();
+            cluster.drain_node(DeviceId(0)).unwrap();
+            swapped.store(true, Ordering::Release);
+        });
+        for _ in 0..2 {
+            s.spawn(|| {
+                let mut ctx = OpCtx::for_test();
+                start.wait();
+                // Passes overlapping the swaps, then one wholly after them.
+                loop {
+                    let after_swaps = swapped.load(Ordering::Acquire);
+                    for (i, k) in keys.iter().enumerate() {
+                        let obj = cluster.get(&mut ctx, k).unwrap();
+                        assert_eq!(obj.payload.as_str(), Some(i.to_string().as_str()));
+                    }
+                    if after_swaps {
+                        break;
+                    }
+                }
+            });
+        }
+    });
+    assert!(
+        cluster.migration_pending_parts() > 0,
+        "the drain moved nothing"
+    );
+    assert!(cluster.migration_read_rescue_count() > 0);
 }

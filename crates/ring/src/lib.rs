@@ -232,7 +232,13 @@ impl Ring {
     /// Partition of a key (top `part_power` bits of the key hash, like
     /// Swift).
     pub fn partition_of(&self, key: &[u8]) -> u64 {
-        hash64_seeded(key, 0) >> (64 - self.part_power)
+        self.partition_of_hash(hash64_seeded(key, 0))
+    }
+
+    /// Partition of a key whose placement hash (`h2util::hash64` of the
+    /// key) the caller already holds.
+    pub fn partition_of_hash(&self, hash: u64) -> u64 {
+        hash >> (64 - self.part_power)
     }
 
     /// Primary + replica devices for a partition.

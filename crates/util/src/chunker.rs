@@ -227,10 +227,18 @@ mod tests {
         let p = small();
         // Exactly `min` bytes: below any cut point — one chunk.
         assert_eq!(chunk_bytes(&p, &pseudo_bytes(p.min as usize, 1)).len(), 1);
-        // Exactly `max` bytes: one or two chunks, never more (a single
-        // forced ceiling cut is the worst case).
+        // Exactly `max` bytes: content-defined cuts may fall anywhere past
+        // `min`, so the count is bounded by the cutter's guarantees only —
+        // every chunk but the last in `[min, max]`, the lengths summing to
+        // the input — which allow at most `len / min` (rounded up) chunks.
         let at_max = chunk_bytes(&p, &pseudo_bytes(p.max as usize, 2));
-        assert!((1..=2).contains(&at_max.len()), "{}", at_max.len());
+        let (last, full) = at_max.split_last().expect("non-empty input");
+        for c in full {
+            assert!((p.min..=p.max).contains(&c.len), "chunk of {}", c.len);
+        }
+        assert!(last.len <= p.max);
+        assert_eq!(at_max.iter().map(|c| c.len).sum::<u64>(), p.max);
+        assert!(at_max.len() as u64 <= p.max.div_ceil(p.min));
         // The simulated schedule at exact sizes: `min` is always one chunk
         // (every schedule entry is ≥ min).
         let d = hash128(b"exact");

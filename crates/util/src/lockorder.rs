@@ -309,7 +309,10 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    // Validation is active in every test build.
+    // The validator exists in debug builds and under the
+    // `lock-order-validation` feature; the tests of its panics are
+    // compiled only where it does (`cargo test --release` runs the rest).
+    #[cfg(any(debug_assertions, feature = "lock-order-validation"))]
     #[test]
     fn validation_is_enabled_under_debug_assertions() {
         assert!(validation_enabled());
@@ -348,10 +351,12 @@ mod tests {
         let _ga = a.lock(); // stack must be clean again
     }
 
+    #[cfg(any(debug_assertions, feature = "lock-order-validation"))]
     fn panics<F: FnOnce() + Send + 'static>(f: F) -> bool {
         std::thread::spawn(f).join().is_err()
     }
 
+    #[cfg(any(debug_assertions, feature = "lock-order-validation"))]
     #[test]
     fn deliberate_inversion_panics_under_the_validator() {
         // node-stripe (rank 2) held, then op-stripe (rank 1): the exact
@@ -364,6 +369,7 @@ mod tests {
         }));
     }
 
+    #[cfg(any(debug_assertions, feature = "lock-order-validation"))]
     #[test]
     fn double_same_rank_acquisition_panics() {
         assert!(panics(|| {
@@ -374,6 +380,7 @@ mod tests {
         }));
     }
 
+    #[cfg(any(debug_assertions, feature = "lock-order-validation"))]
     #[test]
     fn read_guard_participates_in_the_hierarchy() {
         assert!(panics(|| {
