@@ -17,7 +17,6 @@
 
 pub mod ablations;
 pub mod experiments;
-pub mod loadgen;
 pub mod rtt;
 pub mod systems;
 pub mod table1;

@@ -29,112 +29,16 @@ pub const NAMERING_MAGIC: &str = "H2NR1";
 pub const PATCH_MAGIC: &str = "H2PT1";
 /// Header of a directory descriptor object.
 pub const DIR_MAGIC: &str = "H2DIR1";
-/// Header of a multipart-file manifest object.
-pub const MANIFEST_MAGIC: &str = "H2MP1";
 /// Header of a CAS-file manifest object (root of the block tree).
 pub const CAS_MANIFEST_MAGIC: &str = "H2CAS1";
 /// Header of a CAS branch (pointer) block.
 pub const CAS_BRANCH_MAGIC: &str = "H2BR1";
 
-/// Manifest stored at a multipart file's content key: enough to locate,
-/// size and verify every part without per-part records. Parts are uniform
-/// `part_bytes` slices of the logical content except the (possibly short)
-/// last one, so the part list is fully derived from `total`/`part_bytes`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartManifest {
-    /// Upload generation; part keys embed it so an overwrite never aliases
-    /// the previous generation's parts.
-    pub stamp: u64,
-    /// Bytes per part (last part may be shorter).
-    pub part_bytes: u64,
-    /// Logical file size.
-    pub total: u64,
-    /// Whether parts carry inline bytes (`true`) or simulated content.
-    pub inline: bool,
-    /// Digest of the whole logical content (the file's ETag).
-    pub digest: Digest128,
-}
-
-impl PartManifest {
-    pub fn part_count(&self) -> u32 {
-        self.total.div_ceil(self.part_bytes) as u32
-    }
-
-    /// Size of part `i` (all `part_bytes` except a short final part).
-    pub fn part_size(&self, i: u32) -> u64 {
-        let start = i as u64 * self.part_bytes;
-        (self.total - start).min(self.part_bytes)
-    }
-}
-
-/// Multipart manifest → ASCII object body.
-pub fn manifest_to_string(m: &PartManifest) -> String {
-    format!(
-        "{MANIFEST_MAGIC}\n{}\t{}\t{}\t{}\t{}\n",
-        m.stamp,
-        m.part_bytes,
-        m.total,
-        if m.inline { 'I' } else { 'S' },
-        m.digest
-    )
-}
-
-/// ASCII object body → multipart manifest.
-pub fn manifest_from_str(s: &str) -> Result<PartManifest> {
-    let mut lines = s.lines();
-    match lines.next() {
-        Some(MANIFEST_MAGIC) => {}
-        other => {
-            return Err(H2Error::Corrupt(format!(
-                "expected {MANIFEST_MAGIC} object, found {other:?}"
-            )))
-        }
-    }
-    let body = lines
-        .next()
-        .ok_or_else(|| H2Error::Corrupt("missing manifest body".into()))?;
-    let mut f = body.split('\t');
-    let (stamp, part_bytes, total, kind, digest) =
-        match (f.next(), f.next(), f.next(), f.next(), f.next()) {
-            (Some(a), Some(b), Some(c), Some(d), Some(e)) if f.next().is_none() => (a, b, c, d, e),
-            _ => return Err(H2Error::Corrupt(format!("bad manifest body {body:?}"))),
-        };
-    let stamp: u64 = stamp
-        .parse()
-        .map_err(|_| H2Error::Corrupt(format!("bad manifest stamp {stamp:?}")))?;
-    let part_bytes: u64 = part_bytes
-        .parse()
-        .map_err(|_| H2Error::Corrupt(format!("bad part size {part_bytes:?}")))?;
-    let total: u64 = total
-        .parse()
-        .map_err(|_| H2Error::Corrupt(format!("bad total size {total:?}")))?;
-    if part_bytes == 0 || total == 0 {
-        return Err(H2Error::Corrupt(format!(
-            "degenerate manifest: total {total}, part size {part_bytes}"
-        )));
-    }
-    let inline = match kind {
-        "I" => true,
-        "S" => false,
-        other => return Err(H2Error::Corrupt(format!("bad manifest kind {other:?}"))),
-    };
-    let digest = Digest128::from_hex(digest)
-        .ok_or_else(|| H2Error::Corrupt(format!("bad manifest digest {digest:?}")))?;
-    Ok(PartManifest {
-        stamp,
-        part_bytes,
-        total,
-        inline,
-        digest,
-    })
-}
-
 /// Manifest stored at a CAS file's content key: the root of a Venti-style
 /// hash tree. `entries` are the top-level children — leaf blocks directly,
 /// or branch blocks ([`CAS_BRANCH_MAGIC`]) once the child count exceeds the
 /// tree fan-out — each recorded as `(content address, logical span)`.
-/// Unlike the multipart manifest, `total == 0` is legal: an empty file is a
-/// manifest with no entries.
+/// `total == 0` is legal: an empty file is a manifest with no entries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CasManifest {
     /// Write generation. A retried manifest PUT re-sends the identical
@@ -547,53 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn manifest_roundtrip_and_part_geometry() {
-        let m = PartManifest {
-            stamp: 7,
-            part_bytes: 4 << 20,
-            total: (10 << 20) + 3,
-            inline: false,
-            digest: h2util::hash::hash128(b"content"),
-        };
-        let s = manifest_to_string(&m);
-        assert!(s.starts_with("H2MP1\n"));
-        assert!(s.is_ascii());
-        assert_eq!(manifest_from_str(&s).unwrap(), m);
-        assert_eq!(m.part_count(), 3);
-        assert_eq!(m.part_size(0), 4 << 20);
-        assert_eq!(m.part_size(1), 4 << 20);
-        assert_eq!(m.part_size(2), (2 << 20) + 3);
-        // Exact multiple: no empty trailing part.
-        let even = PartManifest {
-            total: 8 << 20,
-            ..m
-        };
-        assert_eq!(even.part_count(), 2);
-        assert_eq!(even.part_size(1), 4 << 20);
-    }
-
-    #[test]
-    fn manifest_corruption_is_detected() {
-        assert!(manifest_from_str("garbage").is_err());
-        assert!(manifest_from_str("H2MP1\n").is_err());
-        assert!(manifest_from_str("H2MP1\n1\t2\t3\tI\n").is_err()); // missing digest
-        assert!(manifest_from_str("H2MP1\n1\t0\t3\tI\tdead\n").is_err()); // zero part size
-        assert!(
-            manifest_from_str("H2MP1\n1\t2\t3\tX\t00000000000000000000000000000000\n").is_err()
-        );
-        assert!(manifest_from_str("H2MP1\n1\t2\t3\tI\tnothex\n").is_err());
-        // A manifest is not accepted where a ring is expected and vice versa.
-        let m = PartManifest {
-            stamp: 1,
-            part_bytes: 2,
-            total: 3,
-            inline: true,
-            digest: h2util::hash::hash128(b"x"),
-        };
-        assert!(namering_from_str(&manifest_to_string(&m)).is_err());
-    }
-
-    #[test]
     fn serialised_form_is_ascii() {
         let s = namering_to_string(&sample_ring());
         assert!(s.is_ascii(), "formatter must emit ASCII strings");
@@ -617,7 +474,7 @@ mod tests {
         assert!(s.starts_with("H2CAS1 2\n"));
         assert!(s.is_ascii());
         assert_eq!(cas_manifest_from_str(&s).unwrap(), m);
-        // Empty file: zero total, no entries — legal, unlike H2MP1.
+        // Empty file: zero total, no entries — legal.
         let empty = CasManifest {
             stamp: 1,
             depth: 0,

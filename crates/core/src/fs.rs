@@ -529,8 +529,8 @@ impl H2Cloud {
     }
 
     /// O(1) existence/metadata check through a relative path (one HEAD).
-    /// For multipart files the HEAD lands on the manifest, whose meta
-    /// carries the logical size — still one request.
+    /// For CAS files the HEAD lands on the manifest, whose meta carries the
+    /// logical size — still one request.
     pub fn stat_relative(
         &self,
         ctx: &mut OpCtx,
@@ -699,10 +699,9 @@ impl H2Cloud {
             } => {
                 // A file's content object is keyed by its parent namespace,
                 // so moving it re-keys the object: one server-side copy +
-                // delete (per part, fanned out, for multipart files), then
-                // the two parent patches.
-                mw.copy_content(ctx, &keys, parent_ns, &name, dst_parent_ns, to_name, size)?;
-                mw.delete_content(ctx, &keys, parent_ns, &name, size)?;
+                // delete, then the two parent patches.
+                mw.copy_content(ctx, &keys, parent_ns, &name, dst_parent_ns, to_name)?;
+                mw.delete_content(ctx, &keys, parent_ns, &name)?;
                 let mut out_patch = NameRing::new();
                 out_patch.apply(&name, Tuple::file(mw.tick(), size).tombstone(mw.tick()));
                 mw.submit_patch(ctx, &keys, parent_ns, out_patch)?;
@@ -747,7 +746,7 @@ impl H2Cloud {
                 size,
                 ..
             } => {
-                mw.copy_content(ctx, &keys, parent_ns, &name, dst_parent_ns, to_name, size)?;
+                mw.copy_content(ctx, &keys, parent_ns, &name, dst_parent_ns, to_name)?;
                 let mut patch = NameRing::new();
                 patch.apply(to_name, Tuple::file(mw.tick(), size));
                 mw.submit_patch(ctx, &keys, dst_parent_ns, patch)
@@ -789,7 +788,7 @@ impl H2Cloud {
         for (child, tuple) in src_view.live() {
             match tuple.child {
                 ChildRef::File { size } => {
-                    mw.copy_content(ctx, keys, src_ns, child, new_ns, child, size)?;
+                    mw.copy_content(ctx, keys, src_ns, child, new_ns, child)?;
                     new_ring.apply(child, Tuple::file(mw.tick(), size));
                 }
                 ChildRef::Dir { ns: child_ns } => {
@@ -897,11 +896,9 @@ impl H2Cloud {
         let parent = path.parent().expect("non-root");
         let parent_ns = self.resolve_dir_ns(mw, ctx, &keys, &parent)?;
         let view = mw.read_ring_view(ctx, &keys, parent_ns)?;
-        let mut prev_size = None;
         if let Some(t) = view.get(name) {
-            match t.child {
-                ChildRef::Dir { .. } => return Err(H2Error::IsADirectory(path.to_string())),
-                ChildRef::File { size } => prev_size = Some(size),
+            if let ChildRef::Dir { .. } = t.child {
+                return Err(H2Error::IsADirectory(path.to_string()));
             }
         }
         drop(view);
@@ -909,7 +906,7 @@ impl H2Cloud {
         let payload = content_to_payload(content, &path.to_string());
         // §3.3.3(b) blocking: the content stream completes before the patch
         // is submitted, so no merge can observe the tuple without the data.
-        mw.put_content(ctx, &keys, parent_ns, name, payload, prev_size)?;
+        mw.put_content(ctx, &keys, parent_ns, name, payload)?;
         let mut patch = NameRing::new();
         patch.apply(name, Tuple::file(mw.tick(), size));
         mw.submit_patch(ctx, &keys, parent_ns, patch)
@@ -962,7 +959,7 @@ impl H2Cloud {
                 // Eager content reclaim is best-effort: the tombstone is
                 // durable, so if this DELETE fails the object is merely
                 // garbage — GC deletes it when it compacts the tombstone.
-                let _ = mw.delete_content(ctx, &keys, parent_ns, &name, size);
+                let _ = mw.delete_content(ctx, &keys, parent_ns, &name);
                 Ok(())
             }
             _ => Err(H2Error::IsADirectory(path.to_string())),
@@ -1203,7 +1200,6 @@ impl CloudFs for H2Cloud {
                 parent_ns,
                 name,
                 Payload::simulated(*size, &f.to_string()),
-                None,
             )?;
             rings
                 .get_mut(&parent_ns)

@@ -120,15 +120,15 @@ fn walk_and_compact(
             report.tuples_compacted += removed.len();
             for (name, tuple) in removed {
                 match tuple.child {
-                    ChildRef::File { size } => {
-                        delete_quiet(fs, mw, ctx, keys, ns, &name, Some(size), report)?;
+                    ChildRef::File { .. } => {
+                        delete_quiet(mw.delete_content(ctx, keys, ns, &name), report)?;
                     }
                     // Only reclaim subtrees nothing live points at: a MOVE's
                     // tombstone still names the (re-parented, live) namespace.
                     ChildRef::Dir { ns: dead_ns } if !live.contains(&dead_ns) => {
                         delete_subtree(fs, mw, ctx, keys, dead_ns, report)?;
-                        delete_quiet(fs, mw, ctx, keys, ns, &name, None, report)?;
-                        // descriptor
+                        // The descriptor.
+                        delete_quiet(fs.cluster().delete(ctx, &keys.child(ns, &name)), report)?;
                     }
                     ChildRef::Dir { .. } => {}
                 }
@@ -160,21 +160,18 @@ fn delete_subtree(
         let ring = mw.read_ring(ctx, keys, ns)?;
         for (name, tuple) in ring.iter() {
             match tuple.child {
-                ChildRef::File { size } => {
-                    delete_quiet(fs, mw, ctx, keys, ns, name, Some(size), report)?;
+                ChildRef::File { .. } => {
+                    delete_quiet(mw.delete_content(ctx, keys, ns, name), report)?;
                 }
                 ChildRef::Dir { ns: child_ns } => {
                     stack.push(child_ns);
-                    delete_quiet(fs, mw, ctx, keys, ns, name, None, report)?; // descriptor
+                    // The descriptor.
+                    delete_quiet(fs.cluster().delete(ctx, &keys.child(ns, name)), report)?;
                 }
             }
         }
         // The ring object itself.
-        match fs.cluster().delete(ctx, &keys.namering(ns)) {
-            Ok(()) => report.objects_deleted += 1,
-            Err(H2Error::NotFound(_)) => {}
-            Err(e) => return Err(e),
-        }
+        delete_quiet(fs.cluster().delete(ctx, &keys.namering(ns)), report)?;
         // The object is gone; every middleware's local state for it (cached
         // global copy, local overlay, pending chain) must go too, or a peer
         // could write the dead ring straight back into the cloud.
@@ -185,25 +182,8 @@ fn delete_subtree(
     Ok(())
 }
 
-/// Delete one child object, tolerating its prior eager reclaim.
-/// `content_size` is the tuple's size for file content (`None` for
-/// descriptors) — multipart generations are reclaimed along with their
-/// manifest.
-#[allow(clippy::too_many_arguments)]
-fn delete_quiet(
-    fs: &H2Cloud,
-    mw: &H2Middleware,
-    ctx: &mut OpCtx,
-    keys: &H2Keys,
-    ns: NamespaceId,
-    name: &str,
-    content_size: Option<u64>,
-    report: &mut GcReport,
-) -> Result<()> {
-    let outcome = match content_size {
-        Some(size) => mw.delete_content(ctx, keys, ns, name, size),
-        None => fs.cluster().delete(ctx, &keys.child(ns, name)),
-    };
+/// Tally one object delete, tolerating its prior eager reclaim.
+fn delete_quiet(outcome: Result<()>, report: &mut GcReport) -> Result<()> {
     match outcome {
         Ok(()) => {
             report.objects_deleted += 1;

@@ -100,15 +100,6 @@ impl H2Keys {
             "{ns}::/NameRing/.Node{node}.Patch{patch_no:04}"
         ))
     }
-
-    /// Object key of part `i` of a multipart file's content. `stamp` is the
-    /// upload's version stamp, so an overwrite lands on fresh keys and the
-    /// old generation can be deleted after the new manifest is in place.
-    /// `/Part/` sits in the reserved `::/` namespace — `/` cannot appear in
-    /// child names, so parts can never collide with a real child.
-    pub fn part(&self, ns: NamespaceId, name: &str, stamp: u64, i: u32) -> ObjectKey {
-        self.key(format_args!("{ns}::/Part/{stamp:016x}/{name}.{i:05}"))
-    }
 }
 
 #[cfg(test)]
@@ -166,20 +157,6 @@ mod tests {
         // A child would need the name "/NameRing/" which FsPath forbids
         // (contains '/').
         assert!(h2fsapi::FsPath::validate_name("/NameRing/").is_err());
-    }
-
-    #[test]
-    fn part_key_shape_and_isolation() {
-        let k = H2Keys::new("alice");
-        let key = k.part(ns(), "big.iso", 0x2a, 3);
-        assert_eq!(
-            key.ring_key(),
-            "/alice/h2/06.01.1469346604539::/Part/000000000000002a/big.iso.00003"
-        );
-        // Distinct stamps (upload generations) never collide.
-        assert_ne!(k.part(ns(), "f", 1, 0), k.part(ns(), "f", 2, 0));
-        // The `/Part/` prefix lives in the reserved `::/` namespace.
-        assert!(h2fsapi::FsPath::validate_name("/Part/x").is_err());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   by tests and the figure harness: drain every outbox, deliver to every
 //!   peer, repeat until quiescent.
 //! * [`H2Layer::run_threaded`] — each middleware gets a real thread with a
-//!   crossbeam channel inbox; gossip flows concurrently until the layer is
-//!   told to stop. Used by the concurrency integration tests and the
+//!   channel inbox; gossip flows concurrently until the layer is told to
+//!   stop. Used by the concurrency integration tests and the
 //!   `gossip_convergence` example.
 //!
 //! Delivery is at-least-once and unordered on purpose — the NameRing merge
@@ -18,9 +18,9 @@
 //! inject both.
 
 use std::collections::VecDeque;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use h2util::metrics::MetricsRegistry;
 use h2util::{NodeId, Result};
 use swiftsim::Cluster;
@@ -371,17 +371,16 @@ impl H2Layer {
     }
 
     /// Spawn one thread per middleware that continuously merges pending
-    /// patches and exchanges gossip over crossbeam channels. Returns a
-    /// handle; drop or call [`ThreadedGossip::stop`] to join the threads.
+    /// patches and exchanges gossip over channels. Returns a handle; drop
+    /// or call [`ThreadedGossip::stop`] to join the threads.
     pub fn run_threaded(&self) -> ThreadedGossip {
         let n = self.middlewares.len();
         let (senders, receivers): (Vec<Sender<GossipMsg>>, Vec<Receiver<GossipMsg>>) =
-            (0..n).map(|_| unbounded()).unzip();
+            (0..n).map(|_| channel()).unzip();
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let mut handles = Vec::with_capacity(n);
-        for (i, mw) in self.middlewares.iter().enumerate() {
+        for (i, (mw, rx)) in self.middlewares.iter().zip(receivers).enumerate() {
             let mw = mw.clone();
-            let rx = receivers[i].clone();
             let peers: Vec<Sender<GossipMsg>> = senders
                 .iter()
                 .enumerate()

@@ -69,18 +69,9 @@ pub const PATH_CACHE_MISSES: &str = "path_cache_misses";
 /// Counter name for negative-entry cache hits (known-absent paths).
 pub const NEG_CACHE_HITS: &str = "neg_cache_hits";
 
-/// Files larger than this are striped into fixed-size part objects moved
-/// with bounded parallel fan-out ([`OpCtx::parallel`]) — the way real
-/// object stores move big blobs (S3 multipart upload, Azure block blobs).
-/// 4 MiB keeps per-part request overhead under ~2% of the part's transfer.
-pub const PART_BYTES: u64 = 4 * 1024 * 1024;
-
-/// `content-type` meta of a plain single-object file.
+/// `content-type` meta of a whole-object file: the file's bytes are the
+/// object at its content key, whatever their size.
 pub const CONTENT_TYPE_FILE: &str = "h2/file";
-
-/// `content-type` meta of a multipart manifest stored at a file's content
-/// key (the parts live under the reserved `::/Part/` namespace).
-pub const CONTENT_TYPE_MULTIPART: &str = "h2/multipart";
 
 /// `content-type` meta of a CAS manifest stored at a file's content key
 /// (the blocks live under the cluster's reserved `::cas/blk` namespace).
@@ -92,8 +83,8 @@ pub const CONTENT_TYPE_CAS: &str = "h2/cas";
 /// already cover 128² × 1 MiB ≈ 16 TiB files.
 pub const CAS_FANOUT: usize = 128;
 
-/// Meta key on a manifest carrying the file's logical byte size, so one
-/// HEAD answers STAT for multipart files without fetching the manifest.
+/// Meta key on a CAS manifest carrying the file's logical byte size, so one
+/// HEAD answers STAT without fetching the manifest.
 pub const META_LOGICAL_BYTES: &str = "h2-logical-bytes";
 
 /// When patches are merged into their NameRings.
@@ -371,13 +362,12 @@ pub struct H2Middleware {
     group_commit: bool,
     /// Per-ring group-commit queues (populated lazily, like `merge_locks`).
     commit_queues: Mutex<HashMap<FdKey, Arc<CommitQueue>>>,
-    /// Upload-generation counter for multipart part keys and CAS manifest
-    /// stamps; combined with the node id so generations are unique across
-    /// middlewares.
+    /// Write-generation counter for CAS manifest stamps; combined with the
+    /// node id so generations are unique across middlewares.
     part_stamp: std::sync::atomic::AtomicU64,
     /// When true, file content is stored through the content-addressed
     /// block plane (chunk → dedup'd leaf blocks → branch tree → manifest)
-    /// instead of whole objects / multipart stripes.
+    /// instead of as one whole object per file.
     cas: bool,
     /// Global-ring GETs actually issued (see [`RING_FETCHES`]).
     ring_fetches: Arc<Counter>,
@@ -564,16 +554,16 @@ impl H2Middleware {
         bg.1.add(&ctx.counts());
     }
 
-    // ----- content I/O (multipart striping) ---------------------------------
+    // ----- content I/O (two planes) ----------------------------------------
     //
-    // Content at or below [`PART_BYTES`] is one object at the child key —
-    // exactly the pre-striping layout and request counts. Bigger content is
-    // split into `PART_BYTES` slices under `{ns}::/Part/{stamp}/{name}.{i}`
-    // keys and committed by a small manifest written *last* at the child
-    // key: the manifest is the commit point, so a failure mid-upload leaves
-    // unreachable orphan parts, never a readable file with holes. Overwrites
-    // use a fresh stamp, then best-effort delete the old generation.
+    // `H2Config::cas` selects the plane for everything this middleware
+    // writes. Off (the paper profile): a file is one object at its child
+    // key, every size — one PUT, one GET, one DELETE, one server-side COPY.
+    // On: the block plane below. Reads dispatch on the stored object's
+    // `content-type`, so either middleware reads what the other wrote.
 
+    /// Stamp for a CAS manifest: unique per (middleware, write), so a
+    /// retried torn manifest PUT is told apart from an identical overwrite.
     fn next_part_stamp(&self) -> u64 {
         let n = self
             .part_stamp
@@ -595,38 +585,7 @@ impl H2Middleware {
             .clone()
     }
 
-    fn manifest_meta(total: u64) -> Meta {
-        let mut meta = Meta::new();
-        meta.insert("content-type".into(), CONTENT_TYPE_MULTIPART.into());
-        meta.insert(META_LOGICAL_BYTES.into(), total.to_string());
-        meta
-    }
-
-    /// The manifest at a file's content key, or `None` when the key holds
-    /// plain content. `NotFound` propagates.
-    fn fetch_manifest(
-        &self,
-        ctx: &mut OpCtx,
-        keys: &H2Keys,
-        ns: NamespaceId,
-        name: &str,
-    ) -> Result<Option<formatter::PartManifest>> {
-        let key = keys.child(ns, name);
-        let obj = self.with_retry(ctx, "get_manifest", |ctx| self.store.get(ctx, &key))?;
-        if obj.meta.get("content-type").map(String::as_str) != Some(CONTENT_TYPE_MULTIPART) {
-            return Ok(None);
-        }
-        let s = obj
-            .payload
-            .as_str()
-            .ok_or_else(|| H2Error::Corrupt(format!("manifest {key} is not a string object")))?;
-        formatter::manifest_from_str(s).map(Some)
-    }
-
-    /// Store a file's content. `prev_size` is the size of the content this
-    /// write replaces (from the parent's live tuple), if any — needed to
-    /// reclaim a replaced multipart generation, whose manifest is about to
-    /// be overwritten.
+    /// Store a file's content.
     pub fn put_content(
         &self,
         ctx: &mut OpCtx,
@@ -634,77 +593,20 @@ impl H2Middleware {
         ns: NamespaceId,
         name: &str,
         payload: Payload,
-        prev_size: Option<u64>,
     ) -> Result<()> {
-        if self.cas {
-            return self.cas_put(ctx, keys, ns, name, payload);
-        }
-        // Learn the old generation's stamp *before* the content key is
-        // overwritten; afterwards its parts are unreachable. Best-effort: a
-        // racing delete just means there is nothing left to clean.
-        let old = if prev_size.is_some_and(|s| s > PART_BYTES) {
-            self.fetch_manifest(ctx, keys, ns, name).ok().flatten()
-        } else {
-            None
-        };
-        let total = payload.len();
-        if total <= PART_BYTES {
-            let key = keys.child(ns, name);
-            self.with_retry(ctx, "put_content", |ctx| {
-                self.store
-                    .put(ctx, &key, payload.clone(), Self::file_meta())
-            })?;
-        } else {
-            self.put_multipart(ctx, keys, ns, name, &payload, total)?;
-        }
-        if let Some(m) = old {
-            self.delete_parts(ctx, keys, ns, name, &m);
-        }
-        Ok(())
-    }
-
-    fn put_multipart(
-        &self,
-        ctx: &mut OpCtx,
-        keys: &H2Keys,
-        ns: NamespaceId,
-        name: &str,
-        payload: &Payload,
-        total: u64,
-    ) -> Result<()> {
-        let m = formatter::PartManifest {
-            stamp: self.next_part_stamp(),
-            part_bytes: PART_BYTES,
-            total,
-            inline: matches!(payload, Payload::Inline(_)),
-            digest: payload.digest(),
-        };
-        ctx.parallel(m.part_count() as usize, |ctx, i| {
-            let i = i as u32;
-            let pkey = keys.part(ns, name, m.stamp, i);
-            let part = match payload {
-                // Zero-copy: each part is a view over the caller's buffer.
-                Payload::Inline(b) => {
-                    let start = (i as u64 * m.part_bytes) as usize;
-                    Payload::Inline(b.slice(start..start + m.part_size(i) as usize))
-                }
-                Payload::Simulated { .. } => Payload::simulated(m.part_size(i), &pkey.ring_key()),
-            };
-            self.with_retry(ctx, "put_part", |ctx| {
-                self.store.put(ctx, &pkey, part.clone(), Meta::new())
-            })
-        })?;
-        let body = Payload::from_string(formatter::manifest_to_string(&m));
         let key = keys.child(ns, name);
-        self.with_retry(ctx, "put_manifest", |ctx| {
+        if self.cas {
+            return self.cas_put(ctx, &key, payload);
+        }
+        self.with_retry(ctx, "put_content", |ctx| {
             self.store
-                .put(ctx, &key, body.clone(), Self::manifest_meta(total))
+                .put(ctx, &key, payload.clone(), Self::file_meta())
         })
     }
 
-    /// Fetch a file's logical content. Small files stay exactly one GET;
-    /// multipart files read the manifest, then their parts in one bounded
-    /// parallel wave.
+    /// Fetch a file's logical content: one GET for a whole-object file; a
+    /// CAS file reads its manifest, then its block tree in bounded parallel
+    /// waves.
     pub fn get_content(
         &self,
         ctx: &mut OpCtx,
@@ -715,13 +617,6 @@ impl H2Middleware {
         let key = keys.child(ns, name);
         let obj = self.with_retry(ctx, "get_content", |ctx| self.store.get(ctx, &key))?;
         match obj.meta.get("content-type").map(String::as_str) {
-            Some(CONTENT_TYPE_MULTIPART) => {
-                let s = obj.payload.as_str().ok_or_else(|| {
-                    H2Error::Corrupt(format!("manifest {key} is not a string object"))
-                })?;
-                let m = formatter::manifest_from_str(s)?;
-                self.get_parts(ctx, keys, ns, name, &m)
-            }
             Some(CONTENT_TYPE_CAS) => {
                 let s = obj.payload.as_str().ok_or_else(|| {
                     H2Error::Corrupt(format!("cas manifest {key} is not a string object"))
@@ -733,98 +628,23 @@ impl H2Middleware {
         }
     }
 
-    fn get_parts(
-        &self,
-        ctx: &mut OpCtx,
-        keys: &H2Keys,
-        ns: NamespaceId,
-        name: &str,
-        m: &formatter::PartManifest,
-    ) -> Result<Payload> {
-        let n = m.part_count() as usize;
-        let mut fetched: Vec<Option<Payload>> = vec![None; n];
-        ctx.parallel(n, |ctx, i| {
-            let pkey = keys.part(ns, name, m.stamp, i as u32);
-            let obj = self.with_retry(ctx, "get_part", |ctx| self.store.get(ctx, &pkey))?;
-            if obj.payload.len() != m.part_size(i as u32) {
-                return Err(H2Error::Corrupt(format!(
-                    "part {pkey} holds {} bytes, manifest says {}",
-                    obj.payload.len(),
-                    m.part_size(i as u32)
-                )));
-            }
-            fetched[i] = Some(obj.payload);
-            Ok(())
-        })?;
-        if !m.inline {
-            return Ok(Payload::Simulated {
-                size: m.total,
-                digest: m.digest,
-            });
-        }
-        let mut out = Vec::with_capacity(m.total as usize);
-        for (i, p) in fetched.into_iter().enumerate() {
-            match p {
-                Some(Payload::Inline(b)) => out.extend_from_slice(&b),
-                _ => {
-                    return Err(H2Error::Corrupt(format!(
-                        "inline manifest part {i} of {} is not inline",
-                        keys.child(ns, name)
-                    )))
-                }
-            }
-        }
-        Ok(Payload::Inline(bytes::Bytes::from(out)))
-    }
-
-    /// Delete a file's content. `size` is the logical size from the
-    /// parent's tuple, which every caller has at hand — files at or below
-    /// [`PART_BYTES`] pay exactly one DELETE, as before striping.
+    /// Delete a file's content.
     pub fn delete_content(
         &self,
         ctx: &mut OpCtx,
         keys: &H2Keys,
         ns: NamespaceId,
         name: &str,
-        size: u64,
     ) -> Result<()> {
         let key = keys.child(ns, name);
         if self.cas {
             return self.cas_delete(ctx, &key);
         }
-        if size <= PART_BYTES {
-            return self.with_retry(ctx, "delete_content", |ctx| self.store.delete(ctx, &key));
-        }
-        let m = self.fetch_manifest(ctx, keys, ns, name)?;
-        self.with_retry(ctx, "delete_content", |ctx| self.store.delete(ctx, &key))?;
-        if let Some(m) = m {
-            self.delete_parts(ctx, keys, ns, name, &m);
-        }
-        Ok(())
+        self.with_retry(ctx, "delete_content", |ctx| self.store.delete(ctx, &key))
     }
 
-    /// Best-effort reclaim of one multipart generation. Failures leave
-    /// unreachable orphans (harmless; a later GC sweep or overwrite cannot
-    /// resurrect them) — never an error.
-    fn delete_parts(
-        &self,
-        ctx: &mut OpCtx,
-        keys: &H2Keys,
-        ns: NamespaceId,
-        name: &str,
-        m: &formatter::PartManifest,
-    ) {
-        let _ = ctx.parallel(m.part_count() as usize, |ctx, i| {
-            let pkey = keys.part(ns, name, m.stamp, i as u32);
-            let _ = self.with_retry(ctx, "delete_part", |ctx| self.store.delete(ctx, &pkey));
-            Ok(())
-        });
-    }
-
-    /// Server-side copy of a file's content. Small files stay one COPY;
-    /// multipart files copy their parts in one bounded parallel wave to a
-    /// fresh generation under the destination, then write its manifest.
-    #[allow(clippy::too_many_arguments)]
+    /// Server-side copy of a file's content: one COPY for a whole-object
+    /// file; a CAS file shares its block tree with the copy.
     pub fn copy_content(
         &self,
         ctx: &mut OpCtx,
@@ -833,47 +653,13 @@ impl H2Middleware {
         src_name: &str,
         dst_ns: NamespaceId,
         dst_name: &str,
-        size: u64,
     ) -> Result<()> {
+        let src = keys.child(src_ns, src_name);
+        let dst = keys.child(dst_ns, dst_name);
         if self.cas {
-            return self.cas_copy(
-                ctx,
-                &keys.child(src_ns, src_name),
-                &keys.child(dst_ns, dst_name),
-            );
+            return self.cas_copy(ctx, &src, &dst);
         }
-        if size <= PART_BYTES {
-            return self.store.copy(
-                ctx,
-                &keys.child(src_ns, src_name),
-                &keys.child(dst_ns, dst_name),
-            );
-        }
-        let Some(m) = self.fetch_manifest(ctx, keys, src_ns, src_name)? else {
-            // Tuple says big but the object is plain (predates striping):
-            // fall back to a whole-object copy.
-            return self.store.copy(
-                ctx,
-                &keys.child(src_ns, src_name),
-                &keys.child(dst_ns, dst_name),
-            );
-        };
-        let new = formatter::PartManifest {
-            stamp: self.next_part_stamp(),
-            ..m
-        };
-        ctx.parallel(m.part_count() as usize, |ctx, i| {
-            let i = i as u32;
-            let from = keys.part(src_ns, src_name, m.stamp, i);
-            let to = keys.part(dst_ns, dst_name, new.stamp, i);
-            self.with_retry(ctx, "copy_part", |ctx| self.store.copy(ctx, &from, &to))
-        })?;
-        let body = Payload::from_string(formatter::manifest_to_string(&new));
-        let key = keys.child(dst_ns, dst_name);
-        self.with_retry(ctx, "put_manifest", |ctx| {
-            self.store
-                .put(ctx, &key, body.clone(), Self::manifest_meta(new.total))
-        })
+        self.store.copy(ctx, &src, &dst)
     }
 
     // ----- content I/O (content-addressed block plane) ---------------------
@@ -931,14 +717,7 @@ impl H2Middleware {
     }
 
     /// Store a file's content through the block plane.
-    fn cas_put(
-        &self,
-        ctx: &mut OpCtx,
-        keys: &H2Keys,
-        ns: NamespaceId,
-        name: &str,
-        payload: Payload,
-    ) -> Result<()> {
+    fn cas_put(&self, ctx: &mut OpCtx, key: &ObjectKey, payload: Payload) -> Result<()> {
         let params = ChunkParams::default();
         let total = payload.len();
         let chunks = Self::cas_chunks(&params, &payload);
@@ -1025,22 +804,32 @@ impl H2Middleware {
             params,
             entries: level,
         };
-        let body = formatter::cas_manifest_to_string(&m);
-        let key = keys.child(ns, name);
-        // On failure the new blocks stay pinned (see the failure policy
-        // above): the PUT may have torn, leaving readable replicas of the
-        // new manifest.
+        self.cas_commit_manifest(ctx, key, &m)
+    }
+
+    /// PUT `m` at `key` — the commit point of a CAS write or copy — and
+    /// release the generation it displaced.
+    ///
+    /// On failure the new blocks stay pinned (see the failure policy
+    /// above): the PUT may have torn, leaving readable replicas of the new
+    /// manifest. The displaced generation is released unless it is this
+    /// very body: then a retry displaced its own torn earlier attempt (same
+    /// stamp), whose references the caller owns exactly once.
+    fn cas_commit_manifest(
+        &self,
+        ctx: &mut OpCtx,
+        key: &ObjectKey,
+        m: &formatter::CasManifest,
+    ) -> Result<()> {
+        let body = formatter::cas_manifest_to_string(m);
         let prev = self.with_retry(ctx, "put_manifest", |ctx| {
             self.store.put_returning_prev(
                 ctx,
-                &key,
+                key,
                 Payload::from_string(body.clone()),
-                Self::cas_meta(total),
+                Self::cas_meta(m.total),
             )
         })?;
-        // Release the generation this write displaced — unless it is this
-        // very body: then a retry displaced its own torn earlier attempt
-        // (same stamp), whose references this upload owns exactly once.
         if let Some(prev) = prev {
             if prev.payload.as_str() != Some(body.as_str()) {
                 self.cas_release_manifest(ctx, &prev);
@@ -1200,21 +989,7 @@ impl H2Middleware {
             stamp: self.next_part_stamp(),
             ..m
         };
-        let body = formatter::cas_manifest_to_string(&new);
-        let prev = self.with_retry(ctx, "put_manifest", |ctx| {
-            self.store.put_returning_prev(
-                ctx,
-                dst,
-                Payload::from_string(body.clone()),
-                Self::cas_meta(new.total),
-            )
-        })?;
-        if let Some(prev) = prev {
-            if prev.payload.as_str() != Some(body.as_str()) {
-                self.cas_release_manifest(ctx, &prev);
-            }
-        }
-        Ok(())
+        self.cas_commit_manifest(ctx, dst, &new)
     }
 
     /// Release one reference to each root, cascading through branch blocks

@@ -1,6 +1,7 @@
 //! End-to-end semantics of the H2Cloud filesystem (single middleware,
 //! eager maintenance, zero-latency cost model).
 
+use h2cloud::check::fsck;
 use h2cloud::{H2Cloud, H2Config};
 use h2fsapi::{CloudFs, EntryKind, FileContent, FsPath};
 use h2util::OpCtx;
@@ -456,4 +457,198 @@ fn storage_stats_count_h2_overhead_objects() {
     assert_eq!(fs.storage_stats().objects, base + 2 + content_objects);
     assert!(!fs.uses_separate_index());
     assert_eq!(fs.storage_stats().index_records, 0);
+}
+
+// ----- content planes --------------------------------------------------------
+//
+// `H2Config::cas` picks how a file's bytes are stored: whole (one object per
+// file, the paper profile) or as a CAS block tree. Each test below names the
+// plane it runs on, so it holds on every feature leg.
+
+/// Bigger than any single transfer unit and aligned to none of them.
+const BIG: u64 = 2 * (4 << 20) + 4097;
+
+fn setup_plane(cas: bool) -> (H2Cloud, OpCtx) {
+    let fs = H2Cloud::new(H2Config {
+        cas,
+        ..H2Config::for_test()
+    });
+    let mut ctx = OpCtx::for_test();
+    fs.create_account(&mut ctx, "alice").unwrap();
+    (fs, ctx)
+}
+
+/// Patterned inline content, so any mis-ordered or mis-sliced block changes
+/// the bytes.
+fn patterned(len: usize) -> FileContent {
+    let bytes: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+    FileContent::Inline(h2util::SharedBuf::from_slice(&bytes))
+}
+
+#[test]
+fn big_inline_content_round_trips_on_both_planes() {
+    for cas in [false, true] {
+        let (fs, mut ctx) = setup_plane(cas);
+        let content = patterned(BIG as usize);
+        fs.write(&mut ctx, "alice", &p("/blob"), content.clone())
+            .unwrap();
+        assert_eq!(fs.read(&mut ctx, "alice", &p("/blob")).unwrap(), content);
+        assert!(fsck(&fs, &mut ctx, "alice").unwrap().is_clean());
+    }
+}
+
+#[test]
+fn copy_and_move_big_files_on_both_planes() {
+    for cas in [false, true] {
+        let (fs, mut ctx) = setup_plane(cas);
+        let content = patterned(BIG as usize);
+        fs.mkdir(&mut ctx, "alice", &p("/src")).unwrap();
+        fs.mkdir(&mut ctx, "alice", &p("/dst")).unwrap();
+        fs.write(&mut ctx, "alice", &p("/src/a"), content.clone())
+            .unwrap();
+        fs.copy(&mut ctx, "alice", &p("/src/a"), &p("/dst/b"))
+            .unwrap();
+        assert_eq!(fs.read(&mut ctx, "alice", &p("/src/a")).unwrap(), content);
+        assert_eq!(fs.read(&mut ctx, "alice", &p("/dst/b")).unwrap(), content);
+        fs.mv(&mut ctx, "alice", &p("/src/a"), &p("/dst/c"))
+            .unwrap();
+        assert_eq!(
+            fs.read(&mut ctx, "alice", &p("/src/a")).unwrap_err().code(),
+            "not-found"
+        );
+        assert_eq!(fs.read(&mut ctx, "alice", &p("/dst/c")).unwrap(), content);
+        // Directory copy drags big children along.
+        fs.copy(&mut ctx, "alice", &p("/dst"), &p("/dup")).unwrap();
+        assert_eq!(fs.read(&mut ctx, "alice", &p("/dup/b")).unwrap(), content);
+        assert!(fsck(&fs, &mut ctx, "alice").unwrap().is_clean());
+    }
+}
+
+#[test]
+fn stat_of_a_big_file_is_one_head_on_both_planes() {
+    for cas in [false, true] {
+        let (fs, mut ctx) = setup_plane(cas);
+        fs.write(&mut ctx, "alice", &p("/big"), FileContent::Simulated(BIG))
+            .unwrap();
+        assert_eq!(fs.stat(&mut ctx, "alice", &p("/big")).unwrap().size, BIG);
+        // The object at the content key answers with the logical size —
+        // its own length when whole, the manifest's meta under CAS.
+        let mut head = OpCtx::for_test();
+        let (size, _) = fs
+            .stat_relative(&mut head, "alice", h2util::NamespaceId::ROOT, "big")
+            .unwrap();
+        assert_eq!(size, BIG, "cas={cas}");
+        assert_eq!(head.counts().heads, 1, "cas={cas}");
+        assert_eq!(head.counts().total(), 1, "cas={cas}");
+    }
+}
+
+/// The paper profile: a file is one object, however big — so Figure 14's
+/// object count has no term that grows with file bytes.
+#[test]
+fn whole_plane_moves_a_big_file_as_exactly_one_object() {
+    let (fs, _) = setup_plane(false);
+    let base = fs.storage_stats().objects; // root ring
+    let mw = fs.layer().mw_for_account("alice");
+    let keys = h2cloud::H2Keys::new("alice");
+    let root = h2util::NamespaceId::ROOT;
+    let size = 24 << 20;
+
+    let mut put = OpCtx::for_test();
+    let payload = swiftsim::Payload::simulated(size, "/big");
+    mw.put_content(&mut put, &keys, root, "big", payload)
+        .unwrap();
+    assert_eq!((put.counts().puts, put.counts().total()), (1, 1));
+    assert_eq!(fs.storage_stats().objects, base + 1);
+
+    let mut get = OpCtx::for_test();
+    let back = mw.get_content(&mut get, &keys, root, "big").unwrap();
+    assert_eq!(back.len(), size);
+    assert_eq!((get.counts().gets, get.counts().total()), (1, 1));
+
+    let mut del = OpCtx::for_test();
+    mw.delete_content(&mut del, &keys, root, "big").unwrap();
+    assert_eq!((del.counts().deletes, del.counts().total()), (1, 1));
+    assert_eq!(fs.storage_stats().objects, base);
+}
+
+/// What the whole plane gives up and who gets it back: the same 24 MiB read
+/// is one long GET when the file is whole, and a bounded parallel wave of
+/// ~1 MiB leaves (after one manifest GET) under CAS.
+#[test]
+fn cas_plane_reads_a_big_file_in_less_virtual_time_than_whole() {
+    let read_cost = |cas: bool| {
+        let fs = H2Cloud::new(H2Config {
+            cas,
+            ..H2Config::default()
+        });
+        let model = fs.cost_model();
+        let mut ctx = OpCtx::new(model.clone());
+        fs.create_account(&mut ctx, "alice").unwrap();
+        fs.write(
+            &mut ctx,
+            "alice",
+            &p("/big"),
+            FileContent::Simulated(24 << 20),
+        )
+        .unwrap();
+        let mut read = OpCtx::new(model.clone());
+        fs.read(&mut read, "alice", &p("/big")).unwrap();
+        (read.elapsed(), read.counts().gets, model)
+    };
+    let (whole, whole_gets, model) = read_cost(false);
+    let (cas, cas_gets, _) = read_cost(true);
+    // Whole: the root ring (unless a cache holds it) + exactly one GET that
+    // carries every byte.
+    assert!(whole_gets <= 2, "{whole_gets}");
+    assert!(whole >= model.get_cost(24 << 20));
+    // CAS: many GETs, overlapped.
+    assert!(cas_gets > whole_gets);
+    assert!(
+        cas * 2 < whole,
+        "leaf-wave read {cas:?} should be well under the single GET {whole:?}"
+    );
+}
+
+/// A resolve level served from the parsed-ring cache charges the in-memory
+/// `cached_lookup_cpu`, not the full uncached `lookup_cpu` + ring GET; a
+/// path-cache hit replaces the whole walk with one `path_cache_cpu` probe.
+/// The caches under test are named explicitly, so the pinned charges hold
+/// whatever the feature flags make the defaults.
+#[test]
+fn cached_resolve_is_cheaper_than_uncached() {
+    // Cost of the second STAT of a depth-2 file (the first one fills
+    // whichever caches are on).
+    let stat_cost = |cache_capacity: usize, path_cache: bool| {
+        let fs = H2Cloud::new(H2Config {
+            cache_capacity,
+            path_cache,
+            neg_cache: false,
+            ..H2Config::default()
+        });
+        let model = fs.cost_model();
+        let mut ctx = OpCtx::new(model.clone());
+        fs.create_account(&mut ctx, "alice").unwrap();
+        fs.mkdir(&mut ctx, "alice", &p("/a")).unwrap();
+        fs.write(&mut ctx, "alice", &p("/a/f"), FileContent::Simulated(64))
+            .unwrap();
+        fs.stat(&mut ctx, "alice", &p("/a/f")).unwrap();
+        let mut stat_ctx = OpCtx::new(model.clone());
+        fs.stat(&mut stat_ctx, "alice", &p("/a/f")).unwrap();
+        (stat_ctx.elapsed(), stat_ctx.counts().gets, model)
+    };
+    let (warm, warm_gets, model) = stat_cost(64, false);
+    let (cold, cold_gets, _) = stat_cost(0, false);
+    let (pathed, pathed_gets, _) = stat_cost(64, true);
+    // Ring cache only: both levels come out of the cache (write-through
+    // keeps it fresh) — no ring GETs, one in-memory charge per level.
+    assert_eq!(warm_gets, 0);
+    assert_eq!(warm, model.cached_lookup_cpu * 2);
+    // No cache: one ring GET per level.
+    assert_eq!(cold_gets, 2);
+    assert!(warm < cold, "{warm:?} !< {cold:?}");
+    // Path cache: the full path hits, so the walk never starts.
+    assert_eq!(pathed_gets, 0);
+    assert_eq!(pathed, model.path_cache_cpu);
+    assert!(pathed < warm, "{pathed:?} !< {warm:?}");
 }

@@ -170,68 +170,6 @@ impl FsSpec {
         spec
     }
 
-    /// A deep-path hot corpus plus disjoint ingest dirs — the read-heavy
-    /// sweep's shape. `chains` directory chains `/hot{c}/d01/…/d{depth-1}`
-    /// each hold `files_per_leaf` files at depth `depth`; `write_dirs` flat
-    /// `/ingest{w}` directories receive the trace's writes, so ingest churn
-    /// never touches a hot path's ancestry.
-    pub fn deep_hot(
-        chains: usize,
-        depth: usize,
-        files_per_leaf: usize,
-        write_dirs: usize,
-        file_size: u64,
-    ) -> FsSpec {
-        assert!(depth >= 2, "a deep chain needs at least one directory");
-        let mut spec = FsSpec::default();
-        for c in 0..chains {
-            let mut cur = FsPath::root().child(&format!("hot{c:02}")).expect("valid");
-            spec.dirs.push(cur.clone());
-            for i in 1..depth - 1 {
-                cur = cur.child(&format!("d{i:02}")).expect("valid");
-                spec.dirs.push(cur.clone());
-            }
-            for j in 0..files_per_leaf {
-                spec.files.push((
-                    cur.child(&format!("f{j:03}.dat")).expect("valid"),
-                    file_size,
-                ));
-            }
-        }
-        for w in 0..write_dirs {
-            spec.dirs.push(
-                FsPath::root()
-                    .child(&format!("ingest{w:02}"))
-                    .expect("valid"),
-            );
-        }
-        spec
-    }
-
-    /// The [`crate::trace::HotSet`] matching a [`deep_hot`](Self::deep_hot)
-    /// spec: hot files in chain order (Zipf rank = creation order), lists
-    /// over the chain roots, writes into the ingest dirs.
-    pub fn hot_set(&self, zipf: f64) -> crate::trace::HotSet {
-        let write_dirs: Vec<FsPath> = self
-            .dirs
-            .iter()
-            .filter(|d| d.depth() == 1 && d.name().is_some_and(|n| n.starts_with("ingest")))
-            .cloned()
-            .collect();
-        let list_dirs: Vec<FsPath> = self
-            .dirs
-            .iter()
-            .filter(|d| d.depth() == 1 && d.name().is_some_and(|n| n.starts_with("hot")))
-            .cloned()
-            .collect();
-        crate::trace::HotSet {
-            hot_files: self.files.iter().map(|(p, _)| p.clone()).collect(),
-            list_dirs,
-            write_dirs,
-            zipf,
-        }
-    }
-
     /// Materialise the spec into a backend via the bulk-import path.
     /// Files are size-only ([`FileContent::Simulated`]) so multi-GB specs
     /// stay cheap.
@@ -324,24 +262,6 @@ mod tests {
         let chain = FsSpec::chain(5, 1);
         assert_eq!(chain.dirs.len(), 4);
         assert_eq!(chain.files[0].0.depth(), 5);
-    }
-
-    #[test]
-    fn deep_hot_shape_and_hot_set() {
-        let spec = FsSpec::deep_hot(3, 8, 4, 2, 1024);
-        // 3 chains × 7 dirs + 2 ingest dirs.
-        assert_eq!(spec.dirs.len(), 3 * 7 + 2);
-        assert_eq!(spec.files.len(), 3 * 4);
-        assert!(spec.files.iter().all(|(p, _)| p.depth() == 8));
-        assert_eq!(spec.max_depth(), 8);
-        // Spec is parents-first / valid.
-        let model = spec.to_model();
-        assert_eq!(model.file_count(), 12);
-        let hot = spec.hot_set(1.1);
-        assert_eq!(hot.hot_files.len(), 12);
-        assert_eq!(hot.list_dirs.len(), 3);
-        assert_eq!(hot.write_dirs.len(), 2);
-        assert!(hot.write_dirs.iter().all(|d| d.depth() == 1));
     }
 
     #[test]

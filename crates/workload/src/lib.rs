@@ -22,4 +22,4 @@ pub mod trace;
 pub use gen::{FsSpec, SizeMixture, UserProfile};
 pub use model::ModelFs;
 pub use stats::SpecStats;
-pub use trace::{HotSet, Op, OpKind, Trace, TraceMix};
+pub use trace::{Op, OpKind, Trace, TraceMix};

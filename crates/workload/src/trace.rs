@@ -133,19 +133,6 @@ impl TraceMix {
         }
     }
 
-    /// Streaming-read mix: sequential whole-file READs of a large-file
-    /// corpus dominate, with a trickle of stats, lists and small ingest
-    /// writes. Meant for [`Trace::generate_hot`] over a population of
-    /// multi-part/multi-chunk files, where each READ walks the full
-    /// content path (manifest → branches → leaves).
-    pub fn streaming_read() -> Self {
-        TraceMix {
-            weights: [
-                0.5, 0.0, 1.5, 70.0, 0.0, 0.0, 0.0, 3.0, 0.0, 10.0, 0.0, 0.0, 0.0, 0.0,
-            ],
-        }
-    }
-
     /// Shared-content mix: most ingest writes content drawn from a small
     /// pool of shared identities (the same release tarball uploaded by
     /// every user), plus reads and the occasional delete. On a
@@ -155,19 +142,6 @@ impl TraceMix {
         TraceMix {
             weights: [
                 2.0, 0.0, 5.0, 18.0, 3.0, 0.0, 0.0, 2.0, 0.0, 5.0, 0.0, 0.0, 0.0, 35.0,
-            ],
-        }
-    }
-
-    /// Metadata-read-heavy 98/2 mix: 98% resolve-dominated reads (STAT of
-    /// hot files, STAT of known-absent names, LIST, READ) against 2%
-    /// writes (WRITE + MKDIR). The shape sync clients and container
-    /// schedulers present to a filesystem-over-object-store: overwhelmingly
-    /// stat/list probes of an existing corpus, with a trickle of ingest.
-    pub fn read_heavy() -> Self {
-        TraceMix {
-            weights: [
-                0.2, 0.0, 1.8, 6.0, 0.0, 0.0, 0.0, 9.0, 0.0, 68.0, 15.0, 0.0, 0.0, 0.0,
             ],
         }
     }
@@ -181,23 +155,6 @@ const ABSENT_POOL: usize = 4;
 /// Distinct shared content identities [`Op::WriteShared`] draws from.
 /// Small on purpose: dedup pays when many uploads carry the *same* bytes.
 const SHARED_POOL: u64 = 4;
-
-/// A deep-path hot set for [`Trace::generate_hot`]: reads hammer a fixed
-/// population of deep files while writes land in disjoint ingest
-/// directories — the access shape of a mostly-read corpus fed through a
-/// separate ingest front door.
-#[derive(Debug, Clone)]
-pub struct HotSet {
-    /// Files READ/STAT target, hottest first (Zipf-ranked by position).
-    pub hot_files: Vec<FsPath>,
-    /// Directories LIST targets.
-    pub list_dirs: Vec<FsPath>,
-    /// Directories WRITE/MKDIR land in (disjoint from the hot subtrees, so
-    /// ingest churn does not invalidate the hot paths).
-    pub write_dirs: Vec<FsPath>,
-    /// Zipf exponent ranking `hot_files` popularity.
-    pub zipf: f64,
-}
 
 /// A generated trace plus the model state it leaves behind.
 #[derive(Debug, Clone)]
@@ -326,66 +283,6 @@ impl Trace {
             };
             // Validate against the model; ops that have become invalid
             // (e.g. rmdir of an ancestor of a chosen dst) are skipped.
-            if Self::apply_model(model, &op).is_ok() {
-                ops.push(op);
-            }
-        }
-        Trace { ops }
-    }
-
-    /// Generate `len` valid operations against a fixed [`HotSet`] instead
-    /// of the whole model: reads/stats Zipf-pick hot files, stat-absent
-    /// probes the hot files' directories, lists hit `list_dirs`, and
-    /// writes/mkdirs land in `write_dirs`. Destructive structural ops
-    /// (rmdir/delete/mv/copy) are unsupported — their mix weights must be
-    /// zero — so the hot set stays valid for the whole trace.
-    pub fn generate_hot<R: Rng>(
-        rng: &mut R,
-        model: &mut ModelFs,
-        len: usize,
-        mix: &TraceMix,
-        hot: &HotSet,
-    ) -> Trace {
-        assert!(
-            !hot.hot_files.is_empty() && !hot.list_dirs.is_empty() && !hot.write_dirs.is_empty(),
-            "hot set must name files, list dirs and write dirs"
-        );
-        assert!(
-            [1, 4, 5, 6].iter().all(|&i| mix.weights[i] == 0.0),
-            "hot-set traces support no destructive structural ops"
-        );
-        let sizes = SizeMixture::default();
-        let file_zipf = Zipf::new(hot.hot_files.len(), hot.zipf);
-        let pick_file = |rng: &mut R| hot.hot_files[file_zipf.sample(rng)].clone();
-        let mut ops = Vec::with_capacity(len);
-        let mut seq = 0usize;
-        while ops.len() < len {
-            let kind = weighted_pick(rng, &mix.weights);
-            let op = match kind {
-                0 => {
-                    seq += 1;
-                    let parent = &hot.write_dirs[rng.gen_range(0..hot.write_dirs.len())];
-                    Op::Mkdir(parent.child(&format!("tdir{seq:05}")).expect("valid"))
-                }
-                2 => {
-                    seq += 1;
-                    let parent = &hot.write_dirs[rng.gen_range(0..hot.write_dirs.len())];
-                    let p = parent.child(&format!("tfile{seq:05}.dat")).expect("valid");
-                    // Metadata-focused leg: keep payloads in the small-file
-                    // regime so transfer time doesn't drown resolve time.
-                    Op::Write(p, sizes.sample(rng).min(128 * 1024))
-                }
-                3 => Op::Read(pick_file(rng)),
-                7 => Op::List(hot.list_dirs[rng.gen_range(0..hot.list_dirs.len())].clone()),
-                8 => Op::ListDetailed(hot.list_dirs[rng.gen_range(0..hot.list_dirs.len())].clone()),
-                9 => Op::Stat(pick_file(rng)),
-                _ => {
-                    let f = pick_file(rng);
-                    let parent = f.parent().expect("hot files are below root");
-                    let j = rng.gen_range(0..ABSENT_POOL);
-                    Op::StatAbsent(parent.child(&format!(".probe{j}")).expect("valid"))
-                }
-            };
             if Self::apply_model(model, &op).is_ok() {
                 ops.push(op);
             }
@@ -541,55 +438,6 @@ mod tests {
                 .count()
         };
         assert!(count_dir_ops(&TraceMix::dir_heavy()) > count_dir_ops(&TraceMix::default()));
-    }
-
-    #[test]
-    fn read_heavy_hot_trace_is_valid_and_98_2() {
-        use crate::gen::FsSpec;
-        let spec = FsSpec::deep_hot(8, 8, 4, 4, 1024);
-        let mut model = spec.to_model();
-        let hot = spec.hot_set(1.1);
-        let mut r = rng(21);
-        let t = Trace::generate_hot(&mut r, &mut model, 500, &TraceMix::read_heavy(), &hot);
-        assert_eq!(t.ops.len(), 500);
-        // Replays cleanly on a fresh model (StatAbsent targets stay absent).
-        let mut fresh = spec.to_model();
-        for op in &t.ops {
-            Trace::apply_model(&mut fresh, op)
-                .unwrap_or_else(|e| panic!("invalid generated op {op:?}: {e}"));
-        }
-        // Read-class ops ≈ 98% of the mix.
-        let reads = t
-            .ops
-            .iter()
-            .filter(|o| {
-                matches!(
-                    o.kind(),
-                    OpKind::Read | OpKind::Stat | OpKind::StatAbsent | OpKind::List
-                )
-            })
-            .count();
-        let frac = reads as f64 / t.ops.len() as f64;
-        assert!((0.93..=1.0).contains(&frac), "read fraction {frac}");
-        // Stat targets really are depth-8 paths.
-        let deep_stat = t
-            .ops
-            .iter()
-            .find_map(|o| match o {
-                Op::Stat(p) => Some(p.depth()),
-                _ => None,
-            })
-            .expect("mix contains stats");
-        assert_eq!(deep_stat, 8);
-        // Deterministic.
-        let t2 = Trace::generate_hot(
-            &mut rng(21),
-            &mut spec.to_model(),
-            500,
-            &TraceMix::read_heavy(),
-            &hot,
-        );
-        assert_eq!(t.ops, t2.ops);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `xtask` — workspace automation, dependency-free by design (the build
 //! environment has no registry access).
 //!
-//! The main task is **h2lint** (`cargo run -p xtask -- lint`), a parsed,
+//! The one task is **h2lint** (`cargo run -p xtask -- lint`), a parsed,
 //! dataflow-aware static analyzer that enforces the workspace's
 //! concurrency, virtual-time, and observability invariants (DESIGN.md
 //! "Static analysis"). It runs in two passes: [`parse`] recovers item
@@ -26,20 +26,10 @@
 //! * `determinism` — wall-clock reads and real sleeps only in the
 //!   `h2util::clock` facade.
 //!
-//! Findings diff against a checked-in [`baseline`] (`h2lint.baseline`):
-//! known debt passes, any NEW finding fails; [`sarif`] renders the full
-//! result set (with `baselineState`) for CI artifact upload. Findings are
-//! suppressed by a justified allow comment on the same line or the line
-//! above; see README "Static analysis".
-//!
-//! The second task is **benchcmp** (`cargo run -p xtask -- benchcmp`),
-//! the CI perf-regression gate: it compares a fresh
-//! `BENCH_throughput.json` against the checked-in baseline and exits
-//! non-zero on a >25% throughput or tail-latency regression — see
-//! [`benchcmp`].
+//! Any finding fails the run; [`sarif`] renders the result set for CI
+//! artifact upload. Findings are suppressed by a justified allow comment
+//! on the same line or the line above; see README "Static analysis".
 
-pub mod baseline;
-pub mod benchcmp;
 pub mod config;
 pub mod dataflow;
 pub mod lexer;

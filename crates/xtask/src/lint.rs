@@ -5,7 +5,6 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::baseline::{self, BaselineState, Diff};
 use crate::config::{self, Config};
 use crate::dataflow::{self, Globals, ParsedFile};
 use crate::rules::{self, Finding};
@@ -45,8 +44,7 @@ pub fn analyze_tree(
 /// Two-pass lint over a set of (workspace-relative path, source) pairs:
 /// pass 1 parses everything and computes the global facts, pass 2 lints
 /// each file against them. Findings come back sorted by
-/// (file, line, rule, message) — the canonical report/baseline/SARIF
-/// order.
+/// (file, line, rule, message) — the canonical report/SARIF order.
 pub fn lint_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Finding> {
     analyze_sources(sources, cfg).0
 }
@@ -114,46 +112,26 @@ fn rel_str(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Render findings, their baseline disposition, and per-rule totals.
-/// Returns the process exit code: non-zero iff there are NEW findings
-/// (baselined debt passes).
-pub fn report(findings: &[Finding], diff: &Diff) -> i32 {
-    for (f, state) in findings.iter().zip(&diff.states) {
-        let tag = match state {
-            BaselineState::New => "",
-            BaselineState::Baselined => " (baselined)",
-        };
-        println!("{}{tag}", baseline::format_line(f));
-    }
-    for line in &diff.fixed {
-        println!("fixed (no longer found, refresh the baseline): {line}");
+/// Print findings and per-rule totals. Returns the process exit code:
+/// non-zero iff there are findings.
+pub fn report(findings: &[Finding]) -> i32 {
+    if findings.is_empty() {
+        println!("h2lint: clean — 0 finding(s)");
+        return 0;
     }
     let mut by_rule: Vec<(&str, usize)> = Vec::new();
-    for (f, state) in findings.iter().zip(&diff.states) {
-        if *state != BaselineState::New {
-            continue;
-        }
+    for f in findings {
+        println!("{f}");
         match by_rule.iter_mut().find(|(r, _)| *r == f.rule) {
             Some((_, n)) => *n += 1,
             None => by_rule.push((f.rule, 1)),
         }
     }
-    if diff.new_count == 0 {
-        println!(
-            "h2lint: clean — 0 new finding(s), {} baselined, {} fixed",
-            diff.baselined_count,
-            diff.fixed.len()
-        );
-        0
-    } else {
-        let breakdown: Vec<String> = by_rule.iter().map(|(r, n)| format!("{r}: {n}")).collect();
-        println!(
-            "h2lint: {} NEW finding(s) ({}), {} baselined, {} fixed",
-            diff.new_count,
-            breakdown.join(", "),
-            diff.baselined_count,
-            diff.fixed.len()
-        );
-        1
-    }
+    let breakdown: Vec<String> = by_rule.iter().map(|(r, n)| format!("{r}: {n}")).collect();
+    println!(
+        "h2lint: {} finding(s) ({})",
+        findings.len(),
+        breakdown.join(", ")
+    );
+    1
 }

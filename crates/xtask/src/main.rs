@@ -1,17 +1,12 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use xtask::{baseline, benchcmp, lint, sarif};
+use xtask::{lint, sarif};
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cargo run -p xtask -- lint [--config <h2lint.toml>] [--sarif <out.sarif>]\n\
-         \x20                                [--baseline <h2lint.baseline>] [--update-baseline]\n\
          \x20                                [--max-seconds N] [<workspace-root>]"
-    );
-    eprintln!(
-        "       cargo run -p xtask -- benchcmp <baseline.json> <current.json> \
-         [--allowed-pct N] [--p99-slack-ms N]"
     );
     ExitCode::from(2)
 }
@@ -19,8 +14,6 @@ fn usage() -> ExitCode {
 fn run_lint(args: &[String]) -> ExitCode {
     let mut config_path: Option<PathBuf> = None;
     let mut sarif_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update_baseline = false;
     let mut max_seconds: Option<u64> = None;
     let mut root: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -34,11 +27,6 @@ fn run_lint(args: &[String]) -> ExitCode {
                 Some(p) => sarif_path = Some(PathBuf::from(p)),
                 None => return usage(),
             },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--update-baseline" => update_baseline = true,
             "--max-seconds" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
                 Some(n) => max_seconds = Some(n),
                 None => return usage(),
@@ -65,41 +53,17 @@ fn run_lint(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let baseline_file = baseline_path.unwrap_or_else(|| root.join("h2lint.baseline"));
-
-    if update_baseline {
-        let body = baseline::render(&findings);
-        if let Err(e) = std::fs::write(&baseline_file, body) {
-            eprintln!("h2lint: cannot write {}: {e}", baseline_file.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "h2lint: baseline updated — {} finding(s) written to {}",
-            findings.len(),
-            baseline_file.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // A missing baseline file means an empty baseline: every finding is new.
-    let known = match std::fs::read_to_string(&baseline_file) {
-        Ok(body) => baseline::parse(&body),
-        Err(_) => Default::default(),
-    };
-    let diff = baseline::diff(&findings, &known);
-
     if let Some(out) = &sarif_path {
-        let doc = sarif::render(&findings, &diff.states);
+        let doc = sarif::render(&findings);
         if let Err(e) = std::fs::write(out, doc) {
             eprintln!("h2lint: cannot write {}: {e}", out.display());
             return ExitCode::from(2);
         }
     }
-    // Publish the findings delta to the CI job summary when available —
-    // baselined-debt drift should be visible on green runs too.
+    // Publish the per-rule counts to the CI job summary when available.
     if let Ok(summary) = std::env::var("GITHUB_STEP_SUMMARY") {
         if !summary.is_empty() {
-            let table = markdown_summary(&findings, &diff);
+            let table = markdown_summary(&findings);
             if let Err(e) = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
@@ -111,7 +75,7 @@ fn run_lint(args: &[String]) -> ExitCode {
         }
     }
 
-    let code = lint::report(&findings, &diff);
+    let code = lint::report(&findings);
 
     if let Some(budget) = max_seconds {
         let elapsed = started.elapsed().as_secs_f64();
@@ -127,71 +91,29 @@ fn run_lint(args: &[String]) -> ExitCode {
     ExitCode::from(code as u8)
 }
 
-/// A benchcmp-style markdown delta table for `$GITHUB_STEP_SUMMARY`:
-/// per-rule new/baselined counts plus fixed baseline lines.
-fn markdown_summary(findings: &[xtask::rules::Finding], diff: &baseline::Diff) -> String {
+/// A markdown per-rule findings table for `$GITHUB_STEP_SUMMARY`.
+fn markdown_summary(findings: &[xtask::rules::Finding]) -> String {
     use std::collections::BTreeMap;
-    let mut rows: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
+    let mut rows: BTreeMap<&str, usize> = BTreeMap::new();
     for (id, _) in sarif::RULE_CATALOGUE {
-        rows.insert(id, (0, 0));
+        rows.insert(id, 0);
     }
-    for (f, state) in findings.iter().zip(&diff.states) {
-        let row = rows.entry(f.rule).or_insert((0, 0));
-        match state {
-            baseline::BaselineState::New => row.0 += 1,
-            baseline::BaselineState::Baselined => row.1 += 1,
-        }
+    for f in findings {
+        *rows.entry(f.rule).or_insert(0) += 1;
     }
-    let mut out =
-        String::from("### h2lint findings\n\n| rule | new | baselined |\n|---|---:|---:|\n");
-    for (rule, (new, old)) in &rows {
-        let marker = if *new > 0 { " ❌" } else { "" };
-        out.push_str(&format!("| `{rule}` | {new}{marker} | {old} |\n"));
+    let mut out = String::from("### h2lint findings\n\n| rule | findings |\n|---|---:|\n");
+    for (rule, n) in &rows {
+        let marker = if *n > 0 { " ❌" } else { "" };
+        out.push_str(&format!("| `{rule}` | {n}{marker} |\n"));
     }
-    out.push_str(&format!(
-        "\n**{} new**, {} baselined, {} fixed{}\n",
-        diff.new_count,
-        diff.baselined_count,
-        diff.fixed.len(),
-        if diff.fixed.is_empty() {
-            String::new()
-        } else {
-            " (refresh the baseline with `cargo run -p xtask -- lint --update-baseline`)"
-                .to_string()
-        }
-    ));
+    out.push_str(&format!("\n**{} finding(s)**\n", findings.len()));
     out
-}
-
-fn run_benchcmp(args: &[String]) -> ExitCode {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut gate = benchcmp::Gate::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--allowed-pct" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(pct) => gate.allowed = pct / 100.0,
-                None => return usage(),
-            },
-            "--p99-slack-ms" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(ms) => gate.p99_slack_ms = ms,
-                None => return usage(),
-            },
-            p if paths.len() < 2 => paths.push(PathBuf::from(p)),
-            _ => return usage(),
-        }
-    }
-    let [baseline, current] = paths.as_slice() else {
-        return usage();
-    };
-    ExitCode::from(benchcmp::run(baseline, current, gate))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(&args[1..]),
-        Some("benchcmp") => run_benchcmp(&args[1..]),
         _ => usage(),
     }
 }

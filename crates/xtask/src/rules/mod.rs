@@ -45,6 +45,17 @@ pub struct Finding {
     pub message: String,
 }
 
+/// The canonical one-line form: `file:line: [rule] message`.
+impl std::fmt::Display for Finding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{}] {}",
+            self.file, self.line, self.rule, self.message
+        )
+    }
+}
+
 pub const RULE_LOCK_ORDER: &str = "lock-order";
 pub const RULE_GUARD_BLOCKING: &str = "guard-across-blocking";
 pub const RULE_VTIME: &str = "vtime-accounting";

@@ -1,5 +1,5 @@
 //! Concurrency stress: the simulated cluster and H2Cloud are shared-state
-//! concurrent systems (parking_lot locks, atomics, crossbeam channels);
+//! concurrent systems (parking_lot locks, atomics, channels);
 //! these tests hammer them from many threads — with failures injected —
 //! and assert the invariants that must survive: no lost updates after
 //! quiescence, stable reads after repair, fsck-clean metadata.

@@ -158,10 +158,31 @@ fn fig13_access_swift_flat_h2_linear_in_d() {
 #[test]
 fn fig14_15_h2_more_objects_but_negligible_bytes() {
     let t = experiments::fig14_15(true);
-    // Row 0: objects — H2 > Swift.
+    // Row 0: objects. The paper's claim, exactly: H2Cloud adds a descriptor
+    // + a NameRing per directory (Swift keeps one marker object per
+    // directory) and the root NameRing — no term that grows with file
+    // bytes. The workload note reads "F files, D directories across U
+    // users"; each user's tree sits under one more directory.
     let swift_objects = t.value(0, 1);
     let h2_objects = t.value(0, 2);
-    assert!(h2_objects > swift_objects, "H2 should store more objects");
+    let workload: Vec<f64> = t.notes[0]
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|s| !s.is_empty())
+        .map(|s| s.parse().unwrap())
+        .collect();
+    let directories = workload[1] + workload[2];
+    if cfg!(feature = "cas") {
+        // The feature leg builds the figure's H2Cloud on the block plane,
+        // which stores a manifest plus blocks per file by design.
+        assert!(h2_objects > swift_objects + directories);
+    } else {
+        assert_eq!(
+            h2_objects,
+            swift_objects + directories + 1.0,
+            "{}",
+            t.notes[0]
+        );
+    }
     // Byte overhead under 2%.
     let overhead_pct = t.value(1, 3);
     assert!(

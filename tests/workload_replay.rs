@@ -73,22 +73,11 @@ fn heavy_user_filesystem_hosts_and_operates() {
                 + 1
         );
     } else {
-        // One object per small file, manifest + parts per striped file,
-        // 2 per dir (descriptor + NameRing), plus the root ring.
-        let content_objects: u64 = spec
-            .files
-            .iter()
-            .map(|(_, size)| {
-                if *size > h2cloud::middleware::PART_BYTES {
-                    1 + size.div_ceil(h2cloud::middleware::PART_BYTES)
-                } else {
-                    1
-                }
-            })
-            .sum();
+        // One object per file whatever its size, 2 per dir (descriptor +
+        // NameRing), plus the root ring.
         assert_eq!(
             fs.storage_stats().objects,
-            content_objects + 2 * spec.dirs.len() as u64 + 1
+            spec.files.len() as u64 + 2 * spec.dirs.len() as u64 + 1
         );
     }
     // Spot-check twenty files.
