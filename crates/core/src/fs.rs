@@ -28,7 +28,7 @@ use swiftsim::{Cluster, ClusterConfig, ObjectStore, Payload};
 use crate::keys::{DirDescriptor, H2Keys, H2_CONTAINER};
 use crate::layer::H2Layer;
 pub use crate::middleware::MaintenanceMode;
-use crate::middleware::{H2Middleware, PathAnswer, META_LOGICAL_BYTES};
+use crate::middleware::{Fingerprint, H2Middleware, PathAnswer, META_LOGICAL_BYTES};
 use crate::namering::{ChildRef, NameRing, Tuple};
 
 /// Configuration of an H2Cloud instance.
@@ -172,8 +172,8 @@ enum Resolved {
     },
 }
 
-/// Reconstruct a [`Resolved`] from a cached path-cache hit: the tuple the
-/// parent ring held for the path's last component.
+/// The [`Resolved`] for a path whose last component `name` is `tuple` in
+/// `parent_ns`'s ring — read off the ring by a walk, or off a path-cache hit.
 fn resolved_from(parent_ns: NamespaceId, name: &str, tuple: Tuple) -> Resolved {
     match tuple.child {
         ChildRef::Dir { ns } => Resolved::Dir {
@@ -191,6 +191,68 @@ fn resolved_from(parent_ns: NamespaceId, name: &str, tuple: Tuple) -> Resolved {
     }
 }
 
+/// `path` as text. An operation builds it once and by `push_str`: the
+/// `Display` machinery behind `to_string` costs several times the copy.
+fn path_string(path: &FsPath) -> String {
+    let comps = path.components();
+    if comps.is_empty() {
+        return "/".into();
+    }
+    let mut s = String::with_capacity(comps.iter().map(|c| c.len() + 1).sum());
+    for c in comps {
+        s.push('/');
+        s.push_str(c);
+    }
+    s
+}
+
+/// The operation kinds [`H2Cloud`] keeps a latency histogram for.
+#[derive(Debug, Clone, Copy)]
+enum OpKind {
+    Mkdir,
+    Rmdir,
+    Move,
+    Copy,
+    List,
+    ListDetail,
+    Write,
+    Read,
+    Delete,
+    Stat,
+}
+
+impl OpKind {
+    /// Every kind, in declaration order: position `kind as usize`.
+    const ALL: [OpKind; 10] = [
+        OpKind::Mkdir,
+        OpKind::Rmdir,
+        OpKind::Move,
+        OpKind::Copy,
+        OpKind::List,
+        OpKind::ListDetail,
+        OpKind::Write,
+        OpKind::Read,
+        OpKind::Delete,
+        OpKind::Stat,
+    ];
+
+    /// Histogram and root-span name.
+    fn name(self) -> &'static str {
+        match self {
+            OpKind::Mkdir => "MKDIR",
+            OpKind::Rmdir => "RMDIR",
+            OpKind::Move => "MOVE",
+            OpKind::Copy => "COPY",
+            OpKind::List => "LIST",
+            OpKind::ListDetail => "LIST-DETAIL",
+            OpKind::Write => "WRITE",
+            OpKind::Read => "READ",
+            OpKind::Delete => "DELETE",
+            OpKind::Stat => "STAT",
+        }
+    }
+}
+
 /// The H2Cloud system: an [`H2Layer`] over one object cloud.
 pub struct H2Cloud {
     layer: H2Layer,
@@ -198,6 +260,10 @@ pub struct H2Cloud {
     /// the middlewares' NameRing cache counters. Shared with every
     /// middleware in the layer.
     metrics: Arc<h2util::metrics::MetricsRegistry>,
+    /// The registry's histogram of each operation kind, indexed by
+    /// `OpKind as usize` and looked up once, here: recording an operation
+    /// then touches neither the registry's lock nor its name map.
+    op_latency: [Arc<h2util::metrics::Histogram>; OpKind::ALL.len()],
 }
 
 impl H2Cloud {
@@ -205,7 +271,9 @@ impl H2Cloud {
         let cluster = Cluster::new(cfg.cluster.clone());
         cluster.set_hedged_reads(cfg.hedged_reads);
         let metrics = Arc::new(h2util::metrics::MetricsRegistry::new());
+        let op_latency = OpKind::ALL.map(|kind| metrics.histogram(kind.name()));
         H2Cloud {
+            op_latency,
             layer: H2Layer::with_observability(
                 cluster,
                 cfg.middlewares,
@@ -284,7 +352,7 @@ impl H2Cloud {
     fn observe<T>(
         &self,
         mw: &H2Middleware,
-        name: &str,
+        kind: OpKind,
         ctx: &mut OpCtx,
         f: impl FnOnce(&mut OpCtx) -> Result<T>,
     ) -> Result<T> {
@@ -292,12 +360,11 @@ impl H2Cloud {
         // existing root span.
         let sampled = !ctx.trace_active() && mw.tracer().sample_next();
         if sampled {
-            ctx.begin_trace(h2util::trace::STAGE_OP, name);
+            ctx.begin_trace(h2util::trace::STAGE_OP, kind.name());
         }
         let before = ctx.elapsed();
         let result = f(ctx);
-        self.metrics
-            .record(name, ctx.elapsed().saturating_sub(before));
+        self.op_latency[kind as usize].record(ctx.elapsed().saturating_sub(before));
         if sampled {
             let err = result.as_ref().err().map(|e| e.to_string());
             if let Some(spans) = ctx.end_trace(err) {
@@ -350,8 +417,8 @@ impl H2Cloud {
         }
     }
 
-    fn mw(&self, account: &str) -> Arc<H2Middleware> {
-        self.layer.mw_for_account(account).clone()
+    fn mw(&self, account: &str) -> &H2Middleware {
+        self.layer.mw_for_account(account)
     }
 
     // ----- path resolution (§3.2 regular method, O(d)) ---------------------
@@ -363,7 +430,7 @@ impl H2Cloud {
     ///
     /// With the path cache on, the walk is preceded by up to two O(1)
     /// probes: the full requested path (hit → done, cached NotFound →
-    /// done), then the parent prefix (hit → one ring read instead of d).
+    /// done), then the parent directory (hit → one ring read instead of d).
     /// Every entry carries the epoch fingerprint of the ancestor rings it
     /// was resolved through, so any ancestor mutation invalidates it — see
     /// [`H2Middleware::path_cache_lookup`] for the protocol.
@@ -374,116 +441,124 @@ impl H2Cloud {
         keys: &H2Keys,
         path: &FsPath,
     ) -> Result<Resolved> {
-        if path.is_root() {
+        let Some((last, dirs)) = path.components().split_last() else {
             return Ok(Resolved::Root);
+        };
+        if !(mw.path_cache_active() || mw.neg_cache_active()) {
+            return self.walk(mw, ctx, keys, path, None);
         }
-        let comps = path.components();
-        let caching = mw.path_cache_active() || mw.neg_cache_active();
-        if caching {
-            mw.charge_path_probe(ctx);
-            let full = path.to_string();
-            if let Some((answer, _)) = mw.path_cache_lookup(keys.account(), &full) {
-                return match answer {
-                    PathAnswer::Hit { parent_ns, tuple } => {
-                        Ok(resolved_from(parent_ns, comps.last().unwrap(), tuple))
+        mw.charge_path_probe(ctx);
+        let full = path_string(path);
+        if let Some(answer) = mw.path_cache_lookup(keys, &full) {
+            return match answer {
+                PathAnswer::Hit { parent_ns, tuple } => Ok(resolved_from(parent_ns, last, tuple)),
+                PathAnswer::Missing => Err(H2Error::NotFound(full)),
+            };
+        }
+        // Full path missed; if the parent directory's resolution is cached,
+        // finish with a single ring read instead of the walk.
+        if !dirs.is_empty() {
+            let parent = &full[..full.len() - last.len() - 1];
+            if let Some((
+                PathAnswer::Hit {
+                    tuple:
+                        Tuple {
+                            child: ChildRef::Dir { ns: dir_ns },
+                            ..
+                        },
+                    ..
+                },
+                parent_fp,
+            )) = mw.path_cache_lookup_fp(keys, parent)
+            {
+                let (view, epoch) = mw.read_ring_view_stamped(ctx, keys, dir_ns)?;
+                mw.charge_lookup_step(ctx, view.from_cache());
+                let fp: Fingerprint = parent_fp
+                    .iter()
+                    .copied()
+                    .chain(std::iter::once((dir_ns, epoch)))
+                    .collect();
+                return match view.get(last).copied() {
+                    Some(tuple) => {
+                        let answer = PathAnswer::Hit {
+                            parent_ns: dir_ns,
+                            tuple,
+                        };
+                        mw.path_cache_store(keys, &full, answer, fp);
+                        Ok(resolved_from(dir_ns, last, tuple))
                     }
-                    PathAnswer::Missing => Err(H2Error::NotFound(full)),
+                    None => {
+                        mw.path_cache_store(keys, &full, PathAnswer::Missing, fp);
+                        Err(H2Error::NotFound(full))
+                    }
                 };
             }
-            // Full path missed; if the parent directory's resolution is
-            // cached, finish with a single ring read instead of the walk.
-            if comps.len() > 1 {
-                let parent = &full[..full.len() - comps.last().unwrap().len() - 1];
-                if let Some((PathAnswer::Hit { tuple: ptuple, .. }, parent_fp)) =
-                    mw.path_cache_lookup(keys.account(), parent)
-                {
-                    if let ChildRef::Dir { ns: dir_ns } = ptuple.child {
-                        let (view, epoch) = mw.read_ring_view_stamped(ctx, keys, dir_ns)?;
-                        mw.charge_lookup_step(ctx, view.from_cache());
-                        let mut fp = parent_fp;
-                        fp.push((dir_ns, epoch));
-                        let comp = comps.last().unwrap();
-                        return match view.get(comp).copied() {
-                            Some(tuple) => {
-                                let answer = PathAnswer::Hit {
-                                    parent_ns: dir_ns,
-                                    tuple,
-                                };
-                                mw.path_cache_store(keys.account(), &full, answer, fp);
-                                Ok(resolved_from(dir_ns, comp, tuple))
-                            }
-                            None => {
-                                mw.path_cache_store(keys.account(), &full, PathAnswer::Missing, fp);
-                                Err(H2Error::NotFound(full))
-                            }
-                        };
-                    }
-                }
-            }
         }
+        self.walk(mw, ctx, keys, path, Some(full))
+    }
+
+    /// The O(d) walk behind [`resolve`](Self::resolve), for a non-root
+    /// `path`; `full` is its text when the outcome is to be cached.
+    ///
+    /// Admission: the walk stores what a later probe can hit. `resolve`
+    /// probes the requested path and its parent directory, so those two
+    /// entries are stored and the levels above are not — on a tree larger
+    /// than the cache they would only push out entries that can be hit.
+    fn walk(
+        &self,
+        mw: &H2Middleware,
+        ctx: &mut OpCtx,
+        keys: &H2Keys,
+        path: &FsPath,
+        full: Option<String>,
+    ) -> Result<Resolved> {
+        let comps = path.components();
         let mut ns = NamespaceId::ROOT;
-        // The epoch fingerprint accumulated over the rings this walk
-        // consults, and the path prefix resolved so far — every prefix's
-        // answer is cached on the way down so later lookups deeper in the
-        // same subtree start from the nearest cached ancestor.
-        let mut fp: Vec<(NamespaceId, u64)> = Vec::new();
-        let mut prefix = String::new();
+        // The epoch fingerprint accumulated over the rings consulted.
+        let mut fp: Vec<(NamespaceId, u64)> =
+            Vec::with_capacity(if full.is_some() { comps.len() } else { 0 });
         for (i, comp) in comps.iter().enumerate() {
             let (view, epoch) = mw.read_ring_view_stamped(ctx, keys, ns)?;
             mw.charge_lookup_step(ctx, view.from_cache());
-            fp.push((ns, epoch));
-            prefix.push('/');
-            prefix.push_str(comp);
+            if full.is_some() {
+                fp.push((ns, epoch));
+            }
             let Some(tuple) = view.get(comp).copied() else {
-                if caching {
-                    // Cache the negative under the FULL requested path:
-                    // its fingerprint covers exactly the ancestors that
-                    // were consulted to prove the absence, so creating any
-                    // of the missing levels (which must patch one of those
-                    // rings first) invalidates it.
-                    mw.path_cache_store(keys.account(), &path.to_string(), PathAnswer::Missing, fp);
-                }
-                return Err(H2Error::NotFound(path.to_string()));
+                let full = match full {
+                    Some(full) => {
+                        // Cache the negative under the FULL requested path:
+                        // its fingerprint covers exactly the ancestors that
+                        // were consulted to prove the absence, so creating
+                        // any of the missing levels (which must patch one
+                        // of those rings first) invalidates it.
+                        mw.path_cache_store(keys, &full, PathAnswer::Missing, fp.into());
+                        full
+                    }
+                    None => path_string(path),
+                };
+                return Err(H2Error::NotFound(full));
             };
-            let last = i + 1 == comps.len();
-            match tuple.child {
-                ChildRef::Dir { ns: child_ns } => {
-                    if caching {
-                        let answer = PathAnswer::Hit {
-                            parent_ns: ns,
-                            tuple,
-                        };
-                        mw.path_cache_store(keys.account(), &prefix, answer, fp.clone());
-                    }
-                    if last {
-                        return Ok(Resolved::Dir {
-                            parent_ns: ns,
-                            name: comp.clone(),
-                            ns: child_ns,
-                            ts: tuple.ts,
-                        });
-                    }
-                    ns = child_ns;
+            let answer = PathAnswer::Hit {
+                parent_ns: ns,
+                tuple,
+            };
+            let levels_below = comps.len() - 1 - i;
+            if levels_below == 0 {
+                if let Some(full) = &full {
+                    mw.path_cache_store(keys, full, answer, fp.into());
                 }
-                ChildRef::File { size } => {
-                    if last {
-                        if caching {
-                            let answer = PathAnswer::Hit {
-                                parent_ns: ns,
-                                tuple,
-                            };
-                            mw.path_cache_store(keys.account(), &prefix, answer, fp);
-                        }
-                        return Ok(Resolved::File {
-                            parent_ns: ns,
-                            name: comp.clone(),
-                            size,
-                            ts: tuple.ts,
-                        });
-                    }
-                    return Err(H2Error::NotADirectory(path.to_string()));
+                return Ok(resolved_from(ns, comp, tuple));
+            }
+            let ChildRef::Dir { ns: child_ns } = tuple.child else {
+                return Err(H2Error::NotADirectory(path_string(path)));
+            };
+            if levels_below == 1 {
+                if let Some(full) = &full {
+                    let parent = &full[..full.len() - comps[i + 1].len() - 1];
+                    mw.path_cache_store(keys, parent, answer, fp.as_slice().into());
                 }
             }
+            ns = child_ns;
         }
         unreachable!("non-root path has components")
     }
@@ -903,7 +978,7 @@ impl H2Cloud {
         }
         drop(view);
         let size = content.len();
-        let payload = content_to_payload(content, &path.to_string());
+        let payload = content_to_payload(content, &path_string(path));
         // §3.3.3(b) blocking: the content stream completes before the patch
         // is submitted, so no merge can observe the tuple without the data.
         mw.put_content(ctx, &keys, parent_ns, name, payload)?;
@@ -975,8 +1050,7 @@ impl H2Cloud {
     ) -> Result<DirEntry> {
         self.check_account(account)?;
         let keys = H2Keys::new(account);
-        let resolved = self.resolve(mw, ctx, &keys, path)?;
-        Ok(match &resolved {
+        Ok(match self.resolve(mw, ctx, &keys, path)? {
             Resolved::Root => DirEntry {
                 name: "/".into(),
                 kind: EntryKind::Directory,
@@ -984,15 +1058,15 @@ impl H2Cloud {
                 modified_ms: 0,
             },
             Resolved::Dir { name, ts, .. } => DirEntry {
-                name: name.clone(),
+                name,
                 kind: EntryKind::Directory,
                 size: 0,
                 modified_ms: ts.millis,
             },
             Resolved::File { name, size, ts, .. } => DirEntry {
-                name: name.clone(),
+                name,
                 kind: EntryKind::File,
-                size: *size,
+                size,
                 modified_ms: ts.millis,
             },
         })
@@ -1029,7 +1103,7 @@ impl CloudFs for H2Cloud {
 
     fn create_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
         let mw = self.mw(account);
-        self.op_create_account(&mw, ctx, account)
+        self.op_create_account(mw, ctx, account)
     }
 
     fn delete_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
@@ -1038,36 +1112,36 @@ impl CloudFs for H2Cloud {
 
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
         let mw = self.mw(account);
-        self.observe(&mw, "MKDIR", ctx, |ctx| {
-            self.op_mkdir(&mw, ctx, account, path)
+        self.observe(mw, OpKind::Mkdir, ctx, |ctx| {
+            self.op_mkdir(mw, ctx, account, path)
         })
     }
 
     fn rmdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
         let mw = self.mw(account);
-        self.observe(&mw, "RMDIR", ctx, |ctx| {
-            self.op_rmdir(&mw, ctx, account, path)
+        self.observe(mw, OpKind::Rmdir, ctx, |ctx| {
+            self.op_rmdir(mw, ctx, account, path)
         })
     }
 
     fn mv(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
         let mw = self.mw(account);
-        self.observe(&mw, "MOVE", ctx, |ctx| {
-            self.op_mv(&mw, ctx, account, from, to)
+        self.observe(mw, OpKind::Move, ctx, |ctx| {
+            self.op_mv(mw, ctx, account, from, to)
         })
     }
 
     fn copy(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
         let mw = self.mw(account);
-        self.observe(&mw, "COPY", ctx, |ctx| {
-            self.op_copy(&mw, ctx, account, from, to)
+        self.observe(mw, OpKind::Copy, ctx, |ctx| {
+            self.op_copy(mw, ctx, account, from, to)
         })
     }
 
     fn list(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<Vec<String>> {
         let mw = self.mw(account);
-        self.observe(&mw, "LIST", ctx, |ctx| {
-            self.op_list(&mw, ctx, account, path)
+        self.observe(mw, OpKind::List, ctx, |ctx| {
+            self.op_list(mw, ctx, account, path)
         })
     }
 
@@ -1078,8 +1152,8 @@ impl CloudFs for H2Cloud {
         path: &FsPath,
     ) -> Result<Vec<DirEntry>> {
         let mw = self.mw(account);
-        self.observe(&mw, "LIST-DETAIL", ctx, |ctx| {
-            self.op_list_detailed(&mw, ctx, account, path)
+        self.observe(mw, OpKind::ListDetail, ctx, |ctx| {
+            self.op_list_detailed(mw, ctx, account, path)
         })
     }
 
@@ -1091,29 +1165,29 @@ impl CloudFs for H2Cloud {
         content: FileContent,
     ) -> Result<()> {
         let mw = self.mw(account);
-        self.observe(&mw, "WRITE", ctx, |ctx| {
-            self.op_write(&mw, ctx, account, path, content)
+        self.observe(mw, OpKind::Write, ctx, |ctx| {
+            self.op_write(mw, ctx, account, path, content)
         })
     }
 
     fn read(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<FileContent> {
         let mw = self.mw(account);
-        self.observe(&mw, "READ", ctx, |ctx| {
-            self.op_read(&mw, ctx, account, path)
+        self.observe(mw, OpKind::Read, ctx, |ctx| {
+            self.op_read(mw, ctx, account, path)
         })
     }
 
     fn delete_file(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
         let mw = self.mw(account);
-        self.observe(&mw, "DELETE", ctx, |ctx| {
-            self.op_delete_file(&mw, ctx, account, path)
+        self.observe(mw, OpKind::Delete, ctx, |ctx| {
+            self.op_delete_file(mw, ctx, account, path)
         })
     }
 
     fn stat(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<DirEntry> {
         let mw = self.mw(account);
-        self.observe(&mw, "STAT", ctx, |ctx| {
-            self.op_stat(&mw, ctx, account, path)
+        self.observe(mw, OpKind::Stat, ctx, |ctx| {
+            self.op_stat(mw, ctx, account, path)
         })
     }
 
@@ -1158,7 +1232,7 @@ impl CloudFs for H2Cloud {
             let &parent_ns = ns_of
                 .get(&parent)
                 .ok_or_else(|| H2Error::NotFound(format!("import parent {parent}")))?;
-            ring_of(&mw, ctx, &mut rings, parent_ns)?;
+            ring_of(mw, ctx, &mut rings, parent_ns)?;
             let name = d.name().expect("non-root");
             if rings[&parent_ns].get(name).is_some() {
                 return Err(H2Error::AlreadyExists(d.to_string()));
@@ -1189,10 +1263,10 @@ impl CloudFs for H2Cloud {
                 .ok_or_else(|| H2Error::IsADirectory("/".into()))?;
             let parent_ns = match ns_of.get(&parent) {
                 Some(&ns) => ns,
-                None => self.resolve_dir_ns(&mw, ctx, &keys, &parent)?,
+                None => self.resolve_dir_ns(mw, ctx, &keys, &parent)?,
             };
             ns_of.insert(parent.clone(), parent_ns);
-            ring_of(&mw, ctx, &mut rings, parent_ns)?;
+            ring_of(mw, ctx, &mut rings, parent_ns)?;
             let name = f.name().expect("non-root");
             mw.put_content(
                 ctx,
@@ -1253,31 +1327,31 @@ impl CloudFs for H2View<'_> {
     }
 
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        self.fs.observe(&self.mw, "MKDIR", ctx, |ctx| {
+        self.fs.observe(&self.mw, OpKind::Mkdir, ctx, |ctx| {
             self.fs.op_mkdir(&self.mw, ctx, account, path)
         })
     }
 
     fn rmdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        self.fs.observe(&self.mw, "RMDIR", ctx, |ctx| {
+        self.fs.observe(&self.mw, OpKind::Rmdir, ctx, |ctx| {
             self.fs.op_rmdir(&self.mw, ctx, account, path)
         })
     }
 
     fn mv(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
-        self.fs.observe(&self.mw, "MOVE", ctx, |ctx| {
+        self.fs.observe(&self.mw, OpKind::Move, ctx, |ctx| {
             self.fs.op_mv(&self.mw, ctx, account, from, to)
         })
     }
 
     fn copy(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
-        self.fs.observe(&self.mw, "COPY", ctx, |ctx| {
+        self.fs.observe(&self.mw, OpKind::Copy, ctx, |ctx| {
             self.fs.op_copy(&self.mw, ctx, account, from, to)
         })
     }
 
     fn list(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<Vec<String>> {
-        self.fs.observe(&self.mw, "LIST", ctx, |ctx| {
+        self.fs.observe(&self.mw, OpKind::List, ctx, |ctx| {
             self.fs.op_list(&self.mw, ctx, account, path)
         })
     }
@@ -1288,7 +1362,7 @@ impl CloudFs for H2View<'_> {
         account: &str,
         path: &FsPath,
     ) -> Result<Vec<DirEntry>> {
-        self.fs.observe(&self.mw, "LIST-DETAIL", ctx, |ctx| {
+        self.fs.observe(&self.mw, OpKind::ListDetail, ctx, |ctx| {
             self.fs.op_list_detailed(&self.mw, ctx, account, path)
         })
     }
@@ -1300,25 +1374,25 @@ impl CloudFs for H2View<'_> {
         path: &FsPath,
         content: FileContent,
     ) -> Result<()> {
-        self.fs.observe(&self.mw, "WRITE", ctx, |ctx| {
+        self.fs.observe(&self.mw, OpKind::Write, ctx, |ctx| {
             self.fs.op_write(&self.mw, ctx, account, path, content)
         })
     }
 
     fn read(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<FileContent> {
-        self.fs.observe(&self.mw, "READ", ctx, |ctx| {
+        self.fs.observe(&self.mw, OpKind::Read, ctx, |ctx| {
             self.fs.op_read(&self.mw, ctx, account, path)
         })
     }
 
     fn delete_file(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        self.fs.observe(&self.mw, "DELETE", ctx, |ctx| {
+        self.fs.observe(&self.mw, OpKind::Delete, ctx, |ctx| {
             self.fs.op_delete_file(&self.mw, ctx, account, path)
         })
     }
 
     fn stat(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<DirEntry> {
-        self.fs.observe(&self.mw, "STAT", ctx, |ctx| {
+        self.fs.observe(&self.mw, OpKind::Stat, ctx, |ctx| {
             self.fs.op_stat(&self.mw, ctx, account, path)
         })
     }

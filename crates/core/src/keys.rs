@@ -34,10 +34,12 @@ pub struct DirDescriptor {
 
 /// Key factory binding an account to H2Cloud's (unindexed) container. It
 /// holds the account and container names in the shared form [`ObjectKey`]
-/// wants, so minting a key costs one allocation: the object name.
+/// wants, so minting a key costs one allocation: the object name. It also
+/// hashes the account name, once, for the middleware's in-memory maps.
 #[derive(Debug, Clone)]
 pub struct H2Keys {
     account: Arc<str>,
+    account_hash: u64,
     container: Arc<str>,
 }
 
@@ -58,12 +60,23 @@ impl H2Keys {
     pub fn new(account: &str) -> Self {
         H2Keys {
             account: account.into(),
+            account_hash: h2util::hash64(account.as_bytes()),
             container: CONTAINER.with(Arc::clone),
         }
     }
 
     pub fn account(&self) -> &str {
         &self.account
+    }
+
+    /// The account name in its shared form (a clone allocates nothing).
+    pub(crate) fn account_shared(&self) -> &Arc<str> {
+        &self.account
+    }
+
+    /// XXH64 of the account name.
+    pub(crate) fn account_hash(&self) -> u64 {
+        self.account_hash
     }
 
     fn key(&self, name: fmt::Arguments<'_>) -> ObjectKey {

@@ -36,6 +36,7 @@ use h2util::metrics::{Counter, MetricsRegistry};
 use h2util::trace::{TraceCollector, STAGE_GOSSIP, STAGE_MERGE, STAGE_MW, STAGE_RESOLVE};
 use h2util::{
     H2Error, HybridClock, LruCache, NamespaceId, NodeId, OpCtx, Result, RetryPolicy, Timestamp,
+    WordBuild,
 };
 use swiftsim::{Cluster, Meta, Object, ObjectKey, ObjectStore, Payload};
 
@@ -68,6 +69,10 @@ pub const PATH_CACHE_MISSES: &str = "path_cache_misses";
 
 /// Counter name for negative-entry cache hits (known-absent paths).
 pub const NEG_CACHE_HITS: &str = "neg_cache_hits";
+
+/// Counter name for ring refetches that brought back the very copy the
+/// ring cache last held (same write stamp), and so invalidated nothing.
+pub const RING_REFETCH_UNCHANGED: &str = "ring_refetch_unchanged";
 
 /// `content-type` meta of a whole-object file: the file's bytes are the
 /// object at its content key, whatever their size.
@@ -204,8 +209,73 @@ struct FileDescriptor {
     next_patch: u32,
 }
 
-/// Key of a per-(account, namespace) entry.
-type FdKey = (String, NamespaceId);
+/// Key of a per-(account, namespace) entry. It shares the account name
+/// with the [`H2Keys`] it was minted from and carries its hash — the
+/// account's XXH64, which `H2Keys` computed once for the whole operation,
+/// folded with the namespace's words — so minting one allocates nothing and
+/// no map hashes the account text per probe. The same hash picks the
+/// ring-cache stripe.
+#[derive(Debug, Clone)]
+struct FdKey {
+    hash: u64,
+    account: Arc<str>,
+    ns: NamespaceId,
+}
+
+impl FdKey {
+    fn new(keys: &H2Keys, ns: NamespaceId) -> Self {
+        let hash = keys.account_hash()
+            ^ ns.seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ ((ns.node.0 as u64) << 48)
+            ^ ns.millis;
+        FdKey {
+            hash,
+            account: Arc::clone(keys.account_shared()),
+            ns,
+        }
+    }
+
+    /// For callers that hold an account name rather than a key factory
+    /// (GC notifications, gossip): allocates the shared name.
+    fn of(account: &str, ns: NamespaceId) -> Self {
+        FdKey::new(&H2Keys::new(account), ns)
+    }
+}
+
+impl PartialEq for FdKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.ns == other.ns && self.account == other.account
+    }
+}
+
+impl Eq for FdKey {}
+
+impl std::hash::Hash for FdKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// A map from ring keys that never re-hashes the account text.
+type FdMap<V> = HashMap<FdKey, V, WordBuild>;
+
+/// What this middleware remembers about the stored copies of one ring it
+/// has handled: write stamps ([`Object::modified_ms`]), unique per write
+/// across the cluster.
+#[derive(Debug, Default, Clone, Copy)]
+struct RingStamps {
+    /// Stamp of this middleware's last PUT of the ring — the freshness
+    /// floor handed to [`Cluster::get_expecting`] on the read path, proving
+    /// a handoff scan redundant when the best assigned replica already
+    /// carries at least this node's own last write.
+    put_ms: Option<u64>,
+    /// Stamp of the copy that last entered the ring cache (`None` once it
+    /// was dropped, or when an absent object was cached as an empty ring).
+    /// A refetch that brings back the same stamp brought back the same
+    /// bytes, so it is no mutation: see
+    /// [`H2Middleware::cache_store_fetched`].
+    cached_ms: Option<u64>,
+}
 
 /// A parsed global ring held by the NameRing cache, stamped with the
 /// version (max tuple timestamp) it carried when it entered the cache.
@@ -236,7 +306,7 @@ const PATH_CACHE_FACTOR: usize = 8;
 
 /// A full-path resolve-cache answer (tentpole of the read-path overhaul):
 /// what one O(1) probe replaces the O(d) NameRing walk with.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum PathAnswer {
     /// The path's final component is this live tuple in `parent_ns`'s ring.
     Hit {
@@ -247,14 +317,25 @@ pub enum PathAnswer {
     Missing,
 }
 
+/// The epoch fingerprint of a resolve: `(namespace, epoch)` of every ring
+/// it consulted, root first. Shared, because a hit on a directory hands it
+/// to the resolve of a child, which extends it by one ring.
+pub type Fingerprint = Arc<[(NamespaceId, u64)]>;
+
 /// One full-path cache entry: the answer plus the epoch fingerprint of
 /// every ring consulted to produce it. The entry is valid exactly while
 /// every `(namespace, epoch)` pair still matches [`H2Middleware::ns_epoch`]
 /// — any ring write, gossip application, patch fold or GC notification on
 /// an ancestor bumps that ancestor's epoch and thereby invalidates exactly
 /// the affected subtree's entries (checked lazily at probe time).
+///
+/// The cache is keyed by the 64-bit hash of `(account, path)`; the entry
+/// keeps both so a probe can tell its own path from one that merely shares
+/// the hash (which it treats as a miss, and a store overwrites).
 struct PathEntry {
-    fp: Vec<(NamespaceId, u64)>,
+    account: Arc<str>,
+    path: Box<str>,
+    fp: Fingerprint,
     answer: PathAnswer,
 }
 
@@ -303,6 +384,8 @@ struct CacheCounters {
     /// NameRing GETs that the cache absorbed (one per hit — kept as its own
     /// counter so dashboards don't have to know that equivalence).
     gets_saved: Arc<Counter>,
+    /// See [`RING_REFETCH_UNCHANGED`].
+    refetch_unchanged: Arc<Counter>,
 }
 
 /// One H2Middleware instance.
@@ -321,47 +404,47 @@ pub struct H2Middleware {
     /// on that). Capacity 0 disables it. Striped by ring key
     /// ([`RING_SHARDS`]); each stripe is an independent LRU over an even
     /// share of the capacity.
-    ring_cache: Vec<Mutex<LruCache<FdKey, CachedRing>>>,
+    ring_cache: Vec<Mutex<LruCache<FdKey, CachedRing, WordBuild>>>,
     /// `Some` iff the cache is enabled (counters are only registered then,
     /// so disabled instances keep their metrics output clean).
     cache_counters: Option<CacheCounters>,
-    /// Full-path resolve cache: decorated path → [`PathEntry`], striped by
-    /// path hash. Empty (no stripes) when disabled — positive entries need
+    /// Full-path resolve cache: hash of `(account, path)` → [`PathEntry`],
+    /// striped by that hash. Empty (no stripes) when disabled — positive entries need
     /// `path_cache_on`, negative entries `neg_cache_on`, and both require
     /// the ring cache to be enabled (the epoch fingerprints assume ring
     /// freshness is driven by write-through and gossip, exactly the ring
     /// cache's contract).
-    path_cache: Vec<Mutex<LruCache<(String, String), PathEntry>>>,
+    path_cache: Vec<Mutex<LruCache<u64, PathEntry, WordBuild>>>,
     path_counters: Option<PathCounters>,
     path_cache_on: bool,
     neg_cache_on: bool,
     /// Per-namespace mutation epochs backing the path-cache fingerprints.
     /// Bumped after *every* mutation of this middleware's joined view of a
-    /// ring — global-cache store (fetched or written), local-overlay patch
+    /// ring — global-cache store (written, or fetched unless the fetch
+    /// brought back the copy the cache last held), local-overlay patch
     /// fold, gossip application, GC floor/forget/invalidate. Keyed by
     /// namespace alone: non-root namespaces are globally unique UUIDs, and
     /// the shared `ROOT` id merely makes a bump in one account invalidate
     /// other accounts' root-anchored entries too — over-invalidation,
     /// never staleness. Entries are never evicted (one u64 per touched
     /// namespace), so a fingerprint can always be checked in O(1).
-    ns_epochs: RwLock<HashMap<NamespaceId, u64>>,
-    /// `modified_ms` of this middleware's last ring PUT per key — the
-    /// freshness floor handed to [`Cluster::get_expecting`] on the read
-    /// path, proving a handoff scan redundant when the best assigned
-    /// replica already carries at least this node's own last write.
-    ring_put_ms: Mutex<HashMap<FdKey, u64>>,
-    fds: Mutex<HashMap<FdKey, FileDescriptor>>,
+    ns_epochs: RwLock<HashMap<NamespaceId, u64, WordBuild>>,
+    /// Per-ring write stamps (see [`RingStamps`]). A leaf lock: taken
+    /// alone, or innermost under a ring-cache stripe so the cached copy
+    /// and the stamp remembered for it change together.
+    ring_stamps: Mutex<FdMap<RingStamps>>,
+    fds: Mutex<FdMap<FileDescriptor>>,
     /// Per-ring merge serialisation: a merge cycle is a read-modify-write
     /// of the ring object, so two concurrent cycles for the same ring on
     /// this node could overwrite each other. (Cycles on *different* nodes
     /// are reconciled by gossip, by design.)
-    merge_locks: Mutex<HashMap<FdKey, Arc<Mutex<()>>>>,
+    merge_locks: Mutex<FdMap<Arc<Mutex<()>>>>,
     /// When true, concurrent `submit_patch` calls against the same ring
     /// coalesce behind a per-ring commit leader (one combined patch PUT per
     /// batch) instead of each issuing their own PUT.
     group_commit: bool,
     /// Per-ring group-commit queues (populated lazily, like `merge_locks`).
-    commit_queues: Mutex<HashMap<FdKey, Arc<CommitQueue>>>,
+    commit_queues: Mutex<FdMap<Arc<CommitQueue>>>,
     /// Write-generation counter for CAS manifest stamps; combined with the
     /// node id so generations are unique across middlewares.
     part_stamp: std::sync::atomic::AtomicU64,
@@ -442,6 +525,7 @@ impl H2Middleware {
             hits: metrics.counter(RING_CACHE_HITS),
             misses: metrics.counter(RING_CACHE_MISSES),
             gets_saved: metrics.counter(GETS_SAVED),
+            refetch_unchanged: metrics.counter(RING_REFETCH_UNCHANGED),
         });
         let path_cache_on = path_cache && cache_capacity > 0;
         let neg_cache_on = neg_cache && cache_capacity > 0;
@@ -475,12 +559,12 @@ impl H2Middleware {
             path_counters,
             path_cache_on,
             neg_cache_on,
-            ns_epochs: RwLock::new(HashMap::new()),
-            ring_put_ms: Mutex::new(HashMap::new()),
-            fds: Mutex::new(HashMap::new()),
-            merge_locks: Mutex::new(HashMap::new()),
+            ns_epochs: RwLock::new(HashMap::default()),
+            ring_stamps: Mutex::new(FdMap::default()),
+            fds: Mutex::new(FdMap::default()),
+            merge_locks: Mutex::new(FdMap::default()),
             group_commit,
-            commit_queues: Mutex::new(HashMap::new()),
+            commit_queues: Mutex::new(FdMap::default()),
             part_stamp: std::sync::atomic::AtomicU64::new(0),
             cas,
             ring_fetches,
@@ -1029,12 +1113,8 @@ impl H2Middleware {
     // ----- ring access ----------------------------------------------------
 
     /// The ring-cache stripe holding `key`.
-    fn ring_shard(&self, key: &FdKey) -> &Mutex<LruCache<FdKey, CachedRing>> {
-        let h = hash64(key.0.as_bytes())
-            ^ key.1.seq.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ ((key.1.node.0 as u64) << 48)
-            ^ key.1.millis;
-        &self.ring_cache[h as usize % RING_SHARDS]
+    fn ring_shard(&self, key: &FdKey) -> &Mutex<LruCache<FdKey, CachedRing, WordBuild>> {
+        &self.ring_cache[key.hash as usize % RING_SHARDS]
     }
 
     /// Cached copy of the global ring for `key`, if the cache is enabled
@@ -1058,20 +1138,29 @@ impl H2Middleware {
         }
     }
 
-    /// Store a ring obtained from a cloud *read*. Guarded: a fetch that
-    /// raced with a concurrent write-through must not replace the newer
-    /// entry, so the ring only enters the cache if its version is at least
-    /// the cached one. The epoch bumps only when the entry actually
-    /// changed.
-    fn cache_store_fetched(&self, key: FdKey, ring: &Arc<NameRing>) {
-        if self.cache_counters.is_none() {
+    /// Store a ring obtained from a cloud *read*, stamped `fetched_ms`
+    /// (`None`: the object was absent and reads as an empty ring). Guarded:
+    /// a fetch that raced with a concurrent write-through must not replace
+    /// the newer entry, so the ring only enters the cache if its version is
+    /// at least the cached one.
+    ///
+    /// The epoch bumps unless the fetch brought back the copy the cache
+    /// last held — evicted since, or still there. Write stamps are unique
+    /// per write, so an equal stamp means identical bytes: nothing a path
+    /// entry was built from has changed, and the entries under this ring
+    /// outlive its eviction. A fetch that loses the guard bumps too: its
+    /// caller builds a view from a copy that is not the cached one, and the
+    /// entry it then stores must not validate.
+    fn cache_store_fetched(&self, key: &FdKey, ring: &Arc<NameRing>, fetched_ms: Option<u64>) {
+        let Some(counters) = &self.cache_counters else {
             return;
-        }
+        };
         let version = ring.version();
-        let stored = {
-            let mut cache = self.ring_shard(&key).lock();
-            let store = cache.peek(&key).is_none_or(|e| version >= e.version);
-            if store {
+        let unchanged = {
+            let mut cache = self.ring_shard(key).lock();
+            if cache.peek(key).is_some_and(|e| version < e.version) {
+                false
+            } else {
                 cache.insert(
                     key.clone(),
                     CachedRing {
@@ -1079,39 +1168,66 @@ impl H2Middleware {
                         ring: Arc::clone(ring),
                     },
                 );
+                let mut stamps = self.ring_stamps.lock();
+                let rec = stamps.entry(key.clone()).or_default();
+                let same = fetched_ms.is_some() && rec.cached_ms == fetched_ms;
+                rec.cached_ms = fetched_ms;
+                same
             }
-            store
         };
-        if stored {
-            self.bump_ns_epoch(key.1);
+        if unchanged {
+            counters.refetch_unchanged.incr();
+        } else {
+            self.bump_ns_epoch(key.ns);
         }
     }
 
-    /// Store a ring this middleware just *wrote* to the cloud. Replaces
+    /// Record a ring this middleware just *wrote* to the cloud, stamped
+    /// `put_ms`, and write it through to the cache. Replaces
     /// unconditionally — the cloud object now IS this ring, even if its
     /// version went backwards (GC compaction can drop the newest
     /// tombstone).
-    fn cache_store_written(&self, key: FdKey, ring: &Arc<NameRing>) {
+    fn cache_store_written(&self, key: &FdKey, ring: &Arc<NameRing>, put_ms: u64) {
         if self.cache_counters.is_none() {
+            self.ring_stamps
+                .lock()
+                .entry(key.clone())
+                .or_default()
+                .put_ms = Some(put_ms);
             return;
         }
-        let ns = key.1;
-        self.ring_shard(&key).lock().insert(
-            key,
-            CachedRing {
-                version: ring.version(),
-                ring: Arc::clone(ring),
-            },
-        );
-        self.bump_ns_epoch(ns);
+        {
+            let mut cache = self.ring_shard(key).lock();
+            cache.insert(
+                key.clone(),
+                CachedRing {
+                    version: ring.version(),
+                    ring: Arc::clone(ring),
+                },
+            );
+            *self.ring_stamps.lock().entry(key.clone()).or_default() = RingStamps {
+                put_ms: Some(put_ms),
+                cached_ms: Some(put_ms),
+            };
+        }
+        self.bump_ns_epoch(key.ns);
     }
 
     /// Drop the cached copy of `(account, ns)`, if any. Called by GC after
     /// it deletes a dead ring object out from under the middleware.
     pub fn invalidate_ring(&self, account: &str, ns: NamespaceId) {
-        let key = (account.to_string(), ns);
-        self.ring_shard(&key).lock().remove(&key);
-        self.bump_ns_epoch(ns);
+        self.drop_cached(&FdKey::of(account, ns));
+    }
+
+    fn drop_cached(&self, key: &FdKey) {
+        {
+            let mut cache = self.ring_shard(key).lock();
+            cache.remove(key);
+            if let Some(rec) = self.ring_stamps.lock().get_mut(key) {
+                rec.cached_ms = None;
+            }
+        }
+        self.bump_ns_epoch(key.ns);
     }
 
     // ----- namespace epochs + full-path cache (read-path overhaul) ---------
@@ -1155,69 +1271,88 @@ impl H2Middleware {
         }
     }
 
-    fn path_shard(
-        &self,
-        account: &str,
-        path: &str,
-    ) -> &Mutex<LruCache<(String, String), PathEntry>> {
-        let h = hash64(path.as_bytes()) ^ hash64(account.as_bytes());
-        &self.path_cache[h as usize % PATH_SHARDS]
+    /// Hash of `(account, path)`: picks the path-cache stripe and keys the
+    /// entry inside it.
+    fn path_hash(keys: &H2Keys, path: &str) -> u64 {
+        hash64(path.as_bytes()) ^ keys.account_hash()
     }
 
-    /// Probe the full-path cache for `path` under `account`. The entry's
-    /// epoch fingerprint is validated against the current namespace
+    /// Probe the full-path cache for `path` under `keys`' account. The
+    /// entry's epoch fingerprint is validated against the current namespace
     /// epochs; a mismatched entry is dropped on the spot (lazy
-    /// invalidation) and reported as a miss. A valid hit returns the
-    /// answer together with its fingerprint, so a child resolve can extend
-    /// it by one level instead of re-walking.
-    pub fn path_cache_lookup(
+    /// invalidation) and reported as a miss. A hit copies the answer out
+    /// and runs `extra` on the entry, still under the stripe lock.
+    fn path_probe<T>(
         &self,
-        account: &str,
+        keys: &H2Keys,
         path: &str,
-    ) -> Option<(PathAnswer, Vec<(NamespaceId, u64)>)> {
+        extra: impl FnOnce(&PathEntry) -> T,
+    ) -> Option<(PathAnswer, T)> {
         let counters = self.path_counters.as_ref()?;
-        let key = (account.to_string(), path.to_string());
-        let mut cache = self.path_shard(account, path).lock();
-        let Some(entry) = cache.get(&key) else {
-            drop(cache);
-            counters.misses.incr();
-            return None;
+        let hash = Self::path_hash(keys, path);
+        let mut cache = self.path_cache[hash as usize % PATH_SHARDS].lock();
+        // `Err(stale)`: nothing usable; `stale` when the entry is this
+        // path's own but an ancestor ring has moved on since.
+        let found = match cache.get(&hash) {
+            Some(entry) if *entry.path == *path && *entry.account == *keys.account() => {
+                // Epoch map is the innermost lock in this crate: it is only
+                // ever taken as a leaf, so holding the path stripe across
+                // it is safe.
+                let epochs = self.ns_epochs.read();
+                let valid = entry
+                    .fp
+                    .iter()
+                    .all(|(ns, e)| epochs.get(ns).copied().unwrap_or(0) == *e);
+                if valid {
+                    Ok((entry.answer, extra(entry)))
+                } else {
+                    Err(true)
+                }
+            }
+            _ => Err(false),
         };
-        // Epoch map is the innermost lock in this crate: it is only ever
-        // taken as a leaf, so holding the path stripe across it is safe.
-        let valid = {
-            let epochs = self.ns_epochs.read();
-            entry
-                .fp
-                .iter()
-                .all(|(ns, e)| epochs.get(ns).copied().unwrap_or(0) == *e)
-        };
-        if !valid {
-            cache.remove(&key);
-            drop(cache);
-            counters.misses.incr();
-            return None;
+        match found {
+            Ok(hit) => {
+                drop(cache);
+                counters.hits.incr();
+                if matches!(hit.0, PathAnswer::Missing) {
+                    counters.neg_hits.incr();
+                }
+                Some(hit)
+            }
+            Err(stale) => {
+                if stale {
+                    cache.remove(&hash);
+                }
+                drop(cache);
+                counters.misses.incr();
+                None
+            }
         }
-        let hit = (entry.answer.clone(), entry.fp.clone());
-        drop(cache);
-        counters.hits.incr();
-        if matches!(hit.0, PathAnswer::Missing) {
-            counters.neg_hits.incr();
-        }
-        Some(hit)
+    }
+
+    /// The cached resolution of `path`, if a valid one is held.
+    pub fn path_cache_lookup(&self, keys: &H2Keys, path: &str) -> Option<PathAnswer> {
+        self.path_probe(keys, path, |_| ())
+            .map(|(answer, ())| answer)
+    }
+
+    /// [`path_cache_lookup`](Self::path_cache_lookup) plus the entry's
+    /// fingerprint, so the resolve of a child can extend it by one level
+    /// instead of re-walking.
+    pub fn path_cache_lookup_fp(
+        &self,
+        keys: &H2Keys,
+        path: &str,
+    ) -> Option<(PathAnswer, Fingerprint)> {
+        self.path_probe(keys, path, |entry| Arc::clone(&entry.fp))
     }
 
     /// Store a resolve outcome for `path`. Positive answers are kept only
     /// when the path cache is on, negative ones only when the negative
     /// cache is on — the store is a no-op otherwise, so resolve can call
     /// it unconditionally.
-    pub fn path_cache_store(
-        &self,
-        account: &str,
-        path: &str,
-        answer: PathAnswer,
-        fp: Vec<(NamespaceId, u64)>,
-    ) {
+    pub fn path_cache_store(&self, keys: &H2Keys, path: &str, answer: PathAnswer, fp: Fingerprint) {
         if self.path_counters.is_none() {
             return;
         }
@@ -1226,10 +1361,16 @@ impl H2Middleware {
             PathAnswer::Missing if !self.neg_cache_on => return,
             _ => {}
         }
-        self.path_shard(account, path).lock().insert(
-            (account.to_string(), path.to_string()),
-            PathEntry { fp, answer },
-        );
+        let hash = Self::path_hash(keys, path);
+        let entry = PathEntry {
+            account: Arc::clone(keys.account_shared()),
+            path: path.into(),
+            fp,
+            answer,
+        };
+        self.path_cache[hash as usize % PATH_SHARDS]
+            .lock()
+            .insert(hash, entry);
     }
 
     /// Charge the cost of one full-path cache probe (hash lookup plus
@@ -1245,21 +1386,23 @@ impl H2Middleware {
     /// resurrection). The cached global copy is dropped too — it predates
     /// the compaction.
     pub fn gc_floor(&self, account: &str, ns: NamespaceId, horizon: Timestamp) {
+        let key = FdKey::of(account, ns);
         {
             let mut fds = self.fds.lock();
-            if let Some(fd) = fds.get_mut(&(account.to_string(), ns)) {
+            if let Some(fd) = fds.get_mut(&key) {
                 Arc::make_mut(&mut fd.local).floor_tombstones(horizon);
             }
         }
-        self.invalidate_ring(account, ns);
+        self.drop_cached(&key);
     }
 
     /// GC notification: the ring object for `(account, ns)` was deleted
     /// (its directory is unreachable). Drop every bit of local state that
     /// refers to it, so this middleware can't write the dead ring back.
     pub fn forget_ring(&self, account: &str, ns: NamespaceId) {
-        self.fds.lock().remove(&(account.to_string(), ns));
-        self.invalidate_ring(account, ns);
+        let key = FdKey::of(account, ns);
+        self.fds.lock().remove(&key);
+        self.drop_cached(&key);
     }
 
     /// NameRing-cache `(hits, misses)` so far (zeros when disabled).
@@ -1296,9 +1439,10 @@ impl H2Middleware {
     /// this pre-read epoch is conservative by construction: any mutation
     /// that lands after the epoch read bumps past it, so an entry built
     /// from this view can never validate against data it did not see. (The
-    /// cost is one wasted store when the read itself was a cloud fetch —
-    /// the fetch's own cache store bumps the epoch — which a subsequent
-    /// all-cached walk repairs.)
+    /// cost is one wasted store when the read was a cloud fetch of a copy
+    /// the cache had not held before — that fetch's own cache store bumps
+    /// the epoch — which the next walk repairs. Refetching an evicted ring
+    /// that nobody rewrote bumps nothing and wastes nothing.)
     pub fn read_ring_view_stamped(
         &self,
         ctx: &mut OpCtx,
@@ -1307,7 +1451,7 @@ impl H2Middleware {
     ) -> Result<(RingView, u64)> {
         ctx.span(STAGE_RESOLVE, "read_ring", |ctx| {
             ctx.span_note("ns", || ns.to_string());
-            let key = (keys.account().to_string(), ns);
+            let key = FdKey::new(keys, ns);
             let epoch = self.ns_epoch(ns);
             let (global, hit) = match self.cached_global(&key) {
                 Some(cached) => {
@@ -1318,8 +1462,16 @@ impl H2Middleware {
                     if self.cache_counters.is_some() {
                         ctx.span_note("ring_cache", || "miss".to_string());
                     }
-                    let global = Arc::new(self.fetch_global_ring_hinted(ctx, keys, ns)?);
-                    self.cache_store_fetched(key.clone(), &global);
+                    // Read path: pass this middleware's last ring-PUT stamp
+                    // as a freshness hint, so the cluster can skip a handoff
+                    // scan that provably cannot change the answer this
+                    // caller needs (read-your-writes is already satisfied;
+                    // anything newer on a handoff still reaches this node
+                    // through gossip or repair, which never use the hint).
+                    let floor = self.ring_stamps.lock().get(&key).and_then(|r| r.put_ms);
+                    let (global, ms) = self.fetch_ring_stamped(ctx, keys, ns, floor)?;
+                    let global = Arc::new(global);
+                    self.cache_store_fetched(&key, &global, ms);
                     (global, false)
                 }
             };
@@ -1330,7 +1482,7 @@ impl H2Middleware {
     }
 
     /// The ring object exactly as stored (no local overlay). Merge cycles
-    /// and gossip use this un-hinted variant: both are read-modify-write
+    /// and gossip use this un-hinted read: both are read-modify-write
     /// paths whose written result shadows older copies at the object level
     /// (LWW by `modified_ms`), so they must see the freshest copy any
     /// handoff may hold or its updates would be lost for good.
@@ -1340,37 +1492,21 @@ impl H2Middleware {
         keys: &H2Keys,
         ns: NamespaceId,
     ) -> Result<NameRing> {
-        self.fetch_ring_inner(ctx, keys, ns, None)
+        self.fetch_ring_stamped(ctx, keys, ns, None)
+            .map(|(ring, _)| ring)
     }
 
-    /// Read-path variant of [`fetch_global_ring`](Self::fetch_global_ring):
-    /// passes this middleware's last ring-PUT stamp as a freshness hint, so
-    /// the cluster can skip a handoff scan that provably cannot change the
-    /// answer this caller needs (read-your-writes is already satisfied;
-    /// anything newer on a handoff still reaches this node through gossip
-    /// or repair, which never use the hint). Pure reads only — never a
-    /// read-modify-write.
-    fn fetch_global_ring_hinted(
-        &self,
-        ctx: &mut OpCtx,
-        keys: &H2Keys,
-        ns: NamespaceId,
-    ) -> Result<NameRing> {
-        let expected = self
-            .ring_put_ms
-            .lock()
-            .get(&(keys.account().to_string(), ns))
-            .copied();
-        self.fetch_ring_inner(ctx, keys, ns, expected)
-    }
-
-    fn fetch_ring_inner(
+    /// GET and parse the ring object, with the write stamp of the copy
+    /// that answered; an absent object reads as an empty ring with no
+    /// stamp. `expected_ms` is [`Cluster::get_expecting`]'s freshness
+    /// floor — pure reads only, never a read-modify-write.
+    fn fetch_ring_stamped(
         &self,
         ctx: &mut OpCtx,
         keys: &H2Keys,
         ns: NamespaceId,
         expected_ms: Option<u64>,
-    ) -> Result<NameRing> {
+    ) -> Result<(NameRing, Option<u64>)> {
         let key = keys.namering(ns);
         self.ring_fetches.incr();
         match self.with_retry(ctx, "fetch_ring", |ctx| {
@@ -1380,9 +1516,9 @@ impl H2Middleware {
                 let s = obj.payload.as_str().ok_or_else(|| {
                     H2Error::Corrupt(format!("NameRing {ns} is not a string object"))
                 })?;
-                formatter::namering_from_str(s)
+                Ok((formatter::namering_from_str(s)?, Some(obj.modified_ms)))
             }
-            Err(H2Error::NotFound(_)) => Ok(NameRing::new()),
+            Err(H2Error::NotFound(_)) => Ok((NameRing::new(), None)),
             Err(e) => Err(e),
         }
     }
@@ -1408,10 +1544,7 @@ impl H2Middleware {
             self.store
                 .put_stamped(ctx, &key, payload.clone(), Meta::new())
         })?;
-        self.ring_put_ms
-            .lock()
-            .insert((keys.account().to_string(), ns), ms);
-        self.cache_store_written((keys.account().to_string(), ns), ring);
+        self.cache_store_written(&FdKey::new(keys, ns), ring, ms);
         Ok(())
     }
 
@@ -1435,7 +1568,7 @@ impl H2Middleware {
         self.put_global_ring(ctx, keys, ns, &shared)?;
         {
             let mut fds = self.fds.lock();
-            let fd = fds.entry((keys.account().to_string(), ns)).or_default();
+            let fd = fds.entry(FdKey::new(keys, ns)).or_default();
             fd.local = shared;
         }
         self.bump_ns_epoch(ns);
@@ -1477,7 +1610,7 @@ impl H2Middleware {
         ns: NamespaceId,
         patch: NameRing,
     ) -> Result<()> {
-        let key = (keys.account().to_string(), ns);
+        let key = FdKey::new(keys, ns);
         // Allocate the patch number AND chain it in one critical section,
         // before the PUT. If it only entered the chain after the PUT (as an
         // earlier revision did), there was a window in which the patch was
@@ -1550,7 +1683,7 @@ impl H2Middleware {
         if put.is_ok() {
             // The local overlay gained the patch: write-through
             // invalidation for any path/negative entry under this ring.
-            self.bump_ns_epoch(key.1);
+            self.bump_ns_epoch(key.ns);
         }
     }
 
@@ -1562,7 +1695,7 @@ impl H2Middleware {
         ns: NamespaceId,
         patch: NameRing,
     ) -> Result<()> {
-        let key = (keys.account().to_string(), ns);
+        let key = FdKey::new(keys, ns);
         let queue = self.commit_queues.lock().entry(key).or_default().clone();
         let mut st = queue.state.lock();
         let ticket = st.next_ticket;
@@ -1623,7 +1756,7 @@ impl H2Middleware {
         for (_, patch) in &batch {
             combined.merge_from(patch);
         }
-        let key = (keys.account().to_string(), ns);
+        let key = FdKey::new(keys, ns);
         let base = {
             let mut fds = self.fds.lock();
             let fd = fds.entry(key.clone()).or_default();
@@ -1678,16 +1811,17 @@ impl H2Middleware {
 
     fn merge_ns_inner(&self, ctx: &mut OpCtx, keys: &H2Keys, ns: NamespaceId) -> Result<bool> {
         // One merge cycle per ring at a time on this node.
+        let key = FdKey::new(keys, ns);
         let gate = self
             .merge_locks
             .lock()
-            .entry((keys.account().to_string(), ns))
+            .entry(key.clone())
             .or_insert_with(|| Arc::new(Mutex::new(())))
             .clone();
         let _guard = gate.lock();
         let chain: Vec<u32> = {
             let mut fds = self.fds.lock();
-            match fds.get_mut(&(keys.account().to_string(), ns)) {
+            match fds.get_mut(&key) {
                 Some(fd) if !fd.pending.is_empty() => fd.pending.take(),
                 _ => return Ok(false),
             }
@@ -1699,7 +1833,7 @@ impl H2Middleware {
             Ok(ring) => ring,
             Err(e) => {
                 let mut fds = self.fds.lock();
-                let fd = fds.entry((keys.account().to_string(), ns)).or_default();
+                let fd = fds.entry(key).or_default();
                 fd.pending.restore(&chain);
                 return Err(e);
             }
@@ -1707,7 +1841,7 @@ impl H2Middleware {
         let version = ring.version();
         {
             let mut fds = self.fds.lock();
-            let fd = fds.entry((keys.account().to_string(), ns)).or_default();
+            let fd = fds.entry(key).or_default();
             // Monotone: a patch submitted while this merge was in flight
             // must stay visible in the local version (its chain entry will
             // carry it into the global object on the next cycle).
@@ -1759,7 +1893,7 @@ impl H2Middleware {
         // of patches deleted by an earlier interrupted merge).
         {
             let fds = self.fds.lock();
-            if let Some(fd) = fds.get(&(keys.account().to_string(), ns)) {
+            if let Some(fd) = fds.get(&FdKey::new(keys, ns)) {
                 ring.merge_from(&fd.local);
             }
         }
@@ -1786,11 +1920,11 @@ impl H2Middleware {
     /// rings keep failing (an earlier revision returned the *attempted*
     /// count, which such loops would spin on).
     pub fn step_merges(&self) -> MergeOutcome {
-        let work: Vec<(String, NamespaceId)> = {
+        let work: Vec<FdKey> = {
             let fds = self.fds.lock();
             fds.iter()
                 .filter(|(_, fd)| !fd.pending.is_empty())
-                .map(|((acct, ns), _)| (acct.clone(), *ns))
+                .map(|(key, _)| key.clone())
                 .collect()
         };
         let mut outcome = MergeOutcome::default();
@@ -1802,7 +1936,7 @@ impl H2Middleware {
             ctx.begin_trace(STAGE_MERGE, "MERGE-PUMP");
         }
         let mut first_error: Option<H2Error> = None;
-        for (account, ns) in work {
+        for FdKey { account, ns, .. } in work {
             let keys = H2Keys::new(&account);
             match self.merge_ns(&mut ctx, &keys, ns) {
                 Ok(true) => outcome.applied += 1,
@@ -1858,10 +1992,10 @@ impl H2Middleware {
         // fresh messages are grouped by ring.
         let mut fresh: Vec<(FdKey, Vec<usize>)> = Vec::new();
         {
-            let mut slots: HashMap<FdKey, usize> = HashMap::new();
+            let mut slots: FdMap<usize> = FdMap::default();
             let fds = self.fds.lock();
             for (i, msg) in msgs.iter().enumerate() {
-                let key = (msg.account.clone(), msg.ns);
+                let key = FdKey::of(&msg.account, msg.ns);
                 let stale = fds
                     .get(&key)
                     .is_some_and(|fd| fd.local.version() >= msg.version);
@@ -1898,11 +2032,11 @@ impl H2Middleware {
         // cache (gossip is what keeps cached rings fresh across nodes).
         let mut fetched: Vec<(FdKey, Arc<NameRing>, Vec<usize>)> = Vec::new();
         for (key, idxs) in fresh {
-            let keys = H2Keys::new(&key.0);
-            match self.fetch_global_ring(&mut ctx, &keys, key.1) {
-                Ok(global) => {
+            let keys = H2Keys::new(&key.account);
+            match self.fetch_ring_stamped(&mut ctx, &keys, key.ns, None) {
+                Ok((global, ms)) => {
                     let global = Arc::new(global);
-                    self.cache_store_fetched(key.clone(), &global);
+                    self.cache_store_fetched(&key, &global, ms);
                     fetched.push((key, global, idxs));
                 }
                 Err(e) => {
@@ -1924,7 +2058,7 @@ impl H2Middleware {
                 let had_extra = merged != *global;
                 let merged = Arc::new(merged);
                 fd.local = Arc::clone(&merged);
-                applied_ns.push(key.1);
+                applied_ns.push(key.ns);
                 if had_extra {
                     writebacks.push((key, merged, idxs));
                 } else {
@@ -1942,15 +2076,15 @@ impl H2Middleware {
         // of the global version). A write-back failure fails only that
         // ring's messages; the local join above is idempotent on requeue.
         for (key, local, idxs) in writebacks {
-            let keys = H2Keys::new(&key.0);
+            let keys = H2Keys::new(&key.account);
             ctx.span_note("write_back", || {
                 "local updates joined into global".to_string()
             });
-            match self.put_global_ring(&mut ctx, &keys, key.1, &local) {
+            match self.put_global_ring(&mut ctx, &keys, key.ns, &local) {
                 Ok(()) => {
                     self.outbox.lock().push(GossipMsg {
-                        account: key.0.clone(),
-                        ns: key.1,
+                        account: key.account.to_string(),
+                        ns: key.ns,
                         from: self.node,
                         version: local.version(),
                     });
@@ -2012,7 +2146,7 @@ impl H2Middleware {
                 set.extend(shard.lock().keys().cloned());
             }
             let mut v: Vec<FdKey> = set.into_iter().collect();
-            v.sort();
+            v.sort_by(|a, b| (&a.account, a.ns).cmp(&(&b.account, b.ns)));
             v
         };
         let mut ctx = OpCtx::new(self.store.cost_model());
@@ -2024,15 +2158,18 @@ impl H2Middleware {
         let mut first_error: Option<H2Error> = None;
         let mut refreshed = 0usize;
         for key in keys {
-            let h2keys = H2Keys::new(&key.0);
-            let global = match self.fetch_global_ring(&mut ctx, &h2keys, key.1) {
-                Ok(g) => Arc::new(g),
+            let h2keys = H2Keys::new(&key.account);
+            let global = match self.fetch_ring_stamped(&mut ctx, &h2keys, key.ns, None) {
+                Ok((g, ms)) => {
+                    let g = Arc::new(g);
+                    self.cache_store_fetched(&key, &g, ms);
+                    g
+                }
                 Err(e) => {
                     first_error.get_or_insert(e);
                     continue;
                 }
             };
-            self.cache_store_fetched(key.clone(), &global);
             let (had_extra, merged) = {
                 let mut fds = self.fds.lock();
                 match fds.get_mut(&key) {
@@ -2046,13 +2183,13 @@ impl H2Middleware {
                     None => (false, global),
                 }
             };
-            self.bump_ns_epoch(key.1);
+            self.bump_ns_epoch(key.ns);
             refreshed += 1;
             if had_extra {
-                match self.put_global_ring(&mut ctx, &h2keys, key.1, &merged) {
+                match self.put_global_ring(&mut ctx, &h2keys, key.ns, &merged) {
                     Ok(()) => self.outbox.lock().push(GossipMsg {
-                        account: key.0.clone(),
-                        ns: key.1,
+                        account: key.account.to_string(),
+                        ns: key.ns,
                         from: self.node,
                         version: merged.version(),
                     }),

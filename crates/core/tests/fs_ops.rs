@@ -652,3 +652,126 @@ fn cached_resolve_is_cheaper_than_uncached() {
     assert_eq!(pathed, model.path_cache_cpu);
     assert!(pathed < warm, "{pathed:?} !< {warm:?}");
 }
+
+// ----- resolve caches on a tree larger than they are ----------------------
+
+/// Every knob on, two Eager middlewares, and a ring cache of 8 rings — one
+/// per stripe, so a depth-12 chain (12 rings) cannot stay cached.
+fn tuned_small_caches() -> H2Cloud {
+    H2Cloud::new(H2Config {
+        middlewares: 2,
+        mode: h2cloud::MaintenanceMode::Eager,
+        cluster: swiftsim::ClusterConfig::tiny(),
+        cache_capacity: 8,
+        trace_sample: 0.0,
+        group_commit: true,
+        path_cache: true,
+        neg_cache: true,
+        hedged_reads: true,
+        cas: true,
+    })
+}
+
+/// Push every ring out of `mw`'s ring cache by reading rings that do not
+/// exist (each is cached as an empty ring). No path is resolved, so the
+/// path cache and the epochs of real rings are untouched: this is
+/// eviction, not invalidation.
+fn evict_all_rings(mw: &h2cloud::H2Middleware) {
+    let keys = h2cloud::H2Keys::new("alice");
+    let mut ctx = OpCtx::for_test();
+    for seq in 0..64 {
+        let nowhere = h2util::NamespaceId::new(10_000 + seq, h2util::NodeId(99), 1);
+        assert!(mw.read_ring(&mut ctx, &keys, nowhere).unwrap().is_empty());
+    }
+}
+
+/// Push every entry out of the path cache behind `view` the same way:
+/// STATs of absent names in the root directory, each of which stores a
+/// negative entry and reads no ring but the root's.
+fn evict_all_paths(view: &dyn CloudFs) {
+    let mut ctx = OpCtx::for_test();
+    for i in 0..256 {
+        let absent = p(&format!("/absent-{i}"));
+        assert!(view.stat(&mut ctx, "alice", &absent).is_err());
+    }
+}
+
+/// Requests one STAT of `path` makes through `view`, and what it returned.
+fn stat_requests(view: &dyn CloudFs, path: &str) -> (u64, h2util::Result<u64>) {
+    let mut ctx = OpCtx::for_test();
+    let size = view.stat(&mut ctx, "alice", &p(path)).map(|e| e.size);
+    (ctx.counts().total(), size)
+}
+
+#[test]
+fn resolve_caches_outlive_the_ring_cache_on_a_deep_chain() {
+    let fs = tuned_small_caches();
+    let a = fs.via(0);
+    let b = fs.via(1);
+    let unchanged = || {
+        fs.metrics()
+            .counter_value(h2cloud::middleware::RING_REFETCH_UNCHANGED)
+    };
+    let mut ctx = OpCtx::for_test();
+    a.create_account(&mut ctx, "alice").unwrap();
+    let mut dir = String::new();
+    for level in 0..11 {
+        dir.push_str(&format!("/d{level}"));
+        a.mkdir(&mut ctx, "alice", &p(&dir)).unwrap();
+    }
+    for (name, size) in [("a.txt", 4096), ("b.txt", 512)] {
+        a.write(
+            &mut ctx,
+            "alice",
+            &p(&format!("{dir}/{name}")),
+            FileContent::Simulated(size),
+        )
+        .unwrap();
+    }
+    let file = |name: &str| format!("{dir}/{name}");
+    // B hears of all this now, which also moves its clock past A's: what B
+    // writes further down is newer than anything A wrote.
+    fs.quiesce();
+
+    // A cold STAT walks all 12 levels: one ring GET each. Every ring comes
+    // back with the stamp A's own write left, so no epoch moves and what
+    // the walk stores is valid from the start.
+    evict_all_paths(&a);
+    evict_all_rings(a.middleware());
+    let before = unchanged();
+    assert_eq!(stat_requests(&a, &file("a.txt")), (12, Ok(4096)));
+    assert_eq!(unchanged() - before, 12);
+
+    // A sibling finds the parent directory cached: at most the leaf ring.
+    let (reqs, size) = stat_requests(&a, &file("b.txt"));
+    assert!(reqs <= 1, "sibling STAT made {reqs} requests");
+    assert_eq!(size, Ok(512));
+
+    // The path entries outlive the rings they were built from.
+    evict_all_rings(a.middleware());
+    assert_eq!(stat_requests(&a, &file("a.txt")), (0, Ok(4096)));
+
+    // The stale guard. B rewrites the leaf ring — a.txt grows, c.txt
+    // appears — and none of its gossip is delivered. Once A's copy of that
+    // ring is evicted, A's next lookup beneath it refetches, sees a stamp
+    // it does not remember, and bumps: c.txt is answered from the new ring
+    // and the entry holding a.txt's old size dies with the old epoch.
+    for (name, size) in [("a.txt", 8192), ("c.txt", 64)] {
+        b.write(
+            &mut ctx,
+            "alice",
+            &p(&file(name)),
+            FileContent::Simulated(size),
+        )
+        .unwrap();
+    }
+    evict_all_rings(a.middleware());
+    let before = unchanged();
+    assert_eq!(stat_requests(&a, &file("c.txt")), (1, Ok(64)));
+    assert_eq!(
+        unchanged(),
+        before,
+        "a rewritten ring is not an unchanged refetch"
+    );
+    assert_eq!(stat_requests(&a, &file("a.txt")), (0, Ok(8192)));
+}

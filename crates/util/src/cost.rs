@@ -309,6 +309,9 @@ pub struct OpCtx {
 struct BatchState {
     /// Durations of items completed so far in this batch.
     items: Vec<Duration>,
+    /// Their running total, kept so [`OpCtx::vnow`] is O(1): every nested
+    /// section opens with it, once per item of a wide fan-out.
+    done: Duration,
     /// Time charged to the currently open item.
     current: Duration,
     /// Virtual time at which the section opened (for span timing).
@@ -371,6 +374,7 @@ impl OpCtx {
         let prev = self.batch.take();
         self.batch = Some(BatchState {
             items: Vec::with_capacity(k),
+            done: Duration::ZERO,
             current: Duration::ZERO,
             base,
         });
@@ -383,6 +387,7 @@ impl OpCtx {
             let b = self.batch.as_mut().expect("batch state present");
             let d = std::mem::take(&mut b.current);
             b.items.push(d);
+            b.done += d;
         }
         let b = self.batch.take().expect("batch state present");
         self.batch = prev;
@@ -421,7 +426,7 @@ impl OpCtx {
     pub fn vnow(&self) -> Duration {
         match &self.batch {
             None => self.elapsed,
-            Some(b) => b.base + b.items.iter().sum::<Duration>() + b.current,
+            Some(b) => b.base + b.done + b.current,
         }
     }
 
@@ -489,7 +494,7 @@ impl OpCtx {
         if let Some(buf) = &mut self.trace {
             let at = match &self.batch {
                 None => self.elapsed,
-                Some(b) => b.base + b.items.iter().sum::<Duration>() + b.current,
+                Some(b) => b.base + b.done + b.current,
             };
             buf.event(stage, name, at, Duration::ZERO, notes());
         }

@@ -143,6 +143,45 @@ pub fn hash128(data: &[u8]) -> Digest128 {
     }
 }
 
+/// Hasher for the in-memory maps on the request path, whose keys are a
+/// few machine words — a namespace id, or a `u64` that already is the XXH64
+/// of the key text. One multiply per word instead of SipHash's rounds;
+/// byte strings go through [`hash64`] first. The keys are this program's
+/// own (ids it allocated, hashes it computed), never text an outsider can
+/// craft to collide.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct WordHasher(u64);
+
+impl std::hash::Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.write_u64(hash64(bytes));
+    }
+
+    fn write_u16(&mut self, word: u16) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.write_u64(u64::from(word));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.wrapping_add(word).wrapping_mul(PRIME64_1);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply mixes upwards; a map indexes by the low bits.
+        self.0.rotate_left(26)
+    }
+}
+
+/// [`std::hash::BuildHasher`] for [`WordHasher`] maps.
+pub type WordBuild = std::hash::BuildHasherDefault<WordHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,5 +250,29 @@ mod tests {
         let d = hash128(b"payload");
         assert_ne!(d.hi, d.lo);
         assert_ne!(d, hash128(b"payloae"));
+    }
+
+    #[test]
+    fn word_hasher_spreads_keys_that_share_their_low_bits() {
+        use std::hash::{BuildHasher, Hash};
+        // Keys of one lock stripe agree in the low bits that chose the
+        // stripe; the map inside it must still see them spread out.
+        let low: std::collections::HashSet<u64> = (0..4096u64)
+            .map(|i| WordBuild::default().hash_one(hash64(&i.to_le_bytes()) << 4))
+            .map(|h| h & 0xf)
+            .collect();
+        assert_eq!(low.len(), 16);
+        // Multi-word keys: every field counts, and so does their order.
+        let h = |k: (u64, u16)| {
+            let mut s = WordHasher::default();
+            k.hash(&mut s);
+            std::hash::Hasher::finish(&s)
+        };
+        assert_ne!(h((1, 2)), h((2, 1)));
+        assert_ne!(h((1, 2)), h((1, 3)));
+        assert_eq!(
+            WordBuild::default().hash_one("abc"),
+            WordBuild::default().hash_one("abc")
+        );
     }
 }

@@ -55,7 +55,7 @@ pub use clock::{HybridClock, Timestamp};
 pub use cost::{BackendCounts, CostModel, OpCtx, PrimKind, RttModel};
 pub use error::{H2Error, Result};
 pub use faults::{FaultDecision, FaultInjector, FaultPlan, FaultSpec, FaultStats, OpClass};
-pub use hash::{hash128, hash64, Digest128};
+pub use hash::{hash128, hash64, Digest128, WordBuild};
 pub use id::{NamespaceId, NodeId};
 pub use lockorder::{lock_or_recover, OrderedMutex, OrderedRwLock};
 pub use lru::LruCache;

@@ -164,18 +164,69 @@ fn warm_stat_stays_within_budget() {
     let file = depth_12_file(&fs, &mut ctx);
     let n = allocs_in(|| fs.stat(&mut ctx, "alice", &file).unwrap());
     // A path-cache hit makes no object request: all of this is the `fs`
-    // op shell.
-    assert_budget("warm depth-12 STAT (path-cache hit)", n, 12);
+    // op shell — the key factory's account name, the path text the probe
+    // hashes, and the entry name handed back.
+    assert_budget("warm depth-12 STAT (path-cache hit)", n, 3);
 }
 
 #[test]
 fn cold_depth_12_stat_stays_within_budget() {
-    // No ring cache, hence no path cache: every level GETs and parses its
-    // NameRing, as on the benchmark's `meta_cold`.
+    // No ring cache, hence no path cache and no store into one: every
+    // level GETs and parses its NameRing, as under the paper's profile.
     let fs = tuned(0);
     let mut ctx = OpCtx::new(fs.cost_model());
     let file = depth_12_file(&fs, &mut ctx);
     let n = allocs_in(|| fs.stat(&mut ctx, "alice", &file).unwrap());
     // 12 ring GETs (2 each, hedged) and their parses.
-    assert_budget("cold depth-12 STAT", n, 118);
+    assert_budget("cold depth-12 STAT, caches off", n, 74);
+}
+
+/// Two depth-12 chains imported in bulk, two files in each leaf directory.
+/// The import writes every ring through to the ring cache but resolves
+/// nothing, so the path cache starts empty: caches on, entries absent.
+fn imported_chains(fs: &H2Cloud, ctx: &mut OpCtx) -> [[FsPath; 2]; 2] {
+    fs.create_account(ctx, "alice").unwrap();
+    let mut dirs = Vec::new();
+    let mut files = Vec::new();
+    let chains = ["d", "e"].map(|stem| {
+        let mut dir = String::new();
+        for level in 0..11 {
+            dir.push_str(&format!("/{stem}{level}"));
+            dirs.push(FsPath::parse(&dir).unwrap());
+        }
+        ["report.txt", "notes.txt"].map(|name| {
+            let file = FsPath::parse(&format!("{dir}/{name}")).unwrap();
+            files.push((file.clone(), 4096));
+            file
+        })
+    });
+    fs.bulk_import(ctx, "alice", &dirs, &files).unwrap();
+    fs.quiesce();
+    chains
+}
+
+#[test]
+fn first_walk_and_sibling_stat_stay_within_budget() {
+    // What the benchmark's `meta_cold` runs once its tree has outgrown the
+    // path cache: the caches are on and the entry is absent, so the resolve
+    // walks (every ring from the ring cache here) and stores what it
+    // found; a file next to one already resolved finds its directory.
+    let fs = tuned(1024);
+    let mut ctx = OpCtx::new(fs.cost_model());
+    let [[warmup, _], [file, sibling]] = imported_chains(&fs, &mut ctx);
+    // The first resolve on a thread sets up its reusable buffers.
+    fs.stat(&mut ctx, "alice", &warmup).unwrap();
+    // Fill the path cache (8 192 entries), as such a tree has: from here
+    // on a store evicts instead of growing a stripe.
+    for i in 0..12_000 {
+        let absent = FsPath::parse(&format!("/absent-{i}")).unwrap();
+        fs.stat(&mut ctx, "alice", &absent).unwrap_err();
+    }
+    let n = allocs_in(|| fs.stat(&mut ctx, "alice", &file).unwrap());
+    // The op shell's 3, the fingerprint being gathered, and two stored
+    // entries: a path and a shared fingerprint each.
+    assert_budget("first depth-12 STAT, caches on (walk, 2 stores)", n, 8);
+    let n = allocs_in(|| fs.stat(&mut ctx, "alice", &sibling).unwrap());
+    // The op shell's 3 and one stored entry.
+    assert_budget("sibling depth-12 STAT (parent hit, 1 store)", n, 5);
 }

@@ -67,17 +67,23 @@ fn h2_deferred_commit(group_commit: bool) -> H2Cloud {
     })
 }
 
+/// Ring-cache capacities the read-path equivalence runs at. 512 rings is
+/// far beyond the proptest path universe, so eviction never enters the
+/// picture and the argument is about invalidation alone. 8 rings is one per
+/// cache stripe: rings are evicted and refetched all the time, so a path
+/// entry routinely outlives the ring it was built from, and the rule that
+/// a refetch bringing back the same write stamp invalidates nothing runs
+/// under the property too.
+const READOPT_CAPACITIES: [usize; 2] = [512, 8];
+
 /// Multi-middleware Deferred-mode H2Cloud differing only in the read-path
-/// knobs (full-path cache, negative cache, hedged reads), with a ring/path
-/// cache sized far beyond the proptest path universe so eviction never
-/// enters the picture — the equivalence argument is about invalidation,
-/// not capacity.
-fn h2_deferred_readopt(on: bool) -> H2Cloud {
+/// knobs (full-path cache, negative cache, hedged reads).
+fn h2_deferred_readopt(on: bool, cache_capacity: usize) -> H2Cloud {
     H2Cloud::new(H2Config {
         middlewares: 3,
         mode: MaintenanceMode::Deferred,
         cluster: ClusterConfig::tiny(),
-        cache_capacity: 512,
+        cache_capacity,
         trace_sample: 0.0,
         group_commit: false,
         path_cache: on,
@@ -317,47 +323,49 @@ proptest! {
         // resolve is *answered*, never what it answers: every outcome,
         // error class and final tree must match the plain instance's,
         // including NotFound results served from the negative cache.
-        let opt = h2_deferred_readopt(true);
-        let plain = h2_deferred_readopt(false);
-        let mut ctx = OpCtx::for_test();
-        opt.create_account(&mut ctx, "u").unwrap();
-        plain.create_account(&mut ctx, "u").unwrap();
+        for capacity in READOPT_CAPACITIES {
+            let opt = h2_deferred_readopt(true, capacity);
+            let plain = h2_deferred_readopt(false, capacity);
+            let mut ctx = OpCtx::for_test();
+            opt.create_account(&mut ctx, "u").unwrap();
+            plain.create_account(&mut ctx, "u").unwrap();
 
-        for (i, op) in ops.iter().enumerate() {
-            let with_opt = Trace::apply_fs(&opt, &mut ctx, "u", op);
-            let without = Trace::apply_fs(&plain, &mut ctx, "u", op);
-            match (&with_opt, &without) {
-                (Ok(()), Ok(())) => {}
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    a.class(), b.class(),
-                    "{:?}: optimised={} plain={}", op, a, b
-                ),
-                _ => prop_assert!(
-                    false,
-                    "{:?} diverged: optimised={:?} plain={:?}", op, with_opt, without
-                ),
-            }
-            if i % 3 == 2 {
-                for fs in [&opt, &plain] {
-                    fs.layer()
-                        .pump_with_faults(GossipFaults {
-                            drop_every: 3,
-                            duplicate_every: 4,
-                        })
-                        .unwrap();
+            for (i, op) in ops.iter().enumerate() {
+                let with_opt = Trace::apply_fs(&opt, &mut ctx, "u", op);
+                let without = Trace::apply_fs(&plain, &mut ctx, "u", op);
+                match (&with_opt, &without) {
+                    (Ok(()), Ok(())) => {}
+                    (Err(a), Err(b)) => prop_assert_eq!(
+                        a.class(), b.class(),
+                        "{:?}: optimised={} plain={}", op, a, b
+                    ),
+                    _ => prop_assert!(
+                        false,
+                        "{:?} diverged: optimised={:?} plain={:?}", op, with_opt, without
+                    ),
+                }
+                if i % 3 == 2 {
+                    for fs in [&opt, &plain] {
+                        fs.layer()
+                            .pump_with_faults(GossipFaults {
+                                drop_every: 3,
+                                duplicate_every: 4,
+                            })
+                            .unwrap();
+                    }
                 }
             }
-        }
 
-        opt.quiesce();
-        plain.quiesce();
-        prop_assert_eq!(
-            tree_snapshot(&opt, "u"),
-            tree_snapshot(&plain, "u"),
-            "read-path caches changed the observable filesystem"
-        );
-        let report = fsck(&opt, &mut ctx, "u").unwrap();
-        prop_assert!(report.is_clean(), "fsck violations: {:?}", report.violations);
+            opt.quiesce();
+            plain.quiesce();
+            prop_assert_eq!(
+                tree_snapshot(&opt, "u"),
+                tree_snapshot(&plain, "u"),
+                "read-path caches changed the observable filesystem"
+            );
+            let report = fsck(&opt, &mut ctx, "u").unwrap();
+            prop_assert!(report.is_clean(), "fsck violations: {:?}", report.violations);
+        }
     }
 
     #[test]
@@ -650,6 +658,12 @@ fn batched_gossip_apply_loses_nothing_under_5pct_faults() {
 
 #[test]
 fn read_path_caches_lose_nothing_under_5pct_faults() {
+    for capacity in READOPT_CAPACITIES {
+        read_path_caches_under_5pct_faults(capacity);
+    }
+}
+
+fn read_path_caches_under_5pct_faults(cache_capacity: usize) {
     use h2util::faults::{FaultPlan, FaultSpec};
 
     // Chaos leg for the read-path caches: an optimised and a plain
@@ -658,8 +672,8 @@ fn read_path_caches_lose_nothing_under_5pct_faults() {
     // Once the faults clear, every middleware on both instances must hold
     // the identical tree — a cache that served anything stale past
     // convergence would show up as a diverged snapshot here.
-    let opt = h2_deferred_readopt(true);
-    let plain = h2_deferred_readopt(false);
+    let opt = h2_deferred_readopt(true, cache_capacity);
+    let plain = h2_deferred_readopt(false, cache_capacity);
     let mut ctx = OpCtx::for_test();
     for fs in [&opt, &plain] {
         fs.create_account(&mut ctx, "u").unwrap();
@@ -729,6 +743,12 @@ fn read_path_caches_lose_nothing_under_5pct_faults() {
         opt.metrics().counter_value("path_cache_hits") > 0,
         "path cache never hit — the chaos leg exercised nothing"
     );
+    if cache_capacity == 8 {
+        assert!(
+            opt.metrics().counter_value("ring_refetch_unchanged") > 0,
+            "no evicted ring was refetched unchanged — the small-cache leg exercised nothing"
+        );
+    }
     let report = fsck(&opt, &mut ctx, "u").unwrap();
     assert!(report.is_clean(), "{:?}", report.violations);
 }
@@ -832,7 +852,7 @@ fn stale_negative_cannot_hide_acked_file_past_convergence() {
     // "path missing", the file is then created — through another
     // middleware or through A itself — and A keeps serving NotFound. The
     // epoch fingerprint must kill the negative in both cases.
-    let fs = h2_deferred_readopt(true);
+    let fs = h2_deferred_readopt(true, READOPT_CAPACITIES[0]);
     let mut ctx = OpCtx::for_test();
     fs.create_account(&mut ctx, "u").unwrap();
     let a = fs.via(0);
