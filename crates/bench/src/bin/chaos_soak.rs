@@ -1,19 +1,20 @@
 //! Nightly chaos soak: one seeded fault-injection run per invocation.
 //!
 //! The CI soak job sweeps this binary over many seeds (`H2_CHAOS_SEED`,
-//! decimal or `0x`-hex). Each run drives the full three-middleware
-//! Deferred stack through a write/delete/rebalance storm at a 5% fault
-//! rate with tracing on, then verifies the convergence contract the chaos
-//! test suite pins: every middleware holds exactly the acknowledged state
-//! — nothing lost, nothing resurrected, acked contents readable
-//! everywhere.
+//! decimal or `0x`-hex). Each invocation soaks its seed twice, once on the
+//! paper profile and once on the tuned one: each run drives the full
+//! three-middleware Deferred stack through a write/delete/rebalance storm
+//! at a 5% fault rate with tracing on, then verifies the convergence
+//! contract the chaos test suite pins: every middleware holds exactly the
+//! acknowledged state — nothing lost, nothing resurrected, acked contents
+//! readable everywhere.
 //!
-//! On success it prints a one-line summary and exits 0. On any loss it
-//! writes the failing seed (`failing_seed.txt`) and the run's full
-//! chrome://tracing export (`chrome_trace.json`) into `--out <dir>`
-//! (default `soak-artifacts/`) so the nightly job can upload them, and
-//! exits 1. Runs are deterministic: replaying the failing seed locally
-//! reproduces the run event-for-event.
+//! On success it prints a one-line summary per profile and exits 0. On any
+//! loss it writes the failing seed and profile (`failing_seed.txt`) and the
+//! run's full chrome://tracing export (`chrome_trace.json`) into
+//! `--out <dir>` (default `soak-artifacts/`) so the nightly job can upload
+//! them, and exits 1. Runs are deterministic: replaying the failing seed
+//! locally reproduces the run event-for-event.
 //!
 //! ```bash
 //! H2_CHAOS_SEED=0xC0FFEE cargo run --release -p h2bench --bin chaos_soak
@@ -186,10 +187,9 @@ fn soak(seed: u64, fs: &H2Cloud) -> Result<String, String> {
         return Err("no acked files survived — vacuous run".into());
     }
     Ok(format!(
-        "seed {seed:#x}: {acked}/{OPS} acked, {} files, {} errors injected, cas={}",
+        "{acked}/{OPS} acked, {} files, {} errors injected",
         listing.len(),
         faults.errors + faults.replica_errors,
-        fs.layer().mw(0).cas_active(),
     ))
 }
 
@@ -206,41 +206,39 @@ fn main() {
         .and_then(parse_seed)
         .unwrap_or(0xC0FFEE);
 
-    // Tracing at 1.0 so a failing run ships its full event timeline. The
-    // CAS knob follows the build's feature set unless `H2_CHAOS_CAS`
-    // overrides it (0/1), so one binary soaks both content planes.
-    let cas = std::env::var("H2_CHAOS_CAS")
-        .ok()
-        .map(|v| v != "0")
-        .unwrap_or(H2Config::default().cas);
-    let fs = H2Cloud::new(H2Config {
-        middlewares: 3,
-        mode: MaintenanceMode::Deferred,
-        cluster: ClusterConfig {
-            cost: Arc::new(h2util::CostModel::zero()),
-            ..ClusterConfig::default()
-        },
-        cache_capacity: 0,
-        trace_sample: 1.0,
-        cas,
-        ..H2Config::default()
-    });
-
-    match soak(seed, &fs) {
-        Ok(summary) => println!("chaos-soak OK: {summary}"),
-        Err(why) => {
-            eprintln!("chaos-soak FAILED: seed {seed:#x}: {why}");
-            if let Err(e) = std::fs::create_dir_all(&out_dir) {
-                eprintln!("cannot create {out_dir}: {e}");
+    // Tracing at 1.0 so a failing run ships its full event timeline; the
+    // ring cache off, so reads through any middleware see the cloud.
+    for (profile, cfg) in [("paper", H2Config::default()), ("tuned", H2Config::tuned())] {
+        let fs = H2Cloud::new(H2Config {
+            middlewares: 3,
+            mode: MaintenanceMode::Deferred,
+            cluster: ClusterConfig {
+                cost: Arc::new(h2util::CostModel::zero()),
+                ..ClusterConfig::default()
+            },
+            cache_capacity: 0,
+            trace_sample: 1.0,
+            ..cfg
+        });
+        match soak(seed, &fs) {
+            Ok(summary) => println!("chaos-soak OK: seed {seed:#x}, {profile} profile: {summary}"),
+            Err(why) => {
+                eprintln!("chaos-soak FAILED: seed {seed:#x}, {profile} profile: {why}");
+                if let Err(e) = std::fs::create_dir_all(&out_dir) {
+                    eprintln!("cannot create {out_dir}: {e}");
+                    std::process::exit(1);
+                }
+                let seed_file = format!("{out_dir}/failing_seed.txt");
+                let trace_file = format!("{out_dir}/chrome_trace.json");
+                let _ = std::fs::write(
+                    &seed_file,
+                    format!("H2_CHAOS_SEED={seed:#x}\nprofile {profile}\n{why}\n"),
+                );
+                let traces = fs.recent_traces(usize::MAX);
+                let _ = std::fs::write(&trace_file, h2util::trace::chrome_trace_json(&traces));
+                eprintln!("wrote {seed_file} and {trace_file}");
                 std::process::exit(1);
             }
-            let seed_file = format!("{out_dir}/failing_seed.txt");
-            let trace_file = format!("{out_dir}/chrome_trace.json");
-            let _ = std::fs::write(&seed_file, format!("H2_CHAOS_SEED={seed:#x}\n{why}\n"));
-            let traces = fs.recent_traces(usize::MAX);
-            let _ = std::fs::write(&trace_file, h2util::trace::chrome_trace_json(&traces));
-            eprintln!("wrote {seed_file} and {trace_file}");
-            std::process::exit(1);
         }
     }
 }

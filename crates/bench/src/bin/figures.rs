@@ -110,8 +110,8 @@ fn main() {
             // Not in the default set: the default figure run must stay
             // byte-identical whether or not the fault plane exists.
             "abl-faults" => ablations::abl_faults(),
-            // Not in the default set either — forces the CAS plane on at
-            // runtime, so it runs on any build: `figures abl-dedup`.
+            // Not in the default set either: it runs the CAS plane, which
+            // the paper profile leaves off. `figures abl-dedup`.
             "abl-dedup" => ablations::abl_dedup(),
             other => {
                 eprintln!("unknown experiment {other:?}");

@@ -256,11 +256,8 @@ mod tests {
 
     #[test]
     fn cas_audit_detects_tampered_block() {
-        // Forced on at runtime so this runs on every feature leg.
-        let fs = H2Cloud::new(H2Config {
-            cas: true,
-            ..H2Config::for_test()
-        });
+        // The test profile is the tuned one: the CAS plane is on.
+        let fs = H2Cloud::new(H2Config::for_test());
         let mut ctx = OpCtx::for_test();
         fs.create_account(&mut ctx, "alice").unwrap();
         fs.write(

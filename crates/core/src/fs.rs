@@ -32,6 +32,13 @@ use crate::middleware::{Fingerprint, H2Middleware, PathAnswer, META_LOGICAL_BYTE
 use crate::namering::{ChildRef, NameRing, Tuple};
 
 /// Configuration of an H2Cloud instance.
+///
+/// Two named profiles: [`H2Config::default()`] is the paper's design — a
+/// patch PUT per write, the O(d) NameRing walk, whole-object content, no
+/// caches — and what the figure harness measures; [`H2Config::tuned()`]
+/// turns every knob on and is what the benchmark measures. Each knob is
+/// proven observably transparent against the paper profile by
+/// `tests/prop_equivalence.rs`.
 #[derive(Debug, Clone)]
 pub struct H2Config {
     /// Number of H2Middlewares in the layer.
@@ -44,12 +51,13 @@ pub struct H2Config {
     ///
     /// The cache serves `read_ring` — one saved GET per level on the O(d)
     /// resolve path — and is kept fresh by write-through on every ring
-    /// write plus refresh on gossip. Default **off**: the figure harness
-    /// reproduces the paper's uncached resolution costs, and reads bound
-    /// to a specific middleware (`via`) keep their read-through-global
-    /// freshness even when gossip messages are lost. With the cache on,
-    /// such a middleware serves its last written/gossiped version instead
-    /// — within the eventual consistency the paper already accepts, but a
+    /// write plus refresh on gossip. Off in the paper profile: the figure
+    /// harness reproduces the paper's uncached resolution costs, and reads
+    /// bound to a specific middleware (`via`) keep their
+    /// read-through-global freshness even when gossip messages are lost.
+    /// With the cache on (1024 rings in the tuned profile), such a
+    /// middleware serves its last written/gossiped version instead —
+    /// within the eventual consistency the paper already accepts, but a
     /// behaviour change operators must opt into.
     pub cache_capacity: usize,
     /// Fraction of operations sampled into span traces, in `[0, 1]`
@@ -64,11 +72,10 @@ pub struct H2Config {
     /// the same NameRing coalesce behind a per-ring commit leader that
     /// allocates a contiguous patch-number range and PUTs one combined
     /// patch object for the whole batch (see DESIGN.md, "Concurrency
-    /// model"). Observationally equivalent to per-call submission — the
-    /// equivalence suite proves it — but collapses the per-submitter PUT
-    /// (and, in Eager mode, the per-submitter merge cycle) under
-    /// contention. Defaults to the `group-commit` cargo feature so the CI
-    /// matrix exercises both paths.
+    /// model"). Observationally equivalent to per-call submission, but
+    /// collapses the per-submitter PUT (and, in Eager mode, the
+    /// per-submitter merge cycle) under contention. On in the tuned
+    /// profile.
     pub group_commit: bool,
     /// Full-path resolve cache: each middleware keeps a map from resolved
     /// full path → descriptor, fingerprinted by the version epoch of every
@@ -79,8 +86,7 @@ pub struct H2Config {
     /// shares the ring cache's budget, scaled up — see
     /// [`H2Middleware::path_cache_lookup`]). Same consistency envelope as
     /// the ring cache itself: exact with a single Eager middleware,
-    /// eventual across middlewares. Defaults to the `read-path-opt` cargo
-    /// feature so the CI matrix exercises both paths.
+    /// eventual across middlewares. On in the tuned profile.
     pub path_cache: bool,
     /// Negative-entry cache: NotFound resolve outcomes are cached under
     /// the same epoch fingerprint as positive ones, so repeated stats of
@@ -88,7 +94,7 @@ pub struct H2Config {
     /// plus the epoch guard ensure a stale negative can never outlive the
     /// ancestor version stamp that disproves it. Requires `path_cache`
     /// plumbing (`cache_capacity > 0`); independent of `path_cache` being
-    /// on. Defaults to the `read-path-opt` cargo feature.
+    /// on. On in the tuned profile.
     pub neg_cache: bool,
     /// Hedged replica reads: probe all assigned devices as one parallel
     /// wave (charged max-of-probes, not sum), and when the assigned answers
@@ -96,7 +102,7 @@ pub struct H2Config {
     /// instead of serialising it. Identical probes in identical order —
     /// results and injected-fault draws are byte-for-byte the same as the
     /// serial path; only the virtual-time charging and span shape change.
-    /// Defaults to the `read-path-opt` cargo feature.
+    /// On in the tuned profile.
     pub hedged_reads: bool,
     /// Content-addressed content plane: file content is chunked
     /// (FastCDC-style, ~1 MiB target leaves) into immutable, refcounted,
@@ -106,13 +112,13 @@ pub struct H2Config {
     /// length, so STAT stays one HEAD). Identical content — within a file,
     /// across files, across users — collapses to the same blocks; see the
     /// `dedup_bytes_saved` / `cas_blocks_written` / `cas_blocks_shared`
-    /// counters. Observationally equivalent to whole-object storage (the
-    /// equivalence suite proves it). Defaults to the `cas` cargo feature
-    /// so the CI matrix exercises both planes.
+    /// counters. Observationally equivalent to whole-object storage. On in
+    /// the tuned profile.
     pub cas: bool,
 }
 
 impl Default for H2Config {
+    /// The paper profile.
     fn default() -> Self {
         H2Config {
             middlewares: 1,
@@ -120,36 +126,41 @@ impl Default for H2Config {
             cluster: ClusterConfig::default(),
             cache_capacity: 0,
             trace_sample: 0.0,
-            group_commit: cfg!(feature = "group-commit"),
-            path_cache: cfg!(feature = "read-path-opt"),
-            neg_cache: cfg!(feature = "read-path-opt"),
-            hedged_reads: cfg!(feature = "read-path-opt"),
-            cas: cfg!(feature = "cas"),
+            group_commit: false,
+            path_cache: false,
+            neg_cache: false,
+            hedged_reads: false,
+            cas: false,
         }
     }
 }
 
 impl H2Config {
-    /// Zero-latency, single-middleware config for semantic tests. The
-    /// NameRing cache is ON here: with a single Eager middleware every
-    /// ring write goes through the owning middleware, so caching is
-    /// exactly consistent and the semantic suites double as cache
-    /// correctness coverage.
-    pub fn for_test() -> Self {
+    /// The tuned profile: the paper profile with a 1024-ring NameRing
+    /// cache and every knob on.
+    pub fn tuned() -> Self {
         H2Config {
-            middlewares: 1,
-            mode: MaintenanceMode::Eager,
-            cluster: ClusterConfig::tiny(),
-            cache_capacity: 128,
-            trace_sample: 1.0,
-            group_commit: cfg!(feature = "group-commit"),
-            // Always on in tests (like the ring cache above): with a
-            // single Eager middleware the caches are exactly consistent,
-            // so the semantic suites double as cache correctness coverage.
+            cache_capacity: 1024,
+            group_commit: true,
             path_cache: true,
             neg_cache: true,
             hedged_reads: true,
-            cas: cfg!(feature = "cas"),
+            cas: true,
+            ..Self::default()
+        }
+    }
+
+    /// The tuned profile on a zero-latency cluster, tracing everything,
+    /// for semantic tests. With a single Eager middleware every ring write
+    /// goes through the owning middleware, so the caches are exactly
+    /// consistent and the semantic suites double as coverage of every
+    /// knob.
+    pub fn for_test() -> Self {
+        H2Config {
+            cluster: ClusterConfig::tiny(),
+            cache_capacity: 128,
+            trace_sample: 1.0,
+            ..Self::tuned()
         }
     }
 }
@@ -268,24 +279,11 @@ pub struct H2Cloud {
 
 impl H2Cloud {
     pub fn new(cfg: H2Config) -> Self {
-        let cluster = Cluster::new(cfg.cluster.clone());
-        cluster.set_hedged_reads(cfg.hedged_reads);
         let metrics = Arc::new(h2util::metrics::MetricsRegistry::new());
         let op_latency = OpKind::ALL.map(|kind| metrics.histogram(kind.name()));
         H2Cloud {
             op_latency,
-            layer: H2Layer::with_observability(
-                cluster,
-                cfg.middlewares,
-                cfg.mode,
-                metrics.clone(),
-                cfg.cache_capacity,
-                cfg.trace_sample,
-                cfg.group_commit,
-                cfg.path_cache,
-                cfg.neg_cache,
-                cfg.cas,
-            ),
+            layer: H2Layer::new(Cluster::new(cfg.cluster.clone()), &cfg, metrics.clone()),
             metrics,
         }
     }

@@ -25,7 +25,8 @@ use h2util::metrics::MetricsRegistry;
 use h2util::{NodeId, Result};
 use swiftsim::Cluster;
 
-use crate::middleware::{GossipMsg, H2Middleware, MaintenanceMode};
+use crate::fs::H2Config;
+use crate::middleware::{GossipMsg, H2Middleware};
 // Historically defined here; the middleware now owns the counter (it bumps
 // it inside `step_merges`), so the layer re-exports the name.
 pub use crate::middleware::MERGE_FAILURES;
@@ -58,58 +59,12 @@ pub struct H2Layer {
 }
 
 impl H2Layer {
-    /// Build `n` middlewares (node ids 1..=n) over `cluster`, NameRing
-    /// cache disabled, each middleware with a private metrics registry.
-    pub fn new(cluster: Arc<Cluster>, n: usize, mode: MaintenanceMode) -> Self {
-        Self::with_cache(cluster, n, mode, Arc::new(MetricsRegistry::new()), 0)
-    }
-
-    /// Build `n` middlewares (node ids 1..=n) over `cluster`, all reporting
-    /// into the shared `metrics` registry, each with a NameRing cache of
-    /// `cache_capacity` rings (0 disables the cache).
-    pub fn with_cache(
-        cluster: Arc<Cluster>,
-        n: usize,
-        mode: MaintenanceMode,
-        metrics: Arc<MetricsRegistry>,
-        cache_capacity: usize,
-    ) -> Self {
-        Self::with_observability(
-            cluster,
-            n,
-            mode,
-            metrics,
-            cache_capacity,
-            0.0,
-            false,
-            false,
-            false,
-            false,
-        )
-    }
-
-    /// Like [`with_cache`](Self::with_cache), plus span tracing: each
-    /// middleware gets a bounded [`h2util::trace::TraceCollector`] sampling
-    /// `trace_sample` of its operations (0 disables tracing entirely), the
-    /// group-commit switch (see
-    /// [`H2Middleware::submit_patch`](crate::middleware::H2Middleware)),
-    /// the read-path cache switches (`path_cache` / `neg_cache`, see
-    /// [`H2Middleware::path_cache_lookup`]), and the content-addressed
-    /// content plane switch (`cas`, see DESIGN.md).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_observability(
-        cluster: Arc<Cluster>,
-        n: usize,
-        mode: MaintenanceMode,
-        metrics: Arc<MetricsRegistry>,
-        cache_capacity: usize,
-        trace_sample: f64,
-        group_commit: bool,
-        path_cache: bool,
-        neg_cache: bool,
-        cas: bool,
-    ) -> Self {
-        assert!(n >= 1, "need at least one middleware");
+    /// Build `cfg.middlewares` middlewares (node ids 1..=n) over `cluster`,
+    /// all reporting into the shared `metrics` registry and each configured
+    /// by `cfg` (see [`H2Middleware::new`]). The one knob that lives in the
+    /// store, hedged replica reads, is applied to `cluster` here.
+    pub fn new(cluster: Arc<Cluster>, cfg: &H2Config, metrics: Arc<MetricsRegistry>) -> Self {
+        assert!(cfg.middlewares >= 1, "need at least one middleware");
         // Pre-register the layer's failure counters so `op=metrics` always
         // lists them, even before the first failure.
         metrics.counter(GOSSIP_APPLY_FAILURES);
@@ -117,7 +72,7 @@ impl H2Layer {
         metrics.counter(h2util::retry::OP_RETRIES);
         metrics.counter(h2util::retry::OP_GAVE_UP);
         metrics.histogram(h2util::retry::RETRY_BACKOFF_MS);
-        if trace_sample > 0.0 {
+        if cfg.trace_sample > 0.0 {
             // Same idea for the per-stage breakdown histograms: only listed
             // when tracing can actually feed them.
             metrics.histogram(h2util::trace::STAGE_RING_MS);
@@ -125,25 +80,9 @@ impl H2Layer {
             metrics.histogram(h2util::trace::STAGE_QUORUM_MS);
             metrics.histogram(h2util::trace::STAGE_BACKOFF_MS);
         }
-        let middlewares = (1..=n as u16)
-            .map(|i| {
-                H2Middleware::with_observability(
-                    NodeId(i),
-                    cluster.clone(),
-                    mode,
-                    metrics.clone(),
-                    cache_capacity,
-                    Arc::new(h2util::trace::TraceCollector::new(
-                        trace_sample,
-                        h2util::trace::DEFAULT_TRACE_CAP,
-                        i,
-                    )),
-                    group_commit,
-                    path_cache,
-                    neg_cache,
-                    cas,
-                )
-            })
+        cluster.set_hedged_reads(cfg.hedged_reads);
+        let middlewares = (1..=cfg.middlewares as u16)
+            .map(|i| H2Middleware::new(NodeId(i), cluster.clone(), cfg, metrics.clone()))
             .collect();
         H2Layer {
             middlewares,
@@ -503,6 +442,7 @@ impl Drop for ThreadedGossip {
 mod tests {
     use super::*;
     use crate::keys::H2Keys;
+    use crate::middleware::MaintenanceMode;
     use crate::namering::{NameRing, Tuple};
     use h2util::{NamespaceId, OpCtx};
     use swiftsim::ClusterConfig;
@@ -519,7 +459,12 @@ mod tests {
         cluster
             .create_container("alice", crate::keys::H2_CONTAINER, false)
             .unwrap();
-        H2Layer::new(cluster, n, mode)
+        let cfg = H2Config {
+            middlewares: n,
+            mode,
+            ..H2Config::default()
+        };
+        H2Layer::new(cluster, &cfg, Arc::new(MetricsRegistry::new()))
     }
 
     fn ns(seq: u64) -> NamespaceId {

@@ -33,7 +33,9 @@ use h2util::hash::{hash128, Digest128};
 use h2util::hash64;
 use h2util::id::NamespaceAllocator;
 use h2util::metrics::{Counter, MetricsRegistry};
-use h2util::trace::{TraceCollector, STAGE_GOSSIP, STAGE_MERGE, STAGE_MW, STAGE_RESOLVE};
+use h2util::trace::{
+    TraceCollector, DEFAULT_TRACE_CAP, STAGE_GOSSIP, STAGE_MERGE, STAGE_MW, STAGE_RESOLVE,
+};
 use h2util::{
     H2Error, HybridClock, LruCache, NamespaceId, NodeId, OpCtx, Result, RetryPolicy, Timestamp,
     WordBuild,
@@ -41,6 +43,7 @@ use h2util::{
 use swiftsim::{Cluster, Meta, Object, ObjectKey, ObjectStore, Payload};
 
 use crate::formatter;
+use crate::fs::H2Config;
 use crate::keys::{DirDescriptor, H2Keys};
 use crate::namering::{NameRing, RingView};
 
@@ -471,64 +474,36 @@ pub struct H2Middleware {
 }
 
 impl H2Middleware {
-    /// Plain middleware: private metrics registry, NameRing cache disabled.
-    pub fn new(node: NodeId, store: Arc<Cluster>, mode: MaintenanceMode) -> Arc<Self> {
-        Self::with_cache(node, store, mode, Arc::new(MetricsRegistry::new()), 0)
-    }
-
-    /// Middleware reporting into a shared `metrics` registry, with a
-    /// NameRing cache of `cache_capacity` parsed rings (0 disables it).
-    pub fn with_cache(
+    /// Middleware `node` (1-based) over `store`, reporting into the shared
+    /// `metrics` registry and configured by `cfg`: its maintenance mode,
+    /// a NameRing cache of `cfg.cache_capacity` parsed rings (0 disables
+    /// it), a span collector sampling `cfg.trace_sample` of its
+    /// operations, and the group-commit, read-path (full-path and
+    /// negative caches, both requiring the ring cache) and CAS switches.
+    ///
+    /// `cfg.middlewares`, `cfg.cluster` and `cfg.hedged_reads` describe
+    /// the layer and the store, not one middleware, and are ignored here:
+    /// [`H2Layer::new`](crate::H2Layer::new) applies them, hedged replica
+    /// reads included.
+    pub fn new(
         node: NodeId,
         store: Arc<Cluster>,
-        mode: MaintenanceMode,
+        cfg: &H2Config,
         metrics: Arc<MetricsRegistry>,
-        cache_capacity: usize,
-    ) -> Arc<Self> {
-        Self::with_observability(
-            node,
-            store,
-            mode,
-            metrics,
-            cache_capacity,
-            Arc::new(TraceCollector::disabled()),
-            false,
-            false,
-            false,
-            false,
-        )
-    }
-
-    /// Full constructor: like [`with_cache`](Self::with_cache), plus a span
-    /// collector for sampled operation traces, the group-commit switch,
-    /// the read-path switches (full-path resolve cache / negative-entry
-    /// cache — both also require `cache_capacity > 0`), and the CAS
-    /// content-plane switch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_observability(
-        node: NodeId,
-        store: Arc<Cluster>,
-        mode: MaintenanceMode,
-        metrics: Arc<MetricsRegistry>,
-        cache_capacity: usize,
-        tracer: Arc<TraceCollector>,
-        group_commit: bool,
-        path_cache: bool,
-        neg_cache: bool,
-        cas: bool,
     ) -> Arc<Self> {
         assert!(
             node.0 > 0,
             "middleware node ids are 1-based (0 is reserved)"
         );
+        let cache_capacity = cfg.cache_capacity;
         let cache_counters = (cache_capacity > 0).then(|| CacheCounters {
             hits: metrics.counter(RING_CACHE_HITS),
             misses: metrics.counter(RING_CACHE_MISSES),
             gets_saved: metrics.counter(GETS_SAVED),
             refetch_unchanged: metrics.counter(RING_REFETCH_UNCHANGED),
         });
-        let path_cache_on = path_cache && cache_capacity > 0;
-        let neg_cache_on = neg_cache && cache_capacity > 0;
+        let path_cache_on = cfg.path_cache && cache_capacity > 0;
+        let neg_cache_on = cfg.neg_cache && cache_capacity > 0;
         let path_counters = (path_cache_on || neg_cache_on).then(|| PathCounters {
             hits: metrics.counter(PATH_CACHE_HITS),
             misses: metrics.counter(PATH_CACHE_MISSES),
@@ -549,7 +524,7 @@ impl H2Middleware {
             clock: HybridClock::new(node, 1_600_000_000_000),
             ns_alloc: NamespaceAllocator::new(node),
             store,
-            mode,
+            mode: cfg.mode,
             metrics,
             ring_cache: (0..RING_SHARDS)
                 .map(|_| Mutex::new(LruCache::new(cache_capacity.div_ceil(RING_SHARDS))))
@@ -563,14 +538,18 @@ impl H2Middleware {
             ring_stamps: Mutex::new(FdMap::default()),
             fds: Mutex::new(FdMap::default()),
             merge_locks: Mutex::new(FdMap::default()),
-            group_commit,
+            group_commit: cfg.group_commit,
             commit_queues: Mutex::new(FdMap::default()),
             part_stamp: std::sync::atomic::AtomicU64::new(0),
-            cas,
+            cas: cfg.cas,
             ring_fetches,
             merge_failures,
             retry: RetryPolicy::new(0x4852_5452 ^ node.0 as u64),
-            tracer,
+            tracer: Arc::new(TraceCollector::new(
+                cfg.trace_sample,
+                DEFAULT_TRACE_CAP,
+                node.0,
+            )),
             outbox: Mutex::new(Vec::new()),
             background: Mutex::new(Default::default()),
         })
@@ -2281,7 +2260,21 @@ mod tests {
     use crate::namering::Tuple;
     use swiftsim::ClusterConfig;
 
-    fn setup(mode: MaintenanceMode) -> (Arc<Cluster>, Arc<H2Middleware>, H2Keys) {
+    /// Middleware `node` over `cluster`: the paper profile in `mode`.
+    fn paper_mw(node: u16, cluster: Arc<Cluster>, mode: MaintenanceMode) -> Arc<H2Middleware> {
+        let cfg = H2Config {
+            mode,
+            ..H2Config::default()
+        };
+        H2Middleware::new(
+            NodeId(node),
+            cluster,
+            &cfg,
+            Arc::new(MetricsRegistry::new()),
+        )
+    }
+
+    fn setup_with(cfg: &H2Config) -> (Arc<Cluster>, Arc<H2Middleware>, H2Keys) {
         let cluster = Cluster::new(ClusterConfig {
             nodes: 4,
             replicas: 3,
@@ -2293,8 +2286,20 @@ mod tests {
         cluster
             .create_container("alice", crate::keys::H2_CONTAINER, false)
             .unwrap();
-        let mw = H2Middleware::new(NodeId(1), cluster.clone(), mode);
+        let mw = H2Middleware::new(
+            NodeId(1),
+            cluster.clone(),
+            cfg,
+            Arc::new(MetricsRegistry::new()),
+        );
         (cluster, mw, H2Keys::new("alice"))
+    }
+
+    fn setup(mode: MaintenanceMode) -> (Arc<Cluster>, Arc<H2Middleware>, H2Keys) {
+        setup_with(&H2Config {
+            mode,
+            ..H2Config::default()
+        })
     }
 
     fn ns(seq: u64) -> NamespaceId {
@@ -2414,7 +2419,7 @@ mod tests {
     #[test]
     fn gossip_round_trip_between_two_middlewares() {
         let (cluster, mw1, keys) = setup(MaintenanceMode::Eager);
-        let mw2 = H2Middleware::new(NodeId(2), cluster, MaintenanceMode::Eager);
+        let mw2 = paper_mw(2, cluster, MaintenanceMode::Eager);
         let mut ctx = OpCtx::for_test();
         let mut p = NameRing::new();
         p.apply("shared", Tuple::file(mw1.tick(), 7));
@@ -2432,7 +2437,7 @@ mod tests {
     #[test]
     fn gossip_merges_divergent_views_both_ways() {
         let (cluster, mw1, keys) = setup(MaintenanceMode::Deferred);
-        let mw2 = H2Middleware::new(NodeId(2), cluster, MaintenanceMode::Deferred);
+        let mw2 = paper_mw(2, cluster, MaintenanceMode::Deferred);
         let mut ctx = OpCtx::for_test();
         // Both nodes patch the same ring, unaware of each other.
         let mut p1 = NameRing::new();
@@ -2561,30 +2566,11 @@ mod tests {
     }
 
     fn setup_grouped(mode: MaintenanceMode) -> (Arc<Cluster>, Arc<H2Middleware>, H2Keys) {
-        let cluster = Cluster::new(ClusterConfig {
-            nodes: 4,
-            replicas: 3,
-            part_power: 6,
-            cost: Arc::new(h2util::CostModel::zero()),
-            faults: None,
-        });
-        cluster.create_account("alice").unwrap();
-        cluster
-            .create_container("alice", crate::keys::H2_CONTAINER, false)
-            .unwrap();
-        let mw = H2Middleware::with_observability(
-            NodeId(1),
-            cluster.clone(),
+        setup_with(&H2Config {
             mode,
-            Arc::new(MetricsRegistry::new()),
-            0,
-            Arc::new(TraceCollector::disabled()),
-            true,
-            false,
-            false,
-            false,
-        );
-        (cluster, mw, H2Keys::new("alice"))
+            group_commit: true,
+            ..H2Config::default()
+        })
     }
 
     #[test]

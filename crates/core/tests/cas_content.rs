@@ -1,7 +1,7 @@
 //! Chunk-boundary edge cases for the content-addressed content plane.
 //!
-//! These tests force `cas: true` at runtime (like the fsck tamper test) so
-//! they exercise the CAS plane on every feature leg. They pin the chunker's
+//! These tests run on the test profile, which is the tuned profile and so
+//! has the CAS plane on (like the fsck tamper test). They pin the chunker's
 //! observable contract through the full stack: empty files, files exactly
 //! at the min/target/max chunk sizes, prefix-stability of a single-byte
 //! append (only the tail block is rewritten), and refcount accounting
@@ -20,10 +20,7 @@ fn p(s: &str) -> FsPath {
 }
 
 fn setup() -> (H2Cloud, OpCtx) {
-    let fs = H2Cloud::new(H2Config {
-        cas: true,
-        ..H2Config::for_test()
-    });
+    let fs = H2Cloud::new(H2Config::for_test());
     let mut ctx = OpCtx::for_test();
     fs.create_account(&mut ctx, "alice").unwrap();
     (fs, ctx)

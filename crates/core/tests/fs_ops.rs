@@ -376,43 +376,45 @@ fn file_access_cost_grows_with_depth() {
 
 #[test]
 fn quick_relative_access_is_one_get() {
-    let (fs, mut ctx) = setup();
-    fs.mkdir(&mut ctx, "alice", &p("/deep")).unwrap();
-    fs.mkdir(&mut ctx, "alice", &p("/deep/deeper")).unwrap();
-    fs.write(
-        &mut ctx,
-        "alice",
-        &p("/deep/deeper/target"),
-        FileContent::from_str("found"),
-    )
-    .unwrap();
-    // Discover the parent namespace once via the regular method…
-    let mw = fs.layer().mw_for_account("alice");
-    let keys = h2cloud::H2Keys::new("alice");
-    let mut walk = OpCtx::for_test();
-    let root = mw
-        .read_ring(&mut walk, &keys, h2util::NamespaceId::ROOT)
+    for cas in [false, true] {
+        let (fs, mut ctx) = setup_plane(cas);
+        fs.mkdir(&mut ctx, "alice", &p("/deep")).unwrap();
+        fs.mkdir(&mut ctx, "alice", &p("/deep/deeper")).unwrap();
+        fs.write(
+            &mut ctx,
+            "alice",
+            &p("/deep/deeper/target"),
+            FileContent::from_str("found"),
+        )
         .unwrap();
-    let deep_ns = match root.get("deep").unwrap().child {
-        h2cloud::ChildRef::Dir { ns } => ns,
-        _ => unreachable!(),
-    };
-    let deep = mw.read_ring(&mut walk, &keys, deep_ns).unwrap();
-    let deeper_ns = match deep.get("deeper").unwrap().child {
-        h2cloud::ChildRef::Dir { ns } => ns,
-        _ => unreachable!(),
-    };
-    // …then the quick method is exactly one GET.
-    let mut quick = OpCtx::for_test();
-    let content = fs
-        .read_relative(&mut quick, "alice", deeper_ns, "target")
-        .unwrap();
-    assert_eq!(content, FileContent::from_str("found"));
-    // Still depth-independent with the CAS plane on — but a content read
-    // is then manifest + leaf instead of a single whole object.
-    let expected = if mw.cas_active() { 2 } else { 1 };
-    assert_eq!(quick.counts().gets, expected);
-    assert_eq!(quick.counts().total(), expected);
+        // Discover the parent namespace once via the regular method…
+        let mw = fs.layer().mw_for_account("alice");
+        let keys = h2cloud::H2Keys::new("alice");
+        let mut walk = OpCtx::for_test();
+        let root = mw
+            .read_ring(&mut walk, &keys, h2util::NamespaceId::ROOT)
+            .unwrap();
+        let deep_ns = match root.get("deep").unwrap().child {
+            h2cloud::ChildRef::Dir { ns } => ns,
+            _ => unreachable!(),
+        };
+        let deep = mw.read_ring(&mut walk, &keys, deep_ns).unwrap();
+        let deeper_ns = match deep.get("deeper").unwrap().child {
+            h2cloud::ChildRef::Dir { ns } => ns,
+            _ => unreachable!(),
+        };
+        // …then the quick method is exactly one GET.
+        let mut quick = OpCtx::for_test();
+        let content = fs
+            .read_relative(&mut quick, "alice", deeper_ns, "target")
+            .unwrap();
+        assert_eq!(content, FileContent::from_str("found"));
+        // Still depth-independent with the CAS plane on — but a content read
+        // is then manifest + leaf instead of a single whole object.
+        let expected = if cas { 2 } else { 1 };
+        assert_eq!(quick.counts().gets, expected);
+        assert_eq!(quick.counts().total(), expected);
+    }
 }
 
 #[test]
@@ -444,26 +446,28 @@ fn rmdir_is_o1_in_backend_ops() {
 
 #[test]
 fn storage_stats_count_h2_overhead_objects() {
-    let (fs, mut ctx) = setup();
-    let base = fs.storage_stats().objects; // root ring
-    fs.mkdir(&mut ctx, "alice", &p("/d")).unwrap();
-    // +2: descriptor + the new directory's NameRing.
-    assert_eq!(fs.storage_stats().objects, base + 2);
-    fs.write(&mut ctx, "alice", &p("/d/f"), FileContent::from_str("x"))
-        .unwrap();
-    // +1 content object — or, on the CAS plane, a manifest plus one leaf
-    // block (the tiny file fits a single chunk).
-    let content_objects = if fs.layer().mw(0).cas_active() { 2 } else { 1 };
-    assert_eq!(fs.storage_stats().objects, base + 2 + content_objects);
-    assert!(!fs.uses_separate_index());
-    assert_eq!(fs.storage_stats().index_records, 0);
+    for cas in [false, true] {
+        let (fs, mut ctx) = setup_plane(cas);
+        let base = fs.storage_stats().objects; // root ring
+        fs.mkdir(&mut ctx, "alice", &p("/d")).unwrap();
+        // +2: descriptor + the new directory's NameRing.
+        assert_eq!(fs.storage_stats().objects, base + 2);
+        fs.write(&mut ctx, "alice", &p("/d/f"), FileContent::from_str("x"))
+            .unwrap();
+        // +1 content object — or, on the CAS plane, a manifest plus one leaf
+        // block (the tiny file fits a single chunk).
+        let content_objects = if cas { 2 } else { 1 };
+        assert_eq!(fs.storage_stats().objects, base + 2 + content_objects);
+        assert!(!fs.uses_separate_index());
+        assert_eq!(fs.storage_stats().index_records, 0);
+    }
 }
 
 // ----- content planes --------------------------------------------------------
 //
 // `H2Config::cas` picks how a file's bytes are stored: whole (one object per
-// file, the paper profile) or as a CAS block tree. Each test below names the
-// plane it runs on, so it holds on every feature leg.
+// file, the paper profile) or as a CAS block tree (the tuned profile). Each
+// test below names the plane it runs on.
 
 /// Bigger than any single transfer unit and aligned to none of them.
 const BIG: u64 = 2 * (4 << 20) + 4097;
@@ -613,8 +617,7 @@ fn cas_plane_reads_a_big_file_in_less_virtual_time_than_whole() {
 /// A resolve level served from the parsed-ring cache charges the in-memory
 /// `cached_lookup_cpu`, not the full uncached `lookup_cpu` + ring GET; a
 /// path-cache hit replaces the whole walk with one `path_cache_cpu` probe.
-/// The caches under test are named explicitly, so the pinned charges hold
-/// whatever the feature flags make the defaults.
+/// The caches under test are named explicitly on top of the paper profile.
 #[test]
 fn cached_resolve_is_cheaper_than_uncached() {
     // Cost of the second STAT of a depth-2 file (the first one fills
@@ -660,15 +663,9 @@ fn cached_resolve_is_cheaper_than_uncached() {
 fn tuned_small_caches() -> H2Cloud {
     H2Cloud::new(H2Config {
         middlewares: 2,
-        mode: h2cloud::MaintenanceMode::Eager,
         cluster: swiftsim::ClusterConfig::tiny(),
         cache_capacity: 8,
-        trace_sample: 0.0,
-        group_commit: true,
-        path_cache: true,
-        neg_cache: true,
-        hedged_reads: true,
-        cas: true,
+        ..H2Config::tuned()
     })
 }
 

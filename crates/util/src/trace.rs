@@ -244,11 +244,6 @@ impl TraceCollector {
         }
     }
 
-    /// A collector that never samples (the `trace_sample = 0` fast path).
-    pub fn disabled() -> Self {
-        TraceCollector::new(0.0, 0, 0)
-    }
-
     /// Whether this collector can ever sample.
     pub fn enabled(&self) -> bool {
         self.sample > 0.0 && self.cap > 0
@@ -515,7 +510,7 @@ mod tests {
 
         let full = TraceCollector::new(1.0, 16, 0);
         assert!((0..50).all(|_| full.sample_next()));
-        let off = TraceCollector::disabled();
+        let off = TraceCollector::new(0.0, 0, 0);
         assert!((0..50).all(|_| !off.sample_next()));
     }
 

@@ -9,7 +9,7 @@
 //! does, so the harness may run the tests side by side.
 //!
 //! The budgets are the counts measured when they were last lowered; they
-//! are the same in debug and release and under every feature set.
+//! are the same in debug and release.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -126,16 +126,9 @@ fn warm_hedged_cluster_requests_stay_within_budget() {
 /// The benchmark's profile (every optimisation on), untraced.
 fn tuned(cache_capacity: usize) -> H2Cloud {
     H2Cloud::new(H2Config {
-        middlewares: 1,
         mode: MaintenanceMode::Deferred,
-        cluster: ClusterConfig::default(),
         cache_capacity,
-        trace_sample: 0.0,
-        group_commit: true,
-        path_cache: true,
-        neg_cache: true,
-        hedged_reads: true,
-        cas: true,
+        ..H2Config::tuned()
     })
 }
 

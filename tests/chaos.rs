@@ -11,6 +11,10 @@
 //! 3. clears the fault plan, quiesces maintenance and repairs replicas;
 //! 4. asserts every middleware's view converged to exactly the acknowledged
 //!    state — nothing lost, nothing resurrected.
+//!
+//! Every convergence and replay leg runs on both profiles: the paper's and
+//! the tuned one (group commit, hedged reads and the CAS plane on), each
+//! with the ring cache off so reads through any middleware see the cloud.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -26,8 +30,15 @@ fn p(s: &str) -> FsPath {
     FsPath::parse(s).unwrap()
 }
 
-fn h2() -> H2Cloud {
-    H2Cloud::new(H2Config {
+/// A profile: its name and its constructor.
+type Profile = (&'static str, fn() -> H2Config);
+
+const PROFILES: [Profile; 2] = [("paper", H2Config::default), ("tuned", H2Config::tuned)];
+
+/// Three Deferred middlewares over a zero-latency rack, on `profile` with
+/// the ring cache off.
+fn config(profile: Profile) -> H2Config {
+    H2Config {
         middlewares: 3,
         mode: MaintenanceMode::Deferred,
         cluster: ClusterConfig {
@@ -35,9 +46,12 @@ fn h2() -> H2Cloud {
             ..ClusterConfig::default()
         },
         cache_capacity: 0,
-        trace_sample: 0.0,
-        ..H2Config::default()
-    })
+        ..profile.1()
+    }
+}
+
+fn h2(profile: Profile) -> H2Cloud {
+    H2Cloud::new(config(profile))
 }
 
 /// Everything a chaos run produces — two runs with the same seed must
@@ -60,8 +74,8 @@ struct ChaosOutcome {
 /// Drive one deterministic chaos run at the given error rate. `rate` feeds
 /// error, slowdown and replica-fault probabilities; torn writes run at half
 /// of it.
-fn run_chaos(seed: u64, rate: f64) -> ChaosOutcome {
-    run_chaos_with(seed, rate, false)
+fn run_chaos(profile: Profile, seed: u64, rate: f64) -> ChaosOutcome {
+    run_chaos_with(profile, seed, rate, false)
 }
 
 /// [`run_chaos`] with an optional live rebalance woven through the fault
@@ -69,8 +83,9 @@ fn run_chaos(seed: u64, rate: f64) -> ChaosOutcome {
 /// few partitions per op, so most of the run works against a
 /// partially-moved ring) and a founding device is drained two thirds in —
 /// all while errors, torn writes and replica faults are being injected.
-fn run_chaos_with(seed: u64, rate: f64, rebalance: bool) -> ChaosOutcome {
-    let fs = h2();
+fn run_chaos_with(profile: Profile, seed: u64, rate: f64, rebalance: bool) -> ChaosOutcome {
+    let label = profile.0;
+    let fs = h2(profile);
     let mut ctx = OpCtx::for_test();
     fs.create_account(&mut ctx, "team").unwrap();
     fs.mkdir(&mut ctx, "team", &p("/chaos")).unwrap();
@@ -167,7 +182,7 @@ fn run_chaos_with(seed: u64, rate: f64, rebalance: bool) -> ChaosOutcome {
         }
         assert!(
             !fs.cluster().migration_active(),
-            "migration must complete once faults clear (seed {seed})"
+            "migration must complete once faults clear ({label}, seed {seed})"
         );
         fs.layer().resync().unwrap();
     }
@@ -184,7 +199,7 @@ fn run_chaos_with(seed: u64, rate: f64, rebalance: bool) -> ChaosOutcome {
         assert_eq!(
             fs.via(mw).list(&mut c, "team", &p("/chaos")).unwrap(),
             listing,
-            "middleware {mw} diverged (seed {seed}, rate {rate})"
+            "middleware {mw} diverged ({label}, seed {seed}, rate {rate})"
         );
     }
     // ...which is exactly the acknowledged state: no lost updates, no
@@ -192,7 +207,7 @@ fn run_chaos_with(seed: u64, rate: f64, rebalance: bool) -> ChaosOutcome {
     let expected_names: Vec<String> = possible.keys().cloned().collect();
     assert_eq!(
         listing, expected_names,
-        "acked state mismatch (seed {seed}, rate {rate})"
+        "acked state mismatch ({label}, seed {seed}, rate {rate})"
     );
     let mut contents = BTreeMap::new();
     for (name, values) in &possible {
@@ -229,21 +244,25 @@ fn run_chaos_with(seed: u64, rate: f64, rebalance: bool) -> ChaosOutcome {
 
 #[test]
 fn chaos_at_five_percent_converges_with_no_give_ups() {
-    let out = run_chaos(0xC0FFEE, 0.05);
-    assert!(out.faults.errors + out.faults.replica_errors > 0, "{out:?}");
-    // The retry budget (5 attempts) absorbs a 5% error rate completely.
-    assert_eq!(out.gave_up, 0, "{out:?}");
-    assert!(out.retries > 0, "faults at 5% must have caused retries");
-    // Every client-acknowledged op is reflected in the final state (the
-    // run_chaos assertions), and the namespace is non-trivial.
-    assert!(!out.listing.is_empty());
+    for profile in PROFILES {
+        let out = run_chaos(profile, 0xC0FFEE, 0.05);
+        assert!(out.faults.errors + out.faults.replica_errors > 0, "{out:?}");
+        // The retry budget (5 attempts) absorbs a 5% error rate completely.
+        assert_eq!(out.gave_up, 0, "{}: {out:?}", profile.0);
+        assert!(out.retries > 0, "faults at 5% must have caused retries");
+        // Every client-acknowledged op is reflected in the final state (the
+        // run_chaos assertions), and the namespace is non-trivial.
+        assert!(!out.listing.is_empty());
+    }
 }
 
 #[test]
 fn chaos_at_one_percent_converges() {
-    let out = run_chaos(0xBEE, 0.01);
-    assert_eq!(out.gave_up, 0, "{out:?}");
-    assert!(!out.listing.is_empty());
+    for profile in PROFILES {
+        let out = run_chaos(profile, 0xBEE, 0.01);
+        assert_eq!(out.gave_up, 0, "{}: {out:?}", profile.0);
+        assert!(!out.listing.is_empty());
+    }
 }
 
 #[test]
@@ -251,9 +270,11 @@ fn chaos_at_ten_percent_converges_even_if_ops_fail() {
     // At 10% some client ops may exhaust their retries and fail — that is
     // allowed; what matters is that failed ops are invisible and acked ops
     // are durable (asserted inside run_chaos).
-    let out = run_chaos(0xD00D, 0.10);
-    assert!(out.faults.errors > 0, "{out:?}");
-    assert!(!out.listing.is_empty());
+    for profile in PROFILES {
+        let out = run_chaos(profile, 0xD00D, 0.10);
+        assert!(out.faults.errors > 0, "{out:?}");
+        assert!(!out.listing.is_empty());
+    }
 }
 
 #[test]
@@ -263,15 +284,8 @@ fn traced_chaos_run_exports_valid_chrome_trace() {
     // intervals from the retry layer and per-replica votes from the quorum
     // paths.
     let fs = H2Cloud::new(H2Config {
-        middlewares: 3,
-        mode: MaintenanceMode::Deferred,
-        cluster: ClusterConfig {
-            cost: Arc::new(h2util::CostModel::zero()),
-            ..ClusterConfig::default()
-        },
-        cache_capacity: 0,
         trace_sample: 1.0,
-        ..H2Config::default()
+        ..config(PROFILES[0])
     });
     let mut ctx = OpCtx::for_test();
     fs.create_account(&mut ctx, "team").unwrap();
@@ -337,19 +351,27 @@ fn chaos_with_live_rebalance_at_five_percent_loses_no_acks() {
     // acknowledged operation — run_chaos_with asserts acked state ==
     // converged state on every middleware. The counters prove the run
     // actually exercised the moving ring rather than racing past it.
-    let out = run_chaos_with(0x5CA1E, 0.05, true);
-    assert!(out.faults.errors + out.faults.replica_errors > 0, "{out:?}");
-    assert_eq!(out.gave_up, 0, "{out:?}");
-    assert!(!out.listing.is_empty());
+    for profile in PROFILES {
+        let out = run_chaos_with(profile, 0x5CA1E, 0.05, true);
+        assert!(out.faults.errors + out.faults.replica_errors > 0, "{out:?}");
+        assert_eq!(out.gave_up, 0, "{}: {out:?}", profile.0);
+        assert!(!out.listing.is_empty());
+    }
 }
 
 #[test]
 fn chaos_rebalance_replays_byte_identically_from_its_seed() {
     // Migration copies use the repair path (no injector draws), so a live
     // rebalance must not perturb the deterministic replay guarantee.
-    let a = run_chaos_with(0xB07ED, 0.05, true);
-    let b = run_chaos_with(0xB07ED, 0.05, true);
-    assert_eq!(a, b, "same seed + same rebalance must replay exactly");
+    for profile in PROFILES {
+        let a = run_chaos_with(profile, 0xB07ED, 0.05, true);
+        let b = run_chaos_with(profile, 0xB07ED, 0.05, true);
+        assert_eq!(
+            a, b,
+            "{}: same seed + same rebalance must replay exactly",
+            profile.0
+        );
+    }
 }
 
 #[test]
@@ -360,66 +382,76 @@ fn fault_window_then_resync_reconverges_without_writes() {
     // workaround was to write fresh data into every directory just to force
     // a re-flood. The anti-entropy sweep (`H2Layer::resync`) must close the
     // gap with no new writes at all.
-    let fs = h2();
-    let mut ctx = OpCtx::for_test();
-    fs.create_account(&mut ctx, "team").unwrap();
-    for d in ["a", "b", "c"] {
-        fs.mkdir(&mut ctx, "team", &p(&format!("/{d}"))).unwrap();
-    }
-    fs.quiesce();
-    // Fault window: each middleware writes into its own directory while a
-    // third of gossip is dropped and replicas misbehave.
-    fs.cluster()
-        .set_fault_plan(Some(FaultPlan::uniform(0x57A1E, FaultSpec::errors(0.05))));
-    for (i, d) in ["a", "b", "c"].iter().enumerate() {
-        for f in 0..4 {
-            let mut c = OpCtx::for_test();
-            fs.via(i)
-                .write(
-                    &mut c,
-                    "team",
-                    &p(&format!("/{d}/f{f}")),
-                    FileContent::from_str(&format!("{d}{f}")),
-                )
-                .unwrap();
-        }
-        let _ = fs.layer().pump_with_faults(h2cloud::layer::GossipFaults {
-            drop_every: 3,
-            duplicate_every: 4,
-        });
-    }
-    fs.cluster().set_fault_plan(None);
-    // No writes from here on: the sweep alone must reconverge every view.
-    fs.layer().resync().unwrap();
-    let mut c = OpCtx::for_test();
-    let reference = fs.via(0).list(&mut c, "team", &p("/")).unwrap();
-    assert_eq!(reference, vec!["a", "b", "c"]);
-    for mw in 0..3 {
+    for profile in PROFILES {
+        let fs = h2(profile);
+        let mut ctx = OpCtx::for_test();
+        fs.create_account(&mut ctx, "team").unwrap();
         for d in ["a", "b", "c"] {
-            let mut c = OpCtx::for_test();
-            assert_eq!(
-                fs.via(mw)
-                    .list(&mut c, "team", &p(&format!("/{d}")))
-                    .unwrap(),
-                vec!["f0", "f1", "f2", "f3"],
-                "middleware {mw} still stale on /{d} after resync"
-            );
+            fs.mkdir(&mut ctx, "team", &p(&format!("/{d}"))).unwrap();
+        }
+        fs.quiesce();
+        // Fault window: each middleware writes into its own directory while a
+        // third of gossip is dropped and replicas misbehave.
+        fs.cluster()
+            .set_fault_plan(Some(FaultPlan::uniform(0x57A1E, FaultSpec::errors(0.05))));
+        for (i, d) in ["a", "b", "c"].iter().enumerate() {
+            for f in 0..4 {
+                let mut c = OpCtx::for_test();
+                fs.via(i)
+                    .write(
+                        &mut c,
+                        "team",
+                        &p(&format!("/{d}/f{f}")),
+                        FileContent::from_str(&format!("{d}{f}")),
+                    )
+                    .unwrap();
+            }
+            let _ = fs.layer().pump_with_faults(h2cloud::layer::GossipFaults {
+                drop_every: 3,
+                duplicate_every: 4,
+            });
+        }
+        fs.cluster().set_fault_plan(None);
+        // No writes from here on: the sweep alone must reconverge every view.
+        fs.layer().resync().unwrap();
+        let mut c = OpCtx::for_test();
+        let reference = fs.via(0).list(&mut c, "team", &p("/")).unwrap();
+        assert_eq!(reference, vec!["a", "b", "c"]);
+        for mw in 0..3 {
+            for d in ["a", "b", "c"] {
+                let mut c = OpCtx::for_test();
+                assert_eq!(
+                    fs.via(mw)
+                        .list(&mut c, "team", &p(&format!("/{d}")))
+                        .unwrap(),
+                    vec!["f0", "f1", "f2", "f3"],
+                    "{}: middleware {mw} still stale on /{d} after resync",
+                    profile.0
+                );
+            }
         }
     }
 }
 
 #[test]
 fn chaos_replays_byte_identically_from_its_seed() {
-    let a = run_chaos(0x5EED, 0.07);
-    let b = run_chaos(0x5EED, 0.07);
-    assert_eq!(a, b, "same seed must replay the same run exactly");
-    // And a different seed actually takes a different path. The retry
-    // budget can absorb every fault at this rate, so client-visible acks
-    // may match — the injector accounting must still differ.
-    let c = run_chaos(0x5EED + 1, 0.07);
-    assert_ne!(
-        (a.faults, a.retries),
-        (c.faults, c.retries),
-        "different seeds should draw different faults"
-    );
+    for profile in PROFILES {
+        let a = run_chaos(profile, 0x5EED, 0.07);
+        let b = run_chaos(profile, 0x5EED, 0.07);
+        assert_eq!(
+            a, b,
+            "{}: same seed must replay the same run exactly",
+            profile.0
+        );
+        // And a different seed actually takes a different path. The retry
+        // budget can absorb every fault at this rate, so client-visible acks
+        // may match — the injector accounting must still differ.
+        let c = run_chaos(profile, 0x5EED + 1, 0.07);
+        assert_ne!(
+            (a.faults, a.retries),
+            (c.faults, c.retries),
+            "{}: different seeds should draw different faults",
+            profile.0
+        );
+    }
 }

@@ -458,13 +458,8 @@ fn eager_contention_ring_fetches_stay_linear() {
             cost: Arc::new(CostModel::zero()),
             ..ClusterConfig::default()
         },
-        cache_capacity: 0,
-        trace_sample: 0.0,
         group_commit: true,
-        path_cache: false,
-        neg_cache: false,
-        hedged_reads: false,
-        cas: false,
+        ..H2Config::default()
     }));
     let mut ctx = OpCtx::for_test();
     fs.create_account(&mut ctx, "team").unwrap();

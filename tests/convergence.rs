@@ -14,6 +14,13 @@ fn p(s: &str) -> FsPath {
     FsPath::parse(s).unwrap()
 }
 
+/// The paper profile only. With group commit on (the tuned profile),
+/// `threaded_writers_with_threaded_gossip_converge` fails about 1 run in 60:
+/// gossip drops a message whose ring version — the maximum tuple timestamp —
+/// a merge of older writes did not raise (suspected; ROADMAP.md, "Gossip
+/// that every merge advances"). Until that hole is closed the tuned
+/// profile's convergence is covered deterministically by `tests/chaos.rs`
+/// and `tests/prop_equivalence.rs`.
 fn h2(middlewares: usize) -> H2Cloud {
     H2Cloud::new(H2Config {
         middlewares,

@@ -171,18 +171,12 @@ fn fig14_15_h2_more_objects_but_negligible_bytes() {
         .map(|s| s.parse().unwrap())
         .collect();
     let directories = workload[1] + workload[2];
-    if cfg!(feature = "cas") {
-        // The feature leg builds the figure's H2Cloud on the block plane,
-        // which stores a manifest plus blocks per file by design.
-        assert!(h2_objects > swift_objects + directories);
-    } else {
-        assert_eq!(
-            h2_objects,
-            swift_objects + directories + 1.0,
-            "{}",
-            t.notes[0]
-        );
-    }
+    assert_eq!(
+        h2_objects,
+        swift_objects + directories + 1.0,
+        "{}",
+        t.notes[0]
+    );
     // Byte overhead under 2%.
     let overhead_pct = t.value(1, 3);
     assert!(

@@ -2,14 +2,22 @@
 //! (mostly invalid!) must produce identical outcomes on the reference
 //! model, H2Cloud and Swift — and H2Cloud's on-cloud representation must
 //! pass fsck afterwards no matter what was thrown at it.
+//!
+//! The rest is differential: every knob of `H2Config`, and the tuned profile
+//! that turns them all on, must be observably the paper profile. Each
+//! property drives one random sequence through two instances that differ in
+//! that knob alone ([`differential`]), and each 5 %-fault leg builds one
+//! tree on two such instances and checks every middleware after the faults
+//! ([`converge_under_5pct_faults`]).
 
 use proptest::prelude::*;
 
 use h2baselines::SwiftFs;
 use h2cloud::check::fsck;
 use h2cloud::layer::GossipFaults;
-use h2cloud::{H2Cloud, H2Config, MaintenanceMode};
-use h2fsapi::{CloudFs, FsPath};
+use h2cloud::{H2Cloud, H2Config, H2Layer, MaintenanceMode};
+use h2fsapi::{CloudFs, FileContent, FsPath};
+use h2util::faults::{FaultPlan, FaultSpec};
 use h2util::OpCtx;
 use h2workload::{ModelFs, Op, Trace};
 use swiftsim::{Cluster, ClusterConfig};
@@ -36,35 +44,47 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Multi-middleware Deferred-mode H2Cloud with the given NameRing cache
-/// capacity and trace sampling rate — everything else identical, so any
-/// observable difference between two instances is that knob's fault.
-fn h2_deferred(cache_capacity: usize, trace_sample: f64) -> H2Cloud {
-    H2Cloud::new(H2Config {
-        middlewares: 3,
-        mode: MaintenanceMode::Deferred,
-        cluster: ClusterConfig::tiny(),
-        cache_capacity,
-        trace_sample,
-        ..H2Config::default()
-    })
+/// The paper profile as the differential properties run it — three
+/// middlewares, Deferred maintenance, the zero-latency tiny cluster.
+fn paper() -> H2Config {
+    in_shape(H2Config::default())
 }
 
-/// Multi-middleware Deferred-mode H2Cloud differing only in the
-/// group-commit knob (cache and tracing off).
-fn h2_deferred_commit(group_commit: bool) -> H2Cloud {
-    H2Cloud::new(H2Config {
+/// The tuned profile in the same shape, with a `cache_capacity`-ring cache.
+fn tuned(cache_capacity: usize) -> H2Config {
+    H2Config {
+        cache_capacity,
+        ..in_shape(H2Config::tuned())
+    }
+}
+
+fn in_shape(profile: H2Config) -> H2Config {
+    H2Config {
         middlewares: 3,
         mode: MaintenanceMode::Deferred,
         cluster: ClusterConfig::tiny(),
-        cache_capacity: 0,
-        trace_sample: 0.0,
-        group_commit,
-        path_cache: false,
-        neg_cache: false,
-        hedged_reads: false,
-        cas: false,
-    })
+        ..profile
+    }
+}
+
+/// The paper profile plus a `cache_capacity`-ring cache: the side the
+/// read-path knobs are compared against.
+fn ring_cached(cache_capacity: usize) -> H2Config {
+    H2Config {
+        cache_capacity,
+        ..paper()
+    }
+}
+
+/// [`ring_cached`] plus the read-path knobs: full-path cache, negative
+/// cache, hedged reads.
+fn read_path_opt(cache_capacity: usize) -> H2Config {
+    H2Config {
+        path_cache: true,
+        neg_cache: true,
+        hedged_reads: true,
+        ..ring_cached(cache_capacity)
+    }
 }
 
 /// Ring-cache capacities the read-path equivalence runs at. 512 rings is
@@ -76,41 +96,11 @@ fn h2_deferred_commit(group_commit: bool) -> H2Cloud {
 /// under the property too.
 const READOPT_CAPACITIES: [usize; 2] = [512, 8];
 
-/// Multi-middleware Deferred-mode H2Cloud differing only in the read-path
-/// knobs (full-path cache, negative cache, hedged reads).
-fn h2_deferred_readopt(on: bool, cache_capacity: usize) -> H2Cloud {
-    H2Cloud::new(H2Config {
-        middlewares: 3,
-        mode: MaintenanceMode::Deferred,
-        cluster: ClusterConfig::tiny(),
-        cache_capacity,
-        trace_sample: 0.0,
-        group_commit: false,
-        path_cache: on,
-        neg_cache: on,
-        hedged_reads: on,
-        cas: false,
-    })
-}
-
-/// Multi-middleware Deferred-mode H2Cloud differing only in the CAS
-/// content-plane knob: one chunks every file into content-addressed,
-/// refcounted blocks, the other stores whole content objects. Storage
-/// layout is the one thing a filesystem client must never observe.
-fn h2_deferred_cas(cas: bool) -> H2Cloud {
-    H2Cloud::new(H2Config {
-        middlewares: 3,
-        mode: MaintenanceMode::Deferred,
-        cluster: ClusterConfig::tiny(),
-        cache_capacity: 0,
-        trace_sample: 0.0,
-        group_commit: false,
-        path_cache: false,
-        neg_cache: false,
-        hedged_reads: false,
-        cas,
-    })
-}
+/// Lossy gossip: a third of notifications dropped, a quarter duplicated.
+const LOSSY: GossipFaults = GossipFaults {
+    drop_every: 3,
+    duplicate_every: 4,
+};
 
 /// The base op universe plus the content-churn ops the CAS plane exists
 /// for: overwrites, growing appends and shared-content uploads. Sizes span
@@ -130,8 +120,8 @@ fn arb_op_cas() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Flatten the whole tree (paths, kinds, file sizes) into a sorted,
-/// comparable snapshot.
+/// Flatten the whole tree (paths, kinds, listed file sizes and what reading
+/// each file returns) into a sorted, comparable snapshot.
 fn tree_snapshot(fs: &dyn CloudFs, account: &str) -> Vec<String> {
     let mut ctx = OpCtx::for_test();
     let mut out = Vec::new();
@@ -142,16 +132,82 @@ fn tree_snapshot(fs: &dyn CloudFs, account: &str) -> Vec<String> {
             .unwrap_or_else(|e| panic!("LIST {dir} failed: {e}"));
         entries.sort_by(|a, b| a.name.cmp(&b.name));
         for e in entries {
+            let path = dir.child(&e.name).expect("valid name");
             if e.kind == h2fsapi::EntryKind::Directory {
                 out.push(format!("{dir} {} dir", e.name));
-                stack.push(dir.child(&e.name).expect("valid name"));
+                stack.push(path);
             } else {
-                out.push(format!("{dir} {} file {}", e.name, e.size));
+                let content = fs
+                    .read(&mut ctx, account, &path)
+                    .unwrap_or_else(|e| panic!("READ {path} failed: {e}"));
+                out.push(format!("{dir} {} file {} {content:?}", e.name, e.size));
             }
         }
     }
     out.sort();
     out
+}
+
+/// Both sides answered `op` alike: both acked it, or both failed it with
+/// the same error class.
+fn same_outcome(
+    op: &Op,
+    a: &h2util::Result<()>,
+    b: &h2util::Result<()>,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    match (a, b) {
+        (Ok(()), Ok(())) => {}
+        (Err(x), Err(y)) => {
+            prop_assert_eq!(x.class(), y.class(), "{}: {:?}: {} vs {}", label, op, x, y)
+        }
+        _ => prop_assert!(false, "{}: {:?} diverged: {:?} vs {:?}", label, op, a, b),
+    }
+    Ok(())
+}
+
+/// Both instances hold the same tree, and `b`'s on-cloud representation
+/// is consistent.
+fn same_tree(a: &H2Cloud, b: &H2Cloud) -> Result<(), TestCaseError> {
+    prop_assert_eq!(
+        tree_snapshot(a, "u"),
+        tree_snapshot(b, "u"),
+        "the knob changed the observable filesystem"
+    );
+    let report = fsck(b, &mut OpCtx::for_test(), "u").unwrap();
+    prop_assert!(
+        report.is_clean(),
+        "fsck violations: {:?}",
+        report.violations
+    );
+    Ok(())
+}
+
+/// Drive `ops` through an instance built from `a` and one built from `b`,
+/// clients going through the sticky `CloudFs` routing (one middleware per
+/// account — the regime in which every knob must be invisible), lossy
+/// gossip pumped on both every third op. Every ack and error class must
+/// match, and after both quiesce so must the trees ([`same_tree`]).
+/// Returns the `b` instance for knob-specific checks.
+fn differential(a: H2Config, b: H2Config, ops: &[Op]) -> Result<H2Cloud, TestCaseError> {
+    let (a, b) = (H2Cloud::new(a), H2Cloud::new(b));
+    let mut ctx = OpCtx::for_test();
+    a.create_account(&mut ctx, "u").unwrap();
+    b.create_account(&mut ctx, "u").unwrap();
+    for (i, op) in ops.iter().enumerate() {
+        let on_a = Trace::apply_fs(&a, &mut ctx, "u", op);
+        let on_b = Trace::apply_fs(&b, &mut ctx, "u", op);
+        same_outcome(op, &on_a, &on_b, "a vs b")?;
+        if i % 3 == 2 {
+            for fs in [&a, &b] {
+                fs.layer().pump_with_faults(LOSSY).unwrap();
+            }
+        }
+    }
+    a.quiesce();
+    b.quiesce();
+    same_tree(&a, &b)?;
+    Ok(b)
 }
 
 proptest! {
@@ -172,17 +228,7 @@ proptest! {
             let want = Trace::apply_model(&mut model, op);
             for (fs, label) in [(&h2 as &dyn CloudFs, "h2"), (&swift, "swift")] {
                 let got = Trace::apply_fs(fs, &mut ctx, "u", op);
-                match (&want, &got) {
-                    (Ok(()), Ok(())) => {}
-                    (Err(e), Err(g)) => prop_assert_eq!(
-                        e.class(), g.class(),
-                        "{}: {:?}: {} vs {}", label, op, e, g
-                    ),
-                    _ => prop_assert!(
-                        false,
-                        "{}: {:?} diverged: model={:?} fs={:?}", label, op, want, got
-                    ),
-                }
+                same_outcome(op, &want, &got, label)?;
             }
         }
 
@@ -204,167 +250,28 @@ proptest! {
     fn namering_cache_is_observably_transparent(
         ops in prop::collection::vec(arb_op(), 1..60)
     ) {
-        // Same random sequence against a cache-on and a cache-off H2Cloud —
-        // three middlewares, Deferred maintenance, gossip pumped with drops
-        // and duplicates mid-sequence. Clients go through the sticky
-        // `CloudFs` routing (one middleware per account), which is exactly
-        // the regime where the per-middleware cache must be invisible:
-        // every outcome, error class and final tree must match the
-        // uncached instance's.
-        let cached = h2_deferred(64, 0.0);
-        let plain = h2_deferred(0, 0.0);
-        let mut ctx = OpCtx::for_test();
-        cached.create_account(&mut ctx, "u").unwrap();
-        plain.create_account(&mut ctx, "u").unwrap();
-
-        for (i, op) in ops.iter().enumerate() {
-            let with_cache = Trace::apply_fs(&cached, &mut ctx, "u", op);
-            let without = Trace::apply_fs(&plain, &mut ctx, "u", op);
-            match (&with_cache, &without) {
-                (Ok(()), Ok(())) => {}
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    a.class(), b.class(),
-                    "{:?}: cached={} plain={}", op, a, b
-                ),
-                _ => prop_assert!(
-                    false,
-                    "{:?} diverged: cached={:?} plain={:?}", op, with_cache, without
-                ),
-            }
-            // Periodically run lossy gossip on both instances: a third of
-            // notifications dropped, a quarter duplicated.
-            if i % 3 == 2 {
-                for fs in [&cached, &plain] {
-                    fs.layer()
-                        .pump_with_faults(GossipFaults {
-                            drop_every: 3,
-                            duplicate_every: 4,
-                        })
-                        .unwrap();
-                }
-            }
-        }
-
-        // Drain maintenance on both; observable state must be identical.
-        cached.quiesce();
-        plain.quiesce();
-        prop_assert_eq!(
-            tree_snapshot(&cached, "u"),
-            tree_snapshot(&plain, "u"),
-            "cache changed the observable filesystem"
-        );
-        // And the cached instance's on-cloud representation is consistent.
-        let report = fsck(&cached, &mut ctx, "u").unwrap();
-        prop_assert!(report.is_clean(), "fsck violations: {:?}", report.violations);
+        differential(paper(), ring_cached(64), &ops)?;
     }
 
     #[test]
     fn group_commit_is_observably_transparent(
         ops in prop::collection::vec(arb_op(), 1..60)
     ) {
-        // Same random sequence against a group-commit and a direct-submit
-        // H2Cloud — three middlewares, Deferred maintenance, gossip pumped
-        // with drops and duplicates mid-sequence. Group commit changes HOW
-        // patches reach the cloud (one combined object per batch, a
-        // contiguous patch-number range) but must not change WHAT any
-        // client observes: every ack, error class and final tree must
-        // match the direct instance's.
-        let grouped = h2_deferred_commit(true);
-        let direct = h2_deferred_commit(false);
-        let mut ctx = OpCtx::for_test();
-        grouped.create_account(&mut ctx, "u").unwrap();
-        direct.create_account(&mut ctx, "u").unwrap();
-
-        for (i, op) in ops.iter().enumerate() {
-            let with_gc = Trace::apply_fs(&grouped, &mut ctx, "u", op);
-            let without = Trace::apply_fs(&direct, &mut ctx, "u", op);
-            match (&with_gc, &without) {
-                (Ok(()), Ok(())) => {}
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    a.class(), b.class(),
-                    "{:?}: grouped={} direct={}", op, a, b
-                ),
-                _ => prop_assert!(
-                    false,
-                    "{:?} diverged: grouped={:?} direct={:?}", op, with_gc, without
-                ),
-            }
-            if i % 3 == 2 {
-                for fs in [&grouped, &direct] {
-                    fs.layer()
-                        .pump_with_faults(GossipFaults {
-                            drop_every: 3,
-                            duplicate_every: 4,
-                        })
-                        .unwrap();
-                }
-            }
-        }
-
-        grouped.quiesce();
-        direct.quiesce();
-        prop_assert_eq!(
-            tree_snapshot(&grouped, "u"),
-            tree_snapshot(&direct, "u"),
-            "group commit changed the observable filesystem"
-        );
-        let report = fsck(&grouped, &mut ctx, "u").unwrap();
-        prop_assert!(report.is_clean(), "fsck violations: {:?}", report.violations);
+        // Group commit changes HOW patches reach the cloud (one combined
+        // object per batch, a contiguous patch-number range), never WHAT a
+        // client observes.
+        differential(paper(), H2Config { group_commit: true, ..paper() }, &ops)?;
     }
 
     #[test]
     fn read_path_caches_are_observably_transparent(
         ops in prop::collection::vec(arb_op(), 1..60)
     ) {
-        // Same random sequence against a read-path-optimised (full-path
-        // cache + negative cache + hedged reads) and a plain H2Cloud —
-        // three middlewares, Deferred maintenance, gossip pumped with
-        // drops and duplicates mid-sequence. The caches change how a
-        // resolve is *answered*, never what it answers: every outcome,
-        // error class and final tree must match the plain instance's,
-        // including NotFound results served from the negative cache.
+        // The caches change how a resolve is *answered*, never what it
+        // answers — NotFound results served from the negative cache
+        // included.
         for capacity in READOPT_CAPACITIES {
-            let opt = h2_deferred_readopt(true, capacity);
-            let plain = h2_deferred_readopt(false, capacity);
-            let mut ctx = OpCtx::for_test();
-            opt.create_account(&mut ctx, "u").unwrap();
-            plain.create_account(&mut ctx, "u").unwrap();
-
-            for (i, op) in ops.iter().enumerate() {
-                let with_opt = Trace::apply_fs(&opt, &mut ctx, "u", op);
-                let without = Trace::apply_fs(&plain, &mut ctx, "u", op);
-                match (&with_opt, &without) {
-                    (Ok(()), Ok(())) => {}
-                    (Err(a), Err(b)) => prop_assert_eq!(
-                        a.class(), b.class(),
-                        "{:?}: optimised={} plain={}", op, a, b
-                    ),
-                    _ => prop_assert!(
-                        false,
-                        "{:?} diverged: optimised={:?} plain={:?}", op, with_opt, without
-                    ),
-                }
-                if i % 3 == 2 {
-                    for fs in [&opt, &plain] {
-                        fs.layer()
-                            .pump_with_faults(GossipFaults {
-                                drop_every: 3,
-                                duplicate_every: 4,
-                            })
-                            .unwrap();
-                    }
-                }
-            }
-
-            opt.quiesce();
-            plain.quiesce();
-            prop_assert_eq!(
-                tree_snapshot(&opt, "u"),
-                tree_snapshot(&plain, "u"),
-                "read-path caches changed the observable filesystem"
-            );
-            let report = fsck(&opt, &mut ctx, "u").unwrap();
-            prop_assert!(report.is_clean(), "fsck violations: {:?}", report.violations);
+            differential(ring_cached(capacity), read_path_opt(capacity), &ops)?;
         }
     }
 
@@ -372,114 +279,40 @@ proptest! {
     fn cas_plane_is_observably_transparent(
         ops in prop::collection::vec(arb_op_cas(), 1..60)
     ) {
-        // Same random sequence — including overwrites, appends and
-        // shared-content uploads — against a CAS-chunking and a
-        // whole-object H2Cloud, three middlewares, Deferred maintenance,
-        // gossip pumped with drops and duplicates mid-sequence. The CAS
+        // Overwrites, appends and shared-content uploads included: the CAS
         // plane rearranges how bytes live in the cloud (chunked,
-        // deduplicated, refcounted) but must not change anything a client
-        // can observe: every outcome, error class and final tree must
-        // match the whole-object instance's.
-        let cas = h2_deferred_cas(true);
-        let plain = h2_deferred_cas(false);
-        let mut ctx = OpCtx::for_test();
-        cas.create_account(&mut ctx, "u").unwrap();
-        plain.create_account(&mut ctx, "u").unwrap();
+        // deduplicated, refcounted), never what a client can observe.
+        differential(paper(), H2Config { cas: true, ..paper() }, &ops)?;
+    }
 
-        for (i, op) in ops.iter().enumerate() {
-            let with_cas = Trace::apply_fs(&cas, &mut ctx, "u", op);
-            let without = Trace::apply_fs(&plain, &mut ctx, "u", op);
-            match (&with_cas, &without) {
-                (Ok(()), Ok(())) => {}
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    a.class(), b.class(),
-                    "{:?}: cas={} plain={}", op, a, b
-                ),
-                _ => prop_assert!(
-                    false,
-                    "{:?} diverged: cas={:?} plain={:?}", op, with_cas, without
-                ),
-            }
-            if i % 3 == 2 {
-                for fs in [&cas, &plain] {
-                    fs.layer()
-                        .pump_with_faults(GossipFaults {
-                            drop_every: 3,
-                            duplicate_every: 4,
-                        })
-                        .unwrap();
-                }
-            }
+    #[test]
+    fn tuned_profile_is_observably_the_paper_profile(
+        ops in prop::collection::vec(arb_op_cas(), 1..60)
+    ) {
+        // Every knob at once, at both ring-cache sizes: the benchmark's
+        // profile against the paper's, op for op.
+        for capacity in READOPT_CAPACITIES {
+            differential(paper(), tuned(capacity), &ops)?;
         }
-
-        cas.quiesce();
-        plain.quiesce();
-        prop_assert_eq!(
-            tree_snapshot(&cas, "u"),
-            tree_snapshot(&plain, "u"),
-            "the CAS plane changed the observable filesystem"
-        );
-        let report = fsck(&cas, &mut ctx, "u").unwrap();
-        prop_assert!(report.is_clean(), "fsck violations: {:?}", report.violations);
     }
 
     #[test]
     fn tracing_is_observably_transparent(
         ops in prop::collection::vec(arb_op(), 1..60)
     ) {
-        // Same random sequence against a trace-everything and a trace-off
-        // H2Cloud (both with the NameRing cache on, gossip pumped lossily
-        // mid-sequence). Spans observe virtual time but never charge it,
-        // so every ack, error class, listing and final tree must be
-        // identical — tracing is pure observation.
-        let traced = h2_deferred(64, 1.0);
-        let silent = h2_deferred(64, 0.0);
-        let mut ctx = OpCtx::for_test();
-        traced.create_account(&mut ctx, "u").unwrap();
-        silent.create_account(&mut ctx, "u").unwrap();
-
-        for (i, op) in ops.iter().enumerate() {
-            let with_trace = Trace::apply_fs(&traced, &mut ctx, "u", op);
-            let without = Trace::apply_fs(&silent, &mut ctx, "u", op);
-            match (&with_trace, &without) {
-                (Ok(()), Ok(())) => {}
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    a.class(), b.class(),
-                    "{:?}: traced={} silent={}", op, a, b
-                ),
-                _ => prop_assert!(
-                    false,
-                    "{:?} diverged: traced={:?} silent={:?}", op, with_trace, without
-                ),
-            }
-            if i % 3 == 2 {
-                for fs in [&traced, &silent] {
-                    fs.layer()
-                        .pump_with_faults(GossipFaults {
-                            drop_every: 3,
-                            duplicate_every: 4,
-                        })
-                        .unwrap();
-                }
-            }
-        }
-
-        traced.quiesce();
-        silent.quiesce();
-        prop_assert_eq!(
-            tree_snapshot(&traced, "u"),
-            tree_snapshot(&silent, "u"),
-            "tracing changed the observable filesystem"
-        );
+        // Spans observe virtual time but never charge it: tracing is pure
+        // observation.
+        let traced = differential(
+            ring_cached(64),
+            H2Config { trace_sample: 1.0, ..ring_cached(64) },
+            &ops,
+        )?;
         // Sampling at 1.0 really did collect something: every client op
         // went through a middleware whose collector kept its root span.
-        let collected = traced.recent_traces(usize::MAX);
         prop_assert!(
-            !collected.is_empty(),
+            !traced.recent_traces(usize::MAX).is_empty(),
             "trace_sample = 1.0 collected no traces over {} ops", ops.len()
         );
-        let report = fsck(&traced, &mut ctx, "u").unwrap();
-        prop_assert!(report.is_clean(), "fsck violations: {:?}", report.violations);
     }
 
     #[test]
@@ -528,8 +361,8 @@ proptest! {
         // thirds of the way in. Placement is the one thing a filesystem
         // client must never observe: every ack, every error class and the
         // final tree must match the stable instance's exactly.
-        let moving = h2_deferred(0, 0.0);
-        let stable = h2_deferred(0, 0.0);
+        let moving = H2Cloud::new(paper());
+        let stable = H2Cloud::new(paper());
         let mut ctx = OpCtx::for_test();
         moving.create_account(&mut ctx, "u").unwrap();
         stable.create_account(&mut ctx, "u").unwrap();
@@ -549,17 +382,7 @@ proptest! {
             }
             let on_moving = Trace::apply_fs(&moving, &mut ctx, "u", op);
             let on_stable = Trace::apply_fs(&stable, &mut ctx, "u", op);
-            match (&on_moving, &on_stable) {
-                (Ok(()), Ok(())) => {}
-                (Err(a), Err(b)) => prop_assert_eq!(
-                    a.class(), b.class(),
-                    "{:?}: moving={} stable={}", op, a, b
-                ),
-                _ => prop_assert!(
-                    false,
-                    "{:?} diverged: moving={:?} stable={:?}", op, on_moving, on_stable
-                ),
-            }
+            same_outcome(op, &on_moving, &on_stable, "moving vs stable")?;
             // Trickle the migrator between ops, a few partitions at a time.
             if i > add_at {
                 moving.cluster().migrate_step(4);
@@ -579,271 +402,212 @@ proptest! {
         moving.layer().resync().unwrap();
         moving.quiesce();
         stable.quiesce();
-        prop_assert_eq!(
-            tree_snapshot(&moving, "u"),
-            tree_snapshot(&stable, "u"),
-            "live rebalance changed the observable filesystem"
+        same_tree(&stable, &moving)?;
+    }
+}
+
+/// How a 5 %-fault leg runs gossip on one instance.
+#[derive(Debug, Clone, Copy)]
+enum Gossip {
+    /// Per-message delivery; nothing is dropped, so a clean pump settles it.
+    PerMessage,
+    /// Batched delivery; nothing is dropped, so a clean batched pump
+    /// settles it.
+    Batched,
+    /// [`LOSSY`] per-message delivery. A middleware that lost a message
+    /// serves its cached ring until the next message for that ring arrives
+    /// (the documented cache trade-off), so the anti-entropy sweep settles
+    /// it: every middleware re-fetches each ring it holds state for, joins
+    /// its local overlay and re-floods the result — no fresh writes needed.
+    Lossy,
+}
+
+impl Gossip {
+    fn pump(self, layer: &H2Layer) -> h2util::Result<usize> {
+        match self {
+            Gossip::PerMessage => layer.pump(),
+            Gossip::Batched => layer.pump_batched(),
+            Gossip::Lossy => layer.pump_with_faults(LOSSY),
+        }
+    }
+
+    fn settle(self, layer: &H2Layer) -> h2util::Result<usize> {
+        match self {
+            Gossip::PerMessage => layer.pump(),
+            Gossip::Batched => layer.pump_batched(),
+            Gossip::Lossy => layer.resync(),
+        }
+    }
+}
+
+/// Build one tree on an instance of `a` and one of `b` — a directory per
+/// middleware, written through that middleware with four files of
+/// `content(f)` each, so convergence genuinely rides on gossip — then run
+/// each instance's gossip under 5 % transient faults. Rounds may error out
+/// once a message burns its whole retry budget; state is still never lost,
+/// so the faults are cleared and each instance settled. Every middleware
+/// of both instances must then hold the same tree, and `b` must pass fsck.
+/// Returns both instances for knob-specific checks.
+fn converge_under_5pct_faults(
+    [(a, gossip_a), (b, gossip_b)]: [(H2Config, Gossip); 2],
+    content: impl Fn(u64) -> FileContent,
+) -> (H2Cloud, H2Cloud) {
+    let sides = [(H2Cloud::new(a), gossip_a), (H2Cloud::new(b), gossip_b)];
+    let mut ctx = OpCtx::for_test();
+    for (fs, _) in &sides {
+        fs.create_account(&mut ctx, "u").unwrap();
+        for (i, d) in ["a", "b", "c"].iter().enumerate() {
+            let view = fs.via(i);
+            let dir = FsPath::parse(&format!("/{d}")).unwrap();
+            view.mkdir(&mut ctx, "u", &dir).unwrap();
+            for f in 0..4 {
+                let file = FsPath::parse(&format!("/{d}/f{f}")).unwrap();
+                view.write(&mut ctx, "u", &file, content(f)).unwrap();
+            }
+        }
+    }
+
+    for (fs, _) in &sides {
+        fs.cluster()
+            .set_fault_plan(Some(FaultPlan::uniform(0xBA7C4ED, FaultSpec::errors(0.05))));
+    }
+    for _ in 0..6 {
+        for (fs, gossip) in &sides {
+            let _ = gossip.pump(fs.layer());
+        }
+    }
+    for (fs, gossip) in &sides {
+        fs.cluster().set_fault_plan(None);
+        gossip.settle(fs.layer()).unwrap();
+    }
+
+    let [(a, _), (b, _)] = sides;
+    let want = tree_snapshot(&a, "u");
+    assert_eq!(want.len(), 3 + 12, "the first instance lost writes");
+    assert_eq!(tree_snapshot(&b, "u"), want, "the instances diverged");
+    for i in 0..3 {
+        assert_eq!(
+            tree_snapshot(&a.via(i), "u"),
+            want,
+            "a: middleware {i} diverged"
         );
-        let report = fsck(&moving, &mut ctx, "u").unwrap();
-        prop_assert!(report.is_clean(), "fsck violations: {:?}", report.violations);
+        assert_eq!(
+            tree_snapshot(&b.via(i), "u"),
+            want,
+            "b: middleware {i} diverged"
+        );
+    }
+    let report = fsck(&b, &mut ctx, "u").unwrap();
+    assert!(report.is_clean(), "{:?}", report.violations);
+    (a, b)
+}
+
+/// Small files, unique content.
+fn small(_: u64) -> FileContent {
+    FileContent::Simulated(64)
+}
+
+/// Sub-chunk to multi-chunk files whose identities repeat across the three
+/// middlewares, so a CAS instance dedups across all three front doors.
+fn shared(f: u64) -> FileContent {
+    FileContent::SimulatedShared {
+        size: 700_000 + f * 100_000,
+        seed: f,
     }
 }
 
 #[test]
 fn batched_gossip_apply_loses_nothing_under_5pct_faults() {
-    use h2util::faults::{FaultPlan, FaultSpec};
-
-    // Two identical Deferred instances build the same tree through all
-    // three middlewares (so convergence genuinely rides on gossip), then
-    // run maintenance under 5% transient faults — one applying gossip
-    // per-message, the other in batches. Batching must lose nothing: after
-    // the faults clear, every middleware on both instances holds the same
-    // tree.
-    let per_msg = h2_deferred_commit(false);
-    let batched = h2_deferred_commit(true);
-    let mut ctx = OpCtx::for_test();
-    for fs in [&per_msg, &batched] {
-        fs.create_account(&mut ctx, "u").unwrap();
-        for (i, d) in ["a", "b", "c"].iter().enumerate() {
-            let view = fs.via(i);
-            let dir = FsPath::parse(&format!("/{d}")).unwrap();
-            view.mkdir(&mut ctx, "u", &dir).unwrap();
-            for f in 0..4 {
-                let file = FsPath::parse(&format!("/{d}/f{f}")).unwrap();
-                view.write(&mut ctx, "u", &file, h2fsapi::FileContent::Simulated(64))
-                    .unwrap();
-            }
-        }
-    }
-
-    let spec = FaultSpec::errors(0.05);
-    for fs in [&per_msg, &batched] {
-        fs.cluster()
-            .set_fault_plan(Some(FaultPlan::uniform(0xBA7C4ED, spec)));
-    }
-    // Maintenance under fire: rounds may error out once a message burns
-    // its whole retry budget — state is still never lost, so keep going.
-    for _ in 0..6 {
-        let _ = per_msg.layer().pump();
-        let _ = batched.layer().pump_batched();
-    }
-    for fs in [&per_msg, &batched] {
-        fs.cluster().set_fault_plan(None);
-    }
-    per_msg.layer().pump().unwrap();
-    batched.layer().pump_batched().unwrap();
-
-    let want = tree_snapshot(&per_msg, "u");
-    assert_eq!(want.len(), 3 + 12, "per-message instance lost writes");
-    assert_eq!(
-        tree_snapshot(&batched, "u"),
-        want,
-        "batched apply diverged from per-message apply"
+    // One instance applies gossip per message, the other in batches with
+    // group commit on: batching must lose nothing.
+    converge_under_5pct_faults(
+        [
+            (paper(), Gossip::PerMessage),
+            (
+                H2Config {
+                    group_commit: true,
+                    ..paper()
+                },
+                Gossip::Batched,
+            ),
+        ],
+        small,
     );
-    for i in 0..3 {
-        assert_eq!(
-            tree_snapshot(&per_msg.via(i), "u"),
-            want,
-            "per-message middleware {i} diverged"
-        );
-        assert_eq!(
-            tree_snapshot(&batched.via(i), "u"),
-            want,
-            "batched middleware {i} diverged"
-        );
-    }
-    let report = fsck(&batched, &mut ctx, "u").unwrap();
-    assert!(report.is_clean(), "{:?}", report.violations);
 }
 
 #[test]
 fn read_path_caches_lose_nothing_under_5pct_faults() {
+    // A cache that served anything stale past convergence would show up as
+    // a diverged snapshot.
     for capacity in READOPT_CAPACITIES {
-        read_path_caches_under_5pct_faults(capacity);
-    }
-}
-
-fn read_path_caches_under_5pct_faults(cache_capacity: usize) {
-    use h2util::faults::{FaultPlan, FaultSpec};
-
-    // Chaos leg for the read-path caches: an optimised and a plain
-    // instance build the same tree through all three middlewares, then run
-    // gossip maintenance under 5% transient faults *and* lossy delivery.
-    // Once the faults clear, every middleware on both instances must hold
-    // the identical tree — a cache that served anything stale past
-    // convergence would show up as a diverged snapshot here.
-    let opt = h2_deferred_readopt(true, cache_capacity);
-    let plain = h2_deferred_readopt(false, cache_capacity);
-    let mut ctx = OpCtx::for_test();
-    for fs in [&opt, &plain] {
-        fs.create_account(&mut ctx, "u").unwrap();
-        for (i, d) in ["a", "b", "c"].iter().enumerate() {
-            let view = fs.via(i);
-            let dir = FsPath::parse(&format!("/{d}")).unwrap();
-            view.mkdir(&mut ctx, "u", &dir).unwrap();
-            for f in 0..4 {
-                let file = FsPath::parse(&format!("/{d}/f{f}")).unwrap();
-                view.write(&mut ctx, "u", &file, h2fsapi::FileContent::Simulated(64))
-                    .unwrap();
-            }
+        let (_, opt) = converge_under_5pct_faults(
+            [
+                (ring_cached(capacity), Gossip::Lossy),
+                (read_path_opt(capacity), Gossip::Lossy),
+            ],
+            small,
+        );
+        // Not vacuous: the optimised instance really served resolves out of
+        // the path cache during the tree walks.
+        assert!(
+            opt.metrics().counter_value("path_cache_hits") > 0,
+            "path cache never hit — the chaos leg exercised nothing"
+        );
+        if capacity == 8 {
+            assert!(
+                opt.metrics().counter_value("ring_refetch_unchanged") > 0,
+                "no evicted ring was refetched unchanged — the small-cache leg exercised nothing"
+            );
         }
     }
-
-    let spec = FaultSpec::errors(0.05);
-    for fs in [&opt, &plain] {
-        fs.cluster()
-            .set_fault_plan(Some(FaultPlan::uniform(0xBA7C4ED, spec)));
-    }
-    for _ in 0..6 {
-        let _ = opt.layer().pump_with_faults(GossipFaults {
-            drop_every: 3,
-            duplicate_every: 4,
-        });
-        let _ = plain.layer().pump_with_faults(GossipFaults {
-            drop_every: 3,
-            duplicate_every: 4,
-        });
-    }
-    for fs in [&opt, &plain] {
-        fs.cluster().set_fault_plan(None);
-    }
-    // Convergence point: with the ring cache on, a middleware that lost a
-    // gossip message serves its cached ring until the next message for
-    // that ring arrives (the documented cache trade-off — true with or
-    // without the path cache). The anti-entropy sweep closes exactly that
-    // gap: every middleware re-fetches each ring it holds state for, joins
-    // its local overlay, and re-floods the merged result — no fresh writes
-    // needed to nudge untouched rings back into circulation.
-    for fs in [&opt, &plain] {
-        fs.layer().resync().unwrap();
-    }
-
-    let want = tree_snapshot(&plain, "u");
-    assert_eq!(want.len(), 3 + 12, "plain instance lost writes");
-    assert_eq!(
-        tree_snapshot(&opt, "u"),
-        want,
-        "read-path caches diverged from the plain instance"
-    );
-    for i in 0..3 {
-        assert_eq!(
-            tree_snapshot(&opt.via(i), "u"),
-            want,
-            "optimised middleware {i} diverged"
-        );
-        assert_eq!(
-            tree_snapshot(&plain.via(i), "u"),
-            want,
-            "plain middleware {i} diverged"
-        );
-    }
-    // The comparison was not vacuous: the optimised instance really served
-    // resolves out of the path cache during the tree walks above.
-    assert!(
-        opt.metrics().counter_value("path_cache_hits") > 0,
-        "path cache never hit — the chaos leg exercised nothing"
-    );
-    if cache_capacity == 8 {
-        assert!(
-            opt.metrics().counter_value("ring_refetch_unchanged") > 0,
-            "no evicted ring was refetched unchanged — the small-cache leg exercised nothing"
-        );
-    }
-    let report = fsck(&opt, &mut ctx, "u").unwrap();
-    assert!(report.is_clean(), "{:?}", report.violations);
 }
 
 #[test]
 fn cas_plane_loses_nothing_under_5pct_faults() {
-    use h2util::faults::{FaultPlan, FaultSpec};
-
-    // Chaos leg for the CAS content plane: a chunking and a whole-object
-    // instance build the same tree — including deduplicated shared content
-    // — through all three middlewares, then run gossip maintenance under
-    // 5% transient faults *and* lossy delivery. After the faults clear,
-    // every middleware on both instances must hold the identical tree: a
-    // lost leaf block, a miscounted refcount or a torn manifest would
-    // surface as a diverged snapshot or an fsck violation here.
-    let cas = h2_deferred_cas(true);
-    let plain = h2_deferred_cas(false);
-    let mut ctx = OpCtx::for_test();
-    for fs in [&cas, &plain] {
-        fs.create_account(&mut ctx, "u").unwrap();
-        for (i, d) in ["a", "b", "c"].iter().enumerate() {
-            let view = fs.via(i);
-            let dir = FsPath::parse(&format!("/{d}")).unwrap();
-            view.mkdir(&mut ctx, "u", &dir).unwrap();
-            for f in 0..4 {
-                let file = FsPath::parse(&format!("/{d}/f{f}")).unwrap();
-                // Every middleware uploads the same shared identities, so
-                // the CAS instance dedups across all three front doors.
-                view.write(
-                    &mut ctx,
-                    "u",
-                    &file,
-                    h2fsapi::FileContent::SimulatedShared {
-                        size: 700_000 + f * 100_000,
-                        seed: f,
-                    },
-                )
-                .unwrap();
-            }
-        }
-    }
-
-    let spec = FaultSpec::errors(0.05);
-    for fs in [&cas, &plain] {
-        fs.cluster()
-            .set_fault_plan(Some(FaultPlan::uniform(0xBA7C4ED, spec)));
-    }
-    for _ in 0..6 {
-        let _ = cas.layer().pump_with_faults(GossipFaults {
-            drop_every: 3,
-            duplicate_every: 4,
-        });
-        let _ = plain.layer().pump_with_faults(GossipFaults {
-            drop_every: 3,
-            duplicate_every: 4,
-        });
-    }
-    for fs in [&cas, &plain] {
-        fs.cluster().set_fault_plan(None);
-    }
-    for fs in [&cas, &plain] {
-        fs.layer().resync().unwrap();
-    }
-
-    let want = tree_snapshot(&plain, "u");
-    assert_eq!(want.len(), 3 + 12, "whole-object instance lost writes");
-    assert_eq!(
-        tree_snapshot(&cas, "u"),
-        want,
-        "the CAS plane diverged from the whole-object instance"
+    // A lost leaf block, a miscounted refcount or a torn manifest would
+    // surface as a diverged snapshot or an fsck violation.
+    let (_, cas) = converge_under_5pct_faults(
+        [
+            (paper(), Gossip::Lossy),
+            (
+                H2Config {
+                    cas: true,
+                    ..paper()
+                },
+                Gossip::Lossy,
+            ),
+        ],
+        shared,
     );
-    for i in 0..3 {
-        assert_eq!(
-            tree_snapshot(&cas.via(i), "u"),
-            want,
-            "CAS middleware {i} diverged"
+    assert_chunked_and_deduplicated(&cas);
+}
+
+#[test]
+fn tuned_profile_loses_nothing_under_5pct_faults() {
+    for capacity in READOPT_CAPACITIES {
+        let (_, tuned) = converge_under_5pct_faults(
+            [(paper(), Gossip::Lossy), (tuned(capacity), Gossip::Lossy)],
+            shared,
         );
-        assert_eq!(
-            tree_snapshot(&plain.via(i), "u"),
-            want,
-            "whole-object middleware {i} diverged"
+        assert!(
+            tuned.metrics().counter_value("path_cache_hits") > 0,
+            "path cache never hit — the chaos leg exercised nothing"
         );
+        assert_chunked_and_deduplicated(&tuned);
     }
-    // Not vacuous: the CAS instance really chunked, and really deduplicated
-    // the shared identities the three middlewares uploaded.
+}
+
+/// Not vacuous: the instance really chunked, and really deduplicated the
+/// shared identities the three middlewares uploaded.
+fn assert_chunked_and_deduplicated(fs: &H2Cloud) {
     assert!(
-        cas.cluster().cas_blocks_written_count() > 0,
+        fs.cluster().cas_blocks_written_count() > 0,
         "CAS plane never wrote a block"
     );
     assert!(
-        cas.cluster().dedup_bytes_saved_count() > 0,
+        fs.cluster().dedup_bytes_saved_count() > 0,
         "shared uploads deduplicated nothing"
     );
-    let report = fsck(&cas, &mut ctx, "u").unwrap();
-    assert!(report.is_clean(), "{:?}", report.violations);
 }
 
 #[test]
@@ -852,7 +616,7 @@ fn stale_negative_cannot_hide_acked_file_past_convergence() {
     // "path missing", the file is then created — through another
     // middleware or through A itself — and A keeps serving NotFound. The
     // epoch fingerprint must kill the negative in both cases.
-    let fs = h2_deferred_readopt(true, READOPT_CAPACITIES[0]);
+    let fs = H2Cloud::new(read_path_opt(READOPT_CAPACITIES[0]));
     let mut ctx = OpCtx::for_test();
     fs.create_account(&mut ctx, "u").unwrap();
     let a = fs.via(0);
@@ -869,7 +633,7 @@ fn stale_negative_cannot_hide_acked_file_past_convergence() {
     }
     b.mkdir(&mut ctx, "u", &FsPath::parse("/a").unwrap())
         .unwrap();
-    b.write(&mut ctx, "u", &file, h2fsapi::FileContent::Simulated(64))
+    b.write(&mut ctx, "u", &file, FileContent::Simulated(64))
         .unwrap();
     fs.layer().pump().unwrap();
     let st = a
@@ -887,7 +651,7 @@ fn stale_negative_cannot_hide_acked_file_past_convergence() {
     );
     a.mkdir(&mut ctx, "u", &FsPath::parse("/b").unwrap())
         .unwrap();
-    a.write(&mut ctx, "u", &local, h2fsapi::FileContent::Simulated(32))
+    a.write(&mut ctx, "u", &local, FileContent::Simulated(32))
         .unwrap();
     let st = a
         .stat(&mut ctx, "u", &local)

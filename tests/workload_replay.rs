@@ -53,51 +53,48 @@ fn bulk_import_equals_slow_population_on_h2() {
 
 #[test]
 fn heavy_user_filesystem_hosts_and_operates() {
-    let spec = FsSpec::generate(&mut rng(8), UserProfile::Heavy, 0.1);
-    let fs = H2Cloud::new(H2Config::for_test());
-    let mut ctx = OpCtx::for_test();
-    fs.create_account(&mut ctx, "heavy").unwrap();
-    spec.populate(&fs, &mut ctx, "heavy").unwrap();
+    for cas in [false, true] {
+        let spec = FsSpec::generate(&mut rng(8), UserProfile::Heavy, 0.1);
+        let fs = H2Cloud::new(H2Config {
+            cas,
+            ..H2Config::for_test()
+        });
+        let mut ctx = OpCtx::for_test();
+        fs.create_account(&mut ctx, "heavy").unwrap();
+        spec.populate(&fs, &mut ctx, "heavy").unwrap();
 
-    let model = spec.to_model();
-    if fs.layer().mw(0).cas_active() {
-        // CAS plane: one manifest per file, plus the deduplicated block set
-        // (leaves and branches) that the cluster's refcount index tracks.
-        // Pinning objects against `cas_live_blocks` proves no block leaked
-        // outside the refcount discipline during a bulk import.
+        let model = spec.to_model();
+        // One object per file whatever its size (its content, or its CAS
+        // manifest), the deduplicated blocks the cluster's refcount index
+        // tracks (some on the CAS plane, none at all on the whole plane), 2
+        // per dir (descriptor + NameRing), plus the root ring. Pinning
+        // objects against `cas_live_blocks` proves no block leaked outside
+        // the refcount discipline during a bulk import.
+        let blocks = fs.cluster().cas_live_blocks();
+        assert_eq!(blocks > 0, cas, "{blocks} CAS blocks with cas = {cas}");
         assert_eq!(
             fs.storage_stats().objects,
-            spec.files.len() as u64
-                + fs.cluster().cas_live_blocks()
-                + 2 * spec.dirs.len() as u64
-                + 1
+            spec.files.len() as u64 + blocks + 2 * spec.dirs.len() as u64 + 1
         );
-    } else {
-        // One object per file whatever its size, 2 per dir (descriptor +
-        // NameRing), plus the root ring.
-        assert_eq!(
-            fs.storage_stats().objects,
-            spec.files.len() as u64 + 2 * spec.dirs.len() as u64 + 1
-        );
+        // Spot-check twenty files.
+        for (path, size) in model.all_files().into_iter().take(20) {
+            let st = fs.stat(&mut ctx, "heavy", &path).unwrap();
+            assert_eq!(st.size, size, "{path}");
+        }
+        // Directory ops on the populated tree work.
+        let deepest = model
+            .all_dirs()
+            .into_iter()
+            .max_by_key(|d| d.depth())
+            .unwrap();
+        assert!(deepest.depth() >= 5, "heavy profile too shallow");
+        fs.mkdir(&mut ctx, "heavy", &deepest.child("fresh").unwrap())
+            .unwrap();
+        assert!(fs
+            .list(&mut ctx, "heavy", &deepest)
+            .unwrap()
+            .contains(&"fresh".to_string()));
     }
-    // Spot-check twenty files.
-    for (path, size) in model.all_files().into_iter().take(20) {
-        let st = fs.stat(&mut ctx, "heavy", &path).unwrap();
-        assert_eq!(st.size, size, "{path}");
-    }
-    // Directory ops on the populated tree work.
-    let deepest = model
-        .all_dirs()
-        .into_iter()
-        .max_by_key(|d| d.depth())
-        .unwrap();
-    assert!(deepest.depth() >= 5, "heavy profile too shallow");
-    fs.mkdir(&mut ctx, "heavy", &deepest.child("fresh").unwrap())
-        .unwrap();
-    assert!(fs
-        .list(&mut ctx, "heavy", &deepest)
-        .unwrap()
-        .contains(&"fresh".to_string()));
 }
 
 #[test]
