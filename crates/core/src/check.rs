@@ -7,7 +7,10 @@
 //!
 //! 1. every live directory tuple has a parseable descriptor object whose
 //!    namespace matches the tuple's;
-//! 2. every live directory's NameRing object exists (or is validly empty);
+//! 2. every live directory's NameRing object exists (or is validly empty)
+//!    and its body is canonical: re-formatting the parsed ring reproduces
+//!    it byte for byte (the parser's append-only fast path relies on
+//!    Formatter order);
 //! 3. every live file tuple has a content object, and the object's size
 //!    matches the tuple's recorded size;
 //! 4. no two live directory tuples share a namespace (each NameRing has
@@ -61,7 +64,7 @@ pub fn fsck(fs: &H2Cloud, ctx: &mut OpCtx, account: &str) -> Result<FsckReport> 
     visited.insert(NamespaceId::ROOT);
 
     while let Some((ns, dir_path)) = stack.pop() {
-        let ring = mw.read_ring(ctx, &keys, ns)?;
+        let ring = mw.read_ring_view(ctx, &keys, ns)?;
         for (name, tuple) in ring.iter() {
             if tuple.deleted {
                 report.tombstones += 1;
@@ -100,11 +103,16 @@ pub fn fsck(fs: &H2Cloud, ctx: &mut OpCtx, account: &str) -> Result<FsckReport> 
                     }
                     // (2) the ring object must be fetchable (empty is fine —
                     // read_ring treats missing as empty, so only transport
-                    // or corruption errors count).
-                    if let Err(e) = mw.fetch_global_ring(ctx, &keys, child_ns) {
-                        report
+                    // or corruption errors count) and in canonical form.
+                    match mw.fetch_global_ring_audited(ctx, &keys, child_ns) {
+                        Ok((_, true)) => {}
+                        Ok((_, false)) => report.violations.push(format!(
+                            "{child_path}: NameRing {child_ns} is not in canonical form \
+                             (sorted, unique, as the Formatter writes it)"
+                        )),
+                        Err(e) => report
                             .violations
-                            .push(format!("{child_path}: NameRing unreadable: {e}"));
+                            .push(format!("{child_path}: NameRing unreadable: {e}")),
                     }
                     if visited.insert(child_ns) {
                         stack.push((child_ns, child_path.clone()));
@@ -293,6 +301,55 @@ mod tests {
                 .violations
                 .iter()
                 .any(|v| v.contains("CAS verification")),
+            "{:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    fn detects_a_ring_body_out_of_formatter_order() {
+        let (fs, mut ctx) = setup();
+        fs.mkdir(&mut ctx, "alice", &p("/d")).unwrap();
+        for name in ["a", "b", "c"] {
+            fs.write(
+                &mut ctx,
+                "alice",
+                &p(&format!("/d/{name}")),
+                FileContent::Simulated(1),
+            )
+            .unwrap();
+        }
+        let keys = H2Keys::new("alice");
+        let mw = fs.layer().mw_for_account("alice").clone();
+        let root = mw.read_ring(&mut ctx, &keys, NamespaceId::ROOT).unwrap();
+        let Some(ChildRef::Dir { ns }) = root.get("d").map(|t| t.child) else {
+            panic!("/d is a directory");
+        };
+        let ring = mw.fetch_global_ring(&mut ctx, &keys, ns).unwrap();
+        // Plant the same tuples in reverse name order.
+        let body = crate::formatter::namering_to_string(&ring);
+        let mut lines: Vec<&str> = body.lines().collect();
+        lines[1..].reverse();
+        let planted = lines.join("\n") + "\n";
+        fs.cluster()
+            .put(
+                &mut ctx,
+                &keys.namering(ns),
+                swiftsim::Payload::from_string(planted),
+                swiftsim::Meta::new(),
+            )
+            .unwrap();
+        mw.invalidate_ring("alice", ns);
+        // The parser falls back to the merge rule: reads are unaffected.
+        assert_eq!(mw.fetch_global_ring(&mut ctx, &keys, ns).unwrap(), ring);
+        assert_eq!(
+            fs.list(&mut ctx, "alice", &p("/d")).unwrap(),
+            ["a", "b", "c"]
+        );
+        let report = fsck(&fs, &mut ctx, "alice").unwrap();
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(
+            report.violations[0].contains(&format!("NameRing {ns} is not in canonical form")),
             "{:?}",
             report.violations
         );

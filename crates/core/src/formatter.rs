@@ -220,38 +220,105 @@ pub fn cas_branch_from_str(s: &str) -> Result<Vec<(Digest128, u64)>> {
     Ok(children)
 }
 
+/// Decimal digits of `v`, zero-padded to at least `width`.
+fn dec_len(v: u64, width: usize) -> usize {
+    v.checked_ilog10().map_or(1, |l| l as usize + 1).max(width)
+}
+
+/// Append `v` in decimal, zero-padded to at least `width` digits — what
+/// `{v:0width$}` prints, without a formatter or a temporary.
+fn push_dec(out: &mut String, v: u64, width: usize) {
+    let mut digits = [b'0'; 20];
+    let mut i = digits.len();
+    let mut rest = v;
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    for _ in dec_len(v, 0)..width {
+        out.push('0');
+    }
+    out.extend(digits[i..].iter().map(|&d| char::from(d)));
+}
+
+/// `Timestamp`'s `Display` form: `millis.seq(4).node(2)`.
+fn push_ts(out: &mut String, ts: Timestamp) {
+    push_dec(out, ts.millis, 0);
+    out.push('.');
+    push_dec(out, u64::from(ts.seq), 4);
+    out.push('.');
+    push_dec(out, u64::from(ts.node.0), 2);
+}
+
+fn ts_len(ts: Timestamp) -> usize {
+    dec_len(ts.millis, 0) + 1 + dec_len(u64::from(ts.seq), 4) + 1 + dec_len(u64::from(ts.node.0), 2)
+}
+
+/// `NamespaceId`'s `Display` form: `seq(2).node(2).millis`.
+fn push_ns(out: &mut String, ns: NamespaceId) {
+    push_dec(out, ns.seq, 2);
+    out.push('.');
+    push_dec(out, u64::from(ns.node.0), 2);
+    out.push('.');
+    push_dec(out, ns.millis, 0);
+}
+
+fn ns_len(ns: NamespaceId) -> usize {
+    dec_len(ns.seq, 2) + 1 + dec_len(u64::from(ns.node.0), 2) + 1 + dec_len(ns.millis, 0)
+}
+
+/// Exact length of [`write_ring`]'s output, so it allocates once.
+fn ring_body_len(magic: &str, ring: &NameRing) -> usize {
+    let header = magic.len() + 1 + dec_len(ring.len() as u64, 0) + 1;
+    let tuples: usize = ring
+        .iter()
+        .map(|(_, t)| {
+            let aux = match t.child {
+                ChildRef::File { size } => dec_len(size, 0),
+                ChildRef::Dir { ns } => ns_len(ns),
+            };
+            // Four tabs, the kind, the flag and the newline.
+            ts_len(t.ts) + aux + 7
+        })
+        .sum();
+    header + ring.name_bytes() + tuples
+}
+
 /// Serialise a NameRing (or, with [`PATCH_MAGIC`], a patch).
 fn write_ring(magic: &str, ring: &NameRing) -> String {
-    // Rough size: header + ~64 bytes per tuple.
-    let mut out = String::with_capacity(16 + ring.len() * 64);
+    let mut out = String::with_capacity(ring_body_len(magic, ring));
     out.push_str(magic);
     out.push(' ');
-    out.push_str(&ring.len().to_string());
+    push_dec(&mut out, ring.len() as u64, 0);
     out.push('\n');
     for (name, t) in ring.iter() {
         out.push_str(name);
         out.push('\t');
-        out.push_str(&t.ts.to_string());
-        out.push('\t');
+        push_ts(&mut out, t.ts);
         match t.child {
             ChildRef::File { size } => {
-                out.push('F');
-                out.push('\t');
-                out.push_str(&size.to_string());
+                out.push_str("\tF\t");
+                push_dec(&mut out, size, 0);
             }
             ChildRef::Dir { ns } => {
-                out.push('D');
-                out.push('\t');
-                out.push_str(&ns.to_string());
+                out.push_str("\tD\t");
+                push_ns(&mut out, ns);
             }
         }
-        out.push('\t');
         // The paper's Deleted tag.
-        out.push(if t.deleted { 'D' } else { 'A' });
-        out.push('\n');
+        out.push_str(if t.deleted { "\tD\n" } else { "\tA\n" });
     }
     out
 }
+
+/// Shortest tuple line the Formatter writes, after the name: a
+/// 9-character timestamp, four tabs, a kind, a 1-digit size, a flag and
+/// the newline.
+const MIN_LINE_AFTER_NAME: usize = 17;
 
 fn parse_ring(magic: &str, s: &str) -> Result<NameRing> {
     let mut lines = s.lines();
@@ -269,7 +336,15 @@ fn parse_ring(magic: &str, s: &str) -> Result<NameRing> {
     let count: usize = count
         .parse()
         .map_err(|_| H2Error::Corrupt(format!("bad tuple count {count:?}")))?;
-    let mut ring = NameRing::new();
+    // Room for every tuple a Formatter-written body of this length can
+    // hold and for the longest names it leaves room for, so such a body
+    // parses in exactly two allocations; a header lying about its count
+    // cannot reserve more than the body could fill. (Other bodies may
+    // outgrow the hint; it is only a capacity.)
+    let body = s.len() - header.len();
+    let tuples = count.min(body / (MIN_LINE_AFTER_NAME + 1));
+    let mut ring =
+        NameRing::with_capacity(tuples, body.saturating_sub(tuples * MIN_LINE_AFTER_NAME));
     let mut seen = 0usize;
     for line in lines {
         let mut f = line.split('\t');
@@ -298,7 +373,9 @@ fn parse_ring(magic: &str, s: &str) -> Result<NameRing> {
             "D" => true,
             other => return Err(H2Error::Corrupt(format!("bad deleted flag {other:?}"))),
         };
-        ring.apply(name, Tuple { ts, child, deleted });
+        // Formatter order appends; anything else (hand-edited or foreign
+        // bodies, duplicate names) takes the merge rule, as it always has.
+        ring.push(name, Tuple { ts, child, deleted });
         seen += 1;
     }
     if seen != count {

@@ -80,7 +80,7 @@ fn collect_live(
 ) -> Result<()> {
     let mut stack = vec![ns];
     while let Some(ns) = stack.pop() {
-        let ring = mw.read_ring(ctx, keys, ns)?;
+        let ring = mw.read_ring_view(ctx, keys, ns)?;
         for (_, tuple) in ring.live() {
             if let ChildRef::Dir { ns: child } = tuple.child {
                 if live.insert(child) {
@@ -105,9 +105,12 @@ fn walk_and_compact(
 ) -> Result<()> {
     let mut stack = vec![ns];
     while let Some(ns) = stack.pop() {
-        let mut ring = mw.read_ring(ctx, keys, ns)?;
-        let removed = ring.compact(horizon);
-        if !removed.is_empty() {
+        let view = mw.read_ring_view(ctx, keys, ns)?;
+        // Only a ring GC changes is materialised: the rest are walked
+        // through the shared view.
+        if view.has_tombstone_below(horizon) {
+            let mut ring = view.materialize();
+            let removed = ring.compact(horizon);
             mw.write_ring(ctx, keys, ns, &ring)?;
             // Floor every middleware's local ring to the GC horizon. A peer
             // whose local version still held a compacted tombstone would
@@ -135,8 +138,9 @@ fn walk_and_compact(
             }
         }
         // Visit live children (worklist, not recursion — sibling order is
-        // irrelevant, compaction is per-namespace).
-        for (_, t) in ring.live() {
+        // irrelevant, compaction is per-namespace). Compaction drops
+        // tombstones only, so the view's live children are the ring's.
+        for (_, t) in view.live() {
             if let ChildRef::Dir { ns: child } = t.child {
                 stack.push(child);
             }
@@ -157,7 +161,7 @@ fn delete_subtree(
 ) -> Result<()> {
     let mut stack = vec![ns];
     while let Some(ns) = stack.pop() {
-        let ring = mw.read_ring(ctx, keys, ns)?;
+        let ring = mw.read_ring_view(ctx, keys, ns)?;
         for (name, tuple) in ring.iter() {
             match tuple.child {
                 ChildRef::File { .. } => {

@@ -1368,8 +1368,11 @@ impl H2Middleware {
         let key = FdKey::of(account, ns);
         {
             let mut fds = self.fds.lock();
+            // Copy a shared local ring only when there is something to drop.
             if let Some(fd) = fds.get_mut(&key) {
-                Arc::make_mut(&mut fd.local).floor_tombstones(horizon);
+                if fd.local.has_tombstone_below(horizon) {
+                    Arc::make_mut(&mut fd.local).floor_tombstones(horizon);
+                }
             }
         }
         self.drop_cached(&key);
@@ -1475,6 +1478,28 @@ impl H2Middleware {
             .map(|(ring, _)| ring)
     }
 
+    /// [`fetch_global_ring`](Self::fetch_global_ring), plus whether the
+    /// stored body is byte for byte what the Formatter writes for the ring
+    /// it parses to (an absent object reads as an empty, canonical ring).
+    /// The parser's append-only fast path assumes such bodies; fsck audits
+    /// that with this, in the same one GET.
+    pub(crate) fn fetch_global_ring_audited(
+        &self,
+        ctx: &mut OpCtx,
+        keys: &H2Keys,
+        ns: NamespaceId,
+    ) -> Result<(NameRing, bool)> {
+        Ok(match self.fetch_ring_object(ctx, keys, ns, None)? {
+            Some(obj) => {
+                let body = Self::ring_body(&obj, ns)?;
+                let ring = formatter::namering_from_str(body)?;
+                let canonical = formatter::namering_to_string(&ring) == body;
+                (ring, canonical)
+            }
+            None => (NameRing::new(), true),
+        })
+    }
+
     /// GET and parse the ring object, with the write stamp of the copy
     /// that answered; an absent object reads as an empty ring with no
     /// stamp. `expected_ms` is [`Cluster::get_expecting`]'s freshness
@@ -1486,20 +1511,38 @@ impl H2Middleware {
         ns: NamespaceId,
         expected_ms: Option<u64>,
     ) -> Result<(NameRing, Option<u64>)> {
+        Ok(match self.fetch_ring_object(ctx, keys, ns, expected_ms)? {
+            Some(obj) => (
+                formatter::namering_from_str(Self::ring_body(&obj, ns)?)?,
+                Some(obj.modified_ms),
+            ),
+            None => (NameRing::new(), None),
+        })
+    }
+
+    /// GET the ring object with this middleware's retries (`None`: absent).
+    fn fetch_ring_object(
+        &self,
+        ctx: &mut OpCtx,
+        keys: &H2Keys,
+        ns: NamespaceId,
+        expected_ms: Option<u64>,
+    ) -> Result<Option<Object>> {
         let key = keys.namering(ns);
         self.ring_fetches.incr();
         match self.with_retry(ctx, "fetch_ring", |ctx| {
             self.store.get_expecting(ctx, &key, expected_ms)
         }) {
-            Ok(obj) => {
-                let s = obj.payload.as_str().ok_or_else(|| {
-                    H2Error::Corrupt(format!("NameRing {ns} is not a string object"))
-                })?;
-                Ok((formatter::namering_from_str(s)?, Some(obj.modified_ms)))
-            }
-            Err(H2Error::NotFound(_)) => Ok((NameRing::new(), None)),
+            Ok(obj) => Ok(Some(obj)),
+            Err(H2Error::NotFound(_)) => Ok(None),
             Err(e) => Err(e),
         }
+    }
+
+    fn ring_body(obj: &Object, ns: NamespaceId) -> Result<&str> {
+        obj.payload
+            .as_str()
+            .ok_or_else(|| H2Error::Corrupt(format!("NameRing {ns} is not a string object")))
     }
 
     /// Write a ring object back (formatter + PUT), writing through to the
@@ -1823,8 +1866,14 @@ impl H2Middleware {
             let fd = fds.entry(key).or_default();
             // Monotone: a patch submitted while this merge was in flight
             // must stay visible in the local version (its chain entry will
-            // carry it into the global object on the next cycle).
-            Arc::make_mut(&mut fd.local).merge_from(&ring);
+            // carry it into the global object on the next cycle). When the
+            // written ring already holds everything the local one does,
+            // share it instead of joining into a copy.
+            if ring.subsumes(&fd.local) {
+                fd.local = Arc::clone(&ring);
+            } else {
+                Arc::make_mut(&mut fd.local).merge_from(&ring);
+            }
         }
         self.bump_ns_epoch(ns);
         self.outbox.lock().push(GossipMsg {
@@ -2033,17 +2082,19 @@ impl H2Middleware {
             let mut fds = self.fds.lock();
             for (key, global, idxs) in fetched {
                 let fd = fds.entry(key.clone()).or_default();
-                let merged = NameRing::merged((*global).clone(), &fd.local);
-                let had_extra = merged != *global;
-                let merged = Arc::new(merged);
-                fd.local = Arc::clone(&merged);
                 applied_ns.push(key.ns);
-                if had_extra {
-                    writebacks.push((key, merged, idxs));
-                } else {
+                // One lockstep walk decides: a global ring that already
+                // holds everything the local one does becomes the local
+                // ring as it is; otherwise join into a copy and write back.
+                if global.subsumes(&fd.local) {
+                    fd.local = global;
                     for i in idxs {
                         results[i] = Some(Ok(true));
                     }
+                } else {
+                    let merged = Arc::new(NameRing::merged((*global).clone(), &fd.local));
+                    fd.local = Arc::clone(&merged);
+                    writebacks.push((key, merged, idxs));
                 }
             }
         }
@@ -2152,12 +2203,14 @@ impl H2Middleware {
             let (had_extra, merged) = {
                 let mut fds = self.fds.lock();
                 match fds.get_mut(&key) {
+                    Some(fd) if global.subsumes(&fd.local) => {
+                        fd.local = Arc::clone(&global);
+                        (false, global)
+                    }
                     Some(fd) => {
-                        let merged = NameRing::merged((*global).clone(), &fd.local);
-                        let had_extra = merged != *global;
-                        let merged = Arc::new(merged);
+                        let merged = Arc::new(NameRing::merged((*global).clone(), &fd.local));
                         fd.local = Arc::clone(&merged);
-                        (had_extra, merged)
+                        (true, merged)
                     }
                     None => (false, global),
                 }

@@ -33,7 +33,8 @@
 //! assert_eq!(ring.len(), 2);                // tombstone kept until compaction
 //! ```
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::fmt;
 use std::sync::Arc;
 
 use h2util::{NamespaceId, Timestamp};
@@ -92,12 +93,72 @@ impl Tuple {
     fn merge_key(&self) -> (Timestamp, bool, ChildRef) {
         (self.ts, self.deleted, self.child)
     }
+
+    /// Whether this tuple wins the merge against `other` — or is `other`:
+    /// joining `other` into a ring holding this tuple changes nothing.
+    fn covers(&self, other: &Tuple) -> bool {
+        self.merge_key() >= other.merge_key()
+    }
 }
 
-/// A NameRing: sorted map from child name to its latest tuple.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Patches up to this many tuples merge tuple by tuple (a binary search
+/// each); larger ones merge in one lockstep pass over both rings.
+const SMALL_PATCH: usize = 8;
+
+/// One child of the arena: where its name sits in [`NameRing`]'s `names`,
+/// and its tuple.
+#[derive(Clone, Copy)]
+struct Entry {
+    off: u32,
+    len: u32,
+    tuple: Tuple,
+}
+
+impl Entry {
+    fn name<'a>(&self, names: &'a str) -> &'a str {
+        &names[self.off as usize..(self.off + self.len) as usize]
+    }
+}
+
+/// A NameRing: the children of one directory, one tuple per name, in name
+/// order — the order the Formatter writes them in (§4.4).
+///
+/// Held as one sorted arena: every name in a single `String`, and one
+/// `(offset, length, tuple)` entry per child, strictly ascending and unique
+/// by name. A ring is therefore two allocations whatever its size, a clone
+/// is two copies, and parsing a body in Formatter order appends. Where a
+/// name sits in the arena carries no meaning (insertions append theirs);
+/// equality and `Debug` look at the tuples in name order only.
+#[derive(Clone)]
 pub struct NameRing {
-    tuples: BTreeMap<String, Tuple>,
+    names: String,
+    entries: Vec<Entry>,
+    /// Newest timestamp held (ZERO when empty), kept so `version()` is O(1).
+    version: Timestamp,
+}
+
+impl Default for NameRing {
+    fn default() -> Self {
+        NameRing {
+            names: String::new(),
+            entries: Vec::new(),
+            version: Timestamp::ZERO,
+        }
+    }
+}
+
+impl PartialEq for NameRing {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for NameRing {}
+
+impl fmt::Debug for NameRing {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 impl NameRing {
@@ -105,58 +166,113 @@ impl NameRing {
         NameRing::default()
     }
 
+    /// An empty ring with room for `entries` tuples whose names total
+    /// `name_bytes` bytes.
+    pub(crate) fn with_capacity(entries: usize, name_bytes: usize) -> Self {
+        NameRing {
+            names: String::with_capacity(name_bytes),
+            entries: Vec::with_capacity(entries),
+            version: Timestamp::ZERO,
+        }
+    }
+
     /// Number of tuples, *including* tombstones.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.entries.is_empty()
+    }
+
+    /// Total bytes of all names, tombstones included.
+    pub(crate) fn name_bytes(&self) -> usize {
+        self.names.len()
     }
 
     /// Number of live (non-deleted) children — the paper's `m`.
     pub fn live_len(&self) -> usize {
-        self.tuples.values().filter(|t| !t.deleted).count()
+        self.entries.iter().filter(|e| !e.tuple.deleted).count()
+    }
+
+    fn name(&self, e: &Entry) -> &str {
+        e.name(&self.names)
+    }
+
+    fn search(&self, name: &str) -> std::result::Result<usize, usize> {
+        self.entries.binary_search_by(|e| self.name(e).cmp(name))
+    }
+
+    /// Copy `name` into the arena and return its entry.
+    fn entry_for(&mut self, name: &str, tuple: Tuple) -> Entry {
+        let off = self.names.len();
+        assert!(
+            off + name.len() <= u32::MAX as usize,
+            "NameRing names exceed 4 GiB"
+        );
+        self.names.push_str(name);
+        self.version = self.version.max(tuple.ts);
+        Entry {
+            off: off as u32,
+            len: name.len() as u32,
+            tuple,
+        }
     }
 
     /// Upsert a tuple for `name`. The incoming tuple only lands if it wins
     /// the merge order against any existing tuple (so replayed stale
     /// updates are no-ops).
     pub fn apply(&mut self, name: &str, tuple: Tuple) {
-        match self.tuples.get_mut(name) {
-            Some(existing) => {
-                if tuple.merge_key() > existing.merge_key() {
+        match self.search(name) {
+            Ok(i) => {
+                let existing = &mut self.entries[i].tuple;
+                if !existing.covers(&tuple) {
                     *existing = tuple;
+                    self.version = self.version.max(tuple.ts);
                 }
             }
-            None => {
-                self.tuples.insert(name.to_string(), tuple);
+            Err(i) => {
+                let entry = self.entry_for(name, tuple);
+                self.entries.insert(i, entry);
+            }
+        }
+    }
+
+    /// [`apply`](Self::apply), appending without a search when `name`
+    /// sorts after every name held — the parser's path for a body in
+    /// Formatter order.
+    pub(crate) fn push(&mut self, name: &str, tuple: Tuple) {
+        match self.entries.last() {
+            Some(last) if self.name(last) >= name => self.apply(name, tuple),
+            _ => {
+                let entry = self.entry_for(name, tuple);
+                self.entries.push(entry);
             }
         }
     }
 
     /// The live tuple for `name` (tombstones are invisible here).
     pub fn get(&self, name: &str) -> Option<&Tuple> {
-        self.tuples.get(name).filter(|t| !t.deleted)
+        self.get_raw(name).filter(|t| !t.deleted)
     }
 
     /// The raw tuple including tombstones (maintenance needs them).
     pub fn get_raw(&self, name: &str) -> Option<&Tuple> {
-        self.tuples.get(name)
+        self.search(name).ok().map(|i| &self.entries[i].tuple)
     }
 
     /// Live children in name order — exactly what a names-only LIST
     /// returns in O(1) object reads (§3.1).
     pub fn live(&self) -> impl Iterator<Item = (&str, &Tuple)> {
-        self.tuples
-            .iter()
-            .filter(|(_, t)| !t.deleted)
-            .map(|(n, t)| (n.as_str(), t))
+        self.iter().filter(|(_, t)| !t.deleted)
     }
 
     /// All tuples, tombstones included, in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Tuple)> {
-        self.tuples.iter().map(|(n, t)| (n.as_str(), t))
+    pub fn iter(&self) -> Iter<'_> {
+        Iter {
+            names: &self.names,
+            entries: self.entries.iter(),
+        }
     }
 
     /// §3.3.2's merging algorithm: iterate the children of `other` (the
@@ -164,10 +280,72 @@ impl NameRing {
     /// present in both is overridden by the larger timestamp; a child only
     /// in the patch is inserted. Nothing is ever removed here — removal is
     /// deferred to [`NameRing::compact`].
+    ///
+    /// A small patch is applied tuple by tuple. A large one is one lockstep
+    /// pass: tuples of names both rings hold are overridden in place, and
+    /// the names only `other` holds are merged in from the back.
     pub fn merge_from(&mut self, other: &NameRing) {
-        for (name, tuple) in &other.tuples {
-            self.apply(name, *tuple);
+        // Every tuple of `other` either lands or loses to a newer one.
+        self.version = self.version.max(other.version);
+        if other.len() <= SMALL_PATCH {
+            for (name, tuple) in other.iter() {
+                self.apply(name, *tuple);
+            }
+            return;
         }
+        let mut added: Vec<Entry> = Vec::new();
+        let mut i = 0;
+        for theirs in &other.entries {
+            let name = other.name(theirs);
+            while i < self.entries.len() && self.name(&self.entries[i]) < name {
+                i += 1;
+            }
+            if i < self.entries.len() && self.name(&self.entries[i]) == name {
+                let ours = &mut self.entries[i].tuple;
+                if !ours.covers(&theirs.tuple) {
+                    *ours = theirs.tuple;
+                }
+                i += 1;
+            } else {
+                added.push(self.entry_for(name, theirs.tuple));
+            }
+        }
+        if added.is_empty() {
+            return;
+        }
+        // Both runs are sorted and share no name: merge from the back into
+        // the grown vector, so every entry moves once.
+        let (mut a, mut b) = (self.entries.len(), added.len());
+        self.entries.extend_from_slice(&added);
+        while b > 0 {
+            let w = a + b - 1;
+            if a > 0 && self.name(&self.entries[a - 1]) > self.name(&added[b - 1]) {
+                self.entries[w] = self.entries[a - 1];
+                a -= 1;
+            } else {
+                self.entries[w] = added[b - 1];
+                b -= 1;
+            }
+        }
+    }
+
+    /// Whether merging `other` into this ring would change nothing: every
+    /// name `other` holds is here with a tuple that wins or ties the merge.
+    pub fn subsumes(&self, other: &NameRing) -> bool {
+        if other.len() > self.len() {
+            return false;
+        }
+        if other.len() <= SMALL_PATCH {
+            return other
+                .iter()
+                .all(|(name, t)| self.get_raw(name).is_some_and(|ours| ours.covers(t)));
+        }
+        let mut ours = self.iter().peekable();
+        other.iter().all(|(name, theirs)| {
+            while ours.next_if(|(n, _)| *n < name).is_some() {}
+            ours.next_if(|(n, _)| *n == name)
+                .is_some_and(|(_, t)| t.covers(theirs))
+        })
     }
 
     /// Pure merge: `A ⊔ B`.
@@ -176,24 +354,20 @@ impl NameRing {
         a
     }
 
+    /// Whether the ring holds a tombstone with `ts < horizon` — one that
+    /// [`compact`](Self::compact) would drop.
+    pub fn has_tombstone_below(&self, horizon: Timestamp) -> bool {
+        self.entries.iter().any(|e| doomed(&e.tuple, horizon))
+    }
+
     /// Drop tombstones with `ts < horizon` — the deferred "really removing
     /// the tuple from the NameRing … when this NameRing is in use". Returns
     /// the removed `(name, tuple)` pairs so callers can reclaim the
     /// children's objects.
     pub fn compact(&mut self, horizon: Timestamp) -> Vec<(String, Tuple)> {
-        let doomed: Vec<String> = self
-            .tuples
-            .iter()
-            .filter(|(_, t)| t.deleted && t.ts < horizon)
-            .map(|(n, _)| n.clone())
-            .collect();
-        doomed
-            .into_iter()
-            .map(|n| {
-                let t = self.tuples.remove(&n).expect("tuple existed");
-                (n, t)
-            })
-            .collect()
+        let mut removed = Vec::new();
+        self.drop_tombstones(horizon, |name, t| removed.push((name.to_string(), *t)));
+        removed
     }
 
     /// Drop tombstones below `horizon` without reporting them. GC floors
@@ -203,17 +377,65 @@ impl NameRing {
     /// `merge_from(&fd.local)` join — resurrecting a tuple GC already
     /// reclaimed. Returns how many tombstones were dropped.
     pub fn floor_tombstones(&mut self, horizon: Timestamp) -> usize {
-        self.compact(horizon).len()
+        self.drop_tombstones(horizon, |_, _| {})
+    }
+
+    /// Rebuild the ring without the tombstones below `horizon`, handing
+    /// each dropped tuple to `on_drop`; recomputes the version. Returns how
+    /// many were dropped.
+    fn drop_tombstones(
+        &mut self,
+        horizon: Timestamp,
+        mut on_drop: impl FnMut(&str, &Tuple),
+    ) -> usize {
+        let dropped = self
+            .entries
+            .iter()
+            .filter(|e| doomed(&e.tuple, horizon))
+            .count();
+        if dropped == 0 {
+            return 0;
+        }
+        let mut kept = NameRing::with_capacity(self.len() - dropped, self.names.len());
+        for (name, t) in self.iter() {
+            if doomed(t, horizon) {
+                on_drop(name, t);
+            } else {
+                kept.push(name, *t);
+            }
+        }
+        *self = kept;
+        dropped
     }
 
     /// Newest timestamp in the ring (ZERO when empty). Gossip uses this as
     /// the version stamp for loop-back avoidance.
     pub fn version(&self) -> Timestamp {
-        self.tuples
-            .values()
-            .map(|t| t.ts)
-            .max()
-            .unwrap_or(Timestamp::ZERO)
+        self.version
+    }
+}
+
+fn doomed(t: &Tuple, horizon: Timestamp) -> bool {
+    t.deleted && t.ts < horizon
+}
+
+/// A ring's tuples in name order, tombstones included.
+#[derive(Clone, Default)]
+pub struct Iter<'a> {
+    names: &'a str,
+    entries: std::slice::Iter<'a, Entry>,
+}
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a str, &'a Tuple);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let e = self.entries.next()?;
+        Some((e.name(self.names), &e.tuple))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
     }
 }
 
@@ -224,7 +446,7 @@ impl NameRing {
 /// overlay into the clone for every resolve level — O(ring) allocation per
 /// lookup. A `RingView` holds `Arc`s to both sides and computes the CRDT
 /// join lazily: `get` joins the two tuples for one key, [`RingView::live`]
-/// walks both sorted maps in lockstep. Cloning the view is two refcount
+/// walks both sorted rings in lockstep. Cloning the view is two refcount
 /// bumps.
 ///
 /// Note this is a *view*, not a cache: it never assumes one side subsumes
@@ -243,16 +465,16 @@ pub struct RingView {
 
 impl RingView {
     pub fn new(global: Arc<NameRing>, overlay: Option<Arc<NameRing>>) -> Self {
-        // An empty overlay joins as identity; drop it so the common
-        // quiescent case degenerates to a plain borrow of the global ring.
-        let overlay = overlay.filter(|o| !o.is_empty());
+        // An empty overlay, or the global ring itself (what gossip leaves
+        // behind once the global ring covers the local one), joins as
+        // identity; drop it so the view degenerates to a plain borrow.
+        let overlay = overlay.filter(|o| !o.is_empty() && !Arc::ptr_eq(o, &global));
         RingView {
             global,
             overlay,
             from_cache: false,
         }
     }
-
     /// Mark the view as served from the parsed-ring cache.
     pub fn mark_cached(mut self) -> Self {
         self.from_cache = true;
@@ -271,7 +493,7 @@ impl RingView {
 
     fn join<'a>(a: Option<&'a Tuple>, b: Option<&'a Tuple>) -> Option<&'a Tuple> {
         match (a, b) {
-            (Some(x), Some(y)) => Some(if y.merge_key() > x.merge_key() { y } else { x }),
+            (Some(x), Some(y)) => Some(if x.covers(y) { x } else { y }),
             (x, None) => x,
             (None, y) => y,
         }
@@ -291,11 +513,11 @@ impl RingView {
     /// All joined tuples in name order, tombstones included.
     pub fn iter(&self) -> RingViewIter<'_> {
         RingViewIter {
-            global: self.global.tuples.iter().peekable(),
+            global: self.global.iter().peekable(),
             overlay: self
                 .overlay
                 .as_deref()
-                .map(|o| o.tuples.iter())
+                .map(NameRing::iter)
                 .unwrap_or_default()
                 .peekable(),
         }
@@ -310,6 +532,13 @@ impl RingView {
         self.live().count()
     }
 
+    /// Whether the joined ring holds a tombstone with `ts < horizon` —
+    /// whether [`NameRing::compact`] on the materialised ring would drop
+    /// anything.
+    pub(crate) fn has_tombstone_below(&self, horizon: Timestamp) -> bool {
+        self.iter().any(|(_, t)| doomed(t, horizon))
+    }
+
     /// Fold the view into an owned ring (compat path for callers that
     /// still need a materialised `NameRing`).
     pub fn materialize(&self) -> NameRing {
@@ -320,10 +549,10 @@ impl RingView {
     }
 }
 
-/// Lockstep merge over the two sorted tuple maps of a [`RingView`].
+/// Lockstep merge over the two sorted rings of a [`RingView`].
 pub struct RingViewIter<'a> {
-    global: std::iter::Peekable<std::collections::btree_map::Iter<'a, String, Tuple>>,
-    overlay: std::iter::Peekable<std::collections::btree_map::Iter<'a, String, Tuple>>,
+    global: std::iter::Peekable<Iter<'a>>,
+    overlay: std::iter::Peekable<Iter<'a>>,
 }
 
 impl<'a> Iterator for RingViewIter<'a> {
@@ -332,22 +561,16 @@ impl<'a> Iterator for RingViewIter<'a> {
     fn next(&mut self) -> Option<Self::Item> {
         match (self.global.peek(), self.overlay.peek()) {
             (Some((g, _)), Some((o, _))) => match g.cmp(o) {
-                std::cmp::Ordering::Less => self.global.next().map(|(n, t)| (n.as_str(), t)),
-                std::cmp::Ordering::Greater => self.overlay.next().map(|(n, t)| (n.as_str(), t)),
-                std::cmp::Ordering::Equal => {
+                Ordering::Less => self.global.next(),
+                Ordering::Greater => self.overlay.next(),
+                Ordering::Equal => {
                     let (name, gt) = self.global.next().expect("peeked");
                     let (_, ot) = self.overlay.next().expect("peeked");
-                    let winner = if ot.merge_key() > gt.merge_key() {
-                        ot
-                    } else {
-                        gt
-                    };
-                    Some((name.as_str(), winner))
+                    Some((name, if gt.covers(ot) { gt } else { ot }))
                 }
             },
-            (Some(_), None) => self.global.next().map(|(n, t)| (n.as_str(), t)),
-            (None, Some(_)) => self.overlay.next().map(|(n, t)| (n.as_str(), t)),
-            (None, None) => None,
+            (Some(_), None) => self.global.next(),
+            (None, _) => self.overlay.next(),
         }
     }
 }
@@ -356,7 +579,7 @@ impl FromIterator<(String, Tuple)> for NameRing {
     fn from_iter<I: IntoIterator<Item = (String, Tuple)>>(iter: I) -> Self {
         let mut r = NameRing::new();
         for (n, t) in iter {
-            r.apply(&n, t);
+            r.push(&n, t);
         }
         r
     }

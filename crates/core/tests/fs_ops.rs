@@ -772,3 +772,84 @@ fn resolve_caches_outlive_the_ring_cache_on_a_deep_chain() {
     );
     assert_eq!(stat_requests(&a, &file("a.txt")), (0, Ok(8192)));
 }
+
+// ----- maintenance cost of a large flat directory ---------------------------
+
+/// 64 mutations into a bulk-imported 4 096-file directory under the tuned
+/// profile with four Deferred middlewares on the paper's rack, then the
+/// gossip pump and a GC pass. Every request and every modelled nanosecond
+/// is pinned: how a NameRing is held in memory may change what maintenance
+/// costs in CPU, never what it asks of the store or what it models.
+#[test]
+fn flat_directory_maintenance_requests_and_virtual_time_are_pinned() {
+    use h2util::{BackendCounts, Timestamp};
+    use std::time::Duration;
+
+    let fs = H2Cloud::new(H2Config {
+        mode: h2cloud::MaintenanceMode::Deferred,
+        middlewares: 4,
+        cluster: swiftsim::ClusterConfig::default(),
+        ..H2Config::tuned()
+    });
+    let mut setup = OpCtx::new(fs.cost_model());
+    fs.create_account(&mut setup, "alice").unwrap();
+    let files: Vec<(FsPath, u64)> = (0..4096)
+        .map(|i| (p(&format!("/flat/f{i:04}")), 4096))
+        .collect();
+    fs.bulk_import(&mut setup, "alice", &[p("/flat")], &files)
+        .unwrap();
+    fs.quiesce();
+
+    let mut ops = OpCtx::new(fs.cost_model());
+    for i in 0..32 {
+        fs.write(
+            &mut ops,
+            "alice",
+            &p(&format!("/flat/new{i:02}")),
+            FileContent::Simulated(512),
+        )
+        .unwrap();
+        fs.delete_file(&mut ops, "alice", &p(&format!("/flat/f{:04}", i * 97)))
+            .unwrap();
+    }
+    let delivered = fs.layer().pump().unwrap();
+    let mut gc = OpCtx::new(fs.cost_model());
+    let horizon = Timestamp::new(u64::MAX, 0, h2util::NodeId(0));
+    let report = h2cloud::gc::collect(&fs, &mut gc, "alice", horizon).unwrap();
+    let listed = fs.list(&mut OpCtx::for_test(), "alice", &p("/flat"));
+    assert_eq!(listed.unwrap().len(), 4096);
+
+    assert_eq!(delivered, 3);
+    assert_eq!(
+        report,
+        h2cloud::gc::GcReport {
+            tuples_compacted: 32,
+            objects_deleted: 0,
+            rings_rewritten: 1,
+        }
+    );
+    let counts = |gets, puts, deletes| BackendCounts {
+        gets,
+        puts,
+        deletes,
+        ..BackendCounts::default()
+    };
+    // Each write is a CAS manifest, one leaf block and a patch; each delete
+    // a patch and two content deletes.
+    assert_eq!(ops.counts(), counts(0, 128, 64));
+    assert_eq!(ops.elapsed(), Duration::from_nanos(2_605_996_000));
+    // The ring comes from the ring cache; the content deletes were eager.
+    assert_eq!(gc.counts(), counts(0, 1, 32));
+    assert_eq!(gc.elapsed(), Duration::from_nanos(397_776_000));
+    // The owner merges the 64 patches in one cycle (fetch each, fetch and
+    // rewrite the ring, delete each); each peer fetches the ring once.
+    let spend: Vec<(Duration, BackendCounts)> = fs
+        .layer()
+        .middlewares()
+        .iter()
+        .map(|m| m.background_spend())
+        .collect();
+    let peer = (Duration::from_nanos(11_300_000), counts(1, 0, 0));
+    let owner = (Duration::from_nanos(1_416_856_000), counts(65, 1, 64));
+    assert_eq!(spend, [peer, owner, peer, peer]);
+}

@@ -1,6 +1,9 @@
 //! Property tests: the NameRing merge is a CRDT join and the Formatter is a
 //! faithful bijection — the two invariants the asynchronous maintenance
-//! protocol (§3.3) rests on.
+//! protocol (§3.3) rests on — and the ring's in-memory form agrees with a
+//! plain sorted map.
+
+use std::collections::BTreeMap;
 
 use h2cloud::formatter;
 use h2cloud::{ChildRef, NameRing, Tuple};
@@ -126,5 +129,239 @@ proptest! {
             }
         }
         prop_assert_eq!(a.len(), c.len() + removed.len());
+    }
+}
+
+// ----- the representation against a model ----------------------------------
+//
+// The properties above compare one `NameRing` with another, so a bug in how a
+// ring is held would pass them. Here the reference is a plain sorted map with
+// the merge rule spelled out, and the reference body is the Formatter's
+// output built from `to_string` pieces.
+
+type Model = BTreeMap<String, Tuple>;
+
+fn merge_key(t: &Tuple) -> (Timestamp, bool, ChildRef) {
+    (t.ts, t.deleted, t.child)
+}
+
+fn model_apply(model: &mut Model, name: &str, t: Tuple) {
+    match model.get_mut(name) {
+        Some(held) => {
+            if merge_key(&t) > merge_key(held) {
+                *held = t;
+            }
+        }
+        None => {
+            model.insert(name.to_string(), t);
+        }
+    }
+}
+
+/// One tuple line of the body, the way the Formatter has always written it.
+fn reference_line(name: &str, t: &Tuple) -> String {
+    let (kind, aux) = match t.child {
+        ChildRef::File { size } => ('F', size.to_string()),
+        ChildRef::Dir { ns } => ('D', ns.to_string()),
+    };
+    let flag = if t.deleted { 'D' } else { 'A' };
+    format!("{name}\t{}\t{kind}\t{aux}\t{flag}\n", t.ts)
+}
+
+fn reference_body(lines: usize, body: &str) -> String {
+    format!("{} {lines}\n{body}", formatter::NAMERING_MAGIC)
+}
+
+fn reference_writer(model: &Model) -> String {
+    let body: String = model.iter().map(|(n, t)| reference_line(n, t)).collect();
+    reference_body(model.len(), &body)
+}
+
+/// Few names and few clock values, so overrides and exact ties are common;
+/// now and then a number as wide as its type, so every digit is written.
+fn model_name() -> impl Strategy<Value = String> {
+    "[a-f]{1,3}"
+}
+
+fn model_timestamp() -> impl Strategy<Value = Timestamp> {
+    prop_oneof![
+        (0u64..40, 0u32..3, 0u16..3).prop_map(|(m, s, n)| Timestamp::new(m, s, NodeId(n))),
+        (any::<u64>(), any::<u32>(), any::<u16>()).prop_map(|(m, s, n)| Timestamp::new(
+            m,
+            s,
+            NodeId(n)
+        )),
+    ]
+}
+
+fn model_tuple() -> impl Strategy<Value = Tuple> {
+    let child = prop_oneof![
+        (0u64..3).prop_map(|size| ChildRef::File { size }),
+        any::<u64>().prop_map(|size| ChildRef::File { size }),
+        (0u64..3, any::<u16>(), any::<u64>()).prop_map(|(seq, node, ms)| ChildRef::Dir {
+            ns: NamespaceId::new(seq, NodeId(node), ms)
+        }),
+    ];
+    (model_timestamp(), child, any::<bool>()).prop_map(|(ts, child, deleted)| Tuple {
+        ts,
+        child,
+        deleted,
+    })
+}
+
+#[derive(Debug, Clone)]
+enum Step {
+    Apply(String, Tuple),
+    /// Small patches merge tuple by tuple, large ones in one lockstep pass.
+    Merge(Vec<(String, Tuple)>),
+    Compact(Timestamp),
+    Floor(Timestamp),
+}
+
+fn model_steps() -> impl Strategy<Value = Vec<Step>> {
+    let entry = || (model_name(), model_tuple());
+    let step = prop_oneof![
+        entry().prop_map(|(n, t)| Step::Apply(n, t)),
+        entry().prop_map(|(n, t)| Step::Apply(n, t)),
+        prop::collection::vec(entry(), 1..9).prop_map(Step::Merge),
+        prop::collection::vec(entry(), 9..201).prop_map(Step::Merge),
+        model_timestamp().prop_map(Step::Compact),
+        model_timestamp().prop_map(Step::Floor),
+    ];
+    prop::collection::vec(step, 1..24)
+}
+
+/// Everything observable about `ring` agrees with `model`.
+fn agrees(ring: &NameRing, model: &Model) -> Result<(), TestCaseError> {
+    let held: Vec<(String, Tuple)> = ring.iter().map(|(n, t)| (n.to_string(), *t)).collect();
+    let want: Vec<(String, Tuple)> = model.iter().map(|(n, t)| (n.clone(), *t)).collect();
+    prop_assert_eq!(held, want);
+    for name in model
+        .keys()
+        .map(String::as_str)
+        .chain(["", "a0", "ff", "g"])
+    {
+        prop_assert_eq!(ring.get_raw(name), model.get(name), "get_raw({:?})", name);
+    }
+    prop_assert_eq!(ring.len(), model.len());
+    prop_assert_eq!(
+        ring.live_len(),
+        model.values().filter(|t| !t.deleted).count()
+    );
+    let version = model
+        .values()
+        .map(|t| t.ts)
+        .max()
+        .unwrap_or(Timestamp::ZERO);
+    prop_assert_eq!(ring.version(), version);
+    let body = formatter::namering_to_string(ring);
+    prop_assert_eq!(&body, &reference_writer(model));
+    prop_assert_eq!(&formatter::namering_from_str(&body).unwrap(), ring);
+    Ok(())
+}
+
+fn run_against_model(steps: Vec<Step>) -> Result<(), TestCaseError> {
+    let mut ring = NameRing::new();
+    let mut model = Model::new();
+    for step in steps {
+        match step {
+            Step::Apply(name, t) => {
+                ring.apply(&name, t);
+                model_apply(&mut model, &name, t);
+            }
+            Step::Merge(entries) => {
+                let patch: NameRing = entries.iter().cloned().collect();
+                let mut patch_model = Model::new();
+                for (n, t) in &entries {
+                    model_apply(&mut patch_model, n, *t);
+                }
+                agrees(&patch, &patch_model)?;
+                let before = ring.clone();
+                ring.merge_from(&patch);
+                prop_assert_eq!(before.subsumes(&patch), before == ring);
+                prop_assert!(ring.subsumes(&before) && ring.subsumes(&patch));
+                prop_assert_eq!(before.subsumes(&ring), before == ring);
+                for (n, t) in &patch_model {
+                    model_apply(&mut model, n, *t);
+                }
+            }
+            Step::Compact(horizon) => {
+                let any_doomed = ring.has_tombstone_below(horizon);
+                let removed = ring.compact(horizon);
+                prop_assert_eq!(any_doomed, !removed.is_empty());
+                let doomed: Vec<(String, Tuple)> = model
+                    .iter()
+                    .filter(|(_, t)| t.deleted && t.ts < horizon)
+                    .map(|(n, t)| (n.clone(), *t))
+                    .collect();
+                model.retain(|_, t| !(t.deleted && t.ts < horizon));
+                prop_assert_eq!(removed, doomed);
+            }
+            Step::Floor(horizon) => {
+                let before = model.len();
+                model.retain(|_, t| !(t.deleted && t.ts < horizon));
+                prop_assert_eq!(ring.floor_tombstones(horizon), before - model.len());
+            }
+        }
+        agrees(&ring, &model)?;
+    }
+    Ok(())
+}
+
+/// A body whose lines are shuffled and partly repeated parses to what
+/// applying its lines in order gives.
+fn unsorted_body_parses_like_applying(
+    entries: Vec<(String, Tuple)>,
+    repeats: Vec<usize>,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut lines = entries.clone();
+    for r in repeats {
+        lines.push(entries[r % entries.len()].clone());
+    }
+    let mut state = seed | 1;
+    for i in (1..lines.len()).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        lines.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    let body: String = lines.iter().map(|(n, t)| reference_line(n, t)).collect();
+    let parsed = formatter::namering_from_str(&reference_body(lines.len(), &body)).unwrap();
+    let mut applied = NameRing::new();
+    let mut model = Model::new();
+    for (n, t) in &lines {
+        applied.apply(n, *t);
+        model_apply(&mut model, n, *t);
+    }
+    prop_assert_eq!(&parsed, &applied);
+    agrees(&parsed, &model)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn ring_agrees_with_a_sorted_map_model(steps in model_steps()) {
+        run_against_model(steps)?;
+    }
+
+    #[test]
+    fn shuffled_duplicated_body_parses_like_applying_in_order(
+        entries in prop::collection::vec((model_name(), model_tuple()), 1..40),
+        repeats in prop::collection::vec(any::<usize>(), 0..20),
+        seed in any::<u64>()
+    ) {
+        unsorted_body_parses_like_applying(entries, repeats, seed)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    #[test]
+    #[ignore = "deep run: cargo test --release -p h2cloud --test namering_props -- --ignored"]
+    fn ring_agrees_with_a_sorted_map_model_deep(steps in model_steps()) {
+        run_against_model(steps)?;
     }
 }

@@ -475,6 +475,8 @@ macro_rules! prop_assume {
 
 /// The property-test harness: each `#[test] fn name(arg in strategy, ...)`
 /// becomes a plain `#[test]` running `cases` deterministic iterations.
+/// Attributes written after `#[test]` (`#[ignore]`, `#[should_panic]`, …)
+/// are carried over to the generated test.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -489,10 +491,11 @@ macro_rules! proptest {
 #[macro_export]
 macro_rules! __proptest_impl {
     ( ($cfg:expr)
-      $( #[test] fn $name:ident ( $($arg:ident in $strat:expr),+ $(,)? ) $body:block )*
+      $( #[test] $(#[$attr:meta])* fn $name:ident ( $($arg:ident in $strat:expr),+ $(,)? ) $body:block )*
     ) => {
         $(
             #[test]
+            $(#[$attr])*
             fn $name() {
                 let config: $crate::ProptestConfig = $cfg;
                 for case in 0..config.cases {
@@ -574,6 +577,16 @@ mod tests {
             prop_assert!(x < 50);
             prop_assert_eq!(ys.len() < 4, true, "len {} out of bounds", ys.len());
             prop_assert_ne!(x, 13);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        #[should_panic(expected = "property `attributes_reach_the_generated_test` failed")]
+        fn attributes_reach_the_generated_test(x in 0u64..4) {
+            prop_assert!(x > 4);
         }
     }
 

@@ -3,8 +3,9 @@
 //! Real CPU per operation is mostly allocation and cache misses, and the
 //! count of allocations — unlike wall time — repeats exactly on every
 //! machine. This binary installs a counting allocator and pins an upper
-//! bound on what one warm object request and one STAT may allocate, so a
-//! regression fails tier-1 instead of waiting for the benchmark driver.
+//! bound on what one warm object request, one STAT and the NameRing codec
+//! may allocate, so a regression fails tier-1 instead of waiting for the
+//! benchmark driver.
 //! Counts are per thread: each test measures only what its own thread
 //! does, so the harness may run the tests side by side.
 //!
@@ -15,9 +16,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use h2cloud::{H2Cloud, H2Config, MaintenanceMode};
+use h2cloud::formatter::{namering_from_str, namering_to_string};
+use h2cloud::{H2Cloud, H2Config, MaintenanceMode, NameRing, Tuple};
 use h2fsapi::{CloudFs, FileContent, FsPath};
-use h2util::{CostModel, OpCtx};
+use h2util::{CostModel, NamespaceId, NodeId, OpCtx, Timestamp};
 use swiftsim::{Cluster, ClusterConfig, Meta, ObjectKey, ObjectStore, Payload};
 
 struct Counting;
@@ -222,4 +224,51 @@ fn first_walk_and_sibling_stat_stay_within_budget() {
     let n = allocs_in(|| fs.stat(&mut ctx, "alice", &sibling).unwrap());
     // The op shell's 3 and one stored entry.
     assert_budget("sibling depth-12 STAT (parent hit, 1 store)", n, 5);
+}
+
+/// The size of the benchmark's flat directories: 4 096 children, mostly
+/// files, some directories, some tombstones.
+fn flat_ring() -> NameRing {
+    let stamp = |i: usize| Timestamp::new(1_700_000_000_000 + i as u64, i as u32 % 7, NodeId(3));
+    let mut ring = NameRing::new();
+    for i in 0..4096 {
+        let tuple = match i % 16 {
+            0 => Tuple::dir(
+                stamp(i),
+                NamespaceId::new(i as u64, NodeId(2), 1_469_346_604_539),
+            ),
+            1 => Tuple::file(stamp(i), 4096).tombstone(stamp(i + 1)),
+            _ => Tuple::file(stamp(i), 1 << (i % 24)),
+        };
+        ring.apply(&format!("file-{i:05}.dat"), tuple);
+    }
+    ring
+}
+
+#[test]
+fn namering_codec_and_clone_stay_within_budget() {
+    // One sorted arena per ring: the names in one string, the tuples in one
+    // vector. Parsing a body in Formatter order appends to both.
+    let ring = flat_ring();
+    let body = namering_to_string(&ring);
+    let n = allocs_in(|| namering_from_str(&body).unwrap());
+    assert_budget("parse a 4 096-entry NameRing", n, 2);
+    let n = allocs_in(|| ring.clone());
+    assert_budget("clone a 4 096-entry NameRing", n, 2);
+    // The output's exact length is computed first.
+    let n = allocs_in(|| namering_to_string(&ring));
+    assert_budget("format a 4 096-entry NameRing", n, 1);
+    // A write's patch names a child the ring already holds.
+    let mut patch = NameRing::new();
+    patch.apply(
+        "file-02048.dat",
+        Tuple::file(Timestamp::new(1_800_000_000_000, 0, NodeId(1)), 7),
+    );
+    let mut target = ring.clone();
+    let n = allocs_in(|| target.merge_from(&patch));
+    assert_budget("merge a 1-tuple patch into a 4 096-entry NameRing", n, 0);
+    assert_eq!(
+        target.get("file-02048.dat").unwrap().child,
+        patch.iter().next().unwrap().1.child
+    );
 }
