@@ -916,41 +916,34 @@ impl H2Cloud {
         let keys = H2Keys::new(account);
         let ns = self.resolve_dir_ns(mw, ctx, &keys, path)?;
         let view = mw.read_ring_view(ctx, &keys, ns)?;
-        let children: Vec<(String, Tuple)> =
-            view.live().map(|(n, t)| (n.to_string(), *t)).collect();
+        let mut children: Vec<(&str, &Tuple)> = Vec::with_capacity(view.live_len());
+        children.extend(view.live());
         mw.charge_listing_cpu(ctx, children.len());
         // O(m): fetch each child's own object for its detailed information
         // (the middleware fans the HEADs out with bounded parallelism —
         // that's why LISTing 1000 files lands near 0.35 s, §1).
-        let mut entries: Vec<DirEntry> = Vec::with_capacity(children.len());
-        let store = self.cluster().clone();
-        let mut fetched: Vec<Option<u64>> = vec![None; children.len()];
-        ctx.parallel(children.len(), |ctx, i| {
-            let (name, _t) = &children[i];
-            match store.head(ctx, &keys.child(ns, name)) {
-                Ok(info) => {
-                    fetched[i] = Some(info.modified_ms);
-                    Ok(())
-                }
-                // A child whose object lags behind its NameRing entry
-                // (eventual consistency) still lists from tuple data.
-                Err(H2Error::NotFound(_)) => Ok(()),
-                Err(e) => Err(e),
-            }
-        })?;
-        for (i, (name, t)) in children.into_iter().enumerate() {
+        let stamps = self.cluster().head_many(
+            ctx,
+            keys.account(),
+            H2_CONTAINER,
+            H2Keys::child_rel(ns, ""),
+            children.iter().map(|(name, _)| name),
+        )?;
+        let entries = children.iter().zip(stamps).map(|((name, t), stamp)| {
             let (kind, size) = match t.child {
                 ChildRef::File { size } => (EntryKind::File, size),
                 ChildRef::Dir { .. } => (EntryKind::Directory, 0),
             };
-            entries.push(DirEntry {
-                name,
+            DirEntry {
+                name: name.to_string(),
                 kind,
                 size,
-                modified_ms: fetched[i].unwrap_or(t.ts.millis),
-            });
-        }
-        Ok(entries)
+                // A child whose object lags behind its NameRing entry
+                // (eventual consistency) still lists from tuple data.
+                modified_ms: stamp.unwrap_or(t.ts.millis),
+            }
+        });
+        Ok(entries.collect())
     }
 
     fn op_write(

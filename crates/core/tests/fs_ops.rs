@@ -853,3 +853,95 @@ fn flat_directory_maintenance_requests_and_virtual_time_are_pinned() {
     let owner = (Duration::from_nanos(1_416_856_000), counts(65, 1, 64));
     assert_eq!(spend, [peer, owner, peer, peer]);
 }
+
+// ----- detailed listing of a large flat directory ---------------------------
+
+/// A detailed LIST of a bulk-imported directory of 4 096 files and four
+/// subdirectories under the tuned profile with four Deferred middlewares on
+/// the paper's rack: healthy, with device 0 down (the handoff wave) and
+/// under a seeded fault plan. Every request, every modelled nanosecond,
+/// every fault draw and the error that aborts the faulted listing are
+/// pinned: how the per-child HEADs are issued may change what a listing
+/// costs in CPU, never what it asks of the store or what it models.
+#[test]
+fn flat_directory_list_detailed_requests_and_virtual_time_are_pinned() {
+    use h2util::faults::{FaultPlan, FaultSpec, FaultStats};
+    use h2util::BackendCounts;
+    use std::time::Duration;
+
+    let fs = H2Cloud::new(H2Config {
+        mode: h2cloud::MaintenanceMode::Deferred,
+        middlewares: 4,
+        cluster: swiftsim::ClusterConfig::default(),
+        ..H2Config::tuned()
+    });
+    let mut setup = OpCtx::new(fs.cost_model());
+    fs.create_account(&mut setup, "alice").unwrap();
+    let mut dirs = vec![p("/flat")];
+    dirs.extend((0..4).map(|i| p(&format!("/flat/sub{i}"))));
+    let mut files: Vec<(FsPath, u64)> = (0..4096)
+        .map(|i| (p(&format!("/flat/f{i:04}")), 4096))
+        .collect();
+    files.push((p("/flat/sub0/inner"), 512));
+    fs.bulk_import(&mut setup, "alice", &dirs, &files).unwrap();
+    fs.quiesce();
+
+    let heads = |heads| BackendCounts {
+        heads,
+        ..BackendCounts::default()
+    };
+    // One listing: its spend, and the sum of the stamps it reports.
+    let list = || {
+        let mut ctx = OpCtx::new(fs.cost_model());
+        let got = fs.list_detailed(&mut ctx, "alice", &p("/flat"));
+        let got = got.map(|entries| {
+            let dirs = entries
+                .iter()
+                .filter(|e| e.kind == EntryKind::Directory)
+                .count();
+            let stamps: u64 = entries.iter().map(|e| e.modified_ms).sum();
+            (entries.len(), dirs, stamps)
+        });
+        (got, ctx.counts(), ctx.elapsed())
+    };
+
+    // Healthy: the ring comes from the ring cache, one HEAD per child.
+    let (got, counts, elapsed) = list();
+    assert_eq!(got.unwrap(), (4100, 4, 6_560_000_016_801_806));
+    assert_eq!(counts, heads(4100));
+    assert_eq!(elapsed, Duration::from_nanos(1_275_040_000));
+
+    // Device 0 down: the children it holds a replica of scan the handoffs.
+    let dev0 = h2ring::DeviceId(0);
+    fs.cluster().set_node_down(dev0, true);
+    let (got, counts, elapsed) = list();
+    fs.cluster().set_node_down(dev0, false);
+    assert_eq!(got.unwrap(), (4100, 4, 6_560_000_016_801_806));
+    assert_eq!(counts, heads(4100));
+    assert_eq!(elapsed, Duration::from_nanos(1_274_740_000));
+    assert_eq!(fs.cluster().fault_stats(), None);
+
+    // 5 % of requests fail up front, 5 % run slow and 5 % of replica reads
+    // fail: the first failed HEAD aborts the listing.
+    let spec = FaultSpec::errors(0.05).with_slow(0.05, Duration::from_millis(3));
+    fs.cluster()
+        .set_fault_plan(Some(FaultPlan::uniform(42, spec).with_replica_errors(0.05)));
+    let (got, counts, elapsed) = list();
+    let err = got.unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "unavailable: injected head fault for /alice/h2/01.02.1600000000000::f0053"
+    );
+    assert_eq!(counts, heads(54));
+    assert_eq!(elapsed, Duration::from_nanos(83_740_000));
+    assert_eq!(
+        fs.cluster().fault_stats(),
+        Some(FaultStats {
+            draws: 213,
+            errors: 1,
+            slowdowns: 6,
+            torn: 0,
+            replica_errors: 3,
+        })
+    );
+}

@@ -38,6 +38,7 @@
 
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -1005,10 +1006,12 @@ impl Cluster {
     }
 
     fn check_container(&self, key: &ObjectKey) -> Result<()> {
-        self.with_container(&key.account, &key.container, |_| ())
-            .ok_or_else(|| {
-                H2Error::NotFound(format!("container {}/{}", key.account, key.container))
-            })
+        self.check_container_of(&key.account, &key.container)
+    }
+
+    fn check_container_of(&self, account: &str, container: &str) -> Result<()> {
+        self.with_container(account, container, |_| ())
+            .ok_or_else(|| H2Error::NotFound(format!("container {account}/{container}")))
     }
 
     /// Rows currently held in this container's listing DB (0 if unindexed).
@@ -1883,6 +1886,66 @@ impl Cluster {
         Ok(newest.map(|r| object_of(&Self::cas_block_key(digest_hex), &r)))
     }
 
+    /// One HEAD on a loaded topology: the body [`ObjectStore::head`] runs,
+    /// and every item of [`Cluster::head_many`]. NotFound when no reachable
+    /// device holds a live version.
+    fn head_at(&self, ctx: &mut OpCtx, topo: &Topology, at: KeyRef<'_>) -> Result<StoredReplica> {
+        ctx.span(STAGE_CLOUD, "HEAD", |ctx| {
+            ctx.span_note("key", || at.text.to_string());
+            ctx.charge(PrimKind::Head, self.cfg.cost.head_cost());
+            self.fault_gate(ctx, topo, OpClass::Head, at.text)?;
+            let found = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
+                self.read_replica(ctx, topo, at, None)
+            })?;
+            found.ok_or_else(|| H2Error::NotFound(at.text.to_string()))
+        })
+    }
+
+    /// HEAD `/{account}/{container}/{prefix}{name}` for each of `names`, as
+    /// one [`OpCtx::parallel`] fan-out: the stamp of each object, `None`
+    /// where it does not exist. The batch checks the container once, loads
+    /// the topology once and builds every key in one buffer; item `i` then
+    /// runs exactly what [`ObjectStore::head`] runs for name `i`, so the
+    /// requests, virtual time and fault draws are those of a loop of `head`
+    /// calls inside one `parallel` section. A missing container is
+    /// NotFound, as for `head`; after that, any error but an object's
+    /// NotFound aborts the batch.
+    pub fn head_many<I>(
+        &self,
+        ctx: &mut OpCtx,
+        account: &str,
+        container: &str,
+        prefix: impl std::fmt::Display,
+        names: I,
+    ) -> Result<Vec<Option<u64>>>
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        I::Item: AsRef<str>,
+    {
+        self.check_container_of(account, container)?;
+        let topo = self.topology();
+        let mut names = names.into_iter();
+        let mut stamps = Vec::with_capacity(names.len());
+        let mut key = String::new();
+        write!(key, "/{account}/{container}/{prefix}").expect("formatting into a String");
+        let stem = key.len();
+        ctx.parallel(names.len(), |ctx, _| {
+            let name = names
+                .next()
+                .expect("an exact-size iterator yields len() items");
+            key.truncate(stem);
+            key.push_str(name.as_ref());
+            stamps.push(match self.head_at(ctx, &topo, KeyRef::new(&key)) {
+                Ok(r) => Some(r.modified_ms),
+                Err(H2Error::NotFound(_)) => None,
+                Err(e) => return Err(e),
+            });
+            Ok(())
+        })?;
+        Ok(stamps)
+    }
+
     /// [`ObjectStore::put`] that atomically returns the live object it
     /// displaced (`None` on first write). The read-modify-write runs under
     /// the key's op stripe, so two racing overwrites each observe exactly
@@ -1920,25 +1983,12 @@ impl ObjectStore for Cluster {
     fn head(&self, ctx: &mut OpCtx, key: &ObjectKey) -> Result<ObjectInfo> {
         self.check_container(key)?;
         let ring_key = key.ring_key();
-        let at = KeyRef::new(&ring_key);
-        ctx.span(STAGE_CLOUD, "HEAD", |ctx| {
-            ctx.span_note("key", || ring_key.clone());
-            ctx.charge(PrimKind::Head, self.cfg.cost.head_cost());
-            let topo = self.topology();
-            self.fault_gate(ctx, &topo, OpClass::Head, &ring_key)?;
-            let found = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
-                self.read_replica(ctx, &topo, at, None)
-            })?;
-            match found {
-                Some(r) => Ok(ObjectInfo {
-                    key: key.clone(),
-                    size: r.record.payload.len(),
-                    etag: r.record.etag(),
-                    meta: r.record.meta.clone(),
-                    modified_ms: r.modified_ms,
-                }),
-                None => Err(H2Error::NotFound(ring_key.clone())),
-            }
+        let r = self.head_at(ctx, &self.topology(), KeyRef::new(&ring_key))?;
+        Ok(ObjectInfo {
+            size: r.record.payload.len(),
+            etag: r.record.etag(),
+            meta: r.record.meta.clone(),
+            modified_ms: r.modified_ms,
         })
     }
 
@@ -2143,7 +2193,6 @@ mod tests {
             .put_stamped(&mut ctx, &key("f"), Payload::from_static("body"), meta)
             .unwrap();
         let info = c.head(&mut ctx, &key("f")).unwrap();
-        assert_eq!(info.key, key("f"));
         assert_eq!(info.size, 4);
         assert_eq!(info.etag, Payload::from_static("body").digest());
         assert_eq!(info.meta["kind"], "file");

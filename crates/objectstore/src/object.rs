@@ -161,10 +161,10 @@ pub struct Object {
     pub modified_ms: u64,
 }
 
-/// HEAD response: everything but the payload.
+/// HEAD response: everything but the payload (and the key, which the
+/// caller already holds).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObjectInfo {
-    pub key: ObjectKey,
     pub size: u64,
     pub etag: Digest128,
     pub meta: Meta,

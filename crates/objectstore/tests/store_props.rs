@@ -8,7 +8,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
 use h2ring::DeviceId;
-use h2util::{CostModel, OpCtx};
+use h2util::faults::{FaultPlan, FaultSpec};
+use h2util::{CostModel, H2Error, OpCtx};
 use swiftsim::{Cluster, ClusterConfig, Meta, ObjectKey, ObjectStore, Payload};
 
 #[derive(Debug, Clone)]
@@ -260,6 +261,119 @@ proptest! {
         let mut want: Vec<String> = model.keys().map(|k| format!("obj{k:02}")).collect();
         want.sort();
         prop_assert_eq!(got, want);
+    }
+}
+
+/// What a key holds before a batch HEADs it.
+#[derive(Debug, Clone, Copy)]
+enum Held {
+    Present,
+    Absent,
+    Tombstoned,
+    /// Written while every assigned device was down: only handoffs hold it.
+    HandoffOnly,
+}
+
+fn arb_held() -> impl Strategy<Value = Held> {
+    (0u8..7).prop_map(|x| match x {
+        0 => Held::Absent,
+        1 => Held::Tombstoned,
+        2 => Held::HandoffOnly,
+        _ => Held::Present,
+    })
+}
+
+/// A rack-cost cluster holding `held[i]` under `/a/c/k{i:03}`, with `down`
+/// taken down and a seeded fault plan installed once the keys are in place.
+fn batch_cluster(held: &[Held], hedged: bool, down: Option<u16>, seed: u64) -> Arc<Cluster> {
+    let c = Cluster::new(ClusterConfig::default());
+    c.set_hedged_reads(hedged);
+    c.create_account("a").unwrap();
+    c.create_container("a", "c", false).unwrap();
+    let mut ctx = OpCtx::for_test();
+    for (i, h) in held.iter().enumerate() {
+        let key = ObjectKey::new("a", "c", &format!("k{i:03}"));
+        let put = |ctx: &mut OpCtx| {
+            c.put(
+                ctx,
+                &key,
+                Payload::from_string(format!("v{i}")),
+                Meta::new(),
+            )
+            .unwrap()
+        };
+        match h {
+            Held::Present => put(&mut ctx),
+            Held::Absent => {}
+            Held::Tombstoned => {
+                put(&mut ctx);
+                c.delete(&mut ctx, &key).unwrap();
+            }
+            Held::HandoffOnly => {
+                let ring = c.ring();
+                let assigned = ring.devices_for_part(ring.partition_of(key.ring_key().as_bytes()));
+                assigned.iter().for_each(|&d| c.set_node_down(d, true));
+                put(&mut ctx);
+                assigned.iter().for_each(|&d| c.set_node_down(d, false));
+            }
+        }
+    }
+    if let Some(d) = down {
+        c.set_node_down(DeviceId(d), true);
+    }
+    let spec = FaultSpec::errors(0.05).with_slow(0.05, std::time::Duration::from_millis(2));
+    c.set_fault_plan(Some(
+        FaultPlan::uniform(seed, spec).with_replica_errors(0.05),
+    ));
+    c
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // `head_many` is a loop of `head` calls inside one `parallel` section:
+    // the same stamps, the same error from the same key, and the same
+    // requests, virtual time and fault draws, serial or hedged, with a
+    // device down and under a seeded fault plan.
+    #[test]
+    fn head_many_is_a_loop_of_heads_in_one_parallel_section(
+        held in prop::collection::vec(arb_held(), 0..48),
+        hedged in any::<bool>(),
+        // 8..12: every device up.
+        down in 0u16..12,
+        seed in any::<u64>(),
+    ) {
+        let down = (down < 8).then_some(down);
+        let names: Vec<String> = (0..held.len()).map(|i| format!("{i:03}")).collect();
+        let model = Arc::new(CostModel::rack_default());
+
+        let batch = batch_cluster(&held, hedged, down, seed);
+        let mut batch_ctx = OpCtx::new(model.clone());
+        let got = batch.head_many(&mut batch_ctx, "a", "c", "k", &names);
+
+        let looped = batch_cluster(&held, hedged, down, seed);
+        let mut loop_ctx = OpCtx::new(model);
+        let mut stamps = Vec::new();
+        let want = loop_ctx
+            .parallel(names.len(), |ctx, i| {
+                let key = ObjectKey::new("a", "c", &format!("k{}", names[i]));
+                stamps.push(match looped.head(ctx, &key) {
+                    Ok(info) => Some(info.modified_ms),
+                    Err(H2Error::NotFound(_)) => None,
+                    Err(e) => return Err(e),
+                });
+                Ok(())
+            })
+            .map(|()| stamps);
+
+        match (got, want) {
+            (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+            (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
+            (got, want) => prop_assert!(false, "batch {:?} vs loop {:?}", got, want),
+        }
+        prop_assert_eq!(batch_ctx.counts(), loop_ctx.counts());
+        prop_assert_eq!(batch_ctx.elapsed(), loop_ctx.elapsed());
+        prop_assert_eq!(batch.fault_stats(), looped.fault_stats());
     }
 }
 

@@ -307,10 +307,15 @@ pub struct OpCtx {
 
 #[derive(Debug, Clone)]
 struct BatchState {
-    /// Durations of items completed so far in this batch.
-    items: Vec<Duration>,
-    /// Their running total, kept so [`OpCtx::vnow`] is O(1): every nested
-    /// section opens with it, once per item of a wide fan-out.
+    /// Wall time of the waves completed so far in this batch.
+    waves: Duration,
+    /// The slowest item of the wave being filled, and how many items it
+    /// holds (a wave closes at [`CostModel::parallelism`] items).
+    wave_max: Duration,
+    wave_len: usize,
+    /// Total of the items completed so far, kept so [`OpCtx::vnow`] is
+    /// O(1): every nested section opens with it, once per item of a wide
+    /// fan-out.
     done: Duration,
     /// Time charged to the currently open item.
     current: Duration,
@@ -361,8 +366,11 @@ impl OpCtx {
     /// Run `k` homogeneous sub-operations that the client issues with
     /// bounded fan-out ([`CostModel::parallelism`] at a time). `f` is called
     /// `k` times to perform (and charge) each item; wall time is
-    /// `ceil(k / parallelism) × max-item-per-wave`, approximated by packing
-    /// the recorded item durations greedily into waves.
+    /// `ceil(k / parallelism) × max-item-per-wave`: items are packed in
+    /// submission order into waves of `parallelism` (the client streams
+    /// requests into a bounded pool), each wave taking its slowest member.
+    /// Each item is folded into its wave as it finishes, so a section of
+    /// any width allocates nothing.
     pub fn parallel<F>(&mut self, k: usize, mut f: F) -> Result<()>
     where
         F: FnMut(&mut OpCtx, usize) -> Result<()>,
@@ -370,10 +378,13 @@ impl OpCtx {
         if k == 0 {
             return Ok(());
         }
+        let width = self.model.parallelism.max(1);
         let base = self.vnow();
         let prev = self.batch.take();
         self.batch = Some(BatchState {
-            items: Vec::with_capacity(k),
+            waves: Duration::ZERO,
+            wave_max: Duration::ZERO,
+            wave_len: 0,
             done: Duration::ZERO,
             current: Duration::ZERO,
             base,
@@ -386,26 +397,20 @@ impl OpCtx {
             }
             let b = self.batch.as_mut().expect("batch state present");
             let d = std::mem::take(&mut b.current);
-            b.items.push(d);
             b.done += d;
+            b.wave_max = b.wave_max.max(d);
+            b.wave_len += 1;
+            if b.wave_len == width {
+                b.waves += std::mem::take(&mut b.wave_max);
+                b.wave_len = 0;
+            }
         }
         let b = self.batch.take().expect("batch state present");
         self.batch = prev;
         // Even on error, time already spent is spent.
-        let wall = Self::pack_waves(&b.items, self.model.parallelism) + b.current;
+        let wall = b.waves + b.wave_max + b.current;
         self.charge_time(wall);
         result.map_err(|e: H2Error| e)
-    }
-
-    /// Wall time of executing `items` with `width` workers: greedy LPT-free
-    /// packing in submission order (client streams requests into a bounded
-    /// pool), i.e. each wave takes the max of its `width` members.
-    fn pack_waves(items: &[Duration], width: usize) -> Duration {
-        let width = width.max(1);
-        items
-            .chunks(width)
-            .map(|wave| wave.iter().copied().max().unwrap_or(Duration::ZERO))
-            .sum()
     }
 
     /// Fold another context's spend into this one (serially).
@@ -596,6 +601,37 @@ mod tests {
         let want = per * 2;
         assert_eq!(c.elapsed(), want);
         assert_eq!(c.counts().gets, 64);
+    }
+
+    #[test]
+    fn parallel_packs_items_into_waves_in_submission_order() {
+        let mut c = ctx();
+        let width = c.model.parallelism;
+        // Item i takes i + 1 ms: each full wave waits for its last item,
+        // and the partial wave closing the section for its own last one.
+        let k = 2 * width + 3;
+        c.parallel(k, |ctx, i| {
+            ctx.charge(PrimKind::Head, Duration::from_millis(i as u64 + 1));
+            Ok(())
+        })
+        .unwrap();
+        let waves = [width, 2 * width, k].map(|last| last as u64);
+        assert_eq!(c.elapsed(), Duration::from_millis(waves.iter().sum()));
+        // An item that fails mid-wave still counts what it spent, on top
+        // of the waves before it; the items after it never run.
+        let mut c = ctx();
+        let r = c.parallel(k, |ctx, i| {
+            ctx.charge(PrimKind::Head, Duration::from_millis(10 - i as u64 % 10));
+            if i == width + 1 {
+                return Err(H2Error::Unavailable("x".into()));
+            }
+            Ok(())
+        });
+        assert!(r.is_err());
+        assert_eq!(c.counts().heads, width as u64 + 2);
+        // The full wave's slowest (10), the part of the next wave that
+        // finished (item `width`: 8) and the failed item (7).
+        assert_eq!(c.elapsed(), Duration::from_millis(10 + 8 + 7));
     }
 
     #[test]

@@ -62,6 +62,7 @@ fn derived_cloud_op_set_matches_the_traits() {
         // [panic_safety] extra
         "submit_patch",
         "read_ring",
+        "head_many",
     ]
     .into_iter()
     .map(String::from)

@@ -3,9 +3,9 @@
 //! Real CPU per operation is mostly allocation and cache misses, and the
 //! count of allocations — unlike wall time — repeats exactly on every
 //! machine. This binary installs a counting allocator and pins an upper
-//! bound on what one warm object request, one STAT and the NameRing codec
-//! may allocate, so a regression fails tier-1 instead of waiting for the
-//! benchmark driver.
+//! bound on what one warm object request, one STAT, one detailed LIST and
+//! the NameRing codec may allocate, so a regression fails tier-1 instead of
+//! waiting for the benchmark.
 //! Counts are per thread: each test measures only what its own thread
 //! does, so the harness may run the tests side by side.
 //!
@@ -121,8 +121,8 @@ fn warm_cluster_requests_stay_within_budget() {
 
 #[test]
 fn warm_hedged_cluster_requests_stay_within_budget() {
-    // Reads also pay `OpCtx::parallel`'s per-wave duration list.
-    cluster_budgets(true, 2, 2, 2);
+    // A parallel wave allocates nothing: the same as serial.
+    cluster_budgets(true, 1, 1, 2);
 }
 
 /// The benchmark's profile (every optimisation on), untraced.
@@ -172,8 +172,8 @@ fn cold_depth_12_stat_stays_within_budget() {
     let mut ctx = OpCtx::new(fs.cost_model());
     let file = depth_12_file(&fs, &mut ctx);
     let n = allocs_in(|| fs.stat(&mut ctx, "alice", &file).unwrap());
-    // 12 ring GETs (2 each, hedged) and their parses.
-    assert_budget("cold depth-12 STAT, caches off", n, 74);
+    // 12 ring GETs (the ring key each) and their parses.
+    assert_budget("cold depth-12 STAT, caches off", n, 62);
 }
 
 /// Two depth-12 chains imported in bulk, two files in each leaf directory.
@@ -224,6 +224,31 @@ fn first_walk_and_sibling_stat_stay_within_budget() {
     let n = allocs_in(|| fs.stat(&mut ctx, "alice", &sibling).unwrap());
     // The op shell's 3 and one stored entry.
     assert_budget("sibling depth-12 STAT (parent hit, 1 store)", n, 5);
+}
+
+#[test]
+fn list_detailed_of_a_flat_directory_stays_within_budget() {
+    // The benchmark's flat directory, listed with every child's stamp.
+    let fs = tuned(1024);
+    let mut ctx = OpCtx::new(fs.cost_model());
+    fs.create_account(&mut ctx, "alice").unwrap();
+    let flat = FsPath::parse("/flat").unwrap();
+    let files: Vec<(FsPath, u64)> = (0..4096)
+        .map(|i| (FsPath::parse(&format!("/flat/f{i:04}")).unwrap(), 4096))
+        .collect();
+    fs.bulk_import(&mut ctx, "alice", std::slice::from_ref(&flat), &files)
+        .unwrap();
+    fs.quiesce();
+    // The first listing resolves the directory and warms the buffers.
+    assert_eq!(
+        fs.list_detailed(&mut ctx, "alice", &flat).unwrap().len(),
+        4096
+    );
+    let n = allocs_in(|| fs.list_detailed(&mut ctx, "alice", &flat).unwrap());
+    // One name per entry handed back; the rest is per listing: the op
+    // shell, the child list, the one key buffer the HEADs share, the
+    // stamps and the entries.
+    assert_budget("warm LIST -l of a 4 096-child directory", n, 4096 + 13);
 }
 
 /// The size of the benchmark's flat directories: 4 096 children, mostly
