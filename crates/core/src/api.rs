@@ -547,7 +547,7 @@ mod tests {
         match r.body {
             ResponseBody::Message(text) => {
                 assert!(text.contains(crate::layer::GOSSIP_APPLY_FAILURES), "{text}");
-                assert!(text.contains(crate::layer::MERGE_FAILURES), "{text}");
+                assert!(text.contains(crate::middleware::MERGE_FAILURES), "{text}");
                 assert!(text.contains(h2util::retry::OP_RETRIES), "{text}");
                 assert!(text.contains(h2util::retry::OP_GAVE_UP), "{text}");
                 assert!(text.contains(h2util::retry::RETRY_BACKOFF_MS), "{text}");

@@ -1,35 +1,41 @@
 //! The H2Layer: a set of H2Middlewares and the gossip fabric between them.
 //!
 //! The paper deploys "a number of H2Middlewares … to distribute workloads
-//! for load balancing" (§4.1), synchronised by gossip flooding (§3.3.2).
-//! The layer owns the middlewares and moves gossip between them in one of
-//! two ways:
+//! for load balancing" (§4.1), synchronised by gossip flooding
+//! (§3.3.2). The fabric is one inbox per middleware and one flooding rule:
+//! every message in a middleware's outbox goes to each of its peers once,
+//! and nothing a peer receives is forwarded. A receiver gossips again only
+//! from its own outbox, when its join taught the global ring object
+//! something new (the write-back of [`H2Middleware::on_gossip_batch`]). On
+//! a full mesh every peer hears the origin directly, so a forwarded copy
+//! would only repeat a message the peer already has.
 //!
-//! * [`H2Layer::pump`] — deterministic, single-threaded delivery loop used
-//!   by tests and the figure harness: drain every outbox, deliver to every
-//!   peer, repeat until quiescent.
-//! * [`H2Layer::run_threaded`] — each middleware gets a real thread with a
-//!   channel inbox; gossip flows concurrently until the layer is told to
-//!   stop. Used by the concurrency integration tests and the
+//! An inbox is applied as one batch; a message that fails to apply stays
+//! queued, with bounded attempts. Two schedulers drive the inboxes:
+//!
+//! * [`H2Layer::pump`] — deterministic and single-threaded, used by tests,
+//!   the figure harness and the benchmark: merge, flood, apply every inbox
+//!   in rounds, repeat until nothing moves.
+//! * [`H2Layer::run_threaded`] — one thread per middleware, its inbox fed
+//!   by a channel; gossip flows concurrently until the handle is dropped.
+//!   Used by the concurrency integration tests and the
 //!   `gossip_convergence` example.
 //!
 //! Delivery is at-least-once and unordered on purpose — the NameRing merge
 //! is a CRDT join, so duplicates and reordering are harmless, and the tests
 //! inject both.
 
-use std::collections::VecDeque;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
+use std::time::Duration;
 
-use h2util::metrics::MetricsRegistry;
-use h2util::{NodeId, Result};
+use h2util::metrics::{Counter, MetricsRegistry};
+use h2util::{H2Error, NodeId, Result};
 use swiftsim::Cluster;
 
 use crate::fs::H2Config;
-use crate::middleware::{GossipMsg, H2Middleware};
-// Historically defined here; the middleware now owns the counter (it bumps
-// it inside `step_merges`), so the layer re-exports the name.
-pub use crate::middleware::MERGE_FAILURES;
+use crate::middleware::{GossipMsg, H2Middleware, MERGE_FAILURES};
 
 /// Counter bumped when applying an incoming gossip message fails (the
 /// message is requeued with bounded attempts, not dropped).
@@ -52,10 +58,92 @@ pub struct GossipFaults {
     pub duplicate_every: usize,
 }
 
+impl GossipFaults {
+    /// How many copies of the `seq`-th outbox message (1-based) are
+    /// flooded: 0 when it is dropped, 2 when it is duplicated, else 1.
+    fn copies(self, seq: usize) -> usize {
+        if self.drop_every > 0 && seq.is_multiple_of(self.drop_every) {
+            0
+        } else if self.duplicate_every > 0 && seq.is_multiple_of(self.duplicate_every) {
+            2
+        } else {
+            1
+        }
+    }
+}
+
+/// The one flooding rule (§3.3.2): `msg`, from the outbox of the middleware
+/// at index `origin`, goes once to every other middleware's `peer`.
+fn flood<P>(
+    peers: impl IntoIterator<Item = P>,
+    origin: usize,
+    msg: &GossipMsg,
+    deliver: impl Fn(P, GossipMsg),
+) {
+    for (idx, peer) in peers.into_iter().enumerate() {
+        if idx != origin {
+            deliver(peer, msg.clone());
+        }
+    }
+}
+
+/// One middleware's gossip waiting to be applied, each message with the
+/// number of times its application has already failed.
+#[derive(Default)]
+struct Inbox {
+    msgs: Vec<GossipMsg>,
+    attempts: Vec<u32>,
+}
+
+impl Inbox {
+    fn push(&mut self, msg: GossipMsg) {
+        self.msgs.push(msg);
+        self.attempts.push(0);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.msgs.is_empty()
+    }
+
+    /// Apply the whole inbox to `mw` as one
+    /// [`H2Middleware::on_gossip_batch`] call. Every message that fails is
+    /// counted in `failures` and stays queued, one attempt older, for the
+    /// next apply — a bad message never holds the rest of the batch
+    /// hostage. A message that spends [`MAX_GOSSIP_ATTEMPTS`] is dropped
+    /// instead, and the first such message's error is returned beside the
+    /// number of messages applied.
+    fn apply(&mut self, mw: &H2Middleware, failures: &Counter) -> (usize, Option<H2Error>) {
+        if self.is_empty() {
+            return (0, None);
+        }
+        let results = mw.on_gossip_batch(&self.msgs);
+        let msgs = std::mem::take(&mut self.msgs);
+        let attempts = std::mem::take(&mut self.attempts);
+        let mut applied = 0usize;
+        let mut exhausted = None;
+        for ((msg, attempts), res) in msgs.into_iter().zip(attempts).zip(results) {
+            match res {
+                Ok(_) => applied += 1,
+                Err(e) => {
+                    failures.incr();
+                    if attempts + 1 < MAX_GOSSIP_ATTEMPTS {
+                        self.msgs.push(msg);
+                        self.attempts.push(attempts + 1);
+                    } else {
+                        exhausted.get_or_insert(e);
+                    }
+                }
+            }
+        }
+        (applied, exhausted)
+    }
+}
+
 /// The middleware layer in front of one object cloud.
 pub struct H2Layer {
     middlewares: Vec<Arc<H2Middleware>>,
     cluster: Arc<Cluster>,
+    gossip_apply_failures: Arc<Counter>,
 }
 
 impl H2Layer {
@@ -67,7 +155,7 @@ impl H2Layer {
         assert!(cfg.middlewares >= 1, "need at least one middleware");
         // Pre-register the layer's failure counters so `op=metrics` always
         // lists them, even before the first failure.
-        metrics.counter(GOSSIP_APPLY_FAILURES);
+        let gossip_apply_failures = metrics.counter(GOSSIP_APPLY_FAILURES);
         metrics.counter(MERGE_FAILURES);
         metrics.counter(h2util::retry::OP_RETRIES);
         metrics.counter(h2util::retry::OP_GAVE_UP);
@@ -87,6 +175,7 @@ impl H2Layer {
         H2Layer {
             middlewares,
             cluster,
+            gossip_apply_failures,
         }
     }
 
@@ -125,26 +214,15 @@ impl H2Layer {
         self.pump_with_faults(GossipFaults::default())
     }
 
-    /// [`pump`](Self::pump) but delivering each round's messages to a
-    /// target middleware as one [`H2Middleware::on_gossip_batch`] call
-    /// (single lock acquisition per target), the way the threaded fabric
-    /// applies its inbox. Observationally equivalent to per-message
-    /// delivery; the equivalence suite proves it.
-    pub fn pump_batched(&self) -> Result<usize> {
-        self.pump_batched_with_faults(GossipFaults::default())
-    }
-
-    /// [`pump_batched`](Self::pump_batched) with fault injection.
-    pub fn pump_batched_with_faults(&self, faults: GossipFaults) -> Result<usize> {
-        self.pump_impl(faults, true)
-    }
-
-    /// [`pump`](Self::pump) with fault injection.
+    /// [`pump`](Self::pump) with fault injection. Each pass runs every
+    /// middleware's merger, floods every outbox through the `faults`
+    /// selection, then applies the inboxes in rounds — each inbox as one
+    /// batch, its failed messages retried in the next round — until they
+    /// are empty. Passes repeat until one merges and floods nothing. A
+    /// message that spends its attempt budget fails the pump with its
+    /// error.
     pub fn pump_with_faults(&self, faults: GossipFaults) -> Result<usize> {
-        self.pump_impl(faults, false)
-    }
-
-    fn pump_impl(&self, faults: GossipFaults, batched: bool) -> Result<usize> {
+        let mut inboxes: Vec<Inbox> = self.middlewares.iter().map(|_| Inbox::default()).collect();
         let mut deliveries = 0usize;
         let mut msg_seq = 0usize;
         loop {
@@ -154,85 +232,22 @@ impl H2Layer {
                     progressed = true;
                 }
             }
-            let mut batch: Vec<(NodeId, GossipMsg)> = Vec::new();
-            for mw in &self.middlewares {
+            for (origin, mw) in self.middlewares.iter().enumerate() {
                 for msg in mw.take_outbox() {
-                    batch.push((mw.node(), msg));
+                    msg_seq += 1;
+                    let copies = faults.copies(msg_seq);
+                    for _ in 0..copies {
+                        flood(&mut inboxes, origin, &msg, Inbox::push);
+                    }
+                    progressed |= copies > 0;
                 }
             }
-            // Expand the batch into per-target deliveries so one failing
-            // target can be retried without re-applying to the others.
-            let mut queue: VecDeque<(usize, GossipMsg, u32)> = VecDeque::new();
-            for (origin, msg) in batch {
-                msg_seq += 1;
-                if faults.drop_every > 0 && msg_seq.is_multiple_of(faults.drop_every) {
-                    continue;
-                }
-                let copies = if faults.duplicate_every > 0
-                    && msg_seq.is_multiple_of(faults.duplicate_every)
-                {
-                    2
-                } else {
-                    1
-                };
-                for _ in 0..copies {
-                    for (idx, mw) in self.middlewares.iter().enumerate() {
-                        if mw.node() != origin {
-                            queue.push_back((idx, msg.clone(), 0));
-                        }
-                    }
-                }
-                progressed = true;
-            }
-            if batched {
-                // Drain the queue in rounds: all messages bound for one
-                // target this round go down in a single batch application.
-                // Failures requeue individually for the next round.
-                while !queue.is_empty() {
-                    let mut per_target: Vec<Vec<(GossipMsg, u32)>> =
-                        vec![Vec::new(); self.middlewares.len()];
-                    for (idx, msg, attempts) in queue.drain(..) {
-                        per_target[idx].push((msg, attempts));
-                    }
-                    for (idx, entries) in per_target.into_iter().enumerate() {
-                        if entries.is_empty() {
-                            continue;
-                        }
-                        let mw = &self.middlewares[idx];
-                        let msgs: Vec<GossipMsg> = entries.iter().map(|(m, _)| m.clone()).collect();
-                        for ((msg, attempts), res) in
-                            entries.into_iter().zip(mw.on_gossip_batch(&msgs))
-                        {
-                            match res {
-                                Ok(_) => deliveries += 1,
-                                Err(e) => {
-                                    mw.metrics().counter(GOSSIP_APPLY_FAILURES).incr();
-                                    if attempts + 1 >= MAX_GOSSIP_ATTEMPTS {
-                                        return Err(e);
-                                    }
-                                    queue.push_back((idx, msg, attempts + 1));
-                                }
-                            }
-                        }
-                    }
-                }
-            } else {
-                while let Some((idx, msg, attempts)) = queue.pop_front() {
-                    let mw = &self.middlewares[idx];
-                    match mw.on_gossip(&msg) {
-                        Ok(_) => deliveries += 1,
-                        Err(e) => {
-                            // An earlier revision `?`-propagated here,
-                            // silently losing the message (it was already
-                            // drained from the outbox). Requeue with bounded
-                            // attempts — transient faults redraw on retry —
-                            // and only propagate once the budget is spent.
-                            mw.metrics().counter(GOSSIP_APPLY_FAILURES).incr();
-                            if attempts + 1 >= MAX_GOSSIP_ATTEMPTS {
-                                return Err(e);
-                            }
-                            queue.push_back((idx, msg, attempts + 1));
-                        }
+            while inboxes.iter().any(|inbox| !inbox.is_empty()) {
+                for (mw, inbox) in self.middlewares.iter().zip(&mut inboxes) {
+                    let (applied, exhausted) = inbox.apply(mw, &self.gossip_apply_failures);
+                    deliveries += applied;
+                    if let Some(e) = exhausted {
+                        return Err(e);
                     }
                 }
             }
@@ -246,7 +261,7 @@ impl H2Layer {
     pub fn is_quiescent(&self) -> bool {
         self.middlewares
             .iter()
-            .all(|mw| mw.pending_descriptors() == 0)
+            .all(|mw| mw.pending_descriptors() == 0 && mw.queued_gossip() == 0)
     }
 
     /// Anti-entropy sweep across the layer: every middleware re-validates
@@ -310,128 +325,92 @@ impl H2Layer {
     }
 
     /// Spawn one thread per middleware that continuously merges pending
-    /// patches and exchanges gossip over channels. Returns a handle; drop
-    /// or call [`ThreadedGossip::stop`] to join the threads.
+    /// patches, floods its outbox to its peers' channels and applies its
+    /// inbox. Returns a handle; drop it or call [`ThreadedGossip::stop`] to
+    /// join the threads.
     pub fn run_threaded(&self) -> ThreadedGossip {
-        let n = self.middlewares.len();
-        let (senders, receivers): (Vec<Sender<GossipMsg>>, Vec<Receiver<GossipMsg>>) =
-            (0..n).map(|_| channel()).unzip();
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mut handles = Vec::with_capacity(n);
-        for (i, (mw, rx)) in self.middlewares.iter().zip(receivers).enumerate() {
-            let mw = mw.clone();
-            let peers: Vec<Sender<GossipMsg>> = senders
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, s)| s.clone())
-                .collect();
-            let stop = stop.clone();
-            handles.push(std::thread::spawn(move || {
-                // Messages whose application failed, waiting for another
-                // attempt. An earlier revision `unwrap_or`-swallowed the
-                // error and dropped the message permanently — a peer that
-                // hit a transient fault stayed stale until some unrelated
-                // merge happened to re-gossip the same ring.
-                let mut backlog: VecDeque<(GossipMsg, u32)> = VecDeque::new();
-                let mut idle_rounds = 0u32;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let mut worked = false;
-                    // Merge failures restore the chain internally and are
-                    // counted by the middleware; the next round retries.
-                    if mw.step_merges().applied > 0 {
-                        worked = true;
-                    }
-                    for msg in mw.take_outbox() {
-                        for p in &peers {
-                            let _ = p.send(msg.clone());
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            self.middlewares.iter().map(|_| channel()).unzip();
+        let stop = Arc::new(AtomicBool::new(false));
+        let handles = self
+            .middlewares
+            .iter()
+            .zip(receivers)
+            .enumerate()
+            .map(|(idx, (mw, rx))| {
+                let mw = mw.clone();
+                let senders = senders.clone();
+                let failures = self.gossip_apply_failures.clone();
+                let stop = stop.clone();
+                std::thread::spawn(move || {
+                    let mut inbox = Inbox::default();
+                    let mut idle_rounds = 0u32;
+                    while !stop.load(Ordering::Relaxed) {
+                        // Merge failures restore the chain internally and
+                        // are counted by the middleware; the next round
+                        // retries.
+                        let mut worked = mw.step_merges().applied > 0;
+                        for msg in mw.take_outbox() {
+                            flood(&senders, idx, &msg, |peer, msg| {
+                                let _ = peer.send(msg);
+                            });
+                            worked = true;
                         }
-                        worked = true;
-                    }
-                    while let Ok(msg) = rx.try_recv() {
-                        backlog.push_back((msg, 0));
-                        worked = true;
-                    }
-                    // One application attempt per backlog entry per round,
-                    // the whole backlog applied as a single batch (one lock
-                    // acquisition, one ring fetch per distinct ring).
-                    // Failing messages requeue individually — a bad message
-                    // never holds the rest of the batch hostage.
-                    let mut max_requeued_attempt: Option<u32> = None;
-                    if !backlog.is_empty() {
-                        let entries: Vec<(GossipMsg, u32)> = backlog.drain(..).collect();
-                        let msgs: Vec<GossipMsg> = entries.iter().map(|(m, _)| m.clone()).collect();
-                        for ((msg, attempts), res) in
-                            entries.into_iter().zip(mw.on_gossip_batch(&msgs))
-                        {
-                            match res {
-                                Ok(forward) => {
-                                    if forward {
-                                        for p in &peers {
-                                            let _ = p.send(msg.clone());
-                                        }
-                                    }
-                                    worked = true;
-                                }
-                                Err(_) => {
-                                    mw.metrics().counter(GOSSIP_APPLY_FAILURES).incr();
-                                    if attempts + 1 < MAX_GOSSIP_ATTEMPTS {
-                                        max_requeued_attempt = Some(
-                                            max_requeued_attempt.unwrap_or(0).max(attempts + 1),
-                                        );
-                                        backlog.push_back((msg, attempts + 1));
-                                    }
-                                }
-                            }
+                        for msg in rx.try_iter() {
+                            inbox.push(msg);
+                            worked = true;
+                        }
+                        // A message that spent its budget is dropped: the
+                        // next merge on its ring re-gossips the state.
+                        let (applied, _dropped) = inbox.apply(&mw, &failures);
+                        worked |= applied > 0;
+                        if let Some(&attempt) = inbox.attempts.iter().max() {
+                            // Back off before the next application round so
+                            // a sustained outage doesn't burn the attempt
+                            // budget in microseconds.
+                            idle_rounds = 0;
+                            let backoff = Duration::from_millis(1)
+                                .saturating_mul(1u32 << attempt.min(5))
+                                .min(Duration::from_millis(20));
+                            h2util::clock::wall_sleep(backoff);
+                        } else if !worked {
+                            // Adaptive idle: poll tightly right after real
+                            // work (more is probably coming) and ramp
+                            // towards ~5ms naps on a quiet fabric instead of
+                            // burning a core.
+                            let nap = Duration::from_micros(200)
+                                .saturating_mul(1u32 << idle_rounds.min(5))
+                                .min(Duration::from_millis(5));
+                            idle_rounds = idle_rounds.saturating_add(1);
+                            h2util::clock::wall_sleep(nap);
+                        } else {
+                            idle_rounds = 0;
                         }
                     }
-                    if let Some(attempt) = max_requeued_attempt {
-                        // Back off before the next application round so a
-                        // sustained outage doesn't burn the attempt budget
-                        // in microseconds.
-                        idle_rounds = 0;
-                        let backoff = std::time::Duration::from_millis(1)
-                            .saturating_mul(1u32 << attempt.min(5))
-                            .min(std::time::Duration::from_millis(20));
-                        h2util::clock::wall_sleep(backoff);
-                    } else if !worked {
-                        // Adaptive idle: poll tightly right after real work
-                        // (more is probably coming) and ramp towards ~5ms
-                        // naps on a quiet fabric instead of burning a core.
-                        let nap = std::time::Duration::from_micros(200)
-                            .saturating_mul(1u32 << idle_rounds.min(5))
-                            .min(std::time::Duration::from_millis(5));
-                        idle_rounds = idle_rounds.saturating_add(1);
-                        h2util::clock::wall_sleep(nap);
-                    } else {
-                        idle_rounds = 0;
-                    }
-                }
-            }));
-        }
+                })
+            })
+            .collect();
         ThreadedGossip { stop, handles }
     }
 }
 
-/// Handle to the threaded gossip fabric.
+/// Handle to the threaded gossip fabric; dropping it stops and joins the
+/// threads.
 pub struct ThreadedGossip {
-    stop: Arc<std::sync::atomic::AtomicBool>,
+    stop: Arc<AtomicBool>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ThreadedGossip {
     /// Signal the gossip threads to finish and join them.
-    pub fn stop(mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+    pub fn stop(self) {
+        drop(self)
     }
 }
 
 impl Drop for ThreadedGossip {
     fn drop(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        self.stop.store(true, Ordering::Relaxed);
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -445,6 +424,7 @@ mod tests {
     use crate::middleware::MaintenanceMode;
     use crate::namering::{NameRing, Tuple};
     use h2util::{NamespaceId, OpCtx};
+    use proptest::prelude::*;
     use swiftsim::ClusterConfig;
 
     fn layer(n: usize, mode: MaintenanceMode) -> H2Layer {
@@ -526,32 +506,106 @@ mod tests {
     }
 
     #[test]
-    fn batched_pump_survives_dropped_and_duplicated_gossip() {
-        let layer = layer(4, MaintenanceMode::Deferred);
+    fn queued_gossip_keeps_the_layer_busy() {
+        let layer = layer(2, MaintenanceMode::Deferred);
         let keys = H2Keys::new("alice");
         let mut ctx = OpCtx::for_test();
-        for round in 0..3 {
-            for (i, mw) in layer.middlewares().iter().enumerate() {
-                let mut p = NameRing::new();
-                p.apply(&format!("r{round}-f{i}"), Tuple::file(mw.tick(), i as u64));
-                mw.submit_patch(&mut ctx, &keys, ns(1), p).unwrap();
+        let mw = layer.mw(0);
+        let mut p = NameRing::new();
+        p.apply("f", Tuple::file(mw.tick(), 1));
+        mw.submit_patch(&mut ctx, &keys, ns(1), p).unwrap();
+        assert_eq!(mw.step_merges().applied, 1);
+        // The chain is merged, but its gossip still sits in the outbox.
+        assert_eq!(mw.pending_descriptors(), 0);
+        assert_eq!(mw.queued_gossip(), 1);
+        assert!(!layer.is_quiescent());
+        layer.pump().unwrap();
+        assert!(layer.is_quiescent());
+    }
+
+    /// One scripted write `(mw, ring, name, size, merge)`: middleware `mw`
+    /// puts file `f{name}` of `size` bytes into ring `ns(ring)`, then runs
+    /// its merger when `merge` is set.
+    type Write = (usize, u64, usize, u64, bool);
+
+    fn arb_write() -> impl Strategy<Value = Write> {
+        (0usize..4, 1u64..4, 0usize..6, 0u64..1000, any::<bool>())
+    }
+
+    /// Play `script` on `layer`, then give the receiver (middleware 0) an
+    /// unmerged patch on every ring. Returns, in order, every gossip message
+    /// the other middlewares sent.
+    fn play(layer: &H2Layer, script: &[Write]) -> Vec<GossipMsg> {
+        let keys = H2Keys::new("alice");
+        let mut ctx = OpCtx::for_test();
+        let mut sent = Vec::new();
+        for &(idx, ring, name, size, merge) in script {
+            let mw = layer.mw(idx);
+            let mut p = NameRing::new();
+            p.apply(&format!("f{name}"), Tuple::file(mw.tick(), size));
+            mw.submit_patch(&mut ctx, &keys, ns(ring), p).unwrap();
+            if merge {
+                mw.step_merges();
             }
-            layer
-                .pump_batched_with_faults(GossipFaults {
-                    drop_every: 3,
-                    duplicate_every: 4,
-                })
-                .unwrap();
+            let out = mw.take_outbox();
+            if idx != 0 {
+                sent.extend(out);
+            }
         }
-        let g = layer
-            .mw(0)
-            .fetch_global_ring(&mut ctx, &keys, ns(1))
-            .unwrap();
-        assert_eq!(g.live_len(), 12);
-        layer.pump_batched().unwrap();
-        for mw in layer.middlewares() {
-            let local_plus_global = mw.read_ring(&mut ctx, &keys, ns(1)).unwrap();
-            assert_eq!(local_plus_global.live_len(), 12);
+        let receiver = layer.mw(0);
+        for ring in 1..4 {
+            let mut p = NameRing::new();
+            p.apply("local", Tuple::file(receiver.tick(), ring));
+            receiver.submit_patch(&mut ctx, &keys, ns(ring), p).unwrap();
+        }
+        sent
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The per-message reference for `on_gossip_batch`: one batch leaves
+        // the receiver's local rings and the global ring objects exactly as
+        // applying the same messages one at a time does — across several
+        // rings and origins, duplicates, stale replays (picks of an older
+        // message after a newer one) and unmerged local state.
+        #[test]
+        fn batch_apply_equals_one_message_at_a_time(
+            script in prop::collection::vec(arb_write(), 1..24),
+            picks in prop::collection::vec(0usize..64, 1..32),
+        ) {
+            let batched = layer(4, MaintenanceMode::Deferred);
+            let single = layer(4, MaintenanceMode::Deferred);
+            let sent = play(&batched, &script);
+            prop_assert_eq!(play(&single, &script), sent.clone());
+            prop_assume!(!sent.is_empty());
+            let msgs: Vec<GossipMsg> =
+                picks.iter().map(|&i| sent[i % sent.len()].clone()).collect();
+            for res in batched.mw(0).on_gossip_batch(&msgs) {
+                prop_assert!(res.is_ok());
+            }
+            for msg in &msgs {
+                for res in single.mw(0).on_gossip_batch(std::slice::from_ref(msg)) {
+                    prop_assert!(res.is_ok());
+                }
+            }
+            let keys = H2Keys::new("alice");
+            let mut ctx = OpCtx::for_test();
+            for ring in 1..4 {
+                prop_assert_eq!(
+                    batched.mw(0).local_ring(&keys, ns(ring)),
+                    single.mw(0).local_ring(&keys, ns(ring)),
+                    "local ring {} differs", ring
+                );
+                let global = |layer: &H2Layer, ctx: &mut OpCtx| {
+                    layer.mw(0).fetch_global_ring(ctx, &keys, ns(ring)).unwrap()
+                };
+                prop_assert_eq!(
+                    global(&batched, &mut ctx),
+                    global(&single, &mut ctx),
+                    "global ring {} differs", ring
+                );
+            }
         }
     }
 

@@ -10,8 +10,8 @@
 //! * the **Background Merger** — merges a node's patch chain into one "big"
 //!   patch and folds it into the NameRing object in the cloud;
 //! * the **Gossip Arrangement** — emits `(N_i, H_j, t_k)` update
-//!   notifications to peer middlewares and applies incoming ones, aborting
-//!   forwarding when the local version is already at least as new
+//!   notifications to peer middlewares and applies incoming ones, ignoring
+//!   a notification when the local version is already at least as new
 //!   (§3.3.2's loop-back avoidance).
 //!
 //! Maintenance runs in one of two modes:
@@ -1993,20 +1993,25 @@ impl H2Middleware {
         std::mem::take(&mut *self.outbox.lock())
     }
 
-    /// Handle one incoming gossip tuple. Returns true when the update was
-    /// news to this node (and should be forwarded); false aborts the flood
-    /// (the local version is already at least as new — §3.3.2's loop-back
-    /// avoidance by timestamp comparison).
-    pub fn on_gossip(&self, msg: &GossipMsg) -> Result<bool> {
-        self.on_gossip_batch(std::slice::from_ref(msg))
-            .pop()
-            .expect("one result per message")
+    /// How many outbound gossip messages are queued.
+    pub(crate) fn queued_gossip(&self) -> usize {
+        self.outbox.lock().len()
+    }
+
+    /// This node's local version of a ring, if it holds state for it.
+    #[cfg(test)]
+    pub(crate) fn local_ring(&self, keys: &H2Keys, ns: NamespaceId) -> Option<Arc<NameRing>> {
+        let fds = self.fds.lock();
+        fds.get(&FdKey::new(keys, ns))
+            .map(|fd| Arc::clone(&fd.local))
     }
 
     /// Handle a whole inbox of gossip tuples in one sweep, with per-message
     /// results (index-aligned with `msgs`, so a failing message can be
     /// requeued individually — batching never couples one message's fate
-    /// to another's).
+    /// to another's). A message reports `Ok(true)` when its update was news
+    /// to this node and `Ok(false)` when the local version is already at
+    /// least as new (§3.3.2's loop-back avoidance by timestamp comparison).
     ///
     /// Compared with applying messages one at a time, a batch takes the
     /// descriptor lock O(1) times instead of O(messages): one acquisition
@@ -2480,11 +2485,11 @@ mod tests {
         let msgs = mw1.take_outbox();
         assert_eq!(msgs.len(), 1);
         // mw2 learns of the update and fetches it.
-        assert!(mw2.on_gossip(&msgs[0]).unwrap());
+        assert!(matches!(mw2.on_gossip_batch(&msgs)[..], [Ok(true)]));
         let ring = mw2.read_ring(&mut ctx, &keys, ns(1)).unwrap();
         assert!(ring.get("shared").is_some());
         // Replayed gossip is aborted (loop-back avoidance).
-        assert!(!mw2.on_gossip(&msgs[0]).unwrap());
+        assert!(matches!(mw2.on_gossip_batch(&msgs)[..], [Ok(false)]));
     }
 
     #[test]
@@ -2506,8 +2511,8 @@ mod tests {
         let g = mw1.fetch_global_ring(&mut ctx, &keys, ns(1)).unwrap();
         assert_eq!(g.live_len(), 2, "second merge lost first node's update");
         // Gossip completes the exchange: node 1 hears node 2's update.
-        for msg in mw2.take_outbox() {
-            mw1.on_gossip(&msg).unwrap();
+        for res in mw1.on_gossip_batch(&mw2.take_outbox()) {
+            res.unwrap();
         }
         let r1 = mw1.read_ring(&mut ctx, &keys, ns(1)).unwrap();
         assert_eq!(r1.live_len(), 2);
