@@ -2,6 +2,7 @@
 
 use h2cloud::{H2Cloud, H2Config, MaintenanceMode};
 use h2fsapi::{CloudFs, FileContent, FsPath};
+use h2util::trace::{CAS_BLOCKS_SHARED, CAS_BLOCKS_WRITTEN, DEDUP_BYTES_SAVED};
 use h2util::OpCtx;
 use swiftsim::ClusterConfig;
 
@@ -411,15 +412,15 @@ pub fn abl_dedup() -> ExpTable {
             }
         }
         fs.quiesce();
-        let c = fs.cluster();
+        let m = fs.metrics();
         t.rows.push(vec![
             if cas { "on" } else { "off" }.into(),
             format!("{:.0}", logical as f64 / (1 << 20) as f64),
-            c.cas_blocks_written_count().to_string(),
-            c.cas_blocks_shared_count().to_string(),
+            m.counter_value(CAS_BLOCKS_WRITTEN).to_string(),
+            m.counter_value(CAS_BLOCKS_SHARED).to_string(),
             format!(
                 "{:.0}",
-                c.dedup_bytes_saved_count() as f64 / (1 << 20) as f64
+                m.counter_value(DEDUP_BYTES_SAVED) as f64 / (1 << 20) as f64
             ),
             ms(write_total / writes),
             ms(read_total / reads),

@@ -182,9 +182,8 @@ impl<'a> H2Api<'a> {
                 Ok((204, ResponseBody::Empty))
             }
             (Method::Get, None) if req.q("op") == Some("metrics") => {
-                // System monitoring (§4.2): per-operation latency summary,
-                // with the cluster's read-path counters folded in.
-                self.fs.sync_cluster_counters();
+                // System monitoring (§4.2): per-operation latency summary
+                // and every counter of the middlewares and the cluster.
                 Ok((200, ResponseBody::Message(self.fs.metrics().render())))
             }
             (Method::Get, None) if req.q("op") == Some("trace") => {
@@ -538,7 +537,9 @@ mod tests {
     fn metrics_route_reports_fault_and_retry_counters() {
         // The loss-path counters are pre-registered at layer construction,
         // so operators see them (at 0) before the first failure — a flat-
-        // lining gauge is monitorable, an absent one is not.
+        // lining gauge is monitorable, an absent one is not. The cluster
+        // registers its own counters when it is built, on the same
+        // registry, so they are listed from the start too.
         let fs = api_fs();
         let api = H2Api::new(&fs);
         ok(api.handle(&WebRequest::new(Method::Put, "/v1/alice")));
@@ -551,9 +552,46 @@ mod tests {
                 assert!(text.contains(h2util::retry::OP_RETRIES), "{text}");
                 assert!(text.contains(h2util::retry::OP_GAVE_UP), "{text}");
                 assert!(text.contains(h2util::retry::RETRY_BACKOFF_MS), "{text}");
+                use h2util::trace::{
+                    CAS_BLOCKS_SHARED, CAS_BLOCKS_WRITTEN, DEDUP_BYTES_SAVED, HEDGED_READS,
+                    MIGRATION_DUAL_WRITES, MIGRATION_KEYS_COPIED, MIGRATION_PARTS_MOVED,
+                    MIGRATION_READ_RESCUES,
+                };
+                for name in [
+                    HEDGED_READS,
+                    MIGRATION_PARTS_MOVED,
+                    MIGRATION_KEYS_COPIED,
+                    MIGRATION_READ_RESCUES,
+                    MIGRATION_DUAL_WRITES,
+                    CAS_BLOCKS_WRITTEN,
+                    CAS_BLOCKS_SHARED,
+                    DEDUP_BYTES_SAVED,
+                ] {
+                    let line = text
+                        .lines()
+                        .find(|l| l.split_whitespace().next() == Some(name))
+                        .unwrap_or_else(|| panic!("{name} missing:\n{text}"));
+                    assert_eq!(line.split_whitespace().nth(1), Some("0"), "{line}");
+                }
             }
             other => panic!("expected message, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn cluster_counters_are_current_without_a_render() {
+        // No `op=metrics` call anywhere: the CAS plane counts straight
+        // into the registry, so the second identical upload shows at once.
+        let fs = api_fs();
+        let api = H2Api::new(&fs);
+        ok(api.handle(&WebRequest::new(Method::Put, "/v1/alice")));
+        let body = FileContent::from_str("the same artifact, uploaded twice");
+        for f in ["/v1/alice/fs/a", "/v1/alice/fs/b"] {
+            ok(api.handle(&WebRequest::new(Method::Put, f).with_body(body.clone())));
+        }
+        let m = fs.metrics();
+        assert!(m.counter_value(h2util::trace::CAS_BLOCKS_SHARED) > 0);
+        assert!(m.counter_value(h2util::trace::DEDUP_BYTES_SAVED) > 0);
     }
 
     #[test]

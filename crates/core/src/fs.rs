@@ -267,10 +267,6 @@ impl OpKind {
 /// The H2Cloud system: an [`H2Layer`] over one object cloud.
 pub struct H2Cloud {
     layer: H2Layer,
-    /// §4.2's system monitoring: per-operation latency histograms, plus
-    /// the middlewares' NameRing cache counters. Shared with every
-    /// middleware in the layer.
-    metrics: Arc<h2util::metrics::MetricsRegistry>,
     /// The registry's histogram of each operation kind, indexed by
     /// `OpKind as usize` and looked up once, here: recording an operation
     /// then touches neither the registry's lock nor its name map.
@@ -279,69 +275,20 @@ pub struct H2Cloud {
 
 impl H2Cloud {
     pub fn new(cfg: H2Config) -> Self {
-        let metrics = Arc::new(h2util::metrics::MetricsRegistry::new());
-        let op_latency = OpKind::ALL.map(|kind| metrics.histogram(kind.name()));
+        let layer = H2Layer::new(Cluster::new(cfg.cluster.clone()), &cfg);
+        let metrics = layer.cluster().metrics();
         H2Cloud {
-            op_latency,
-            layer: H2Layer::new(Cluster::new(cfg.cluster.clone()), &cfg, metrics.clone()),
-            metrics,
+            op_latency: OpKind::ALL.map(|kind| metrics.histogram(kind.name())),
+            layer,
         }
     }
 
-    /// The monitoring registry: one latency histogram per operation kind,
-    /// fed by every `CloudFs` call on this instance.
+    /// §4.2's system monitoring: one latency histogram per operation kind,
+    /// fed by every `CloudFs` call on this instance, and every counter of
+    /// the middlewares and the cluster. It is the cluster's registry, so
+    /// each counter reads its current value whenever it is read.
     pub fn metrics(&self) -> &h2util::metrics::MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Fold the cluster's read-path and migration counters (hedged
-    /// replica-read waves, handoff scans skipped via freshness hints,
-    /// rebalance progress) into the monitoring registry, so `op=metrics`
-    /// reports them alongside the middleware cache counters. Counters are
-    /// monotone: this tops each one up to the cluster's current value.
-    pub fn sync_cluster_counters(&self) {
-        use h2util::trace::{
-            MIGRATION_DUAL_WRITES, MIGRATION_KEYS_COPIED, MIGRATION_PARTS_MOVED,
-            MIGRATION_READ_RESCUES,
-        };
-        for (name, val) in [
-            ("hedged_reads", self.cluster().hedged_read_count()),
-            ("handoff_scans_skipped", self.cluster().handoff_scan_skips()),
-            (
-                MIGRATION_PARTS_MOVED,
-                self.cluster().migration_parts_moved_count(),
-            ),
-            (
-                MIGRATION_KEYS_COPIED,
-                self.cluster().migration_keys_copied_count(),
-            ),
-            (
-                MIGRATION_READ_RESCUES,
-                self.cluster().migration_read_rescue_count(),
-            ),
-            (
-                MIGRATION_DUAL_WRITES,
-                self.cluster().migration_dual_write_count(),
-            ),
-            (
-                "cas_blocks_written",
-                self.cluster().cas_blocks_written_count(),
-            ),
-            (
-                "cas_blocks_shared",
-                self.cluster().cas_blocks_shared_count(),
-            ),
-            (
-                "dedup_bytes_saved",
-                self.cluster().dedup_bytes_saved_count(),
-            ),
-        ] {
-            let c = self.metrics.counter(name);
-            let cur = c.get();
-            if val > cur {
-                c.add(val - cur);
-            }
-        }
+        self.cluster().metrics()
     }
 
     /// Record an operation's virtual service time (the delta this op added
@@ -366,7 +313,7 @@ impl H2Cloud {
         if sampled {
             let err = result.as_ref().err().map(|e| e.to_string());
             if let Some(spans) = ctx.end_trace(err) {
-                mw.tracer().offer(spans, &self.metrics);
+                mw.tracer().offer(spans, self.metrics());
             }
         }
         result

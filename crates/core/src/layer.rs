@@ -30,7 +30,7 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
 
-use h2util::metrics::{Counter, MetricsRegistry};
+use h2util::metrics::Counter;
 use h2util::{H2Error, NodeId, Result};
 use swiftsim::Cluster;
 
@@ -148,11 +148,13 @@ pub struct H2Layer {
 
 impl H2Layer {
     /// Build `cfg.middlewares` middlewares (node ids 1..=n) over `cluster`,
-    /// all reporting into the shared `metrics` registry and each configured
-    /// by `cfg` (see [`H2Middleware::new`]). The one knob that lives in the
-    /// store, hedged replica reads, is applied to `cluster` here.
-    pub fn new(cluster: Arc<Cluster>, cfg: &H2Config, metrics: Arc<MetricsRegistry>) -> Self {
+    /// all reporting into the cluster's metrics registry and each
+    /// configured by `cfg` (see [`H2Middleware::new`]). The one knob that
+    /// lives in the store, hedged replica reads, is applied to `cluster`
+    /// here.
+    pub fn new(cluster: Arc<Cluster>, cfg: &H2Config) -> Self {
         assert!(cfg.middlewares >= 1, "need at least one middleware");
+        let metrics = cluster.metrics();
         // Pre-register the layer's failure counters so `op=metrics` always
         // lists them, even before the first failure.
         let gossip_apply_failures = metrics.counter(GOSSIP_APPLY_FAILURES);
@@ -170,7 +172,7 @@ impl H2Layer {
         }
         cluster.set_hedged_reads(cfg.hedged_reads);
         let middlewares = (1..=cfg.middlewares as u16)
-            .map(|i| H2Middleware::new(NodeId(i), cluster.clone(), cfg, metrics.clone()))
+            .map(|i| H2Middleware::new(NodeId(i), cluster.clone(), cfg))
             .collect();
         H2Layer {
             middlewares,
@@ -444,7 +446,7 @@ mod tests {
             mode,
             ..H2Config::default()
         };
-        H2Layer::new(cluster, &cfg, Arc::new(MetricsRegistry::new()))
+        H2Layer::new(cluster, &cfg)
     }
 
     fn ns(seq: u64) -> NamespaceId {

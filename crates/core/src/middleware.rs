@@ -262,24 +262,6 @@ impl std::hash::Hash for FdKey {
 /// A map from ring keys that never re-hashes the account text.
 type FdMap<V> = HashMap<FdKey, V, WordBuild>;
 
-/// What this middleware remembers about the stored copies of one ring it
-/// has handled: write stamps ([`Object::modified_ms`]), unique per write
-/// across the cluster.
-#[derive(Debug, Default, Clone, Copy)]
-struct RingStamps {
-    /// Stamp of this middleware's last PUT of the ring — the freshness
-    /// floor handed to [`Cluster::get_expecting`] on the read path, proving
-    /// a handoff scan redundant when the best assigned replica already
-    /// carries at least this node's own last write.
-    put_ms: Option<u64>,
-    /// Stamp of the copy that last entered the ring cache (`None` once it
-    /// was dropped, or when an absent object was cached as an empty ring).
-    /// A refetch that brings back the same stamp brought back the same
-    /// bytes, so it is no mutation: see
-    /// [`H2Middleware::cache_store_fetched`].
-    cached_ms: Option<u64>,
-}
-
 /// A parsed global ring held by the NameRing cache, stamped with the
 /// version (max tuple timestamp) it carried when it entered the cache.
 /// The ring is shared: a cache hit hands out a refcount bump, not a clone
@@ -398,7 +380,6 @@ pub struct H2Middleware {
     mode: MaintenanceMode,
     clock: HybridClock,
     ns_alloc: NamespaceAllocator,
-    metrics: Arc<MetricsRegistry>,
     /// Version-stamped cache of parsed *global* rings (no local overlay),
     /// consulted by [`read_ring`](Self::read_ring) — the O(d) resolve hot
     /// path. Kept fresh by write-through in `put_global_ring` and refresh
@@ -432,10 +413,14 @@ pub struct H2Middleware {
     /// never staleness. Entries are never evicted (one u64 per touched
     /// namespace), so a fingerprint can always be checked in O(1).
     ns_epochs: RwLock<HashMap<NamespaceId, u64, WordBuild>>,
-    /// Per-ring write stamps (see [`RingStamps`]). A leaf lock: taken
-    /// alone, or innermost under a ring-cache stripe so the cached copy
-    /// and the stamp remembered for it change together.
-    ring_stamps: Mutex<FdMap<RingStamps>>,
+    /// Write stamp ([`Object::modified_ms`], unique per write across the
+    /// cluster) of the copy of each ring that last entered the ring cache;
+    /// no entry once it was dropped, or when an absent object was cached
+    /// as an empty ring. A refetch that brings back the same stamp brought
+    /// back the same bytes, so it is no mutation: see
+    /// [`H2Middleware::cache_store_fetched`]. Taken innermost under a
+    /// ring-cache stripe, so the cached copy and its stamp change together.
+    cached_ms: Mutex<FdMap<u64>>,
     fds: Mutex<FdMap<FileDescriptor>>,
     /// Per-ring merge serialisation: a merge cycle is a read-modify-write
     /// of the ring object, so two concurrent cycles for the same ring on
@@ -474,8 +459,8 @@ pub struct H2Middleware {
 }
 
 impl H2Middleware {
-    /// Middleware `node` (1-based) over `store`, reporting into the shared
-    /// `metrics` registry and configured by `cfg`: its maintenance mode,
+    /// Middleware `node` (1-based) over `store`, reporting into the
+    /// store's metrics registry and configured by `cfg`: its maintenance mode,
     /// a NameRing cache of `cfg.cache_capacity` parsed rings (0 disables
     /// it), a span collector sampling `cfg.trace_sample` of its
     /// operations, and the group-commit, read-path (full-path and
@@ -485,16 +470,12 @@ impl H2Middleware {
     /// the layer and the store, not one middleware, and are ignored here:
     /// [`H2Layer::new`](crate::H2Layer::new) applies them, hedged replica
     /// reads included.
-    pub fn new(
-        node: NodeId,
-        store: Arc<Cluster>,
-        cfg: &H2Config,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Arc<Self> {
+    pub fn new(node: NodeId, store: Arc<Cluster>, cfg: &H2Config) -> Arc<Self> {
         assert!(
             node.0 > 0,
             "middleware node ids are 1-based (0 is reserved)"
         );
+        let metrics = store.metrics();
         let cache_capacity = cfg.cache_capacity;
         let cache_counters = (cache_capacity > 0).then(|| CacheCounters {
             hits: metrics.counter(RING_CACHE_HITS),
@@ -525,7 +506,6 @@ impl H2Middleware {
             ns_alloc: NamespaceAllocator::new(node),
             store,
             mode: cfg.mode,
-            metrics,
             ring_cache: (0..RING_SHARDS)
                 .map(|_| Mutex::new(LruCache::new(cache_capacity.div_ceil(RING_SHARDS))))
                 .collect(),
@@ -535,7 +515,7 @@ impl H2Middleware {
             path_cache_on,
             neg_cache_on,
             ns_epochs: RwLock::new(HashMap::default()),
-            ring_stamps: Mutex::new(FdMap::default()),
+            cached_ms: Mutex::new(FdMap::default()),
             fds: Mutex::new(FdMap::default()),
             merge_locks: Mutex::new(FdMap::default()),
             group_commit: cfg.group_commit,
@@ -557,7 +537,7 @@ impl H2Middleware {
 
     /// The metrics registry this middleware reports into.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics
+        self.store.metrics()
     }
 
     pub fn node(&self) -> NodeId {
@@ -607,7 +587,7 @@ impl H2Middleware {
         F: FnMut(&mut OpCtx) -> Result<T>,
     {
         ctx.span(STAGE_MW, op, |ctx| {
-            self.retry.run_virtual(ctx, Some(&self.metrics), op, f)
+            self.retry.run_virtual(ctx, Some(self.metrics()), op, f)
         })
     }
 
@@ -1147,10 +1127,12 @@ impl H2Middleware {
                         ring: Arc::clone(ring),
                     },
                 );
-                let mut stamps = self.ring_stamps.lock();
-                let rec = stamps.entry(key.clone()).or_default();
-                let same = fetched_ms.is_some() && rec.cached_ms == fetched_ms;
-                rec.cached_ms = fetched_ms;
+                let mut stamps = self.cached_ms.lock();
+                let same = fetched_ms.is_some() && stamps.get(key).copied() == fetched_ms;
+                match fetched_ms {
+                    Some(ms) => stamps.insert(key.clone(), ms),
+                    None => stamps.remove(key),
+                };
                 same
             }
         };
@@ -1168,11 +1150,6 @@ impl H2Middleware {
     /// tombstone).
     fn cache_store_written(&self, key: &FdKey, ring: &Arc<NameRing>, put_ms: u64) {
         if self.cache_counters.is_none() {
-            self.ring_stamps
-                .lock()
-                .entry(key.clone())
-                .or_default()
-                .put_ms = Some(put_ms);
             return;
         }
         {
@@ -1184,10 +1161,7 @@ impl H2Middleware {
                     ring: Arc::clone(ring),
                 },
             );
-            *self.ring_stamps.lock().entry(key.clone()).or_default() = RingStamps {
-                put_ms: Some(put_ms),
-                cached_ms: Some(put_ms),
-            };
+            self.cached_ms.lock().insert(key.clone(), put_ms);
         }
         self.bump_ns_epoch(key.ns);
     }
@@ -1202,9 +1176,7 @@ impl H2Middleware {
         {
             let mut cache = self.ring_shard(key).lock();
             cache.remove(key);
-            if let Some(rec) = self.ring_stamps.lock().get_mut(key) {
-                rec.cached_ms = None;
-            }
+            self.cached_ms.lock().remove(key);
         }
         self.bump_ns_epoch(key.ns);
     }
@@ -1444,14 +1416,7 @@ impl H2Middleware {
                     if self.cache_counters.is_some() {
                         ctx.span_note("ring_cache", || "miss".to_string());
                     }
-                    // Read path: pass this middleware's last ring-PUT stamp
-                    // as a freshness hint, so the cluster can skip a handoff
-                    // scan that provably cannot change the answer this
-                    // caller needs (read-your-writes is already satisfied;
-                    // anything newer on a handoff still reaches this node
-                    // through gossip or repair, which never use the hint).
-                    let floor = self.ring_stamps.lock().get(&key).and_then(|r| r.put_ms);
-                    let (global, ms) = self.fetch_ring_stamped(ctx, keys, ns, floor)?;
+                    let (global, ms) = self.fetch_ring_stamped(ctx, keys, ns)?;
                     let global = Arc::new(global);
                     self.cache_store_fetched(&key, &global, ms);
                     (global, false)
@@ -1463,19 +1428,15 @@ impl H2Middleware {
         })
     }
 
-    /// The ring object exactly as stored (no local overlay). Merge cycles
-    /// and gossip use this un-hinted read: both are read-modify-write
-    /// paths whose written result shadows older copies at the object level
-    /// (LWW by `modified_ms`), so they must see the freshest copy any
-    /// handoff may hold or its updates would be lost for good.
+    /// The ring object exactly as stored (no local overlay), as merge
+    /// cycles and gossip read it.
     pub fn fetch_global_ring(
         &self,
         ctx: &mut OpCtx,
         keys: &H2Keys,
         ns: NamespaceId,
     ) -> Result<NameRing> {
-        self.fetch_ring_stamped(ctx, keys, ns, None)
-            .map(|(ring, _)| ring)
+        self.fetch_ring_stamped(ctx, keys, ns).map(|(ring, _)| ring)
     }
 
     /// [`fetch_global_ring`](Self::fetch_global_ring), plus whether the
@@ -1489,7 +1450,7 @@ impl H2Middleware {
         keys: &H2Keys,
         ns: NamespaceId,
     ) -> Result<(NameRing, bool)> {
-        Ok(match self.fetch_ring_object(ctx, keys, ns, None)? {
+        Ok(match self.fetch_ring_object(ctx, keys, ns)? {
             Some(obj) => {
                 let body = Self::ring_body(&obj, ns)?;
                 let ring = formatter::namering_from_str(body)?;
@@ -1502,16 +1463,14 @@ impl H2Middleware {
 
     /// GET and parse the ring object, with the write stamp of the copy
     /// that answered; an absent object reads as an empty ring with no
-    /// stamp. `expected_ms` is [`Cluster::get_expecting`]'s freshness
-    /// floor — pure reads only, never a read-modify-write.
+    /// stamp.
     fn fetch_ring_stamped(
         &self,
         ctx: &mut OpCtx,
         keys: &H2Keys,
         ns: NamespaceId,
-        expected_ms: Option<u64>,
     ) -> Result<(NameRing, Option<u64>)> {
-        Ok(match self.fetch_ring_object(ctx, keys, ns, expected_ms)? {
+        Ok(match self.fetch_ring_object(ctx, keys, ns)? {
             Some(obj) => (
                 formatter::namering_from_str(Self::ring_body(&obj, ns)?)?,
                 Some(obj.modified_ms),
@@ -1526,13 +1485,10 @@ impl H2Middleware {
         ctx: &mut OpCtx,
         keys: &H2Keys,
         ns: NamespaceId,
-        expected_ms: Option<u64>,
     ) -> Result<Option<Object>> {
         let key = keys.namering(ns);
         self.ring_fetches.incr();
-        match self.with_retry(ctx, "fetch_ring", |ctx| {
-            self.store.get_expecting(ctx, &key, expected_ms)
-        }) {
+        match self.with_retry(ctx, "fetch_ring", |ctx| self.store.get(ctx, &key)) {
             Ok(obj) => Ok(Some(obj)),
             Err(H2Error::NotFound(_)) => Ok(None),
             Err(e) => Err(e),
@@ -1979,7 +1935,7 @@ impl H2Middleware {
         if sampled {
             let err = first_error.as_ref().map(|e| e.to_string());
             if let Some(spans) = ctx.end_trace(err) {
-                self.tracer.offer(spans, &self.metrics);
+                self.tracer.offer(spans, self.metrics());
             }
         }
         self.absorb_background(&ctx);
@@ -2066,7 +2022,7 @@ impl H2Middleware {
         let mut fetched: Vec<(FdKey, Arc<NameRing>, Vec<usize>)> = Vec::new();
         for (key, idxs) in fresh {
             let keys = H2Keys::new(&key.account);
-            match self.fetch_ring_stamped(&mut ctx, &keys, key.ns, None) {
+            match self.fetch_ring_stamped(&mut ctx, &keys, key.ns) {
                 Ok((global, ms)) => {
                     let global = Arc::new(global);
                     self.cache_store_fetched(&key, &global, ms);
@@ -2137,7 +2093,7 @@ impl H2Middleware {
         }
         if sampled {
             if let Some(spans) = ctx.end_trace(first_error) {
-                self.tracer.offer(spans, &self.metrics);
+                self.tracer.offer(spans, self.metrics());
             }
         }
         // Observe the newest version this node actually absorbed.
@@ -2171,8 +2127,9 @@ impl H2Middleware {
     /// dependent full-path cache entries are invalidated too). The sweep is
     /// bounded by this node's own state — it never enumerates the cloud —
     /// and the same call doubles as the cache refresh after a placement
-    /// ring swap ([`Cluster::ring_epoch`] bump): the re-fetches run under
-    /// the new placement, re-validating any answer the old one produced.
+    /// placement-ring swap (an `add_node`, `drain_node` or `set_weight`):
+    /// the re-fetches run under the new placement, re-validating any answer
+    /// the old one produced.
     pub fn resync(&self) -> Result<usize> {
         let keys: Vec<FdKey> = {
             let mut set: std::collections::HashSet<FdKey> =
@@ -2194,7 +2151,7 @@ impl H2Middleware {
         let mut refreshed = 0usize;
         for key in keys {
             let h2keys = H2Keys::new(&key.account);
-            let global = match self.fetch_ring_stamped(&mut ctx, &h2keys, key.ns, None) {
+            let global = match self.fetch_ring_stamped(&mut ctx, &h2keys, key.ns) {
                 Ok((g, ms)) => {
                     let g = Arc::new(g);
                     self.cache_store_fetched(&key, &g, ms);
@@ -2239,7 +2196,7 @@ impl H2Middleware {
         if sampled {
             let err = first_error.as_ref().map(|e| e.to_string());
             if let Some(spans) = ctx.end_trace(err) {
-                self.tracer.offer(spans, &self.metrics);
+                self.tracer.offer(spans, self.metrics());
             }
         }
         self.absorb_background(&ctx);
@@ -2324,12 +2281,7 @@ mod tests {
             mode,
             ..H2Config::default()
         };
-        H2Middleware::new(
-            NodeId(node),
-            cluster,
-            &cfg,
-            Arc::new(MetricsRegistry::new()),
-        )
+        H2Middleware::new(NodeId(node), cluster, &cfg)
     }
 
     fn setup_with(cfg: &H2Config) -> (Arc<Cluster>, Arc<H2Middleware>, H2Keys) {
@@ -2344,12 +2296,7 @@ mod tests {
         cluster
             .create_container("alice", crate::keys::H2_CONTAINER, false)
             .unwrap();
-        let mw = H2Middleware::new(
-            NodeId(1),
-            cluster.clone(),
-            cfg,
-            Arc::new(MetricsRegistry::new()),
-        );
+        let mw = H2Middleware::new(NodeId(1), cluster.clone(), cfg);
         (cluster, mw, H2Keys::new("alice"))
     }
 

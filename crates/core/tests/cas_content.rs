@@ -13,6 +13,7 @@ use h2cloud::{H2Cloud, H2Config};
 use h2fsapi::{CloudFs, FileContent, FsPath};
 use h2util::chunker::{self, ChunkParams};
 use h2util::hash::hash128;
+use h2util::trace::{CAS_BLOCKS_SHARED, CAS_BLOCKS_WRITTEN, DEDUP_BYTES_SAVED};
 use h2util::OpCtx;
 
 fn p(s: &str) -> FsPath {
@@ -34,11 +35,11 @@ fn patterned(len: usize) -> FileContent {
 #[test]
 fn empty_file_round_trips_with_zero_blocks() {
     let (fs, mut ctx) = setup();
-    let before = fs.cluster().cas_blocks_written_count();
+    let before = fs.metrics().counter_value(CAS_BLOCKS_WRITTEN);
     fs.write(&mut ctx, "alice", &p("/empty"), FileContent::from_str(""))
         .unwrap();
     // An empty file is a manifest with no entries: no leaf blocks at all.
-    assert_eq!(fs.cluster().cas_blocks_written_count(), before);
+    assert_eq!(fs.metrics().counter_value(CAS_BLOCKS_WRITTEN), before);
     assert_eq!(fs.cluster().cas_live_blocks(), 0);
     assert_eq!(
         fs.read(&mut ctx, "alice", &p("/empty")).unwrap(),
@@ -48,7 +49,7 @@ fn empty_file_round_trips_with_zero_blocks() {
     // Same for a zero-length simulated file.
     fs.write(&mut ctx, "alice", &p("/empty2"), FileContent::Simulated(0))
         .unwrap();
-    assert_eq!(fs.cluster().cas_blocks_written_count(), before);
+    assert_eq!(fs.metrics().counter_value(CAS_BLOCKS_WRITTEN), before);
     assert!(fsck(&fs, &mut ctx, "alice").unwrap().is_clean());
     fs.delete_file(&mut ctx, "alice", &p("/empty")).unwrap();
     fs.delete_file(&mut ctx, "alice", &p("/empty2")).unwrap();
@@ -62,18 +63,18 @@ fn files_exactly_at_min_target_and_max_chunk_size() {
 
     // Exactly `min` bytes: below any cut point — exactly one leaf block.
     let at_min = patterned(params.min as usize);
-    let before = fs.cluster().cas_blocks_written_count();
+    let before = fs.metrics().counter_value(CAS_BLOCKS_WRITTEN);
     fs.write(&mut ctx, "alice", &p("/min"), at_min.clone())
         .unwrap();
-    assert_eq!(fs.cluster().cas_blocks_written_count(), before + 1);
+    assert_eq!(fs.metrics().counter_value(CAS_BLOCKS_WRITTEN), before + 1);
     assert_eq!(fs.read(&mut ctx, "alice", &p("/min")).unwrap(), at_min);
 
     // Exactly `target` bytes: between 1 and target/min chunks.
     let at_target = patterned(params.target as usize);
-    let before = fs.cluster().cas_blocks_written_count();
+    let before = fs.metrics().counter_value(CAS_BLOCKS_WRITTEN);
     fs.write(&mut ctx, "alice", &p("/target"), at_target.clone())
         .unwrap();
-    let wrote = fs.cluster().cas_blocks_written_count() - before;
+    let wrote = fs.metrics().counter_value(CAS_BLOCKS_WRITTEN) - before;
     assert!(
         (1..=params.target / params.min).contains(&wrote),
         "target-size file wrote {wrote} blocks"
@@ -86,10 +87,10 @@ fn files_exactly_at_min_target_and_max_chunk_size() {
     // Exactly `max` bytes: the ceiling forces at most one extra cut over
     // the schedule, never more than max/min chunks.
     let at_max = patterned(params.max as usize);
-    let before = fs.cluster().cas_blocks_written_count();
+    let before = fs.metrics().counter_value(CAS_BLOCKS_WRITTEN);
     fs.write(&mut ctx, "alice", &p("/max"), at_max.clone())
         .unwrap();
-    let wrote = fs.cluster().cas_blocks_written_count() - before;
+    let wrote = fs.metrics().counter_value(CAS_BLOCKS_WRITTEN) - before;
     assert!(
         (1..=params.max / params.min).contains(&wrote),
         "max-size file wrote {wrote} blocks"
@@ -97,12 +98,15 @@ fn files_exactly_at_min_target_and_max_chunk_size() {
     assert_eq!(fs.read(&mut ctx, "alice", &p("/max")).unwrap(), at_max);
 
     // Identical content at a second path collapses to the same blocks.
-    let before = fs.cluster().cas_blocks_written_count();
-    let saved = fs.cluster().dedup_bytes_saved_count();
+    let before = fs.metrics().counter_value(CAS_BLOCKS_WRITTEN);
+    let saved = fs.metrics().counter_value(DEDUP_BYTES_SAVED);
     fs.write(&mut ctx, "alice", &p("/max-dup"), at_max.clone())
         .unwrap();
-    assert_eq!(fs.cluster().cas_blocks_written_count(), before);
-    assert_eq!(fs.cluster().dedup_bytes_saved_count(), saved + params.max);
+    assert_eq!(fs.metrics().counter_value(CAS_BLOCKS_WRITTEN), before);
+    assert_eq!(
+        fs.metrics().counter_value(DEDUP_BYTES_SAVED),
+        saved + params.max
+    );
     assert!(fsck(&fs, &mut ctx, "alice").unwrap().is_clean());
 }
 
@@ -131,8 +135,8 @@ fn single_byte_append_rewrites_only_the_tail_block() {
     fs.write(&mut ctx, "alice", &p("/grow"), FileContent::Simulated(size))
         .unwrap();
     assert_eq!(fs.cluster().cas_live_blocks(), old.len() as u64);
-    let written = fs.cluster().cas_blocks_written_count();
-    let reused = fs.cluster().cas_blocks_shared_count();
+    let written = fs.metrics().counter_value(CAS_BLOCKS_WRITTEN);
+    let reused = fs.metrics().counter_value(CAS_BLOCKS_SHARED);
     fs.write(
         &mut ctx,
         "alice",
@@ -142,8 +146,14 @@ fn single_byte_append_rewrites_only_the_tail_block() {
     .unwrap();
     // Pin the rewrite to exactly the chunker's predicted fresh blocks, and
     // the share count to the surviving prefix.
-    assert_eq!(fs.cluster().cas_blocks_written_count(), written + fresh);
-    assert_eq!(fs.cluster().cas_blocks_shared_count(), reused + shared);
+    assert_eq!(
+        fs.metrics().counter_value(CAS_BLOCKS_WRITTEN),
+        written + fresh
+    );
+    assert_eq!(
+        fs.metrics().counter_value(CAS_BLOCKS_SHARED),
+        reused + shared
+    );
     // The displaced generation's tail was reclaimed: live blocks track the
     // new chunk set exactly.
     assert_eq!(fs.cluster().cas_live_blocks(), new.len() as u64);
@@ -167,9 +177,9 @@ fn refcounts_survive_overwrite_delete_churn_across_accounts() {
     fs.write(&mut ctx, "alice", &p("/pkg"), shared(7)).unwrap();
     let one_copy = fs.cluster().cas_live_blocks();
     assert!(one_copy > 0);
-    let written = fs.cluster().cas_blocks_written_count();
+    let written = fs.metrics().counter_value(CAS_BLOCKS_WRITTEN);
     fs.write(&mut ctx, "bob", &p("/mirror"), shared(7)).unwrap();
-    assert_eq!(fs.cluster().cas_blocks_written_count(), written);
+    assert_eq!(fs.metrics().counter_value(CAS_BLOCKS_WRITTEN), written);
     assert_eq!(fs.cluster().cas_live_blocks(), one_copy);
 
     // Alice overwrites her copy with different content: seed-7 blocks stay

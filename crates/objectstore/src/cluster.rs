@@ -46,7 +46,12 @@ use h2ring::{DeviceId, Ring, RingBuilder};
 use h2util::faults::{
     torn_survivors, FaultDecision, FaultInjector, FaultPlan, FaultStats, OpClass,
 };
-use h2util::trace::{STAGE_CLOUD, STAGE_MIGRATE, STAGE_QUORUM, STAGE_REPLICA};
+use h2util::metrics::{Counter, MetricsRegistry};
+use h2util::trace::{
+    CAS_BLOCKS_SHARED, CAS_BLOCKS_WRITTEN, DEDUP_BYTES_SAVED, HEDGED_READS, MIGRATION_DUAL_WRITES,
+    MIGRATION_KEYS_COPIED, MIGRATION_PARTS_MOVED, MIGRATION_READ_RESCUES, STAGE_CLOUD,
+    STAGE_MIGRATE, STAGE_QUORUM, STAGE_REPLICA,
+};
 use h2util::{hash64, CostModel, H2Error, OpCtx, OrderedMutex, OrderedRwLock, PrimKind, Result};
 
 use crate::container::{ContainerIndex, IndexRecord, ListEntry, ListOptions};
@@ -178,9 +183,6 @@ pub struct Cluster {
     /// The current [`Topology`]. An unranked leaf lock: held only to clone
     /// the `Arc` out or to swap a new one in, never across anything else.
     topo: RwLock<Arc<Topology>>,
-    /// Bumped on every ring swap; callers caching placement decisions can
-    /// use it as an invalidation fingerprint.
-    ring_epoch: AtomicU64,
     /// Serializes operator topology changes end to end (finish the prior
     /// migration, rebuild, swap).
     topology_ops: Mutex<()>,
@@ -218,20 +220,20 @@ pub struct Cluster {
     /// same deterministic order — only the charging shape and span
     /// structure change. Off by default; toggled per instance.
     hedged: std::sync::atomic::AtomicBool,
+    /// The monitoring registry (see [`Cluster::metrics`]). The counters
+    /// below are handles on it, registered under the shared names in
+    /// [`h2util::trace`].
+    metrics: Arc<MetricsRegistry>,
     /// Reads where the handoff hedge wave fired (hedged mode only).
-    hedged_reads: AtomicU64,
-    /// Handoff scans skipped because the caller's expected-stamp floor
-    /// proved the best assigned replica fresh enough (see
-    /// [`Cluster::get_expecting`]).
-    handoff_scans_skipped: AtomicU64,
+    hedged_reads: Arc<Counter>,
     /// Partitions the migrator flipped to their new assignment.
-    migration_parts_moved: AtomicU64,
+    migration_parts_moved: Arc<Counter>,
     /// Replica copies the migrator installed on newly assigned devices.
-    migration_keys_copied: AtomicU64,
+    migration_keys_copied: Arc<Counter>,
     /// Reads on a pending partition rescued by the old assignment.
-    migration_read_rescues: AtomicU64,
+    migration_read_rescues: Arc<Counter>,
     /// Acked writes dual-applied to the old assignment while pending.
-    migration_dual_writes: AtomicU64,
+    migration_dual_writes: Arc<Counter>,
     /// CAS block refcounts, sharded by digest hash: hex digest → number of
     /// direct referrers (manifests and branch blocks). An entry exists iff
     /// the block is live. Rank [`lock_rank::CAS_REFCOUNT`], the innermost
@@ -239,11 +241,11 @@ pub struct Cluster {
     /// held across node or map access.
     cas_ref: Box<[OrderedMutex<HashMap<String, u64>>]>,
     /// CAS blocks physically written (fresh content).
-    cas_blocks_written: AtomicU64,
+    cas_blocks_written: Arc<Counter>,
     /// CAS block puts that deduplicated against an existing block.
-    cas_blocks_shared: AtomicU64,
+    cas_blocks_shared: Arc<Counter>,
     /// Logical bytes that dedup avoided re-writing.
-    dedup_bytes_saved: AtomicU64,
+    dedup_bytes_saved: Arc<Counter>,
 }
 
 /// A deferred container-DB update.
@@ -394,6 +396,7 @@ impl Cluster {
             .clone()
             .filter(FaultPlan::is_active)
             .map(|p| Arc::new(FaultInjector::new(p)));
+        let metrics = Arc::new(MetricsRegistry::new());
         let cluster = Arc::new(Cluster {
             topo: RwLock::new(Arc::new(Topology {
                 ring: Arc::new(rb.build()),
@@ -401,7 +404,6 @@ impl Cluster {
                 migration: None,
                 fault,
             })),
-            ring_epoch: AtomicU64::new(0),
             topology_ops: Mutex::new(()),
             stripes,
             cfg,
@@ -435,12 +437,11 @@ impl Cluster {
             async_index: std::sync::atomic::AtomicBool::new(false),
             pending_index: RwLock::new(std::collections::VecDeque::new()),
             hedged: std::sync::atomic::AtomicBool::new(false),
-            hedged_reads: AtomicU64::new(0),
-            handoff_scans_skipped: AtomicU64::new(0),
-            migration_parts_moved: AtomicU64::new(0),
-            migration_keys_copied: AtomicU64::new(0),
-            migration_read_rescues: AtomicU64::new(0),
-            migration_dual_writes: AtomicU64::new(0),
+            hedged_reads: metrics.counter(HEDGED_READS),
+            migration_parts_moved: metrics.counter(MIGRATION_PARTS_MOVED),
+            migration_keys_copied: metrics.counter(MIGRATION_KEYS_COPIED),
+            migration_read_rescues: metrics.counter(MIGRATION_READ_RESCUES),
+            migration_dual_writes: metrics.counter(MIGRATION_DUAL_WRITES),
             cas_ref: (0..stripes)
                 .map(|_| {
                     OrderedMutex::new(
@@ -451,9 +452,10 @@ impl Cluster {
                 })
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
-            cas_blocks_written: AtomicU64::new(0),
-            cas_blocks_shared: AtomicU64::new(0),
-            dedup_bytes_saved: AtomicU64::new(0),
+            cas_blocks_written: metrics.counter(CAS_BLOCKS_WRITTEN),
+            cas_blocks_shared: metrics.counter(CAS_BLOCKS_SHARED),
+            dedup_bytes_saved: metrics.counter(DEDUP_BYTES_SAVED),
+            metrics,
         });
         // The reserved block namespace exists from birth so repair and
         // migration treat CAS blocks like any other account's objects.
@@ -471,14 +473,12 @@ impl Cluster {
         self.hedged.store(on, Ordering::Relaxed);
     }
 
-    /// How many reads fired the parallel handoff hedge wave so far.
-    pub fn hedged_read_count(&self) -> u64 {
-        self.hedged_reads.load(Ordering::Relaxed)
-    }
-
-    /// How many handoff scans the expected-stamp hint proved redundant.
-    pub fn handoff_scan_skips(&self) -> u64 {
-        self.handoff_scans_skipped.load(Ordering::Relaxed)
+    /// The monitoring registry (the paper's §4.2 system monitoring): the
+    /// cluster's own counters — hedged reads, migration progress, CAS
+    /// dedup — count straight into it, and every middleware layered over
+    /// this cluster reports into the same one.
+    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+        &self.metrics
     }
 
     /// Install (or clear) the request-level fault plan at runtime. Chaos
@@ -563,12 +563,6 @@ impl Cluster {
         *cur = Arc::new(next(&cur));
     }
 
-    /// Monotone fingerprint of the placement ring: bumped on every
-    /// topology swap, so cached placement decisions can be invalidated.
-    pub fn ring_epoch(&self) -> u64 {
-        self.ring_epoch.load(Ordering::Acquire)
-    }
-
     pub fn cost_model(&self) -> Arc<CostModel> {
         self.cfg.cost.clone()
     }
@@ -595,10 +589,6 @@ impl Cluster {
         self.topology().node(id).set_down(down);
     }
 
-    pub fn node_is_down(&self, id: DeviceId) -> bool {
-        self.topology().node(id).is_down()
-    }
-
     // ----- elastic topology ------------------------------------------------
 
     /// Install `new_ring` (and the node of a device it adds) and register
@@ -620,7 +610,6 @@ impl Cluster {
             migration: Some(migration),
             fault: t.fault.clone(),
         });
-        self.ring_epoch.fetch_add(1, Ordering::Release);
     }
 
     /// Drop `mig` from the topology once its pending set has drained (a
@@ -757,7 +746,7 @@ impl Cluster {
             keys.sort_unstable_by(|a, b| a.as_str().cmp(b.as_str()));
             if self.migrate_partition(&topo, &mig, part, &keys) {
                 mig.pending.lock().remove(&part);
-                self.migration_parts_moved.fetch_add(1, Ordering::Relaxed);
+                self.migration_parts_moved.incr();
                 flipped += 1;
             }
         }
@@ -820,7 +809,7 @@ impl Cluster {
                 }
                 if n.stamp(at) != Some(newest.modified_ms) {
                     n.store(&WriteKey::of(key), newest.placed(false), None);
-                    self.migration_keys_copied.fetch_add(1, Ordering::Relaxed);
+                    self.migration_keys_copied.incr();
                 }
                 holders += 1;
             }
@@ -855,27 +844,6 @@ impl Cluster {
             .migration
             .as_ref()
             .map_or(0, |m| m.pending.lock().len())
-    }
-
-    /// Partitions flipped by the migrator so far (across all rebalances).
-    pub fn migration_parts_moved_count(&self) -> u64 {
-        self.migration_parts_moved.load(Ordering::Relaxed)
-    }
-
-    /// Replica copies installed by the migrator so far.
-    pub fn migration_keys_copied_count(&self) -> u64 {
-        self.migration_keys_copied.load(Ordering::Relaxed)
-    }
-
-    /// Reads that extended their handoff scan with a pending partition's
-    /// old assignment.
-    pub fn migration_read_rescue_count(&self) -> u64 {
-        self.migration_read_rescues.load(Ordering::Relaxed)
-    }
-
-    /// Acked writes that also dual-applied to a diverging placement.
-    pub fn migration_dual_write_count(&self) -> u64 {
-        self.migration_dual_writes.load(Ordering::Relaxed)
     }
 
     // ----- account / container management -------------------------------
@@ -1234,7 +1202,7 @@ impl Cluster {
                     vec![("dev", dev.0.to_string()), ("dual", "yes".to_string())]
                 });
             }
-            self.migration_dual_writes.fetch_add(1, Ordering::Relaxed);
+            self.migration_dual_writes.incr();
         }
         Ok(())
     }
@@ -1281,15 +1249,11 @@ impl Cluster {
     /// agree, handoffs cannot hold anything newer that matters — agreement
     /// after a full outage is repaired by [`Cluster::repair`], as in real
     /// Swift.
-    ///
-    /// `expected_ms` is the caller's freshness floor, if it has one (see
-    /// [`Cluster::get_expecting`]).
     fn read_replica(
         &self,
         ctx: &mut OpCtx,
         topo: &Topology,
         key: KeyRef<'_>,
-        expected_ms: Option<u64>,
     ) -> Result<Option<StoredReplica>> {
         let part = topo.ring.partition_of_hash(key.hash);
         let hedged = self.hedged.load(Ordering::Relaxed);
@@ -1298,27 +1262,7 @@ impl Cluster {
         wave(ctx, hedged, assigned.len(), |ctx, i| {
             Self::probe_device(ctx, topo, assigned[i], key, false, &mut seen)
         })?;
-        let best_ms = seen.best_ms();
-        // Expected-stamp shortcut: with every assigned device up and
-        // answering (no down, no fault draw), a best stamp at or past the
-        // caller's floor makes the handoff scan provably redundant *for
-        // this caller* — it already reads its own writes, and anything
-        // newer parked on a handoff still reaches it through gossip or
-        // repair, neither of which passes a floor. Only a disagreeing
-        // lagging assigned replica triggers the scan in that state, and
-        // the laggard is by definition older than best.
-        let provably_fresh =
-            !seen.assigned_down && expected_ms.is_some_and(|e| best_ms.is_some_and(|b| b >= e));
-        if seen.assigned_suspect() && provably_fresh {
-            self.handoff_scans_skipped.fetch_add(1, Ordering::Relaxed);
-            ctx.span_note("handoff_scan", || {
-                format!(
-                    "skipped: best stamp {} >= caller floor {}",
-                    best_ms.unwrap_or(0),
-                    expected_ms.unwrap_or(0)
-                )
-            });
-        } else if seen.assigned_suspect() {
+        if seen.assigned_suspect() {
             ctx.span_note("handoff_scan", || {
                 if seen.assigned_down {
                     "assigned device down or faulted".to_string()
@@ -1343,7 +1287,7 @@ impl Cluster {
                         }
                     }
                     if rescued {
-                        self.migration_read_rescues.fetch_add(1, Ordering::Relaxed);
+                        self.migration_read_rescues.incr();
                         ctx.span_note("migrate", || {
                             format!("part {part} pending; old assignment scanned as handoff")
                         });
@@ -1354,7 +1298,7 @@ impl Cluster {
             if hedge {
                 // Hedge: the fallback probes fan out as their own wave
                 // instead of serialising after the assigned ones.
-                self.hedged_reads.fetch_add(1, Ordering::Relaxed);
+                self.hedged_reads.incr();
                 ctx.span_note("hedge", || {
                     format!("{} handoffs probed in parallel", handoffs.len())
                 });
@@ -1574,8 +1518,8 @@ impl Cluster {
     }
 
     /// [`ObjectStore::put`] that also returns the version stamp the write
-    /// landed with, so a caller can remember its own freshness floor and
-    /// later pass it to [`Cluster::get_expecting`].
+    /// landed with, so a caller can tell a later read of this very copy
+    /// (same stamp) from a read of someone else's write.
     pub fn put_stamped(
         &self,
         ctx: &mut OpCtx,
@@ -1614,7 +1558,7 @@ impl Cluster {
             let prev = if read_prev {
                 // h2lint: allow(guard-across-blocking): the per-key op stripe serializes the read-modify-write (read prev + replicate + catalog + index) by design; only same-key ops wait.
                 ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
-                    self.read_replica(ctx, &topo, at, None)
+                    self.read_replica(ctx, &topo, at)
                 })?
             } else {
                 None
@@ -1649,7 +1593,7 @@ impl Cluster {
             let _guard = self.op_lock(at.hash).lock();
             // h2lint: allow(guard-across-blocking): the per-key op stripe serializes the read-modify-write (read prev + tombstone + catalog) by design; only same-key ops wait.
             let existing = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
-                self.read_replica(ctx, &topo, at, None)
+                self.read_replica(ctx, &topo, at)
             })?;
             let Some(existing) = existing else {
                 ctx.charge(PrimKind::Delete, self.cfg.cost.delete_cost());
@@ -1668,37 +1612,6 @@ impl Cluster {
             self.catalog_remove(at);
             self.index_remove(ctx, key);
             Ok(existing)
-        })
-    }
-
-    /// [`ObjectStore::get`] with an optional freshness floor: when the
-    /// caller knows a version stamp the object must have reached (because
-    /// it wrote that version itself), a unanimous assigned-replica answer
-    /// at or past the floor skips the handoff scan that disagreement
-    /// would otherwise trigger. `None` behaves exactly like plain `get`.
-    pub fn get_expecting(
-        &self,
-        ctx: &mut OpCtx,
-        key: &ObjectKey,
-        expected_ms: Option<u64>,
-    ) -> Result<Object> {
-        self.check_container(key)?;
-        let ring_key = key.ring_key();
-        let at = KeyRef::new(&ring_key);
-        ctx.span(STAGE_CLOUD, "GET", |ctx| {
-            ctx.span_note("key", || ring_key.clone());
-            let topo = self.topology();
-            self.fault_gate(ctx, &topo, OpClass::Get, &ring_key)?;
-            let found = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
-                let r = self.read_replica(ctx, &topo, at, expected_ms)?;
-                let len = r.as_ref().map_or(0, |r| r.record.payload.len() as usize);
-                ctx.charge(PrimKind::Get, self.cfg.cost.get_cost(len));
-                Ok(r)
-            })?;
-            match found {
-                Some(r) => Ok(object_of(key, &r)),
-                None => Err(H2Error::NotFound(ring_key.clone())),
-            }
         })
     }
 
@@ -1740,21 +1653,6 @@ impl Cluster {
         self.cas_ref.iter().map(|s| s.lock().len() as u64).sum()
     }
 
-    /// CAS blocks physically written so far (fresh content).
-    pub fn cas_blocks_written_count(&self) -> u64 {
-        self.cas_blocks_written.load(Ordering::Relaxed)
-    }
-
-    /// CAS block puts that deduplicated against an existing block.
-    pub fn cas_blocks_shared_count(&self) -> u64 {
-        self.cas_blocks_shared.load(Ordering::Relaxed)
-    }
-
-    /// Logical bytes dedup avoided re-writing.
-    pub fn dedup_bytes_saved_count(&self) -> u64 {
-        self.dedup_bytes_saved.load(Ordering::Relaxed)
-    }
-
     /// Store an immutable block under its content address, or share the
     /// one already live. `Ok(true)`: the block was physically replicated
     /// (refcount now 1). `Ok(false)`: identical content was already live —
@@ -1793,9 +1691,8 @@ impl Cluster {
                 if let Some(rc) = self.cas_ref_shard(digest_hex).lock().get_mut(digest_hex) {
                     *rc += 1;
                 }
-                self.cas_blocks_shared.fetch_add(1, Ordering::Relaxed);
-                self.dedup_bytes_saved
-                    .fetch_add(logical_len, Ordering::Relaxed);
+                self.cas_blocks_shared.incr();
+                self.dedup_bytes_saved.add(logical_len);
                 ctx.span_note("dedup", || format!("shared, {logical_len} bytes saved"));
                 return Ok(false);
             }
@@ -1813,7 +1710,7 @@ impl Cluster {
             self.cas_ref_shard(digest_hex)
                 .lock()
                 .insert(digest_hex.to_string(), 1);
-            self.cas_blocks_written.fetch_add(1, Ordering::Relaxed);
+            self.cas_blocks_written.incr();
             Ok(true)
         })
     }
@@ -1895,7 +1792,7 @@ impl Cluster {
             ctx.charge(PrimKind::Head, self.cfg.cost.head_cost());
             self.fault_gate(ctx, topo, OpClass::Head, at.text)?;
             let found = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
-                self.read_replica(ctx, topo, at, None)
+                self.read_replica(ctx, topo, at)
             })?;
             found.ok_or_else(|| H2Error::NotFound(at.text.to_string()))
         })
@@ -1977,7 +1874,24 @@ impl ObjectStore for Cluster {
     }
 
     fn get(&self, ctx: &mut OpCtx, key: &ObjectKey) -> Result<Object> {
-        self.get_expecting(ctx, key, None)
+        self.check_container(key)?;
+        let ring_key = key.ring_key();
+        let at = KeyRef::new(&ring_key);
+        ctx.span(STAGE_CLOUD, "GET", |ctx| {
+            ctx.span_note("key", || ring_key.clone());
+            let topo = self.topology();
+            self.fault_gate(ctx, &topo, OpClass::Get, &ring_key)?;
+            let found = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
+                let r = self.read_replica(ctx, &topo, at)?;
+                let len = r.as_ref().map_or(0, |r| r.record.payload.len() as usize);
+                ctx.charge(PrimKind::Get, self.cfg.cost.get_cost(len));
+                Ok(r)
+            })?;
+            match found {
+                Some(r) => Ok(object_of(key, &r)),
+                None => Err(H2Error::NotFound(ring_key.clone())),
+            }
+        })
     }
 
     fn head(&self, ctx: &mut OpCtx, key: &ObjectKey) -> Result<ObjectInfo> {
@@ -2008,7 +1922,7 @@ impl ObjectStore for Cluster {
             let topo = self.topology();
             let torn = self.fault_gate(ctx, &topo, OpClass::Copy, &src_key)?;
             let found = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
-                self.read_replica(ctx, &topo, src_at, None)
+                self.read_replica(ctx, &topo, src_at)
             })?;
             let Some(r) = found else {
                 ctx.charge(PrimKind::Copy, self.cfg.cost.copy_cost(0));
@@ -2770,7 +2684,10 @@ mod tests {
             flipped += n;
         }
         assert_eq!(flipped, total);
-        assert_eq!(c.migration_parts_moved_count(), total as u64);
+        assert_eq!(
+            c.metrics().counter_value(MIGRATION_PARTS_MOVED),
+            total as u64
+        );
         assert_all_readable(&c, &keys);
         // Repair drops the now-redundant old-assignment copies, after
         // which the new device actually holds data.
@@ -2826,7 +2743,7 @@ mod tests {
             "sole-replica key lost during drain"
         );
         assert!(
-            c.migration_read_rescue_count() > 0,
+            c.metrics().counter_value(MIGRATION_READ_RESCUES) > 0,
             "read should have scanned the old assignment"
         );
         // Nodes return; migration completes; victim fully drained.
@@ -2950,20 +2867,6 @@ mod tests {
         assert_all_readable(&c, &keys);
     }
 
-    #[test]
-    fn topology_swap_bumps_ring_epoch() {
-        let c = cluster();
-        assert_eq!(c.ring_epoch(), 0);
-        let id = c.add_node(4, 1.0).unwrap();
-        assert_eq!(c.ring_epoch(), 1);
-        c.migrate_all();
-        c.set_weight(id, 0.5).unwrap();
-        assert_eq!(c.ring_epoch(), 2);
-        c.migrate_all();
-        c.drain_node(id).unwrap();
-        assert_eq!(c.ring_epoch(), 3);
-    }
-
     // ----- CAS block store -------------------------------------------------
 
     #[test]
@@ -2986,7 +2889,7 @@ mod tests {
             .unwrap();
         assert!(fresh);
         assert_eq!(c.cas_refcount(&hex), 1);
-        assert_eq!(c.cas_blocks_written_count(), 1);
+        assert_eq!(c.metrics().counter_value(CAS_BLOCKS_WRITTEN), 1);
         // Second put of identical content: shared, not rewritten.
         let fresh = c
             .cas_put_block(
@@ -2999,9 +2902,9 @@ mod tests {
             .unwrap();
         assert!(!fresh);
         assert_eq!(c.cas_refcount(&hex), 2);
-        assert_eq!(c.cas_blocks_written_count(), 1);
-        assert_eq!(c.cas_blocks_shared_count(), 1);
-        assert_eq!(c.dedup_bytes_saved_count(), 9);
+        assert_eq!(c.metrics().counter_value(CAS_BLOCKS_WRITTEN), 1);
+        assert_eq!(c.metrics().counter_value(CAS_BLOCKS_SHARED), 1);
+        assert_eq!(c.metrics().counter_value(DEDUP_BYTES_SAVED), 9);
         // The block is a readable object in the reserved namespace.
         let obj = c.get(&mut ctx, &Cluster::cas_block_key(&hex)).unwrap();
         assert_eq!(obj.payload.len(), 9);
@@ -3092,8 +2995,8 @@ mod tests {
             }
         });
         assert_eq!(c.cas_refcount(&hex), 1);
-        assert_eq!(c.cas_blocks_written_count(), 1);
-        assert_eq!(c.cas_blocks_shared_count(), 400);
+        assert_eq!(c.metrics().counter_value(CAS_BLOCKS_WRITTEN), 1);
+        assert_eq!(c.metrics().counter_value(CAS_BLOCKS_SHARED), 400);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::sync::{Arc, Barrier};
 
 use h2ring::DeviceId;
 use h2util::faults::{FaultPlan, FaultSpec};
+use h2util::trace::MIGRATION_READ_RESCUES;
 use h2util::{CostModel, H2Error, OpCtx};
 use swiftsim::{Cluster, ClusterConfig, Meta, ObjectKey, ObjectStore, Payload};
 
@@ -504,5 +505,5 @@ fn readers_racing_add_node_and_drain_find_every_key() {
         cluster.migration_pending_parts() > 0,
         "the drain moved nothing"
     );
-    assert!(cluster.migration_read_rescue_count() > 0);
+    assert!(cluster.metrics().counter_value(MIGRATION_READ_RESCUES) > 0);
 }

@@ -64,6 +64,16 @@ pub const MIGRATION_READ_RESCUES: &str = "migration_read_rescues";
 /// partition was still pending migration.
 pub const MIGRATION_DUAL_WRITES: &str = "migration_dual_writes";
 
+/// Counter: reads whose handoff scan fired as a parallel hedge wave
+/// (hedged replica reads only).
+pub const HEDGED_READS: &str = "hedged_reads";
+/// Counter: CAS blocks physically written (fresh content).
+pub const CAS_BLOCKS_WRITTEN: &str = "cas_blocks_written";
+/// Counter: CAS block puts that shared an already-live block.
+pub const CAS_BLOCKS_SHARED: &str = "cas_blocks_shared";
+/// Counter: logical bytes CAS dedup avoided re-writing.
+pub const DEDUP_BYTES_SAVED: &str = "dedup_bytes_saved";
+
 /// Histogram fed from closed `mw` ring/patch/descriptor spans.
 pub const STAGE_RING_MS: &str = "stage_ring_ms";
 /// Histogram fed from closed `mw` content spans.

@@ -18,6 +18,7 @@ use h2cloud::layer::GossipFaults;
 use h2cloud::{H2Cloud, H2Config, H2Layer, MaintenanceMode};
 use h2fsapi::{CloudFs, FileContent, FsPath};
 use h2util::faults::{FaultPlan, FaultSpec};
+use h2util::trace::{CAS_BLOCKS_WRITTEN, DEDUP_BYTES_SAVED};
 use h2util::OpCtx;
 use h2workload::{ModelFs, Op, Trace};
 use swiftsim::{Cluster, ClusterConfig};
@@ -598,11 +599,11 @@ fn tuned_profile_loses_nothing_under_5pct_faults() {
 /// shared identities the three middlewares uploaded.
 fn assert_chunked_and_deduplicated(fs: &H2Cloud) {
     assert!(
-        fs.cluster().cas_blocks_written_count() > 0,
+        fs.metrics().counter_value(CAS_BLOCKS_WRITTEN) > 0,
         "CAS plane never wrote a block"
     );
     assert!(
-        fs.cluster().dedup_bytes_saved_count() > 0,
+        fs.metrics().counter_value(DEDUP_BYTES_SAVED) > 0,
         "shared uploads deduplicated nothing"
     );
 }
