@@ -638,19 +638,19 @@ mod tests {
             }
             other => panic!("expected message, got {other:?}"),
         }
-        // Closed spans fed the per-stage latency histograms.
+        // Every stage that owns time has its histogram on the metrics
+        // route; the retired quorum histogram is gone.
         let r =
             ok(api.handle(&WebRequest::new(Method::Get, "/v1/alice").with_query("op", "metrics")));
         match r.body {
             ResponseBody::Message(text) => {
-                for h in [
-                    h2util::trace::STAGE_RING_MS,
-                    h2util::trace::STAGE_CONTENT_MS,
-                    h2util::trace::STAGE_QUORUM_MS,
-                    h2util::trace::STAGE_BACKOFF_MS,
-                ] {
-                    assert!(text.contains(h), "missing {h}:\n{text}");
+                for stage in h2util::trace::Stage::OWNERS {
+                    if let Some(h) = stage.histogram() {
+                        assert!(text.contains(h), "missing {h}:\n{text}");
+                    }
                 }
+                let quorum = h2util::trace::STAGE_QUORUM_MS;
+                assert!(!text.contains(quorum), "{quorum} is fed:\n{text}");
             }
             other => panic!("expected message, got {other:?}"),
         }

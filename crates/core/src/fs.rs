@@ -22,6 +22,7 @@
 use std::sync::Arc;
 
 use h2fsapi::{CloudFs, DirEntry, EntryKind, FileContent, FsPath, StoreStats};
+use h2util::trace::Stage;
 use h2util::{H2Error, NamespaceId, OpCtx, Result, Timestamp};
 use swiftsim::{Cluster, ClusterConfig, ObjectStore, Payload};
 
@@ -62,11 +63,12 @@ pub struct H2Config {
     pub cache_capacity: usize,
     /// Fraction of operations sampled into span traces, in `[0, 1]`
     /// (0 disables tracing; `for_test()` samples everything). Sampled ops
-    /// record per-stage spans into a bounded per-middleware ring buffer,
-    /// served by the API `op=trace` route; closed spans also feed the
-    /// `stage_*` histograms on `op=metrics`. Sampling is deterministic
-    /// (every ⌈1/rate⌉-th candidate), and tracing never charges virtual
-    /// time, so traced and untraced runs behave identically.
+    /// record their span tree into a bounded per-middleware ring buffer,
+    /// served by the API `op=trace` route. The `stage_*` histograms on
+    /// `op=metrics` do not depend on it: they are fed from every op's
+    /// charges. Sampling is deterministic (every ⌈1/rate⌉-th candidate),
+    /// and tracing never charges virtual time, so traced and untraced runs
+    /// behave identically, down to the stage split.
     pub trace_sample: f64,
     /// Group-commit patch submission: concurrent `submit_patch` calls to
     /// the same NameRing coalesce behind a per-ring commit leader that
@@ -291,9 +293,8 @@ impl H2Cloud {
         self.cluster().metrics()
     }
 
-    /// Record an operation's virtual service time (the delta this op added
-    /// to `ctx`) and, when `mw`'s collector samples this op, wrap it in a
-    /// root span flushed to the collector on completion.
+    /// Run `f` as one op on `mw`'s root ([`H2Middleware::root`]) and record
+    /// its virtual service time (the delta this op added to `ctx`).
     fn observe<T>(
         &self,
         mw: &H2Middleware,
@@ -301,21 +302,10 @@ impl H2Cloud {
         ctx: &mut OpCtx,
         f: impl FnOnce(&mut OpCtx) -> Result<T>,
     ) -> Result<T> {
-        // Ops arriving on an already-traced context (none today) keep their
-        // existing root span.
-        let sampled = !ctx.trace_active() && mw.tracer().sample_next();
-        if sampled {
-            ctx.begin_trace(h2util::trace::STAGE_OP, kind.name());
-        }
-        let before = ctx.elapsed();
-        let result = f(ctx);
-        self.op_latency[kind as usize].record(ctx.elapsed().saturating_sub(before));
-        if sampled {
-            let err = result.as_ref().err().map(|e| e.to_string());
-            if let Some(spans) = ctx.end_trace(err) {
-                mw.tracer().offer(spans, self.metrics());
-            }
-        }
+        let (result, spent) = mw.root(ctx, Stage::Op, kind.name(), f, |r| {
+            r.as_ref().err().map(ToString::to_string)
+        });
+        self.op_latency[kind as usize].record(spent.total());
         result
     }
 
@@ -358,12 +348,17 @@ impl H2Cloud {
     pub fn via(&self, idx: usize) -> H2View<'_> {
         H2View {
             fs: self,
-            mw: self.layer.mw(idx).clone(),
+            mw: self.layer.mw(idx),
         }
     }
 
-    fn mw(&self, account: &str) -> &H2Middleware {
-        self.layer.mw_for_account(account)
+    /// The view bound to `account`'s middleware: the sticky routing every
+    /// [`CloudFs`] call on this instance goes through.
+    fn sticky(&self, account: &str) -> H2View<'_> {
+        H2View {
+            fs: self,
+            mw: self.layer.mw_for_account(account),
+        }
     }
 
     // ----- path resolution (§3.2 regular method, O(d)) ---------------------
@@ -544,7 +539,7 @@ impl H2Cloud {
         name: &str,
     ) -> Result<FileContent> {
         let keys = H2Keys::new(account);
-        let mw = self.mw(account);
+        let mw = self.layer.mw_for_account(account);
         Ok(payload_to_content(mw.get_content(ctx, &keys, ns, name)?))
     }
 
@@ -1040,8 +1035,7 @@ impl CloudFs for H2Cloud {
     }
 
     fn create_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
-        let mw = self.mw(account);
-        self.op_create_account(mw, ctx, account)
+        self.sticky(account).create_account(ctx, account)
     }
 
     fn delete_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
@@ -1049,38 +1043,23 @@ impl CloudFs for H2Cloud {
     }
 
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        let mw = self.mw(account);
-        self.observe(mw, OpKind::Mkdir, ctx, |ctx| {
-            self.op_mkdir(mw, ctx, account, path)
-        })
+        self.sticky(account).mkdir(ctx, account, path)
     }
 
     fn rmdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        let mw = self.mw(account);
-        self.observe(mw, OpKind::Rmdir, ctx, |ctx| {
-            self.op_rmdir(mw, ctx, account, path)
-        })
+        self.sticky(account).rmdir(ctx, account, path)
     }
 
     fn mv(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
-        let mw = self.mw(account);
-        self.observe(mw, OpKind::Move, ctx, |ctx| {
-            self.op_mv(mw, ctx, account, from, to)
-        })
+        self.sticky(account).mv(ctx, account, from, to)
     }
 
     fn copy(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
-        let mw = self.mw(account);
-        self.observe(mw, OpKind::Copy, ctx, |ctx| {
-            self.op_copy(mw, ctx, account, from, to)
-        })
+        self.sticky(account).copy(ctx, account, from, to)
     }
 
     fn list(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<Vec<String>> {
-        let mw = self.mw(account);
-        self.observe(mw, OpKind::List, ctx, |ctx| {
-            self.op_list(mw, ctx, account, path)
-        })
+        self.sticky(account).list(ctx, account, path)
     }
 
     fn list_detailed(
@@ -1089,10 +1068,7 @@ impl CloudFs for H2Cloud {
         account: &str,
         path: &FsPath,
     ) -> Result<Vec<DirEntry>> {
-        let mw = self.mw(account);
-        self.observe(mw, OpKind::ListDetail, ctx, |ctx| {
-            self.op_list_detailed(mw, ctx, account, path)
-        })
+        self.sticky(account).list_detailed(ctx, account, path)
     }
 
     fn write(
@@ -1102,31 +1078,19 @@ impl CloudFs for H2Cloud {
         path: &FsPath,
         content: FileContent,
     ) -> Result<()> {
-        let mw = self.mw(account);
-        self.observe(mw, OpKind::Write, ctx, |ctx| {
-            self.op_write(mw, ctx, account, path, content)
-        })
+        self.sticky(account).write(ctx, account, path, content)
     }
 
     fn read(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<FileContent> {
-        let mw = self.mw(account);
-        self.observe(mw, OpKind::Read, ctx, |ctx| {
-            self.op_read(mw, ctx, account, path)
-        })
+        self.sticky(account).read(ctx, account, path)
     }
 
     fn delete_file(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        let mw = self.mw(account);
-        self.observe(mw, OpKind::Delete, ctx, |ctx| {
-            self.op_delete_file(mw, ctx, account, path)
-        })
+        self.sticky(account).delete_file(ctx, account, path)
     }
 
     fn stat(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<DirEntry> {
-        let mw = self.mw(account);
-        self.observe(mw, OpKind::Stat, ctx, |ctx| {
-            self.op_stat(mw, ctx, account, path)
-        })
+        self.sticky(account).stat(ctx, account, path)
     }
 
     fn quiesce(&self) {
@@ -1146,7 +1110,7 @@ impl CloudFs for H2Cloud {
         use std::collections::HashMap;
         self.check_account(account)?;
         let keys = H2Keys::new(account);
-        let mw = self.mw(account);
+        let mw = self.layer.mw_for_account(account);
         let mut ns_of: HashMap<FsPath, NamespaceId> = HashMap::new();
         ns_of.insert(FsPath::root(), NamespaceId::ROOT);
         // Start each touched ring from its current state so imports into a
@@ -1238,12 +1202,12 @@ impl CloudFs for H2Cloud {
 /// [`H2Cloud::via`]). Implements the same [`CloudFs`] interface.
 pub struct H2View<'a> {
     fs: &'a H2Cloud,
-    mw: Arc<H2Middleware>,
+    mw: &'a H2Middleware,
 }
 
-impl H2View<'_> {
-    pub fn middleware(&self) -> &Arc<H2Middleware> {
-        &self.mw
+impl<'a> H2View<'a> {
+    pub fn middleware(&self) -> &'a H2Middleware {
+        self.mw
     }
 }
 
@@ -1257,7 +1221,7 @@ impl CloudFs for H2View<'_> {
     }
 
     fn create_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
-        self.fs.op_create_account(&self.mw, ctx, account)
+        self.fs.op_create_account(self.mw, ctx, account)
     }
 
     fn delete_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
@@ -1265,32 +1229,32 @@ impl CloudFs for H2View<'_> {
     }
 
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        self.fs.observe(&self.mw, OpKind::Mkdir, ctx, |ctx| {
-            self.fs.op_mkdir(&self.mw, ctx, account, path)
+        self.fs.observe(self.mw, OpKind::Mkdir, ctx, |ctx| {
+            self.fs.op_mkdir(self.mw, ctx, account, path)
         })
     }
 
     fn rmdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        self.fs.observe(&self.mw, OpKind::Rmdir, ctx, |ctx| {
-            self.fs.op_rmdir(&self.mw, ctx, account, path)
+        self.fs.observe(self.mw, OpKind::Rmdir, ctx, |ctx| {
+            self.fs.op_rmdir(self.mw, ctx, account, path)
         })
     }
 
     fn mv(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
-        self.fs.observe(&self.mw, OpKind::Move, ctx, |ctx| {
-            self.fs.op_mv(&self.mw, ctx, account, from, to)
+        self.fs.observe(self.mw, OpKind::Move, ctx, |ctx| {
+            self.fs.op_mv(self.mw, ctx, account, from, to)
         })
     }
 
     fn copy(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
-        self.fs.observe(&self.mw, OpKind::Copy, ctx, |ctx| {
-            self.fs.op_copy(&self.mw, ctx, account, from, to)
+        self.fs.observe(self.mw, OpKind::Copy, ctx, |ctx| {
+            self.fs.op_copy(self.mw, ctx, account, from, to)
         })
     }
 
     fn list(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<Vec<String>> {
-        self.fs.observe(&self.mw, OpKind::List, ctx, |ctx| {
-            self.fs.op_list(&self.mw, ctx, account, path)
+        self.fs.observe(self.mw, OpKind::List, ctx, |ctx| {
+            self.fs.op_list(self.mw, ctx, account, path)
         })
     }
 
@@ -1300,8 +1264,8 @@ impl CloudFs for H2View<'_> {
         account: &str,
         path: &FsPath,
     ) -> Result<Vec<DirEntry>> {
-        self.fs.observe(&self.mw, OpKind::ListDetail, ctx, |ctx| {
-            self.fs.op_list_detailed(&self.mw, ctx, account, path)
+        self.fs.observe(self.mw, OpKind::ListDetail, ctx, |ctx| {
+            self.fs.op_list_detailed(self.mw, ctx, account, path)
         })
     }
 
@@ -1312,26 +1276,26 @@ impl CloudFs for H2View<'_> {
         path: &FsPath,
         content: FileContent,
     ) -> Result<()> {
-        self.fs.observe(&self.mw, OpKind::Write, ctx, |ctx| {
-            self.fs.op_write(&self.mw, ctx, account, path, content)
+        self.fs.observe(self.mw, OpKind::Write, ctx, |ctx| {
+            self.fs.op_write(self.mw, ctx, account, path, content)
         })
     }
 
     fn read(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<FileContent> {
-        self.fs.observe(&self.mw, OpKind::Read, ctx, |ctx| {
-            self.fs.op_read(&self.mw, ctx, account, path)
+        self.fs.observe(self.mw, OpKind::Read, ctx, |ctx| {
+            self.fs.op_read(self.mw, ctx, account, path)
         })
     }
 
     fn delete_file(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        self.fs.observe(&self.mw, OpKind::Delete, ctx, |ctx| {
-            self.fs.op_delete_file(&self.mw, ctx, account, path)
+        self.fs.observe(self.mw, OpKind::Delete, ctx, |ctx| {
+            self.fs.op_delete_file(self.mw, ctx, account, path)
         })
     }
 
     fn stat(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<DirEntry> {
-        self.fs.observe(&self.mw, OpKind::Stat, ctx, |ctx| {
-            self.fs.op_stat(&self.mw, ctx, account, path)
+        self.fs.observe(self.mw, OpKind::Stat, ctx, |ctx| {
+            self.fs.op_stat(self.mw, ctx, account, path)
         })
     }
 

@@ -162,14 +162,6 @@ impl H2Layer {
         metrics.counter(h2util::retry::OP_RETRIES);
         metrics.counter(h2util::retry::OP_GAVE_UP);
         metrics.histogram(h2util::retry::RETRY_BACKOFF_MS);
-        if cfg.trace_sample > 0.0 {
-            // Same idea for the per-stage breakdown histograms: only listed
-            // when tracing can actually feed them.
-            metrics.histogram(h2util::trace::STAGE_RING_MS);
-            metrics.histogram(h2util::trace::STAGE_CONTENT_MS);
-            metrics.histogram(h2util::trace::STAGE_QUORUM_MS);
-            metrics.histogram(h2util::trace::STAGE_BACKOFF_MS);
-        }
         cluster.set_hedged_reads(cfg.hedged_reads);
         let middlewares = (1..=cfg.middlewares as u16)
             .map(|i| H2Middleware::new(NodeId(i), cluster.clone(), cfg))

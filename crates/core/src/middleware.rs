@@ -33,9 +33,8 @@ use h2util::hash::{hash128, Digest128};
 use h2util::hash64;
 use h2util::id::NamespaceAllocator;
 use h2util::metrics::{Counter, MetricsRegistry};
-use h2util::trace::{
-    TraceCollector, DEFAULT_TRACE_CAP, STAGE_GOSSIP, STAGE_MERGE, STAGE_MW, STAGE_RESOLVE,
-};
+use h2util::trace::Stage::{self, Content, Ring};
+use h2util::trace::{Note, StageHistograms, StageTimes, TraceCollector, DEFAULT_TRACE_CAP};
 use h2util::{
     H2Error, HybridClock, LruCache, NamespaceId, NodeId, OpCtx, Result, RetryPolicy, Timestamp,
     WordBuild,
@@ -452,10 +451,12 @@ pub struct H2Middleware {
     /// Bounded ring buffer of sampled operation traces served by `op=trace`;
     /// a disabled collector (the default) keeps the span machinery inert.
     tracer: Arc<TraceCollector>,
+    /// The registry's stage histograms, fed by every root ([`Self::root`]).
+    stage_hists: StageHistograms,
     outbox: Mutex<Vec<GossipMsg>>,
-    /// Virtual time + op counts spent on background maintenance (merges and
-    /// gossip handling in Deferred mode) — the ablation benches report it.
-    background: Mutex<(std::time::Duration, h2util::BackendCounts)>,
+    /// Virtual time per stage + op counts spent on background maintenance
+    /// (merges, gossip, resync) — the ablation benches report it.
+    background: Mutex<(StageTimes, h2util::BackendCounts)>,
 }
 
 impl H2Middleware {
@@ -501,6 +502,7 @@ impl H2Middleware {
         let ring_fetches = metrics.counter(RING_FETCHES);
         let merge_failures = metrics.counter(MERGE_FAILURES);
         Arc::new(H2Middleware {
+            stage_hists: StageHistograms::new(metrics),
             node,
             clock: HybridClock::new(node, 1_600_000_000_000),
             ns_alloc: NamespaceAllocator::new(node),
@@ -564,12 +566,13 @@ impl H2Middleware {
 
     /// Total background maintenance spend so far.
     pub fn background_spend(&self) -> (std::time::Duration, h2util::BackendCounts) {
-        *self.background.lock()
+        let (stages, counts) = *self.background.lock();
+        (stages.total(), counts)
     }
 
-    /// The retry policy this middleware applies to its own cloud ops.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
+    /// [`Self::background_spend`]'s time, split by stage.
+    pub fn background_stages(&self) -> StageTimes {
+        self.background.lock().0
     }
 
     /// The span collector holding this middleware's sampled traces.
@@ -577,23 +580,57 @@ impl H2Middleware {
         &self.tracer
     }
 
-    /// Run a cloud operation under this middleware's retry policy, charging
-    /// backoff as virtual latency and recording `op_retries` / `op_gave_up`
-    /// in the middleware's registry. The fs layer routes content-object I/O
-    /// through here so file data gets the same availability treatment as
-    /// metadata.
-    pub fn with_retry<T, F>(&self, ctx: &mut OpCtx, op: &str, f: F) -> Result<T>
-    where
-        F: FnMut(&mut OpCtx) -> Result<T>,
-    {
-        ctx.span(STAGE_MW, op, |ctx| {
+    /// Run a cloud operation in `stage` (ring or content) under this
+    /// middleware's retry policy, charging backoff as virtual latency and
+    /// recording `op_retries` / `op_gave_up` in the middleware's registry.
+    /// Content-object I/O goes through here too, so file data gets the
+    /// same availability treatment as metadata.
+    pub fn with_retry<T>(
+        &self,
+        ctx: &mut OpCtx,
+        stage: Stage,
+        op: &'static str,
+        f: impl FnMut(&mut OpCtx) -> Result<T>,
+    ) -> Result<T> {
+        ctx.span(stage, op, |ctx| {
             self.retry.run_virtual(ctx, Some(self.metrics()), op, f)
         })
     }
 
+    /// Run `f` on `ctx` as one root — a client op or a maintenance pass —
+    /// in `stage`: sampled into a root trace named `name`, and the time it
+    /// spent per stage fed to the stage histograms, traced or not. Returns
+    /// `f`'s output and that split. `err` renders the outcome's error for
+    /// the trace root; it only runs on a sampled root.
+    pub(crate) fn root<T>(
+        &self,
+        ctx: &mut OpCtx,
+        stage: Stage,
+        name: &'static str,
+        f: impl FnOnce(&mut OpCtx) -> T,
+        err: impl FnOnce(&T) -> Option<String>,
+    ) -> (T, StageTimes) {
+        // A root arriving on an already-traced context (none today) keeps
+        // the existing root span.
+        let sampled = !ctx.trace_active() && self.tracer.sample_next();
+        if sampled {
+            ctx.begin_trace(stage, name);
+        }
+        let before = ctx.stage_times();
+        let out = ctx.in_stage(stage, f);
+        let spent = ctx.stage_times().since(&before);
+        self.stage_hists.record(&spent);
+        if sampled {
+            if let Some(spans) = ctx.end_trace(err(&out)) {
+                self.tracer.offer(spans);
+            }
+        }
+        (out, spent)
+    }
+
     fn absorb_background(&self, ctx: &OpCtx) {
         let mut bg = self.background.lock();
-        bg.0 += ctx.elapsed();
+        bg.0.add(&ctx.stage_times());
         bg.1.add(&ctx.counts());
     }
 
@@ -641,7 +678,7 @@ impl H2Middleware {
         if self.cas {
             return self.cas_put(ctx, &key, payload);
         }
-        self.with_retry(ctx, "put_content", |ctx| {
+        self.with_retry(ctx, Content, "put_content", |ctx| {
             self.store
                 .put(ctx, &key, payload.clone(), Self::file_meta())
         })
@@ -658,7 +695,7 @@ impl H2Middleware {
         name: &str,
     ) -> Result<Payload> {
         let key = keys.child(ns, name);
-        let obj = self.with_retry(ctx, "get_content", |ctx| self.store.get(ctx, &key))?;
+        let obj = self.with_retry(ctx, Content, "get_content", |ctx| self.store.get(ctx, &key))?;
         match obj.meta.get("content-type").map(String::as_str) {
             Some(CONTENT_TYPE_CAS) => {
                 let s = obj.payload.as_str().ok_or_else(|| {
@@ -683,7 +720,9 @@ impl H2Middleware {
         if self.cas {
             return self.cas_delete(ctx, &key);
         }
-        self.with_retry(ctx, "delete_content", |ctx| self.store.delete(ctx, &key))
+        self.with_retry(ctx, Content, "delete_content", |ctx| {
+            self.store.delete(ctx, &key)
+        })
     }
 
     /// Server-side copy of a file's content: one COPY for a whole-object
@@ -771,7 +810,7 @@ impl H2Middleware {
             let wave = ctx.parallel(chunks.len(), |ctx, i| {
                 let c = &chunks[i];
                 let leaf = Self::cas_leaf(&payload, c);
-                self.with_retry(ctx, "cas_put_block", |ctx| {
+                self.with_retry(ctx, Content, "cas_put_block", |ctx| {
                     self.store
                         .cas_put_block(ctx, &c.digest.to_hex(), leaf.clone(), Meta::new(), c.len)
                         .map(|_| ())
@@ -800,7 +839,7 @@ impl H2Middleware {
                 let body = formatter::cas_branch_to_string(group);
                 let digest = hash128(body.as_bytes());
                 let span: u64 = group.iter().map(|(_, l)| *l).sum();
-                let put = self.with_retry(ctx, "cas_put_branch", |ctx| {
+                let put = self.with_retry(ctx, Content, "cas_put_branch", |ctx| {
                     self.store.cas_put_block(
                         ctx,
                         &digest.to_hex(),
@@ -865,7 +904,7 @@ impl H2Middleware {
         m: &formatter::CasManifest,
     ) -> Result<()> {
         let body = formatter::cas_manifest_to_string(m);
-        let prev = self.with_retry(ctx, "put_manifest", |ctx| {
+        let prev = self.with_retry(ctx, Content, "put_manifest", |ctx| {
             self.store.put_returning_prev(
                 ctx,
                 key,
@@ -949,7 +988,9 @@ impl H2Middleware {
         len: u64,
     ) -> Result<Vec<(Digest128, u64)>> {
         let bkey = Cluster::cas_block_key(&d.to_hex());
-        let obj = self.with_retry(ctx, "get_cas_branch", |ctx| self.store.get(ctx, &bkey))?;
+        let obj = self.with_retry(ctx, Content, "get_cas_branch", |ctx| {
+            self.store.get(ctx, &bkey)
+        })?;
         let s = obj
             .payload
             .as_str()
@@ -977,7 +1018,9 @@ impl H2Middleware {
         inline: bool,
     ) -> Result<Payload> {
         let bkey = Cluster::cas_block_key(&d.to_hex());
-        let obj = self.with_retry(ctx, "get_cas_block", |ctx| self.store.get(ctx, &bkey))?;
+        let obj = self.with_retry(ctx, Content, "get_cas_block", |ctx| {
+            self.store.get(ctx, &bkey)
+        })?;
         let ok = match (&obj.payload, inline) {
             (Payload::Inline(b), true) => b.len() as u64 == len && hash128(b) == d,
             (Payload::Simulated { size, digest }, false) => *size == len && *digest == d,
@@ -996,7 +1039,7 @@ impl H2Middleware {
     /// torn tombstone — finds no manifest and releases nothing, so
     /// references drop exactly once per committed generation.
     fn cas_delete(&self, ctx: &mut OpCtx, key: &ObjectKey) -> Result<()> {
-        let prev = self.with_retry(ctx, "delete_content", |ctx| {
+        let prev = self.with_retry(ctx, Content, "delete_content", |ctx| {
             self.store.delete_returning_prev(ctx, key)
         })?;
         self.cas_release_manifest(ctx, &prev);
@@ -1008,7 +1051,7 @@ impl H2Middleware {
     /// reference per top entry. Losing the race with a delete that
     /// reclaimed a block rolls the references back and reports the miss.
     fn cas_copy(&self, ctx: &mut OpCtx, src: &ObjectKey, dst: &ObjectKey) -> Result<()> {
-        let obj = self.with_retry(ctx, "get_manifest", |ctx| self.store.get(ctx, src))?;
+        let obj = self.with_retry(ctx, Content, "get_manifest", |ctx| self.store.get(ctx, src))?;
         if obj.meta.get("content-type").map(String::as_str) != Some(CONTENT_TYPE_CAS) {
             // Not block-plane content (written before the knob): plain copy.
             return self.store.copy(ctx, src, dst);
@@ -1213,15 +1256,6 @@ impl H2Middleware {
         self.neg_cache_on
     }
 
-    /// Full-path cache `(hits, misses, neg_hits)` so far (zeros when
-    /// disabled). A negative hit counts in both `hits` and `neg_hits`.
-    pub fn path_cache_stats(&self) -> (u64, u64, u64) {
-        match &self.path_counters {
-            Some(c) => (c.hits.get(), c.misses.get(), c.neg_hits.get()),
-            None => (0, 0, 0),
-        }
-    }
-
     /// Hash of `(account, path)`: picks the path-cache stripe and keys the
     /// entry inside it.
     fn path_hash(keys: &H2Keys, path: &str) -> u64 {
@@ -1403,18 +1437,18 @@ impl H2Middleware {
         keys: &H2Keys,
         ns: NamespaceId,
     ) -> Result<(RingView, u64)> {
-        ctx.span(STAGE_RESOLVE, "read_ring", |ctx| {
-            ctx.span_note("ns", || ns.to_string());
+        ctx.span(Stage::Resolve, "read_ring", |ctx| {
+            ctx.span_note("ns", || Note::Ns(ns));
             let key = FdKey::new(keys, ns);
             let epoch = self.ns_epoch(ns);
             let (global, hit) = match self.cached_global(&key) {
                 Some(cached) => {
-                    ctx.span_note("ring_cache", || "hit".to_string());
+                    ctx.span_note("ring_cache", || Note::Str("hit"));
                     (cached, true)
                 }
                 None => {
                     if self.cache_counters.is_some() {
-                        ctx.span_note("ring_cache", || "miss".to_string());
+                        ctx.span_note("ring_cache", || Note::Str("miss"));
                     }
                     let (global, ms) = self.fetch_ring_stamped(ctx, keys, ns)?;
                     let global = Arc::new(global);
@@ -1488,7 +1522,7 @@ impl H2Middleware {
     ) -> Result<Option<Object>> {
         let key = keys.namering(ns);
         self.ring_fetches.incr();
-        match self.with_retry(ctx, "fetch_ring", |ctx| self.store.get(ctx, &key)) {
+        match self.with_retry(ctx, Ring, "fetch_ring", |ctx| self.store.get(ctx, &key)) {
             Ok(obj) => Ok(Some(obj)),
             Err(H2Error::NotFound(_)) => Ok(None),
             Err(e) => Err(e),
@@ -1518,7 +1552,7 @@ impl H2Middleware {
         // Build the payload once; retry attempts re-send the same shared
         // bytes instead of re-materialising the serialised ring.
         let payload = Payload::from_string(body);
-        let ms = self.with_retry(ctx, "put_ring", |ctx| {
+        let ms = self.with_retry(ctx, Ring, "put_ring", |ctx| {
             self.store
                 .put_stamped(ctx, &key, payload.clone(), Meta::new())
         })?;
@@ -1624,7 +1658,7 @@ impl H2Middleware {
     ) -> Result<()> {
         let payload = Payload::from_string(formatter::patch_to_string(patch));
         let patch_key = keys.patch(ns, self.node, patch_no);
-        self.with_retry(ctx, "submit_patch", |ctx| {
+        self.with_retry(ctx, Ring, "submit_patch", |ctx| {
             self.store
                 .put(ctx, &patch_key, payload.clone(), Meta::new())
         })
@@ -1781,8 +1815,8 @@ impl H2Middleware {
     /// objects, and queue a gossip notification. Returns true if any patch
     /// was merged.
     pub fn merge_ns(&self, ctx: &mut OpCtx, keys: &H2Keys, ns: NamespaceId) -> Result<bool> {
-        ctx.span(STAGE_MERGE, "merge_ns", |ctx| {
-            ctx.span_note("ns", || ns.to_string());
+        ctx.span(Stage::Merge, "merge_ns", |ctx| {
+            ctx.span_note("ns", || Note::Ns(ns));
             self.merge_ns_inner(ctx, keys, ns)
         })
     }
@@ -1856,7 +1890,7 @@ impl H2Middleware {
         let mut big = NameRing::new();
         for &no in chain {
             let key = keys.patch(ns, self.node, no);
-            match self.with_retry(ctx, "fetch_patch", |ctx| self.store.get(ctx, &key)) {
+            match self.with_retry(ctx, Ring, "fetch_patch", |ctx| self.store.get(ctx, &key)) {
                 Ok(obj) => {
                     let s = obj.payload.as_str().ok_or_else(|| {
                         H2Error::Corrupt(format!("patch {key} is not a string object"))
@@ -1886,7 +1920,9 @@ impl H2Middleware {
         for &no in chain {
             // Patch objects are transient; a NotFound here is harmless.
             let key = keys.patch(ns, self.node, no);
-            match self.with_retry(ctx, "delete_patch", |ctx| self.store.delete(ctx, &key)) {
+            match self.with_retry(ctx, Ring, "delete_patch", |ctx| {
+                self.store.delete(ctx, &key)
+            }) {
                 Ok(()) | Err(H2Error::NotFound(_)) => {}
                 Err(e) => return Err(e),
             }
@@ -1911,33 +1947,33 @@ impl H2Middleware {
                 .map(|(key, _)| key.clone())
                 .collect()
         };
-        let mut outcome = MergeOutcome::default();
-        let mut ctx = OpCtx::new(self.store.cost_model());
+        if work.is_empty() {
+            return MergeOutcome::default();
+        }
         // Background merge pumps are sampled like client ops, so Deferred
         // mode's maintenance shows up as MERGE-PUMP root traces.
-        let sampled = !work.is_empty() && self.tracer.sample_next();
-        if sampled {
-            ctx.begin_trace(STAGE_MERGE, "MERGE-PUMP");
-        }
-        let mut first_error: Option<H2Error> = None;
-        for FdKey { account, ns, .. } in work {
-            let keys = H2Keys::new(&account);
-            match self.merge_ns(&mut ctx, &keys, ns) {
-                Ok(true) => outcome.applied += 1,
-                Ok(false) => {}
-                Err(e) => {
-                    outcome.failed += 1;
-                    self.merge_failures.incr();
-                    first_error.get_or_insert(e);
+        let merge_all = |ctx: &mut OpCtx| {
+            let mut outcome = MergeOutcome::default();
+            let mut first_error: Option<H2Error> = None;
+            for FdKey { account, ns, .. } in work {
+                let keys = H2Keys::new(&account);
+                match self.merge_ns(ctx, &keys, ns) {
+                    Ok(true) => outcome.applied += 1,
+                    Ok(false) => {}
+                    Err(e) => {
+                        outcome.failed += 1;
+                        self.merge_failures.incr();
+                        first_error.get_or_insert(e);
+                    }
                 }
             }
-        }
-        if sampled {
-            let err = first_error.as_ref().map(|e| e.to_string());
-            if let Some(spans) = ctx.end_trace(err) {
-                self.tracer.offer(spans, self.metrics());
-            }
-        }
+            (outcome, first_error)
+        };
+        let mut ctx = OpCtx::new(self.store.cost_model());
+        let ((outcome, _), _) =
+            self.root(&mut ctx, Stage::Merge, "MERGE-PUMP", merge_all, |(_, e)| {
+                e.as_ref().map(ToString::to_string)
+            });
         self.absorb_background(&ctx);
         outcome
     }
@@ -2009,93 +2045,89 @@ impl H2Middleware {
         }
         // Gossip runs on its own context, so batches self-sample into
         // GOSSIP-APPLY root traces.
+        let apply = |ctx: &mut OpCtx| {
+            ctx.span_note("batch", || Note::U64(msgs.len() as u64));
+            ctx.span_note("rings", || Note::U64(fresh.len() as u64));
+            let mut first_error: Option<String> = None;
+            // Pass 2 — fetch each unique ring once, refreshing the NameRing
+            // cache (gossip is what keeps cached rings fresh across nodes).
+            let mut fetched: Vec<(FdKey, Arc<NameRing>, Vec<usize>)> = Vec::new();
+            for (key, idxs) in fresh {
+                let keys = H2Keys::new(&key.account);
+                match self.fetch_ring_stamped(ctx, &keys, key.ns) {
+                    Ok((global, ms)) => {
+                        let global = Arc::new(global);
+                        self.cache_store_fetched(&key, &global, ms);
+                        fetched.push((key, global, idxs));
+                    }
+                    Err(e) => {
+                        first_error.get_or_insert_with(|| e.to_string());
+                        for i in idxs {
+                            results[i] = Some(Err(e.clone()));
+                        }
+                    }
+                }
+            }
+            // Pass 3 — one descriptor-lock acquisition applies every join.
+            let mut writebacks: Vec<(FdKey, Arc<NameRing>, Vec<usize>)> = Vec::new();
+            let mut applied_ns: Vec<NamespaceId> = Vec::new();
+            {
+                let mut fds = self.fds.lock();
+                for (key, global, idxs) in fetched {
+                    let fd = fds.entry(key.clone()).or_default();
+                    applied_ns.push(key.ns);
+                    // One lockstep walk decides: a global ring that already
+                    // holds everything the local one does becomes the local
+                    // ring as it is; otherwise join into a copy and write back.
+                    if global.subsumes(&fd.local) {
+                        fd.local = global;
+                        for i in idxs {
+                            results[i] = Some(Ok(true));
+                        }
+                    } else {
+                        let merged = Arc::new(NameRing::merged((*global).clone(), &fd.local));
+                        fd.local = Arc::clone(&merged);
+                        writebacks.push((key, merged, idxs));
+                    }
+                }
+            }
+            for ns in applied_ns {
+                self.bump_ns_epoch(ns);
+            }
+            // Pass 4 — when this node knew updates the global object lacked,
+            // write the join back and re-gossip (our information is now part
+            // of the global version). A write-back failure fails only that
+            // ring's messages; the local join above is idempotent on requeue.
+            for (key, local, idxs) in writebacks {
+                let keys = H2Keys::new(&key.account);
+                ctx.span_note("write_back", || {
+                    Note::Str("local updates joined into global")
+                });
+                match self.put_global_ring(ctx, &keys, key.ns, &local) {
+                    Ok(()) => {
+                        self.outbox.lock().push(GossipMsg {
+                            account: key.account.to_string(),
+                            ns: key.ns,
+                            from: self.node,
+                            version: local.version(),
+                        });
+                        for i in idxs {
+                            results[i] = Some(Ok(true));
+                        }
+                    }
+                    Err(e) => {
+                        first_error.get_or_insert_with(|| e.to_string());
+                        for i in idxs {
+                            results[i] = Some(Err(e.clone()));
+                        }
+                    }
+                }
+            }
+            first_error
+        };
         let mut ctx = OpCtx::new(self.store.cost_model());
-        let sampled = self.tracer.sample_next();
-        if sampled {
-            ctx.begin_trace(STAGE_GOSSIP, "GOSSIP-APPLY");
-            ctx.span_note("batch", || msgs.len().to_string());
-            ctx.span_note("rings", || fresh.len().to_string());
-        }
-        let mut first_error: Option<String> = None;
-        // Pass 2 — fetch each unique ring once, refreshing the NameRing
-        // cache (gossip is what keeps cached rings fresh across nodes).
-        let mut fetched: Vec<(FdKey, Arc<NameRing>, Vec<usize>)> = Vec::new();
-        for (key, idxs) in fresh {
-            let keys = H2Keys::new(&key.account);
-            match self.fetch_ring_stamped(&mut ctx, &keys, key.ns) {
-                Ok((global, ms)) => {
-                    let global = Arc::new(global);
-                    self.cache_store_fetched(&key, &global, ms);
-                    fetched.push((key, global, idxs));
-                }
-                Err(e) => {
-                    first_error.get_or_insert_with(|| e.to_string());
-                    for i in idxs {
-                        results[i] = Some(Err(e.clone()));
-                    }
-                }
-            }
-        }
-        // Pass 3 — one descriptor-lock acquisition applies every join.
-        let mut writebacks: Vec<(FdKey, Arc<NameRing>, Vec<usize>)> = Vec::new();
-        let mut applied_ns: Vec<NamespaceId> = Vec::new();
-        {
-            let mut fds = self.fds.lock();
-            for (key, global, idxs) in fetched {
-                let fd = fds.entry(key.clone()).or_default();
-                applied_ns.push(key.ns);
-                // One lockstep walk decides: a global ring that already
-                // holds everything the local one does becomes the local
-                // ring as it is; otherwise join into a copy and write back.
-                if global.subsumes(&fd.local) {
-                    fd.local = global;
-                    for i in idxs {
-                        results[i] = Some(Ok(true));
-                    }
-                } else {
-                    let merged = Arc::new(NameRing::merged((*global).clone(), &fd.local));
-                    fd.local = Arc::clone(&merged);
-                    writebacks.push((key, merged, idxs));
-                }
-            }
-        }
-        for ns in applied_ns {
-            self.bump_ns_epoch(ns);
-        }
-        // Pass 4 — when this node knew updates the global object lacked,
-        // write the join back and re-gossip (our information is now part
-        // of the global version). A write-back failure fails only that
-        // ring's messages; the local join above is idempotent on requeue.
-        for (key, local, idxs) in writebacks {
-            let keys = H2Keys::new(&key.account);
-            ctx.span_note("write_back", || {
-                "local updates joined into global".to_string()
-            });
-            match self.put_global_ring(&mut ctx, &keys, key.ns, &local) {
-                Ok(()) => {
-                    self.outbox.lock().push(GossipMsg {
-                        account: key.account.to_string(),
-                        ns: key.ns,
-                        from: self.node,
-                        version: local.version(),
-                    });
-                    for i in idxs {
-                        results[i] = Some(Ok(true));
-                    }
-                }
-                Err(e) => {
-                    first_error.get_or_insert_with(|| e.to_string());
-                    for i in idxs {
-                        results[i] = Some(Err(e.clone()));
-                    }
-                }
-            }
-        }
-        if sampled {
-            if let Some(spans) = ctx.end_trace(first_error) {
-                self.tracer.offer(spans, self.metrics());
-            }
-        }
+        self.root(&mut ctx, Stage::Gossip, "GOSSIP-APPLY", apply, Clone::clone);
+        self.absorb_background(&ctx);
         // Observe the newest version this node actually absorbed.
         let applied_max = msgs
             .iter()
@@ -2106,7 +2138,6 @@ impl H2Middleware {
         if let Some(v) = applied_max {
             self.clock.observe(v);
         }
-        self.absorb_background(&ctx);
         results
             .into_iter()
             .map(|r| r.expect("every message settled"))
@@ -2141,69 +2172,68 @@ impl H2Middleware {
             v.sort_by(|a, b| (&a.account, a.ns).cmp(&(&b.account, b.ns)));
             v
         };
-        let mut ctx = OpCtx::new(self.store.cost_model());
-        let sampled = !keys.is_empty() && self.tracer.sample_next();
-        if sampled {
-            ctx.begin_trace(STAGE_GOSSIP, "RESYNC");
-            ctx.span_note("rings", || keys.len().to_string());
+        if keys.is_empty() {
+            return Ok(0);
         }
-        let mut first_error: Option<H2Error> = None;
-        let mut refreshed = 0usize;
-        for key in keys {
-            let h2keys = H2Keys::new(&key.account);
-            let global = match self.fetch_ring_stamped(&mut ctx, &h2keys, key.ns) {
-                Ok((g, ms)) => {
-                    let g = Arc::new(g);
-                    self.cache_store_fetched(&key, &g, ms);
-                    g
-                }
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                    continue;
-                }
-            };
-            let (had_extra, merged) = {
-                let mut fds = self.fds.lock();
-                match fds.get_mut(&key) {
-                    Some(fd) if global.subsumes(&fd.local) => {
-                        fd.local = Arc::clone(&global);
-                        (false, global)
+        let refresh_all = |ctx: &mut OpCtx| {
+            ctx.span_note("rings", || Note::U64(keys.len() as u64));
+            let mut first_error: Option<H2Error> = None;
+            let mut refreshed = 0usize;
+            for key in keys {
+                let h2keys = H2Keys::new(&key.account);
+                let global = match self.fetch_ring_stamped(ctx, &h2keys, key.ns) {
+                    Ok((g, ms)) => {
+                        let g = Arc::new(g);
+                        self.cache_store_fetched(&key, &g, ms);
+                        g
                     }
-                    Some(fd) => {
-                        let merged = Arc::new(NameRing::merged((*global).clone(), &fd.local));
-                        fd.local = Arc::clone(&merged);
-                        (true, merged)
-                    }
-                    None => (false, global),
-                }
-            };
-            self.bump_ns_epoch(key.ns);
-            refreshed += 1;
-            if had_extra {
-                match self.put_global_ring(&mut ctx, &h2keys, key.ns, &merged) {
-                    Ok(()) => self.outbox.lock().push(GossipMsg {
-                        account: key.account.to_string(),
-                        ns: key.ns,
-                        from: self.node,
-                        version: merged.version(),
-                    }),
                     Err(e) => {
                         first_error.get_or_insert(e);
+                        continue;
+                    }
+                };
+                let (had_extra, merged) = {
+                    let mut fds = self.fds.lock();
+                    match fds.get_mut(&key) {
+                        Some(fd) if global.subsumes(&fd.local) => {
+                            fd.local = Arc::clone(&global);
+                            (false, global)
+                        }
+                        Some(fd) => {
+                            let merged = Arc::new(NameRing::merged((*global).clone(), &fd.local));
+                            fd.local = Arc::clone(&merged);
+                            (true, merged)
+                        }
+                        None => (false, global),
+                    }
+                };
+                self.bump_ns_epoch(key.ns);
+                refreshed += 1;
+                if had_extra {
+                    match self.put_global_ring(ctx, &h2keys, key.ns, &merged) {
+                        Ok(()) => self.outbox.lock().push(GossipMsg {
+                            account: key.account.to_string(),
+                            ns: key.ns,
+                            from: self.node,
+                            version: merged.version(),
+                        }),
+                        Err(e) => {
+                            first_error.get_or_insert(e);
+                        }
                     }
                 }
             }
-        }
-        if sampled {
-            let err = first_error.as_ref().map(|e| e.to_string());
-            if let Some(spans) = ctx.end_trace(err) {
-                self.tracer.offer(spans, self.metrics());
+            match first_error {
+                Some(e) => Err(e),
+                None => Ok(refreshed),
             }
-        }
+        };
+        let mut ctx = OpCtx::new(self.store.cost_model());
+        let (refreshed, _) = self.root(&mut ctx, Stage::Gossip, "RESYNC", refresh_all, |r| {
+            r.as_ref().err().map(ToString::to_string)
+        });
         self.absorb_background(&ctx);
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(refreshed),
-        }
+        refreshed
     }
 
     // ----- descriptor objects ----------------------------------------------
@@ -2219,7 +2249,7 @@ impl H2Middleware {
     ) -> Result<()> {
         let key = keys.child(parent_ns, name);
         let payload = Payload::from_string(formatter::dir_to_string(desc));
-        self.with_retry(ctx, "put_descriptor", |ctx| {
+        self.with_retry(ctx, Ring, "put_descriptor", |ctx| {
             self.store.put(ctx, &key, payload.clone(), Self::dir_meta())
         })
     }
@@ -2233,17 +2263,12 @@ impl H2Middleware {
         name: &str,
     ) -> Result<DirDescriptor> {
         let key = keys.child(parent_ns, name);
-        let obj = self.with_retry(ctx, "get_descriptor", |ctx| self.store.get(ctx, &key))?;
+        let obj = self.with_retry(ctx, Ring, "get_descriptor", |ctx| self.store.get(ctx, &key))?;
         let s = obj
             .payload
             .as_str()
             .ok_or_else(|| H2Error::Corrupt(format!("descriptor {name} not a string")))?;
         formatter::dir_from_str(s)
-    }
-
-    /// Object key helper (exposed for the fs layer).
-    pub fn child_key(&self, keys: &H2Keys, ns: NamespaceId, name: &str) -> ObjectKey {
-        keys.child(ns, name)
     }
 
     /// Charge middleware CPU for processing `entries` listing rows.
@@ -2262,11 +2287,6 @@ impl H2Middleware {
             model.lookup_cpu
         });
     }
-
-    /// Record an index-server-free primitive count for Table 1 (H2 issues
-    /// no IndexRpc; method exists so call sites read symmetrically with the
-    /// DP baseline).
-    pub fn no_index_rpc(&self, _ctx: &mut OpCtx) {}
 }
 
 #[cfg(test)]

@@ -220,3 +220,50 @@ fn refcounts_survive_overwrite_delete_churn_across_accounts() {
     assert!(fsck(&fs, &mut ctx, "alice").unwrap().is_clean());
     assert!(fsck(&fs, &mut ctx, "bob").unwrap().is_clean());
 }
+
+#[test]
+fn large_write_charges_its_blocks_to_the_content_stage() {
+    // The stage histograms split an op's virtual time by purpose: a 24 MiB
+    // CAS write's block and manifest I/O is content time, and the stages
+    // together never hold more than the op took — traced or not.
+    use h2util::trace::{STAGE_BACKOFF_MS, STAGE_CONTENT_MS, STAGE_QUORUM_MS, STAGE_RING_MS};
+    for trace_sample in [0.0, 1.0] {
+        let fs = H2Cloud::new(H2Config {
+            trace_sample,
+            ..H2Config::tuned()
+        });
+        let mut ctx = OpCtx::new(fs.cluster().cost_model());
+        fs.create_account(&mut ctx, "alice").unwrap();
+        let total_us = |name: &str| {
+            let h = fs.metrics().histogram(name);
+            h.mean().as_micros() as u64 * h.count()
+        };
+        let stages = [
+            STAGE_RING_MS,
+            STAGE_CONTENT_MS,
+            STAGE_QUORUM_MS,
+            STAGE_BACKOFF_MS,
+        ];
+        // Account creation is not an observed op: the histograms are empty.
+        assert_eq!(stages.map(|s| fs.metrics().histogram(s).count()), [0; 4]);
+        let mut op = OpCtx::new(fs.cluster().cost_model());
+        fs.write(
+            &mut op,
+            "alice",
+            &p("/big"),
+            FileContent::Simulated(24 << 20),
+        )
+        .unwrap();
+        let [ring, content, quorum, backoff] = stages.map(total_us);
+        let elapsed = op.elapsed().as_micros() as u64;
+        assert!(
+            content > ring,
+            "trace {trace_sample}: content {content} us, ring {ring} us"
+        );
+        assert!(
+            ring + content + quorum + backoff <= elapsed,
+            "trace {trace_sample}: stages {} us over an op of {elapsed} us",
+            ring + content + quorum + backoff
+        );
+    }
+}

@@ -47,10 +47,10 @@ use h2util::faults::{
     torn_survivors, FaultDecision, FaultInjector, FaultPlan, FaultStats, OpClass,
 };
 use h2util::metrics::{Counter, MetricsRegistry};
+use h2util::trace::{Note, Stage};
 use h2util::trace::{
     CAS_BLOCKS_SHARED, CAS_BLOCKS_WRITTEN, DEDUP_BYTES_SAVED, HEDGED_READS, MIGRATION_DUAL_WRITES,
-    MIGRATION_KEYS_COPIED, MIGRATION_PARTS_MOVED, MIGRATION_READ_RESCUES, STAGE_CLOUD,
-    STAGE_MIGRATE, STAGE_QUORUM, STAGE_REPLICA,
+    MIGRATION_KEYS_COPIED, MIGRATION_PARTS_MOVED, MIGRATION_READ_RESCUES,
 };
 use h2util::{hash64, CostModel, H2Error, OpCtx, OrderedMutex, OrderedRwLock, PrimKind, Result};
 
@@ -1064,12 +1064,12 @@ impl Cluster {
         match inj.decide(class) {
             FaultDecision::Clean => Ok(None),
             FaultDecision::Slow(d) => {
-                ctx.span_note("fault", || format!("slow +{}us", d.as_micros()));
+                ctx.span_note("slow_us", || Note::U64(d.as_micros() as u64));
                 ctx.charge_time(d);
                 Ok(None)
             }
             FaultDecision::Error => {
-                ctx.span_note("fault", || format!("injected {} error", class.label()));
+                ctx.span_note("fault_error", || Note::Str(class.label()));
                 Err(H2Error::Unavailable(format!(
                     "injected {} fault for {target}",
                     class.label()
@@ -1077,7 +1077,7 @@ impl Cluster {
             }
             FaultDecision::Torn { raw } => {
                 let cap = torn_survivors(raw, self.cfg.replicas);
-                ctx.span_note("fault", || format!("torn write, cap {cap}"));
+                ctx.span_note("torn_cap", || Note::U64(cap as u64));
                 Ok(Some(cap))
             }
         }
@@ -1114,13 +1114,10 @@ impl Cluster {
             let ok = topo
                 .node(dev)
                 .store(key, replica.placed(false), topo.fault());
-            ctx.span_instant(STAGE_REPLICA, verb, || {
+            ctx.span_instant(Stage::Replica, verb, || {
                 vec![
-                    ("dev", dev.0.to_string()),
-                    (
-                        "vote",
-                        if ok { "stored" } else { "unreachable" }.to_string(),
-                    ),
+                    ("dev", Note::U64(dev.0.into())),
+                    ("vote", Note::Str(if ok { "stored" } else { "unreachable" })),
                 ]
             });
             if ok {
@@ -1135,14 +1132,11 @@ impl Cluster {
                 let ok = topo
                     .node(dev)
                     .store(key, replica.placed(true), topo.fault());
-                ctx.span_instant(STAGE_REPLICA, verb, || {
+                ctx.span_instant(Stage::Replica, verb, || {
                     vec![
-                        ("dev", dev.0.to_string()),
-                        ("handoff", "yes".to_string()),
-                        (
-                            "vote",
-                            if ok { "stored" } else { "unreachable" }.to_string(),
-                        ),
+                        ("dev", Note::U64(dev.0.into())),
+                        ("handoff", Note::Str("yes")),
+                        ("vote", Note::Str(if ok { "stored" } else { "unreachable" })),
                     ]
                 });
                 if ok {
@@ -1150,9 +1144,7 @@ impl Cluster {
                 }
             }
         }
-        ctx.span_note("quorum", || {
-            format!("{placed}/{} placed", self.cfg.replicas)
-        });
+        ctx.span_note("placed", || Note::U64(placed as u64));
         if cap.is_some() {
             return Err(H2Error::Unavailable(format!(
                 "injected torn write: {placed}/{} replicas applied for {ring_key}",
@@ -1198,8 +1190,8 @@ impl Cluster {
         if !extra.is_empty() {
             for &dev in &extra {
                 now.node(dev).store(key, replica.placed(true), None);
-                ctx.span_instant(STAGE_MIGRATE, verb, || {
-                    vec![("dev", dev.0.to_string()), ("dual", "yes".to_string())]
+                ctx.span_instant(Stage::Migrate, verb, || {
+                    vec![("dev", Note::U64(dev.0.into())), ("dual", Note::Str("yes"))]
                 });
             }
             self.migration_dual_writes.incr();
@@ -1221,12 +1213,15 @@ impl Cluster {
     ) {
         let fault = if handoff { None } else { topo.fault() };
         let (newer, vote) = topo.node(dev).probe_newer(key, seen.best_ms(), fault);
-        ctx.span_instant(STAGE_REPLICA, "read", || {
-            let mut notes = vec![("dev", dev.0.to_string())];
+        ctx.span_instant(Stage::Replica, "read", || {
+            let mut notes = vec![("dev", Note::U64(dev.0.into()))];
             if handoff {
-                notes.push(("handoff", "yes".to_string()));
+                notes.push(("handoff", Note::Str("yes")));
             }
-            notes.push(("vote", vote.vote()));
+            notes.push(("vote", Note::Str(vote.vote())));
+            if let ReplicaProbe::Hit { modified_ms, .. } = vote {
+                notes.push(("ms", Note::U64(modified_ms)));
+            }
             notes
         });
         seen.hear(vote, handoff);
@@ -1264,11 +1259,11 @@ impl Cluster {
         })?;
         if seen.assigned_suspect() {
             ctx.span_note("handoff_scan", || {
-                if seen.assigned_down {
-                    "assigned device down or faulted".to_string()
+                Note::Str(if seen.assigned_down {
+                    "assigned device down or faulted"
                 } else {
-                    "assigned replicas missing or disagreeing".to_string()
-                }
+                    "assigned replicas missing or disagreeing"
+                })
             });
             let mut handoffs: Vec<DeviceId> = topo.ring.handoffs(part);
             // Migration handoff rescue: while this partition is pending,
@@ -1288,9 +1283,7 @@ impl Cluster {
                     }
                     if rescued {
                         self.migration_read_rescues.incr();
-                        ctx.span_note("migrate", || {
-                            format!("part {part} pending; old assignment scanned as handoff")
-                        });
+                        ctx.span_note("migrate_rescue_part", || Note::U64(part));
                     }
                 }
             }
@@ -1299,9 +1292,7 @@ impl Cluster {
                 // Hedge: the fallback probes fan out as their own wave
                 // instead of serialising after the assigned ones.
                 self.hedged_reads.incr();
-                ctx.span_note("hedge", || {
-                    format!("{} handoffs probed in parallel", handoffs.len())
-                });
+                ctx.span_note("hedged_handoffs", || Note::U64(handoffs.len() as u64));
             }
             wave(ctx, hedge, handoffs.len(), |ctx, i| {
                 Self::probe_device(ctx, topo, handoffs[i], key, true, &mut seen)
@@ -1324,14 +1315,6 @@ impl Cluster {
             )));
         }
         Ok(seen.best.filter(|r| !r.deleted))
-    }
-
-    fn charge_replica_time(&self, ctx: &mut OpCtx, per_replica: std::time::Duration) {
-        if self.cfg.cost.parallel_replicas {
-            ctx.charge_time(per_replica);
-        } else {
-            ctx.charge_time(per_replica * self.cfg.replicas as u32);
-        }
     }
 
     fn container_indexed(&self, key: &ObjectKey) -> bool {
@@ -1547,8 +1530,8 @@ impl Cluster {
         self.check_container(key)?;
         let ring_key = key.ring_key();
         let at = KeyRef::new(&ring_key);
-        ctx.span(STAGE_CLOUD, "PUT", |ctx| {
-            ctx.span_note("key", || ring_key.clone());
+        ctx.span(Stage::Cloud, "PUT", |ctx| {
+            ctx.span_note("key", || Note::Text(ring_key.as_str().into()));
             let topo = self.topology();
             let torn = self.fault_gate(ctx, &topo, OpClass::Put, &ring_key)?;
             let size = payload.len();
@@ -1557,7 +1540,7 @@ impl Cluster {
             let _guard = self.op_lock(at.hash).lock();
             let prev = if read_prev {
                 // h2lint: allow(guard-across-blocking): the per-key op stripe serializes the read-modify-write (read prev + replicate + catalog + index) by design; only same-key ops wait.
-                ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
+                ctx.span(Stage::Quorum, "read-replicas", |ctx| {
                     self.read_replica(ctx, &topo, at)
                 })?
             } else {
@@ -1568,8 +1551,8 @@ impl Cluster {
             let replica = StoredReplica::live(record, ms, false);
             // A torn write applies to a strict subset of replicas, then
             // errors out before the catalog/index updates — fail-after-write.
-            ctx.span(STAGE_QUORUM, "replicate", |ctx| {
-                self.charge_replica_time(ctx, self.cfg.cost.put_cost(size as usize));
+            ctx.span(Stage::Quorum, "replicate", |ctx| {
+                ctx.charge_time(self.cfg.cost.put_cost(size as usize));
                 self.replicated_put_capped(ctx, &topo, &wkey, &replica, torn)
             })?;
             self.catalog_put(&wkey, size);
@@ -1586,13 +1569,13 @@ impl Cluster {
         self.check_container(key)?;
         let ring_key = key.ring_key();
         let at = KeyRef::new(&ring_key);
-        ctx.span(STAGE_CLOUD, "DELETE", |ctx| {
-            ctx.span_note("key", || ring_key.clone());
+        ctx.span(Stage::Cloud, "DELETE", |ctx| {
+            ctx.span_note("key", || Note::Text(ring_key.as_str().into()));
             let topo = self.topology();
             let torn = self.fault_gate(ctx, &topo, OpClass::Delete, &ring_key)?;
             let _guard = self.op_lock(at.hash).lock();
             // h2lint: allow(guard-across-blocking): the per-key op stripe serializes the read-modify-write (read prev + tombstone + catalog) by design; only same-key ops wait.
-            let existing = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
+            let existing = ctx.span(Stage::Quorum, "read-replicas", |ctx| {
                 self.read_replica(ctx, &topo, at)
             })?;
             let Some(existing) = existing else {
@@ -1605,8 +1588,8 @@ impl Cluster {
             };
             let tombstone = StoredReplica::tombstone(self.next_ms());
             ctx.charge(PrimKind::Delete, std::time::Duration::ZERO);
-            ctx.span(STAGE_QUORUM, "replicate", |ctx| {
-                self.charge_replica_time(ctx, self.cfg.cost.delete_cost());
+            ctx.span(Stage::Quorum, "replicate", |ctx| {
+                ctx.charge_time(self.cfg.cost.delete_cost());
                 self.replicated_put_capped(ctx, &topo, &WriteKey::new(at), &tombstone, torn)
             })?;
             self.catalog_remove(at);
@@ -1673,8 +1656,8 @@ impl Cluster {
     ) -> Result<bool> {
         let ring_key = Self::cas_ring_key(digest_hex);
         let at = KeyRef::new(&ring_key);
-        ctx.span(STAGE_CLOUD, "CAS-PUT", |ctx| {
-            ctx.span_note("key", || ring_key.clone());
+        ctx.span(Stage::Cloud, "CAS-PUT", |ctx| {
+            ctx.span_note("key", || Note::Text(ring_key.as_str().into()));
             let topo = self.topology();
             let _guard = self.op_lock(at.hash).lock();
             // The count is stable while the block's op stripe is held
@@ -1693,7 +1676,7 @@ impl Cluster {
                 }
                 self.cas_blocks_shared.incr();
                 self.dedup_bytes_saved.add(logical_len);
-                ctx.span_note("dedup", || format!("shared, {logical_len} bytes saved"));
+                ctx.span_note("dedup_bytes_saved", || Note::U64(logical_len));
                 return Ok(false);
             }
             let torn = self.fault_gate(ctx, &topo, OpClass::Put, &ring_key)?;
@@ -1702,8 +1685,8 @@ impl Cluster {
             let wkey = WriteKey::new(at);
             let replica = StoredReplica::live(Record::new(payload, meta), self.next_ms(), false);
             // h2lint: allow(guard-across-blocking): the block op stripe serializes the write-then-refcount by design; only same-block ops wait.
-            ctx.span(STAGE_QUORUM, "replicate", |ctx| {
-                self.charge_replica_time(ctx, self.cfg.cost.put_cost(size as usize));
+            ctx.span(Stage::Quorum, "replicate", |ctx| {
+                ctx.charge_time(self.cfg.cost.put_cost(size as usize));
                 self.replicated_put_capped(ctx, &topo, &wkey, &replica, torn)
             })?;
             self.catalog_put(&wkey, size);
@@ -1787,11 +1770,11 @@ impl Cluster {
     /// and every item of [`Cluster::head_many`]. NotFound when no reachable
     /// device holds a live version.
     fn head_at(&self, ctx: &mut OpCtx, topo: &Topology, at: KeyRef<'_>) -> Result<StoredReplica> {
-        ctx.span(STAGE_CLOUD, "HEAD", |ctx| {
-            ctx.span_note("key", || at.text.to_string());
+        ctx.span(Stage::Cloud, "HEAD", |ctx| {
+            ctx.span_note("key", || Note::Text(at.text.into()));
             ctx.charge(PrimKind::Head, self.cfg.cost.head_cost());
             self.fault_gate(ctx, topo, OpClass::Head, at.text)?;
-            let found = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
+            let found = ctx.span(Stage::Quorum, "read-replicas", |ctx| {
                 self.read_replica(ctx, topo, at)
             })?;
             found.ok_or_else(|| H2Error::NotFound(at.text.to_string()))
@@ -1877,11 +1860,11 @@ impl ObjectStore for Cluster {
         self.check_container(key)?;
         let ring_key = key.ring_key();
         let at = KeyRef::new(&ring_key);
-        ctx.span(STAGE_CLOUD, "GET", |ctx| {
-            ctx.span_note("key", || ring_key.clone());
+        ctx.span(Stage::Cloud, "GET", |ctx| {
+            ctx.span_note("key", || Note::Text(ring_key.as_str().into()));
             let topo = self.topology();
             self.fault_gate(ctx, &topo, OpClass::Get, &ring_key)?;
-            let found = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
+            let found = ctx.span(Stage::Quorum, "read-replicas", |ctx| {
                 let r = self.read_replica(ctx, &topo, at)?;
                 let len = r.as_ref().map_or(0, |r| r.record.payload.len() as usize);
                 ctx.charge(PrimKind::Get, self.cfg.cost.get_cost(len));
@@ -1916,12 +1899,12 @@ impl ObjectStore for Cluster {
         let src_key = src.ring_key();
         let dst_key = dst.ring_key();
         let (src_at, dst_at) = (KeyRef::new(&src_key), KeyRef::new(&dst_key));
-        ctx.span(STAGE_CLOUD, "COPY", |ctx| {
-            ctx.span_note("src", || src_key.clone());
-            ctx.span_note("dst", || dst_key.clone());
+        ctx.span(Stage::Cloud, "COPY", |ctx| {
+            ctx.span_note("src", || Note::Text(src_key.as_str().into()));
+            ctx.span_note("dst", || Note::Text(dst_key.as_str().into()));
             let topo = self.topology();
             let torn = self.fault_gate(ctx, &topo, OpClass::Copy, &src_key)?;
-            let found = ctx.span(STAGE_QUORUM, "read-replicas", |ctx| {
+            let found = ctx.span(Stage::Quorum, "read-replicas", |ctx| {
                 self.read_replica(ctx, &topo, src_at)
             })?;
             let Some(r) = found else {
@@ -1937,7 +1920,7 @@ impl ObjectStore for Cluster {
             let wkey = WriteKey::new(dst_at);
             let replica = StoredReplica::live(r.record, ms, false);
             // h2lint: allow(guard-across-blocking): the destination op stripe serializes the copy's write half by design; only same-key ops wait.
-            ctx.span(STAGE_QUORUM, "replicate", |ctx| {
+            ctx.span(Stage::Quorum, "replicate", |ctx| {
                 self.replicated_put_capped(ctx, &topo, &wkey, &replica, torn)
             })?;
             self.catalog_put(&wkey, size);
@@ -1953,8 +1936,9 @@ impl ObjectStore for Cluster {
         container: &str,
         opts: &ListOptions,
     ) -> Result<Vec<ListEntry>> {
-        ctx.span(STAGE_CLOUD, "LIST", |ctx| {
-            ctx.span_note("container", || format!("{account}/{container}"));
+        ctx.span(Stage::Cloud, "LIST", |ctx| {
+            ctx.span_note("account", || Note::Text(account.into()));
+            ctx.span_note("container", || Note::Text(container.into()));
             self.fault_gate(ctx, &self.topology(), OpClass::List, container)?;
             // The shard guard is scoped to the index walk: the virtual-time
             // charges below must not run with the container shard held.

@@ -123,20 +123,19 @@ pub enum ReplicaProbe {
 
 impl ReplicaProbe {
     /// Short label recorded as the device's vote in trace span notes:
-    /// `down` / `faulted` / `miss` / `ms=17` / `tomb ms=17`.
-    pub fn vote(&self) -> String {
+    /// `down` / `faulted` / `miss` / `live` / `tomb` (a hit's stamp is
+    /// noted beside it).
+    pub fn vote(&self) -> &'static str {
         match self {
-            ReplicaProbe::Down => "down".to_string(),
-            ReplicaProbe::Faulted => "faulted".to_string(),
-            ReplicaProbe::Miss => "miss".to_string(),
+            ReplicaProbe::Down => "down",
+            ReplicaProbe::Faulted => "faulted",
+            ReplicaProbe::Miss => "miss",
             ReplicaProbe::Hit {
-                modified_ms,
-                tombstone: false,
-            } => format!("ms={modified_ms}"),
+                tombstone: false, ..
+            } => "live",
             ReplicaProbe::Hit {
-                modified_ms,
-                tombstone: true,
-            } => format!("tomb ms={modified_ms}"),
+                tombstone: true, ..
+            } => "tomb",
         }
     }
 }
@@ -406,10 +405,10 @@ mod tests {
                 tombstone: false
             }
         );
-        assert_eq!(p.vote(), "ms=7");
+        assert_eq!(p.vote(), "live");
         assert!(n.delete("/k", 9));
         let (_, p) = n.probe("/k");
-        assert_eq!(p.vote(), "tomb ms=9");
+        assert_eq!(p.vote(), "tomb");
         n.set_down(true);
         let (r, p) = n.probe("/k");
         assert!(r.is_none());

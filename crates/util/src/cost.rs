@@ -21,6 +21,7 @@
 use std::time::Duration;
 
 use crate::error::{H2Error, Result};
+use crate::trace::{Note, Stage, StageTimes};
 
 /// Classes of backend primitives we count (the paper's PUT/GET/DELETE plus
 /// the auxiliary operations its baselines rely on). The counts drive the
@@ -86,51 +87,35 @@ pub struct BackendCounts {
 
 impl BackendCounts {
     pub fn total(&self) -> u64 {
-        self.gets
-            + self.puts
-            + self.deletes
-            + self.heads
-            + self.copies
-            + self.db_queries
-            + self.db_updates
-            + self.index_rpcs
+        PrimKind::ALL.iter().map(|&k| self.get(k)).sum()
     }
 
     pub fn bump(&mut self, kind: PrimKind) {
-        match kind {
-            PrimKind::Get => self.gets += 1,
-            PrimKind::Put => self.puts += 1,
-            PrimKind::Delete => self.deletes += 1,
-            PrimKind::Head => self.heads += 1,
-            PrimKind::Copy => self.copies += 1,
-            PrimKind::DbQuery => self.db_queries += 1,
-            PrimKind::DbUpdate => self.db_updates += 1,
-            PrimKind::IndexRpc => self.index_rpcs += 1,
-        }
+        *self.slot(kind) += 1;
     }
 
     pub fn get(&self, kind: PrimKind) -> u64 {
-        match kind {
-            PrimKind::Get => self.gets,
-            PrimKind::Put => self.puts,
-            PrimKind::Delete => self.deletes,
-            PrimKind::Head => self.heads,
-            PrimKind::Copy => self.copies,
-            PrimKind::DbQuery => self.db_queries,
-            PrimKind::DbUpdate => self.db_updates,
-            PrimKind::IndexRpc => self.index_rpcs,
-        }
+        let mut counts = *self;
+        *counts.slot(kind)
     }
 
     pub fn add(&mut self, other: &BackendCounts) {
-        self.gets += other.gets;
-        self.puts += other.puts;
-        self.deletes += other.deletes;
-        self.heads += other.heads;
-        self.copies += other.copies;
-        self.db_queries += other.db_queries;
-        self.db_updates += other.db_updates;
-        self.index_rpcs += other.index_rpcs;
+        for k in PrimKind::ALL {
+            *self.slot(k) += other.get(k);
+        }
+    }
+
+    fn slot(&mut self, kind: PrimKind) -> &mut u64 {
+        match kind {
+            PrimKind::Get => &mut self.gets,
+            PrimKind::Put => &mut self.puts,
+            PrimKind::Delete => &mut self.deletes,
+            PrimKind::Head => &mut self.heads,
+            PrimKind::Copy => &mut self.copies,
+            PrimKind::DbQuery => &mut self.db_queries,
+            PrimKind::DbUpdate => &mut self.db_updates,
+            PrimKind::IndexRpc => &mut self.index_rpcs,
+        }
     }
 }
 
@@ -190,10 +175,6 @@ pub struct CostModel {
     pub path_cache_cpu: Duration,
     /// Fan-out width for batched backend calls (bounded client pool).
     pub parallelism: usize,
-    /// If true, replica writes are charged as parallel (quorum waits on the
-    /// slowest of concurrent writes, modelled as 1× + small skew) rather
-    /// than serial.
-    pub parallel_replicas: bool,
 }
 
 impl CostModel {
@@ -216,7 +197,6 @@ impl CostModel {
             patch_submit_cpu: Duration::from_micros(4_500),
             path_cache_cpu: Duration::from_micros(40),
             parallelism: 32,
-            parallel_replicas: true,
         }
     }
 
@@ -240,7 +220,6 @@ impl CostModel {
             patch_submit_cpu: Duration::ZERO,
             path_cache_cpu: Duration::ZERO,
             parallelism: 32,
-            parallel_replicas: true,
         }
     }
 
@@ -249,7 +228,8 @@ impl CostModel {
         self.request_overhead + self.disk_read + self.transfer(size)
     }
 
-    /// Cost of a PUT of `size` bytes (per replica; see `parallel_replicas`).
+    /// Cost of a PUT of `size` bytes (the replicas are written in parallel,
+    /// so this is also the replica set's).
     pub fn put_cost(&self, size: usize) -> Duration {
         self.request_overhead + self.disk_write + self.transfer(size)
     }
@@ -291,11 +271,15 @@ impl CostModel {
 ///
 /// Passed explicitly through every layer (no thread-locals) so tests and the
 /// figures harness stay deterministic, and so batched fan-out can be modelled
-/// where it actually happens.
+/// where it actually happens. Every charge lands in the slot of the current
+/// [`Stage`] (set by [`OpCtx::span`] and [`OpCtx::in_stage`]), and
+/// [`OpCtx::elapsed`] is the sum of the slots.
 #[derive(Debug, Clone)]
 pub struct OpCtx {
     pub model: std::sync::Arc<CostModel>,
-    elapsed: Duration,
+    /// The stage the next charge lands in; always one that owns time.
+    stage: Stage,
+    spent: StageTimes,
     counts: BackendCounts,
     /// Depth of `parallel(..)` nesting; inside a parallel section,
     /// `charge` contributions are collected by the section instead.
@@ -308,17 +292,17 @@ pub struct OpCtx {
 #[derive(Debug, Clone)]
 struct BatchState {
     /// Wall time of the waves completed so far in this batch.
-    waves: Duration,
+    waves: StageTimes,
     /// The slowest item of the wave being filled, and how many items it
     /// holds (a wave closes at [`CostModel::parallelism`] items).
-    wave_max: Duration,
+    wave_max: StageTimes,
     wave_len: usize,
     /// Total of the items completed so far, kept so [`OpCtx::vnow`] is
     /// O(1): every nested section opens with it, once per item of a wide
     /// fan-out.
     done: Duration,
     /// Time charged to the currently open item.
-    current: Duration,
+    current: StageTimes,
     /// Virtual time at which the section opened (for span timing).
     base: Duration,
 }
@@ -327,7 +311,8 @@ impl OpCtx {
     pub fn new(model: std::sync::Arc<CostModel>) -> Self {
         OpCtx {
             model,
-            elapsed: Duration::ZERO,
+            stage: Stage::Op,
+            spent: StageTimes::default(),
             counts: BackendCounts::default(),
             batch: None,
             trace: None,
@@ -341,7 +326,12 @@ impl OpCtx {
 
     /// Total virtual time consumed by the operation so far.
     pub fn elapsed(&self) -> Duration {
-        self.elapsed
+        self.spent.total()
+    }
+
+    /// [`OpCtx::elapsed`] split by the stage each charge landed in.
+    pub fn stage_times(&self) -> StageTimes {
+        self.spent
     }
 
     /// Primitive counters.
@@ -357,9 +347,15 @@ impl OpCtx {
 
     /// Charge CPU/other time without bumping a primitive counter.
     pub fn charge_time(&mut self, d: Duration) {
+        let stage = self.stage;
+        self.open_account().charge(stage, d);
+    }
+
+    /// Where charges land now: the open `parallel` item, or the op.
+    fn open_account(&mut self) -> &mut StageTimes {
         match &mut self.batch {
-            Some(b) => b.current += d,
-            None => self.elapsed += d,
+            Some(b) => &mut b.current,
+            None => &mut self.spent,
         }
     }
 
@@ -368,9 +364,9 @@ impl OpCtx {
     /// `k` times to perform (and charge) each item; wall time is
     /// `ceil(k / parallelism) × max-item-per-wave`: items are packed in
     /// submission order into waves of `parallelism` (the client streams
-    /// requests into a bounded pool), each wave taking its slowest member.
-    /// Each item is folded into its wave as it finishes, so a section of
-    /// any width allocates nothing.
+    /// requests into a bounded pool), each wave taking its slowest member,
+    /// whose stage split the wave takes too. Each item is folded into its
+    /// wave as it finishes, so a section of any width allocates nothing.
     pub fn parallel<F>(&mut self, k: usize, mut f: F) -> Result<()>
     where
         F: FnMut(&mut OpCtx, usize) -> Result<()>,
@@ -382,11 +378,11 @@ impl OpCtx {
         let base = self.vnow();
         let prev = self.batch.take();
         self.batch = Some(BatchState {
-            waves: Duration::ZERO,
-            wave_max: Duration::ZERO,
+            waves: StageTimes::default(),
+            wave_max: StageTimes::default(),
             wave_len: 0,
             done: Duration::ZERO,
-            current: Duration::ZERO,
+            current: StageTimes::default(),
             base,
         });
         let mut result = Ok(());
@@ -396,42 +392,54 @@ impl OpCtx {
                 break;
             }
             let b = self.batch.as_mut().expect("batch state present");
-            let d = std::mem::take(&mut b.current);
+            let item = std::mem::take(&mut b.current);
+            let d = item.total();
             b.done += d;
-            b.wave_max = b.wave_max.max(d);
+            if d > b.wave_max.total() {
+                b.wave_max = item;
+            }
             b.wave_len += 1;
             if b.wave_len == width {
-                b.waves += std::mem::take(&mut b.wave_max);
+                b.waves.add(&std::mem::take(&mut b.wave_max));
                 b.wave_len = 0;
             }
         }
-        let b = self.batch.take().expect("batch state present");
-        self.batch = prev;
+        let b = std::mem::replace(&mut self.batch, prev).expect("batch state present");
         // Even on error, time already spent is spent.
-        let wall = b.waves + b.wave_max + b.current;
-        self.charge_time(wall);
+        let spent = self.open_account();
+        spent.add(&b.waves);
+        spent.add(&b.wave_max);
+        spent.add(&b.current);
         result.map_err(|e: H2Error| e)
     }
 
-    /// Fold another context's spend into this one (serially).
-    pub fn absorb(&mut self, other: &OpCtx) {
-        self.counts.add(&other.counts);
-        self.charge_time(other.elapsed);
+    /// Run `f` with its charges landing in `stage` when `stage` owns time
+    /// (is one of [`Stage::OWNERS`]); an annotation stage leaves the
+    /// current one.
+    pub fn in_stage<T>(&mut self, stage: Stage, f: impl FnOnce(&mut OpCtx) -> T) -> T {
+        let outer = self.stage;
+        if (stage as usize) < Stage::OWNERS.len() {
+            self.stage = stage;
+        }
+        let out = f(self);
+        self.stage = outer;
+        out
     }
 
     // ---- span tracing ----------------------------------------------------
     //
     // Spans observe virtual time; they never charge it, so a traced run
-    // accumulates exactly the same `elapsed()` as an untraced one. Inside a
-    // `parallel` section items are drawn serialized (each item's spans start
-    // where the previous item's ended) — a readable approximation of the
-    // fan-out; the section total still uses wave packing.
+    // accumulates exactly the same `elapsed()` and stage split as an
+    // untraced one. Inside a `parallel` section items are drawn serialized
+    // (each item's spans start where the previous item's ended) — a
+    // readable approximation of the fan-out; the section total still uses
+    // wave packing.
 
     /// Current virtual time, including any in-flight `parallel` section.
     pub fn vnow(&self) -> Duration {
         match &self.batch {
-            None => self.elapsed,
-            Some(b) => b.base + b.done + b.current,
+            None => self.elapsed(),
+            Some(b) => b.base + b.done + b.current.total(),
         }
     }
 
@@ -442,8 +450,8 @@ impl OpCtx {
 
     /// Start tracing this op with a root span (used by the sampling layer;
     /// no-op spans everywhere else stay free because `trace` is `None`).
-    pub fn begin_trace(&mut self, stage: &'static str, name: &str) {
-        let mut buf = crate::trace::TraceBuf::new();
+    pub fn begin_trace(&mut self, stage: Stage, name: &'static str) {
+        let mut buf = crate::trace::TraceBuf::default();
         buf.open(stage, name, self.vnow());
         self.trace = Some(Box::new(buf));
     }
@@ -456,22 +464,22 @@ impl OpCtx {
         Some(buf.finish(end, err))
     }
 
-    /// Run `f` inside a child span named `name` at stage `stage`. When the
-    /// op is untraced this is a direct call with zero overhead beyond the
-    /// null check; when traced, the span records virtual start/duration and
-    /// the error rendering of a failed result.
-    pub fn span<T, F>(&mut self, stage: &'static str, name: &str, f: F) -> Result<T>
+    /// Run `f` in stage `stage` ([`OpCtx::in_stage`]), inside a child span
+    /// named `name` when the op is traced; untraced, the span costs one
+    /// null check. A traced span records virtual start/duration and the
+    /// error rendering of a failed result.
+    pub fn span<T, F>(&mut self, stage: Stage, name: &'static str, f: F) -> Result<T>
     where
         F: FnOnce(&mut OpCtx) -> Result<T>,
     {
         if self.trace.is_none() {
-            return f(self);
+            return self.in_stage(stage, f);
         }
         let start = self.vnow();
         if let Some(buf) = &mut self.trace {
             buf.open(stage, name, start);
         }
-        let result = f(self);
+        let result = self.in_stage(stage, f);
         let end = self.vnow();
         if let Some(buf) = &mut self.trace {
             buf.close(end, result.as_ref().err().map(|e| e.to_string()));
@@ -480,11 +488,8 @@ impl OpCtx {
     }
 
     /// Attach a note to the innermost open span. The value closure only runs
-    /// when the op is traced, so formatting costs nothing on the fast path.
-    pub fn span_note<F>(&mut self, key: &'static str, value: F)
-    where
-        F: FnOnce() -> String,
-    {
+    /// when the op is traced.
+    pub fn span_note(&mut self, key: &'static str, value: impl FnOnce() -> Note) {
         if let Some(buf) = &mut self.trace {
             buf.note(key, value());
         }
@@ -492,27 +497,15 @@ impl OpCtx {
 
     /// Record an instant (zero-duration) child span with notes; the notes
     /// closure only runs when the op is traced.
-    pub fn span_instant<F>(&mut self, stage: &'static str, name: &str, notes: F)
+    pub fn span_instant<F>(&mut self, stage: Stage, name: &'static str, notes: F)
     where
-        F: FnOnce() -> Vec<(&'static str, String)>,
+        F: FnOnce() -> Vec<(&'static str, Note)>,
     {
-        if let Some(buf) = &mut self.trace {
-            let at = match &self.batch {
-                None => self.elapsed,
-                Some(b) => b.base + b.done + b.current,
-            };
-            buf.event(stage, name, at, Duration::ZERO, notes());
-        }
-    }
-
-    /// Charge `d` of virtual time (like [`OpCtx::charge_time`]) and record a
-    /// child span covering exactly that interval — used for retry backoff
-    /// waits, where the wait *is* the time charged.
-    pub fn span_charge(&mut self, stage: &'static str, name: &str, d: Duration) {
-        let start = self.vnow();
-        self.charge_time(d);
-        if let Some(buf) = &mut self.trace {
-            buf.event(stage, name, start, d, Vec::new());
+        if self.trace.is_some() {
+            let at = self.vnow();
+            if let Some(buf) = &mut self.trace {
+                buf.instant(stage, name, at, notes());
+            }
         }
     }
 }
@@ -696,14 +689,32 @@ mod tests {
     }
 
     #[test]
-    fn absorb_is_serial_composition() {
-        let mut a = ctx();
-        let mut b = ctx();
-        a.charge(PrimKind::Get, Duration::from_millis(2));
-        b.charge(PrimKind::Put, Duration::from_millis(3));
-        a.absorb(&b);
-        assert_eq!(a.elapsed(), Duration::from_millis(5));
-        assert_eq!(a.counts().puts, 1);
+    fn every_charge_lands_in_one_stage_and_waves_take_the_slowest_split() {
+        let mut c = ctx();
+        c.charge_time(Duration::from_millis(1));
+        c.span(Stage::Ring, "fetch_ring", |c| {
+            // Annotation stages leave the ring stage in charge.
+            c.span(Stage::Quorum, "read-replicas", |c| {
+                c.charge(PrimKind::Get, Duration::from_millis(2));
+                Ok(())
+            })
+        })
+        .unwrap();
+        // One wave of two: the slower item (content, 5 ms) sets the wall
+        // time and the split; the faster one (ring, 3 ms) hides behind it.
+        c.parallel(2, |c, i| {
+            let (stage, ms) = [(Stage::Ring, 3), (Stage::Content, 5)][i];
+            c.in_stage(stage, |c| c.charge_time(Duration::from_millis(ms)));
+            Ok(())
+        })
+        .unwrap();
+        let t = c.stage_times();
+        assert_eq!(t.get(Stage::Op), Duration::from_millis(1));
+        assert_eq!(t.get(Stage::Ring), Duration::from_millis(2));
+        assert_eq!(t.get(Stage::Content), Duration::from_millis(5));
+        assert_eq!(t.get(Stage::Quorum), Duration::ZERO);
+        assert_eq!(t.total(), c.elapsed());
+        assert_eq!(c.elapsed(), Duration::from_millis(8));
     }
 
     #[test]
@@ -714,12 +725,19 @@ mod tests {
             c.charge(PrimKind::Get, Duration::from_millis(7));
             Ok::<(), H2Error>(())
         };
-        traced.begin_trace("op", "READ");
-        traced.span("mw", "fetch_ring", body).unwrap();
-        traced.span_charge("backoff", "fetch_ring", Duration::from_millis(3));
-        plain.span("mw", "fetch_ring", body).unwrap();
-        plain.span_charge("backoff", "fetch_ring", Duration::from_millis(3));
+        let backoff = |c: &mut OpCtx| {
+            c.span(Stage::Backoff, "fetch_ring", |c| {
+                c.charge_time(Duration::from_millis(3));
+                Ok(())
+            })
+        };
+        traced.begin_trace(Stage::Op, "READ");
+        traced.span(Stage::Ring, "fetch_ring", body).unwrap();
+        backoff(&mut traced).unwrap();
+        plain.span(Stage::Ring, "fetch_ring", body).unwrap();
+        backoff(&mut plain).unwrap();
         assert_eq!(traced.elapsed(), plain.elapsed());
+        assert_eq!(traced.stage_times(), plain.stage_times());
         assert_eq!(traced.counts(), plain.counts());
 
         let spans = traced.end_trace(None).unwrap();
@@ -727,7 +745,7 @@ mod tests {
         assert_eq!(spans[0].name, "READ");
         assert_eq!(spans[0].dur, Duration::from_millis(10));
         assert_eq!(spans[1].dur, Duration::from_millis(7));
-        assert_eq!(spans[2].stage, "backoff");
+        assert_eq!(spans[2].stage, Stage::Backoff);
         assert_eq!(spans[2].start, Duration::from_millis(7));
         assert_eq!(spans[2].dur, Duration::from_millis(3));
         assert!(traced.end_trace(None).is_none());
@@ -738,10 +756,10 @@ mod tests {
     fn vnow_is_monotone_inside_parallel_sections() {
         let mut c = ctx();
         c.charge_time(Duration::from_millis(10));
-        c.begin_trace("op", "LIST");
+        c.begin_trace(Stage::Op, "LIST");
         let mut seen = Vec::new();
-        c.parallel(3, |ctx, i| {
-            ctx.span("cloud", &format!("GET{i}"), |ctx| {
+        c.parallel(3, |ctx, _| {
+            ctx.span(Stage::Cloud, "GET", |ctx| {
                 ctx.charge(PrimKind::Get, Duration::from_millis(2));
                 Ok(())
             })?;
@@ -769,15 +787,17 @@ mod tests {
     #[test]
     fn span_errors_propagate_and_are_recorded() {
         let mut c = OpCtx::for_test();
-        c.begin_trace("op", "READ");
-        let r: Result<()> = c.span("mw", "fetch_ring", |_| Err(H2Error::NotFound("f".into())));
+        c.begin_trace(Stage::Op, "READ");
+        let r: Result<()> = c.span(Stage::Ring, "fetch_ring", |_| {
+            Err(H2Error::NotFound("f".into()))
+        });
         assert!(r.is_err());
-        c.span_note("after", || "note lands on root".to_string());
-        c.span_instant("replica", "read", || vec![("dev", "3".to_string())]);
+        c.span_note("after", || Note::Str("note lands on root"));
+        c.span_instant(Stage::Replica, "read", || vec![("dev", Note::U64(3))]);
         let spans = c.end_trace(r.err().map(|e| e.to_string())).unwrap();
         assert!(spans[1].err.as_deref().unwrap_or("").contains("f"));
         assert_eq!(spans[0].notes[0].0, "after");
-        assert_eq!(spans[2].stage, "replica");
+        assert_eq!(spans[2].stage, Stage::Replica);
         assert!(spans[0].err.is_some());
     }
 
@@ -788,14 +808,14 @@ mod tests {
         let mut ran = false;
         c.span_note("k", || {
             ran = true;
-            String::new()
+            Note::U64(0)
         });
-        c.span_instant("replica", "x", || {
+        c.span_instant(Stage::Replica, "x", || {
             ran = true;
             Vec::new()
         });
         assert!(!ran, "note/instant closures must not run untraced");
-        c.span("mw", "fetch_ring", |c| {
+        c.span(Stage::Ring, "fetch_ring", |c| {
             c.charge(PrimKind::Get, Duration::ZERO);
             Ok(())
         })

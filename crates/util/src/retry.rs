@@ -26,6 +26,7 @@ use crate::cost::OpCtx;
 use crate::error::{H2Error, Result};
 use crate::hash::hash64_seeded;
 use crate::metrics::MetricsRegistry;
+use crate::trace::{Note, Stage};
 
 /// Counter bumped once per re-attempt.
 pub const OP_RETRIES: &str = "op_retries";
@@ -93,12 +94,12 @@ impl RetryPolicy {
     }
 
     /// Run `f` under this policy, charging backoff as *virtual* latency on
-    /// `ctx` — the client-path flavour.
+    /// `ctx`, in a [`Stage::Backoff`] span — the client-path flavour.
     pub fn run_virtual<T, F>(
         &self,
         ctx: &mut OpCtx,
         metrics: Option<&MetricsRegistry>,
-        op: &str,
+        op: &'static str,
         mut f: F,
     ) -> Result<T>
     where
@@ -110,12 +111,12 @@ impl RetryPolicy {
                 Ok(v) => return Ok(v),
                 Err(e) => {
                     if let Some(delay) = self.next_backoff(metrics, op, &e, attempt) {
-                        ctx.span_note("retry", || {
-                            format!("attempt {attempt} failed: {e}; backing off {delay:?}")
-                        });
-                        // Identical charge to the untraced path; the span
-                        // merely records the interval.
-                        ctx.span_charge(crate::trace::STAGE_BACKOFF, op, delay);
+                        ctx.span(Stage::Backoff, op, |ctx| {
+                            ctx.span_note("retry", || Note::U64(attempt.into()));
+                            ctx.span_note("error", || Note::Text(e.to_string().into()));
+                            ctx.charge_time(delay);
+                            Ok(())
+                        })?;
                         attempt += 1;
                     } else {
                         return Err(e);

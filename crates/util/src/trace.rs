@@ -1,13 +1,19 @@
-//! Deterministic span tracing with per-stage latency breakdown.
+//! Deterministic span tracing and the per-stage split of virtual time.
 //!
-//! Every sampled filesystem operation opens a **root span**; each layer the
-//! op crosses records child spans — middleware cloud ops (ring / patch /
-//! descriptor / content, with cache hit/miss and retry/backoff annotations),
-//! the cluster front door (fault-plan decisions), per-replica node access
-//! (device, quorum vote, handoff scan), and gossip/merge hops. Span timing is
-//! **virtual time** taken from the owning [`crate::cost::OpCtx`] — never the
-//! wall clock — so traces replay byte-identically for a fixed seed and the
-//! h2lint `determinism` rule holds.
+//! Every charge an [`crate::cost::OpCtx`] takes lands in exactly one
+//! time-owning [`Stage`], the innermost enclosing one, so an op's
+//! [`StageTimes`] sum to its `elapsed()`: a ring fetch's quorum wait is
+//! ring time, once. Each op's or maintenance pass's non-zero slots feed the
+//! `stage_*_ms` histograms on `op=metrics` ([`StageHistograms`]), traced or
+//! not; `stage_quorum_ms` is retired.
+//!
+//! Sampled ops also keep their span tree: middleware cloud ops (cache
+//! hit/miss, retry/backoff), the cluster front door (fault-plan
+//! decisions), per-replica node access (device, quorum vote, handoff
+//! scan), and gossip/merge hops. Span timing is **virtual time** taken
+//! from the owning `OpCtx` — never the wall clock — so traces replay
+//! byte-identically for a fixed seed and the h2lint `determinism` rule
+//! holds. Notes are typed [`Note`] values, formatted only at export.
 //!
 //! Closed root traces land in a bounded per-middleware ring buffer
 //! ([`TraceCollector`]) guarded by a sampling knob (`H2Config::trace_sample`,
@@ -16,41 +22,140 @@
 //! * [`trace_json`] — compact JSON for the API `op=trace` route;
 //! * [`chrome_trace_json`] — chrome://tracing "trace event" JSON that opens
 //!   directly in Perfetto (`ph: "X"` complete events, µs timestamps).
-//!
-//! Closing a sampled trace also feeds the per-stage histograms
-//! (`stage_ring_ms`, `stage_content_ms`, `stage_quorum_ms`,
-//! `stage_backoff_ms`) surfaced on the `op=metrics` route.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::metrics::MetricsRegistry;
+use crate::id::NamespaceId;
+use crate::metrics::{Histogram, MetricsRegistry};
 
-/// Stage label for root spans opened by the filesystem layer.
-pub const STAGE_OP: &str = "op";
-/// Stage label for middleware cloud ops (ring/patch/descriptor/content).
-pub const STAGE_MW: &str = "mw";
-/// Stage label for middleware ring resolution (cache consult + overlay);
-/// not mapped to a `stage_*` histogram — its cloud fetch child already is.
-pub const STAGE_RESOLVE: &str = "resolve";
-/// Stage label for retry backoff waits charged by `RetryPolicy`.
-pub const STAGE_BACKOFF: &str = "backoff";
-/// Stage label for cluster-level ObjectStore entry points.
-pub const STAGE_CLOUD: &str = "cloud";
-/// Stage label for replica-set reads/writes (quorum wait).
-pub const STAGE_QUORUM: &str = "quorum";
-/// Stage label for individual replica accesses within a quorum.
-pub const STAGE_REPLICA: &str = "replica";
-/// Stage label for namespace merge cycles.
-pub const STAGE_MERGE: &str = "merge";
-/// Stage label for gossip application hops.
-pub const STAGE_GOSSIP: &str = "gossip";
-/// Stage label for live-rebalance migration work (per-partition
-/// copy-then-flip by the cluster's background migrator).
-pub const STAGE_MIGRATE: &str = "migrate";
+/// What a span's work is for. The first six stages ([`Stage::OWNERS`])
+/// own virtual time: a charge lands in the innermost of them that
+/// encloses it. The rest — ring resolution, the cluster's entry points,
+/// replica-set (quorum) waits, single replica accesses and rebalance
+/// migration — annotate the trace tree only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Stage {
+    /// The op itself: root spans, and whatever no other stage claims.
+    Op,
+    /// Middleware NameRing traffic: ring, patch and descriptor objects.
+    Ring,
+    /// Middleware content traffic: file objects, CAS blocks, branches and
+    /// manifests.
+    Content,
+    /// Retry backoff waits charged by `RetryPolicy`.
+    Backoff,
+    /// Namespace merge cycles.
+    Merge,
+    /// Gossip application and resync passes.
+    Gossip,
+    Resolve,
+    Cloud,
+    Quorum,
+    Replica,
+    Migrate,
+}
+
+impl Stage {
+    /// The stages that own time, in [`StageTimes`] slot order: their
+    /// declaration order, so `stage as usize` is the slot.
+    pub const OWNERS: [Stage; 6] = [
+        Stage::Op,
+        Stage::Ring,
+        Stage::Content,
+        Stage::Backoff,
+        Stage::Merge,
+        Stage::Gossip,
+    ];
+
+    /// The exported stage label (JSON `stage`, chrome-trace `cat`). Ring
+    /// and content are both middleware cloud ops: `mw`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Stage::Op => "op",
+            Stage::Ring | Stage::Content => "mw",
+            Stage::Backoff => "backoff",
+            Stage::Merge => "merge",
+            Stage::Gossip => "gossip",
+            Stage::Resolve => "resolve",
+            Stage::Cloud => "cloud",
+            Stage::Quorum => "quorum",
+            Stage::Replica => "replica",
+            Stage::Migrate => "migrate",
+        }
+    }
+
+    /// The histogram this stage's time feeds. The op slot has none: it is
+    /// the remainder, and the per-kind latency histograms carry it.
+    pub fn histogram(self) -> Option<&'static str> {
+        match self {
+            Stage::Ring => Some(STAGE_RING_MS),
+            Stage::Content => Some(STAGE_CONTENT_MS),
+            Stage::Backoff => Some(STAGE_BACKOFF_MS),
+            Stage::Merge => Some(STAGE_MERGE_MS),
+            Stage::Gossip => Some(STAGE_GOSSIP_MS),
+            _ => None,
+        }
+    }
+}
+
+/// Virtual time split by time-owning stage, one slot per
+/// [`Stage::OWNERS`] entry, in nanoseconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StageTimes([u64; Stage::OWNERS.len()]);
+
+impl StageTimes {
+    /// Time spent in `stage` (zero for a stage that owns none).
+    pub fn get(&self, stage: Stage) -> Duration {
+        Duration::from_nanos(self.0.get(stage as usize).copied().unwrap_or(0))
+    }
+
+    /// Sum over every slot.
+    pub fn total(&self) -> Duration {
+        Duration::from_nanos(self.0.iter().sum())
+    }
+
+    /// Add `d` to `stage`'s slot; `stage` must own time.
+    pub(crate) fn charge(&mut self, stage: Stage, d: Duration) {
+        self.0[stage as usize] += d.as_nanos() as u64;
+    }
+
+    /// Add `other` slot by slot.
+    pub fn add(&mut self, other: &StageTimes) {
+        for (a, b) in self.0.iter_mut().zip(other.0) {
+            *a += b;
+        }
+    }
+
+    /// Slot-by-slot difference from an earlier reading.
+    pub fn since(&self, earlier: &StageTimes) -> StageTimes {
+        StageTimes(std::array::from_fn(|i| self.0[i] - earlier.0[i]))
+    }
+}
+
+/// The stage histograms of one registry, looked up once.
+#[derive(Debug)]
+pub struct StageHistograms([Option<Arc<Histogram>>; Stage::OWNERS.len()]);
+
+impl StageHistograms {
+    pub fn new(metrics: &MetricsRegistry) -> Self {
+        StageHistograms(Stage::OWNERS.map(|s| s.histogram().map(|name| metrics.histogram(name))))
+    }
+
+    /// Record one op's or pass's time in each stage it spent any in.
+    pub fn record(&self, times: &StageTimes) {
+        for (h, ns) in self.0.iter().zip(times.0) {
+            if let Some(h) = h.as_ref().filter(|_| ns > 0) {
+                h.record(Duration::from_nanos(ns));
+            }
+        }
+    }
+}
 
 /// Counter: partitions the migrator has flipped to their new assignment.
 pub const MIGRATION_PARTS_MOVED: &str = "migration_parts_moved";
@@ -74,19 +179,45 @@ pub const CAS_BLOCKS_SHARED: &str = "cas_blocks_shared";
 /// Counter: logical bytes CAS dedup avoided re-writing.
 pub const DEDUP_BYTES_SAVED: &str = "dedup_bytes_saved";
 
-/// Histogram fed from closed `mw` ring/patch/descriptor spans.
+/// Histogram of each op's or pass's NameRing time.
 pub const STAGE_RING_MS: &str = "stage_ring_ms";
-/// Histogram fed from closed `mw` content spans.
+/// Histogram of each op's or pass's content time.
 pub const STAGE_CONTENT_MS: &str = "stage_content_ms";
-/// Histogram fed from closed `quorum` spans.
+/// Retired: quorum time belongs to the access that waits on it, so
+/// nothing feeds this histogram. The name stays exported for the
+/// reports that still read it (as 0).
 pub const STAGE_QUORUM_MS: &str = "stage_quorum_ms";
-/// Histogram fed from closed `backoff` spans.
+/// Histogram of each op's or pass's retry backoff time.
 pub const STAGE_BACKOFF_MS: &str = "stage_backoff_ms";
+/// Histogram of each merge pass's own time.
+pub const STAGE_MERGE_MS: &str = "stage_merge_ms";
+/// Histogram of each gossip or resync pass's own time.
+pub const STAGE_GOSSIP_MS: &str = "stage_gossip_ms";
 
 /// Per-trace span cap: a pathological op (deep COPY fan-out under faults)
 /// cannot balloon a single trace; further child spans are dropped while the
 /// open/close stack stays balanced.
 const MAX_SPANS_PER_TRACE: usize = 4096;
+
+/// A span note's value: typed at record time, formatted only at export.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Note {
+    U64(u64),
+    Str(&'static str),
+    Text(Arc<str>),
+    Ns(NamespaceId),
+}
+
+impl fmt::Display for Note {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Note::U64(v) => v.fmt(f),
+            Note::Str(v) => f.write_str(v),
+            Note::Text(v) => f.write_str(v),
+            Note::Ns(v) => v.fmt(f),
+        }
+    }
+}
 
 /// One recorded interval (or instant, when `dur` is zero) inside a trace.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,10 +226,9 @@ pub struct Span {
     pub id: u32,
     /// Id of the enclosing span; 0 for the root.
     pub parent: u32,
-    /// Stage taxonomy label (one of the `STAGE_*` constants).
-    pub stage: &'static str,
-    /// Human-readable name (op name, cloud verb, …).
-    pub name: String,
+    pub stage: Stage,
+    /// Op name, cloud verb, …
+    pub name: &'static str,
     /// Virtual-time offset of the span start from the op context's origin.
     pub start: Duration,
     /// Virtual duration (zero for instant annotations).
@@ -106,7 +236,7 @@ pub struct Span {
     /// Error rendering when the spanned body failed.
     pub err: Option<String>,
     /// Key/value annotations (ring key, cache hit/miss, fault decision, …).
-    pub notes: Vec<(&'static str, String)>,
+    pub notes: Vec<(&'static str, Note)>,
 }
 
 /// Per-operation span buffer carried inside an `OpCtx` while a trace is live.
@@ -122,62 +252,39 @@ pub struct TraceBuf {
 }
 
 impl TraceBuf {
-    pub fn new() -> Self {
-        TraceBuf::default()
-    }
-
     /// Open a new span starting at virtual time `start`.
-    pub fn open(&mut self, stage: &'static str, name: &str, start: Duration) {
-        if self.spans.len() >= MAX_SPANS_PER_TRACE {
-            self.open.push(usize::MAX);
-            return;
-        }
-        let parent = self.innermost_open_id();
-        let idx = self.spans.len();
-        self.spans.push(Span {
-            id: idx as u32 + 1,
-            parent,
-            stage,
-            name: name.to_string(),
-            start,
-            dur: Duration::ZERO,
-            err: None,
-            notes: Vec::new(),
-        });
-        self.open.push(idx);
+    pub fn open(&mut self, stage: Stage, name: &'static str, start: Duration) {
+        let idx = self.instant(stage, name, start, Vec::new());
+        self.open.push(idx.unwrap_or(usize::MAX));
     }
 
     /// Close the innermost open span at virtual time `end`.
     pub fn close(&mut self, end: Duration, err: Option<String>) {
-        if let Some(idx) = self.open.pop() {
-            if let Some(span) = self.spans.get_mut(idx) {
-                span.dur = end.saturating_sub(span.start);
-                span.err = err;
-            }
+        if let Some(span) = self.open.pop().and_then(|i| self.spans.get_mut(i)) {
+            span.dur = end.saturating_sub(span.start);
+            span.err = err;
         }
     }
 
     /// Attach a note to the innermost open span (dropped when none is open).
-    pub fn note(&mut self, key: &'static str, value: String) {
-        if let Some(&idx) = self.open.last() {
-            if let Some(span) = self.spans.get_mut(idx) {
-                span.notes.push((key, value));
-            }
+    pub fn note(&mut self, key: &'static str, value: Note) {
+        if let Some(span) = self.open.last().and_then(|&i| self.spans.get_mut(i)) {
+            span.notes.push((key, value));
         }
     }
 
-    /// Record a closed child span in one shot (used for instants and for
-    /// pre-measured intervals like backoff waits).
-    pub fn event(
+    /// Record a zero-duration child span at virtual time `start` under the
+    /// innermost open one (an instant, unless [`Self::open`] keeps it
+    /// open). `None` past the per-trace cap.
+    pub fn instant(
         &mut self,
-        stage: &'static str,
-        name: &str,
+        stage: Stage,
+        name: &'static str,
         start: Duration,
-        dur: Duration,
-        notes: Vec<(&'static str, String)>,
-    ) {
+        notes: Vec<(&'static str, Note)>,
+    ) -> Option<usize> {
         if self.spans.len() >= MAX_SPANS_PER_TRACE {
-            return;
+            return None;
         }
         let parent = self.innermost_open_id();
         let idx = self.spans.len();
@@ -185,12 +292,13 @@ impl TraceBuf {
             id: idx as u32 + 1,
             parent,
             stage,
-            name: name.to_string(),
+            name,
             start,
-            dur,
+            dur: Duration::ZERO,
             err: None,
             notes,
         });
+        Some(idx)
     }
 
     /// Close any spans still open (defensive) and return the recorded spans.
@@ -254,20 +362,10 @@ impl TraceCollector {
         }
     }
 
-    /// Whether this collector can ever sample.
-    pub fn enabled(&self) -> bool {
-        self.sample > 0.0 && self.cap > 0
-    }
-
-    /// Middleware node this collector belongs to.
-    pub fn node(&self) -> u16 {
-        self.node
-    }
-
     /// Deterministically decide whether the next candidate op is sampled
     /// (and advance the candidate counter).
     pub fn sample_next(&self) -> bool {
-        if !self.enabled() {
+        if self.sample <= 0.0 || self.cap == 0 {
             return false;
         }
         let n = self.seen.fetch_add(1, Ordering::Relaxed);
@@ -275,13 +373,8 @@ impl TraceCollector {
         (((n + 1) as f64) * s).floor() > ((n as f64) * s).floor()
     }
 
-    /// Store a finished trace, evicting the oldest beyond capacity, and fold
-    /// its closed spans into the per-stage histograms.
-    pub fn offer(&self, spans: Vec<Span>, metrics: &MetricsRegistry) {
-        if spans.is_empty() || self.cap == 0 {
-            return;
-        }
-        record_stage_histograms(&spans, metrics);
+    /// Store a finished trace, evicting the oldest beyond capacity.
+    pub fn offer(&self, spans: Vec<Span>) {
         let seq = self.sampled.fetch_add(1, Ordering::Relaxed);
         let mut ring = self.ring.lock();
         ring.push_back(RootTrace {
@@ -298,43 +391,6 @@ impl TraceCollector {
     pub fn recent(&self, n: usize) -> Vec<RootTrace> {
         let ring = self.ring.lock();
         ring.iter().rev().take(n).cloned().collect()
-    }
-
-    /// Number of traces currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.lock().len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Map a closed span onto the per-stage histogram it feeds, if any.
-fn stage_metric(span: &Span) -> Option<&'static str> {
-    match span.stage {
-        STAGE_BACKOFF => Some(STAGE_BACKOFF_MS),
-        STAGE_QUORUM => Some(STAGE_QUORUM_MS),
-        STAGE_MW => {
-            if span.name.ends_with("_content") {
-                Some(STAGE_CONTENT_MS)
-            } else {
-                // fetch_ring / put_ring / submit_patch / fetch_patch /
-                // delete_patch / put_descriptor / get_descriptor — all
-                // metadata-plane traffic against the ring.
-                Some(STAGE_RING_MS)
-            }
-        }
-        _ => None,
-    }
-}
-
-/// Fold the closed spans of one trace into the `stage_*` histograms.
-pub fn record_stage_histograms(spans: &[Span], metrics: &MetricsRegistry) {
-    for span in spans {
-        if let Some(name) = stage_metric(span) {
-            metrics.record(name, span.dur);
-        }
     }
 }
 
@@ -355,14 +411,19 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+fn note_json(key: &str, value: &Note) -> String {
+    let value = json_escape(&value.to_string());
+    format!("\"{}\": \"{value}\"", json_escape(key))
+}
+
 fn span_json(span: &Span) -> String {
     let mut s = format!(
         "{{\"id\": {}, \"parent\": {}, \"stage\": \"{}\", \"name\": \"{}\", \
          \"start_us\": {}, \"dur_us\": {}",
         span.id,
         span.parent,
-        json_escape(span.stage),
-        json_escape(&span.name),
+        span.stage.label(),
+        json_escape(span.name),
         span.start.as_micros(),
         span.dur.as_micros(),
     );
@@ -370,11 +431,7 @@ fn span_json(span: &Span) -> String {
         s.push_str(&format!(", \"err\": \"{}\"", json_escape(err)));
     }
     if !span.notes.is_empty() {
-        let notes: Vec<String> = span
-            .notes
-            .iter()
-            .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
-            .collect();
+        let notes: Vec<String> = span.notes.iter().map(|(k, v)| note_json(k, v)).collect();
         s.push_str(&format!(", \"notes\": {{{}}}", notes.join(", ")));
     }
     s.push('}');
@@ -393,7 +450,7 @@ pub fn trace_json(traces: &[RootTrace]) -> String {
                 t.node,
                 t.spans
                     .first()
-                    .map_or(String::new(), |s| json_escape(&s.name)),
+                    .map_or(String::new(), |s| json_escape(s.name)),
                 spans.join(", ")
             )
         })
@@ -410,11 +467,7 @@ pub fn chrome_trace_json(traces: &[RootTrace]) -> String {
     let mut events: Vec<String> = Vec::new();
     for t in traces {
         for span in &t.spans {
-            let mut args: Vec<String> = span
-                .notes
-                .iter()
-                .map(|(k, v)| format!("\"{}\": \"{}\"", json_escape(k), json_escape(v)))
-                .collect();
+            let mut args: Vec<String> = span.notes.iter().map(|(k, v)| note_json(k, v)).collect();
             match &span.err {
                 Some(err) => args.push(format!("\"outcome\": \"error: {}\"", json_escape(err))),
                 None => args.push("\"outcome\": \"ok\"".to_string()),
@@ -422,8 +475,8 @@ pub fn chrome_trace_json(traces: &[RootTrace]) -> String {
             events.push(format!(
                 "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \
                  \"dur\": {}, \"pid\": {}, \"tid\": {}, \"args\": {{{}}}}}",
-                json_escape(&span.name),
-                json_escape(span.stage),
+                json_escape(span.name),
+                span.stage.label(),
                 span.start.as_micros(),
                 span.dur.as_micros(),
                 t.node,
@@ -447,19 +500,16 @@ mod tests {
     }
 
     fn sample_spans() -> Vec<Span> {
-        let mut buf = TraceBuf::new();
-        buf.open(STAGE_OP, "op_write", ms(0));
-        buf.open(STAGE_MW, "fetch_ring", ms(0));
-        buf.note("cache", "miss".to_string());
+        let mut buf = TraceBuf::default();
+        buf.open(Stage::Op, "op_write", ms(0));
+        buf.open(Stage::Ring, "fetch_ring", ms(0));
+        buf.note("cache", Note::Str("miss"));
         buf.close(ms(10), None);
-        buf.event(
-            STAGE_BACKOFF,
-            "put_content",
-            ms(10),
-            ms(5),
-            vec![("attempt", "1".to_string())],
-        );
-        buf.open(STAGE_MW, "put_content", ms(15));
+        buf.open(Stage::Backoff, "put_content", ms(10));
+        buf.note("retry", Note::U64(1));
+        buf.close(ms(15), None);
+        buf.instant(Stage::Replica, "read", ms(15), vec![("dev", Note::U64(3))]);
+        buf.open(Stage::Content, "put_content", ms(15));
         buf.close(ms(40), None);
         buf.finish(ms(40), None)
     }
@@ -467,7 +517,7 @@ mod tests {
     #[test]
     fn spans_nest_and_time_from_virtual_clock() {
         let spans = sample_spans();
-        assert_eq!(spans.len(), 4);
+        assert_eq!(spans.len(), 5);
         let root = &spans[0];
         assert_eq!(root.parent, 0);
         assert_eq!(root.name, "op_write");
@@ -475,18 +525,21 @@ mod tests {
         let ring = &spans[1];
         assert_eq!(ring.parent, root.id);
         assert_eq!(ring.dur, ms(10));
-        assert_eq!(ring.notes, vec![("cache", "miss".to_string())]);
+        assert_eq!(ring.notes, vec![("cache", Note::Str("miss"))]);
         let backoff = &spans[2];
         assert_eq!(backoff.parent, root.id);
-        assert_eq!(backoff.stage, STAGE_BACKOFF);
+        assert_eq!(backoff.stage, Stage::Backoff);
         assert_eq!(backoff.dur, ms(5));
+        let instant = &spans[3];
+        assert_eq!((instant.parent, instant.dur), (root.id, Duration::ZERO));
+        assert_eq!(instant.notes, vec![("dev", Note::U64(3))]);
     }
 
     #[test]
     fn finish_closes_leaked_spans_and_tags_root_error() {
-        let mut buf = TraceBuf::new();
-        buf.open(STAGE_OP, "op_read", ms(0));
-        buf.open(STAGE_MW, "fetch_ring", ms(1));
+        let mut buf = TraceBuf::default();
+        buf.open(Stage::Op, "op_read", ms(0));
+        buf.open(Stage::Ring, "fetch_ring", ms(1));
         // fetch_ring never closed — e.g. an error propagated past it.
         let spans = buf.finish(ms(7), Some("NotFound".to_string()));
         assert_eq!(spans.len(), 2);
@@ -497,10 +550,10 @@ mod tests {
 
     #[test]
     fn span_cap_keeps_stack_balanced() {
-        let mut buf = TraceBuf::new();
-        buf.open(STAGE_OP, "flood", ms(0));
+        let mut buf = TraceBuf::default();
+        buf.open(Stage::Op, "flood", ms(0));
         for i in 0..(MAX_SPANS_PER_TRACE + 100) {
-            buf.open(STAGE_MW, "child", ms(i as u64));
+            buf.open(Stage::Ring, "child", ms(i as u64));
             buf.close(ms(i as u64 + 1), None);
         }
         let spans = buf.finish(ms(99_999), None);
@@ -527,13 +580,14 @@ mod tests {
     #[test]
     fn ring_buffer_is_bounded_and_newest_first() {
         let c = TraceCollector::new(1.0, 3, 7);
-        let m = MetricsRegistry::new();
-        for i in 0..10u64 {
-            let mut buf = TraceBuf::new();
-            buf.open(STAGE_OP, &format!("op{i}"), ms(0));
-            c.offer(buf.finish(ms(1), None), &m);
+        let names = [
+            "op0", "op1", "op2", "op3", "op4", "op5", "op6", "op7", "op8", "op9",
+        ];
+        for name in names {
+            let mut buf = TraceBuf::default();
+            buf.open(Stage::Op, name, ms(0));
+            c.offer(buf.finish(ms(1), None));
         }
-        assert_eq!(c.len(), 3);
         let recent = c.recent(8);
         assert_eq!(recent.len(), 3);
         assert_eq!(recent[0].spans[0].name, "op9");
@@ -544,13 +598,26 @@ mod tests {
 
     #[test]
     fn stage_histograms_map_span_taxonomy() {
+        // Ring and content spans both export as `mw`; only the stages that
+        // own time have a slot, and only the op slot has no histogram.
+        assert_eq!(Stage::Ring.label(), Stage::Content.label());
+        assert_eq!(Stage::OWNERS.map(|s| s as usize), [0, 1, 2, 3, 4, 5]);
+        assert!(Stage::Quorum.histogram().is_none());
         let m = MetricsRegistry::new();
-        record_stage_histograms(&sample_spans(), &m);
-        assert_eq!(m.histogram(STAGE_RING_MS).count(), 1); // fetch_ring
-        assert_eq!(m.histogram(STAGE_CONTENT_MS).count(), 1); // put_content
-        assert_eq!(m.histogram(STAGE_BACKOFF_MS).count(), 1);
-        // Root op spans feed the per-op histograms elsewhere, not stage_*.
-        assert!(m.render().contains("stage_ring_ms"));
+        let hists = StageHistograms::new(&m);
+        let mut times = StageTimes::default();
+        times.charge(Stage::Op, ms(4));
+        times.charge(Stage::Ring, ms(10));
+        times.charge(Stage::Content, ms(25));
+        assert_eq!(times.total(), ms(39));
+        assert_eq!(times.since(&StageTimes::default()), times);
+        hists.record(&times);
+        assert_eq!(m.histogram(STAGE_RING_MS).mean(), ms(10));
+        assert_eq!(m.histogram(STAGE_CONTENT_MS).mean(), ms(25));
+        // Zero slots record nothing, but every histogram is registered.
+        assert_eq!(m.histogram(STAGE_BACKOFF_MS).count(), 0);
+        assert!(m.render().contains(STAGE_GOSSIP_MS));
+        assert!(!m.render().contains(STAGE_QUORUM_MS));
     }
 
     #[test]
@@ -562,8 +629,7 @@ mod tests {
     #[test]
     fn chrome_trace_json_is_well_formed() {
         let c = TraceCollector::new(1.0, 4, 2);
-        let m = MetricsRegistry::new();
-        c.offer(sample_spans(), &m);
+        c.offer(sample_spans());
         let json = chrome_trace_json(&c.recent(4));
         assert!(json.starts_with("{\"displayTimeUnit\": \"ms\", \"traceEvents\": ["));
         assert!(json.contains("\"ph\": \"X\""));
@@ -593,11 +659,11 @@ mod tests {
     #[test]
     fn trace_json_reports_root_op_names() {
         let c = TraceCollector::new(1.0, 4, 0);
-        let m = MetricsRegistry::new();
-        c.offer(sample_spans(), &m);
+        c.offer(sample_spans());
         let json = trace_json(&c.recent(4));
         assert!(json.contains("\"op\": \"op_write\""));
         assert!(json.contains("\"stage\": \"mw\""));
         assert!(json.contains("\"notes\": {\"cache\": \"miss\"}"));
+        assert!(json.contains("\"notes\": {\"dev\": \"3\"}"));
     }
 }

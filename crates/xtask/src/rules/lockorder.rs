@@ -53,14 +53,7 @@ struct Guard {
 
 /// `ctx`-receiver methods that charge (or wrap charged work in) virtual
 /// time. `span_note`/`span_instant`/`vnow` are bookkeeping, not charges.
-const CTX_CHARGE_METHODS: [&str; 6] = [
-    "charge",
-    "charge_time",
-    "span_charge",
-    "parallel",
-    "absorb",
-    "span",
-];
+const CTX_CHARGE_METHODS: [&str; 5] = ["charge", "charge_time", "parallel", "span", "in_stage"];
 
 pub fn check(pf: &ParsedFile, cfg: &Config, g: &Globals) -> Vec<Finding> {
     let mut findings = Vec::new();

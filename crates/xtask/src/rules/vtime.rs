@@ -1,8 +1,7 @@
 //! `vtime-accounting`: a cloud-op helper (an `OpCtx`-carrying method of
 //! the `CloudFs`/`ObjectStore` traits, or a configured extra) must reach
 //! a virtual-time charge — `ctx.charge(..)`, `ctx.charge_time(..)`,
-//! `ctx.span_charge(..)`, `ctx.parallel(..)`, `ctx.absorb(..)`, or a
-//! call the ctx is *delegated* to — on every success path. Paths that
+//! `ctx.parallel(..)`, or a call the ctx is *delegated* to — on every success path. Paths that
 //! exit with `return Err(..)` (or diverge: `?`-free early errors,
 //! `panic!`, `unreachable!`) are exempt: a failed op may legitimately
 //! charge nothing. Separately, for **any** ctx-carrying fn, charging the
@@ -26,7 +25,7 @@ use crate::parse;
 use super::{call_forwards_ctx, ctxish, Finding, RULE_VTIME};
 
 /// ctx-receiver methods that charge virtual time themselves.
-const CHARGE_METHODS: [&str; 5] = ["charge", "charge_time", "span_charge", "parallel", "absorb"];
+const CHARGE_METHODS: [&str; 3] = ["charge", "charge_time", "parallel"];
 
 #[derive(Debug, Clone, Default)]
 struct State {
@@ -65,8 +64,8 @@ pub fn check(pf: &ParsedFile, g: &Globals) -> Vec<Finding> {
                 rule: RULE_VTIME,
                 message: format!(
                     "cloud op `{}` has a success path that never charges \
-                     virtual time (no ctx.charge/charge_time/span_charge/\
-                     parallel/absorb and no call forwarding the OpCtx) — \
+                     virtual time (no ctx.charge/charge_time/parallel and \
+                     no call forwarding the OpCtx) — \
                      uncharged ops make the simulated latency model lie",
                     item.name
                 ),
@@ -204,8 +203,8 @@ impl Eval<'_> {
                             }
                         }
                     }
-                    // Skip the argument group: a closure inside parallel/
-                    // span_charge charges a forked ctx, not this path.
+                    // Skip the argument group: a closure inside parallel
+                    // charges a forked ctx, not this path.
                     i = close;
                     continue;
                 }

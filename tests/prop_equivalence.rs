@@ -10,6 +10,8 @@
 //! tree on two such instances and checks every middleware after the faults
 //! ([`converge_under_5pct_faults`]).
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use h2baselines::SwiftFs;
@@ -18,8 +20,8 @@ use h2cloud::layer::GossipFaults;
 use h2cloud::{H2Cloud, H2Config, H2Layer, MaintenanceMode};
 use h2fsapi::{CloudFs, FileContent, FsPath};
 use h2util::faults::{FaultPlan, FaultSpec};
-use h2util::trace::{CAS_BLOCKS_WRITTEN, DEDUP_BYTES_SAVED};
-use h2util::OpCtx;
+use h2util::trace::{Stage, StageTimes, CAS_BLOCKS_WRITTEN, DEDUP_BYTES_SAVED};
+use h2util::{CostModel, OpCtx};
 use h2workload::{ModelFs, Op, Trace};
 use swiftsim::{Cluster, ClusterConfig};
 
@@ -211,6 +213,83 @@ fn differential(a: H2Config, b: H2Config, ops: &[Op]) -> Result<H2Cloud, TestCas
     Ok(b)
 }
 
+/// Every client op and maintenance pass of `ops` on `profile` (three
+/// middlewares over the tiny cluster with the rack's costs, so every stage
+/// has time to hold) sampled at `trace_sample`, as the stage split of the
+/// time it took. Checks on the way that each split sums to its op's or
+/// pass's time, and that an op feeds exactly the stage histograms of its
+/// non-zero stages.
+fn stage_splits(
+    profile: H2Config,
+    trace_sample: f64,
+    ops: &[Op],
+) -> Result<Vec<StageTimes>, TestCaseError> {
+    let fs = H2Cloud::new(H2Config {
+        middlewares: 3,
+        cluster: ClusterConfig {
+            cost: Arc::new(CostModel::rack_default()),
+            ..ClusterConfig::tiny()
+        },
+        trace_sample,
+        ..profile
+    });
+    let mut ctx = OpCtx::new(fs.cluster().cost_model());
+    fs.create_account(&mut ctx, "u").unwrap();
+    let mws = fs.layer().middlewares();
+    let background = || {
+        mws.iter()
+            .map(|mw| (mw.background_spend().0, mw.background_stages()))
+    };
+    let hist_counts =
+        || Stage::OWNERS.map(|s| s.histogram().map(|h| fs.metrics().histogram(h).count()));
+    let mut splits = Vec::new();
+    let pass = |splits: &mut Vec<StageTimes>, run: &dyn Fn()| {
+        let before: Vec<_> = background().collect();
+        run();
+        for ((t0, s0), (t1, s1)) in before.into_iter().zip(background()) {
+            let split = s1.since(&s0);
+            prop_assert_eq!(split.total(), t1 - t0, "a maintenance pass's split");
+            splits.push(split);
+        }
+        Ok(())
+    };
+    for (i, op) in ops.iter().enumerate() {
+        let mut ctx = OpCtx::new(fs.cluster().cost_model());
+        let counts = hist_counts();
+        let _ = Trace::apply_fs(&fs.via(i % 3), &mut ctx, "u", op);
+        let split = ctx.stage_times();
+        prop_assert_eq!(split.total(), ctx.elapsed(), "{:?}", op);
+        for ((stage, before), after) in Stage::OWNERS.iter().zip(counts).zip(hist_counts()) {
+            let fed = u64::from(!split.get(*stage).is_zero());
+            prop_assert_eq!(after, before.map(|n| n + fed), "{:?}: {:?}", op, stage);
+        }
+        splits.push(split);
+        if i % 3 == 2 {
+            pass(&mut splits, &|| {
+                fs.layer().pump_with_faults(LOSSY).unwrap();
+            })?;
+        }
+    }
+    pass(&mut splits, &|| fs.quiesce())?;
+    pass(&mut splits, &|| {
+        for mw in mws {
+            mw.resync().unwrap();
+        }
+    })?;
+    Ok(splits)
+}
+
+/// [`stage_splits`] on both profiles, traced and untraced: the splits
+/// must be identical, since spans only observe.
+fn stage_splits_ignore_tracing(ops: &[Op]) -> Result<(), TestCaseError> {
+    for profile in [in_shape(H2Config::default()), H2Config::for_test()] {
+        let untraced = stage_splits(profile.clone(), 0.0, ops)?;
+        let traced = stage_splits(profile, 1.0, ops)?;
+        prop_assert_eq!(untraced, traced, "tracing moved time between stages");
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -314,6 +393,13 @@ proptest! {
             !traced.recent_traces(usize::MAX).is_empty(),
             "trace_sample = 1.0 collected no traces over {} ops", ops.len()
         );
+    }
+
+    #[test]
+    fn stage_splits_sum_to_elapsed_traced_or_not(
+        ops in prop::collection::vec(arb_op_cas(), 1..40)
+    ) {
+        stage_splits_ignore_tracing(&ops)?;
     }
 
     #[test]
@@ -660,4 +746,16 @@ fn stale_negative_cannot_hide_acked_file_past_convergence() {
         fs.metrics().counter_value("neg_cache_hits") > 0,
         "negative cache never hit"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10_000))]
+
+    #[test]
+    #[ignore = "deep run: cargo test --release --test prop_equivalence -- --ignored"]
+    fn stage_splits_sum_to_elapsed_traced_or_not_deep(
+        ops in prop::collection::vec(arb_op_cas(), 1..40)
+    ) {
+        stage_splits_ignore_tracing(&ops)?;
+    }
 }
