@@ -13,9 +13,17 @@
 //! 4. for every dropped file tombstone, delete the content object (a no-op
 //!    if the file delete already reclaimed it eagerly).
 //!
+//! Reclamation fans out: a compacted ring's removed tuples are one
+//! bounded [`OpCtx::parallel`] wave (a dead subtree is one item), and a
+//! dead ring's children are one wave before the ring object goes. The
+//! rings are still visited depth-first, one after another, and the
+//! requests are those of a serial pass; only the modelled wall time is a
+//! wave's, in the content stage.
+//!
 //! GC is driven explicitly ([`collect`]) — benches and examples call it the
 //! way an operator would schedule a nightly pass.
 
+use h2util::trace::Stage;
 use h2util::{H2Error, NamespaceId, OpCtx, Result, Timestamp};
 use swiftsim::ObjectStore;
 
@@ -121,21 +129,27 @@ fn walk_and_compact(
             }
             report.rings_rewritten += 1;
             report.tuples_compacted += removed.len();
-            for (name, tuple) in removed {
-                match tuple.child {
-                    ChildRef::File { .. } => {
-                        delete_quiet(mw.delete_content(ctx, keys, ns, &name), report)?;
+            // The removed tuples' objects are reclaimed as one bounded
+            // parallel wave; a dead subtree is one item.
+            ctx.in_stage(Stage::Content, |ctx| {
+                ctx.parallel(removed.len(), |ctx, i| {
+                    let (name, tuple) = &removed[i];
+                    match tuple.child {
+                        ChildRef::File { .. } => {
+                            delete_quiet(mw.delete_content(ctx, keys, ns, name), report)
+                        }
+                        // Only reclaim subtrees nothing live points at: a
+                        // MOVE's tombstone still names the (re-parented,
+                        // live) namespace.
+                        ChildRef::Dir { ns: dead_ns } if !live.contains(&dead_ns) => {
+                            delete_subtree(fs, mw, ctx, keys, dead_ns, report)?;
+                            // The descriptor.
+                            delete_quiet(fs.cluster().delete(ctx, &keys.child(ns, name)), report)
+                        }
+                        ChildRef::Dir { .. } => Ok(()),
                     }
-                    // Only reclaim subtrees nothing live points at: a MOVE's
-                    // tombstone still names the (re-parented, live) namespace.
-                    ChildRef::Dir { ns: dead_ns } if !live.contains(&dead_ns) => {
-                        delete_subtree(fs, mw, ctx, keys, dead_ns, report)?;
-                        // The descriptor.
-                        delete_quiet(fs.cluster().delete(ctx, &keys.child(ns, &name)), report)?;
-                    }
-                    ChildRef::Dir { .. } => {}
-                }
-            }
+                })
+            })?;
         }
         // Visit live children (worklist, not recursion — sibling order is
         // irrelevant, compaction is per-namespace). Compaction drops
@@ -162,18 +176,21 @@ fn delete_subtree(
     let mut stack = vec![ns];
     while let Some(ns) = stack.pop() {
         let ring = mw.read_ring_view(ctx, keys, ns)?;
-        for (name, tuple) in ring.iter() {
-            match tuple.child {
-                ChildRef::File { .. } => {
-                    delete_quiet(mw.delete_content(ctx, keys, ns, name), report)?;
+        // The ring's children are one bounded parallel wave, before the
+        // ring object itself; child rings are visited depth-first after.
+        let children: Vec<(&str, ChildRef)> = ring.iter().map(|(n, t)| (n, t.child)).collect();
+        ctx.in_stage(Stage::Content, |ctx| {
+            ctx.parallel(children.len(), |ctx, i| match children[i] {
+                (name, ChildRef::File { .. }) => {
+                    delete_quiet(mw.delete_content(ctx, keys, ns, name), report)
                 }
-                ChildRef::Dir { ns: child_ns } => {
+                (name, ChildRef::Dir { ns: child_ns }) => {
                     stack.push(child_ns);
                     // The descriptor.
-                    delete_quiet(fs.cluster().delete(ctx, &keys.child(ns, name)), report)?;
+                    delete_quiet(fs.cluster().delete(ctx, &keys.child(ns, name)), report)
                 }
-            }
-        }
+            })
+        })?;
         // The ring object itself.
         delete_quiet(fs.cluster().delete(ctx, &keys.namering(ns)), report)?;
         // The object is gone; every middleware's local state for it (cached

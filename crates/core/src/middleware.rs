@@ -741,7 +741,7 @@ impl H2Middleware {
         if self.cas {
             return self.cas_copy(ctx, &src, &dst);
         }
-        self.store.copy(ctx, &src, &dst)
+        ctx.in_stage(Content, |ctx| self.store.copy(ctx, &src, &dst))
     }
 
     // ----- content I/O (content-addressed block plane) ---------------------
@@ -829,50 +829,57 @@ impl H2Middleware {
                 return Err(e);
             }
         }
-        // 2. Branch levels until the root list fits one manifest.
+        // 2. Branch levels until the root list fits one manifest; each
+        //    level's branch PUTs are one bounded parallel wave.
         let mut level: Vec<(Digest128, u64)> = chunks.iter().map(|c| (c.digest, c.len)).collect();
         let mut depth = 0u32;
         while level.len() > CAS_FANOUT {
-            let mut next: Vec<(Digest128, u64)> =
-                Vec::with_capacity(level.len().div_ceil(CAS_FANOUT));
-            for (g, group) in level.chunks(CAS_FANOUT).enumerate() {
-                let body = formatter::cas_branch_to_string(group);
-                let digest = hash128(body.as_bytes());
-                let span: u64 = group.iter().map(|(_, l)| *l).sum();
-                let put = self.with_retry(ctx, Content, "cas_put_branch", |ctx| {
-                    self.store.cas_put_block(
-                        ctx,
-                        &digest.to_hex(),
-                        Payload::from_string(body.clone()),
-                        Meta::new(),
-                        span,
-                    )
-                });
-                match put {
-                    // Fresh branch: it takes over the references this
-                    // upload held on its children; the upload now owns one
-                    // reference to the branch instead.
-                    Ok(true) => {}
-                    Ok(false) => {
-                        // The branch already existed and already owns
-                        // references to exactly these children — drop the
-                        // duplicates taken while writing them. The live
-                        // branch pins every child, so nothing can cascade.
-                        for (d, _) in group {
-                            let _ = self.store.cas_decref(ctx, &d.to_hex());
+            let groups = level.len().div_ceil(CAS_FANOUT);
+            let mut next: Vec<(Digest128, u64)> = Vec::with_capacity(groups);
+            ctx.in_stage(Content, |ctx| {
+                ctx.parallel(groups, |ctx, g| {
+                    let group = &level[g * CAS_FANOUT..level.len().min((g + 1) * CAS_FANOUT)];
+                    let body = formatter::cas_branch_to_string(group);
+                    let digest = hash128(body.as_bytes());
+                    let span: u64 = group.iter().map(|(_, l)| *l).sum();
+                    let put = self.with_retry(ctx, Content, "cas_put_branch", |ctx| {
+                        self.store.cas_put_block(
+                            ctx,
+                            &digest.to_hex(),
+                            Payload::from_string(body.clone()),
+                            Meta::new(),
+                            span,
+                        )
+                    });
+                    match put {
+                        // Fresh branch: it takes over the references this
+                        // upload held on its children; the upload now owns
+                        // one reference to the branch instead.
+                        Ok(true) => {}
+                        Ok(false) => {
+                            // The branch already existed and already owns
+                            // references to exactly these children — drop
+                            // the duplicates taken while writing them. The
+                            // live branch pins every child, so nothing can
+                            // cascade.
+                            for (d, _) in group {
+                                let _ = self.store.cas_decref(ctx, &d.to_hex());
+                            }
+                        }
+                        Err(e) => {
+                            // Release everything this upload still owns:
+                            // the roots built so far plus the unconsumed
+                            // tail.
+                            let mut owned: Vec<Digest128> = next.iter().map(|(d, _)| *d).collect();
+                            owned.extend(level[g * CAS_FANOUT..].iter().map(|(d, _)| *d));
+                            self.cas_release(ctx, owned);
+                            return Err(e);
                         }
                     }
-                    Err(e) => {
-                        // Release everything this upload still owns: the
-                        // roots built so far plus the unconsumed tail.
-                        let mut owned: Vec<Digest128> = next.iter().map(|(d, _)| *d).collect();
-                        owned.extend(level[g * CAS_FANOUT..].iter().map(|(d, _)| *d));
-                        self.cas_release(ctx, owned);
-                        return Err(e);
-                    }
-                }
-                next.push((digest, span));
-            }
+                    next.push((digest, span));
+                    Ok(())
+                })
+            })?;
             level = next;
             depth += 1;
         }
@@ -1054,22 +1061,26 @@ impl H2Middleware {
         let obj = self.with_retry(ctx, Content, "get_manifest", |ctx| self.store.get(ctx, src))?;
         if obj.meta.get("content-type").map(String::as_str) != Some(CONTENT_TYPE_CAS) {
             // Not block-plane content (written before the knob): plain copy.
-            return self.store.copy(ctx, src, dst);
+            return ctx.in_stage(Content, |ctx| self.store.copy(ctx, src, dst));
         }
         let s = obj.payload.as_str().ok_or_else(|| {
             H2Error::Corrupt(format!("cas manifest {src} is not a string object"))
         })?;
         let m = formatter::cas_manifest_from_str(s)?;
+        // The increfs are one bounded parallel wave; the first failure
+        // stops it, and exactly the references taken before it roll back.
         let mut taken = 0usize;
-        for (d, _) in &m.entries {
-            match self.store.cas_incref(ctx, &d.to_hex()) {
-                Ok(()) => taken += 1,
-                Err(e) => {
-                    let owned = m.entries[..taken].iter().map(|(d, _)| *d).collect();
-                    self.cas_release(ctx, owned);
-                    return Err(e);
-                }
-            }
+        let increfs = ctx.in_stage(Content, |ctx| {
+            ctx.parallel(m.entries.len(), |ctx, i| {
+                self.store.cas_incref(ctx, &m.entries[i].0.to_hex())?;
+                taken += 1;
+                Ok(())
+            })
+        });
+        if let Err(e) = increfs {
+            let owned = m.entries[..taken].iter().map(|(d, _)| *d).collect();
+            self.cas_release(ctx, owned);
+            return Err(e);
         }
         let new = formatter::CasManifest {
             stamp: self.next_part_stamp(),
@@ -1080,21 +1091,31 @@ impl H2Middleware {
 
     /// Release one reference to each root, cascading through branch blocks
     /// whose count reaches zero (their children lose their referrer too).
-    /// Iterative worklist — never holds two block op stripes at once.
+    /// Level by level: a level's decrefs are one bounded parallel wave, and
+    /// the children of the branches it reclaimed are the next level. Items
+    /// run one after another, so none holds two block op stripes at once.
     /// Best-effort: a failure strands unreachable blocks, never an error.
     fn cas_release(&self, ctx: &mut OpCtx, mut work: Vec<Digest128>) {
-        while let Some(d) = work.pop() {
-            let Ok(Some(obj)) = self.store.cas_decref(ctx, &d.to_hex()) else {
-                continue;
-            };
-            // The block was reclaimed; if it was a branch, cascade.
-            if let Some(s) = obj.payload.as_str() {
-                if s.starts_with(formatter::CAS_BRANCH_MAGIC) {
-                    if let Ok(children) = formatter::cas_branch_from_str(s) {
-                        work.extend(children.into_iter().map(|(d, _)| d));
+        while !work.is_empty() {
+            let mut next = Vec::new();
+            // Items never fail: a decref error strands its block.
+            let _ = ctx.in_stage(Content, |ctx| {
+                ctx.parallel(work.len(), |ctx, i| {
+                    let Ok(Some(obj)) = self.store.cas_decref(ctx, &work[i].to_hex()) else {
+                        return Ok(());
+                    };
+                    // The block was reclaimed; if it was a branch, cascade.
+                    if let Some(s) = obj.payload.as_str() {
+                        if s.starts_with(formatter::CAS_BRANCH_MAGIC) {
+                            if let Ok(children) = formatter::cas_branch_from_str(s) {
+                                next.extend(children.into_iter().map(|(d, _)| d));
+                            }
+                        }
                     }
-                }
-            }
+                    Ok(())
+                })
+            });
+            work = next;
         }
     }
 

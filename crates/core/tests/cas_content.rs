@@ -267,3 +267,231 @@ fn large_write_charges_its_blocks_to_the_content_stage() {
         );
     }
 }
+
+// ----- reclamation waves -----------------------------------------------------
+//
+// The tests below run the tuned profile on the paper's cluster
+// (`ClusterConfig::default()`): a block DELETE or PUT costs 12 ms, a HEAD
+// 9.5 ms, and a parallel section runs 32 items per wave.
+
+/// One op on a fresh context: its request counts, virtual time and split.
+fn spend(fs: &H2Cloud, op: impl FnOnce(&mut OpCtx)) -> OpCtx {
+    let mut ctx = OpCtx::new(fs.cost_model());
+    op(&mut ctx);
+    ctx
+}
+
+fn counts(gets: u64, puts: u64, deletes: u64, heads: u64) -> h2util::BackendCounts {
+    h2util::BackendCounts {
+        gets,
+        puts,
+        deletes,
+        heads,
+        ..h2util::BackendCounts::default()
+    }
+}
+
+#[test]
+fn block_reclaims_and_increfs_are_content_time_not_op_time() {
+    // A CAS delete's block reclaims and a COPY's increfs are content I/O:
+    // the op slot holds the op's own work (path resolution, 4.84 ms here)
+    // however many blocks the op touches.
+    use h2util::trace::Stage;
+    use std::time::Duration;
+    let fs = H2Cloud::new(H2Config::tuned());
+    let mut ctx = OpCtx::new(fs.cost_model());
+    fs.create_account(&mut ctx, "alice").unwrap();
+    fs.write(
+        &mut ctx,
+        "alice",
+        &p("/big"),
+        FileContent::Simulated(24 << 20),
+    )
+    .unwrap();
+    let blocks = fs.cluster().cas_live_blocks();
+    assert_eq!(blocks, 12);
+    let op_slot = |op: &dyn Fn(&mut OpCtx)| spend(&fs, op).stage_times().get(Stage::Op);
+    let copy = op_slot(&|ctx| fs.copy(ctx, "alice", &p("/big"), &p("/big.copy")).unwrap());
+    // The copy's delete reclaims nothing; the original's reclaims all 12.
+    let shared = op_slot(&|ctx| fs.delete_file(ctx, "alice", &p("/big.copy")).unwrap());
+    assert_eq!(fs.cluster().cas_live_blocks(), blocks);
+    let last = op_slot(&|ctx| fs.delete_file(ctx, "alice", &p("/big")).unwrap());
+    assert_eq!(fs.cluster().cas_live_blocks(), 0);
+    assert_eq!(shared, Duration::from_micros(4_840));
+    assert_eq!(last, shared);
+    assert_eq!(copy, shared);
+
+    // The paper profile's whole-object COPY is one server-side COPY, and
+    // it is content time too.
+    let fs = H2Cloud::new(H2Config::default());
+    let mut ctx = OpCtx::new(fs.cost_model());
+    fs.create_account(&mut ctx, "alice").unwrap();
+    fs.write(
+        &mut ctx,
+        "alice",
+        &p("/big"),
+        FileContent::Simulated(24 << 20),
+    )
+    .unwrap();
+    let copy = spend(&fs, |ctx| {
+        fs.copy(ctx, "alice", &p("/big"), &p("/big.copy")).unwrap()
+    });
+    assert_eq!(copy.counts().copies, 1);
+    assert_eq!(
+        copy.stage_times().get(Stage::Content),
+        fs.cost_model().copy_cost(24 << 20)
+    );
+}
+
+#[test]
+fn reclamation_fans_out_one_wave_per_level() {
+    // Each op's requests are exactly those of one-at-a-time loops; only
+    // the modelled wall time is a wave's. Each expected time is the serial
+    // loops' time less what the waves overlap.
+    use std::time::Duration;
+    let fs = H2Cloud::new(H2Config::tuned());
+    let mut ctx = OpCtx::new(fs.cost_model());
+    fs.create_account(&mut ctx, "alice").unwrap();
+    let write = |path: &str, size: u64| {
+        spend(&fs, |ctx| {
+            fs.write(ctx, "alice", &p(path), FileContent::Simulated(size))
+                .unwrap()
+        })
+    };
+    let delete = |path: &str| spend(&fs, |ctx| fs.delete_file(ctx, "alice", &p(path)).unwrap());
+    // Two 24 MiB files: /big is 12 leaf blocks, /b 13.
+    write("/big", 24 << 20);
+    write("/b", 24 << 20);
+    assert_eq!(fs.cluster().cas_live_blocks(), 25);
+    let ms = |ms: f64| Duration::from_nanos((ms * 1e6).round() as u64);
+    let mut got = Vec::new();
+    let mut record = |op: &str, ctx: OpCtx| got.push((op.to_string(), ctx.counts(), ctx.elapsed()));
+
+    // COPY: 12 increfs (HEADs) in one wave.
+    record(
+        "copy",
+        spend(&fs, |ctx| {
+            fs.copy(ctx, "alice", &p("/big"), &p("/big.copy")).unwrap()
+        }),
+    );
+    // Overwrite /b with 20 MiB: 10 leaves are shared (HEADs), one is new,
+    // and the displaced generation's 3 other leaves are reclaimed in one
+    // release wave.
+    record("overwrite", write("/b", 20 << 20));
+    // The copy's delete reclaims nothing; the last delete of /big reclaims
+    // its 12 leaves in one wave.
+    record("delete copy", delete("/big.copy"));
+    record("last delete", delete("/big"));
+    // /b's 20 MiB: its 10 shared leaves and one new one.
+    assert_eq!(fs.cluster().cas_live_blocks(), 11);
+
+    // Wider than CAS_FANOUT: a 512 MiB file's leaves sit under branch
+    // blocks. Its write PUTs its branch level as one wave; its delete
+    // reclaims the branches in one release wave and their leaves in the
+    // next, 32 to a wave.
+    record("wide write", write("/wide", 512 << 20));
+    record("wide delete", delete("/wide"));
+    assert_eq!(fs.cluster().cas_live_blocks(), 11);
+
+    let want = [
+        // 12 HEADs of 9.5 ms overlap: 210.412 ms serial.
+        ("copy", counts(3, 3, 1, 12), ms(210.412 - 11.0 * 9.5)),
+        // 3 reclaims of 12 ms overlap: 145.132 ms serial.
+        ("overwrite", counts(2, 4, 4, 10), ms(145.132 - 2.0 * 12.0)),
+        // Reclaims nothing: the tombstone patch and the manifest delete.
+        ("delete copy", counts(2, 2, 2, 0), ms(86.888)),
+        // 12 reclaims overlap: 230.888 ms serial.
+        (
+            "last delete",
+            counts(2, 2, 14, 0),
+            ms(230.888 - 11.0 * 12.0),
+        ),
+        // 242 leaves under 2 branches; the branch PUTs overlap, so the
+        // cheaper one (12.06 ms: 3 ms request, 9 ms write, 5 KiB at
+        // 12 µs/KiB) drops out of 585.436 ms serial.
+        ("wide write", counts(2, 247, 1, 0), ms(585.436 - 12.06)),
+        // The delete copy's 86.888 ms, one wave for the 2 branches and
+        // ceil(242 / 32) = 8 waves for the leaves: 3014.888 ms serial
+        // (244 × 12 ms of reclaims).
+        (
+            "wide delete",
+            counts(2, 2, 246, 0),
+            ms(86.888 + 12.0 + 8.0 * 12.0),
+        ),
+    ]
+    .map(|(op, c, t)| (op.to_string(), c, t));
+    assert_eq!(got, want);
+}
+
+#[test]
+fn seeded_faults_draw_the_same_over_cas_reclamation_and_gc() {
+    // The waves issue the requests of the serial loops they replaced, in
+    // the same order, so a seeded fault plan draws, fails and slows down
+    // exactly the same requests: the acks, the fault stats, the GC report
+    // and every request count are those of the serial loops. Only the
+    // modelled time fell.
+    use h2util::faults::{FaultPlan, FaultSpec, FaultStats};
+    use h2util::Timestamp;
+    use std::time::Duration;
+    let fs = H2Cloud::new(H2Config::tuned());
+    let mut ctx = OpCtx::new(fs.cost_model());
+    fs.create_account(&mut ctx, "alice").unwrap();
+    fs.mkdir(&mut ctx, "alice", &p("/d")).unwrap();
+    let spec = FaultSpec::errors(0.05).with_slow(0.05, Duration::from_millis(3));
+    fs.cluster()
+        .set_fault_plan(Some(FaultPlan::uniform(42, spec).with_replica_errors(0.05)));
+    let mut acks = String::new();
+    let mut ops = OpCtx::new(fs.cost_model());
+    let mut ack = |ok: bool| acks.push(if ok { '+' } else { '-' });
+    for i in 0..6 {
+        let f = p(&format!("/d/f{i}"));
+        let g = p(&format!("/g{i}"));
+        let ctx = &mut ops;
+        ack(fs
+            .write(ctx, "alice", &f, FileContent::Simulated(24 << 20))
+            .is_ok());
+        ack(fs.copy(ctx, "alice", &f, &g).is_ok());
+        ack(fs
+            .write(ctx, "alice", &f, FileContent::Simulated(20 << 20))
+            .is_ok());
+        ack(fs.delete_file(ctx, "alice", &g).is_ok());
+    }
+    ack(fs.rmdir(&mut ops, "alice", &p("/d")).is_ok());
+    let mut gc = OpCtx::new(fs.cost_model());
+    let horizon = Timestamp::new(u64::MAX, 0, h2util::NodeId(0));
+    let report = h2cloud::gc::collect(&fs, &mut gc, "alice", horizon).unwrap();
+
+    let stats = FaultStats {
+        draws: 1048,
+        errors: 22,
+        slowdowns: 12,
+        torn: 0,
+        replica_errors: 35,
+    };
+    let gc_report = h2cloud::gc::GcReport {
+        tuples_compacted: 3,
+        objects_deleted: 8,
+        rings_rewritten: 1,
+    };
+    assert_eq!(
+        (
+            acks.as_str(),
+            ops.counts(),
+            report,
+            gc.counts(),
+            fs.cluster().fault_stats(),
+            fs.cluster().cas_live_blocks()
+        ),
+        (
+            "+++++-+-+-+-+++++-+-+-+-+",
+            counts(40, 125, 36, 101),
+            gc_report,
+            counts(0, 1, 70, 0),
+            Some(stats),
+            0
+        )
+    );
+    // Serial loops: 2 787.231366 ms and 864.242519 ms.
+    assert_eq!(ops.elapsed(), Duration::from_nanos(2_265_731_366));
+    assert_eq!(gc.elapsed(), Duration::from_nanos(69_242_519));
+}

@@ -840,7 +840,9 @@ fn flat_directory_maintenance_requests_and_virtual_time_are_pinned() {
     assert_eq!(ops.elapsed(), Duration::from_nanos(2_605_996_000));
     // The ring comes from the ring cache; the content deletes were eager.
     assert_eq!(gc.counts(), counts(0, 1, 32));
-    assert_eq!(gc.elapsed(), Duration::from_nanos(397_776_000));
+    // The 32 content DELETEs (12 ms each, NotFound) are one wave: a
+    // serial pass spent 397.776 ms, 31 × 12 ms more.
+    assert_eq!(gc.elapsed(), Duration::from_nanos(25_776_000));
     // The owner merges the 64 patches in one cycle (fetch each, fetch and
     // rewrite the ring, delete each); each peer fetches the ring once.
     let spend: Vec<(Duration, BackendCounts)> = fs
@@ -852,6 +854,62 @@ fn flat_directory_maintenance_requests_and_virtual_time_are_pinned() {
     let peer = (Duration::from_nanos(11_300_000), counts(1, 0, 0));
     let owner = (Duration::from_nanos(1_416_856_000), counts(65, 1, 64));
     assert_eq!(spend, [peer, owner, peer, peer]);
+}
+
+/// `rmdir` of a directory holding three files and a subdirectory of three
+/// more, then a GC pass, under the tuned profile on the paper's rack. The
+/// pass deletes what a serial walk deleted — the report and every request
+/// are pinned — while each dead ring's children go as one wave.
+#[test]
+fn gc_of_a_removed_tree_reclaims_each_ring_in_one_wave() {
+    use h2util::{BackendCounts, Timestamp};
+    use std::time::Duration;
+
+    let fs = H2Cloud::new(H2Config::tuned());
+    let mut setup = OpCtx::new(fs.cost_model());
+    fs.create_account(&mut setup, "alice").unwrap();
+    fs.mkdir(&mut setup, "alice", &p("/d")).unwrap();
+    fs.mkdir(&mut setup, "alice", &p("/d/sub")).unwrap();
+    for i in 0..3 {
+        let (f, g) = (format!("/d/f{i}"), format!("/d/sub/g{i}"));
+        fs.write(&mut setup, "alice", &p(&f), FileContent::Simulated(4 << 20))
+            .unwrap();
+        fs.write(&mut setup, "alice", &p(&g), FileContent::Simulated(2 << 20))
+            .unwrap();
+    }
+    fs.rmdir(&mut setup, "alice", &p("/d")).unwrap();
+    let mut gc = OpCtx::new(fs.cost_model());
+    let horizon = Timestamp::new(u64::MAX, 0, h2util::NodeId(0));
+    let report = h2cloud::gc::collect(&fs, &mut gc, "alice", horizon).unwrap();
+
+    assert_eq!(
+        report,
+        h2cloud::gc::GcReport {
+            tuples_compacted: 1,
+            objects_deleted: 10,
+            rings_rewritten: 1,
+        }
+    );
+    // The root ring's rewrite; then 6 manifests, 12 leaf blocks, 2 rings
+    // and 2 descriptors.
+    assert_eq!(
+        gc.counts(),
+        BackendCounts {
+            puts: 1,
+            deletes: 22,
+            ..BackendCounts::default()
+        }
+    );
+    assert_eq!(fs.cluster().cas_live_blocks(), 0);
+    assert_eq!(fs.storage_stats().objects, 1);
+    // The root ring's rewrite (12.012 ms); for each dead ring, one wave of
+    // its children (a file's manifest delete and its one release wave,
+    // 2 × 12 ms) and the ring's delete (12 ms); then /d's descriptor
+    // (12 ms). A serial walk spent 12.012 + 22 × 12 = 276.012 ms.
+    assert_eq!(
+        gc.elapsed(),
+        Duration::from_nanos(12_012_000 + 2 * (24_000_000 + 12_000_000) + 12_000_000)
+    );
 }
 
 // ----- detailed listing of a large flat directory ---------------------------
