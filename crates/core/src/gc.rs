@@ -385,6 +385,52 @@ mod tests {
     }
 
     #[test]
+    fn gc_drops_every_per_ring_entry_of_a_dead_tree() {
+        // Every middleware's per-ring state for a reclaimed directory goes
+        // with it: a churning tree must not leave one entry per directory
+        // it ever held.
+        let paper = H2Config {
+            cluster: swiftsim::ClusterConfig::tiny(),
+            ..H2Config::default()
+        };
+        for profile in [paper, H2Config::for_test()] {
+            let fs = H2Cloud::new(H2Config {
+                middlewares: 3,
+                ..profile
+            });
+            let mut ctx = OpCtx::for_test();
+            fs.create_account(&mut ctx, "alice").unwrap();
+            let entries = || {
+                fs.layer()
+                    .middlewares()
+                    .iter()
+                    .map(|mw| mw.ring_state_entries())
+                    .collect::<Vec<_>>()
+            };
+            fs.mkdir(&mut ctx, "alice", &p("/keep")).unwrap();
+            fs.quiesce();
+            let recorded = entries();
+            for i in 0..8 {
+                fs.mkdir(&mut ctx, "alice", &p(&format!("/d{i}"))).unwrap();
+                fs.write(
+                    &mut ctx,
+                    "alice",
+                    &p(&format!("/d{i}/f")),
+                    FileContent::from_str("x"),
+                )
+                .unwrap();
+            }
+            fs.quiesce();
+            for i in 0..8 {
+                fs.rmdir(&mut ctx, "alice", &p(&format!("/d{i}"))).unwrap();
+            }
+            fs.quiesce();
+            collect(&fs, &mut ctx, "alice", far_future()).unwrap();
+            assert_eq!(entries(), recorded);
+        }
+    }
+
+    #[test]
     fn gc_is_idempotent() {
         let (fs, mut ctx) = setup();
         fs.mkdir(&mut ctx, "alice", &p("/d")).unwrap();

@@ -6,7 +6,8 @@
 //! * the **File Descriptor Cache** — one descriptor per NameRing this node
 //!   has touched, tracking the node's local (possibly not yet globally
 //!   merged) version of the ring and the chain of submitted-but-unmerged
-//!   patches (§3.3.2 phase 2, step 1);
+//!   patches (§3.3.2 phase 2, step 1), plus the ring's merge gate and
+//!   group-commit queue — the only per-ring maintenance state a node keeps;
 //! * the **Background Merger** — merges a node's patch chain into one "big"
 //!   patch and folds it into the NameRing object in the cloud;
 //! * the **Gossip Arrangement** — emits `(N_i, H_j, t_k)` update
@@ -25,7 +26,7 @@
 //!   runs, the paper's actual asynchronous protocol.
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use h2util::chunker::{self, ChunkParams};
@@ -113,72 +114,6 @@ pub struct GossipMsg {
     pub version: Timestamp,
 }
 
-/// The patch chain: patch numbers submitted but not yet merged, with an
-/// O(1) membership index.
-///
-/// Acking a patch used to run `pending.retain(|&no| no != patch_no)` — a
-/// linear scan under the descriptor lock, O(chain) per acked patch and
-/// O(chain²) across a deep chain. The index makes removal a swap-remove
-/// plus one index fix-up. Physical order in `order` is *not* submission
-/// order after a removal; [`PatchChain::take`] sorts on drain, and patch
-/// numbers are allocated monotonically, so merge cycles still walk the
-/// chain in submission order — order is preserved everywhere it is
-/// observable (the merge itself is a commutative CRDT join regardless).
-#[derive(Debug, Default)]
-struct PatchChain {
-    order: Vec<u32>,
-    pos: HashMap<u32, usize>,
-}
-
-impl PatchChain {
-    fn push(&mut self, no: u32) {
-        if self.pos.contains_key(&no) {
-            return;
-        }
-        self.pos.insert(no, self.order.len());
-        self.order.push(no);
-    }
-
-    /// O(1) removal: swap-remove and re-point the moved element's index.
-    fn remove(&mut self, no: u32) {
-        if let Some(idx) = self.pos.remove(&no) {
-            self.order.swap_remove(idx);
-            if let Some(&moved) = self.order.get(idx) {
-                self.pos.insert(moved, idx);
-            }
-        }
-    }
-
-    fn contains(&self, no: u32) -> bool {
-        self.pos.contains_key(&no)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// Drain the chain in submission order (patch numbers are monotone).
-    fn take(&mut self) -> Vec<u32> {
-        self.pos.clear();
-        let mut chain = std::mem::take(&mut self.order);
-        chain.sort_unstable();
-        chain
-    }
-
-    /// Re-chain numbers after a failed merge cycle (order is restored by
-    /// the sort in `take`, so a plain re-insert suffices).
-    fn restore(&mut self, chain: &[u32]) {
-        for &no in chain {
-            self.push(no);
-        }
-    }
-}
-
 /// What one Background Merger sweep accomplished.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MergeOutcome {
@@ -196,8 +131,10 @@ impl MergeOutcome {
     }
 }
 
-/// Per-NameRing state in the File Descriptor Cache.
-#[derive(Debug, Default)]
+/// Per-NameRing state in the File Descriptor Cache: the only record this
+/// node keeps about a ring it maintains, so dropping the descriptor drops
+/// all of it.
+#[derive(Default)]
 struct FileDescriptor {
     /// This node's local version of the ring (its own submitted patches are
     /// always folded in, giving read-your-writes on this middleware).
@@ -205,10 +142,57 @@ struct FileDescriptor {
     /// tuple map; writers go through `Arc::make_mut`.
     local: Arc<NameRing>,
     /// Patch numbers submitted but not yet merged (the patch chain,
-    /// starting at 0 like the paper's "patch No. 0").
-    pending: PatchChain,
+    /// starting at 0 like the paper's "patch No. 0"). Numbers are handed
+    /// out monotonically, so set order is submission order.
+    pending: BTreeSet<u32>,
     /// Next patch number to hand out.
     next_patch: u32,
+    /// The ring's merge gate and commit queue, built together on first
+    /// use: rings this node only hears of through gossip never need them.
+    sync: Option<Arc<RingSync>>,
+}
+
+impl FileDescriptor {
+    /// The ring's merge gate and commit queue.
+    fn sync(&mut self) -> Arc<RingSync> {
+        Arc::clone(self.sync.get_or_insert_with(Default::default))
+    }
+
+    /// §3.3.2's loop-back avoidance: the local version is already at least
+    /// as new as `version`, so a notification carrying it is no news.
+    fn knows(&self, version: Timestamp) -> bool {
+        self.local.version() >= version
+    }
+
+    /// Fold the global ring into the local version. A global ring that
+    /// already holds everything the local one does becomes the local ring
+    /// as it is; otherwise the two are joined into a copy, which is
+    /// returned: this node knew updates the global object lacks.
+    fn absorb(&mut self, global: Arc<NameRing>) -> Option<Arc<NameRing>> {
+        if global.subsumes(&self.local) {
+            self.local = global;
+            return None;
+        }
+        let joined = Arc::new(NameRing::merged((*global).clone(), &self.local));
+        self.local = Arc::clone(&joined);
+        Some(joined)
+    }
+}
+
+/// A ring's two serialisation points on this node.
+#[derive(Default)]
+struct RingSync {
+    /// One merge cycle at a time: a cycle is a read-modify-write of the
+    /// ring object, so two concurrent cycles on this node could overwrite
+    /// each other. (Cycles on *different* nodes are reconciled by gossip,
+    /// by design.)
+    merge: Mutex<()>,
+    /// Group commit: arrivals enqueue their patch; whoever finds the queue
+    /// idle becomes the commit leader, drains the batch, performs one
+    /// combined submission, posts per-ticket results and wakes the waiters
+    /// parked on `committed`.
+    commit: Mutex<CommitState>,
+    committed: Condvar,
 }
 
 /// Key of a per-(account, namespace) entry. It shares the account name
@@ -339,16 +323,7 @@ struct CommitResult {
     cost: std::time::Duration,
 }
 
-/// Per-ring group-commit coordination point. Arrivals enqueue their patch;
-/// whoever finds the queue idle becomes the commit leader, drains the
-/// batch, performs one combined submission, posts per-ticket results and
-/// wakes the waiters parked on `cv`.
-#[derive(Default)]
-struct CommitQueue {
-    state: Mutex<CommitState>,
-    cv: Condvar,
-}
-
+/// A ring's group-commit queue ([`RingSync::commit`]).
 #[derive(Default)]
 struct CommitState {
     /// True while a leader is processing; arrivals during that window park.
@@ -421,17 +396,10 @@ pub struct H2Middleware {
     /// ring-cache stripe, so the cached copy and its stamp change together.
     cached_ms: Mutex<FdMap<u64>>,
     fds: Mutex<FdMap<FileDescriptor>>,
-    /// Per-ring merge serialisation: a merge cycle is a read-modify-write
-    /// of the ring object, so two concurrent cycles for the same ring on
-    /// this node could overwrite each other. (Cycles on *different* nodes
-    /// are reconciled by gossip, by design.)
-    merge_locks: Mutex<FdMap<Arc<Mutex<()>>>>,
     /// When true, concurrent `submit_patch` calls against the same ring
     /// coalesce behind a per-ring commit leader (one combined patch PUT per
-    /// batch) instead of each issuing their own PUT.
+    /// batch); when false, every submission is a batch of one.
     group_commit: bool,
-    /// Per-ring group-commit queues (populated lazily, like `merge_locks`).
-    commit_queues: Mutex<FdMap<Arc<CommitQueue>>>,
     /// Write-generation counter for CAS manifest stamps; combined with the
     /// node id so generations are unique across middlewares.
     part_stamp: std::sync::atomic::AtomicU64,
@@ -519,9 +487,7 @@ impl H2Middleware {
             ns_epochs: RwLock::new(HashMap::default()),
             cached_ms: Mutex::new(FdMap::default()),
             fds: Mutex::new(FdMap::default()),
-            merge_locks: Mutex::new(FdMap::default()),
             group_commit: cfg.group_commit,
-            commit_queues: Mutex::new(FdMap::default()),
             part_stamp: std::sync::atomic::AtomicU64::new(0),
             cas: cfg.cas,
             ring_fetches,
@@ -1407,11 +1373,21 @@ impl H2Middleware {
 
     /// GC notification: the ring object for `(account, ns)` was deleted
     /// (its directory is unreachable). Drop every bit of local state that
-    /// refers to it, so this middleware can't write the dead ring back.
+    /// refers to it — the descriptor, with its chain, merge gate and commit
+    /// queue, and the cached copy — so this middleware can't write the dead
+    /// ring back.
     pub fn forget_ring(&self, account: &str, ns: NamespaceId) {
         let key = FdKey::of(account, ns);
         self.fds.lock().remove(&key);
         self.drop_cached(&key);
+    }
+
+    /// Entries across this middleware's per-ring maintenance maps — the
+    /// descriptor cache is the only one. (The ring cache and its write
+    /// stamps are caches, which GC notifications prune on their own.)
+    #[cfg(test)]
+    pub(crate) fn ring_state_entries(&self) -> usize {
+        self.fds.lock().len()
     }
 
     /// NameRing-cache `(hits, misses)` so far (zeros when disabled).
@@ -1471,10 +1447,7 @@ impl H2Middleware {
                     if self.cache_counters.is_some() {
                         ctx.span_note("ring_cache", || Note::Str("miss"));
                     }
-                    let (global, ms) = self.fetch_ring_stamped(ctx, keys, ns)?;
-                    let global = Arc::new(global);
-                    self.cache_store_fetched(&key, &global, ms);
-                    (global, false)
+                    (self.fetch_to_cache(ctx, keys, &key)?, false)
                 }
             };
             let overlay = self.fds.lock().get(&key).map(|fd| Arc::clone(&fd.local));
@@ -1514,6 +1487,15 @@ impl H2Middleware {
             }
             None => (NameRing::new(), true),
         })
+    }
+
+    /// The global ring for `key`, fetched from the cloud and stored in the
+    /// NameRing cache (see [`Self::cache_store_fetched`]).
+    fn fetch_to_cache(&self, ctx: &mut OpCtx, keys: &H2Keys, key: &FdKey) -> Result<Arc<NameRing>> {
+        let (ring, ms) = self.fetch_ring_stamped(ctx, keys, key.ns)?;
+        let ring = Arc::new(ring);
+        self.cache_store_fetched(key, &ring, ms);
+        Ok(ring)
     }
 
     /// GET and parse the ring object, with the write stamp of the copy
@@ -1615,12 +1597,11 @@ impl H2Middleware {
     /// and fold it into the local version immediately. In Eager mode the
     /// merge into the global ring happens here too.
     ///
-    /// With group commit enabled, concurrent submissions against the same
-    /// ring coalesce: one leader joins the waiting patches into a single
-    /// combined patch object, allocates the batch a contiguous patch-number
-    /// range, and performs one PUT (plus, in Eager mode, one merge) on
-    /// behalf of everyone — waiters park on a condvar and wake with the
-    /// shared result.
+    /// Every submission is one `commit_batch`. Without group commit it is
+    /// a batch of one. With it, concurrent submissions against the same
+    /// ring coalesce: one leader commits the waiting patches as one batch
+    /// on behalf of everyone — waiters park on the ring's condvar and wake
+    /// with the shared result.
     pub fn submit_patch(
         &self,
         ctx: &mut OpCtx,
@@ -1629,108 +1610,16 @@ impl H2Middleware {
         patch: NameRing,
     ) -> Result<()> {
         ctx.charge_time(self.store.cost_model().patch_submit_cpu);
-        if self.group_commit {
-            self.submit_patch_grouped(ctx, keys, ns, patch)
-        } else {
-            self.submit_patch_direct(ctx, keys, ns, patch)
+        if !self.group_commit {
+            return self.commit_batch(ctx, keys, ns, std::iter::once(patch));
         }
-    }
-
-    fn submit_patch_direct(
-        &self,
-        ctx: &mut OpCtx,
-        keys: &H2Keys,
-        ns: NamespaceId,
-        patch: NameRing,
-    ) -> Result<()> {
-        let key = FdKey::new(keys, ns);
-        // Allocate the patch number AND chain it in one critical section,
-        // before the PUT. If it only entered the chain after the PUT (as an
-        // earlier revision did), there was a window in which the patch was
-        // invisible to `pending_descriptors` — `is_quiescent` could report
-        // a quiet layer while a submitted update had reached neither the
-        // chain nor the local ring.
-        let patch_no = {
-            let mut fds = self.fds.lock();
-            let fd = fds.entry(key.clone()).or_default();
-            let no = fd.next_patch;
-            fd.next_patch += 1;
-            fd.pending.push(no);
-            no
-        };
-        let put = self.put_patch_object(ctx, keys, ns, patch_no, &patch);
-        self.settle_patch(&key, patch_no, &patch, &put);
-        put?;
-        if self.mode == MaintenanceMode::Eager {
-            self.merge_ns(ctx, keys, ns)?;
-        }
-        Ok(())
-    }
-
-    /// Serialise and PUT one patch object (payload built once; retries
-    /// re-send the same shared bytes).
-    fn put_patch_object(
-        &self,
-        ctx: &mut OpCtx,
-        keys: &H2Keys,
-        ns: NamespaceId,
-        patch_no: u32,
-        patch: &NameRing,
-    ) -> Result<()> {
-        let payload = Payload::from_string(formatter::patch_to_string(patch));
-        let patch_key = keys.patch(ns, self.node, patch_no);
-        self.with_retry(ctx, Ring, "submit_patch", |ctx| {
-            self.store
-                .put(ctx, &patch_key, payload.clone(), Meta::new())
-        })
-    }
-
-    /// Re-validate the descriptor under the lock once a patch PUT settled.
-    fn settle_patch(&self, key: &FdKey, patch_no: u32, patch: &NameRing, put: &Result<()>) {
-        {
-            let mut fds = self.fds.lock();
-            let fd = fds.entry(key.clone()).or_default();
-            match put {
-                Ok(()) => {
-                    Arc::make_mut(&mut fd.local).merge_from(patch);
-                    if !fd.pending.contains(patch_no) {
-                        // A concurrent merge cycle consumed the chain entry
-                        // while the PUT was in flight; it saw NotFound for
-                        // this patch object and skipped it, so the object
-                        // we just wrote is referenced by nothing. Re-chain
-                        // it: the next cycle merges and deletes it. (The
-                        // content is also safe in `fd.local`, which every
-                        // cycle folds in.)
-                        fd.pending.push(patch_no);
-                    }
-                }
-                Err(_) => {
-                    // The patch object never made it to the cloud: drop the
-                    // chain entry so the merger does not chase a ghost, and
-                    // skip the local fold so the failed write stays
-                    // invisible, like any other failed operation.
-                    fd.pending.remove(patch_no);
-                }
-            }
-        }
-        if put.is_ok() {
-            // The local overlay gained the patch: write-through
-            // invalidation for any path/negative entry under this ring.
-            self.bump_ns_epoch(key.ns);
-        }
-    }
-
-    /// Group-commit submission: enqueue the patch; lead or wait.
-    fn submit_patch_grouped(
-        &self,
-        ctx: &mut OpCtx,
-        keys: &H2Keys,
-        ns: NamespaceId,
-        patch: NameRing,
-    ) -> Result<()> {
-        let key = FdKey::new(keys, ns);
-        let queue = self.commit_queues.lock().entry(key).or_default().clone();
-        let mut st = queue.state.lock();
+        let sync = self
+            .fds
+            .lock()
+            .entry(FdKey::new(keys, ns))
+            .or_default()
+            .sync();
+        let mut st = sync.commit.lock();
         let ticket = st.next_ticket;
         st.next_ticket += 1;
         st.batch.push((ticket, patch));
@@ -1744,7 +1633,7 @@ impl H2Middleware {
                     ctx.charge_time(res.cost);
                     return res.outcome;
                 }
-                st = queue.cv.wait(st);
+                st = sync.committed.wait(st);
             }
         }
         // Leader: drain and commit batches until no new arrivals remain.
@@ -1752,10 +1641,16 @@ impl H2Middleware {
         loop {
             let batch = std::mem::take(&mut st.batch);
             drop(st);
-            let results = self.commit_batch(ctx, keys, ns, batch);
-            st = queue.state.lock();
-            st.results.extend(results);
-            queue.cv.notify_all();
+            let tickets: Vec<u64> = batch.iter().map(|(ticket, _)| *ticket).collect();
+            let start = ctx.elapsed();
+            let outcome = self.commit_batch(ctx, keys, ns, batch.into_iter().map(|(_, p)| p));
+            let cost = ctx.elapsed().saturating_sub(start);
+            st = sync.commit.lock();
+            st.results.extend(tickets.into_iter().map(|ticket| {
+                let outcome = outcome.clone();
+                (ticket, CommitResult { outcome, cost })
+            }));
+            sync.committed.notify_all();
             if st.batch.is_empty() {
                 st.busy = false;
                 break;
@@ -1770,53 +1665,74 @@ impl H2Middleware {
         own.outcome
     }
 
-    /// Commit one batch on the leader's context: join the patches into one
-    /// combined patch, allocate the batch a contiguous patch-number range
-    /// (only the base number carries an object — the combined PUT), chain
-    /// the base pre-PUT, perform the PUT, re-validate, and (Eager) merge.
-    /// Failure unwinding matches the single-patch path exactly: a failed
-    /// PUT unchains the base and skips the local fold, so the whole batch
+    /// Commit a batch of patches on the caller's context: join them into
+    /// one combined patch, allocate the batch a contiguous patch-number
+    /// range (only the base number carries an object — the combined PUT)
+    /// and chain the base, both in one critical section before the PUT,
+    /// then PUT, re-validate the descriptor and (Eager) merge. A failed PUT
+    /// unchains the base and skips the local fold, so the whole batch
     /// stays invisible.
+    ///
+    /// Chaining before the PUT keeps the batch visible to
+    /// `pending_descriptors` throughout, so `is_quiescent` never reports a
+    /// quiet layer while a submitted update has reached neither the chain
+    /// nor the local ring.
     fn commit_batch(
         &self,
         ctx: &mut OpCtx,
         keys: &H2Keys,
         ns: NamespaceId,
-        batch: Vec<(u64, NameRing)>,
-    ) -> Vec<(u64, CommitResult)> {
-        let start = ctx.elapsed();
-        let mut combined = NameRing::new();
-        for (_, patch) in &batch {
-            combined.merge_from(patch);
+        mut patches: impl ExactSizeIterator<Item = NameRing>,
+    ) -> Result<()> {
+        let count = patches.len() as u32;
+        let mut combined = patches.next().expect("a batch holds a patch");
+        for patch in patches {
+            combined.merge_from(&patch);
         }
         let key = FdKey::new(keys, ns);
         let base = {
             let mut fds = self.fds.lock();
             let fd = fds.entry(key.clone()).or_default();
             let base = fd.next_patch;
-            fd.next_patch += batch.len() as u32;
-            fd.pending.push(base);
+            fd.next_patch += count;
+            fd.pending.insert(base);
             base
         };
-        let put = self.put_patch_object(ctx, keys, ns, base, &combined);
-        self.settle_patch(&key, base, &combined, &put);
-        let mut outcome = put;
-        if outcome.is_ok() && self.mode == MaintenanceMode::Eager {
-            outcome = self.merge_ns(ctx, keys, ns).map(|_| ());
+        // Built once: retries re-send the same shared bytes.
+        let payload = Payload::from_string(formatter::patch_to_string(&combined));
+        let patch_key = keys.patch(ns, self.node, base);
+        let put = self.with_retry(ctx, Ring, "submit_patch", |ctx| {
+            self.store
+                .put(ctx, &patch_key, payload.clone(), Meta::new())
+        });
+        {
+            let mut fds = self.fds.lock();
+            let fd = fds.entry(key).or_default();
+            if put.is_ok() {
+                Arc::make_mut(&mut fd.local).merge_from(&combined);
+                // A concurrent merge cycle may have consumed the chain entry
+                // while the PUT was in flight; it saw NotFound for this
+                // patch object and skipped it, so the object just written
+                // is referenced by nothing. Re-chain it: the next cycle
+                // merges and deletes it. (The content is also safe in
+                // `fd.local`, which every cycle folds in.)
+                fd.pending.insert(base);
+            } else {
+                // The patch object never made it to the cloud: drop the
+                // chain entry so the merger does not chase a ghost, and
+                // skip the local fold so the failed write stays invisible,
+                // like any other failed operation.
+                fd.pending.remove(&base);
+            }
         }
-        let cost = ctx.elapsed().saturating_sub(start);
-        batch
-            .into_iter()
-            .map(|(ticket, _)| {
-                (
-                    ticket,
-                    CommitResult {
-                        outcome: outcome.clone(),
-                        cost,
-                    },
-                )
-            })
-            .collect()
+        put?;
+        // The local overlay gained the batch: write-through invalidation
+        // for any path/negative entry under this ring.
+        self.bump_ns_epoch(ns);
+        if self.mode == MaintenanceMode::Eager {
+            self.merge_ns(ctx, keys, ns)?;
+        }
+        Ok(())
     }
 
     /// How many descriptors have unmerged patch chains.
@@ -1843,19 +1759,18 @@ impl H2Middleware {
     }
 
     fn merge_ns_inner(&self, ctx: &mut OpCtx, keys: &H2Keys, ns: NamespaceId) -> Result<bool> {
-        // One merge cycle per ring at a time on this node.
         let key = FdKey::new(keys, ns);
-        let gate = self
-            .merge_locks
-            .lock()
-            .entry(key.clone())
-            .or_insert_with(|| Arc::new(Mutex::new(())))
-            .clone();
-        let _guard = gate.lock();
-        let chain: Vec<u32> = {
+        // One merge cycle per ring at a time on this node. The gate is taken
+        // even when the chain is empty: an Eager submitter whose patch an
+        // in-flight cycle already took must wait for that cycle to land it.
+        let Some(sync) = self.fds.lock().get_mut(&key).map(FileDescriptor::sync) else {
+            return Ok(false);
+        };
+        let _cycle = sync.merge.lock();
+        let chain = {
             let mut fds = self.fds.lock();
             match fds.get_mut(&key) {
-                Some(fd) if !fd.pending.is_empty() => fd.pending.take(),
+                Some(fd) if !fd.pending.is_empty() => std::mem::take(&mut fd.pending),
                 _ => return Ok(false),
             }
         };
@@ -1865,34 +1780,22 @@ impl H2Middleware {
         let ring = match self.merge_cycle(ctx, keys, ns, &chain) {
             Ok(ring) => ring,
             Err(e) => {
-                let mut fds = self.fds.lock();
-                let fd = fds.entry(key).or_default();
-                fd.pending.restore(&chain);
+                self.fds
+                    .lock()
+                    .entry(key)
+                    .or_default()
+                    .pending
+                    .extend(chain);
                 return Err(e);
             }
         };
         let version = ring.version();
-        {
-            let mut fds = self.fds.lock();
-            let fd = fds.entry(key).or_default();
-            // Monotone: a patch submitted while this merge was in flight
-            // must stay visible in the local version (its chain entry will
-            // carry it into the global object on the next cycle). When the
-            // written ring already holds everything the local one does,
-            // share it instead of joining into a copy.
-            if ring.subsumes(&fd.local) {
-                fd.local = Arc::clone(&ring);
-            } else {
-                Arc::make_mut(&mut fd.local).merge_from(&ring);
-            }
-        }
+        // Monotone: a patch submitted while this cycle was in flight stays
+        // in the local version, and its chain entry carries it into the
+        // global object on the next cycle — so the join is not written back.
+        self.fds.lock().entry(key).or_default().absorb(ring);
         self.bump_ns_epoch(ns);
-        self.outbox.lock().push(GossipMsg {
-            account: keys.account().to_string(),
-            ns,
-            from: self.node,
-            version,
-        });
+        self.announce(keys.account(), ns, version);
         Ok(true)
     }
 
@@ -1904,10 +1807,10 @@ impl H2Middleware {
         ctx: &mut OpCtx,
         keys: &H2Keys,
         ns: NamespaceId,
-        chain: &[u32],
+        chain: &BTreeSet<u32>,
     ) -> Result<Arc<NameRing>> {
-        // Walk the linked list: start with patch No. chain[0], repeatedly
-        // fetch the successor and merge the two.
+        // Walk the linked list: start with the lowest-numbered patch,
+        // repeatedly fetch the successor and merge the two.
         let mut big = NameRing::new();
         for &no in chain {
             let key = keys.patch(ns, self.node, no);
@@ -2001,6 +1904,32 @@ impl H2Middleware {
 
     // ----- gossip (§3.3.2 phase 2, step 2) ---------------------------------
 
+    /// Queue a gossip notification: this node's local version of
+    /// `(account, ns)` has been updated at `version`.
+    fn announce(&self, account: &str, ns: NamespaceId, version: Timestamp) {
+        self.outbox.lock().push(GossipMsg {
+            account: account.to_string(),
+            ns,
+            from: self.node,
+            version,
+        });
+    }
+
+    /// Write back a join in which this node's local version added updates
+    /// the global object lacked, and announce it: this node's information
+    /// is now part of the global version.
+    fn write_back(
+        &self,
+        ctx: &mut OpCtx,
+        keys: &H2Keys,
+        ns: NamespaceId,
+        joined: &Arc<NameRing>,
+    ) -> Result<()> {
+        self.put_global_ring(ctx, keys, ns, joined)?;
+        self.announce(keys.account(), ns, joined.version());
+        Ok(())
+    }
+
     /// Drain queued outbound gossip messages.
     pub fn take_outbox(&self) -> Vec<GossipMsg> {
         std::mem::take(&mut *self.outbox.lock())
@@ -2042,9 +1971,7 @@ impl H2Middleware {
             let fds = self.fds.lock();
             for (i, msg) in msgs.iter().enumerate() {
                 let key = FdKey::of(&msg.account, msg.ns);
-                let stale = fds
-                    .get(&key)
-                    .is_some_and(|fd| fd.local.version() >= msg.version);
+                let stale = fds.get(&key).is_some_and(|fd| fd.knows(msg.version));
                 if stale {
                     results[i] = Some(Ok(false));
                 } else {
@@ -2075,12 +2002,8 @@ impl H2Middleware {
             let mut fetched: Vec<(FdKey, Arc<NameRing>, Vec<usize>)> = Vec::new();
             for (key, idxs) in fresh {
                 let keys = H2Keys::new(&key.account);
-                match self.fetch_ring_stamped(ctx, &keys, key.ns) {
-                    Ok((global, ms)) => {
-                        let global = Arc::new(global);
-                        self.cache_store_fetched(&key, &global, ms);
-                        fetched.push((key, global, idxs));
-                    }
+                match self.fetch_to_cache(ctx, &keys, &key) {
+                    Ok(global) => fetched.push((key, global, idxs)),
                     Err(e) => {
                         first_error.get_or_insert_with(|| e.to_string());
                         for i in idxs {
@@ -2095,20 +2018,14 @@ impl H2Middleware {
             {
                 let mut fds = self.fds.lock();
                 for (key, global, idxs) in fetched {
-                    let fd = fds.entry(key.clone()).or_default();
                     applied_ns.push(key.ns);
-                    // One lockstep walk decides: a global ring that already
-                    // holds everything the local one does becomes the local
-                    // ring as it is; otherwise join into a copy and write back.
-                    if global.subsumes(&fd.local) {
-                        fd.local = global;
-                        for i in idxs {
-                            results[i] = Some(Ok(true));
+                    match fds.entry(key.clone()).or_default().absorb(global) {
+                        None => {
+                            for i in idxs {
+                                results[i] = Some(Ok(true));
+                            }
                         }
-                    } else {
-                        let merged = Arc::new(NameRing::merged((*global).clone(), &fd.local));
-                        fd.local = Arc::clone(&merged);
-                        writebacks.push((key, merged, idxs));
+                        Some(joined) => writebacks.push((key, joined, idxs)),
                     }
                 }
             }
@@ -2119,29 +2036,18 @@ impl H2Middleware {
             // write the join back and re-gossip (our information is now part
             // of the global version). A write-back failure fails only that
             // ring's messages; the local join above is idempotent on requeue.
-            for (key, local, idxs) in writebacks {
-                let keys = H2Keys::new(&key.account);
+            for (key, joined, idxs) in writebacks {
                 ctx.span_note("write_back", || {
                     Note::Str("local updates joined into global")
                 });
-                match self.put_global_ring(ctx, &keys, key.ns, &local) {
-                    Ok(()) => {
-                        self.outbox.lock().push(GossipMsg {
-                            account: key.account.to_string(),
-                            ns: key.ns,
-                            from: self.node,
-                            version: local.version(),
-                        });
-                        for i in idxs {
-                            results[i] = Some(Ok(true));
-                        }
-                    }
-                    Err(e) => {
-                        first_error.get_or_insert_with(|| e.to_string());
-                        for i in idxs {
-                            results[i] = Some(Err(e.clone()));
-                        }
-                    }
+                let outcome = self
+                    .write_back(ctx, &H2Keys::new(&key.account), key.ns, &joined)
+                    .map(|()| true);
+                if let Err(e) = &outcome {
+                    first_error.get_or_insert_with(|| e.to_string());
+                }
+                for i in idxs {
+                    results[i] = Some(outcome.clone());
                 }
             }
             first_error
@@ -2202,45 +2108,23 @@ impl H2Middleware {
             let mut refreshed = 0usize;
             for key in keys {
                 let h2keys = H2Keys::new(&key.account);
-                let global = match self.fetch_ring_stamped(ctx, &h2keys, key.ns) {
-                    Ok((g, ms)) => {
-                        let g = Arc::new(g);
-                        self.cache_store_fetched(&key, &g, ms);
-                        g
-                    }
+                let global = match self.fetch_to_cache(ctx, &h2keys, &key) {
+                    Ok(global) => global,
                     Err(e) => {
                         first_error.get_or_insert(e);
                         continue;
                     }
                 };
-                let (had_extra, merged) = {
-                    let mut fds = self.fds.lock();
-                    match fds.get_mut(&key) {
-                        Some(fd) if global.subsumes(&fd.local) => {
-                            fd.local = Arc::clone(&global);
-                            (false, global)
-                        }
-                        Some(fd) => {
-                            let merged = Arc::new(NameRing::merged((*global).clone(), &fd.local));
-                            fd.local = Arc::clone(&merged);
-                            (true, merged)
-                        }
-                        None => (false, global),
-                    }
-                };
+                let joined = self
+                    .fds
+                    .lock()
+                    .get_mut(&key)
+                    .and_then(|fd| fd.absorb(global));
                 self.bump_ns_epoch(key.ns);
                 refreshed += 1;
-                if had_extra {
-                    match self.put_global_ring(ctx, &h2keys, key.ns, &merged) {
-                        Ok(()) => self.outbox.lock().push(GossipMsg {
-                            account: key.account.to_string(),
-                            ns: key.ns,
-                            from: self.node,
-                            version: merged.version(),
-                        }),
-                        Err(e) => {
-                            first_error.get_or_insert(e);
-                        }
+                if let Some(joined) = joined {
+                    if let Err(e) = self.write_back(ctx, &h2keys, key.ns, &joined) {
+                        first_error.get_or_insert(e);
                     }
                 }
             }
@@ -2566,49 +2450,78 @@ mod tests {
     }
 
     #[test]
+    fn merge_drains_a_gapped_chain_in_order_and_restores_it() {
+        // Three submissions, the middle one's PUT failing: the chain loses
+        // its middle number, survives a failed merge whole, and a good
+        // merge then walks what is left in submission order.
+        let (cluster, mw, keys) = setup(MaintenanceMode::Deferred);
+        let mut ctx = OpCtx::for_test();
+        let set_down = |down: bool| {
+            for i in 0..4 {
+                cluster.set_node_down(h2ring::DeviceId(i), down);
+            }
+        };
+        let mut submit = |name: &str| {
+            let mut p = NameRing::new();
+            p.apply(name, Tuple::file(mw.tick(), 1));
+            mw.submit_patch(&mut ctx, &keys, ns(1), p)
+        };
+        submit("first").unwrap();
+        set_down(true);
+        assert!(submit("middle").is_err());
+        set_down(false);
+        submit("last").unwrap();
+        let mut ctx = OpCtx::for_test();
+        let patch_exists = |ctx: &mut OpCtx, no: u32| {
+            mw.store()
+                .get(ctx, &keys.patch(ns(1), NodeId(1), no))
+                .is_ok()
+        };
+        let patches = |ctx: &mut OpCtx| (0..3).map(|no| patch_exists(ctx, no)).collect::<Vec<_>>();
+        // Patch 1 never reached the cloud and left the chain.
+        assert_eq!(patches(&mut ctx), [true, false, true]);
+        assert_eq!(mw.pending_descriptors(), 1);
+        // A failed merge restores the chain.
+        set_down(true);
+        assert_eq!(mw.step_merges().failed, 1);
+        set_down(false);
+        assert_eq!(mw.pending_descriptors(), 1);
+        assert_eq!(patches(&mut ctx), [true, false, true]);
+        // The retry fetches patches 0 and 2, in that order.
+        ctx.begin_trace(Stage::Merge, "MERGE");
+        assert!(mw.merge_ns(&mut ctx, &keys, ns(1)).unwrap());
+        let spans = ctx.end_trace(None).unwrap();
+        let fetched: Vec<String> = spans
+            .iter()
+            .filter(|s| s.name == "GET")
+            .flat_map(|s| &s.notes)
+            .filter(|(k, _)| *k == "key")
+            .map(|(_, v)| v.to_string())
+            .filter(|k| k.contains(".Patch"))
+            .collect();
+        let key_of = |no| {
+            keys.patch(ns(1), NodeId(1), no)
+                .ring_key()
+                .as_str()
+                .to_string()
+        };
+        assert_eq!(fetched, [key_of(0), key_of(2)]);
+        // Drained: the global ring holds the first and last names, and no
+        // patch object is left.
+        assert_eq!(mw.pending_descriptors(), 0);
+        let g = mw.fetch_global_ring(&mut ctx, &keys, ns(1)).unwrap();
+        let names: Vec<&str> = g.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["first", "last"]);
+        assert_eq!(patches(&mut ctx), [false, false, false]);
+    }
+
+    #[test]
     fn namespaces_allocated_are_unique_per_middleware() {
         let (_c, mw, _keys) = setup(MaintenanceMode::Eager);
         let a = mw.allocate_namespace();
         let b = mw.allocate_namespace();
         assert_ne!(a, b);
         assert_eq!(a.node, NodeId(1));
-    }
-
-    #[test]
-    fn patch_chain_survives_many_pending_patches() {
-        // The chain must ack (remove) patches in arbitrary order without
-        // losing entries, and drain in submission order afterwards.
-        let mut chain = PatchChain::default();
-        for no in 0..200u32 {
-            chain.push(no);
-        }
-        assert_eq!(chain.len(), 200);
-        // Ack every third patch, front-biased — the pattern the old
-        // `retain` scan paid O(chain) for.
-        for no in (0..200u32).step_by(3) {
-            chain.remove(no);
-        }
-        for no in 0..200u32 {
-            assert_eq!(chain.contains(no), no % 3 != 0, "patch {no}");
-        }
-        // Removing a missing number is a no-op.
-        chain.remove(0);
-        chain.remove(999);
-        // Drain comes out sorted == submission order (numbers are monotone).
-        let drained = chain.take();
-        let expect: Vec<u32> = (0..200).filter(|n| n % 3 != 0).collect();
-        assert_eq!(drained, expect);
-        assert!(chain.is_empty());
-        // Restore after a failed merge keeps the set intact even if new
-        // numbers were pushed meanwhile.
-        chain.push(500);
-        chain.restore(&drained);
-        assert_eq!(chain.len(), expect.len() + 1);
-        assert!(chain.contains(500));
-        let redrained = chain.take();
-        let mut expect2 = expect.clone();
-        expect2.push(500);
-        assert_eq!(redrained, expect2);
     }
 
     fn setup_grouped(mode: MaintenanceMode) -> (Arc<Cluster>, Arc<H2Middleware>, H2Keys) {

@@ -11,6 +11,7 @@
 //! ([`converge_under_5pct_faults`]).
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 
@@ -21,7 +22,7 @@ use h2cloud::{H2Cloud, H2Config, H2Layer, MaintenanceMode};
 use h2fsapi::{CloudFs, FileContent, FsPath};
 use h2util::faults::{FaultPlan, FaultSpec};
 use h2util::trace::{Stage, StageTimes, CAS_BLOCKS_WRITTEN, DEDUP_BYTES_SAVED};
-use h2util::{CostModel, OpCtx};
+use h2util::{BackendCounts, CostModel, OpCtx};
 use h2workload::{ModelFs, Op, Trace};
 use swiftsim::{Cluster, ClusterConfig};
 
@@ -193,14 +194,35 @@ fn same_tree(a: &H2Cloud, b: &H2Cloud) -> Result<(), TestCaseError> {
 /// match, and after both quiesce so must the trees ([`same_tree`]).
 /// Returns the `b` instance for knob-specific checks.
 fn differential(a: H2Config, b: H2Config, ops: &[Op]) -> Result<H2Cloud, TestCaseError> {
+    lockstep(a, b, ops, |_, _, _| Ok(()))
+}
+
+/// What one op cost its caller: the backend calls it issued and the
+/// virtual time it took.
+type Spend = (BackendCounts, Duration);
+
+/// [`differential`], each op on its own context on each side, with
+/// `per_op` checking the op's [`Spend`] on `a` against that on `b`.
+fn lockstep(
+    a: H2Config,
+    b: H2Config,
+    ops: &[Op],
+    mut per_op: impl FnMut(&Op, Spend, Spend) -> Result<(), TestCaseError>,
+) -> Result<H2Cloud, TestCaseError> {
     let (a, b) = (H2Cloud::new(a), H2Cloud::new(b));
     let mut ctx = OpCtx::for_test();
     a.create_account(&mut ctx, "u").unwrap();
     b.create_account(&mut ctx, "u").unwrap();
+    let run = |fs: &H2Cloud, op: &Op| {
+        let mut ctx = OpCtx::new(fs.cluster().cost_model());
+        let outcome = Trace::apply_fs(fs, &mut ctx, "u", op);
+        (outcome, (ctx.counts(), ctx.elapsed()))
+    };
     for (i, op) in ops.iter().enumerate() {
-        let on_a = Trace::apply_fs(&a, &mut ctx, "u", op);
-        let on_b = Trace::apply_fs(&b, &mut ctx, "u", op);
+        let (on_a, spent_a) = run(&a, op);
+        let (on_b, spent_b) = run(&b, op);
         same_outcome(op, &on_a, &on_b, "a vs b")?;
+        per_op(op, spent_a, spent_b)?;
         if i % 3 == 2 {
             for fs in [&a, &b] {
                 fs.layer().pump_with_faults(LOSSY).unwrap();
@@ -337,10 +359,24 @@ proptest! {
     fn group_commit_is_observably_transparent(
         ops in prop::collection::vec(arb_op(), 1..60)
     ) {
-        // Group commit changes HOW patches reach the cloud (one combined
-        // object per batch, a contiguous patch-number range), never WHAT a
-        // client observes.
-        differential(paper(), H2Config { group_commit: true, ..paper() }, &ops)?;
+        // Group commit changes HOW concurrent patches reach the cloud (one
+        // combined object per batch, a contiguous patch-number range),
+        // never WHAT a client observes. One client submits alone, so every
+        // batch is a batch of one, and a batch of one is the plain
+        // submission: the same backend calls and virtual time, op for op
+        // (at the rack's costs, so the time has something to hold).
+        let racked = H2Config {
+            cluster: ClusterConfig {
+                cost: Arc::new(CostModel::rack_default()),
+                ..ClusterConfig::tiny()
+            },
+            ..paper()
+        };
+        let grouped = H2Config { group_commit: true, ..racked.clone() };
+        lockstep(racked, grouped, &ops, |op, plain, grouped| {
+            prop_assert_eq!(plain, grouped, "{:?}: a batch of one cost otherwise", op);
+            Ok(())
+        })?;
     }
 
     #[test]
