@@ -14,13 +14,12 @@
 //! * identical content is stored once (deduplication for free);
 //! * old blocks become garbage (immutable store).
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use h2fsapi::{CloudFs, DirEntry, EntryKind, FileContent, FsPath, StoreStats};
 use h2util::hash::Digest128;
-use h2util::{H2Error, OpCtx, PrimKind, Result};
+use h2util::{lock_rank, H2Error, OpCtx, OrderedMutex, PrimKind, Result};
 use swiftsim::{Cluster, ClusterConfig, Meta, ObjectKey, ObjectStore, Payload};
 
 use crate::tree::{Node, TreeIndex};
@@ -38,14 +37,18 @@ struct AccountState {
 /// The content-addressable filesystem.
 pub struct CasFs {
     cluster: Arc<Cluster>,
-    accounts: Mutex<HashMap<String, AccountState>>,
+    by_account: OrderedMutex<HashMap<String, AccountState>>,
 }
 
 impl CasFs {
     pub fn new(cluster: Arc<Cluster>) -> Self {
         CasFs {
             cluster,
-            accounts: Mutex::new(HashMap::new()),
+            by_account: OrderedMutex::new(
+                lock_rank::BASELINE_STATE,
+                "baselines.cas",
+                HashMap::new(),
+            ),
         }
     }
 
@@ -70,7 +73,7 @@ impl CasFs {
         account: &str,
         f: impl FnOnce(&mut AccountState) -> Result<T>,
     ) -> Result<T> {
-        let mut accounts = self.accounts.lock();
+        let mut accounts = self.by_account.lock();
         let st = accounts
             .get_mut(account)
             .ok_or_else(|| H2Error::NoSuchAccount(account.to_string()))?;
@@ -286,7 +289,7 @@ impl CloudFs for CasFs {
         // it also lets the garbage sweep enumerate blocks.
         self.cluster.create_container(account, CONTAINER, true)?;
         let empty_root = self.put_block(ctx, account, Payload::from_string("CAS-DIR\n".into()))?;
-        self.accounts.lock().insert(
+        self.by_account.lock().insert(
             account.to_string(),
             AccountState {
                 tree: TreeIndex::new(),
@@ -298,7 +301,7 @@ impl CloudFs for CasFs {
     }
 
     fn delete_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
-        self.accounts.lock().remove(account);
+        self.by_account.lock().remove(account);
         self.cluster.delete_account_ctx(ctx, account)
     }
 

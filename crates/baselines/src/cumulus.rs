@@ -20,12 +20,11 @@
 //! charged as if every scan and rewrite went to the cloud — which the PUT
 //! and GET calls actually do.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use h2fsapi::{CloudFs, DirEntry, EntryKind, FileContent, FsPath, StoreStats};
-use h2util::{H2Error, OpCtx, Result};
+use h2util::{lock_rank, H2Error, OpCtx, OrderedMutex, Result};
 use swiftsim::{Cluster, ClusterConfig, Meta, ObjectKey, ObjectStore, Payload};
 
 const CONTAINER: &str = "backup";
@@ -127,14 +126,18 @@ impl AccountState {
 /// The Cumulus-style snapshot filesystem.
 pub struct CumulusFs {
     cluster: Arc<Cluster>,
-    accounts: Mutex<HashMap<String, AccountState>>,
+    by_account: OrderedMutex<HashMap<String, AccountState>>,
 }
 
 impl CumulusFs {
     pub fn new(cluster: Arc<Cluster>) -> Self {
         CumulusFs {
             cluster,
-            accounts: Mutex::new(HashMap::new()),
+            by_account: OrderedMutex::new(
+                lock_rank::BASELINE_STATE,
+                "baselines.cumulus",
+                HashMap::new(),
+            ),
         }
     }
 
@@ -159,7 +162,7 @@ impl CumulusFs {
         account: &str,
         f: impl FnOnce(&mut AccountState) -> Result<T>,
     ) -> Result<T> {
-        let mut accounts = self.accounts.lock();
+        let mut accounts = self.by_account.lock();
         let st = accounts
             .get_mut(account)
             .ok_or_else(|| H2Error::NoSuchAccount(account.to_string()))?;
@@ -290,14 +293,14 @@ impl CloudFs for CumulusFs {
         let model = ctx.model.clone();
         ctx.charge(h2util::PrimKind::DbUpdate, model.db_update_cost());
         self.cluster.create_container(account, CONTAINER, false)?;
-        self.accounts
+        self.by_account
             .lock()
             .insert(account.to_string(), AccountState::new());
         Ok(())
     }
 
     fn delete_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
-        self.accounts.lock().remove(account);
+        self.by_account.lock().remove(account);
         self.cluster.delete_account_ctx(ctx, account)
     }
 

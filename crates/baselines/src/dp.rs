@@ -14,14 +14,13 @@
 //! crossed, plus per-entry CPU for listings, plus object-cloud costs for
 //! content.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use h2fsapi::{CloudFs, DirEntry, EntryKind, FileContent, FsPath, StoreStats};
-use h2util::{H2Error, OpCtx, PrimKind, Result};
+use h2util::{lock_rank, H2Error, OpCtx, OrderedMutex, PrimKind, Result};
 use swiftsim::{Cluster, ClusterConfig, Meta, ObjectKey, ObjectStore, Payload};
 
 use crate::tree::{InodeId, Node, TreeIndex};
@@ -60,7 +59,7 @@ impl AccountMeta {
 /// The Dynamic Partition filesystem.
 pub struct DpFs {
     cluster: Arc<Cluster>,
-    accounts: Mutex<HashMap<String, AccountMeta>>,
+    by_account: OrderedMutex<HashMap<String, AccountMeta>>,
     /// Number of index servers.
     servers: usize,
     /// Directories per server above which a repartition is triggered.
@@ -74,7 +73,11 @@ impl DpFs {
         assert!(servers >= 1);
         DpFs {
             cluster,
-            accounts: Mutex::new(HashMap::new()),
+            by_account: OrderedMutex::new(
+                lock_rank::BASELINE_STATE,
+                "baselines.dp",
+                HashMap::new(),
+            ),
             servers,
             split_threshold: 512,
             next_object: AtomicU64::new(1),
@@ -213,7 +216,7 @@ impl DpFs {
 
     /// Current directory count per index server (for the balance tests).
     pub fn server_loads(&self, account: &str) -> Vec<usize> {
-        let accounts = self.accounts.lock();
+        let accounts = self.by_account.lock();
         let mut load = vec![0usize; self.servers];
         if let Some(meta) = accounts.get(account) {
             for &s in meta.placement.values() {
@@ -228,7 +231,7 @@ impl DpFs {
         account: &str,
         f: impl FnOnce(&mut AccountMeta) -> Result<T>,
     ) -> Result<T> {
-        let mut accounts = self.accounts.lock();
+        let mut accounts = self.by_account.lock();
         let meta = accounts
             .get_mut(account)
             .ok_or_else(|| H2Error::NoSuchAccount(account.to_string()))?;
@@ -254,7 +257,7 @@ impl CloudFs for DpFs {
         ctx.charge(PrimKind::DbUpdate, model.db_update_cost());
         self.cluster
             .create_container(account, CONTENT_CONTAINER, false)?;
-        self.accounts
+        self.by_account
             .lock()
             .insert(account.to_string(), AccountMeta::new());
         Ok(())
@@ -262,7 +265,7 @@ impl CloudFs for DpFs {
 
     fn delete_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
         self.charge_service(ctx, true);
-        self.accounts.lock().remove(account);
+        self.by_account.lock().remove(account);
         self.cluster.delete_account_ctx(ctx, account)
     }
 
@@ -574,7 +577,7 @@ impl CloudFs for DpFs {
     fn quiesce(&self) {}
 
     fn storage_stats(&self) -> StoreStats {
-        let accounts = self.accounts.lock();
+        let accounts = self.by_account.lock();
         let (records, bytes) = accounts
             .values()
             .map(|m| (m.tree.record_count(), m.tree.record_bytes()))

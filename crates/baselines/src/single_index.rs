@@ -6,13 +6,12 @@
 //! so per-operation latency is excellent — the paper's objection is the
 //! *centralised* architecture's scalability, not its speed.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use h2fsapi::{CloudFs, DirEntry, EntryKind, FileContent, FsPath, StoreStats};
-use h2util::{H2Error, OpCtx, PrimKind, Result};
+use h2util::{lock_rank, H2Error, OpCtx, OrderedMutex, PrimKind, Result};
 use swiftsim::{Cluster, ClusterConfig, Meta, ObjectKey, ObjectStore, Payload};
 
 use crate::tree::{Node, TreeIndex};
@@ -22,7 +21,7 @@ const CONTENT_CONTAINER: &str = "content";
 /// The namenode filesystem.
 pub struct SingleIndexFs {
     cluster: Arc<Cluster>,
-    trees: Mutex<HashMap<String, TreeIndex>>,
+    trees: OrderedMutex<HashMap<String, TreeIndex>>,
     next_object: AtomicU64,
     ms: AtomicU64,
     name: &'static str,
@@ -44,7 +43,11 @@ impl SingleIndexFs {
     ) -> Self {
         SingleIndexFs {
             cluster,
-            trees: Mutex::new(HashMap::new()),
+            trees: OrderedMutex::new(
+                lock_rank::BASELINE_STATE,
+                "baselines.single_index",
+                HashMap::new(),
+            ),
             next_object: AtomicU64::new(1),
             ms: AtomicU64::new(1_600_000_000_000),
             name,

@@ -13,12 +13,11 @@
 //! quota is exhausted, writes fail with `Unavailable` even if other volumes
 //! have room — the "scalability: No" entry of Table 1 made observable.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use h2fsapi::{CloudFs, DirEntry, FileContent, FsPath, StoreStats};
-use h2util::{hash64, H2Error, OpCtx, Result};
+use h2util::{hash64, lock_rank, H2Error, OpCtx, OrderedMutex, Result};
 use swiftsim::{Cluster, ClusterConfig};
 
 use crate::single_index::SingleIndexFs;
@@ -28,9 +27,9 @@ pub struct StaticPartitionFs {
     inner: SingleIndexFs,
     volumes: usize,
     /// Bytes written per volume (quota accounting).
-    usage: Mutex<Vec<u64>>,
+    usage: OrderedMutex<Vec<u64>>,
     /// Account → volume, fixed at account creation.
-    assignment: Mutex<HashMap<String, usize>>,
+    assignment: OrderedMutex<HashMap<String, usize>>,
     /// Per-volume byte quota (u64::MAX = unbounded).
     quota: u64,
 }
@@ -41,8 +40,16 @@ impl StaticPartitionFs {
         StaticPartitionFs {
             inner: SingleIndexFs::with_flavor(cluster, "Static Partition", false),
             volumes,
-            usage: Mutex::new(vec![0; volumes]),
-            assignment: Mutex::new(HashMap::new()),
+            usage: OrderedMutex::new(
+                lock_rank::BASELINE_STATE,
+                "baselines.volume_usage",
+                vec![0; volumes],
+            ),
+            assignment: OrderedMutex::new(
+                lock_rank::BASELINE_STATE,
+                "baselines.volume_assignment",
+                HashMap::new(),
+            ),
             quota,
         }
     }

@@ -25,9 +25,8 @@
 //!   merge when [`H2Middleware::step_merges`] (or the layer's pump/threads)
 //!   runs, the paper's actual asynchronous protocol.
 
-use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock};
 
 use h2util::chunker::{self, ChunkParams};
 use h2util::hash::{hash128, Digest128};
@@ -37,8 +36,8 @@ use h2util::metrics::{Counter, MetricsRegistry};
 use h2util::trace::Stage::{self, Content, Ring};
 use h2util::trace::{Note, StageHistograms, StageTimes, TraceCollector, DEFAULT_TRACE_CAP};
 use h2util::{
-    H2Error, HybridClock, LruCache, NamespaceId, NodeId, OpCtx, Result, RetryPolicy, Timestamp,
-    WordBuild,
+    lock_rank, H2Error, HybridClock, LruCache, NamespaceId, NodeId, OpCtx, OrderedMutex,
+    OrderedRwLock, Result, RetryPolicy, Timestamp, WordBuild,
 };
 use swiftsim::{Cluster, Meta, Object, ObjectKey, ObjectStore, Payload};
 
@@ -155,7 +154,17 @@ struct FileDescriptor {
 impl FileDescriptor {
     /// The ring's merge gate and commit queue.
     fn sync(&mut self) -> Arc<RingSync> {
-        Arc::clone(self.sync.get_or_insert_with(Default::default))
+        Arc::clone(self.sync.get_or_insert_with(|| {
+            Arc::new(RingSync {
+                merge: OrderedMutex::new(lock_rank::MERGE_GATE, "middleware.merge_gate", ()),
+                commit: OrderedMutex::new(
+                    lock_rank::LEAF,
+                    "middleware.commit_queue",
+                    CommitState::default(),
+                ),
+                committed: Condvar::new(),
+            })
+        }))
     }
 
     /// §3.3.2's loop-back avoidance: the local version is already at least
@@ -180,18 +189,18 @@ impl FileDescriptor {
 }
 
 /// A ring's two serialisation points on this node.
-#[derive(Default)]
 struct RingSync {
     /// One merge cycle at a time: a cycle is a read-modify-write of the
     /// ring object, so two concurrent cycles on this node could overwrite
     /// each other. (Cycles on *different* nodes are reconciled by gossip,
-    /// by design.)
-    merge: Mutex<()>,
+    /// by design.) Rank [`lock_rank::MERGE_GATE`]: held across the cycle's
+    /// cloud requests, so it sits outside every store lock.
+    merge: OrderedMutex<()>,
     /// Group commit: arrivals enqueue their patch; whoever finds the queue
     /// idle becomes the commit leader, drains the batch, performs one
     /// combined submission, posts per-ticket results and wakes the waiters
     /// parked on `committed`.
-    commit: Mutex<CommitState>,
+    commit: OrderedMutex<CommitState>,
     committed: Condvar,
 }
 
@@ -362,7 +371,7 @@ pub struct H2Middleware {
     /// on that). Capacity 0 disables it. Striped by ring key
     /// ([`RING_SHARDS`]); each stripe is an independent LRU over an even
     /// share of the capacity.
-    ring_cache: Vec<Mutex<LruCache<FdKey, CachedRing, WordBuild>>>,
+    ring_cache: Vec<OrderedMutex<LruCache<FdKey, CachedRing, WordBuild>>>,
     /// `Some` iff the cache is enabled (counters are only registered then,
     /// so disabled instances keep their metrics output clean).
     cache_counters: Option<CacheCounters>,
@@ -372,7 +381,7 @@ pub struct H2Middleware {
     /// the ring cache to be enabled (the epoch fingerprints assume ring
     /// freshness is driven by write-through and gossip, exactly the ring
     /// cache's contract).
-    path_cache: Vec<Mutex<LruCache<u64, PathEntry, WordBuild>>>,
+    path_cache: Vec<OrderedMutex<LruCache<u64, PathEntry, WordBuild>>>,
     path_counters: Option<PathCounters>,
     path_cache_on: bool,
     neg_cache_on: bool,
@@ -386,7 +395,7 @@ pub struct H2Middleware {
     /// other accounts' root-anchored entries too — over-invalidation,
     /// never staleness. Entries are never evicted (one u64 per touched
     /// namespace), so a fingerprint can always be checked in O(1).
-    ns_epochs: RwLock<HashMap<NamespaceId, u64, WordBuild>>,
+    ns_epochs: OrderedRwLock<HashMap<NamespaceId, u64, WordBuild>>,
     /// Write stamp ([`Object::modified_ms`], unique per write across the
     /// cluster) of the copy of each ring that last entered the ring cache;
     /// no entry once it was dropped, or when an absent object was cached
@@ -394,8 +403,8 @@ pub struct H2Middleware {
     /// back the same bytes, so it is no mutation: see
     /// [`H2Middleware::cache_store_fetched`]. Taken innermost under a
     /// ring-cache stripe, so the cached copy and its stamp change together.
-    cached_ms: Mutex<FdMap<u64>>,
-    fds: Mutex<FdMap<FileDescriptor>>,
+    cached_ms: OrderedMutex<FdMap<u64>>,
+    fds: OrderedMutex<FdMap<FileDescriptor>>,
     /// When true, concurrent `submit_patch` calls against the same ring
     /// coalesce behind a per-ring commit leader (one combined patch PUT per
     /// batch); when false, every submission is a batch of one.
@@ -421,10 +430,10 @@ pub struct H2Middleware {
     tracer: Arc<TraceCollector>,
     /// The registry's stage histograms, fed by every root ([`Self::root`]).
     stage_hists: StageHistograms,
-    outbox: Mutex<Vec<GossipMsg>>,
+    outbox: OrderedMutex<Vec<GossipMsg>>,
     /// Virtual time per stage + op counts spent on background maintenance
     /// (merges, gossip, resync) — the ablation benches report it.
-    background: Mutex<(StageTimes, h2util::BackendCounts)>,
+    background: OrderedMutex<(StageTimes, h2util::BackendCounts)>,
 }
 
 impl H2Middleware {
@@ -459,14 +468,8 @@ impl H2Middleware {
             misses: metrics.counter(PATH_CACHE_MISSES),
             neg_hits: metrics.counter(NEG_CACHE_HITS),
         });
-        let path_stripes = if path_counters.is_some() {
-            let per_stripe = (cache_capacity * PATH_CACHE_FACTOR).div_ceil(PATH_SHARDS);
-            (0..PATH_SHARDS)
-                .map(|_| Mutex::new(LruCache::new(per_stripe)))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let path_stripes = path_counters.as_ref().map_or(0, |_| PATH_SHARDS);
+        let per_path_stripe = (cache_capacity * PATH_CACHE_FACTOR).div_ceil(PATH_SHARDS);
         let ring_fetches = metrics.counter(RING_FETCHES);
         let merge_failures = metrics.counter(MERGE_FAILURES);
         Arc::new(H2Middleware {
@@ -477,16 +480,34 @@ impl H2Middleware {
             store,
             mode: cfg.mode,
             ring_cache: (0..RING_SHARDS)
-                .map(|_| Mutex::new(LruCache::new(cache_capacity.div_ceil(RING_SHARDS))))
+                .map(|_| {
+                    OrderedMutex::new(
+                        lock_rank::CACHE_STRIPE,
+                        "middleware.ring_cache",
+                        LruCache::new(cache_capacity.div_ceil(RING_SHARDS)),
+                    )
+                })
                 .collect(),
             cache_counters,
-            path_cache: path_stripes,
+            path_cache: (0..path_stripes)
+                .map(|_| {
+                    OrderedMutex::new(
+                        lock_rank::CACHE_STRIPE,
+                        "middleware.path_cache",
+                        LruCache::new(per_path_stripe),
+                    )
+                })
+                .collect(),
             path_counters,
             path_cache_on,
             neg_cache_on,
-            ns_epochs: RwLock::new(HashMap::default()),
-            cached_ms: Mutex::new(FdMap::default()),
-            fds: Mutex::new(FdMap::default()),
+            ns_epochs: OrderedRwLock::new(
+                lock_rank::LEAF,
+                "middleware.ns_epochs",
+                HashMap::default(),
+            ),
+            cached_ms: OrderedMutex::new(lock_rank::LEAF, "middleware.cached_ms", FdMap::default()),
+            fds: OrderedMutex::new(lock_rank::LEAF, "middleware.fds", FdMap::default()),
             group_commit: cfg.group_commit,
             part_stamp: std::sync::atomic::AtomicU64::new(0),
             cas: cfg.cas,
@@ -498,8 +519,12 @@ impl H2Middleware {
                 DEFAULT_TRACE_CAP,
                 node.0,
             )),
-            outbox: Mutex::new(Vec::new()),
-            background: Mutex::new(Default::default()),
+            outbox: OrderedMutex::new(lock_rank::LEAF, "middleware.outbox", Vec::new()),
+            background: OrderedMutex::new(
+                lock_rank::LEAF,
+                "middleware.background",
+                Default::default(),
+            ),
         })
     }
 
@@ -595,9 +620,10 @@ impl H2Middleware {
     }
 
     fn absorb_background(&self, ctx: &OpCtx) {
+        let (stages, counts) = (ctx.stage_times(), ctx.counts());
         let mut bg = self.background.lock();
-        bg.0.add(&ctx.stage_times());
-        bg.1.add(&ctx.counts());
+        bg.0.add(&stages);
+        bg.1.add(&counts);
     }
 
     // ----- content I/O (two planes) ----------------------------------------
@@ -1102,7 +1128,7 @@ impl H2Middleware {
     // ----- ring access ----------------------------------------------------
 
     /// The ring-cache stripe holding `key`.
-    fn ring_shard(&self, key: &FdKey) -> &Mutex<LruCache<FdKey, CachedRing, WordBuild>> {
+    fn ring_shard(&self, key: &FdKey) -> &OrderedMutex<LruCache<FdKey, CachedRing, WordBuild>> {
         &self.ring_cache[key.hash as usize % RING_SHARDS]
     }
 
@@ -1633,7 +1659,7 @@ impl H2Middleware {
                     ctx.charge_time(res.cost);
                     return res.outcome;
                 }
-                st = sync.committed.wait(st);
+                st = st.wait(&sync.committed);
             }
         }
         // Leader: drain and commit batches until no new arrivals remain.
@@ -1774,6 +1800,7 @@ impl H2Middleware {
                 _ => return Ok(false),
             }
         };
+        // h2lint: allow(guard-across-blocking): the merge gate serializes this ring's merge cycles on this node by design; only the same ring's next cycle (or an Eager submitter waiting for its patch to land) waits.
         ctx.charge_time(self.store.cost_model().patch_cycle_cpu);
         // Run the fallible cycle; on *any* failure, restore the chain so a
         // retry re-merges (crash recovery for the Background Merger).
@@ -2638,5 +2665,39 @@ mod tests {
         assert!(mw.metrics().counter_value(MERGE_FAILURES) >= 1);
         // Chain intact for the eventual retry.
         assert_eq!(mw.pending_descriptors(), 1);
+    }
+
+    #[test]
+    fn middleware_locks_sit_in_the_validated_hierarchy() {
+        // The merge gate is held across a cycle's cloud requests, so it
+        // ranks outside every store lock; `fds` is a leaf. Taking the gate
+        // under `fds` inverts the hierarchy, and the validator must report
+        // it as a panic naming both locks, not let it deadlock some day.
+        if !h2util::lockorder::validation_enabled() {
+            return;
+        }
+        let (_c, mw, keys) = setup(MaintenanceMode::Deferred);
+        let mut ctx = OpCtx::for_test();
+        let mut p = NameRing::new();
+        p.apply("f", Tuple::file(mw.tick(), 1));
+        mw.submit_patch(&mut ctx, &keys, ns(1), p).unwrap();
+        assert_eq!(mw.pending_descriptors(), 1);
+        let key = FdKey::new(&keys, ns(1));
+        let inverted = std::thread::spawn(move || {
+            let mut fds = mw.fds.lock();
+            let Some(sync) = fds.get_mut(&key).map(FileDescriptor::sync) else {
+                return;
+            };
+            // h2lint: allow(lock-order): the inversion is the point — this test asserts that the runtime validator panics on it.
+            let _gate = sync.merge.lock();
+        })
+        .join()
+        .expect_err("taking the merge gate under `fds` must panic");
+        let msg = inverted.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.contains("lock-order violation"), "{msg}");
+        assert!(
+            msg.contains("middleware.merge_gate") && msg.contains("middleware.fds"),
+            "{msg}"
+        );
     }
 }

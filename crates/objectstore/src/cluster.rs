@@ -36,7 +36,6 @@
 //! device that beats the best so far ([`StorageNode::probe_newer`]); a
 //! write builds one [`Record`] and hands every device a pointer to it.
 
-use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,17 +45,19 @@ use h2ring::{DeviceId, Ring, RingBuilder};
 use h2util::faults::{
     torn_survivors, FaultDecision, FaultInjector, FaultPlan, FaultStats, OpClass,
 };
+use h2util::lockorder::OrderedMutexGuard;
 use h2util::metrics::{Counter, MetricsRegistry};
 use h2util::trace::{Note, Stage};
 use h2util::trace::{
     CAS_BLOCKS_SHARED, CAS_BLOCKS_WRITTEN, DEDUP_BYTES_SAVED, HEDGED_READS, MIGRATION_DUAL_WRITES,
     MIGRATION_KEYS_COPIED, MIGRATION_PARTS_MOVED, MIGRATION_READ_RESCUES,
 };
-use h2util::{hash64, CostModel, H2Error, OpCtx, OrderedMutex, OrderedRwLock, PrimKind, Result};
+use h2util::{
+    hash64, lock_rank, CostModel, H2Error, OpCtx, OrderedMutex, OrderedRwLock, PrimKind, Result,
+};
 
 use crate::container::{ContainerIndex, IndexRecord, ListEntry, ListOptions};
 use crate::key::{stripe_of, KeyMap, KeyRef, Keyed, PassThrough, RingKey, WriteKey};
-use crate::lock_rank;
 use crate::node::{Record, ReplicaProbe, StorageNode, StoredReplica};
 use crate::object::{Meta, Object, ObjectInfo, ObjectKey, Payload};
 use crate::ObjectStore;
@@ -141,7 +142,7 @@ struct Migration {
     /// The ring that was live before the swap.
     old_ring: Arc<Ring>,
     /// Partitions whose replica set changed and have not been flipped yet.
-    pending: Mutex<HashSet<u64>>,
+    pending: OrderedMutex<HashSet<u64>>,
     /// Partition count at swap time (progress reporting).
     total: usize,
 }
@@ -180,16 +181,17 @@ impl Topology {
 
 /// The simulated object storage cloud.
 pub struct Cluster {
-    /// The current [`Topology`]. An unranked leaf lock: held only to clone
-    /// the `Arc` out or to swap a new one in, never across anything else.
-    topo: RwLock<Arc<Topology>>,
+    /// The current [`Topology`]. A leaf lock: held only to clone the `Arc`
+    /// out or to swap a new one in, never across anything else.
+    topo: OrderedRwLock<Arc<Topology>>,
     /// Serializes operator topology changes end to end (finish the prior
-    /// migration, rebuild, swap).
-    topology_ops: Mutex<()>,
+    /// migration, rebuild, swap). Rank [`lock_rank::TOPOLOGY_OPS`], the
+    /// outermost: held across a whole migration's requests.
+    topology_ops: OrderedMutex<()>,
     /// Lock-stripe count, remembered so nodes added later match.
     stripes: usize,
     cfg: ClusterConfig,
-    accounts: RwLock<HashSet<String>>,
+    accounts: OrderedRwLock<HashSet<String>>,
     /// Container states, sharded by (account, container) hash so listing
     /// and index updates for different containers never contend.
     containers: Box<[ContainerShard]>,
@@ -200,9 +202,9 @@ pub struct Cluster {
     catalog_bytes: AtomicU64,
     /// Per-key write stripes: `op_locks[stripe_of(hash(ring_key), n)]` serializes
     /// mutations (and repair) of the same key without blocking other keys.
-    /// Rank [`lock_rank::OP_STRIPE`], the hierarchy's outermost tier: it
-    /// must be taken before any node stripe or map shard, and never two at
-    /// once (validated at runtime in debug builds).
+    /// Rank [`lock_rank::OP_STRIPE`], the store's outermost request tier:
+    /// it must be taken before any node stripe or map shard, and never two
+    /// at once (validated at runtime in debug builds).
     op_locks: Box<[OrderedMutex<()>]>,
     /// Millisecond stamp source for writes: strictly increasing.
     ms: AtomicU64,
@@ -212,7 +214,7 @@ pub struct Cluster {
     /// eventual consistency"). When enabled, index updates queue until
     /// [`Cluster::flush_index_updates`] runs.
     async_index: std::sync::atomic::AtomicBool,
-    pending_index: RwLock<std::collections::VecDeque<IndexUpdate>>,
+    pending_index: OrderedRwLock<std::collections::VecDeque<IndexUpdate>>,
     /// Hedged replica reads: probe every assigned device as one parallel
     /// wave (virtual cost = the slowest probe of the wave, not the sum)
     /// and, when the assigned set is suspect, scan the handoffs as a
@@ -236,9 +238,9 @@ pub struct Cluster {
     migration_dual_writes: Arc<Counter>,
     /// CAS block refcounts, sharded by digest hash: hex digest → number of
     /// direct referrers (manifests and branch blocks). An entry exists iff
-    /// the block is live. Rank [`lock_rank::CAS_REFCOUNT`], the innermost
-    /// tier: only ever taken briefly under the block's op stripe and never
-    /// held across node or map access.
+    /// the block is live. Rank [`lock_rank::CAS_REFCOUNT`], the store's
+    /// innermost request tier: only ever taken briefly under the block's op
+    /// stripe and never held across node or map access.
     cas_ref: Box<[OrderedMutex<HashMap<String, u64>>]>,
     /// CAS blocks physically written (fresh content).
     cas_blocks_written: Arc<Counter>,
@@ -398,16 +400,24 @@ impl Cluster {
             .map(|p| Arc::new(FaultInjector::new(p)));
         let metrics = Arc::new(MetricsRegistry::new());
         let cluster = Arc::new(Cluster {
-            topo: RwLock::new(Arc::new(Topology {
-                ring: Arc::new(rb.build()),
-                nodes,
-                migration: None,
-                fault,
-            })),
-            topology_ops: Mutex::new(()),
+            topo: OrderedRwLock::new(
+                lock_rank::LEAF,
+                "objectstore.topology",
+                Arc::new(Topology {
+                    ring: Arc::new(rb.build()),
+                    nodes,
+                    migration: None,
+                    fault,
+                }),
+            ),
+            topology_ops: OrderedMutex::new(
+                lock_rank::TOPOLOGY_OPS,
+                "objectstore.topology_ops",
+                (),
+            ),
             stripes,
             cfg,
-            accounts: RwLock::new(HashSet::new()),
+            accounts: OrderedRwLock::new(lock_rank::LEAF, "objectstore.accounts", HashSet::new()),
             containers: (0..stripes)
                 .map(|_| {
                     OrderedRwLock::new(
@@ -435,7 +445,11 @@ impl Cluster {
                 .into_boxed_slice(),
             ms: AtomicU64::new(1_600_000_000_000),
             async_index: std::sync::atomic::AtomicBool::new(false),
-            pending_index: RwLock::new(std::collections::VecDeque::new()),
+            pending_index: OrderedRwLock::new(
+                lock_rank::LEAF,
+                "objectstore.pending_index",
+                std::collections::VecDeque::new(),
+            ),
             hedged: std::sync::atomic::AtomicBool::new(false),
             hedged_reads: metrics.counter(HEDGED_READS),
             migration_parts_moved: metrics.counter(MIGRATION_PARTS_MOVED),
@@ -602,7 +616,11 @@ impl Cluster {
         let migration = Arc::new(Migration {
             old_ring,
             total: changed.len(),
-            pending: Mutex::new(changed.into_iter().collect()),
+            pending: OrderedMutex::new(
+                lock_rank::LEAF,
+                "objectstore.migration_pending",
+                changed.into_iter().collect(),
+            ),
         });
         self.publish(|t| Topology {
             ring: Arc::new(new_ring),
@@ -626,7 +644,7 @@ impl Cluster {
     /// finish any rebalance already in flight — stacking a second ring
     /// swap on top of an unfinished migration would lose the old-ring
     /// fallback for its still-pending partitions.
-    fn topology_guard(&self) -> Result<std::sync::MutexGuard<'_, ()>> {
+    fn topology_guard(&self) -> Result<OrderedMutexGuard<'_, ()>> {
         let guard = self.topology_ops.lock();
         self.migrate_all();
         if self.migration_active() {

@@ -32,25 +32,6 @@ pub use h2ring::DeviceId;
 pub use node::{ReplicaProbe, StorageNode};
 pub use object::{Meta, Object, ObjectInfo, ObjectKey, Payload};
 
-/// The store's three-tier lock hierarchy, outermost first. These ranks are
-/// carried by the `OrderedMutex`/`OrderedRwLock` stripe arrays in
-/// [`cluster`] and [`node`] (validated at runtime in debug builds) and
-/// mirrored by the `h2lint.toml` rank table the static pass checks; keep
-/// all three in sync (see DESIGN.md "Concurrency model").
-pub mod lock_rank {
-    /// Per-key write serialization stripe (`Cluster::op_locks`). Exactly
-    /// one may be held at a time; it must be taken first.
-    pub const OP_STRIPE: u16 = 1;
-    /// A storage node's replica-map stripe (`StorageNode::stripes`).
-    pub const NODE_STRIPE: u16 = 2;
-    /// Proxy map shards (`Cluster::{containers,catalog}`).
-    pub const MAP_SHARD: u16 = 3;
-    /// CAS block refcount shards (`Cluster::cas_ref`), the innermost
-    /// tier: taken briefly under a block's op stripe and never held
-    /// across node or map access.
-    pub const CAS_REFCOUNT: u16 = 4;
-}
-
 use h2util::{OpCtx, Result};
 
 /// The flat object-cloud interface: the PUT/GET/DELETE (+HEAD/COPY/LIST)

@@ -19,12 +19,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::key::{stripe_of, KeyMap, KeyRef, Keyed, RingKey, WriteKey};
-use crate::lock_rank;
 use crate::object::{Meta, Payload};
 use h2ring::DeviceId;
 use h2util::faults::{FaultInjector, OpClass};
 use h2util::hash::Digest128;
-use h2util::OrderedRwLock;
+use h2util::{lock_rank, OrderedRwLock};
 
 /// Default lock-stripe count per device. Sixteen stripes keep the per-key
 /// critical sections independent for any realistic client count while the

@@ -9,11 +9,11 @@
 //! anywhere in the cluster therefore never compare equal unless they are the
 //! same update.
 
-use parking_lot::Mutex;
 use std::fmt;
 use std::str::FromStr;
 
 use crate::id::NodeId;
+use crate::{lock_rank, OrderedMutex};
 
 // ---------------------------------------------------------------------------
 // Wall-clock facade
@@ -116,7 +116,7 @@ impl FromStr for Timestamp {
 #[derive(Debug)]
 pub struct HybridClock {
     node: NodeId,
-    state: Mutex<(u64, u32)>, // (last millis, last seq)
+    state: OrderedMutex<(u64, u32)>, // (last millis, last seq)
     /// Milliseconds advanced per tick when no external time source drives the
     /// clock. The simulator leaves this at 0 and calls [`advance_to`].
     auto_step: u64,
@@ -127,7 +127,7 @@ impl HybridClock {
     pub fn new(node: NodeId, base_millis: u64) -> Self {
         HybridClock {
             node,
-            state: Mutex::new((base_millis, 0)),
+            state: OrderedMutex::new(lock_rank::LEAF, "clock.state", (base_millis, 0)),
             auto_step: 0,
         }
     }
@@ -137,7 +137,7 @@ impl HybridClock {
     pub fn stepping(node: NodeId, base_millis: u64) -> Self {
         HybridClock {
             node,
-            state: Mutex::new((base_millis, 0)),
+            state: OrderedMutex::new(lock_rank::LEAF, "clock.state", (base_millis, 0)),
             auto_step: 1,
         }
     }

@@ -1,71 +1,57 @@
-//! Runtime lock-order validation: rank-carrying lock newtypes.
+//! Runtime lock-order validation: rank-carrying lock newtypes, the one
+//! lock type of the workspace.
 //!
-//! The object store's three-tier lock hierarchy (op-stripe → node-stripe →
-//! map-shard, see DESIGN.md "Concurrency model") is deadlock-free only as
+//! Every lock outside this file is an [`OrderedMutex`] or an
+//! [`OrderedRwLock`] carrying a rank from [`crate::lock_rank`] (see
+//! DESIGN.md "Concurrency model"). The hierarchy is deadlock-free only as
 //! long as every code path acquires locks in strictly increasing rank
 //! order and never holds two locks of the same rank. `h2lint`'s static
-//! pass checks the acquisition *sites*; the [`OrderedMutex`] /
-//! [`OrderedRwLock`] newtypes here check every acquisition *dynamically*:
-//! under `debug_assertions` (or the `lock-order-validation` feature) each
-//! thread keeps a stack of currently held ranks, and acquiring a lock
-//! whose rank is not strictly greater than every held rank panics with
-//! both acquisition sites. Because the entire test suite runs in debug
-//! mode, every existing concurrency test doubles as a lock-order
-//! regression harness.
+//! pass checks the acquisition *sites*; these newtypes check every
+//! acquisition *dynamically*: under `debug_assertions` (or the
+//! `lock-order-validation` feature) each thread keeps a stack of
+//! currently held ranks, and acquiring a lock whose rank is not strictly
+//! greater than every held rank panics with both acquisition sites.
+//! Because the entire test suite runs in debug mode, every existing
+//! concurrency test doubles as a lock-order regression harness.
 //!
 //! In release builds without the feature the wrappers compile down to the
 //! bare `std::sync` primitives plus one predictable branch.
 //!
 //! All acquisitions recover from poisoning instead of unwrapping (one
-//! panicked client thread must never wedge a storage node); recoveries
-//! are counted in the global `lock_poison_recovered` counter, readable
-//! via [`lock_poison_recovered`].
+//! panicked thread must never wedge a storage node or a middleware);
+//! recoveries are counted in a process-wide counter, readable via
+//! [`lock_poison_recovered`].
 
 use std::cell::RefCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::panic::Location;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Condvar, LockResult, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 /// Is dynamic lock-order validation compiled in and active?
 pub const fn validation_enabled() -> bool {
     cfg!(any(debug_assertions, feature = "lock-order-validation"))
 }
 
-/// Global count of poisoned-lock recoveries (metrics counter
-/// `lock_poison_recovered`): each time a lock whose previous holder
-/// panicked is re-acquired, the poison is cleared and this increments.
+/// Process-wide count of poisoned-lock recoveries: each time a lock whose
+/// previous holder panicked is re-acquired (or a poisoned condvar wait
+/// returns), the poison is cleared and this increments.
 static POISON_RECOVERED: AtomicU64 = AtomicU64::new(0);
 
-/// Current value of the `lock_poison_recovered` counter.
+/// Poisoned-lock recoveries so far, across every ranked lock.
 pub fn lock_poison_recovered() -> u64 {
     POISON_RECOVERED.load(Ordering::Relaxed)
 }
 
-/// Acquire a `std::sync::Mutex`, transparently recovering from poisoning
-/// (and bumping the `lock_poison_recovered` counter). A poisoned lock
-/// means some holder panicked; the protected data is a plain map/queue
-/// whose invariants are re-established per operation, so recovery is
-/// always safe here and one crashed client thread cannot wedge the node.
-pub fn lock_or_recover<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| {
-        POISON_RECOVERED.fetch_add(1, Ordering::Relaxed);
-        e.into_inner()
-    })
-}
-
-/// [`lock_or_recover`] for `RwLock` read guards.
-pub fn read_or_recover<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
-    l.read().unwrap_or_else(|e| {
-        POISON_RECOVERED.fetch_add(1, Ordering::Relaxed);
-        e.into_inner()
-    })
-}
-
-/// [`lock_or_recover`] for `RwLock` write guards.
-pub fn write_or_recover<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
-    l.write().unwrap_or_else(|e| {
+/// Take the guard out of a lock result, recovering (and counting) a
+/// poisoned one. A poisoned lock means some holder panicked; the protected
+/// data is a plain map/queue whose invariants are re-established per
+/// operation, so recovery is always safe here.
+fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(|e| {
         POISON_RECOVERED.fetch_add(1, Ordering::Relaxed);
         e.into_inner()
     })
@@ -85,13 +71,30 @@ thread_local! {
 
 static NEXT_TOKEN: AtomicU64 = AtomicU64::new(1);
 
-/// Validate + record an acquisition. Returns a release token, or `None`
-/// when validation is compiled out. Panics on a hierarchy violation
+/// One recorded acquisition; dropping it forgets the record. Empty when
+/// validation is compiled out. Guards may be dropped in any order, so the
+/// entry is removed by id, not popped; `try_with` keeps guard drops
+/// panic-free during thread teardown.
+struct Token(Option<u64>);
+
+impl Drop for Token {
+    fn drop(&mut self) {
+        let Some(id) = self.0 else { return };
+        let _ = HELD.try_with(|h| {
+            let mut held = h.borrow_mut();
+            if let Some(pos) = held.iter().position(|e| e.id == id) {
+                held.remove(pos);
+            }
+        });
+    }
+}
+
+/// Validate + record an acquisition. Panics on a hierarchy violation
 /// *before* blocking on the lock, so an inversion is reported as a panic
 /// with both sites rather than manifesting as a deadlock.
-fn acquire(rank: u16, label: &'static str, site: &'static Location<'static>) -> Option<u64> {
+fn acquire(rank: u16, label: &'static str, site: &'static Location<'static>) -> Token {
     if !validation_enabled() {
-        return None;
+        return Token(None);
     }
     HELD.with(|h| {
         let mut held = h.borrow_mut();
@@ -103,8 +106,8 @@ fn acquire(rank: u16, label: &'static str, site: &'static Location<'static>) -> 
             panic!(
                 "lock-order violation: acquiring `{label}` (rank {rank}) at {site} \
                  while holding `{}` (rank {}) acquired at {} — ranked locks must be \
-                 taken in strictly increasing rank order (op-stripe → node-stripe → \
-                 map-shard) and never two of the same rank",
+                 taken in strictly increasing rank order (see h2util::lock_rank) \
+                 and never two of the same rank",
                 worst.label, worst.rank, worst.site
             );
         }
@@ -115,21 +118,8 @@ fn acquire(rank: u16, label: &'static str, site: &'static Location<'static>) -> 
             label,
             site,
         });
-        Some(id)
+        Token(Some(id))
     })
-}
-
-/// Forget a recorded acquisition. Guards may be dropped in any order, so
-/// the entry is removed by token, not popped. `try_with` keeps guard
-/// drops panic-free during thread teardown.
-fn release(token: Option<u64>) {
-    let Some(token) = token else { return };
-    let _ = HELD.try_with(|h| {
-        let mut held = h.borrow_mut();
-        if let Some(pos) = held.iter().position(|e| e.id == token) {
-            held.remove(pos);
-        }
-    });
 }
 
 /// A mutex carrying a static rank in the workspace lock hierarchy.
@@ -154,20 +144,12 @@ impl<T> OrderedMutex<T> {
 }
 
 impl<T: ?Sized> OrderedMutex<T> {
-    pub fn rank(&self) -> u16 {
-        self.rank
-    }
-
-    pub fn label(&self) -> &'static str {
-        self.label
-    }
-
     /// Acquire, validating the hierarchy and recovering from poisoning.
     #[track_caller]
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
         let token = acquire(self.rank, self.label, Location::caller());
         OrderedMutexGuard {
-            inner: lock_or_recover(&self.inner),
+            inner: recover(self.inner.lock()),
             token,
         }
     }
@@ -184,7 +166,22 @@ impl<T: ?Sized> fmt::Debug for OrderedMutex<T> {
 
 pub struct OrderedMutexGuard<'a, T: ?Sized> {
     inner: MutexGuard<'a, T>,
-    token: Option<u64>,
+    token: Token,
+}
+
+impl<T> OrderedMutexGuard<'_, T> {
+    /// Park on `cv` until notified, releasing the mutex while parked, and
+    /// return the re-acquired guard. The rank stays recorded throughout (a
+    /// parked thread acquires nothing else). A wake on a lock whose holder
+    /// panicked is recovered and counted like any poisoned acquisition.
+    /// Spurious wake-ups are possible; callers re-check their predicate.
+    pub fn wait(self, cv: &Condvar) -> Self {
+        let OrderedMutexGuard { inner, token } = self;
+        OrderedMutexGuard {
+            inner: recover(cv.wait(inner)),
+            token,
+        }
+    }
 }
 
 impl<T: ?Sized> Deref for OrderedMutexGuard<'_, T> {
@@ -197,12 +194,6 @@ impl<T: ?Sized> Deref for OrderedMutexGuard<'_, T> {
 impl<T: ?Sized> DerefMut for OrderedMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for OrderedMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        release(self.token);
     }
 }
 
@@ -226,20 +217,12 @@ impl<T> OrderedRwLock<T> {
 }
 
 impl<T: ?Sized> OrderedRwLock<T> {
-    pub fn rank(&self) -> u16 {
-        self.rank
-    }
-
-    pub fn label(&self) -> &'static str {
-        self.label
-    }
-
     #[track_caller]
     pub fn read(&self) -> OrderedRwLockReadGuard<'_, T> {
         let token = acquire(self.rank, self.label, Location::caller());
         OrderedRwLockReadGuard {
-            inner: read_or_recover(&self.inner),
-            token,
+            inner: recover(self.inner.read()),
+            _token: token,
         }
     }
 
@@ -247,8 +230,8 @@ impl<T: ?Sized> OrderedRwLock<T> {
     pub fn write(&self) -> OrderedRwLockWriteGuard<'_, T> {
         let token = acquire(self.rank, self.label, Location::caller());
         OrderedRwLockWriteGuard {
-            inner: write_or_recover(&self.inner),
-            token,
+            inner: recover(self.inner.write()),
+            _token: token,
         }
     }
 }
@@ -264,7 +247,7 @@ impl<T: ?Sized> fmt::Debug for OrderedRwLock<T> {
 
 pub struct OrderedRwLockReadGuard<'a, T: ?Sized> {
     inner: RwLockReadGuard<'a, T>,
-    token: Option<u64>,
+    _token: Token,
 }
 
 impl<T: ?Sized> Deref for OrderedRwLockReadGuard<'_, T> {
@@ -274,15 +257,9 @@ impl<T: ?Sized> Deref for OrderedRwLockReadGuard<'_, T> {
     }
 }
 
-impl<T: ?Sized> Drop for OrderedRwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        release(self.token);
-    }
-}
-
 pub struct OrderedRwLockWriteGuard<'a, T: ?Sized> {
     inner: RwLockWriteGuard<'a, T>,
-    token: Option<u64>,
+    _token: Token,
 }
 
 impl<T: ?Sized> Deref for OrderedRwLockWriteGuard<'_, T> {
@@ -295,12 +272,6 @@ impl<T: ?Sized> Deref for OrderedRwLockWriteGuard<'_, T> {
 impl<T: ?Sized> DerefMut for OrderedRwLockWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
         &mut self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for OrderedRwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        release(self.token);
     }
 }
 
@@ -330,13 +301,13 @@ mod tests {
 
     #[test]
     fn reacquire_after_release_is_fine() {
-        let outer = OrderedMutex::new(1, "test.outer", ());
+        let outer = OrderedMutex::new(1, "test.outer", 1u32);
         let inner = OrderedRwLock::new(2, "test.inner", 0u32);
         {
             let _b = inner.write();
         }
-        let _a = outer.lock(); // rank 1 after rank 2 *released*: legal
-        drop(_a);
+        *outer.lock() += 1; // rank 1 after rank 2 *released*: legal
+        assert_eq!(*outer.lock(), 2);
         let _b = inner.read();
     }
 
@@ -359,11 +330,12 @@ mod tests {
     #[cfg(any(debug_assertions, feature = "lock-order-validation"))]
     #[test]
     fn deliberate_inversion_panics_under_the_validator() {
-        // node-stripe (rank 2) held, then op-stripe (rank 1): the exact
-        // inversion the object store's hierarchy forbids.
+        // node-stripe held, then op-stripe: the exact inversion the object
+        // store's hierarchy forbids.
+        use crate::lock_rank::{NODE_STRIPE, OP_STRIPE};
         assert!(panics(|| {
-            let op = Arc::new(OrderedMutex::new(1, "test.op_stripe", ()));
-            let stripe = Arc::new(OrderedRwLock::new(2, "test.node_stripe", 0u32));
+            let op = Arc::new(OrderedMutex::new(OP_STRIPE, "test.op_stripe", ()));
+            let stripe = Arc::new(OrderedRwLock::new(NODE_STRIPE, "test.node_stripe", 0u32));
             let _s = stripe.write();
             let _g = op.lock(); // must panic, not deadlock
         }));
@@ -408,12 +380,44 @@ mod tests {
     }
 
     #[test]
+    fn wait_hands_off_and_recovers_a_poisoned_wake() {
+        let pair = Arc::new((OrderedMutex::new(7, "test.flag", false), Condvar::new()));
+        let before = lock_poison_recovered();
+        // The waiter holds the lock before the waker exists, so the waker
+        // can only get in through `wait`'s release.
+        let mut ready = pair.0.lock();
+        let waker = {
+            let pair = Arc::clone(&pair);
+            std::thread::spawn(move || {
+                let (m, cv) = &*pair;
+                let mut flag = m.lock();
+                *flag = true;
+                cv.notify_all();
+                panic!("poison the mutex while holding it");
+            })
+        };
+        while !*ready {
+            ready = ready.wait(&pair.1);
+        }
+        drop(ready);
+        assert!(waker.join().is_err());
+        assert!(lock_poison_recovered() > before);
+    }
+
+    #[test]
     fn plain_recover_helpers_work() {
         let m = Mutex::new(1);
-        *lock_or_recover(&m) += 1;
-        assert_eq!(*lock_or_recover(&m), 2);
-        let l = RwLock::new(vec![1]);
-        write_or_recover(&l).push(2);
-        assert_eq!(read_or_recover(&l).len(), 2);
+        *recover(m.lock()) += 1;
+        assert_eq!(*recover(m.lock()), 2);
+        let l = Arc::new(RwLock::new(vec![1]));
+        // Many readers at once (on two threads: one thread may not hold
+        // two guards of one rank), then one writer.
+        let first = recover(l.read());
+        let l2 = Arc::clone(&l);
+        let second = std::thread::spawn(move || recover(l2.read()).len());
+        assert_eq!(second.join().ok(), Some(first.len()));
+        drop(first);
+        recover(l.write()).push(2);
+        assert_eq!(recover(l.read()).len(), 2);
     }
 }

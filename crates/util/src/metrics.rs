@@ -11,8 +11,12 @@
 //! whole bucket (2×) between identical runs.
 //! All updates are relaxed atomics: safe to hammer from every thread.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
+
+use crate::{lock_rank, OrderedRwLock};
 
 /// log2 of the sub-buckets per octave.
 const SUB_BITS: u32 = 3;
@@ -163,19 +167,28 @@ impl Counter {
 
 /// A named family of histograms (one per operation kind) plus plain event
 /// counters (cache hits, requests saved, …).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsRegistry {
-    entries: parking_lot::RwLock<std::collections::BTreeMap<String, std::sync::Arc<Histogram>>>,
-    counters: parking_lot::RwLock<std::collections::BTreeMap<String, std::sync::Arc<Counter>>>,
+    entries: OrderedRwLock<BTreeMap<String, Arc<Histogram>>>,
+    counters: OrderedRwLock<BTreeMap<String, Arc<Counter>>>,
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry::new()
+    }
 }
 
 impl MetricsRegistry {
     pub fn new() -> Self {
-        MetricsRegistry::default()
+        MetricsRegistry {
+            entries: OrderedRwLock::new(lock_rank::LEAF, "metrics.histograms", BTreeMap::new()),
+            counters: OrderedRwLock::new(lock_rank::LEAF, "metrics.counters", BTreeMap::new()),
+        }
     }
 
     /// Get (or create) the histogram for `name`.
-    pub fn histogram(&self, name: &str) -> std::sync::Arc<Histogram> {
+    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
         if let Some(h) = self.entries.read().get(name) {
             return h.clone();
         }
@@ -192,7 +205,7 @@ impl MetricsRegistry {
     }
 
     /// Get (or create) the counter for `name`.
-    pub fn counter(&self, name: &str) -> std::sync::Arc<Counter> {
+    pub fn counter(&self, name: &str) -> Arc<Counter> {
         if let Some(c) = self.counters.read().get(name) {
             return c.clone();
         }

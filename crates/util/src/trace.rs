@@ -29,10 +29,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
-
 use crate::id::NamespaceId;
 use crate::metrics::{Histogram, MetricsRegistry};
+use crate::{lock_rank, OrderedMutex};
 
 /// What a span's work is for. The first six stages ([`Stage::OWNERS`])
 /// own virtual time: a charge lands in the innermost of them that
@@ -344,7 +343,7 @@ pub struct TraceCollector {
     node: u16,
     seen: AtomicU64,
     sampled: AtomicU64,
-    ring: Mutex<VecDeque<RootTrace>>,
+    ring: OrderedMutex<VecDeque<RootTrace>>,
 }
 
 /// Default ring-buffer capacity (root traces retained per middleware).
@@ -358,7 +357,7 @@ impl TraceCollector {
             node,
             seen: AtomicU64::new(0),
             sampled: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::new()),
+            ring: OrderedMutex::new(lock_rank::LEAF, "trace.ring", VecDeque::new()),
         }
     }
 

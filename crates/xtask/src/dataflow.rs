@@ -99,8 +99,6 @@ pub struct Acq {
 pub const LOCK_METHODS: [&str; 4] = ["lock", "try_lock", "read", "write"];
 
 /// Try to match an acquisition whose ranked identifier sits at `i`.
-/// Recovery variants (`lock_or_recover` etc.) count too: they acquire
-/// the same underlying lock.
 pub fn match_acquisition(
     tokens: &[Token],
     i: usize,

@@ -18,6 +18,8 @@
 //!   `CloudFs`/`ObjectStore` traits).
 //! * [`determinism`] — wall-clock reads and real sleeps only in the
 //!   `h2util::clock` facade.
+//! * [`unranked`] — `unranked-lock`: no bare `Mutex::new`/`RwLock::new`
+//!   outside tests and the ranked wrappers' own file.
 //!
 //! Findings are suppressed by a justified
 //! `// h2lint: allow(rule): why` on the finding's line or the line
@@ -28,6 +30,7 @@ pub mod determinism;
 pub mod lockorder;
 pub mod metrics;
 pub mod panic_safety;
+pub mod unranked;
 pub mod vtime;
 
 use crate::config::Config;
@@ -62,6 +65,7 @@ pub const RULE_VTIME: &str = "vtime-accounting";
 pub const RULE_METRICS: &str = "metrics-hygiene";
 pub const RULE_PANIC_SAFETY: &str = "panic-safety";
 pub const RULE_DETERMINISM: &str = "determinism";
+pub const RULE_UNRANKED_LOCK: &str = "unranked-lock";
 pub const RULE_ALLOW_SYNTAX: &str = "allow-syntax";
 
 /// True for paths whose code is test/bench harness, where panic-safety,
@@ -121,6 +125,9 @@ pub fn lint_file(pf: &ParsedFile, cfg: &Config, g: &Globals) -> Vec<Finding> {
         findings.extend(panic_safety::check(pf, g));
         findings.extend(vtime::check(pf, g));
         findings.extend(metrics::check(pf, cfg, g));
+        if path != unranked::WRAPPER_FILE {
+            findings.extend(unranked::check(pf));
+        }
     }
 
     let exempt = cfg

@@ -38,8 +38,8 @@ pub fn check(pf: &ParsedFile, g: &Globals) -> Vec<Finding> {
                         rule: RULE_PANIC_SAFETY,
                         message: format!(
                             ".{}().{}() on a lock can poison-cascade across \
-                             threads; use h2util::lock_or_recover (or the \
-                             Ordered* types) instead",
+                             threads; use the h2util::Ordered* lock types, which \
+                             recover and count a poisoned lock, instead",
                             name, u.text
                         ),
                     });

@@ -75,6 +75,7 @@ fn violating_fixtures_are_flagged() {
         ("violating/panic_unwrap_lock.rs", "panic-safety", 2),
         ("violating/panic_cloud_expect.rs", "panic-safety", 3),
         ("violating/determinism_wall_time.rs", "determinism", 3),
+        ("violating/unranked_lock.rs", "unranked-lock", 3),
         ("violating/allow_unjustified.rs", "determinism", 1),
         ("violating/allow_unjustified.rs", "allow-syntax", 1),
     ];
@@ -110,6 +111,7 @@ fn violating_fixtures_have_no_stray_findings() {
         ("violating/panic_unwrap_lock.rs", vec!["panic-safety"]),
         ("violating/panic_cloud_expect.rs", vec!["panic-safety"]),
         ("violating/determinism_wall_time.rs", vec!["determinism"]),
+        ("violating/unranked_lock.rs", vec!["unranked-lock"]),
         (
             "violating/allow_unjustified.rs",
             vec!["determinism", "allow-syntax"],

@@ -77,16 +77,37 @@ fn derived_cloud_op_set_matches_the_traits() {
 fn inferred_rank_table_covers_the_lock_hierarchy() {
     // Rank inference replaces the hand-written h2lint.toml name lists;
     // losing a name here silently disables lock-order checking for it.
+    // Every lock field (and ranked accessor) of the object store and the
+    // middleware is pinned, at its `h2util::lock_rank` tier.
     let (_, globals) = analyze_tree(&workspace_root(), None).expect("lint runs");
     for (name, rank, label) in [
-        ("op_locks", 1, "objectstore.op_stripe"),
-        ("op_lock", 1, "objectstore.op_stripe"),
-        ("stripes", 2, "objectstore.node_stripe"),
-        ("stripe", 2, "objectstore.node_stripe"),
-        ("containers", 3, "objectstore.container_shard"),
-        ("container_shard", 3, "objectstore.container_shard"),
-        ("catalog", 3, "objectstore.catalog_shard"),
-        ("catalog_shard", 3, "objectstore.catalog_shard"),
+        // crates/objectstore
+        ("topology_ops", 10, "objectstore.topology_ops"),
+        ("op_locks", 100, "objectstore.op_stripe"),
+        ("op_lock", 100, "objectstore.op_stripe"),
+        ("stripes", 200, "objectstore.node_stripe"),
+        ("stripe", 200, "objectstore.node_stripe"),
+        ("containers", 300, "objectstore.container_shard"),
+        ("container_shard", 300, "objectstore.container_shard"),
+        ("catalog", 300, "objectstore.catalog_shard"),
+        ("catalog_shard", 300, "objectstore.catalog_shard"),
+        ("cas_ref", 400, "objectstore.cas_refcount"),
+        ("cas_ref_shard", 400, "objectstore.cas_refcount"),
+        ("topo", 900, "objectstore.topology"),
+        ("accounts", 900, "objectstore.accounts"),
+        ("pending_index", 900, "objectstore.pending_index"),
+        ("pending", 900, "objectstore.migration_pending"),
+        // crates/core
+        ("merge", 20, "middleware.merge_gate"),
+        ("ring_cache", 800, "middleware.ring_cache"),
+        ("ring_shard", 800, "middleware.ring_cache"),
+        ("path_cache", 800, "middleware.path_cache"),
+        ("fds", 900, "middleware.fds"),
+        ("commit", 900, "middleware.commit_queue"),
+        ("cached_ms", 900, "middleware.cached_ms"),
+        ("ns_epochs", 900, "middleware.ns_epochs"),
+        ("outbox", 900, "middleware.outbox"),
+        ("background", 900, "middleware.background"),
     ] {
         let got = globals
             .ranks
