@@ -284,7 +284,9 @@ impl CloudFs for CasFs {
     }
 
     fn create_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
-        self.cluster.create_account(account)?;
+        self.cluster.create_account_ctx(ctx, account)?;
+        let model = ctx.model.clone();
+        ctx.charge(PrimKind::DbUpdate, model.db_update_cost());
         // Indexed: a CAS arena keeps a block index (Venti's index) — here
         // it also lets the garbage sweep enumerate blocks.
         self.cluster.create_container(account, CONTAINER, true)?;
@@ -302,7 +304,7 @@ impl CloudFs for CasFs {
 
     fn delete_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
         self.by_account.lock().remove(account);
-        self.cluster.delete_account_ctx(ctx, account)
+        self.cluster.delete_account(ctx, account)
     }
 
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {

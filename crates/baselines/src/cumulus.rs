@@ -301,7 +301,7 @@ impl CloudFs for CumulusFs {
 
     fn delete_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
         self.by_account.lock().remove(account);
-        self.cluster.delete_account_ctx(ctx, account)
+        self.cluster.delete_account(ctx, account)
     }
 
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {

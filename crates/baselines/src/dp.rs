@@ -266,7 +266,7 @@ impl CloudFs for DpFs {
     fn delete_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
         self.charge_service(ctx, true);
         self.by_account.lock().remove(account);
-        self.cluster.delete_account_ctx(ctx, account)
+        self.cluster.delete_account(ctx, account)
     }
 
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {

@@ -127,7 +127,7 @@ impl CloudFs for SingleIndexFs {
     fn delete_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
         self.rpc(ctx);
         self.trees.lock().remove(account);
-        self.cluster.delete_account_ctx(ctx, account)
+        self.cluster.delete_account(ctx, account)
     }
 
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {

@@ -168,7 +168,7 @@ impl CloudFs for SwiftFs {
     }
 
     fn delete_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
-        self.cluster.delete_account_ctx(ctx, account)
+        self.cluster.delete_account(ctx, account)
     }
 
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {

@@ -124,4 +124,21 @@ mod tests {
             assert_eq!(sys.fs.name(), kind.label());
         }
     }
+
+    #[test]
+    fn every_model_pays_the_account_and_container_rows() {
+        for kind in SystemKind::ALL {
+            let sys = build_system(kind);
+            let mut ctx = h2util::OpCtx::new(sys.cost.clone());
+            sys.fs.create_account(&mut ctx, "other").unwrap();
+            // CAS also writes its empty root block into its indexed block
+            // arena, which pays that block's own listing row.
+            let index_rows = u64::from(kind == SystemKind::Cas);
+            assert_eq!(
+                ctx.counts().get(h2util::PrimKind::DbUpdate),
+                2 + index_rows,
+                "{kind:?}"
+            );
+        }
+    }
 }

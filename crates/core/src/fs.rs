@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use h2fsapi::{CloudFs, DirEntry, EntryKind, FileContent, FsPath, StoreStats};
 use h2util::trace::Stage;
-use h2util::{H2Error, NamespaceId, OpCtx, Result, Timestamp};
+use h2util::{H2Error, NamespaceId, OpCtx, PrimKind, Result, Timestamp};
 use swiftsim::{Cluster, ClusterConfig, ObjectStore, Payload};
 
 use crate::keys::{DirDescriptor, H2Keys, H2_CONTAINER};
@@ -384,12 +384,12 @@ impl H2Cloud {
         let Some((last, dirs)) = path.components().split_last() else {
             return Ok(Resolved::Root);
         };
-        if !(mw.path_cache_active() || mw.neg_cache_active()) {
+        if !mw.path_cache_active() {
             return self.walk(mw, ctx, keys, path, None);
         }
         mw.charge_path_probe(ctx);
         let full = path_string(path);
-        if let Some(answer) = mw.path_cache_lookup(keys, &full) {
+        if let Some((answer, _)) = mw.path_cache_lookup(keys, &full) {
             return match answer {
                 PathAnswer::Hit { parent_ns, tuple } => Ok(resolved_from(parent_ns, last, tuple)),
                 PathAnswer::Missing => Err(H2Error::NotFound(full)),
@@ -409,7 +409,7 @@ impl H2Cloud {
                     ..
                 },
                 parent_fp,
-            )) = mw.path_cache_lookup_fp(keys, parent)
+            )) = mw.path_cache_lookup(keys, parent)
             {
                 let (view, epoch) = mw.read_ring_view_stamped(ctx, keys, dir_ns)?;
                 mw.charge_lookup_step(ctx, view.from_cache());
@@ -567,10 +567,12 @@ impl H2Cloud {
     // ----- operations shared by CloudFs and H2View --------------------------
 
     fn op_create_account(&self, mw: &H2Middleware, ctx: &mut OpCtx, account: &str) -> Result<()> {
-        self.cluster().create_account(account)?;
+        self.cluster().create_account_ctx(ctx, account)?;
+        // The container row is one more account-DB update.
+        let model = ctx.model.clone();
+        ctx.charge(PrimKind::DbUpdate, model.db_update_cost());
         self.cluster()
             .create_container(account, H2_CONTAINER, false)?;
-        // The root directory's (empty) NameRing.
         let keys = H2Keys::new(account);
         mw.create_ring(ctx, &keys, NamespaceId::ROOT)
     }
@@ -955,12 +957,9 @@ impl H2Cloud {
                 size,
                 ..
             } => {
-                // Fake deletion (§3.3.3a): tombstone the tuple FIRST. An
-                // earlier revision deleted the content object before the
-                // patch; if the patch submission then failed, the client
-                // saw a failed delete while the data was already gone — a
-                // live name pointing at nothing. Tombstone-first means a
-                // failed delete changes nothing visible.
+                // Fake deletion (§3.3.3a): tombstone the tuple FIRST, so a
+                // failed delete changes nothing visible — content deleted
+                // first would leave a live name pointing at nothing.
                 let mut patch = NameRing::new();
                 patch.apply(&name, Tuple::file(mw.tick(), size).tombstone(mw.tick()));
                 mw.submit_patch(ctx, &keys, parent_ns, patch)?;
@@ -1039,7 +1038,7 @@ impl CloudFs for H2Cloud {
     }
 
     fn delete_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
-        self.cluster().delete_account_ctx(ctx, account)
+        self.cluster().delete_account(ctx, account)
     }
 
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
@@ -1225,7 +1224,7 @@ impl CloudFs for H2View<'_> {
     }
 
     fn delete_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
-        self.fs.cluster().delete_account_ctx(ctx, account)
+        self.fs.cluster().delete_account(ctx, account)
     }
 
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {

@@ -442,12 +442,10 @@ impl<'a> Iterator for Iter<'a> {
 /// A read-only *join view* over a fetched global ring and a middleware's
 /// local patch overlay (`fd.local`), evaluated per key.
 ///
-/// The serving path used to deep-clone the global ring and `merge_from` the
-/// overlay into the clone for every resolve level — O(ring) allocation per
-/// lookup. A `RingView` holds `Arc`s to both sides and computes the CRDT
-/// join lazily: `get` joins the two tuples for one key, [`RingView::live`]
-/// walks both sorted rings in lockstep. Cloning the view is two refcount
-/// bumps.
+/// It holds `Arc`s to both sides and computes the CRDT join lazily, so a
+/// resolve level allocates nothing proportional to the ring: `get` joins
+/// the two tuples for one key, [`RingView::live`] walks both sorted rings
+/// in lockstep. Cloning the view is two refcount bumps.
 ///
 /// Note this is a *view*, not a cache: it never assumes one side subsumes
 /// the other (the global ring object is not monotone across nodes —

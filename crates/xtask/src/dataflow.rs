@@ -52,6 +52,44 @@ impl ParsedFile {
     }
 }
 
+impl ParsedFile {
+    /// Workspace paths of the files this one declares as
+    /// `#[cfg(test)] mod name;` — `name.rs` or `name/mod.rs` beside a
+    /// `mod.rs`/`lib.rs`/`main.rs`, under the file's own stem otherwise.
+    pub fn test_module_files(&self) -> Vec<String> {
+        let toks = &self.lexed.tokens;
+        let (dir, file) = self.path.rsplit_once('/').unwrap_or(("", &self.path));
+        let base = match file {
+            "mod.rs" | "lib.rs" | "main.rs" => dir.to_string(),
+            _ => self.path.trim_end_matches(".rs").to_string(),
+        };
+        let mut out = Vec::new();
+        for i in 0..toks.len().saturating_sub(9) {
+            let cfg_test = ["#", "[", "cfg", "(", "test", ")", "]", "mod"]
+                .iter()
+                .zip(&toks[i..])
+                .all(|(want, t)| t.text == *want);
+            if cfg_test && !self.macro_masked[i] && toks[i + 9].is_punct(';') {
+                let name = &toks[i + 8].text;
+                let prefix = if base.is_empty() {
+                    String::new()
+                } else {
+                    format!("{base}/")
+                };
+                out.push(format!("{prefix}{name}.rs"));
+                out.push(format!("{prefix}{name}/mod.rs"));
+            }
+        }
+        out
+    }
+
+    /// Treat the whole file as test code (it is a `#[cfg(test)]` module).
+    pub fn mark_test(&mut self) {
+        self.test_mask.fill(true);
+        self.items = parse::scan(&self.lexed.tokens, &self.macro_masked, &self.test_mask);
+    }
+}
+
 /// The inferred rank of one lock-bearing identifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankInfo {

@@ -52,10 +52,20 @@ pub fn lint_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Finding> 
 /// [`lint_sources`], also handing back the global facts (for tests that
 /// assert on the inferred rank table or the derived cloud-op set).
 pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> (Vec<Finding>, Globals) {
-    let parsed: Vec<ParsedFile> = sources
+    let mut parsed: Vec<ParsedFile> = sources
         .iter()
         .map(|(path, src)| ParsedFile::new(path, src))
         .collect();
+    let test_modules: Vec<String> = parsed
+        .iter()
+        .flat_map(ParsedFile::test_module_files)
+        .collect();
+    for pf in parsed
+        .iter_mut()
+        .filter(|pf| test_modules.contains(&pf.path))
+    {
+        pf.mark_test();
+    }
     let globals = dataflow::analyze(&parsed, cfg);
     let mut findings = Vec::new();
     for pf in &parsed {

@@ -167,3 +167,23 @@ fn findings_carry_usable_locations() {
     assert!(findings[0].message.contains("op-stripe"));
     assert!(findings[0].message.contains("map-shard"));
 }
+
+#[test]
+fn a_cfg_test_module_file_is_test_code() {
+    // A helper in `tests.rs` unwraps a cloud op: flagged while the file is
+    // ordinary code, not once `mod.rs` declares it `#[cfg(test)] mod tests;`.
+    let helper = "fn helper(fs: &dyn CloudFs, ctx: &mut OpCtx) {\n    fs.mkdir(ctx, \"a\", &p).unwrap();\n}\n";
+    let run = |decl: &str| {
+        let sources = vec![
+            (
+                "fixtures/rank_model.rs".to_string(),
+                read_fixture("rank_model.rs"),
+            ),
+            ("crates/x/src/m/mod.rs".to_string(), decl.to_string()),
+            ("crates/x/src/m/tests.rs".to_string(), helper.to_string()),
+        ];
+        count(&lint_sources(&sources, &cfg()), "panic-safety")
+    };
+    assert_eq!(run("mod tests;\n"), 1);
+    assert_eq!(run("#[cfg(test)]\nmod tests;\n"), 0);
+}

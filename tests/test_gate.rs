@@ -144,3 +144,32 @@ fn no_cargo_feature_but_lock_order_validation() {
          `H2Config` profile instead): {stray:#?}"
     );
 }
+
+/// The longest a Rust source under `crates/` may grow, tests included. A
+/// file past it holds several subsystems; split it into a module tree.
+const MAX_FILE_LINES: usize = 1_500;
+
+#[test]
+fn no_source_file_outgrows_the_split_threshold() {
+    let mut sources = Vec::new();
+    files(&root().join("crates"), ".rs", &mut sources);
+    assert!(
+        sources.len() > 100,
+        "the scan found {} sources",
+        sources.len()
+    );
+    let long: Vec<String> = sources
+        .iter()
+        .filter_map(|path| {
+            let lines = std::fs::read_to_string(path)
+                .expect("readable")
+                .lines()
+                .count();
+            (lines > MAX_FILE_LINES).then(|| format!("{}: {lines} lines", path.display()))
+        })
+        .collect();
+    assert!(
+        long.is_empty(),
+        "sources over {MAX_FILE_LINES} lines: {long:#?}"
+    );
+}
