@@ -20,9 +20,10 @@ use std::sync::Arc;
 use h2fsapi::{CloudFs, DirEntry, EntryKind, FileContent, FsPath, StoreStats};
 use h2util::hash::Digest128;
 use h2util::{lock_rank, H2Error, OpCtx, OrderedMutex, PrimKind, Result};
-use swiftsim::{Cluster, ClusterConfig, Meta, ObjectKey, ObjectStore, Payload};
+use swiftsim::{Cluster, Meta, ObjectKey, ObjectStore, Payload};
 
 use crate::tree::{Node, TreeIndex};
+use crate::{to_content, to_payload};
 
 const CONTAINER: &str = "blocks";
 
@@ -50,10 +51,6 @@ impl CasFs {
                 HashMap::new(),
             ),
         }
-    }
-
-    pub fn rack() -> Self {
-        Self::new(Cluster::new(ClusterConfig::default()))
     }
 
     pub fn cluster(&self) -> &Arc<Cluster> {
@@ -147,21 +144,15 @@ impl CasFs {
         hash: Digest128,
     ) -> Result<FileContent> {
         let obj = self.cluster.get(ctx, &self.key(account, hash))?;
-        Ok(match obj.payload {
-            Payload::Inline(b) => FileContent::Inline(h2util::SharedBuf::from_bytes(b)),
-            Payload::Simulated { size, .. } => FileContent::Simulated(size),
-        })
+        Ok(to_content(obj.payload))
     }
 
     /// Content hash of the file at `path` (what a CAS client would keep).
     pub fn hash_of(&self, account: &str, path: &FsPath) -> Result<Digest128> {
         self.with_state(account, |st| {
-            let r = st.tree.resolve(path)?;
-            match &st.tree.get(r.id).expect("resolved").node {
-                Node::File { object, .. } => Digest128::from_hex(object)
-                    .ok_or_else(|| H2Error::Corrupt(format!("bad stored hash {object}"))),
-                Node::Dir { .. } => Err(H2Error::IsADirectory(path.to_string())),
-            }
+            let object = st.tree.file_object(path)?;
+            Digest128::from_hex(object)
+                .ok_or_else(|| H2Error::Corrupt(format!("bad stored hash {object}")))
         })
     }
 
@@ -284,12 +275,10 @@ impl CloudFs for CasFs {
     }
 
     fn create_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
-        self.cluster.create_account_ctx(ctx, account)?;
-        let model = ctx.model.clone();
-        ctx.charge(PrimKind::DbUpdate, model.db_update_cost());
         // Indexed: a CAS arena keeps a block index (Venti's index) — here
         // it also lets the garbage sweep enumerate blocks.
-        self.cluster.create_container(account, CONTAINER, true)?;
+        self.cluster
+            .create_account_ctx(ctx, account, CONTAINER, true)?;
         let empty_root = self.put_block(ctx, account, Payload::from_string("CAS-DIR\n".into()))?;
         self.by_account.lock().insert(
             account.to_string(),
@@ -310,30 +299,15 @@ impl CloudFs for CasFs {
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
         self.with_state(account, |st| {
             let ms = Self::next_ms(st);
-            let (parent, name, _) = st.tree.resolve_parent(path).map_err(|e| match e {
-                H2Error::InvalidPath(_) => H2Error::AlreadyExists("/".into()),
-                other => other,
-            })?;
-            st.tree.mkdir(parent, name, ms).map_err(|e| match e {
-                H2Error::AlreadyExists(_) => H2Error::AlreadyExists(path.to_string()),
-                other => other,
-            })?;
+            st.tree.mkdir(path, ms)?;
             self.rebuild_index(ctx, account, st)
         })
     }
 
     fn rmdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        if path.is_root() {
-            return Err(H2Error::InvalidPath("cannot remove /".into()));
-        }
+        TreeIndex::check_rmdir(path)?;
         self.with_state(account, |st| {
-            let r = st.tree.resolve(path)?;
-            if !st.tree.get(r.id).expect("resolved").is_dir() {
-                return Err(H2Error::NotADirectory(path.to_string()));
-            }
-            let (parent, name, _) = st.tree.resolve_parent(path)?;
-            st.tree.detach(parent, name)?;
-            st.tree.remove_subtree(r.id);
+            st.tree.rmdir(path)?;
             // Old blocks stay as garbage (immutable store); the index is
             // reconstructed without them.
             self.rebuild_index(ctx, account, st)
@@ -341,93 +315,30 @@ impl CloudFs for CasFs {
     }
 
     fn mv(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
-        if from.is_root() || to.is_root() {
-            return Err(H2Error::InvalidPath("cannot move to or from /".into()));
-        }
-        if from == to {
+        if !TreeIndex::move_needed(from, to)? {
             // A self-move is a no-op, but not a free one: the client still
             // paid the source lookup (one HEAD) before concluding so.
             let model = ctx.model.clone();
             ctx.charge(PrimKind::Head, model.head_cost());
             return Ok(());
         }
-        if from.is_ancestor_of(to) {
-            return Err(H2Error::InvalidPath(format!(
-                "cannot move {from} inside itself"
-            )));
-        }
         self.with_state(account, |st| {
             let ms = Self::next_ms(st);
-            let (src_parent, src_name, _) = st.tree.resolve_parent(from)?;
-            let (dst_parent, dst_name, _) = st.tree.resolve_parent(to)?;
-            if st.tree.dir_children(dst_parent)?.contains_key(dst_name) {
-                return Err(H2Error::AlreadyExists(to.to_string()));
-            }
-            if !st.tree.dir_children(src_parent)?.contains_key(src_name) {
-                return Err(H2Error::NotFound(from.to_string()));
-            }
-            let id = st.tree.detach(src_parent, src_name)?;
-            st.tree.attach(dst_parent, dst_name, id, ms)?;
+            st.tree.rename(from, to, ms)?;
             self.rebuild_index(ctx, account, st)
         })
     }
 
     fn copy(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
-        if from.is_root() || to.is_root() {
-            return Err(H2Error::InvalidPath("cannot copy to or from /".into()));
-        }
-        if from == to || from.is_ancestor_of(to) {
-            return Err(H2Error::InvalidPath(format!(
-                "cannot copy {from} onto/inside itself"
-            )));
-        }
+        TreeIndex::check_copy(from, to)?;
         self.with_state(account, |st| {
             let ms = Self::next_ms(st);
-            let r = st.tree.resolve(from)?;
-            let (dst_parent, dst_name, _) = st.tree.resolve_parent(to)?;
-            if st.tree.dir_children(dst_parent)?.contains_key(dst_name) {
-                return Err(H2Error::AlreadyExists(to.to_string()));
-            }
             // Content blocks are shared (same hash!); only the tree and the
             // pointer blocks change.
-            match &st.tree.get(r.id).expect("resolved").node.clone() {
-                Node::File { size, object } => {
-                    st.tree
-                        .put_file(dst_parent, dst_name, *size, object.clone(), ms)?;
-                }
-                Node::Dir { .. } => {
-                    let files = st.tree.subtree_files(r.id);
-                    let dirs = st.tree.subtree_dirs(r.id);
-                    let root_id = st.tree.mkdir(dst_parent, dst_name, ms)?;
-                    for rel in &dirs {
-                        let mut cur = root_id;
-                        for comp in rel {
-                            cur = match st.tree.dir_children(cur)?.get(comp) {
-                                Some(&id) => id,
-                                None => st.tree.mkdir(cur, comp, ms)?,
-                            };
-                        }
-                    }
-                    for (rel, size, object) in files {
-                        let mut cur = root_id;
-                        for comp in &rel[..rel.len() - 1] {
-                            cur = *st.tree.dir_children(cur)?.get(comp).expect("dir created");
-                        }
-                        st.tree
-                            .put_file(cur, rel.last().expect("name"), size, object, ms)?;
-                    }
-                }
-            }
+            let snapshot = st.tree.copy_snapshot(from, to)?;
+            st.tree.graft(to, snapshot, ms)?;
             self.rebuild_index(ctx, account, st)
         })
-    }
-
-    fn list(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<Vec<String>> {
-        Ok(self
-            .list_detailed(ctx, account, path)?
-            .into_iter()
-            .map(|e| e.name)
-            .collect())
     }
 
     fn list_detailed(
@@ -475,27 +386,13 @@ impl CloudFs for CasFs {
         path: &FsPath,
         content: FileContent,
     ) -> Result<()> {
-        let payload = match content {
-            FileContent::Inline(v) => Payload::Inline(v.into_bytes()),
-            FileContent::Simulated(n) => Payload::simulated(n, &path.to_string()),
-            FileContent::SimulatedShared { size, seed } => {
-                Payload::simulated(size, &format!("shared:{seed}"))
-            }
-        };
+        let payload = to_payload(content, path);
         let size = payload.len();
         let hash = self.put_block(ctx, account, payload)?;
         self.with_state(account, |st| {
             let ms = Self::next_ms(st);
-            let (parent, name, _) = st.tree.resolve_parent(path).map_err(|e| match e {
-                H2Error::InvalidPath(_) => H2Error::IsADirectory("/".into()),
-                other => other,
-            })?;
-            if let Some(&id) = st.tree.dir_children(parent)?.get(name) {
-                if st.tree.get(id).expect("child").is_dir() {
-                    return Err(H2Error::IsADirectory(path.to_string()));
-                }
-            }
-            st.tree.put_file(parent, name, size, hash.to_hex(), ms)?;
+            st.tree.check_write(path)?;
+            st.tree.write(path, size, hash.to_hex(), ms)?;
             self.rebuild_index(ctx, account, st)
         })
     }
@@ -511,20 +408,7 @@ impl CloudFs for CasFs {
 
     fn delete_file(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
         self.with_state(account, |st| {
-            let (parent, name, _) = st.tree.resolve_parent(path).map_err(|e| match e {
-                H2Error::InvalidPath(_) => H2Error::IsADirectory("/".into()),
-                other => other,
-            })?;
-            let &id = st
-                .tree
-                .dir_children(parent)?
-                .get(name)
-                .ok_or_else(|| H2Error::NotFound(path.to_string()))?;
-            if st.tree.get(id).expect("child").is_dir() {
-                return Err(H2Error::IsADirectory(path.to_string()));
-            }
-            st.tree.detach(parent, name)?;
-            st.tree.remove_subtree(id);
+            st.tree.unlink(path)?;
             self.rebuild_index(ctx, account, st)
         })
     }
@@ -576,16 +460,11 @@ impl CloudFs for CasFs {
         self.with_state(account, |st| {
             for d in dirs {
                 let ms = Self::next_ms(st);
-                let (parent, name, _) = st.tree.resolve_parent(d).map_err(|e| match e {
-                    H2Error::InvalidPath(_) => H2Error::AlreadyExists("/".into()),
-                    other => other,
-                })?;
-                st.tree.mkdir(parent, name, ms)?;
+                st.tree.mkdir(d, ms)?;
             }
             for ((f, size), hash) in files.iter().zip(hashes) {
                 let ms = Self::next_ms(st);
-                let (parent, name, _) = st.tree.resolve_parent(f)?;
-                st.tree.put_file(parent, name, *size, hash.to_hex(), ms)?;
+                st.tree.write(f, *size, hash.to_hex(), ms)?;
             }
             self.rebuild_index(ctx, account, st)
         })
@@ -604,6 +483,7 @@ impl CloudFs for CasFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swiftsim::ClusterConfig;
 
     fn p(s: &str) -> FsPath {
         FsPath::parse(s).unwrap()

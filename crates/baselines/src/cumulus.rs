@@ -25,7 +25,9 @@ use std::sync::Arc;
 
 use h2fsapi::{CloudFs, DirEntry, EntryKind, FileContent, FsPath, StoreStats};
 use h2util::{lock_rank, H2Error, OpCtx, OrderedMutex, Result};
-use swiftsim::{Cluster, ClusterConfig, Meta, ObjectKey, ObjectStore, Payload};
+use swiftsim::{Cluster, Meta, ObjectKey, ObjectStore, Payload};
+
+use crate::{to_content, to_payload};
 
 const CONTAINER: &str = "backup";
 /// Files per segment object.
@@ -139,10 +141,6 @@ impl CumulusFs {
                 HashMap::new(),
             ),
         }
-    }
-
-    pub fn rack() -> Self {
-        Self::new(Cluster::new(ClusterConfig::default()))
     }
 
     pub fn cluster(&self) -> &Arc<Cluster> {
@@ -289,10 +287,8 @@ impl CloudFs for CumulusFs {
     }
 
     fn create_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
-        self.cluster.create_account_ctx(ctx, account)?;
-        let model = ctx.model.clone();
-        ctx.charge(h2util::PrimKind::DbUpdate, model.db_update_cost());
-        self.cluster.create_container(account, CONTAINER, false)?;
+        self.cluster
+            .create_account_ctx(ctx, account, CONTAINER, false)?;
         self.by_account
             .lock()
             .insert(account.to_string(), AccountState::new());
@@ -446,14 +442,6 @@ impl CloudFs for CumulusFs {
         })
     }
 
-    fn list(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<Vec<String>> {
-        Ok(self
-            .list_detailed(ctx, account, path)?
-            .into_iter()
-            .map(|e| e.name)
-            .collect())
-    }
-
     fn list_detailed(
         &self,
         ctx: &mut OpCtx,
@@ -498,13 +486,7 @@ impl CloudFs for CumulusFs {
             let (seg, item) = st.next_slot();
             // Stream the content into the current segment: one PUT of the
             // item's own bytes (appends never re-upload the segment).
-            let payload = match content {
-                FileContent::Inline(v) => Payload::Inline(v.into_bytes()),
-                FileContent::Simulated(n) => Payload::simulated(n, &path.to_string()),
-                FileContent::SimulatedShared { size, seed } => {
-                    Payload::simulated(size, &format!("shared:{seed}"))
-                }
-            };
+            let payload = to_payload(content, path);
             self.cluster
                 .put(ctx, &self.seg_key(account, seg, item), payload, Meta::new())?;
             let ms = st.next_ms();
@@ -539,10 +521,7 @@ impl CloudFs for CumulusFs {
             let obj = self
                 .cluster
                 .get(ctx, &self.seg_key(account, rec.segment, rec.item))?;
-            Ok(match obj.payload {
-                Payload::Inline(b) => FileContent::Inline(h2util::SharedBuf::from_bytes(b)),
-                Payload::Simulated { size, .. } => FileContent::Simulated(size),
-            })
+            Ok(to_content(obj.payload))
         })
     }
 
@@ -612,6 +591,7 @@ impl CloudFs for CumulusFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swiftsim::ClusterConfig;
 
     fn p(s: &str) -> FsPath {
         FsPath::parse(s).unwrap()

@@ -1,5 +1,6 @@
 //! Dynamic Partition — the two-cloud architecture the paper infers Dropbox
-//! uses (§2, §5.3, Figure 1c).
+//! uses (§2, §5.3, Figure 1c) — and, as its one-server case, the Single
+//! Index Server of GFS/HDFS (§2).
 //!
 //! Directory metadata lives in a set of index servers; the directory tree is
 //! partitioned across them by subtree, and a load balancer re-partitions
@@ -13,28 +14,57 @@
 //! the α ≈ 0.5 RTT analysis implies), plus one index RPC per partition
 //! crossed, plus per-entry CPU for listings, plus object-cloud costs for
 //! content.
+//!
+//! [`DpFs::single_index`] is the namenode: one server holds every tree, so
+//! no walk crosses a partition and nothing is repartitioned, and no service
+//! path is paid beyond the one RPC. Directory operations stay O(1) and file
+//! access is an O(d) in-memory walk plus that RPC, so per-operation latency
+//! is excellent — the paper's objection is the *centralised*
+//! architecture's scalability, not its speed.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use h2fsapi::{CloudFs, DirEntry, EntryKind, FileContent, FsPath, StoreStats};
+use h2fsapi::{CloudFs, DirEntry, FileContent, FsPath, StoreStats};
 use h2util::{lock_rank, H2Error, OpCtx, OrderedMutex, PrimKind, Result};
-use swiftsim::{Cluster, ClusterConfig, Meta, ObjectKey, ObjectStore, Payload};
+use swiftsim::{Cluster, Meta, ObjectKey, ObjectStore};
 
-use crate::tree::{InodeId, Node, TreeIndex};
+use crate::tree::{InodeId, TreeIndex};
+use crate::{to_content, to_payload};
 
 /// Container holding file content blobs.
 const CONTENT_CONTAINER: &str = "content";
 
-/// Fixed service-path latency of every metadata operation.
-const SERVICE_OVERHEAD: Duration = Duration::from_millis(105);
-/// Extra commit latency of metadata *mutations* (journal + replication in
-/// the index cloud).
-const COMMIT_OVERHEAD: Duration = Duration::from_millis(55);
-/// Per-listing-entry processing in the index server.
-const PER_ENTRY: Duration = Duration::from_micros(260);
+/// What one index-service design adds to the index RPCs, and its name.
+struct IndexService {
+    name: &'static str,
+    /// Fixed service-path latency of every metadata operation.
+    overhead: Duration,
+    /// Extra commit latency of metadata *mutations* (journal + replication
+    /// in the index cloud).
+    commit: Duration,
+    /// Processing per listed entry; `None` charges the cost model's
+    /// `per_entry_cpu`.
+    per_entry: Option<Duration>,
+}
+
+/// Dropbox's metadata service.
+const DROPBOX: IndexService = IndexService {
+    name: "Dropbox (DP)",
+    overhead: Duration::from_millis(105),
+    commit: Duration::from_millis(55),
+    per_entry: Some(Duration::from_micros(260)),
+};
+
+/// A namenode: the index RPC is the whole service path.
+const NAMENODE: IndexService = IndexService {
+    name: "Single Index",
+    overhead: Duration::ZERO,
+    commit: Duration::ZERO,
+    per_entry: None,
+};
 
 /// Per-account metadata state: the tree plus its partition map.
 struct AccountMeta {
@@ -62,6 +92,7 @@ pub struct DpFs {
     by_account: OrderedMutex<HashMap<String, AccountMeta>>,
     /// Number of index servers.
     servers: usize,
+    service: IndexService,
     /// Directories per server above which a repartition is triggered.
     split_threshold: usize,
     next_object: AtomicU64,
@@ -70,6 +101,16 @@ pub struct DpFs {
 
 impl DpFs {
     pub fn new(cluster: Arc<Cluster>, servers: usize) -> Self {
+        Self::build(cluster, servers, DROPBOX)
+    }
+
+    /// The Single Index Server (GFS/HDFS namenode): one index server with
+    /// no service overhead.
+    pub fn single_index(cluster: Arc<Cluster>) -> Self {
+        Self::build(cluster, 1, NAMENODE)
+    }
+
+    fn build(cluster: Arc<Cluster>, servers: usize, service: IndexService) -> Self {
         assert!(servers >= 1);
         DpFs {
             cluster,
@@ -79,15 +120,11 @@ impl DpFs {
                 HashMap::new(),
             ),
             servers,
+            service,
             split_threshold: 512,
             next_object: AtomicU64::new(1),
             ms: AtomicU64::new(1_600_000_000_000),
         }
-    }
-
-    /// Rack-shaped stand-alone instance with 4 index servers.
-    pub fn rack() -> Self {
-        DpFs::new(Cluster::new(ClusterConfig::default()), 4)
     }
 
     pub fn cluster(&self) -> &Arc<Cluster> {
@@ -114,9 +151,9 @@ impl DpFs {
     }
 
     fn charge_service(&self, ctx: &mut OpCtx, mutation: bool) {
-        ctx.charge_time(SERVICE_OVERHEAD);
+        ctx.charge_time(self.service.overhead);
         if mutation {
-            ctx.charge_time(COMMIT_OVERHEAD);
+            ctx.charge_time(self.service.commit);
         }
         let cost = ctx.model.index_rpc_cost();
         ctx.charge(PrimKind::IndexRpc, cost);
@@ -241,7 +278,7 @@ impl DpFs {
 
 impl CloudFs for DpFs {
     fn name(&self) -> &'static str {
-        "Dropbox (DP)"
+        self.service.name
     }
 
     fn uses_separate_index(&self) -> bool {
@@ -252,11 +289,8 @@ impl CloudFs for DpFs {
         // Registering the account is one metadata-service mutation on top
         // of the cloud-side account and container rows.
         self.charge_service(ctx, true);
-        self.cluster.create_account_ctx(ctx, account)?;
-        let model = ctx.model.clone();
-        ctx.charge(PrimKind::DbUpdate, model.db_update_cost());
         self.cluster
-            .create_container(account, CONTENT_CONTAINER, false)?;
+            .create_account_ctx(ctx, account, CONTENT_CONTAINER, false)?;
         self.by_account
             .lock()
             .insert(account.to_string(), AccountMeta::new());
@@ -274,14 +308,7 @@ impl CloudFs for DpFs {
         let ms = self.next_ms();
         self.with_meta(account, |meta| {
             self.charge_walk(ctx, meta, path)?;
-            let (parent, name, _) = meta.tree.resolve_parent(path).map_err(|e| match e {
-                H2Error::InvalidPath(_) => H2Error::AlreadyExists("/".into()),
-                other => other,
-            })?;
-            let id = meta.tree.mkdir(parent, name, ms).map_err(|e| match e {
-                H2Error::AlreadyExists(_) => H2Error::AlreadyExists(path.to_string()),
-                other => other,
-            })?;
+            let (parent, id) = meta.tree.mkdir(path, ms)?;
             // New directory starts on its parent's server.
             let server = meta.server_of(parent);
             meta.placement.insert(id, server);
@@ -292,21 +319,13 @@ impl CloudFs for DpFs {
 
     fn rmdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
         self.charge_service(ctx, true);
-        if path.is_root() {
-            return Err(H2Error::InvalidPath("cannot remove /".into()));
-        }
+        TreeIndex::check_rmdir(path)?;
         // O(1) at operation time: detach the subtree pointer. Content
         // objects are reclaimed asynchronously (charged to background, not
         // to this op) — like Dropbox's deferred deletion.
         let orphaned = self.with_meta(account, |meta| {
             self.charge_walk(ctx, meta, path)?;
-            let r = meta.tree.resolve(path)?;
-            if !meta.tree.get(r.id).expect("resolved inode").is_dir() {
-                return Err(H2Error::NotADirectory(path.to_string()));
-            }
-            let (parent, name, _) = meta.tree.resolve_parent(path)?;
-            meta.tree.detach(parent, name)?;
-            let objs = meta.tree.remove_subtree(r.id);
+            let objs = meta.tree.rmdir(path)?;
             meta.placement.retain(|id, _| meta.tree.get(*id).is_some());
             Ok(objs)
         })?;
@@ -319,134 +338,48 @@ impl CloudFs for DpFs {
 
     fn mv(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
         self.charge_service(ctx, true);
-        if from.is_root() || to.is_root() {
-            return Err(H2Error::InvalidPath("cannot move to or from /".into()));
-        }
-        if from == to {
+        if !TreeIndex::move_needed(from, to)? {
             return Ok(());
-        }
-        if from.is_ancestor_of(to) {
-            return Err(H2Error::InvalidPath(format!(
-                "cannot move {from} inside itself"
-            )));
         }
         let ms = self.next_ms();
         self.with_meta(account, |meta| {
             self.charge_walk(ctx, meta, from)?;
             self.charge_walk(ctx, meta, to)?;
-            let (src_parent, src_name, _) = meta.tree.resolve_parent(from)?;
-            let (dst_parent, dst_name, _) = meta.tree.resolve_parent(to)?;
-            if meta.tree.dir_children(dst_parent)?.contains_key(dst_name) {
-                return Err(H2Error::AlreadyExists(to.to_string()));
-            }
-            if !meta.tree.dir_children(src_parent)?.contains_key(src_name) {
-                return Err(H2Error::NotFound(from.to_string()));
-            }
-            // O(1): pointer detach + attach, whatever the subtree holds.
-            let id = meta.tree.detach(src_parent, src_name)?;
-            meta.tree.attach(dst_parent, dst_name, id, ms)?;
-            Ok(())
+            meta.tree.rename(from, to, ms)
         })
     }
 
     fn copy(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
         self.charge_service(ctx, true);
-        if from.is_root() || to.is_root() {
-            return Err(H2Error::InvalidPath("cannot copy to or from /".into()));
-        }
-        if from == to || from.is_ancestor_of(to) {
-            return Err(H2Error::InvalidPath(format!(
-                "cannot copy {from} onto/inside itself"
-            )));
-        }
+        TreeIndex::check_copy(from, to)?;
         let ms = self.next_ms();
         // Phase 1 (index): snapshot the source subtree.
-        let (files, dirs, src_is_dir, src_size, src_obj) = self.with_meta(account, |meta| {
+        let mut snapshot = self.with_meta(account, |meta| {
             self.charge_walk(ctx, meta, from)?;
             self.charge_walk(ctx, meta, to)?;
-            let r = meta.tree.resolve(from)?;
-            let inode = meta.tree.get(r.id).expect("resolved");
-            let (dst_parent, dst_name, _) = meta.tree.resolve_parent(to)?;
-            if meta.tree.dir_children(dst_parent)?.contains_key(dst_name) {
-                return Err(H2Error::AlreadyExists(to.to_string()));
-            }
-            match &inode.node {
-                Node::File { size, object } => {
-                    Ok((Vec::new(), Vec::new(), false, *size, object.clone()))
-                }
-                Node::Dir { .. } => Ok((
-                    meta.tree.subtree_files(r.id),
-                    meta.tree.subtree_dirs(r.id),
-                    true,
-                    0,
-                    String::new(),
-                )),
-            }
+            meta.tree.copy_snapshot(from, to)
         })?;
         // Phase 2 (object cloud): copy content — O(n) object copies.
-        let mut copied: Vec<(Vec<String>, u64, String)> = Vec::with_capacity(files.len());
-        if src_is_dir {
-            for (rel, size, object) in files {
-                let new_obj = self.new_object_name();
-                self.cluster.copy(
-                    ctx,
-                    &self.key(account, &object),
-                    &self.key(account, &new_obj),
-                )?;
-                copied.push((rel, size, new_obj));
-            }
-        } else {
+        for (_, _, object) in &mut snapshot.files {
             let new_obj = self.new_object_name();
             self.cluster.copy(
                 ctx,
-                &self.key(account, &src_obj),
+                &self.key(account, object),
                 &self.key(account, &new_obj),
             )?;
-            copied.push((Vec::new(), src_size, new_obj));
+            *object = new_obj;
         }
-        // Phase 3 (index): build the destination subtree.
+        // Phase 3 (index): build the destination subtree, on the server of
+        // its parent.
         self.with_meta(account, |meta| {
-            let (dst_parent, dst_name, _) = meta.tree.resolve_parent(to)?;
-            if src_is_dir {
-                let root_id = meta.tree.mkdir(dst_parent, dst_name, ms)?;
-                let server = meta.server_of(dst_parent);
-                meta.placement.insert(root_id, server);
-                for rel in &dirs {
-                    let mut cur = root_id;
-                    for comp in rel {
-                        cur = match meta.tree.dir_children(cur)?.get(comp) {
-                            Some(&id) => id,
-                            None => {
-                                let id = meta.tree.mkdir(cur, comp, ms)?;
-                                meta.placement.insert(id, server);
-                                id
-                            }
-                        };
-                    }
-                }
-                for (rel, size, object) in copied {
-                    let mut cur = root_id;
-                    for comp in &rel[..rel.len() - 1] {
-                        cur = *meta.tree.dir_children(cur)?.get(comp).expect("dir created");
-                    }
-                    meta.tree
-                        .put_file(cur, rel.last().expect("file name"), size, object, ms)?;
-                }
-            } else {
-                let (_, size, object) = copied.into_iter().next().expect("one file");
-                meta.tree.put_file(dst_parent, dst_name, size, object, ms)?;
+            let (parent, made) = meta.tree.graft(to, snapshot, ms)?;
+            let server = meta.server_of(parent);
+            for id in made {
+                meta.placement.insert(id, server);
             }
             self.maybe_repartition(meta);
             Ok(())
         })
-    }
-
-    fn list(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<Vec<String>> {
-        Ok(self
-            .list_detailed(ctx, account, path)?
-            .into_iter()
-            .map(|e| e.name)
-            .collect())
     }
 
     fn list_detailed(
@@ -458,9 +391,9 @@ impl CloudFs for DpFs {
         self.charge_service(ctx, false);
         self.with_meta(account, |meta| {
             self.charge_walk(ctx, meta, path)?;
-            let r = meta.tree.resolve(path)?;
-            let rows = meta.tree.list(r.id)?;
-            ctx.charge_time(PER_ENTRY * rows.len() as u32);
+            let rows = meta.tree.list(path)?;
+            let per_entry = self.service.per_entry.unwrap_or(ctx.model.per_entry_cpu);
+            ctx.charge_time(per_entry * rows.len() as u32);
             Ok(rows)
         })
     }
@@ -479,31 +412,13 @@ impl CloudFs for DpFs {
         // then commit the index entry.
         self.with_meta(account, |meta| {
             self.charge_walk(ctx, meta, path)?;
-            let (parent, name, _) = meta.tree.resolve_parent(path).map_err(|e| match e {
-                H2Error::InvalidPath(_) => H2Error::IsADirectory("/".into()),
-                other => other,
-            })?;
-            if let Some(&id) = meta.tree.dir_children(parent)?.get(name) {
-                if meta.tree.get(id).expect("child").is_dir() {
-                    return Err(H2Error::IsADirectory(path.to_string()));
-                }
-            }
-            Ok(())
+            meta.tree.check_write(path)
         })?;
-        let payload = match content {
-            FileContent::Inline(v) => Payload::Inline(v.into_bytes()),
-            FileContent::Simulated(n) => Payload::simulated(n, &path.to_string()),
-            FileContent::SimulatedShared { size, seed } => {
-                Payload::simulated(size, &format!("shared:{seed}"))
-            }
-        };
+        let payload = to_payload(content, path);
         let size = payload.len();
         self.cluster
             .put(ctx, &self.key(account, &object), payload, Meta::new())?;
-        let old = self.with_meta(account, |meta| {
-            let (parent, name, _) = meta.tree.resolve_parent(path)?;
-            meta.tree.put_file(parent, name, size, object, ms)
-        })?;
+        let old = self.with_meta(account, |meta| meta.tree.write(path, size, object, ms))?;
         if let Some(old_obj) = old {
             let mut bg = OpCtx::new(ctx.model.clone());
             let _ = self.cluster.delete(&mut bg, &self.key(account, &old_obj));
@@ -515,38 +430,17 @@ impl CloudFs for DpFs {
         self.charge_service(ctx, false);
         let object = self.with_meta(account, |meta| {
             self.charge_walk(ctx, meta, path)?;
-            let r = meta.tree.resolve(path)?;
-            match &meta.tree.get(r.id).expect("resolved").node {
-                Node::File { object, .. } => Ok(object.clone()),
-                Node::Dir { .. } => Err(H2Error::IsADirectory(path.to_string())),
-            }
+            meta.tree.file_object(path).map(str::to_string)
         })?;
         let obj = self.cluster.get(ctx, &self.key(account, &object))?;
-        Ok(match obj.payload {
-            Payload::Inline(b) => FileContent::Inline(h2util::SharedBuf::from_bytes(b)),
-            Payload::Simulated { size, .. } => FileContent::Simulated(size),
-        })
+        Ok(to_content(obj.payload))
     }
 
     fn delete_file(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
         self.charge_service(ctx, true);
         let object = self.with_meta(account, |meta| {
             self.charge_walk(ctx, meta, path)?;
-            let (parent, name, _) = meta.tree.resolve_parent(path).map_err(|e| match e {
-                H2Error::InvalidPath(_) => H2Error::IsADirectory("/".into()),
-                other => other,
-            })?;
-            let &id = meta
-                .tree
-                .dir_children(parent)?
-                .get(name)
-                .ok_or_else(|| H2Error::NotFound(path.to_string()))?;
-            if meta.tree.get(id).expect("child").is_dir() {
-                return Err(H2Error::IsADirectory(path.to_string()));
-            }
-            meta.tree.detach(parent, name)?;
-            let objs = meta.tree.remove_subtree(id);
-            Ok(objs.into_iter().next().expect("file has an object"))
+            meta.tree.unlink(path)
         })?;
         self.cluster.delete(ctx, &self.key(account, &object))
     }
@@ -555,22 +449,7 @@ impl CloudFs for DpFs {
         self.charge_service(ctx, false);
         self.with_meta(account, |meta| {
             self.charge_walk(ctx, meta, path)?;
-            let r = meta.tree.resolve(path)?;
-            let inode = meta.tree.get(r.id).expect("resolved");
-            Ok(match &inode.node {
-                Node::Dir { .. } => DirEntry {
-                    name: path.name().unwrap_or("/").to_string(),
-                    kind: EntryKind::Directory,
-                    size: 0,
-                    modified_ms: inode.modified_ms,
-                },
-                Node::File { size, .. } => DirEntry {
-                    name: path.name().unwrap_or("/").to_string(),
-                    kind: EntryKind::File,
-                    size: *size,
-                    modified_ms: inode.modified_ms,
-                },
-            })
+            meta.tree.stat(path)
         })
     }
 
@@ -594,6 +473,7 @@ impl CloudFs for DpFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swiftsim::ClusterConfig;
 
     fn p(s: &str) -> FsPath {
         FsPath::parse(s).unwrap()
@@ -762,5 +642,76 @@ mod tests {
             fs.read(&mut ctx, "alice", &p("/f")).unwrap(),
             FileContent::from_str("newer")
         );
+    }
+    fn setup_single_index() -> (DpFs, OpCtx) {
+        let fs = DpFs::single_index(Cluster::new(ClusterConfig::tiny()));
+        let mut ctx = OpCtx::for_test();
+        fs.create_account(&mut ctx, "alice").unwrap();
+        (fs, ctx)
+    }
+
+    #[test]
+    fn roundtrip_and_constant_dir_ops() {
+        let (fs, mut ctx) = setup_single_index();
+        fs.mkdir(&mut ctx, "alice", &p("/d")).unwrap();
+        for i in 0..20 {
+            fs.write(
+                &mut ctx,
+                "alice",
+                &p(&format!("/d/f{i}")),
+                FileContent::from_str("x"),
+            )
+            .unwrap();
+        }
+        let mut mv = OpCtx::for_test();
+        fs.mv(&mut mv, "alice", &p("/d"), &p("/e")).unwrap();
+        // O(1): just the namenode RPC.
+        assert_eq!(mv.counts().index_rpcs, 1);
+        assert_eq!(mv.counts().total(), 1);
+        assert!(fs.read(&mut ctx, "alice", &p("/e/f7")).is_ok());
+        let mut rm = OpCtx::for_test();
+        fs.rmdir(&mut rm, "alice", &p("/e")).unwrap();
+        assert_eq!(rm.counts().total(), 1);
+        assert_eq!(fs.storage_stats().objects, 0);
+    }
+
+    #[test]
+    fn copy_is_linear_in_files() {
+        let (fs, mut ctx) = setup_single_index();
+        fs.mkdir(&mut ctx, "alice", &p("/d")).unwrap();
+        for i in 0..8 {
+            fs.write(
+                &mut ctx,
+                "alice",
+                &p(&format!("/d/f{i}")),
+                FileContent::from_str("x"),
+            )
+            .unwrap();
+        }
+        let mut cp = OpCtx::for_test();
+        fs.copy(&mut cp, "alice", &p("/d"), &p("/d2")).unwrap();
+        assert_eq!(cp.counts().copies, 8);
+        assert_eq!(fs.list(&mut ctx, "alice", &p("/d2")).unwrap().len(), 8);
+    }
+
+    #[test]
+    fn list_detailed_matches_tree() {
+        let (fs, mut ctx) = setup_single_index();
+        fs.mkdir(&mut ctx, "alice", &p("/d")).unwrap();
+        fs.write(&mut ctx, "alice", &p("/f"), FileContent::Simulated(123))
+            .unwrap();
+        let rows = fs.list_detailed(&mut ctx, "alice", &p("/")).unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows.iter().find(|e| e.name == "f").unwrap().size, 123);
+    }
+
+    #[test]
+    fn index_is_separate_state() {
+        let (fs, mut ctx) = setup_single_index();
+        fs.mkdir(&mut ctx, "alice", &p("/d")).unwrap();
+        assert!(fs.uses_separate_index());
+        let s = fs.storage_stats();
+        assert_eq!(s.objects, 0); // no content yet
+        assert_eq!(s.index_records, 1); // but index state exists
     }
 }

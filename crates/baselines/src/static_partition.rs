@@ -4,7 +4,8 @@
 //! each of which serves its users' directory trees locally: CMU's 2 GB per
 //! enrolled student. Per-operation mechanics and complexities match the
 //! index-server design (file access O(d), directory ops O(1), LIST O(m),
-//! COPY O(n)); the architectural difference the paper criticises is that
+//! COPY O(n)), so the volumes run one [`DpFs::single_index`]; the
+//! architectural difference the paper criticises is that
 //! the assignment is static — a volume cannot grow past its server, and
 //! cross-partition operations are not supported at all.
 //!
@@ -18,13 +19,13 @@ use std::sync::Arc;
 
 use h2fsapi::{CloudFs, DirEntry, FileContent, FsPath, StoreStats};
 use h2util::{hash64, lock_rank, H2Error, OpCtx, OrderedMutex, Result};
-use swiftsim::{Cluster, ClusterConfig};
+use swiftsim::Cluster;
 
-use crate::single_index::SingleIndexFs;
+use crate::dp::DpFs;
 
 /// The static-partition filesystem: fixed volumes over one object cloud.
 pub struct StaticPartitionFs {
-    inner: SingleIndexFs,
+    inner: DpFs,
     volumes: usize,
     /// Bytes written per volume (quota accounting).
     usage: OrderedMutex<Vec<u64>>,
@@ -38,7 +39,7 @@ impl StaticPartitionFs {
     pub fn new(cluster: Arc<Cluster>, volumes: usize, quota: u64) -> Self {
         assert!(volumes >= 1);
         StaticPartitionFs {
-            inner: SingleIndexFs::with_flavor(cluster, "Static Partition", false),
+            inner: DpFs::single_index(cluster),
             volumes,
             usage: OrderedMutex::new(
                 lock_rank::BASELINE_STATE,
@@ -52,10 +53,6 @@ impl StaticPartitionFs {
             ),
             quota,
         }
-    }
-
-    pub fn rack() -> Self {
-        Self::new(Cluster::new(ClusterConfig::default()), 8, u64::MAX)
     }
 
     pub fn cost_model(&self) -> Arc<h2util::CostModel> {
@@ -137,10 +134,6 @@ impl CloudFs for StaticPartitionFs {
         Ok(())
     }
 
-    fn list(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<Vec<String>> {
-        self.inner.list(ctx, account, path)
-    }
-
     fn list_detailed(
         &self,
         ctx: &mut OpCtx,
@@ -200,6 +193,7 @@ impl CloudFs for StaticPartitionFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swiftsim::ClusterConfig;
 
     fn p(s: &str) -> FsPath {
         FsPath::parse(s).unwrap()

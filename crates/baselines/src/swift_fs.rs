@@ -18,9 +18,9 @@ use std::sync::Arc;
 
 use h2fsapi::{CloudFs, DirEntry, EntryKind, FileContent, FsPath, StoreStats};
 use h2util::{H2Error, OpCtx, PrimKind, Result};
-use swiftsim::{
-    Cluster, ClusterConfig, ListEntry, ListOptions, Meta, ObjectKey, ObjectStore, Payload,
-};
+use swiftsim::{Cluster, ListEntry, ListOptions, Meta, ObjectKey, ObjectStore, Payload};
+
+use crate::{to_content, to_payload};
 
 /// Container holding each account's pseudo-filesystem.
 const FS_CONTAINER: &str = "fs";
@@ -38,11 +38,6 @@ impl SwiftFs {
     /// (true, i.e. OpenStack Swift) or the plain CH row (false).
     pub fn new(cluster: Arc<Cluster>, with_db: bool) -> Self {
         SwiftFs { cluster, with_db }
-    }
-
-    /// Stand-alone rack-shaped instance.
-    pub fn rack(with_db: bool) -> Self {
-        SwiftFs::new(Cluster::new(ClusterConfig::default()), with_db)
     }
 
     pub fn cluster(&self) -> &Arc<Cluster> {
@@ -160,11 +155,8 @@ impl CloudFs for SwiftFs {
     }
 
     fn create_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
-        self.cluster.create_account_ctx(ctx, account)?;
-        // The container row is one more account-DB update.
-        let model = ctx.model.clone();
-        ctx.charge(PrimKind::DbUpdate, model.db_update_cost());
-        self.cluster.create_container(account, FS_CONTAINER, true)
+        self.cluster
+            .create_account_ctx(ctx, account, FS_CONTAINER, true)
     }
 
     fn delete_account(&self, ctx: &mut OpCtx, account: &str) -> Result<()> {
@@ -326,14 +318,6 @@ impl CloudFs for SwiftFs {
         self.put_marker(ctx, account, &dst_prefix)
     }
 
-    fn list(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<Vec<String>> {
-        Ok(self
-            .list_detailed(ctx, account, path)?
-            .into_iter()
-            .map(|e| e.name)
-            .collect())
-    }
-
     fn list_detailed(
         &self,
         ctx: &mut OpCtx,
@@ -413,13 +397,7 @@ impl CloudFs for SwiftFs {
         if self.dir_exists(ctx, account, path)? {
             return Err(H2Error::IsADirectory(path.to_string()));
         }
-        let payload = match content {
-            FileContent::Inline(v) => Payload::Inline(v.into_bytes()),
-            FileContent::Simulated(n) => Payload::simulated(n, &path.to_string()),
-            FileContent::SimulatedShared { size, seed } => {
-                Payload::simulated(size, &format!("shared:{seed}"))
-            }
-        };
+        let payload = to_payload(content, path);
         let mut meta = Meta::new();
         meta.insert("content-type".into(), "application/octet-stream".into());
         self.cluster.put(
@@ -440,10 +418,7 @@ impl CloudFs for SwiftFs {
             .cluster
             .get(ctx, &self.key(account, &Self::obj_name(path)))
         {
-            Ok(obj) => Ok(match obj.payload {
-                Payload::Inline(b) => FileContent::Inline(h2util::SharedBuf::from_bytes(b)),
-                Payload::Simulated { size, .. } => FileContent::Simulated(size),
-            }),
+            Ok(obj) => Ok(to_content(obj.payload)),
             Err(H2Error::NotFound(_)) if self.dir_exists(ctx, account, path)? => {
                 Err(H2Error::IsADirectory(path.to_string()))
             }
@@ -534,6 +509,7 @@ impl CloudFs for SwiftFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swiftsim::ClusterConfig;
 
     fn p(s: &str) -> FsPath {
         FsPath::parse(s).unwrap()

@@ -1,11 +1,14 @@
-//! Shared in-memory directory tree — the metadata index used by the
-//! index-server baselines (Dynamic Partition, Single Index Server, Static
-//! Partition).
+//! Shared in-memory directory tree — the metadata index of the tree-backed
+//! baselines: the index-server designs (Dynamic Partition, and with one
+//! server Single Index and Static Partition) and the shadow tree from which
+//! CAS rebuilds its pointer blocks.
 //!
 //! The tree stores directories as inodes with sorted child maps and files as
-//! leaf inodes carrying the object-cloud key of their content. It is pure
-//! data structure: the baselines wrap it with their own cost charging and
-//! partitioning policies.
+//! leaf inodes carrying the object-cloud key of their content. It owns the
+//! namespace rules those baselines share — resolution, kind and conflict
+//! checks, and the error each failure reports — as path-level operations;
+//! the baselines wrap them with their own charges, object-cloud I/O and
+//! placement.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -25,7 +28,6 @@ pub enum Node {
 /// One inode.
 #[derive(Debug, Clone)]
 pub struct Inode {
-    pub id: InodeId,
     pub node: Node,
     pub modified_ms: u64,
 }
@@ -42,6 +44,17 @@ impl Inode {
 pub struct ResolvedInode {
     pub id: InodeId,
     pub hops: usize,
+}
+
+/// What COPY reads from its source before any content moves: every file
+/// with its path below the source (one row with an empty path when the
+/// source is itself a file) and every directory below it. A baseline that
+/// copies content rewrites each file's object key before the graft.
+#[derive(Debug)]
+pub(crate) struct CopySnapshot {
+    pub(crate) files: Vec<(Vec<String>, u64, String)>,
+    dirs: Vec<Vec<String>>,
+    is_dir: bool,
 }
 
 /// An in-memory filesystem tree for one account.
@@ -64,7 +77,6 @@ impl TreeIndex {
         nodes.insert(
             0,
             Inode {
-                id: 0,
                 node: Node::Dir {
                     children: BTreeMap::new(),
                 },
@@ -124,9 +136,9 @@ impl TreeIndex {
         Ok(ResolvedInode { id, hops })
     }
 
-    /// Resolve the parent directory of `path` and return `(parent_id,
-    /// leaf_name, hops)`.
-    pub fn resolve_parent<'p>(&self, path: &'p FsPath) -> Result<(InodeId, &'p str, usize)> {
+    /// Resolve the parent directory of `path` and return it with the leaf
+    /// name; the root has no parent (`InvalidPath`).
+    fn resolve_parent<'p>(&self, path: &'p FsPath) -> Result<(InodeId, &'p str)> {
         let name = path
             .name()
             .ok_or_else(|| H2Error::InvalidPath("/ has no parent".into()))?;
@@ -135,7 +147,242 @@ impl TreeIndex {
         if !self.nodes[&r.id].is_dir() {
             return Err(H2Error::NotADirectory(parent.to_string()));
         }
-        Ok((r.id, name, r.hops))
+        Ok((r.id, name))
+    }
+
+    /// [`TreeIndex::resolve_parent`] that reports `/`, which has no parent,
+    /// as `root_error("/")`.
+    fn resolve_parent_or<'p>(
+        &self,
+        path: &'p FsPath,
+        root_error: fn(String) -> H2Error,
+    ) -> Result<(InodeId, &'p str)> {
+        self.resolve_parent(path).map_err(|e| match e {
+            H2Error::InvalidPath(_) => root_error("/".into()),
+            other => other,
+        })
+    }
+
+    /// RMDIR's check before any index access: `/` cannot be removed.
+    pub(crate) fn check_rmdir(path: &FsPath) -> Result<()> {
+        if path.is_root() {
+            return Err(H2Error::InvalidPath("cannot remove /".into()));
+        }
+        Ok(())
+    }
+
+    /// MOVE's checks before any index access. `Ok(false)` is a move of a
+    /// path onto itself: valid, and nothing to do.
+    pub(crate) fn move_needed(from: &FsPath, to: &FsPath) -> Result<bool> {
+        if from.is_root() || to.is_root() {
+            return Err(H2Error::InvalidPath("cannot move to or from /".into()));
+        }
+        if from == to {
+            return Ok(false);
+        }
+        if from.is_ancestor_of(to) {
+            return Err(H2Error::InvalidPath(format!(
+                "cannot move {from} inside itself"
+            )));
+        }
+        Ok(true)
+    }
+
+    /// COPY's checks before any index access.
+    pub(crate) fn check_copy(from: &FsPath, to: &FsPath) -> Result<()> {
+        if from.is_root() || to.is_root() {
+            return Err(H2Error::InvalidPath("cannot copy to or from /".into()));
+        }
+        if from == to || from.is_ancestor_of(to) {
+            return Err(H2Error::InvalidPath(format!(
+                "cannot copy {from} onto/inside itself"
+            )));
+        }
+        Ok(())
+    }
+
+    /// MKDIR `path`; returns the parent's inode and the new directory's.
+    pub(crate) fn mkdir(&mut self, path: &FsPath, ms: u64) -> Result<(InodeId, InodeId)> {
+        let (parent, name) = self.resolve_parent_or(path, H2Error::AlreadyExists)?;
+        let id = self.mkdir_in(parent, name, ms).map_err(|e| match e {
+            H2Error::AlreadyExists(_) => H2Error::AlreadyExists(path.to_string()),
+            other => other,
+        })?;
+        Ok((parent, id))
+    }
+
+    /// RMDIR `path` (not `/`, see [`TreeIndex::check_rmdir`]) with all it
+    /// holds; returns the content-object keys of the files removed.
+    pub(crate) fn rmdir(&mut self, path: &FsPath) -> Result<Vec<String>> {
+        let r = self.resolve(path)?;
+        if !self.nodes[&r.id].is_dir() {
+            return Err(H2Error::NotADirectory(path.to_string()));
+        }
+        let (parent, name) = self.resolve_parent(path)?;
+        self.detach(parent, name)?;
+        Ok(self.remove_subtree(r.id))
+    }
+
+    /// MOVE `from` to `to` as one pointer detach and attach, whatever the
+    /// subtree holds (after [`TreeIndex::move_needed`]).
+    pub(crate) fn rename(&mut self, from: &FsPath, to: &FsPath, ms: u64) -> Result<()> {
+        let (src_parent, src_name) = self.resolve_parent(from)?;
+        let (dst_parent, dst_name) = self.resolve_parent(to)?;
+        if self.dir_children(dst_parent)?.contains_key(dst_name) {
+            return Err(H2Error::AlreadyExists(to.to_string()));
+        }
+        if !self.dir_children(src_parent)?.contains_key(src_name) {
+            return Err(H2Error::NotFound(from.to_string()));
+        }
+        let id = self.detach(src_parent, src_name)?;
+        self.attach(dst_parent, dst_name, id, ms)
+    }
+
+    /// Whether a WRITE may put a file at `path`: its parent is a directory
+    /// and `path` is not one.
+    pub(crate) fn check_write(&self, path: &FsPath) -> Result<()> {
+        let (parent, name) = self.resolve_parent_or(path, H2Error::IsADirectory)?;
+        if let Some(&id) = self.dir_children(parent)?.get(name) {
+            if self.nodes[&id].is_dir() {
+                return Err(H2Error::IsADirectory(path.to_string()));
+            }
+        }
+        Ok(())
+    }
+
+    /// Create or overwrite the file at `path` (after
+    /// [`TreeIndex::check_write`]); returns the previous content-object key
+    /// when overwriting.
+    pub(crate) fn write(
+        &mut self,
+        path: &FsPath,
+        size: u64,
+        object: String,
+        ms: u64,
+    ) -> Result<Option<String>> {
+        let (parent, name) = self.resolve_parent(path)?;
+        self.put_file(parent, name, size, object, ms)
+    }
+
+    /// DELETE the file at `path`; returns its content-object key.
+    pub(crate) fn unlink(&mut self, path: &FsPath) -> Result<String> {
+        let (parent, name) = self.resolve_parent_or(path, H2Error::IsADirectory)?;
+        let &id = self
+            .dir_children(parent)?
+            .get(name)
+            .ok_or_else(|| H2Error::NotFound(path.to_string()))?;
+        if self.nodes[&id].is_dir() {
+            return Err(H2Error::IsADirectory(path.to_string()));
+        }
+        self.detach(parent, name)?;
+        Ok(self.remove_subtree(id).remove(0))
+    }
+
+    /// The content-object key of the file at `path`.
+    pub(crate) fn file_object(&self, path: &FsPath) -> Result<&str> {
+        let r = self.resolve(path)?;
+        match &self.nodes[&r.id].node {
+            Node::File { object, .. } => Ok(object),
+            Node::Dir { .. } => Err(H2Error::IsADirectory(path.to_string())),
+        }
+    }
+
+    /// STAT `path`.
+    pub(crate) fn stat(&self, path: &FsPath) -> Result<DirEntry> {
+        let r = self.resolve(path)?;
+        Ok(Self::entry(
+            path.name().unwrap_or("/").to_string(),
+            &self.nodes[&r.id],
+        ))
+    }
+
+    /// LIST-DETAIL the directory at `path`, in name order.
+    pub(crate) fn list(&self, path: &FsPath) -> Result<Vec<DirEntry>> {
+        let r = self.resolve(path)?;
+        let children = self.dir_children(r.id)?;
+        Ok(children
+            .iter()
+            .map(|(name, cid)| Self::entry(name.clone(), &self.nodes[cid]))
+            .collect())
+    }
+
+    fn entry(name: String, inode: &Inode) -> DirEntry {
+        let (kind, size) = match &inode.node {
+            Node::Dir { .. } => (EntryKind::Directory, 0),
+            Node::File { size, .. } => (EntryKind::File, *size),
+        };
+        DirEntry {
+            name,
+            kind,
+            size,
+            modified_ms: inode.modified_ms,
+        }
+    }
+
+    /// COPY's first step (after [`TreeIndex::check_copy`]): check that
+    /// `from` exists and `to` is free, and read what the copy must recreate.
+    pub(crate) fn copy_snapshot(&self, from: &FsPath, to: &FsPath) -> Result<CopySnapshot> {
+        let r = self.resolve(from)?;
+        let (dst_parent, dst_name) = self.resolve_parent(to)?;
+        if self.dir_children(dst_parent)?.contains_key(dst_name) {
+            return Err(H2Error::AlreadyExists(to.to_string()));
+        }
+        Ok(match &self.nodes[&r.id].node {
+            Node::File { size, object } => CopySnapshot {
+                files: vec![(Vec::new(), *size, object.clone())],
+                dirs: Vec::new(),
+                is_dir: false,
+            },
+            Node::Dir { .. } => CopySnapshot {
+                files: self.subtree_files(r.id),
+                dirs: self.subtree_dirs(r.id),
+                is_dir: true,
+            },
+        })
+    }
+
+    /// COPY's last step: build `snapshot` at `to`. Returns the parent of
+    /// `to` and every directory created, the copy's root first.
+    pub(crate) fn graft(
+        &mut self,
+        to: &FsPath,
+        snapshot: CopySnapshot,
+        ms: u64,
+    ) -> Result<(InodeId, Vec<InodeId>)> {
+        let (dst_parent, dst_name) = self.resolve_parent(to)?;
+        let CopySnapshot {
+            files,
+            dirs,
+            is_dir,
+        } = snapshot;
+        if !is_dir {
+            let (_, size, object) = files.into_iter().next().expect("one file");
+            self.put_file(dst_parent, dst_name, size, object, ms)?;
+            return Ok((dst_parent, Vec::new()));
+        }
+        let root_id = self.mkdir_in(dst_parent, dst_name, ms)?;
+        let mut made = vec![root_id];
+        for rel in &dirs {
+            let mut cur = root_id;
+            for comp in rel {
+                cur = match self.dir_children(cur)?.get(comp) {
+                    Some(&id) => id,
+                    None => {
+                        let id = self.mkdir_in(cur, comp, ms)?;
+                        made.push(id);
+                        id
+                    }
+                };
+            }
+        }
+        for (rel, size, object) in files {
+            let mut cur = root_id;
+            for comp in &rel[..rel.len() - 1] {
+                cur = *self.dir_children(cur)?.get(comp).expect("dir created");
+            }
+            self.put_file(cur, rel.last().expect("file name"), size, object, ms)?;
+        }
+        Ok((dst_parent, made))
     }
 
     fn alloc(&mut self, node: Node, ms: u64) -> InodeId {
@@ -144,7 +391,6 @@ impl TreeIndex {
         self.nodes.insert(
             id,
             Inode {
-                id,
                 node,
                 modified_ms: ms,
             },
@@ -172,7 +418,7 @@ impl TreeIndex {
     }
 
     /// Create a directory under `parent`.
-    pub fn mkdir(&mut self, parent: InodeId, name: &str, ms: u64) -> Result<InodeId> {
+    fn mkdir_in(&mut self, parent: InodeId, name: &str, ms: u64) -> Result<InodeId> {
         if self.dir_children(parent)?.contains_key(name) {
             return Err(H2Error::AlreadyExists(name.to_string()));
         }
@@ -188,7 +434,7 @@ impl TreeIndex {
 
     /// Create or overwrite a file entry under `parent`. Returns the
     /// previous content-object key when overwriting.
-    pub fn put_file(
+    fn put_file(
         &mut self,
         parent: InodeId,
         name: &str,
@@ -219,7 +465,7 @@ impl TreeIndex {
     }
 
     /// Detach `name` from `parent` and return the subtree root inode id.
-    pub fn detach(&mut self, parent: InodeId, name: &str) -> Result<InodeId> {
+    fn detach(&mut self, parent: InodeId, name: &str) -> Result<InodeId> {
         let id = self
             .dir_children_mut(parent)
             .remove(name)
@@ -229,7 +475,7 @@ impl TreeIndex {
 
     /// Attach an existing inode under a (new) parent — the O(1) pointer
     /// move that makes index-server MOVE constant-time.
-    pub fn attach(&mut self, parent: InodeId, name: &str, id: InodeId, ms: u64) -> Result<()> {
+    fn attach(&mut self, parent: InodeId, name: &str, id: InodeId, ms: u64) -> Result<()> {
         if self.dir_children(parent)?.contains_key(name) {
             return Err(H2Error::AlreadyExists(name.to_string()));
         }
@@ -242,7 +488,7 @@ impl TreeIndex {
 
     /// Delete the subtree rooted at `id`, returning the content-object keys
     /// of every file removed (so the caller can reclaim cloud objects).
-    pub fn remove_subtree(&mut self, id: InodeId) -> Vec<String> {
+    fn remove_subtree(&mut self, id: InodeId) -> Vec<String> {
         let mut objects = Vec::new();
         let mut stack = vec![id];
         while let Some(cur) = stack.pop() {
@@ -256,34 +502,9 @@ impl TreeIndex {
         objects
     }
 
-    /// List one directory as [`DirEntry`] rows.
-    pub fn list(&self, id: InodeId) -> Result<Vec<DirEntry>> {
-        let children = self.dir_children(id)?;
-        Ok(children
-            .iter()
-            .map(|(name, cid)| {
-                let inode = &self.nodes[cid];
-                match &inode.node {
-                    Node::Dir { .. } => DirEntry {
-                        name: name.clone(),
-                        kind: EntryKind::Directory,
-                        size: 0,
-                        modified_ms: inode.modified_ms,
-                    },
-                    Node::File { size, .. } => DirEntry {
-                        name: name.clone(),
-                        kind: EntryKind::File,
-                        size: *size,
-                        modified_ms: inode.modified_ms,
-                    },
-                }
-            })
-            .collect())
-    }
-
     /// All `(relative components, size, object)` files in the subtree at
     /// `id`, in deterministic order — what COPY iterates.
-    pub fn subtree_files(&self, id: InodeId) -> Vec<(Vec<String>, u64, String)> {
+    fn subtree_files(&self, id: InodeId) -> Vec<(Vec<String>, u64, String)> {
         let mut out = Vec::new();
         let mut stack: Vec<(InodeId, Vec<String>)> = vec![(id, Vec::new())];
         while let Some((cur, prefix)) = stack.pop() {
@@ -303,7 +524,7 @@ impl TreeIndex {
 
     /// All directories (relative component paths) in the subtree at `id`,
     /// parents before children.
-    pub fn subtree_dirs(&self, id: InodeId) -> Vec<Vec<String>> {
+    fn subtree_dirs(&self, id: InodeId) -> Vec<Vec<String>> {
         let mut out = Vec::new();
         let mut stack: Vec<(InodeId, Vec<String>)> = vec![(id, Vec::new())];
         while let Some((cur, prefix)) = stack.pop() {
@@ -346,11 +567,13 @@ mod tests {
 
     fn sample() -> TreeIndex {
         let mut t = TreeIndex::new();
-        let home = t.mkdir(t.root(), "home", 1).unwrap();
-        let alice = t.mkdir(home, "alice", 2).unwrap();
-        t.put_file(alice, "a.txt", 10, "obj-a".into(), 3).unwrap();
-        t.put_file(alice, "b.txt", 20, "obj-b".into(), 4).unwrap();
-        t.mkdir(alice, "docs", 5).unwrap();
+        t.mkdir(&p("/home"), 1).unwrap();
+        t.mkdir(&p("/home/alice"), 2).unwrap();
+        t.write(&p("/home/alice/a.txt"), 10, "obj-a".into(), 3)
+            .unwrap();
+        t.write(&p("/home/alice/b.txt"), 20, "obj-b".into(), 4)
+            .unwrap();
+        t.mkdir(&p("/home/alice/docs"), 5).unwrap();
         t
     }
 
@@ -369,20 +592,24 @@ mod tests {
     #[test]
     fn mkdir_and_duplicates() {
         let mut t = sample();
-        let alice = t.resolve(&p("/home/alice")).unwrap().id;
         assert_eq!(
-            t.mkdir(alice, "docs", 9).unwrap_err().code(),
-            "already-exists"
+            t.mkdir(&p("/home/alice/docs"), 9).unwrap_err().to_string(),
+            "already exists: /home/alice/docs"
         );
-        t.mkdir(alice, "new", 9).unwrap();
+        assert_eq!(
+            t.mkdir(&p("/"), 9).unwrap_err().to_string(),
+            "already exists: /"
+        );
+        t.mkdir(&p("/home/alice/new"), 9).unwrap();
         assert!(t.resolve(&p("/home/alice/new")).is_ok());
     }
 
     #[test]
     fn put_file_overwrites_and_returns_old_object() {
         let mut t = sample();
-        let alice = t.resolve(&p("/home/alice")).unwrap().id;
-        let old = t.put_file(alice, "a.txt", 99, "obj-a2".into(), 9).unwrap();
+        let old = t
+            .write(&p("/home/alice/a.txt"), 99, "obj-a2".into(), 9)
+            .unwrap();
         assert_eq!(old.as_deref(), Some("obj-a"));
         let id = t.resolve(&p("/home/alice/a.txt")).unwrap().id;
         match &t.get(id).unwrap().node {
@@ -392,11 +619,11 @@ mod tests {
             }
             _ => panic!(),
         }
-        // Overwriting a dir with a file is rejected.
+        // Overwriting a dir with a file is rejected, checked or not.
+        let docs = p("/home/alice/docs");
+        assert_eq!(t.check_write(&docs).unwrap_err().code(), "is-a-directory");
         assert_eq!(
-            t.put_file(alice, "docs", 1, "x".into(), 9)
-                .unwrap_err()
-                .code(),
+            t.write(&docs, 1, "x".into(), 9).unwrap_err().code(),
             "is-a-directory"
         );
     }
@@ -404,10 +631,7 @@ mod tests {
     #[test]
     fn detach_attach_is_constant_pointer_move() {
         let mut t = sample();
-        let root = t.root();
-        let home = t.resolve(&p("/home")).unwrap().id;
-        let alice_id = t.detach(home, "alice").unwrap();
-        t.attach(root, "alice-moved", alice_id, 99).unwrap();
+        t.rename(&p("/home/alice"), &p("/alice-moved"), 99).unwrap();
         assert!(t.resolve(&p("/home/alice")).is_err());
         assert_eq!(t.resolve(&p("/alice-moved/a.txt")).unwrap().hops, 2);
     }
@@ -415,9 +639,7 @@ mod tests {
     #[test]
     fn remove_subtree_returns_all_objects() {
         let mut t = sample();
-        let home = t.resolve(&p("/home")).unwrap().id;
-        let alice = t.detach(home, "alice").unwrap();
-        let mut objs = t.remove_subtree(alice);
+        let mut objs = t.rmdir(&p("/home/alice")).unwrap();
         objs.sort();
         assert_eq!(objs, ["obj-a", "obj-b"]);
         assert_eq!(t.record_count(), 1); // only /home remains
@@ -426,8 +648,7 @@ mod tests {
     #[test]
     fn list_is_sorted_with_kinds() {
         let t = sample();
-        let alice = t.resolve(&p("/home/alice")).unwrap().id;
-        let rows = t.list(alice).unwrap();
+        let rows = t.list(&p("/home/alice")).unwrap();
         let names: Vec<_> = rows.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["a.txt", "b.txt", "docs"]);
         assert_eq!(rows[2].kind, EntryKind::Directory);

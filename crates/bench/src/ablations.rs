@@ -372,7 +372,7 @@ pub fn abl_dedup() -> ExpTable {
         for u in 0..USERS {
             let account = format!("user{u}");
             let mut setup = OpCtx::new(cost.clone());
-            fs.create_account(&mut setup, &account).expect("account"); // h2lint: allow(panic-safety): bench harness fails fast; the cluster is healthy by construction
+            fs.create_account(&mut setup, &account).expect("account");
             for i in 0..SHARED_FILES {
                 let mut ctx = OpCtx::new(cost.clone());
                 fs.write(
@@ -460,7 +460,7 @@ pub fn abl_faults() -> ExpTable {
         let cost = fs.cost_model();
         let mut setup = OpCtx::new(cost.clone());
         fs.create_account(&mut setup, "user").expect("account");
-        fs.mkdir(&mut setup, "user", &p("/bench")).expect("mkdir"); // h2lint: allow(panic-safety): bench harness fails fast; the cluster is healthy by construction
+        fs.mkdir(&mut setup, "user", &p("/bench")).expect("mkdir");
         fs.quiesce();
         if rate > 0.0 {
             fs.cluster().set_fault_plan(Some(

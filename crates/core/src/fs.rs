@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use h2fsapi::{CloudFs, DirEntry, EntryKind, FileContent, FsPath, StoreStats};
 use h2util::trace::Stage;
-use h2util::{H2Error, NamespaceId, OpCtx, PrimKind, Result, Timestamp};
+use h2util::{H2Error, NamespaceId, OpCtx, Result, Timestamp};
 use swiftsim::{Cluster, ClusterConfig, ObjectStore, Payload};
 
 use crate::keys::{DirDescriptor, H2Keys, H2_CONTAINER};
@@ -567,12 +567,8 @@ impl H2Cloud {
     // ----- operations shared by CloudFs and H2View --------------------------
 
     fn op_create_account(&self, mw: &H2Middleware, ctx: &mut OpCtx, account: &str) -> Result<()> {
-        self.cluster().create_account_ctx(ctx, account)?;
-        // The container row is one more account-DB update.
-        let model = ctx.model.clone();
-        ctx.charge(PrimKind::DbUpdate, model.db_update_cost());
         self.cluster()
-            .create_container(account, H2_CONTAINER, false)?;
+            .create_account_ctx(ctx, account, H2_CONTAINER, false)?;
         let keys = H2Keys::new(account);
         mw.create_ring(ctx, &keys, NamespaceId::ROOT)
     }

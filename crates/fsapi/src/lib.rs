@@ -145,8 +145,15 @@ pub trait CloudFs {
     fn mv(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()>;
     fn copy(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()>;
 
-    /// Names of direct children.
-    fn list(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<Vec<String>>;
+    /// Names of direct children: by default the names of
+    /// [`CloudFs::list_detailed`], at its cost.
+    fn list(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<Vec<String>> {
+        Ok(self
+            .list_detailed(ctx, account, path)?
+            .into_iter()
+            .map(|e| e.name)
+            .collect())
+    }
     /// Direct children with full metadata.
     fn list_detailed(&self, ctx: &mut OpCtx, account: &str, path: &FsPath)
         -> Result<Vec<DirEntry>>;

@@ -82,12 +82,22 @@ impl Cluster {
         Ok(())
     }
 
-    /// [`Cluster::create_account`] charging the account-DB row insert to
-    /// the caller's context: the CREATE-ACCOUNT path of every filesystem
+    /// Create account `name` with its one `container` (`indexed` as in
+    /// [`Cluster::create_container`]), charging the caller's context one
+    /// account-DB row for each: the CREATE-ACCOUNT path of every filesystem
     /// model.
-    pub fn create_account_ctx(&self, ctx: &mut OpCtx, name: &str) -> Result<()> {
+    pub fn create_account_ctx(
+        &self,
+        ctx: &mut OpCtx,
+        name: &str,
+        container: &str,
+        indexed: bool,
+    ) -> Result<()> {
         ctx.charge(PrimKind::DbUpdate, self.cfg.cost.db_update_cost());
-        self.create_account(name)
+        self.create_account(name)?;
+        // h2lint: allow(vtime-accounting): a second row, the container's, not the account's again
+        ctx.charge(PrimKind::DbUpdate, self.cfg.cost.db_update_cost());
+        self.create_container(name, container, indexed)
     }
 
     /// Delete an account, its containers, and its objects, charging the

@@ -116,14 +116,17 @@ pub fn lex(src: &str) -> Lexed {
             i += 1;
             continue;
         }
-        // Line comment (also covers `///` and `//!` doc comments).
+        // Line comment (also covers `///` and `//!` doc comments, whose
+        // text is documentation: a directive quoted there is an example).
         if c == '/' && b.get(i + 1) == Some(&'/') {
             let start = i + 2;
             while i < b.len() && b[i] != '\n' {
                 i += 1;
             }
             let content: String = b[start..i].iter().collect();
-            if let Some(dir) = parse_directive(&content, line) {
+            let doc = content.starts_with('!')
+                || (content.starts_with('/') && !content.starts_with("//"));
+            if let Some(dir) = parse_directive(&content, line).filter(|_| !doc) {
                 out.allows.push(dir);
             }
             continue;

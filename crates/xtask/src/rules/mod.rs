@@ -24,7 +24,8 @@
 //! Findings are suppressed by a justified
 //! `// h2lint: allow(rule): why` on the finding's line or the line
 //! above; malformed or unjustified directives are themselves flagged by
-//! the `allow-syntax` pseudo-rule.
+//! the `allow-syntax` pseudo-rule, and justified ones that suppress
+//! nothing by the `unused-allow` pseudo-rule.
 
 pub mod determinism;
 pub mod lockorder;
@@ -67,6 +68,7 @@ pub const RULE_PANIC_SAFETY: &str = "panic-safety";
 pub const RULE_DETERMINISM: &str = "determinism";
 pub const RULE_UNRANKED_LOCK: &str = "unranked-lock";
 pub const RULE_ALLOW_SYNTAX: &str = "allow-syntax";
+pub const RULE_UNUSED_ALLOW: &str = "unused-allow";
 
 /// True for paths whose code is test/bench harness, where panic-safety,
 /// vtime and metrics discipline do not apply (determinism and lock-order
@@ -162,20 +164,36 @@ pub fn lint_file(pf: &ParsedFile, cfg: &Config, g: &Globals) -> Vec<Finding> {
             });
         }
     }
-    findings.retain(|f| !suppressed(f, &pf.lexed.allows));
+    let dead: Vec<Finding> = pf
+        .lexed
+        .allows
+        .iter()
+        .filter(|a| a.well_formed && a.justified && !findings.iter().any(|f| covers(a, f)))
+        .map(|a| Finding {
+            file: path.to_string(),
+            line: a.line,
+            rule: RULE_UNUSED_ALLOW,
+            message: format!(
+                "allow({}) suppresses no finding on this line or the next; delete it",
+                a.rule
+            ),
+        })
+        .collect();
+    findings.retain(|f| !pf.lexed.allows.iter().any(|a| covers(a, f)));
+    findings.extend(dead);
     // Deterministic per-file order: line, then rule, then message.
     findings.sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
     findings
 }
 
 /// A justified allow on the finding's line (trailing comment) or the line
-/// directly above suppresses it.
-fn suppressed(f: &Finding, allows: &[AllowDirective]) -> bool {
+/// directly above suppresses it; the directive pseudo-rules cannot be
+/// suppressed.
+fn covers(a: &AllowDirective, f: &Finding) -> bool {
     f.rule != RULE_ALLOW_SYNTAX
-        && allows.iter().any(|a| {
-            a.well_formed
-                && a.justified
-                && a.rule == f.rule
-                && (a.line == f.line || a.line + 1 == f.line)
-        })
+        && f.rule != RULE_UNUSED_ALLOW
+        && a.well_formed
+        && a.justified
+        && a.rule == f.rule
+        && (a.line == f.line || a.line + 1 == f.line)
 }

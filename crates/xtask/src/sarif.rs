@@ -8,7 +8,7 @@
 use crate::rules::Finding;
 
 /// The fixed rule catalogue: (id, short description) in output order.
-pub const RULE_CATALOGUE: [(&str, &str); 7] = [
+pub const RULE_CATALOGUE: [(&str, &str); 8] = [
     (
         "lock-order",
         "Ranked locks must be acquired in strictly increasing rank order; \
@@ -40,6 +40,10 @@ pub const RULE_CATALOGUE: [(&str, &str); 7] = [
     (
         "allow-syntax",
         "h2lint allow directives must be well-formed and justified.",
+    ),
+    (
+        "unused-allow",
+        "A justified h2lint allow directive must suppress a finding.",
     ),
 ];
 

@@ -78,6 +78,7 @@ fn violating_fixtures_are_flagged() {
         ("violating/unranked_lock.rs", "unranked-lock", 3),
         ("violating/allow_unjustified.rs", "determinism", 1),
         ("violating/allow_unjustified.rs", "allow-syntax", 1),
+        ("violating/allow_unused.rs", "unused-allow", 2),
     ];
     for (fixture, rule, n) in expected {
         let findings = lint_fixture(fixture);
@@ -116,6 +117,7 @@ fn violating_fixtures_have_no_stray_findings() {
             "violating/allow_unjustified.rs",
             vec!["determinism", "allow-syntax"],
         ),
+        ("violating/allow_unused.rs", vec!["unused-allow"]),
     ];
     for (fixture, rules) in only {
         for f in lint_fixture(fixture) {

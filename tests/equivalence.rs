@@ -3,7 +3,7 @@
 //! in-memory reference model and to each backend; outcomes (success or
 //! error class) and resulting directory listings must agree.
 
-use h2baselines::{CasFs, CumulusFs, DpFs, SingleIndexFs, StaticPartitionFs, SwiftFs};
+use h2baselines::{CasFs, CumulusFs, DpFs, StaticPartitionFs, SwiftFs};
 use h2cloud::{H2Cloud, H2Config, MaintenanceMode};
 use h2fsapi::{CloudFs, FsPath};
 use h2util::rng::rng;
@@ -26,7 +26,7 @@ fn backends() -> Vec<Box<dyn CloudFs>> {
         Box::new(SwiftFs::new(tiny(), true)),
         Box::new(SwiftFs::new(tiny(), false)),
         Box::new(DpFs::new(tiny(), 3)),
-        Box::new(SingleIndexFs::new(tiny())),
+        Box::new(DpFs::single_index(tiny())),
         Box::new(StaticPartitionFs::new(tiny(), 4, u64::MAX)),
         Box::new(CumulusFs::new(tiny())),
         Box::new(CasFs::new(tiny())),
