@@ -23,7 +23,7 @@ use h2util::{lock_rank, H2Error, OpCtx, OrderedMutex, PrimKind, Result};
 use swiftsim::{Cluster, Meta, ObjectKey, ObjectStore, Payload};
 
 use crate::tree::{Node, TreeIndex};
-use crate::{to_content, to_payload};
+use crate::{to_content, to_payload, with_account, AccountMap};
 
 const CONTAINER: &str = "blocks";
 
@@ -38,7 +38,7 @@ struct AccountState {
 /// The content-addressable filesystem.
 pub struct CasFs {
     cluster: Arc<Cluster>,
-    by_account: OrderedMutex<HashMap<String, AccountState>>,
+    by_account: AccountMap<AccountState>,
 }
 
 impl CasFs {
@@ -63,18 +63,6 @@ impl CasFs {
 
     fn key(&self, account: &str, hash: Digest128) -> ObjectKey {
         ObjectKey::new(account, CONTAINER, &format!("blk-{hash}"))
-    }
-
-    fn with_state<T>(
-        &self,
-        account: &str,
-        f: impl FnOnce(&mut AccountState) -> Result<T>,
-    ) -> Result<T> {
-        let mut accounts = self.by_account.lock();
-        let st = accounts
-            .get_mut(account)
-            .ok_or_else(|| H2Error::NoSuchAccount(account.to_string()))?;
-        f(st)
     }
 
     /// Store a block if not already present (dedup: identical content has
@@ -149,7 +137,7 @@ impl CasFs {
 
     /// Content hash of the file at `path` (what a CAS client would keep).
     pub fn hash_of(&self, account: &str, path: &FsPath) -> Result<Digest128> {
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             let object = st.tree.file_object(path)?;
             Digest128::from_hex(object)
                 .ok_or_else(|| H2Error::Corrupt(format!("bad stored hash {object}")))
@@ -158,7 +146,7 @@ impl CasFs {
 
     /// Current root pointer-block hash.
     pub fn root_hash(&self, account: &str) -> Result<Digest128> {
-        self.with_state(account, |st| Ok(st.root_hash))
+        with_account(&self.by_account, account, |st| Ok(st.root_hash))
     }
 
     /// Garbage-sweep the immutable block store: every structural change
@@ -167,7 +155,7 @@ impl CasFs {
     /// blocks, and deletes the rest. Returns the number reclaimed.
     pub fn sweep_garbage(&self, ctx: &mut OpCtx, account: &str) -> Result<usize> {
         // Mark: every block reachable from the current root.
-        let root = self.with_state(account, |st| Ok(st.root_hash))?;
+        let root = with_account(&self.by_account, account, |st| Ok(st.root_hash))?;
         let mut live: std::collections::HashSet<String> = std::collections::HashSet::new();
         let mut stack = vec![root];
         while let Some(h) = stack.pop() {
@@ -297,7 +285,7 @@ impl CloudFs for CasFs {
     }
 
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             let ms = Self::next_ms(st);
             st.tree.mkdir(path, ms)?;
             self.rebuild_index(ctx, account, st)
@@ -306,7 +294,7 @@ impl CloudFs for CasFs {
 
     fn rmdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
         TreeIndex::check_rmdir(path)?;
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             st.tree.rmdir(path)?;
             // Old blocks stay as garbage (immutable store); the index is
             // reconstructed without them.
@@ -322,7 +310,7 @@ impl CloudFs for CasFs {
             ctx.charge(PrimKind::Head, model.head_cost());
             return Ok(());
         }
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             let ms = Self::next_ms(st);
             st.tree.rename(from, to, ms)?;
             self.rebuild_index(ctx, account, st)
@@ -331,7 +319,7 @@ impl CloudFs for CasFs {
 
     fn copy(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
         TreeIndex::check_copy(from, to)?;
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             let ms = Self::next_ms(st);
             // Content blocks are shared (same hash!); only the tree and the
             // pointer blocks change.
@@ -347,7 +335,7 @@ impl CloudFs for CasFs {
         account: &str,
         path: &FsPath,
     ) -> Result<Vec<DirEntry>> {
-        let root = self.with_state(account, |st| Ok(st.root_hash))?;
+        let root = with_account(&self.by_account, account, |st| Ok(st.root_hash))?;
         let (kind, hash, _, _) = self.walk_blocks(ctx, account, root, path)?;
         if kind != 'D' {
             return Err(H2Error::NotADirectory(path.to_string()));
@@ -389,7 +377,7 @@ impl CloudFs for CasFs {
         let payload = to_payload(content, path);
         let size = payload.len();
         let hash = self.put_block(ctx, account, payload)?;
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             let ms = Self::next_ms(st);
             st.tree.check_write(path)?;
             st.tree.write(path, size, hash.to_hex(), ms)?;
@@ -398,7 +386,7 @@ impl CloudFs for CasFs {
     }
 
     fn read(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<FileContent> {
-        let root = self.with_state(account, |st| Ok(st.root_hash))?;
+        let root = with_account(&self.by_account, account, |st| Ok(st.root_hash))?;
         let (kind, hash, _, _) = self.walk_blocks(ctx, account, root, path)?;
         if kind == 'D' {
             return Err(H2Error::IsADirectory(path.to_string()));
@@ -407,7 +395,7 @@ impl CloudFs for CasFs {
     }
 
     fn delete_file(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             st.tree.unlink(path)?;
             self.rebuild_index(ctx, account, st)
         })
@@ -426,7 +414,7 @@ impl CloudFs for CasFs {
                 modified_ms: 0,
             });
         }
-        let root = self.with_state(account, |st| Ok(st.root_hash))?;
+        let root = with_account(&self.by_account, account, |st| Ok(st.root_hash))?;
         let (kind, _, size, ms) = self.walk_blocks(ctx, account, root, path)?;
         Ok(DirEntry {
             name: path.name().unwrap().to_string(),
@@ -457,7 +445,7 @@ impl CloudFs for CasFs {
             let payload = Payload::simulated(*size, &f.to_string());
             hashes.push(self.put_block(ctx, account, payload)?);
         }
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             for d in dirs {
                 let ms = Self::next_ms(st);
                 st.tree.mkdir(d, ms)?;

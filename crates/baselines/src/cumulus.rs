@@ -27,7 +27,7 @@ use h2fsapi::{CloudFs, DirEntry, EntryKind, FileContent, FsPath, StoreStats};
 use h2util::{lock_rank, H2Error, OpCtx, OrderedMutex, Result};
 use swiftsim::{Cluster, Meta, ObjectKey, ObjectStore, Payload};
 
-use crate::{to_content, to_payload};
+use crate::{to_content, to_payload, with_account, AccountMap};
 
 const CONTAINER: &str = "backup";
 /// Files per segment object.
@@ -128,7 +128,7 @@ impl AccountState {
 /// The Cumulus-style snapshot filesystem.
 pub struct CumulusFs {
     cluster: Arc<Cluster>,
-    by_account: OrderedMutex<HashMap<String, AccountState>>,
+    by_account: AccountMap<AccountState>,
 }
 
 impl CumulusFs {
@@ -153,18 +153,6 @@ impl CumulusFs {
 
     fn key(&self, account: &str, name: &str) -> ObjectKey {
         ObjectKey::new(account, CONTAINER, name)
-    }
-
-    fn with_state<T>(
-        &self,
-        account: &str,
-        f: impl FnOnce(&mut AccountState) -> Result<T>,
-    ) -> Result<T> {
-        let mut accounts = self.by_account.lock();
-        let st = accounts
-            .get_mut(account)
-            .ok_or_else(|| H2Error::NoSuchAccount(account.to_string()))?;
-        f(st)
     }
 
     /// Charge a full metadata-log scan: GET every metalog chunk + per-entry
@@ -301,7 +289,7 @@ impl CloudFs for CumulusFs {
     }
 
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             if path.is_root() {
                 return Err(H2Error::AlreadyExists("/".into()));
             }
@@ -332,7 +320,7 @@ impl CloudFs for CumulusFs {
     }
 
     fn rmdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             if path.is_root() {
                 return Err(H2Error::InvalidPath("cannot remove /".into()));
             }
@@ -353,7 +341,7 @@ impl CloudFs for CumulusFs {
     }
 
     fn mv(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             if from.is_root() || to.is_root() {
                 return Err(H2Error::InvalidPath("cannot move to or from /".into()));
             }
@@ -397,7 +385,7 @@ impl CloudFs for CumulusFs {
     }
 
     fn copy(&self, ctx: &mut OpCtx, account: &str, from: &FsPath, to: &FsPath) -> Result<()> {
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             if from.is_root() || to.is_root() {
                 return Err(H2Error::InvalidPath("cannot copy to or from /".into()));
             }
@@ -448,7 +436,7 @@ impl CloudFs for CumulusFs {
         account: &str,
         path: &FsPath,
     ) -> Result<Vec<DirEntry>> {
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             // O(N): the whole log must be scanned — even to discover the
             // listing target is missing or a plain file.
             self.charge_scan(ctx, st.log.len());
@@ -469,7 +457,7 @@ impl CloudFs for CumulusFs {
         path: &FsPath,
         content: FileContent,
     ) -> Result<()> {
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             let Some(_) = path.name() else {
                 return Err(H2Error::IsADirectory("/".into()));
             };
@@ -508,7 +496,7 @@ impl CloudFs for CumulusFs {
     }
 
     fn read(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<FileContent> {
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             // O(N): scan the metadata log to locate the file.
             self.charge_scan(ctx, st.log.len());
             let rec = st
@@ -526,7 +514,7 @@ impl CloudFs for CumulusFs {
     }
 
     fn delete_file(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             match st.find(&path.to_string()) {
                 Some(r) if r.kind == EntryKind::File => {}
                 Some(_) => return Err(H2Error::IsADirectory(path.to_string())),
@@ -551,7 +539,7 @@ impl CloudFs for CumulusFs {
     }
 
     fn stat(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<DirEntry> {
-        self.with_state(account, |st| {
+        with_account(&self.by_account, account, |st| {
             if path.is_root() {
                 // The root always exists, but answering still costs the
                 // client the first metalog chunk fetch.

@@ -28,11 +28,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use h2fsapi::{CloudFs, DirEntry, FileContent, FsPath, StoreStats};
-use h2util::{lock_rank, H2Error, OpCtx, OrderedMutex, PrimKind, Result};
+use h2util::{lock_rank, OpCtx, OrderedMutex, PrimKind, Result};
 use swiftsim::{Cluster, Meta, ObjectKey, ObjectStore};
 
 use crate::tree::{InodeId, TreeIndex};
-use crate::{to_content, to_payload};
+use crate::{to_content, to_payload, with_account, AccountMap};
 
 /// Container holding file content blobs.
 const CONTENT_CONTAINER: &str = "content";
@@ -89,7 +89,7 @@ impl AccountMeta {
 /// The Dynamic Partition filesystem.
 pub struct DpFs {
     cluster: Arc<Cluster>,
-    by_account: OrderedMutex<HashMap<String, AccountMeta>>,
+    by_account: AccountMap<AccountMeta>,
     /// Number of index servers.
     servers: usize,
     service: IndexService,
@@ -251,6 +251,24 @@ impl DpFs {
         }
     }
 
+    /// DELETE the file at `path` and return its size, which the index
+    /// entry the delete drops records: a caller that accounts for bytes
+    /// (Static Partition's volume quota) pays no second RPC to learn it.
+    pub(crate) fn delete_file_sized(
+        &self,
+        ctx: &mut OpCtx,
+        account: &str,
+        path: &FsPath,
+    ) -> Result<u64> {
+        self.charge_service(ctx, true);
+        let (object, size) = with_account(&self.by_account, account, |meta| {
+            self.charge_walk(ctx, meta, path)?;
+            meta.tree.unlink(path)
+        })?;
+        self.cluster.delete(ctx, &self.key(account, &object))?;
+        Ok(size)
+    }
+
     /// Current directory count per index server (for the balance tests).
     pub fn server_loads(&self, account: &str) -> Vec<usize> {
         let accounts = self.by_account.lock();
@@ -261,18 +279,6 @@ impl DpFs {
             }
         }
         load
-    }
-
-    fn with_meta<T>(
-        &self,
-        account: &str,
-        f: impl FnOnce(&mut AccountMeta) -> Result<T>,
-    ) -> Result<T> {
-        let mut accounts = self.by_account.lock();
-        let meta = accounts
-            .get_mut(account)
-            .ok_or_else(|| H2Error::NoSuchAccount(account.to_string()))?;
-        f(meta)
     }
 }
 
@@ -306,7 +312,7 @@ impl CloudFs for DpFs {
     fn mkdir(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
         self.charge_service(ctx, true);
         let ms = self.next_ms();
-        self.with_meta(account, |meta| {
+        with_account(&self.by_account, account, |meta| {
             self.charge_walk(ctx, meta, path)?;
             let (parent, id) = meta.tree.mkdir(path, ms)?;
             // New directory starts on its parent's server.
@@ -323,7 +329,7 @@ impl CloudFs for DpFs {
         // O(1) at operation time: detach the subtree pointer. Content
         // objects are reclaimed asynchronously (charged to background, not
         // to this op) — like Dropbox's deferred deletion.
-        let orphaned = self.with_meta(account, |meta| {
+        let orphaned = with_account(&self.by_account, account, |meta| {
             self.charge_walk(ctx, meta, path)?;
             let objs = meta.tree.rmdir(path)?;
             meta.placement.retain(|id, _| meta.tree.get(*id).is_some());
@@ -342,7 +348,7 @@ impl CloudFs for DpFs {
             return Ok(());
         }
         let ms = self.next_ms();
-        self.with_meta(account, |meta| {
+        with_account(&self.by_account, account, |meta| {
             self.charge_walk(ctx, meta, from)?;
             self.charge_walk(ctx, meta, to)?;
             meta.tree.rename(from, to, ms)
@@ -354,7 +360,7 @@ impl CloudFs for DpFs {
         TreeIndex::check_copy(from, to)?;
         let ms = self.next_ms();
         // Phase 1 (index): snapshot the source subtree.
-        let mut snapshot = self.with_meta(account, |meta| {
+        let mut snapshot = with_account(&self.by_account, account, |meta| {
             self.charge_walk(ctx, meta, from)?;
             self.charge_walk(ctx, meta, to)?;
             meta.tree.copy_snapshot(from, to)
@@ -371,7 +377,7 @@ impl CloudFs for DpFs {
         }
         // Phase 3 (index): build the destination subtree, on the server of
         // its parent.
-        self.with_meta(account, |meta| {
+        with_account(&self.by_account, account, |meta| {
             let (parent, made) = meta.tree.graft(to, snapshot, ms)?;
             let server = meta.server_of(parent);
             for id in made {
@@ -389,7 +395,7 @@ impl CloudFs for DpFs {
         path: &FsPath,
     ) -> Result<Vec<DirEntry>> {
         self.charge_service(ctx, false);
-        self.with_meta(account, |meta| {
+        with_account(&self.by_account, account, |meta| {
             self.charge_walk(ctx, meta, path)?;
             let rows = meta.tree.list(path)?;
             let per_entry = self.service.per_entry.unwrap_or(ctx.model.per_entry_cpu);
@@ -410,7 +416,7 @@ impl CloudFs for DpFs {
         let object = self.new_object_name();
         // Validate placement first (cheap index check), then stream content,
         // then commit the index entry.
-        self.with_meta(account, |meta| {
+        with_account(&self.by_account, account, |meta| {
             self.charge_walk(ctx, meta, path)?;
             meta.tree.check_write(path)
         })?;
@@ -418,7 +424,9 @@ impl CloudFs for DpFs {
         let size = payload.len();
         self.cluster
             .put(ctx, &self.key(account, &object), payload, Meta::new())?;
-        let old = self.with_meta(account, |meta| meta.tree.write(path, size, object, ms))?;
+        let old = with_account(&self.by_account, account, |meta| {
+            meta.tree.write(path, size, object, ms)
+        })?;
         if let Some(old_obj) = old {
             let mut bg = OpCtx::new(ctx.model.clone());
             let _ = self.cluster.delete(&mut bg, &self.key(account, &old_obj));
@@ -428,7 +436,7 @@ impl CloudFs for DpFs {
 
     fn read(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<FileContent> {
         self.charge_service(ctx, false);
-        let object = self.with_meta(account, |meta| {
+        let object = with_account(&self.by_account, account, |meta| {
             self.charge_walk(ctx, meta, path)?;
             meta.tree.file_object(path).map(str::to_string)
         })?;
@@ -437,17 +445,12 @@ impl CloudFs for DpFs {
     }
 
     fn delete_file(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        self.charge_service(ctx, true);
-        let object = self.with_meta(account, |meta| {
-            self.charge_walk(ctx, meta, path)?;
-            meta.tree.unlink(path)
-        })?;
-        self.cluster.delete(ctx, &self.key(account, &object))
+        self.delete_file_sized(ctx, account, path).map(drop)
     }
 
     fn stat(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<DirEntry> {
         self.charge_service(ctx, false);
-        self.with_meta(account, |meta| {
+        with_account(&self.by_account, account, |meta| {
             self.charge_walk(ctx, meta, path)?;
             meta.tree.stat(path)
         })

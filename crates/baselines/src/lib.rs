@@ -16,7 +16,10 @@
 //! report it via `StoreStats::index_records` — exactly the state H2Cloud
 //! exists to eliminate.
 
+use std::collections::HashMap;
+
 use h2fsapi::{FileContent, FsPath};
+use h2util::{H2Error, OrderedMutex, Result};
 use swiftsim::Payload;
 
 pub mod cas;
@@ -31,6 +34,23 @@ pub use cumulus::CumulusFs;
 pub use dp::DpFs;
 pub use static_partition::StaticPartitionFs;
 pub use swift_fs::SwiftFs;
+
+/// A baseline's per-account state, keyed by account name, behind one lock.
+pub(crate) type AccountMap<S> = OrderedMutex<HashMap<String, S>>;
+
+/// Run `f` on `account`'s state in `map` under the map's lock; an account
+/// the map does not hold is `NoSuchAccount`.
+pub(crate) fn with_account<S, T>(
+    map: &AccountMap<S>,
+    account: &str,
+    f: impl FnOnce(&mut S) -> Result<T>,
+) -> Result<T> {
+    let mut accounts = map.lock();
+    let state = accounts
+        .get_mut(account)
+        .ok_or_else(|| H2Error::NoSuchAccount(account.to_string()))?;
+    f(state)
+}
 
 /// The object payload a baseline stores for `content` written at `path`.
 /// Simulated content takes its identity from the path, shared content from

@@ -162,12 +162,7 @@ impl CloudFs for StaticPartitionFs {
     }
 
     fn delete_file(&self, ctx: &mut OpCtx, account: &str, path: &FsPath) -> Result<()> {
-        let size = self
-            .inner
-            .stat(ctx, account, path)
-            .map(|e| e.size)
-            .unwrap_or(0);
-        self.inner.delete_file(ctx, account, path)?;
+        let size = self.inner.delete_file_sized(ctx, account, path)?;
         if let Some(vol) = self.volume_of(account) {
             let mut usage = self.usage.lock();
             usage[vol] = usage[vol].saturating_sub(size);

@@ -264,18 +264,19 @@ impl TreeIndex {
         self.put_file(parent, name, size, object, ms)
     }
 
-    /// DELETE the file at `path`; returns its content-object key.
-    pub(crate) fn unlink(&mut self, path: &FsPath) -> Result<String> {
+    /// DELETE the file at `path`; returns its content-object key and size.
+    pub(crate) fn unlink(&mut self, path: &FsPath) -> Result<(String, u64)> {
         let (parent, name) = self.resolve_parent_or(path, H2Error::IsADirectory)?;
         let &id = self
             .dir_children(parent)?
             .get(name)
             .ok_or_else(|| H2Error::NotFound(path.to_string()))?;
-        if self.nodes[&id].is_dir() {
-            return Err(H2Error::IsADirectory(path.to_string()));
-        }
+        let size = match &self.nodes[&id].node {
+            Node::File { size, .. } => *size,
+            Node::Dir { .. } => return Err(H2Error::IsADirectory(path.to_string())),
+        };
         self.detach(parent, name)?;
-        Ok(self.remove_subtree(id).remove(0))
+        Ok((self.remove_subtree(id).remove(0), size))
     }
 
     /// The content-object key of the file at `path`.
@@ -299,7 +300,9 @@ impl TreeIndex {
     /// LIST-DETAIL the directory at `path`, in name order.
     pub(crate) fn list(&self, path: &FsPath) -> Result<Vec<DirEntry>> {
         let r = self.resolve(path)?;
-        let children = self.dir_children(r.id)?;
+        let Node::Dir { children } = &self.nodes[&r.id].node else {
+            return Err(H2Error::NotADirectory(path.to_string()));
+        };
         Ok(children
             .iter()
             .map(|(name, cid)| Self::entry(name.clone(), &self.nodes[cid]))

@@ -144,7 +144,7 @@ mod tests {
 
     /// A fixed script of successful ops, then failing ones, on the account
     /// `"user"`: `verb path [path | text | size]`.
-    const CHARGE_SCRIPT: [&str; 23] = [
+    const CHARGE_SCRIPT: [&str; 24] = [
         "mkdir /a",
         "mkdir /a/b",
         "mkdir /a/b/c",
@@ -163,6 +163,7 @@ mod tests {
         "mkdir /a",
         "mkdir /",
         "rmdir /a/m/f",
+        "list_detailed /a/m/f",
         "mv /a /a/m/x",
         "write /a/m x",
         "write / x",
@@ -240,6 +241,7 @@ rmdir /k | 88560000 | GETx3 PUTx2 DELETEx1 | ok
 mkdir /a | 9512000 | GETx1 | already exists: /a
 mkdir / | 0 |  | already exists: /
 rmdir /a/m/f | 42036000 | GETx3 | not a directory: /a/m/f
+list_detailed /a/m/f | 42036000 | GETx3 | not a directory: /a/m/f
 mv /a /a/m/x | 0 |  | invalid path: cannot move /a inside itself (/a/m/x)
 write /a/m x | 23524000 | GETx2 | is a directory: /a/m
 write / x | 0 |  | is a directory: /
@@ -264,6 +266,7 @@ rmdir /k | 55376000 | DELETEx3 HEADx1 DB-QUERYx3 DB-UPDATEx3 | ok
 mkdir /a | 9500000 | HEADx1 | already exists: /a
 mkdir / | 0 |  | already exists: /
 rmdir /a/m/f | 19000000 | HEADx2 | not a directory: /a/m/f
+list_detailed /a/m/f | 19000000 | HEADx2 | not a directory: /a/m/f
 mv /a /a/m/x | 0 |  | invalid path: cannot move /a inside itself
 write /a/m x | 19000000 | HEADx2 | is a directory: /a/m
 write / x | 0 |  | is a directory: /
@@ -288,6 +291,7 @@ rmdir /k | 63768000 | GETx1 DELETEx3 HEADx1 DB-QUERYx1 DB-UPDATEx3 | ok
 mkdir /a | 9500000 | HEADx1 | already exists: /a
 mkdir / | 0 |  | already exists: /
 rmdir /a/m/f | 19000000 | HEADx2 | not a directory: /a/m/f
+list_detailed /a/m/f | 19000000 | HEADx2 | not a directory: /a/m/f
 mv /a /a/m/x | 0 |  | invalid path: cannot move /a inside itself
 write /a/m x | 19000000 | HEADx2 | is a directory: /a/m
 write / x | 0 |  | is a directory: /
@@ -312,6 +316,7 @@ rmdir /k | 160450000 | INDEX-RPCx1 | ok
 mkdir /a | 160450000 | INDEX-RPCx1 | already exists: /a
 mkdir / | 160450000 | INDEX-RPCx1 | already exists: /
 rmdir /a/m/f | 160450000 | INDEX-RPCx1 | not a directory: /a/m/f
+list_detailed /a/m/f | 105450000 | INDEX-RPCx1 | not a directory: /a/m/f
 mv /a /a/m/x | 160450000 | INDEX-RPCx1 | invalid path: cannot move /a inside itself
 write /a/m x | 160450000 | INDEX-RPCx1 | is a directory: /a/m
 write / x | 160450000 | INDEX-RPCx1 | is a directory: /
@@ -336,6 +341,7 @@ rmdir /k | 450000 | INDEX-RPCx1 | ok
 mkdir /a | 450000 | INDEX-RPCx1 | already exists: /a
 mkdir / | 450000 | INDEX-RPCx1 | already exists: /
 rmdir /a/m/f | 450000 | INDEX-RPCx1 | not a directory: /a/m/f
+list_detailed /a/m/f | 450000 | INDEX-RPCx1 | not a directory: /a/m/f
 mv /a /a/m/x | 450000 | INDEX-RPCx1 | invalid path: cannot move /a inside itself
 write /a/m x | 450000 | INDEX-RPCx1 | is a directory: /a/m
 write / x | 450000 | INDEX-RPCx1 | is a directory: /
@@ -355,15 +361,16 @@ list_detailed /a/b | 474000 | INDEX-RPCx1 | ok
 mv /a/b /a/m | 450000 | INDEX-RPCx1 | ok
 mv /a/m /a/m | 450000 | INDEX-RPCx1 | ok
 copy /a/m /k | 25465000 | COPYx2 INDEX-RPCx1 | ok
-delete /k/f | 12900000 | DELETEx1 INDEX-RPCx2 | ok
+delete /k/f | 12450000 | DELETEx1 INDEX-RPCx1 | ok
 rmdir /k | 450000 | INDEX-RPCx1 | ok
 mkdir /a | 450000 | INDEX-RPCx1 | already exists: /a
 mkdir / | 450000 | INDEX-RPCx1 | already exists: /
 rmdir /a/m/f | 450000 | INDEX-RPCx1 | not a directory: /a/m/f
+list_detailed /a/m/f | 450000 | INDEX-RPCx1 | not a directory: /a/m/f
 mv /a /a/m/x | 450000 | INDEX-RPCx1 | invalid path: cannot move /a inside itself
 write /a/m x | 450000 | INDEX-RPCx1 | is a directory: /a/m
 write / x | 450000 | INDEX-RPCx1 | is a directory: /
-delete / | 900000 | INDEX-RPCx2 | is a directory: /
+delete / | 450000 | INDEX-RPCx1 | is a directory: /
 copy /a/m/f /a/m/c | 450000 | INDEX-RPCx1 | already exists: /a/m/c
 == Cumulus
 mkdir /a | 12012000 | PUTx1 | ok
@@ -384,6 +391,7 @@ rmdir /k | 21644000 | GETx1 PUTx1 | ok
 mkdir /a | 0 |  | already exists: /a
 mkdir / | 0 |  | already exists: /
 rmdir /a/m/f | 0 |  | not a directory: /a/m/f
+list_detailed /a/m/f | 9572000 | GETx1 | not a directory: /a/m/f
 mv /a /a/m/x | 0 |  | invalid path: cannot move /a inside itself
 write /a/m x | 0 |  | is a directory: /a/m
 write / x | 0 |  | is a directory: /
@@ -408,6 +416,7 @@ rmdir /k | 38000000 | HEADx4 | ok
 mkdir /a | 0 |  | already exists: /a
 mkdir / | 0 |  | already exists: /
 rmdir /a/m/f | 0 |  | not a directory: /a/m/f
+list_detailed /a/m/f | 28536000 | GETx3 | not a directory: /a/m/f
 mv /a /a/m/x | 0 |  | invalid path: cannot move /a inside itself
 write /a/m x | 23812000 | PUTx1 HEADx1 DB-UPDATEx1 | is a directory: /a/m
 write / x | 9500000 | HEADx1 | is a directory: /

@@ -582,10 +582,13 @@ mod tests {
     fn cluster_counters_are_current_without_a_render() {
         // No `op=metrics` call anywhere: the CAS plane counts straight
         // into the registry, so the second identical upload shows at once.
+        // The artifact fills one leaf: a shorter file is one whole object,
+        // which shares nothing.
         let fs = api_fs();
         let api = H2Api::new(&fs);
         ok(api.handle(&WebRequest::new(Method::Put, "/v1/alice")));
-        let body = FileContent::from_str("the same artifact, uploaded twice");
+        let leaf = h2util::chunker::ChunkParams::default().min as usize;
+        let body = FileContent::Inline(h2util::SharedBuf::from_slice(&vec![b'a'; leaf]));
         for f in ["/v1/alice/fs/a", "/v1/alice/fs/b"] {
             ok(api.handle(&WebRequest::new(Method::Put, f).with_body(body.clone())));
         }

@@ -268,11 +268,14 @@ mod tests {
         let fs = H2Cloud::new(H2Config::for_test());
         let mut ctx = OpCtx::for_test();
         fs.create_account(&mut ctx, "alice").unwrap();
+        // One leaf's worth of bytes: a shorter file has no block tree.
+        let leaf = h2util::chunker::ChunkParams::default().min as usize;
+        let precious: Vec<u8> = (0..leaf).map(|i| (i % 251) as u8).collect();
         fs.write(
             &mut ctx,
             "alice",
             &p("/f"),
-            FileContent::from_str("precious bytes"),
+            FileContent::Inline(h2util::SharedBuf::from_slice(&precious)),
         )
         .unwrap();
         let report = fsck(&fs, &mut ctx, "alice").unwrap();
@@ -301,6 +304,44 @@ mod tests {
                 .violations
                 .iter()
                 .any(|v| v.contains("CAS verification")),
+            "{:?}",
+            report.violations
+        );
+    }
+
+    #[test]
+    fn cas_audit_detects_a_tampered_small_file() {
+        // A file shorter than one leaf is one whole object on the CAS
+        // plane: the content address in its meta is what the audit checks.
+        let (fs, mut ctx) = setup();
+        fs.write(
+            &mut ctx,
+            "alice",
+            &p("/f"),
+            FileContent::from_str("precious bytes"),
+        )
+        .unwrap();
+        assert!(fsck(&fs, &mut ctx, "alice").unwrap().is_clean());
+        // Vandalise the bytes and keep the length and the meta: only the
+        // content address can tell.
+        let keys = H2Keys::new("alice");
+        let key = keys.child(NamespaceId::ROOT, "f");
+        let obj = fs.cluster().get(&mut ctx, &key).unwrap();
+        fs.cluster()
+            .put(
+                &mut ctx,
+                &key,
+                swiftsim::Payload::from_static("precious BYTES"),
+                obj.meta,
+            )
+            .unwrap();
+        let mw = fs.layer().mw_for_account("alice").clone();
+        let read = mw.get_content(&mut ctx, &keys, NamespaceId::ROOT, "f");
+        assert!(matches!(read, Err(H2Error::Corrupt(_))), "{read:?}");
+        let report = fsck(&fs, &mut ctx, "alice").unwrap();
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert!(
+            report.violations[0].contains("CAS verification: corrupt object"),
             "{:?}",
             report.violations
         );

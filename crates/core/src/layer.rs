@@ -26,7 +26,7 @@
 //! inject both.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::channel;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -321,7 +321,7 @@ impl H2Layer {
     /// Spawn one thread per middleware that continuously merges pending
     /// patches, floods its outbox to its peers' channels and applies its
     /// inbox. Returns a handle; drop it or call [`ThreadedGossip::stop`] to
-    /// join the threads.
+    /// join the threads and apply what they left undelivered.
     pub fn run_threaded(&self) -> ThreadedGossip {
         let (senders, receivers): (Vec<_>, Vec<_>) =
             self.middlewares.iter().map(|_| channel()).unzip();
@@ -381,22 +381,33 @@ impl H2Layer {
                             idle_rounds = 0;
                         }
                     }
+                    // Hand what is still undelivered back to the joiner.
+                    (rx, inbox)
                 })
             })
             .collect();
-        ThreadedGossip { stop, handles }
+        ThreadedGossip {
+            stop,
+            handles,
+            middlewares: self.middlewares.clone(),
+            failures: self.gossip_apply_failures.clone(),
+        }
     }
 }
 
 /// Handle to the threaded gossip fabric; dropping it stops and joins the
-/// threads.
+/// threads, then applies the gossip they left in their channels and
+/// inboxes, so a notification sent just before the stop is not lost.
 pub struct ThreadedGossip {
     stop: Arc<AtomicBool>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    handles: Vec<std::thread::JoinHandle<(Receiver<GossipMsg>, Inbox)>>,
+    middlewares: Vec<Arc<H2Middleware>>,
+    failures: Arc<Counter>,
 }
 
 impl ThreadedGossip {
-    /// Signal the gossip threads to finish and join them.
+    /// Signal the gossip threads to finish, join them and apply what they
+    /// left undelivered.
     pub fn stop(self) {
         drop(self)
     }
@@ -405,8 +416,22 @@ impl ThreadedGossip {
 impl Drop for ThreadedGossip {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+        // Join every thread before draining: a running thread can still
+        // send to any channel.
+        let left: Vec<_> = self.handles.drain(..).map(|h| h.join()).collect();
+        for (mw, joined) in self.middlewares.iter().zip(left) {
+            let Ok((rx, mut inbox)) = joined else {
+                continue;
+            };
+            for msg in rx.try_iter() {
+                inbox.push(msg);
+            }
+            // Failing messages retry until they apply or spend their
+            // budget. What applying sends stays in the outboxes for the
+            // pump.
+            while !inbox.is_empty() {
+                inbox.apply(mw, &self.failures);
+            }
         }
     }
 }

@@ -9,8 +9,11 @@
 //! the commit point (root list + logical length, so STAT stays one HEAD).
 //! Identical chunks across files and users collapse to the same block — a
 //! share costs one HEAD-shaped refcount bump instead of a replicated
-//! write. Reads dispatch on the stored object's `content-type`, so either
-//! middleware reads what the other wrote.
+//! write. A file shorter than `ChunkParams::min`, which no cut can split,
+//! stays one whole object on this plane too, with its content address in
+//! its meta ([`META_DIGEST`]): one GET to read it, and no dedup. Reads
+//! dispatch on the stored object's `content-type`, so either middleware
+//! reads what the other wrote.
 //!
 //! Failure policy: block references are released only after a manifest
 //! that held them was verifiably displaced or deleted. A failed upload
@@ -39,6 +42,10 @@ pub const CAS_FANOUT: usize = 128;
 /// Meta key on a CAS manifest carrying the file's logical byte size, so one
 /// HEAD answers STAT without fetching the manifest.
 pub const META_LOGICAL_BYTES: &str = "h2-logical-bytes";
+
+/// Meta key on a whole-object file the CAS plane wrote, carrying the hex
+/// content address of its bytes: reads verify it without another request.
+pub const META_DIGEST: &str = "h2-digest";
 
 impl H2Middleware {
     /// Stamp for a CAS manifest: unique per (middleware, write), so a
@@ -88,7 +95,20 @@ impl H2Middleware {
         let obj = self.with_retry(ctx, Content, "get_content", |ctx| self.store.get(ctx, &key))?;
         match Self::manifest_of(&obj) {
             Some(m) => self.cas_get(ctx, &key, &m?),
-            None => Ok(obj.payload),
+            None => Self::verify_whole(obj),
+        }
+    }
+
+    /// A whole-object file's bytes, checked against the content address
+    /// its [`META_DIGEST`] meta carries (a file written without one, by the
+    /// whole plane, is returned as it is).
+    fn verify_whole(obj: Object) -> Result<Payload> {
+        match obj.meta.get(META_DIGEST) {
+            Some(d) if *d != obj.payload.digest().to_hex() => Err(H2Error::Corrupt(format!(
+                "file {} fails its content address",
+                obj.key
+            ))),
+            _ => Ok(obj.payload),
         }
     }
 
@@ -167,6 +187,9 @@ impl H2Middleware {
     fn cas_put(&self, ctx: &mut OpCtx, key: &ObjectKey, payload: Payload) -> Result<()> {
         let params = ChunkParams::default();
         let total = payload.len();
+        if total < params.min {
+            return self.cas_put_whole(ctx, key, payload);
+        }
         let chunks = Self::cas_chunks(&params, &payload);
         // 1. Leaves, one bounded parallel wave. Track which landed so a
         //    mid-wave failure releases exactly the references taken.
@@ -259,6 +282,26 @@ impl H2Middleware {
             entries: level,
         };
         self.cas_commit_manifest(ctx, key, &m)
+    }
+
+    /// Store a file no chunker cut can split (shorter than
+    /// `ChunkParams::min`) as one whole object at `key`, stamped with its
+    /// content address: one PUT, where a block tree would be one leaf plus
+    /// a manifest naming it. The generation it displaces is released like a
+    /// displaced manifest, so shrinking a block-tree file frees its blocks.
+    fn cas_put_whole(&self, ctx: &mut OpCtx, key: &ObjectKey, payload: Payload) -> Result<()> {
+        let meta = Meta::from([
+            ("content-type".into(), CONTENT_TYPE_FILE.into()),
+            (META_DIGEST.into(), payload.digest().to_hex()),
+        ]);
+        let prev = self.with_retry(ctx, Content, "put_content", |ctx| {
+            self.store
+                .put_returning_prev(ctx, key, payload.clone(), meta.clone())
+        })?;
+        if let Some(prev) = prev {
+            self.cas_release_manifest(ctx, &prev);
+        }
+        Ok(())
     }
 
     /// PUT `m` at `key` — the commit point of a CAS write or copy — and
@@ -425,7 +468,8 @@ impl H2Middleware {
     fn cas_copy(&self, ctx: &mut OpCtx, src: &ObjectKey, dst: &ObjectKey) -> Result<()> {
         let obj = self.with_retry(ctx, Content, "get_manifest", |ctx| self.store.get(ctx, src))?;
         let Some(m) = Self::manifest_of(&obj) else {
-            // Not block-plane content (written before the knob): plain copy.
+            // A whole-object file (shorter than one leaf, or written by the
+            // whole plane): one server-side COPY, which carries its meta.
             return ctx.in_stage(Content, |ctx| self.store.copy(ctx, src, dst));
         };
         let m = m?;

@@ -18,13 +18,17 @@ pub enum MaintenanceMode {
 }
 
 /// A `(N_i, H_j, t_k)` gossip tuple: "the local version of NameRing `ns` in
-/// node `from` has been updated at `version`".
+/// node `from` has been updated at `version`, and the ring object that
+/// carries it was written at `stamp`".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GossipMsg {
     pub account: String,
     pub ns: NamespaceId,
     pub from: NodeId,
+    /// The ring's newest tuple timestamp; receivers' clocks observe it.
     pub version: Timestamp,
+    /// The ring object's write stamp: what the loop-back check compares.
+    pub stamp: u64,
 }
 
 /// What one Background Merger sweep accomplished.
@@ -250,8 +254,8 @@ impl H2Middleware {
         ctx.charge_time(self.store.cost_model().patch_cycle_cpu);
         // Run the fallible cycle; on *any* failure, restore the chain so a
         // retry re-merges (crash recovery for the Background Merger).
-        let ring = match self.merge_cycle(ctx, keys, ns, &chain) {
-            Ok(ring) => ring,
+        let (ring, stamp) = match self.merge_cycle(ctx, keys, ns, &chain) {
+            Ok(written) => written,
             Err(e) => {
                 self.fds
                     .lock()
@@ -266,22 +270,27 @@ impl H2Middleware {
         // Monotone: a patch submitted while this cycle was in flight stays
         // in the local version, and its chain entry carries it into the
         // global object on the next cycle — so the join is not written back.
-        self.fds.lock().entry(key).or_default().absorb(ring);
+        self.fds
+            .lock()
+            .entry(key)
+            .or_default()
+            .absorb(ring, Some(stamp));
         self.bump_ns_epoch(ns);
-        self.announce(keys.account(), ns, version);
+        self.announce(keys.account(), ns, version, stamp);
         Ok(true)
     }
 
     /// The fallible portion of one merge cycle: fetch the chain's patch
     /// objects, merge them (plus the local version) into the global ring,
-    /// write it back and delete the consumed patches.
+    /// write it back and delete the consumed patches. Returns the ring
+    /// written and its write stamp.
     fn merge_cycle(
         &self,
         ctx: &mut OpCtx,
         keys: &H2Keys,
         ns: NamespaceId,
         chain: &BTreeSet<u32>,
-    ) -> Result<Arc<NameRing>> {
+    ) -> Result<(Arc<NameRing>, u64)> {
         // Walk the linked list: start with the lowest-numbered patch,
         // repeatedly fetch the successor and merge the two.
         let mut big = NameRing::new();
@@ -312,7 +321,7 @@ impl H2Middleware {
             }
         }
         let ring = Arc::new(ring);
-        self.put_global_ring(ctx, keys, ns, &ring)?;
+        let stamp = self.put_global_ring(ctx, keys, ns, &ring)?;
         for &no in chain {
             // Patch objects are transient; a NotFound here is harmless.
             let key = keys.patch(ns, self.node, no);
@@ -323,7 +332,7 @@ impl H2Middleware {
                 Err(e) => return Err(e),
             }
         }
-        Ok(ring)
+        Ok((ring, stamp))
     }
 
     /// Run the Background Merger over every descriptor with pending patches
@@ -374,13 +383,15 @@ impl H2Middleware {
     }
 
     /// Queue a gossip notification: this node's local version of
-    /// `(account, ns)` has been updated at `version`.
-    fn announce(&self, account: &str, ns: NamespaceId, version: Timestamp) {
+    /// `(account, ns)` has been updated at `version`, in the ring object it
+    /// wrote at `stamp`.
+    fn announce(&self, account: &str, ns: NamespaceId, version: Timestamp, stamp: u64) {
         self.outbox.lock().push(GossipMsg {
             account: account.to_string(),
             ns,
             from: self.node,
             version,
+            stamp,
         });
     }
 
@@ -394,8 +405,11 @@ impl H2Middleware {
         ns: NamespaceId,
         joined: &Arc<NameRing>,
     ) -> Result<()> {
-        self.put_global_ring(ctx, keys, ns, joined)?;
-        self.announce(keys.account(), ns, joined.version());
+        let stamp = self.put_global_ring(ctx, keys, ns, joined)?;
+        if let Some(fd) = self.fds.lock().get_mut(&FdKey::new(keys, ns)) {
+            fd.hear(Some(stamp));
+        }
+        self.announce(keys.account(), ns, joined.version(), stamp);
         Ok(())
     }
 
@@ -421,8 +435,9 @@ impl H2Middleware {
     /// results (index-aligned with `msgs`, so a failing message can be
     /// requeued individually — batching never couples one message's fate
     /// to another's). A message reports `Ok(true)` when its update was news
-    /// to this node and `Ok(false)` when the local version is already at
-    /// least as new (§3.3.2's loop-back avoidance by timestamp comparison).
+    /// to this node and `Ok(false)` when this node has already heard a ring
+    /// object at least as new (§3.3.2's loop-back avoidance, by write
+    /// stamp).
     ///
     /// Compared with applying messages one at a time, a batch takes the
     /// descriptor lock O(1) times instead of O(messages): one acquisition
@@ -440,7 +455,7 @@ impl H2Middleware {
             let fds = self.fds.lock();
             for (i, msg) in msgs.iter().enumerate() {
                 let key = FdKey::of(&msg.account, msg.ns);
-                let stale = fds.get(&key).is_some_and(|fd| fd.knows(msg.version));
+                let stale = fds.get(&key).is_some_and(|fd| fd.knows(msg.stamp));
                 if stale {
                     results[i] = Some(Ok(false));
                 } else {
@@ -463,7 +478,7 @@ impl H2Middleware {
             let mut first_error: Option<String> = None;
             // Pass 2 — fetch each unique ring once, refreshing the NameRing
             // cache (gossip is what keeps cached rings fresh across nodes).
-            let mut fetched: Vec<(FdKey, Arc<NameRing>, Vec<usize>)> = Vec::new();
+            let mut fetched = Vec::new();
             for (key, idxs) in fresh {
                 let keys = H2Keys::new(&key.account);
                 match self.fetch_to_cache(ctx, &keys, &key) {
@@ -481,9 +496,9 @@ impl H2Middleware {
             let mut applied_ns: Vec<NamespaceId> = Vec::new();
             {
                 let mut fds = self.fds.lock();
-                for (key, global, idxs) in fetched {
+                for (key, (global, stamp), idxs) in fetched {
                     applied_ns.push(key.ns);
-                    match fds.entry(key.clone()).or_default().absorb(global) {
+                    match fds.entry(key.clone()).or_default().absorb(global, stamp) {
                         None => {
                             for i in idxs {
                                 results[i] = Some(Ok(true));
@@ -571,8 +586,8 @@ impl H2Middleware {
             let mut refreshed = 0usize;
             for key in keys {
                 let h2keys = H2Keys::new(&key.account);
-                let global = match self.fetch_to_cache(ctx, &h2keys, &key) {
-                    Ok(global) => global,
+                let (global, stamp) = match self.fetch_to_cache(ctx, &h2keys, &key) {
+                    Ok(fetched) => fetched,
                     Err(e) => {
                         first_error.get_or_insert(e);
                         continue;
@@ -582,7 +597,7 @@ impl H2Middleware {
                     .fds
                     .lock()
                     .get_mut(&key)
-                    .and_then(|fd| fd.absorb(global));
+                    .and_then(|fd| fd.absorb(global, stamp));
                 self.bump_ns_epoch(key.ns);
                 refreshed += 1;
                 if let Some(joined) = joined {

@@ -12,8 +12,9 @@
 //!   patch and folds it into the NameRing object in the cloud;
 //! * the **Gossip Arrangement** — emits `(N_i, H_j, t_k)` update
 //!   notifications to peer middlewares and applies incoming ones, ignoring
-//!   a notification when the local version is already at least as new
-//!   (§3.3.2's loop-back avoidance).
+//!   a notification when this node has already heard a ring object at
+//!   least as new (§3.3.2's loop-back avoidance, keyed on the object's
+//!   write stamp).
 //!
 //! Maintenance runs in one of two modes:
 //!
@@ -64,7 +65,9 @@ pub use cache::{
     RING_CACHE_HITS, RING_CACHE_MISSES, RING_REFETCH_UNCHANGED,
 };
 use cache::{PathCache, RingCache};
-pub use content::{CAS_FANOUT, CONTENT_TYPE_CAS, CONTENT_TYPE_FILE, META_LOGICAL_BYTES};
+pub use content::{
+    CAS_FANOUT, CONTENT_TYPE_CAS, CONTENT_TYPE_FILE, META_DIGEST, META_LOGICAL_BYTES,
+};
 use maintenance::CommitState;
 pub use maintenance::{GossipMsg, MaintenanceMode, MergeOutcome, MERGE_FAILURES};
 pub use ring::RING_FETCHES;
@@ -85,6 +88,12 @@ struct FileDescriptor {
     pending: BTreeSet<u32>,
     /// Next patch number to hand out.
     next_patch: u32,
+    /// The newest write stamp of the ring object this node has absorbed
+    /// through a fetch or written through a merge cycle or a write-back.
+    /// Stamps are unique and monotone across the cluster, so an object
+    /// with a stamp at most this one is folded into `local` already, or
+    /// was overwritten by one that is.
+    heard: u64,
     /// The ring's merge gate and commit queue, built together on first
     /// use: rings this node only hears of through gossip never need them.
     sync: Option<Arc<RingSync>>,
@@ -106,17 +115,27 @@ impl FileDescriptor {
         }))
     }
 
-    /// §3.3.2's loop-back avoidance: the local version is already at least
-    /// as new as `version`, so a notification carrying it is no news.
-    fn knows(&self, version: Timestamp) -> bool {
-        self.local.version() >= version
+    /// §3.3.2's loop-back avoidance: this node has heard a ring object at
+    /// least as new as the one written at `stamp`, so a notification
+    /// carrying it is no news. (A merge can fold in a write older than the
+    /// ring's newest tuple, so the tuples' maximum stamp cannot tell.)
+    fn knows(&self, stamp: u64) -> bool {
+        self.heard >= stamp
     }
 
-    /// Fold the global ring into the local version. A global ring that
-    /// already holds everything the local one does becomes the local ring
-    /// as it is; otherwise the two are joined into a copy, which is
-    /// returned: this node knew updates the global object lacks.
-    fn absorb(&mut self, global: Arc<NameRing>) -> Option<Arc<NameRing>> {
+    /// Record that this node absorbed or wrote the ring object stamped
+    /// `stamp` (`None`: there was no object).
+    fn hear(&mut self, stamp: Option<u64>) {
+        self.heard = self.heard.max(stamp.unwrap_or(0));
+    }
+
+    /// Fold the global ring, the object stamped `stamp`, into the local
+    /// version. A global ring that already holds everything the local one
+    /// does becomes the local ring as it is; otherwise the two are joined
+    /// into a copy, which is returned: this node knew updates the global
+    /// object lacks.
+    fn absorb(&mut self, global: Arc<NameRing>, stamp: Option<u64>) -> Option<Arc<NameRing>> {
+        self.hear(stamp);
         if global.subsumes(&self.local) {
             self.local = global;
             return None;

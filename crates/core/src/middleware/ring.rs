@@ -104,7 +104,7 @@ impl H2Middleware {
                     if self.rings.is_some() {
                         ctx.span_note("ring_cache", || Note::Str("miss"));
                     }
-                    (self.fetch_to_cache(ctx, keys, &key)?, false)
+                    (self.fetch_to_cache(ctx, keys, &key)?.0, false)
                 }
             };
             let overlay = self.fds.lock().get(&key).map(|fd| Arc::clone(&fd.local));
@@ -147,17 +147,18 @@ impl H2Middleware {
     }
 
     /// The global ring for `key`, fetched from the cloud and stored in the
-    /// NameRing cache (see [`Self::cache_store`]).
+    /// NameRing cache (see [`Self::cache_store`]), with the write stamp of
+    /// the copy that answered (`None`: no object).
     pub(super) fn fetch_to_cache(
         &self,
         ctx: &mut OpCtx,
         keys: &H2Keys,
         key: &FdKey,
-    ) -> Result<Arc<NameRing>> {
+    ) -> Result<(Arc<NameRing>, Option<u64>)> {
         let (ring, ms) = self.fetch_ring_stamped(ctx, keys, key.ns)?;
         let ring = Arc::new(ring);
         self.cache_store(key, &ring, ms, false);
-        Ok(ring)
+        Ok((ring, ms))
     }
 
     /// GET and parse the ring object, with the write stamp of the copy
@@ -201,17 +202,18 @@ impl H2Middleware {
     }
 
     /// Write a ring object back (formatter + PUT), writing through to the
-    /// NameRing cache on success. Every ring write on this middleware —
-    /// COPY's `write_ring`, merge cycles, gossip write-backs, `create_ring`
-    /// — funnels through here, so the cache can never serve a ring older
-    /// than what this middleware itself last wrote.
+    /// NameRing cache on success, and return the write stamp the object
+    /// landed with. Every ring write on this middleware — COPY's
+    /// `write_ring`, merge cycles, gossip write-backs, `create_ring` —
+    /// funnels through here, so the cache can never serve a ring older than
+    /// what this middleware itself last wrote.
     pub(super) fn put_global_ring(
         &self,
         ctx: &mut OpCtx,
         keys: &H2Keys,
         ns: NamespaceId,
         ring: &Arc<NameRing>,
-    ) -> Result<()> {
+    ) -> Result<u64> {
         let body = formatter::namering_to_string(ring);
         let key = keys.namering(ns);
         // Built once: retries re-send the same shared bytes.
@@ -221,12 +223,13 @@ impl H2Middleware {
                 .put_stamped(ctx, &key, payload.clone(), Meta::new())
         })?;
         self.cache_store(&FdKey::new(keys, ns), ring, Some(ms), true);
-        Ok(())
+        Ok(ms)
     }
 
     /// Create the (empty) NameRing object for a fresh namespace.
     pub fn create_ring(&self, ctx: &mut OpCtx, keys: &H2Keys, ns: NamespaceId) -> Result<()> {
         self.put_global_ring(ctx, keys, ns, &Arc::new(NameRing::new()))
+            .map(|_| ())
     }
 
     /// Write a fully materialised ring for a namespace this node just

@@ -38,7 +38,8 @@ fn empty_file_round_trips_with_zero_blocks() {
     let before = fs.metrics().counter_value(CAS_BLOCKS_WRITTEN);
     fs.write(&mut ctx, "alice", &p("/empty"), FileContent::from_str(""))
         .unwrap();
-    // An empty file is a manifest with no entries: no leaf blocks at all.
+    // An empty file is shorter than one leaf, so it is one whole object:
+    // no leaf blocks at all.
     assert_eq!(fs.metrics().counter_value(CAS_BLOCKS_WRITTEN), before);
     assert_eq!(fs.cluster().cas_live_blocks(), 0);
     assert_eq!(
@@ -108,6 +109,83 @@ fn files_exactly_at_min_target_and_max_chunk_size() {
         saved + params.max
     );
     assert!(fsck(&fs, &mut ctx, "alice").unwrap().is_clean());
+}
+
+/// A file one byte shorter than `min` can never be cut, so it is one whole
+/// object: one PUT to write, one GET to read, one DELETE to delete and one
+/// server-side COPY to copy, and no block ever lives.
+#[test]
+fn a_file_shorter_than_one_leaf_is_one_object() {
+    let (fs, _) = setup();
+    let mw = fs.layer().mw_for_account("alice");
+    let keys = h2cloud::H2Keys::new("alice");
+    let root = h2util::NamespaceId::ROOT;
+    let bytes: Vec<u8> = (0..ChunkParams::default().min - 1)
+        .map(|i| (i % 251) as u8)
+        .collect();
+    let payload = swiftsim::Payload::Inline(h2util::SharedBuf::from_slice(&bytes).into_bytes());
+    let base = fs.storage_stats().objects;
+
+    let mut put = OpCtx::for_test();
+    mw.put_content(&mut put, &keys, root, "small", payload.clone())
+        .unwrap();
+    assert_eq!((put.counts().puts, put.counts().total()), (1, 1));
+    assert_eq!(fs.storage_stats().objects, base + 1);
+
+    let mut get = OpCtx::for_test();
+    assert_eq!(
+        mw.get_content(&mut get, &keys, root, "small").unwrap(),
+        payload
+    );
+    assert_eq!((get.counts().gets, get.counts().total()), (1, 1));
+
+    // The COPY follows the GET that finds no manifest at the source.
+    let mut copy = OpCtx::for_test();
+    mw.copy_content(&mut copy, &keys, root, "small", root, "copy")
+        .unwrap();
+    assert_eq!(copy.counts().copies, 1);
+    assert_eq!((copy.counts().gets, copy.counts().total()), (1, 2));
+    assert_eq!(
+        mw.get_content(&mut OpCtx::for_test(), &keys, root, "copy")
+            .unwrap(),
+        payload
+    );
+
+    let mut del = OpCtx::for_test();
+    mw.delete_content(&mut del, &keys, root, "small").unwrap();
+    assert_eq!((del.counts().deletes, del.counts().total()), (1, 1));
+    mw.delete_content(&mut OpCtx::for_test(), &keys, root, "copy")
+        .unwrap();
+    assert_eq!(fs.storage_stats().objects, base);
+    assert_eq!(fs.cluster().cas_live_blocks(), 0);
+    assert_eq!(fs.metrics().counter_value(CAS_BLOCKS_WRITTEN), 0);
+}
+
+#[test]
+fn overwrites_across_the_leaf_boundary_leave_no_block_behind() {
+    let (fs, mut ctx) = setup();
+    let small = patterned(ChunkParams::default().min as usize - 1);
+    let big = FileContent::Simulated(24 << 20);
+    // Shrink: the small overwrite displaces a block tree and frees it.
+    fs.write(&mut ctx, "alice", &p("/shrink"), big.clone())
+        .unwrap();
+    assert!(fs.cluster().cas_live_blocks() > 1);
+    fs.write(&mut ctx, "alice", &p("/shrink"), small.clone())
+        .unwrap();
+    assert_eq!(fs.cluster().cas_live_blocks(), 0);
+    assert_eq!(fs.read(&mut ctx, "alice", &p("/shrink")).unwrap(), small);
+    // Grow: the block tree displaces a whole object, which held no block.
+    fs.write(&mut ctx, "alice", &p("/grow"), small.clone())
+        .unwrap();
+    fs.write(&mut ctx, "alice", &p("/grow"), big.clone())
+        .unwrap();
+    assert!(fs.cluster().cas_live_blocks() > 1);
+    assert_eq!(fs.read(&mut ctx, "alice", &p("/grow")).unwrap(), big);
+    assert!(fsck(&fs, &mut ctx, "alice").unwrap().is_clean());
+    for f in ["/shrink", "/grow"] {
+        fs.delete_file(&mut ctx, "alice", &p(f)).unwrap();
+    }
+    assert_eq!(fs.cluster().cas_live_blocks(), 0);
 }
 
 #[test]

@@ -409,11 +409,10 @@ fn quick_relative_access_is_one_get() {
             .read_relative(&mut quick, "alice", deeper_ns, "target")
             .unwrap();
         assert_eq!(content, FileContent::from_str("found"));
-        // Still depth-independent with the CAS plane on — but a content read
-        // is then manifest + leaf instead of a single whole object.
-        let expected = if cas { 2 } else { 1 };
-        assert_eq!(quick.counts().gets, expected);
-        assert_eq!(quick.counts().total(), expected);
+        // The same with the CAS plane on: a file shorter than one leaf is
+        // one whole object there too.
+        assert_eq!(quick.counts().gets, 1, "cas={cas}");
+        assert_eq!(quick.counts().total(), 1, "cas={cas}");
     }
 }
 
@@ -454,10 +453,9 @@ fn storage_stats_count_h2_overhead_objects() {
         assert_eq!(fs.storage_stats().objects, base + 2);
         fs.write(&mut ctx, "alice", &p("/d/f"), FileContent::from_str("x"))
             .unwrap();
-        // +1 content object — or, on the CAS plane, a manifest plus one leaf
-        // block (the tiny file fits a single chunk).
-        let content_objects = if cas { 2 } else { 1 };
-        assert_eq!(fs.storage_stats().objects, base + 2 + content_objects);
+        // +1 content object on either plane: a file shorter than one leaf
+        // is one whole object, with no block tree.
+        assert_eq!(fs.storage_stats().objects, base + 3, "cas={cas}");
         assert!(!fs.uses_separate_index());
         assert_eq!(fs.storage_stats().index_records, 0);
     }
@@ -834,10 +832,13 @@ fn flat_directory_maintenance_requests_and_virtual_time_are_pinned() {
         deletes,
         ..BackendCounts::default()
     };
-    // Each write is a CAS manifest, one leaf block and a patch; each delete
-    // a patch and two content deletes.
-    assert_eq!(ops.counts(), counts(0, 128, 64));
-    assert_eq!(ops.elapsed(), Duration::from_nanos(2_605_996_000));
+    // Each write is one whole content object (512 bytes are shorter than
+    // a leaf) and a patch; each delete a patch and one content delete. A
+    // leaf and a manifest per file cost 128 PUTs, 64 DELETEs and
+    // 2 605.996 ms: 32 × 12.012 ms (a sub-KiB PUT) + 32 × 12 ms (a block
+    // reclaim) more.
+    assert_eq!(ops.counts(), counts(0, 96, 32));
+    assert_eq!(ops.elapsed(), Duration::from_nanos(1_837_612_000));
     // The ring comes from the ring cache; the content deletes were eager.
     assert_eq!(gc.counts(), counts(0, 1, 32));
     // The 32 content DELETEs (12 ms each, NotFound) are one wave: a
@@ -965,7 +966,10 @@ fn flat_directory_list_detailed_requests_and_virtual_time_are_pinned() {
 
     // Healthy: the ring comes from the ring cache, one HEAD per child.
     let (got, counts, elapsed) = list();
-    assert_eq!(got.unwrap(), (4100, 4, 6_560_000_016_801_806));
+    // Each imported file's content is one write stamp (a leaf and a
+    // manifest took two), so file i's stamp is i + 1 lower than it was and
+    // the sum 4096 · 4097 / 2 = 8 390 656 lower.
+    assert_eq!(got.unwrap(), (4100, 4, 6_560_000_008_411_150));
     assert_eq!(counts, heads(4100));
     assert_eq!(elapsed, Duration::from_nanos(1_275_040_000));
 
@@ -974,7 +978,7 @@ fn flat_directory_list_detailed_requests_and_virtual_time_are_pinned() {
     fs.cluster().set_node_down(dev0, true);
     let (got, counts, elapsed) = list();
     fs.cluster().set_node_down(dev0, false);
-    assert_eq!(got.unwrap(), (4100, 4, 6_560_000_016_801_806));
+    assert_eq!(got.unwrap(), (4100, 4, 6_560_000_008_411_150));
     assert_eq!(counts, heads(4100));
     assert_eq!(elapsed, Duration::from_nanos(1_274_740_000));
     assert_eq!(fs.cluster().fault_stats(), None);

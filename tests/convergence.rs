@@ -16,15 +16,12 @@ fn p(s: &str) -> FsPath {
     FsPath::parse(s).unwrap()
 }
 
-/// The paper profile only. Gossip drops a message whose ring version — the
-/// maximum tuple timestamp — a merge of older writes did not raise
-/// (ROADMAP.md, "Gossip that every merge advances";
-/// `older_stamped_write_back_reaches_every_ring_cache` below reproduces it
-/// on the tuned profile). `threaded_writers_with_threaded_gossip_converge`
-/// hits that hole about 1 run in 15 on a 2-core machine even here, when two
-/// merges rewrite the ring object at once. Until the hole is closed the
-/// tuned profile's convergence is covered deterministically by
-/// `tests/chaos.rs` and `tests/prop_equivalence.rs`.
+/// The paper profile. Gossip's loop-back check compares the write stamp of
+/// the ring object, which every rewrite advances — also a merge that folds
+/// in writes older than the ring's newest tuple — and stopping the threaded
+/// fabric applies what it left in its channels and inboxes. The schedule
+/// properties below run both profiles; `tests/chaos.rs` and
+/// `tests/prop_equivalence.rs` cover the tuned profile under faults.
 fn h2(middlewares: usize) -> H2Cloud {
     H2Cloud::new(H2Config {
         middlewares,
@@ -382,11 +379,10 @@ proptest! {
         schedule_converges(H2Config::default(), &steps)?;
     }
 
-    // The same property on the tuned profile fails: see
-    // `older_stamped_write_back_reaches_every_ring_cache` for the smallest
-    // schedule found.
+    // The same property on the tuned profile, whose ring caches trust the
+    // loop-back check: `older_stamped_write_back_reaches_every_ring_cache`
+    // pins the smallest schedule that once broke it.
     #[test]
-    #[ignore = "ROADMAP item 11: a ring rewrite does not always advance the gossip version"]
     fn seeded_gossip_schedules_converge_after_resync_tuned(
         steps in prop::collection::vec(arb_step(), 1..40),
     ) {
@@ -394,16 +390,14 @@ proptest! {
     }
 }
 
-/// ROADMAP item 11's hole, found by the schedule property on the tuned
-/// profile. mw2 has heard mw1's first write, so mw1's second write (`f4`)
-/// carries an older stamp than mw2's overwrite of `f3`. The sweep writes
-/// `f4` back into the ring object, but the ring's version stays `f3`'s
-/// stamp, so middleware 0 drops the notification as stale and its ring
-/// cache keeps serving a listing without `f4`. The paper profile has no
-/// ring cache: every listing reads the ring object, so the same schedule
-/// passes there.
+/// Found by the schedule property on the tuned profile. mw2 has heard
+/// mw1's first write, so mw1's second write (`f4`) carries an older tuple
+/// timestamp than mw2's overwrite of `f3`. The sweep writes `f4` back into
+/// the ring object without raising the ring's newest tuple timestamp, so a
+/// loop-back check on that timestamp let middleware 0 drop the notification
+/// as stale, and its ring cache kept serving a listing without `f4`. The
+/// object's write stamp does advance, so the notification is news.
 #[test]
-#[ignore = "ROADMAP item 11: a ring rewrite does not always advance the gossip version"]
 fn older_stamped_write_back_reaches_every_ring_cache() {
     let write = |mw, file| Step::Write { mw, dir: 0, file };
     let steps = [
