@@ -27,15 +27,6 @@ pub const NEG_CACHE_HITS: &str = "neg_cache_hits";
 /// ring cache last held (same write stamp), and so invalidated nothing.
 pub const RING_REFETCH_UNCHANGED: &str = "ring_refetch_unchanged";
 
-/// A parsed global ring held by the NameRing cache, stamped with the
-/// version (max tuple timestamp) it carried when it entered the cache.
-/// The ring is shared: a cache hit hands out a refcount bump, not a clone
-/// of the tuple map.
-struct CachedRing {
-    version: Timestamp,
-    ring: Arc<NameRing>,
-}
-
 /// Lock stripes for the NameRing cache. The cache sits on every resolve
 /// level of every operation; one mutex over the whole LRU serialised all
 /// of them. Striping by ring key keeps resolves of unrelated directories
@@ -89,22 +80,25 @@ struct PathEntry {
     answer: PathAnswer,
 }
 
-/// Version-stamped cache of parsed *global* rings (no local overlay),
+/// Write-stamped cache of parsed *global* rings (no local overlay),
 /// consulted by [`H2Middleware::read_ring`] — the O(d) resolve hot path.
 /// Kept fresh by write-through in `put_global_ring` and refresh on gossip;
 /// never consulted by `fetch_global_ring`, which must see the cloud's
 /// current object (merge cycles and gossip handling depend on that).
 pub(super) struct RingCache {
     /// Striped by ring key ([`RING_SHARDS`]); each stripe is an
-    /// independent LRU over an even share of the capacity.
-    ring_cache: Vec<OrderedMutex<LruCache<FdKey, CachedRing, WordBuild>>>,
+    /// independent LRU over an even share of the capacity. The rings are
+    /// shared: a hit hands out a refcount bump, not a clone of the tuples.
+    ring_cache: Vec<OrderedMutex<LruCache<FdKey, Arc<NameRing>, WordBuild>>>,
     /// Write stamp ([`swiftsim::Object::modified_ms`], unique per write
     /// across the cluster) of the copy of each ring that last entered the
     /// cache; no entry once it was dropped, or when an absent object was
-    /// cached as an empty ring. A refetch that brings back the same stamp
-    /// brought back the same bytes, so it is no mutation: see
-    /// [`H2Middleware::cache_store`]. Taken innermost under a
-    /// stripe, so the cached copy and its stamp change together.
+    /// cached as an empty ring. The stamp is the ring's version: it guards
+    /// a fetched copy's entry into the cache, and a refetch that brings
+    /// back the same stamp brought back the same bytes, so it is no
+    /// mutation — even after the copy was evicted. See
+    /// [`H2Middleware::cache_store`]. Taken innermost under a stripe, so
+    /// the cached copy and its stamp change together.
     cached_ms: OrderedMutex<FdMap<u64>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -137,7 +131,7 @@ impl RingCache {
     }
 
     /// The stripe holding `key`.
-    fn ring_shard(&self, key: &FdKey) -> &OrderedMutex<LruCache<FdKey, CachedRing, WordBuild>> {
+    fn ring_shard(&self, key: &FdKey) -> &OrderedMutex<LruCache<FdKey, Arc<NameRing>, WordBuild>> {
         &self.ring_cache[key.hash as usize % RING_SHARDS]
     }
 }
@@ -203,11 +197,7 @@ impl H2Middleware {
     /// and holds one. Counts hit/miss. A hit is a refcount bump.
     pub(super) fn cached_global(&self, key: &FdKey) -> Option<Arc<NameRing>> {
         let rc = self.rings.as_ref()?;
-        let ring = rc
-            .ring_shard(key)
-            .lock()
-            .get(key)
-            .map(|entry| Arc::clone(&entry.ring));
+        let ring = rc.ring_shard(key).lock().get(key).map(Arc::clone);
         match &ring {
             Some(_) => {
                 rc.hits.incr();
@@ -221,11 +211,12 @@ impl H2Middleware {
     /// Store `ring` in the cache, stamped `ms` (`None`: the object was
     /// absent and reads as an empty ring). A ring this middleware has just
     /// `written` to the cloud replaces the entry unconditionally — the
-    /// cloud object now IS this ring, even if its version went backwards
-    /// (GC compaction can drop the newest tombstone). A ring obtained from
-    /// a cloud *read* is guarded: a fetch that raced with a concurrent
-    /// write-through must not replace the newer entry, so it only enters
-    /// the cache if its version is at least the cached one.
+    /// cloud object now IS this ring. A ring obtained from a cloud *read*
+    /// is guarded: a fetch that raced with a concurrent write-through must
+    /// not replace the newer entry, so it only enters the cache if its
+    /// write stamp is at least the cached one. Write stamps only grow, so
+    /// a newer copy enters even when its newest tuple timestamp went
+    /// backwards (GC compaction can drop the newest tombstone).
     ///
     /// The epoch bumps unless a fetch brought back the copy the cache last
     /// held — evicted since, or still there. Write stamps are unique per
@@ -244,21 +235,16 @@ impl H2Middleware {
         let Some(rc) = &self.rings else {
             return;
         };
-        let version = ring.version();
         let unchanged = {
             let mut cache = rc.ring_shard(key).lock();
-            if !written && cache.peek(key).is_some_and(|e| version < e.version) {
+            let mut stamps = rc.cached_ms.lock();
+            let held = stamps.get(key).copied();
+            // `None` (an absent object) orders below every stamp.
+            if !written && cache.peek(key).is_some() && ms < held {
                 false
             } else {
-                cache.insert(
-                    key.clone(),
-                    CachedRing {
-                        version,
-                        ring: Arc::clone(ring),
-                    },
-                );
-                let mut stamps = rc.cached_ms.lock();
-                let same = !written && ms.is_some() && stamps.get(key).copied() == ms;
+                cache.insert(key.clone(), Arc::clone(ring));
+                let same = !written && ms.is_some() && held == ms;
                 match ms {
                     Some(ms) => stamps.insert(key.clone(), ms),
                     None => stamps.remove(key),

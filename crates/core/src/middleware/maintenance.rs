@@ -17,17 +17,14 @@ pub enum MaintenanceMode {
     Deferred,
 }
 
-/// A `(N_i, H_j, t_k)` gossip tuple: "the local version of NameRing `ns` in
-/// node `from` has been updated at `version`, and the ring object that
-/// carries it was written at `stamp`".
+/// A `(N_i, H_j, t_k)` gossip tuple: "NameRing `ns` of `account` was
+/// updated, in the ring object written at `stamp`". The write stamp is the
+/// ring's one version: the loop-back check compares it, and a receiver's
+/// clock learns the ring's tuple timestamps when it fetches the ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GossipMsg {
     pub account: String,
     pub ns: NamespaceId,
-    pub from: NodeId,
-    /// The ring's newest tuple timestamp; receivers' clocks observe it.
-    pub version: Timestamp,
-    /// The ring object's write stamp: what the loop-back check compares.
     pub stamp: u64,
 }
 
@@ -266,7 +263,6 @@ impl H2Middleware {
                 return Err(e);
             }
         };
-        let version = ring.version();
         // Monotone: a patch submitted while this cycle was in flight stays
         // in the local version, and its chain entry carries it into the
         // global object on the next cycle — so the join is not written back.
@@ -276,7 +272,7 @@ impl H2Middleware {
             .or_default()
             .absorb(ring, Some(stamp));
         self.bump_ns_epoch(ns);
-        self.announce(keys.account(), ns, version, stamp);
+        self.announce(keys.account(), ns, stamp);
         Ok(true)
     }
 
@@ -382,15 +378,12 @@ impl H2Middleware {
         outcome
     }
 
-    /// Queue a gossip notification: this node's local version of
-    /// `(account, ns)` has been updated at `version`, in the ring object it
-    /// wrote at `stamp`.
-    fn announce(&self, account: &str, ns: NamespaceId, version: Timestamp, stamp: u64) {
+    /// Queue a gossip notification: this node wrote the ring object of
+    /// `(account, ns)` at `stamp`.
+    fn announce(&self, account: &str, ns: NamespaceId, stamp: u64) {
         self.outbox.lock().push(GossipMsg {
             account: account.to_string(),
             ns,
-            from: self.node,
-            version,
             stamp,
         });
     }
@@ -409,7 +402,7 @@ impl H2Middleware {
         if let Some(fd) = self.fds.lock().get_mut(&FdKey::new(keys, ns)) {
             fd.hear(Some(stamp));
         }
-        self.announce(keys.account(), ns, joined.version(), stamp);
+        self.announce(keys.account(), ns, stamp);
         Ok(())
     }
 
@@ -441,7 +434,7 @@ impl H2Middleware {
     ///
     /// Compared with applying messages one at a time, a batch takes the
     /// descriptor lock O(1) times instead of O(messages): one acquisition
-    /// for the loop-back version check, one for applying every fetched
+    /// for the loop-back stamp check, one for applying every fetched
     /// ring. Messages for the same ring are deduplicated — the ring is
     /// fetched and joined once on behalf of all of them (each such message
     /// reports `Ok(true)`, since the update was news to this node).
@@ -535,16 +528,6 @@ impl H2Middleware {
             let mut ctx = OpCtx::new(self.store.cost_model());
             self.root(&mut ctx, Stage::Gossip, "GOSSIP-APPLY", apply, Clone::clone);
             self.absorb_background(&ctx);
-        }
-        // Observe the newest version this node actually absorbed.
-        let applied_max = msgs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| matches!(results[*i], Some(Ok(true))))
-            .map(|(_, m)| m.version)
-            .max();
-        if let Some(v) = applied_max {
-            self.clock.observe(v);
         }
         results
             .into_iter()

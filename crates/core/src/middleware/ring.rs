@@ -163,20 +163,22 @@ impl H2Middleware {
 
     /// GET and parse the ring object, with the write stamp of the copy
     /// that answered; an absent object reads as an empty ring with no
-    /// stamp.
+    /// stamp. The clock observes the ring's newest tuple timestamp (the
+    /// HLC receive rule), so a tuple this node stamps after reading the
+    /// ring outranks every tuple it read — whether or not it ever heard
+    /// the ring's gossip.
     fn fetch_ring_stamped(
         &self,
         ctx: &mut OpCtx,
         keys: &H2Keys,
         ns: NamespaceId,
     ) -> Result<(NameRing, Option<u64>)> {
-        Ok(match self.fetch_ring_object(ctx, keys, ns)? {
-            Some(obj) => (
-                formatter::namering_from_str(Self::ring_body(&obj, ns)?)?,
-                Some(obj.modified_ms),
-            ),
-            None => (NameRing::new(), None),
-        })
+        let Some(obj) = self.fetch_ring_object(ctx, keys, ns)? else {
+            return Ok((NameRing::new(), None));
+        };
+        let ring = formatter::namering_from_str(Self::ring_body(&obj, ns)?)?;
+        self.clock.observe(ring.version());
+        Ok((ring, Some(obj.modified_ms)))
     }
 
     /// GET the ring object with this middleware's retries (`None`: absent).

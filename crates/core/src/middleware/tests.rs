@@ -189,6 +189,67 @@ fn gossip_merges_divergent_views_both_ways() {
     assert_eq!(r1.live_len(), 2);
 }
 
+/// A ring read from the cloud teaches the reader's clock, though the
+/// reader never heard the ring's gossip: the next tuple it stamps outranks
+/// every tuple it read. A DELETE or re-create stamped below the tuple it
+/// replaces would be acknowledged and then lost to last-writer-wins.
+#[test]
+fn read_ring_lifts_the_clock_past_every_tuple_read() {
+    for cache_capacity in [0, 128] {
+        let cfg = H2Config {
+            cache_capacity,
+            ..H2Config::default()
+        };
+        let (cluster, mw1, keys) = setup_with(&cfg);
+        let mw2 = H2Middleware::new(NodeId(2), cluster, &cfg);
+        let mut ctx = OpCtx::for_test();
+        let mut p = NameRing::new();
+        for i in 0..50 {
+            p.apply(&format!("f{i}"), Tuple::file(mw2.tick(), 1));
+        }
+        mw2.submit_patch(&mut ctx, &keys, ns(1), p).unwrap();
+        let ring = mw1.read_ring(&mut ctx, &keys, ns(1)).unwrap();
+        let newest = ring.iter().map(|(_, t)| t.ts).max().unwrap();
+        assert!(mw1.tick() > newest, "cache_capacity {cache_capacity}");
+    }
+}
+
+/// The ring cache admits a fetched copy by write stamp alone. An older
+/// stamp never replaces the entry, though its tuples are newer; the epoch
+/// still bumps, because the fetch's caller builds a view from that copy.
+/// A newer stamp always replaces it, though its newest tuple is older:
+/// the shape of a GC compaction that drops the newest tombstone.
+#[test]
+fn a_fetched_ring_enters_the_cache_by_write_stamp() {
+    let (_c, mw, keys) = setup_with(&H2Config {
+        cache_capacity: 128,
+        path_cache: true,
+        ..H2Config::default()
+    });
+    let key = FdKey::new(&keys, ns(1));
+    let (old, mid, new) = (mw.tick(), mw.tick(), mw.tick());
+    let ring = |tuples: &[(&str, Tuple)]| {
+        let mut ring = NameRing::new();
+        for (name, tuple) in tuples {
+            ring.apply(name, *tuple);
+        }
+        Arc::new(ring)
+    };
+    let cached = |mw: &H2Middleware| mw.cached_global(&key).unwrap();
+    let held = ring(&[
+        ("f", Tuple::file(old, 1)),
+        ("g", Tuple::file(old, 1).tombstone(mid)),
+    ]);
+    mw.cache_store(&key, &held, Some(20), true);
+    let epoch = mw.ns_epoch(ns(1));
+    mw.cache_store(&key, &ring(&[("f", Tuple::file(new, 1))]), Some(10), false);
+    assert!(Arc::ptr_eq(&cached(&mw), &held), "older stamp replaced");
+    assert!(mw.ns_epoch(ns(1)) > epoch, "refused fetch bumped no epoch");
+    let compacted = ring(&[("f", Tuple::file(old, 1))]);
+    mw.cache_store(&key, &compacted, Some(30), false);
+    assert!(Arc::ptr_eq(&cached(&mw), &compacted), "newer stamp refused");
+}
+
 #[test]
 fn descriptor_roundtrip_through_cloud() {
     let (_c, mw, keys) = setup(MaintenanceMode::Eager);

@@ -408,8 +408,10 @@ impl NameRing {
         dropped
     }
 
-    /// Newest timestamp in the ring (ZERO when empty). Gossip uses this as
-    /// the version stamp for loop-back avoidance.
+    /// Newest timestamp in the ring (ZERO when empty). A middleware's
+    /// clock observes it whenever a ring body enters the middleware, so
+    /// the tuples it stamps next outrank every tuple it has read. It is
+    /// not the ring's version: a ring object's write stamp is.
     pub fn version(&self) -> Timestamp {
         self.version
     }

@@ -63,7 +63,7 @@ use h2util::{
 };
 
 use crate::container::{ContainerIndex, IndexRecord, ListEntry, ListOptions};
-use crate::key::{stripe_of, KeyMap, KeyRef, Keyed, PassThrough, RingKey, WriteKey};
+use crate::key::{stripe_of, KeyMap, KeyRef, Keyed, RingKey, WriteKey};
 use crate::node::{Record, ReplicaProbe, StorageNode, StoredReplica};
 use crate::object::{Meta, Object, ObjectInfo, ObjectKey, Payload};
 use crate::ObjectStore;

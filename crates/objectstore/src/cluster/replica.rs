@@ -82,7 +82,7 @@ fn wave(
 }
 
 /// Ring keys seen by a sweep over the devices (repair, migration).
-pub(super) type KeySet = HashSet<RingKey, std::hash::BuildHasherDefault<PassThrough>>;
+pub(super) type KeySet = HashSet<RingKey, h2util::WordBuild>;
 
 /// Newest version of `key` (tombstones included) on the reachable ones of
 /// `nodes`; the first device holding the newest stamp supplies it.

@@ -3,8 +3,8 @@
 //! A request hashes its `/account/container/object` string exactly once, at
 //! the proxy's front door. That XXH64 picks the partition (top bits), the
 //! op stripe, catalog shard and node stripe ([`stripe_of`], middle bits)
-//! and — through [`KeyMap`]'s pass-through hasher — the bucket inside each
-//! map (low bits), so no layer below the front door hashes the text again.
+//! and — mixed by one multiply in [`KeyMap`]'s word hasher — the bucket
+//! inside each map, so no layer below the front door hashes the text again.
 //!
 //! Lookups borrow ([`KeyRef`]); only a write that creates a map entry needs
 //! the owned form ([`RingKey`]), minted at most once per write
@@ -14,10 +14,10 @@
 use std::borrow::Borrow;
 use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use h2util::hash64;
+use h2util::{hash64, WordBuild};
 
 /// A borrowed ring key and the XXH64 that places it.
 #[derive(Debug, Clone, Copy)]
@@ -99,9 +99,9 @@ impl<'a> WriteKey<'a> {
     }
 }
 
-/// Stripe (or shard) index for a key hash. Uses bits 32 and up: the low
-/// bits index buckets inside the chosen map, so taking them here too would
-/// leave every map using one bucket in `n`.
+/// Stripe (or shard) index for a key hash. Uses bits 32 and up; the
+/// bucket inside the chosen map comes from [`WordBuild`]'s mix of the
+/// whole hash, which the keys of one stripe still spread over.
 pub fn stripe_of(hash: u64, n: usize) -> usize {
     (hash >> 32) as usize % n
 }
@@ -161,26 +161,9 @@ impl PartialEq for RingKey {
 
 impl Eq for RingKey {}
 
-/// Hasher for maps keyed by [`RingKey`]: the key already is a hash.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("ring keys feed their hash through write_u64");
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A map from ring keys that never re-hashes them (not even when it grows).
-pub type KeyMap<V> = HashMap<RingKey, V, BuildHasherDefault<PassThrough>>;
+/// A map from ring keys that never re-hashes their text (not even when it
+/// grows): [`WordBuild`] mixes the one stored XXH64 in a multiply.
+pub type KeyMap<V> = HashMap<RingKey, V, WordBuild>;
 
 #[cfg(test)]
 mod tests {
@@ -212,10 +195,11 @@ mod tests {
     #[test]
     fn stripes_and_buckets_use_different_bits() {
         // Keys of one stripe still spread over the low bits a map indexes by.
+        use std::hash::BuildHasher;
         let low: std::collections::HashSet<u64> = (0..4096)
-            .map(|i| hash64(format!("/a/c/{i}").as_bytes()))
-            .filter(|h| stripe_of(*h, 16) == 3)
-            .map(|h| h & 0xf)
+            .map(|i| KeyRef::new(&format!("/a/c/{i}")).owned())
+            .filter(|k| stripe_of(k.hash, 16) == 3)
+            .map(|k| WordBuild::default().hash_one(&k) & 0xf)
             .collect();
         assert_eq!(low.len(), 16);
     }

@@ -108,51 +108,29 @@ impl FromStr for Timestamp {
     }
 }
 
-/// Monotonic hybrid clock, one per node (storage node or H2Middleware).
+/// Monotonic hybrid clock, one per H2Middleware.
 ///
-/// `tick()` never returns the same timestamp twice and never goes backwards,
-/// even if the underlying millisecond source stalls (the logical `seq`
-/// advances) — the standard HLC construction.
+/// `tick()` never returns the same timestamp twice and never goes backwards:
+/// the logical `seq` advances, and [`observe`](Self::observe) lifts the
+/// clock past any timestamp it is shown — the standard HLC construction.
 #[derive(Debug)]
 pub struct HybridClock {
     node: NodeId,
     state: OrderedMutex<(u64, u32)>, // (last millis, last seq)
-    /// Milliseconds advanced per tick when no external time source drives the
-    /// clock. The simulator leaves this at 0 and calls [`advance_to`].
-    auto_step: u64,
 }
 
 impl HybridClock {
-    /// A clock starting at `base_millis` for the given node.
+    /// A clock starting at `base_millis` for the given node. Its millis
+    /// move only when it observes a later timestamp; ticks advance `seq`.
     pub fn new(node: NodeId, base_millis: u64) -> Self {
         HybridClock {
             node,
             state: OrderedMutex::new(lock_rank::LEAF, "clock.state", (base_millis, 0)),
-            auto_step: 0,
-        }
-    }
-
-    /// A clock that advances 1 ms per tick — convenient in unit tests that
-    /// want visibly distinct millis without an external driver.
-    pub fn stepping(node: NodeId, base_millis: u64) -> Self {
-        HybridClock {
-            node,
-            state: OrderedMutex::new(lock_rank::LEAF, "clock.state", (base_millis, 0)),
-            auto_step: 1,
         }
     }
 
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Observe an external millisecond reading (e.g. the simulation clock);
-    /// the next tick will be at least this.
-    pub fn advance_to(&self, millis: u64) {
-        let mut st = self.state.lock();
-        if millis > st.0 {
-            *st = (millis, 0);
-        }
     }
 
     /// Merge a remote timestamp (HLC receive rule): local time never runs
@@ -169,12 +147,7 @@ impl HybridClock {
     /// Produce the next strictly increasing timestamp.
     pub fn tick(&self) -> Timestamp {
         let mut st = self.state.lock();
-        if self.auto_step > 0 {
-            st.0 += self.auto_step;
-            st.1 = 0;
-        } else {
-            st.1 = st.1.checked_add(1).expect("HLC seq overflow");
-        }
+        st.1 = st.1.checked_add(1).expect("HLC seq overflow");
         Timestamp {
             millis: st.0,
             seq: st.1,
@@ -233,20 +206,7 @@ mod tests {
             assert!(t > last);
             last = t;
         }
-        assert_eq!(last.millis, 1000); // no external driver → millis frozen
-    }
-
-    #[test]
-    fn advance_to_resets_seq() {
-        let c = HybridClock::new(NodeId(1), 1000);
-        c.tick();
-        c.tick();
-        c.advance_to(2000);
-        let t = c.tick();
-        assert_eq!((t.millis, t.seq), (2000, 1));
-        // Going backwards is ignored.
-        c.advance_to(500);
-        assert!(c.tick() > t);
+        assert_eq!(last.millis, 1000); // ticks advance seq, never millis
     }
 
     #[test]
@@ -256,12 +216,5 @@ mod tests {
         let t = c.tick();
         assert!(t > Timestamp::new(5000, 9, NodeId(2)));
         assert_eq!(t.millis, 5000);
-    }
-
-    #[test]
-    fn stepping_clock_advances_millis() {
-        let c = HybridClock::stepping(NodeId(3), 0);
-        assert_eq!(c.tick().millis, 1);
-        assert_eq!(c.tick().millis, 2);
     }
 }

@@ -16,16 +16,21 @@ fn p(s: &str) -> FsPath {
     FsPath::parse(s).unwrap()
 }
 
-/// The paper profile. Gossip's loop-back check compares the write stamp of
-/// the ring object, which every rewrite advances — also a merge that folds
-/// in writes older than the ring's newest tuple — and stopping the threaded
-/// fabric applies what it left in its channels and inboxes. The schedule
-/// properties below run both profiles; `tests/chaos.rs` and
+/// The paper profile, Deferred. Gossip's loop-back check compares the write
+/// stamp of the ring object, which every rewrite advances — also a merge
+/// that folds in writes older than the ring's newest tuple — and stopping
+/// the threaded fabric applies what it left in its channels and inboxes.
+/// The schedule properties below run both profiles; `tests/chaos.rs` and
 /// `tests/prop_equivalence.rs` cover the tuned profile under faults.
 fn h2(middlewares: usize) -> H2Cloud {
+    h2_in(middlewares, MaintenanceMode::Deferred)
+}
+
+/// The paper profile in `mode`.
+fn h2_in(middlewares: usize, mode: MaintenanceMode) -> H2Cloud {
     H2Cloud::new(H2Config {
         middlewares,
-        mode: MaintenanceMode::Deferred,
+        mode,
         cluster: ClusterConfig {
             cost: std::sync::Arc::new(h2util::CostModel::zero()),
             ..ClusterConfig::default()
@@ -281,6 +286,82 @@ fn deferred_mode_reads_your_own_writes_before_merge() {
     // …until maintenance runs.
     fs.quiesce();
     assert!(fs.via(1).read(&mut c1, "team", &p("/ryw")).is_ok());
+}
+
+/// Two paper-profile middlewares in `mode` that both know `/d`.
+fn two_over_d(mode: MaintenanceMode) -> H2Cloud {
+    let fs = h2_in(2, mode);
+    let mut ctx = OpCtx::for_test();
+    fs.create_account(&mut ctx, "team").unwrap();
+    fs.mkdir(&mut ctx, "team", &p("/d")).unwrap();
+    fs.quiesce();
+    fs
+}
+
+/// Run mw0's clock about fifty ticks ahead of mw1's: fifty writes into
+/// `/d` whose gossip mw1 does not hear.
+fn run_mw0_ahead(fs: &H2Cloud) {
+    let mut ctx = OpCtx::for_test();
+    for i in 0..50 {
+        let path = p(&format!("/d/w{i}"));
+        fs.via(0)
+            .write(&mut ctx, "team", &path, FileContent::Simulated(1))
+            .unwrap();
+    }
+}
+
+/// An acknowledged DELETE through a middleware that read the ring from the
+/// cloud but missed its gossip. Its tombstone must outrank the tuple it
+/// read: stamped from a clock that lags the writer's, it would lose to `f`
+/// under last-writer-wins, and the pump would bring `f` back everywhere.
+#[test]
+fn delete_through_a_middleware_that_missed_the_gossip_sticks() {
+    for mode in [MaintenanceMode::Eager, MaintenanceMode::Deferred] {
+        let fs = two_over_d(mode);
+        run_mw0_ahead(&fs);
+        let mut ctx = OpCtx::for_test();
+        fs.via(0)
+            .write(&mut ctx, "team", &p("/d/f"), FileContent::from_str("f"))
+            .unwrap();
+        fs.layer().middlewares()[0].step_merges();
+        fs.via(1).delete_file(&mut ctx, "team", &p("/d/f")).unwrap();
+        fs.quiesce();
+        for mw in 0..2 {
+            let names = listing_on(&fs, mw, &p("/d"));
+            assert!(
+                !names.iter().any(|n| n == "f"),
+                "{mode:?}: mw {mw} still lists the deleted f"
+            );
+        }
+    }
+}
+
+/// The same lag against a peer's newer tombstone: an acknowledged
+/// re-create through the lagging middleware must outrank the tombstone it
+/// read, or it vanishes on every middleware.
+#[test]
+fn recreate_over_a_peers_newer_tombstone_sticks() {
+    for mode in [MaintenanceMode::Eager, MaintenanceMode::Deferred] {
+        let fs = two_over_d(mode);
+        let mut ctx = OpCtx::for_test();
+        fs.via(0)
+            .write(&mut ctx, "team", &p("/d/f"), FileContent::from_str("v1"))
+            .unwrap();
+        run_mw0_ahead(&fs);
+        fs.via(0).delete_file(&mut ctx, "team", &p("/d/f")).unwrap();
+        fs.layer().middlewares()[0].step_merges();
+        fs.via(1)
+            .write(&mut ctx, "team", &p("/d/f"), FileContent::from_str("v2"))
+            .unwrap();
+        fs.quiesce();
+        for mw in 0..2 {
+            let names = listing_on(&fs, mw, &p("/d"));
+            assert!(
+                names.iter().any(|n| n == "f"),
+                "{mode:?}: mw {mw} lost the re-created f"
+            );
+        }
+    }
 }
 
 /// One step of a seeded gossip schedule.
