@@ -765,7 +765,7 @@ impl H2Cloud {
                 mw.submit_patch(ctx, &keys, dst_parent_ns, patch)
             }
             Resolved::Dir { ns, .. } => {
-                let new_ns = self.copy_tree(mw, ctx, &keys, ns, to_name)?;
+                let new_ns = self.copy_tree(mw, ctx, &keys, ns)?;
                 let ts = mw.tick();
                 mw.put_descriptor(
                     ctx,
@@ -786,47 +786,79 @@ impl H2Cloud {
     }
 
     /// Deep-copy the subtree under `src_ns` into a brand-new namespace and
-    /// return it. O(n) in the number of objects copied.
+    /// return it. O(n) in the number of objects copied. The walk keeps an
+    /// explicit stack, so a directory chain of any depth copies without
+    /// recursing: a directory's ring is read when the walk reaches it, its
+    /// files are copied in listing order, and its new ring is written once
+    /// every child directory below it has been (post-order) — then the
+    /// parent names it with a descriptor and a tuple.
     fn copy_tree(
         &self,
         mw: &H2Middleware,
         ctx: &mut OpCtx,
         keys: &H2Keys,
         src_ns: NamespaceId,
-        new_name: &str,
     ) -> Result<NamespaceId> {
-        let new_ns = mw.allocate_namespace();
-        let src_view = mw.read_ring_view(ctx, keys, src_ns)?;
-        let mut new_ring = NameRing::new();
-        for (child, tuple) in src_view.live() {
-            match tuple.child {
-                ChildRef::File { size } => {
-                    mw.copy_content(ctx, keys, src_ns, child, new_ns, child)?;
-                    new_ring.apply(child, Tuple::file(mw.tick(), size));
+        /// One directory being copied: its name in its parent, its source
+        /// and new namespaces, the children still to copy and the new ring
+        /// built so far.
+        struct Frame {
+            name: String,
+            src_ns: NamespaceId,
+            new_ns: NamespaceId,
+            children: std::vec::IntoIter<(String, ChildRef)>,
+            ring: NameRing,
+        }
+        let open = |ctx: &mut OpCtx, name: String, src_ns: NamespaceId| -> Result<Frame> {
+            let new_ns = mw.allocate_namespace();
+            let view = mw.read_ring_view(ctx, keys, src_ns)?;
+            let children: Vec<(String, ChildRef)> = view
+                .live()
+                .map(|(child, tuple)| (child.to_string(), tuple.child))
+                .collect();
+            Ok(Frame {
+                name,
+                src_ns,
+                new_ns,
+                children: children.into_iter(),
+                ring: NameRing::new(),
+            })
+        };
+        let mut stack = vec![open(ctx, String::new(), src_ns)?];
+        loop {
+            let top = stack.last_mut().expect("the walk's root frame");
+            match top.children.next() {
+                Some((child, ChildRef::File { size })) => {
+                    mw.copy_content(ctx, keys, top.src_ns, &child, top.new_ns, &child)?;
+                    top.ring.apply(&child, Tuple::file(mw.tick(), size));
                 }
-                ChildRef::Dir { ns: child_ns } => {
-                    let copied = self.copy_tree(mw, ctx, keys, child_ns, child)?;
+                Some((child, ChildRef::Dir { ns })) => {
+                    let frame = open(ctx, child, ns)?;
+                    stack.push(frame);
+                }
+                None => {
+                    let done = stack.pop().expect("the frame just read");
+                    mw.write_ring(ctx, keys, done.new_ns, &done.ring)?;
+                    // The caller names the walk's root in *its* parent.
+                    let Some(parent) = stack.last_mut() else {
+                        return Ok(done.new_ns);
+                    };
                     let ts = mw.tick();
                     mw.put_descriptor(
                         ctx,
                         keys,
-                        new_ns,
-                        child,
+                        parent.new_ns,
+                        &done.name,
                         &DirDescriptor {
-                            ns: copied,
-                            name: child.to_string(),
+                            ns: done.new_ns,
+                            name: done.name.clone(),
                             created: ts,
                         },
                     )?;
-                    new_ring.apply(child, Tuple::dir(ts, copied));
+                    parent.ring.apply(&done.name, Tuple::dir(ts, done.new_ns));
                 }
             }
         }
-        mw.write_ring(ctx, keys, new_ns, &new_ring)?;
-        // The caller writes this directory's descriptor into *its* parent;
-        // here we only need the subtree materialised.
-        let _ = new_name;
-        Ok(new_ns)
     }
 
     fn op_list(

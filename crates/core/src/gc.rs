@@ -335,26 +335,25 @@ mod tests {
         assert!(fs.read(&mut ctx, "alice", &p("/final/trip.jpg")).is_ok());
     }
 
-    #[test]
-    fn deep_directory_chains_do_not_overflow_the_stack() {
-        // Regression: collect_live / walk_and_compact / delete_subtree were
-        // recursive — one stack frame per directory level — and blew the
-        // stack on chains a few thousand deep. Built through middleware
-        // primitives (O(depth)); fs.mkdir would resolve from the root each
-        // time (O(depth²)).
+    /// Levels in the deep-chain regressions: a few thousand stack frames
+    /// overflow a test thread's stack.
+    const DEEP_CHAIN: usize = 5000;
+
+    /// Build the chain `/d0/d1/…` of [`DEEP_CHAIN`] directories through
+    /// middleware primitives (O(depth)); fs.mkdir would resolve from the
+    /// root each time (O(depth²)).
+    fn deep_chain(fs: &H2Cloud, ctx: &mut OpCtx) {
         use crate::keys::DirDescriptor;
         use crate::namering::{NameRing, Tuple};
-        let (fs, mut ctx) = setup();
         let mw = fs.layer().mw_for_account("alice").clone();
         let keys = H2Keys::new("alice");
-        const DEPTH: usize = 5000;
         let mut parent = NamespaceId::ROOT;
-        for i in 0..DEPTH {
+        for i in 0..DEEP_CHAIN {
             let child = mw.allocate_namespace();
-            mw.create_ring(&mut ctx, &keys, child).unwrap();
+            mw.create_ring(ctx, &keys, child).unwrap();
             let name = format!("d{i}");
             mw.put_descriptor(
-                &mut ctx,
+                ctx,
                 &keys,
                 parent,
                 &name,
@@ -367,9 +366,18 @@ mod tests {
             .unwrap();
             let mut patch = NameRing::new();
             patch.apply(&name, Tuple::dir(mw.tick(), child));
-            mw.submit_patch(&mut ctx, &keys, parent, patch).unwrap();
+            mw.submit_patch(ctx, &keys, parent, patch).unwrap();
             parent = child;
         }
+    }
+
+    #[test]
+    fn deep_directory_chains_do_not_overflow_the_stack() {
+        // Regression: collect_live / walk_and_compact / delete_subtree were
+        // recursive — one stack frame per directory level — and blew the
+        // stack on chains a few thousand deep.
+        let (fs, mut ctx) = setup();
+        deep_chain(&fs, &mut ctx);
         // The live walk must traverse all 5k levels without recursing.
         let report = collect(&fs, &mut ctx, "alice", far_future()).unwrap();
         assert_eq!(report.tuples_compacted, 0);
@@ -377,11 +385,28 @@ mod tests {
         fs.rmdir(&mut ctx, "alice", &p("/d0")).unwrap();
         let report = collect(&fs, &mut ctx, "alice", far_future()).unwrap();
         assert!(
-            report.objects_deleted >= 2 * DEPTH - 1,
+            report.objects_deleted >= 2 * DEEP_CHAIN - 1,
             "expected ~2 objects per level, got {report:?}"
         );
         // Only the root ring remains.
         assert_eq!(fs.storage_stats().objects, 1);
+    }
+
+    #[test]
+    fn copying_a_deep_directory_chain_does_not_overflow_the_stack() {
+        // Regression: COPY's copy_tree recursed once per directory level.
+        let (fs, mut ctx) = setup();
+        deep_chain(&fs, &mut ctx);
+        fs.layer().pump().unwrap();
+        let before = fs.storage_stats().objects;
+        fs.copy(&mut ctx, "alice", &p("/d0"), &p("/c")).unwrap();
+        fs.layer().pump().unwrap();
+        // Each copied level is one descriptor and one ring …
+        assert_eq!(fs.storage_stats().objects, before + 2 * DEEP_CHAIN as u64);
+        assert_eq!(fs.list(&mut ctx, "alice", &p("/c")).unwrap(), ["d1"]);
+        // … and each is named in its parent: the live walk reclaims none.
+        let report = collect(&fs, &mut ctx, "alice", far_future()).unwrap();
+        assert_eq!(report.objects_deleted, 0, "{report:?}");
     }
 
     #[test]

@@ -2,51 +2,45 @@
 //!
 //! The paper deploys "a number of H2Middlewares … to distribute workloads
 //! for load balancing" (§4.1), synchronised by gossip flooding
-//! (§3.3.2). The fabric is one inbox per middleware and one flooding rule:
-//! every message in a middleware's outbox goes to each of its peers once,
-//! and nothing a peer receives is forwarded. A receiver gossips again only
-//! from its own outbox, when its join taught the global ring object
-//! something new (the write-back of [`H2Middleware::on_gossip_batch`]). On
-//! a full mesh every peer hears the origin directly, so a forwarded copy
-//! would only repeat a message the peer already has.
+//! (§3.3.2). The fabric is each middleware's outbox and inbox and one
+//! flooding rule: every message in a middleware's outbox goes to each of
+//! its peers' inboxes once, and nothing a peer receives is forwarded. A
+//! receiver gossips again only from its own outbox, when its join taught
+//! the global ring object something new (the write-back of
+//! [`H2Middleware::on_gossip_batch`]). On a full mesh every peer hears the
+//! origin directly, so a forwarded copy would only repeat a message the
+//! peer already has.
 //!
-//! An inbox is applied as one batch; a message that fails to apply stays
-//! queued, with bounded attempts. Two schedulers drive the inboxes:
+//! A message waits in its receiver's inbox until that middleware applies
+//! it ([`H2Middleware::apply_inbox`], one batch; a message that fails to
+//! apply stays queued, with bounded attempts). Two schedulers drive the
+//! same three steps — [`H2Middleware::step_merges`], flood the outboxes,
+//! apply the inboxes:
 //!
 //! * [`H2Layer::pump`] — deterministic and single-threaded, used by tests,
 //!   the figure harness and the benchmark: merge, flood, apply every inbox
 //!   in rounds, repeat until nothing moves.
-//! * [`H2Layer::run_threaded`] — one thread per middleware, its inbox fed
-//!   by a channel; gossip flows concurrently until the handle is dropped.
-//!   Used by the concurrency integration tests and the
-//!   `gossip_convergence` example.
+//! * [`H2Layer::run_threaded`] — one thread per middleware running the
+//!   steps for its own middleware until the handle is dropped. Used by the
+//!   concurrency integration tests and the `gossip_convergence` example.
+//!   Gossip still queued at the stop stays in the inboxes, where
+//!   [`H2Layer::is_quiescent`] sees it and the next pump applies it.
 //!
 //! Delivery is at-least-once and unordered on purpose — the NameRing merge
 //! is a CRDT join, so duplicates and reordering are harmless, and the tests
 //! inject both.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::time::Duration;
 
-use h2util::metrics::Counter;
-use h2util::{H2Error, NodeId, Result};
+use h2util::{NodeId, Result};
 use swiftsim::Cluster;
 
 use crate::fs::H2Config;
-use crate::middleware::{GossipMsg, H2Middleware, MERGE_FAILURES};
+use crate::middleware::{GossipMsg, H2Middleware};
 
-/// Counter bumped when applying an incoming gossip message fails (the
-/// message is requeued with bounded attempts, not dropped).
-pub const GOSSIP_APPLY_FAILURES: &str = "gossip_apply_failures";
-
-/// How many times a gossip message that fails to apply is re-attempted
-/// before it is finally dropped. Transient faults redraw on every attempt,
-/// so even sustained high error rates survive this budget; a message that
-/// exhausts it was facing a persistent outage, and the next merge on the
-/// same ring re-gossips the state anyway.
-const MAX_GOSSIP_ATTEMPTS: u32 = 32;
+pub use crate::middleware::GOSSIP_APPLY_FAILURES;
 
 /// Gossip delivery fault injection for the convergence tests.
 #[derive(Debug, Clone, Copy, Default)]
@@ -73,69 +67,12 @@ impl GossipFaults {
 }
 
 /// The one flooding rule (§3.3.2): `msg`, from the outbox of the middleware
-/// at index `origin`, goes once to every other middleware's `peer`.
-fn flood<P>(
-    peers: impl IntoIterator<Item = P>,
-    origin: usize,
-    msg: &GossipMsg,
-    deliver: impl Fn(P, GossipMsg),
-) {
-    for (idx, peer) in peers.into_iter().enumerate() {
+/// at index `origin`, goes once to every other middleware's inbox.
+fn flood(middlewares: &[Arc<H2Middleware>], origin: usize, msg: &GossipMsg) {
+    for (idx, peer) in middlewares.iter().enumerate() {
         if idx != origin {
-            deliver(peer, msg.clone());
+            peer.deliver(msg.clone());
         }
-    }
-}
-
-/// One middleware's gossip waiting to be applied, each message with the
-/// number of times its application has already failed.
-#[derive(Default)]
-struct Inbox {
-    msgs: Vec<GossipMsg>,
-    attempts: Vec<u32>,
-}
-
-impl Inbox {
-    fn push(&mut self, msg: GossipMsg) {
-        self.msgs.push(msg);
-        self.attempts.push(0);
-    }
-
-    fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
-    }
-
-    /// Apply the whole inbox to `mw` as one
-    /// [`H2Middleware::on_gossip_batch`] call. Every message that fails is
-    /// counted in `failures` and stays queued, one attempt older, for the
-    /// next apply — a bad message never holds the rest of the batch
-    /// hostage. A message that spends [`MAX_GOSSIP_ATTEMPTS`] is dropped
-    /// instead, and the first such message's error is returned beside the
-    /// number of messages applied.
-    fn apply(&mut self, mw: &H2Middleware, failures: &Counter) -> (usize, Option<H2Error>) {
-        if self.is_empty() {
-            return (0, None);
-        }
-        let results = mw.on_gossip_batch(&self.msgs);
-        let msgs = std::mem::take(&mut self.msgs);
-        let attempts = std::mem::take(&mut self.attempts);
-        let mut applied = 0usize;
-        let mut exhausted = None;
-        for ((msg, attempts), res) in msgs.into_iter().zip(attempts).zip(results) {
-            match res {
-                Ok(_) => applied += 1,
-                Err(e) => {
-                    failures.incr();
-                    if attempts + 1 < MAX_GOSSIP_ATTEMPTS {
-                        self.msgs.push(msg);
-                        self.attempts.push(attempts + 1);
-                    } else {
-                        exhausted.get_or_insert(e);
-                    }
-                }
-            }
-        }
-        (applied, exhausted)
     }
 }
 
@@ -143,7 +80,6 @@ impl Inbox {
 pub struct H2Layer {
     middlewares: Vec<Arc<H2Middleware>>,
     cluster: Arc<Cluster>,
-    gossip_apply_failures: Arc<Counter>,
 }
 
 impl H2Layer {
@@ -155,10 +91,9 @@ impl H2Layer {
     pub fn new(cluster: Arc<Cluster>, cfg: &H2Config) -> Self {
         assert!(cfg.middlewares >= 1, "need at least one middleware");
         let metrics = cluster.metrics();
-        // Pre-register the layer's failure counters so `op=metrics` always
-        // lists them, even before the first failure.
-        let gossip_apply_failures = metrics.counter(GOSSIP_APPLY_FAILURES);
-        metrics.counter(MERGE_FAILURES);
+        // Pre-register the retry counters so `op=metrics` always lists
+        // them, even before the first retry; each middleware registers its
+        // own failure counters.
         metrics.counter(h2util::retry::OP_RETRIES);
         metrics.counter(h2util::retry::OP_GAVE_UP);
         metrics.histogram(h2util::retry::RETRY_BACKOFF_MS);
@@ -169,7 +104,6 @@ impl H2Layer {
         H2Layer {
             middlewares,
             cluster,
-            gossip_apply_failures,
         }
     }
 
@@ -212,11 +146,11 @@ impl H2Layer {
     /// middleware's merger, floods every outbox through the `faults`
     /// selection, then applies the inboxes in rounds — each inbox as one
     /// batch, its failed messages retried in the next round — until they
-    /// are empty. Passes repeat until one merges and floods nothing. A
-    /// message that spends its attempt budget fails the pump with its
-    /// error.
+    /// are empty. Passes repeat until one merges, floods and applies
+    /// nothing, so gossip queued before the pump started is applied and
+    /// what that announces is flooded too. A message that spends its
+    /// attempt budget fails the pump with its error.
     pub fn pump_with_faults(&self, faults: GossipFaults) -> Result<usize> {
-        let mut inboxes: Vec<Inbox> = self.middlewares.iter().map(|_| Inbox::default()).collect();
         let mut deliveries = 0usize;
         let mut msg_seq = 0usize;
         loop {
@@ -231,18 +165,24 @@ impl H2Layer {
                     msg_seq += 1;
                     let copies = faults.copies(msg_seq);
                     for _ in 0..copies {
-                        flood(&mut inboxes, origin, &msg, Inbox::push);
+                        flood(&self.middlewares, origin, &msg);
                     }
                     progressed |= copies > 0;
                 }
             }
-            while inboxes.iter().any(|inbox| !inbox.is_empty()) {
-                for (mw, inbox) in self.middlewares.iter().zip(&mut inboxes) {
-                    let (applied, exhausted) = inbox.apply(mw, &self.gossip_apply_failures);
-                    deliveries += applied;
-                    if let Some(e) = exhausted {
+            loop {
+                let mut retrying = false;
+                for mw in &self.middlewares {
+                    let outcome = mw.apply_inbox();
+                    deliveries += outcome.applied;
+                    progressed |= outcome.applied > 0;
+                    if let Some(e) = outcome.dropped {
                         return Err(e);
                     }
+                    retrying |= outcome.retrying.is_some();
+                }
+                if !retrying {
+                    break;
                 }
             }
             if !progressed {
@@ -251,7 +191,8 @@ impl H2Layer {
         }
     }
 
-    /// True when no middleware holds unmerged patches or queued gossip.
+    /// True when no middleware holds unmerged patches or queued gossip,
+    /// outbound or inbound.
     pub fn is_quiescent(&self) -> bool {
         self.middlewares
             .iter()
@@ -319,25 +260,17 @@ impl H2Layer {
     }
 
     /// Spawn one thread per middleware that continuously merges pending
-    /// patches, floods its outbox to its peers' channels and applies its
-    /// inbox. Returns a handle; drop it or call [`ThreadedGossip::stop`] to
-    /// join the threads and apply what they left undelivered.
+    /// patches, floods its outbox into its peers' inboxes and applies its
+    /// own inbox. Returns a handle; drop it or call [`ThreadedGossip::stop`]
+    /// to join the threads.
     pub fn run_threaded(&self) -> ThreadedGossip {
-        let (senders, receivers): (Vec<_>, Vec<_>) =
-            self.middlewares.iter().map(|_| channel()).unzip();
         let stop = Arc::new(AtomicBool::new(false));
-        let handles = self
-            .middlewares
-            .iter()
-            .zip(receivers)
-            .enumerate()
-            .map(|(idx, (mw, rx))| {
-                let mw = mw.clone();
-                let senders = senders.clone();
-                let failures = self.gossip_apply_failures.clone();
+        let handles = (0..self.middlewares.len())
+            .map(|idx| {
+                let middlewares = self.middlewares.clone();
                 let stop = stop.clone();
                 std::thread::spawn(move || {
-                    let mut inbox = Inbox::default();
+                    let mw = &middlewares[idx];
                     let mut idle_rounds = 0u32;
                     while !stop.load(Ordering::Relaxed) {
                         // Merge failures restore the chain internally and
@@ -345,20 +278,12 @@ impl H2Layer {
                         // retries.
                         let mut worked = mw.step_merges().applied > 0;
                         for msg in mw.take_outbox() {
-                            flood(&senders, idx, &msg, |peer, msg| {
-                                let _ = peer.send(msg);
-                            });
+                            flood(&middlewares, idx, &msg);
                             worked = true;
                         }
-                        for msg in rx.try_iter() {
-                            inbox.push(msg);
-                            worked = true;
-                        }
-                        // A message that spent its budget is dropped: the
-                        // next merge on its ring re-gossips the state.
-                        let (applied, _dropped) = inbox.apply(&mw, &failures);
-                        worked |= applied > 0;
-                        if let Some(&attempt) = inbox.attempts.iter().max() {
+                        let outcome = mw.apply_inbox();
+                        worked |= outcome.applied > 0;
+                        if let Some(attempt) = outcome.retrying {
                             // Back off before the next application round so
                             // a sustained outage doesn't burn the attempt
                             // budget in microseconds.
@@ -381,33 +306,23 @@ impl H2Layer {
                             idle_rounds = 0;
                         }
                     }
-                    // Hand what is still undelivered back to the joiner.
-                    (rx, inbox)
                 })
             })
             .collect();
-        ThreadedGossip {
-            stop,
-            handles,
-            middlewares: self.middlewares.clone(),
-            failures: self.gossip_apply_failures.clone(),
-        }
+        ThreadedGossip { stop, handles }
     }
 }
 
 /// Handle to the threaded gossip fabric; dropping it stops and joins the
-/// threads, then applies the gossip they left in their channels and
-/// inboxes, so a notification sent just before the stop is not lost.
+/// threads. Gossip they left queued stays in the middlewares' outboxes and
+/// inboxes for the next pump.
 pub struct ThreadedGossip {
     stop: Arc<AtomicBool>,
-    handles: Vec<std::thread::JoinHandle<(Receiver<GossipMsg>, Inbox)>>,
-    middlewares: Vec<Arc<H2Middleware>>,
-    failures: Arc<Counter>,
+    handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl ThreadedGossip {
-    /// Signal the gossip threads to finish, join them and apply what they
-    /// left undelivered.
+    /// Signal the gossip threads to finish and join them.
     pub fn stop(self) {
         drop(self)
     }
@@ -416,22 +331,8 @@ impl ThreadedGossip {
 impl Drop for ThreadedGossip {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
-        // Join every thread before draining: a running thread can still
-        // send to any channel.
-        let left: Vec<_> = self.handles.drain(..).map(|h| h.join()).collect();
-        for (mw, joined) in self.middlewares.iter().zip(left) {
-            let Ok((rx, mut inbox)) = joined else {
-                continue;
-            };
-            for msg in rx.try_iter() {
-                inbox.push(msg);
-            }
-            // Failing messages retry until they apply or spend their
-            // budget. What applying sends stays in the outboxes for the
-            // pump.
-            while !inbox.is_empty() {
-                inbox.apply(mw, &self.failures);
-            }
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
         }
     }
 }
@@ -440,11 +341,11 @@ impl Drop for ThreadedGossip {
 mod tests {
     use super::*;
     use crate::keys::H2Keys;
-    use crate::middleware::MaintenanceMode;
+    use crate::middleware::{MaintenanceMode, MERGE_FAILURES};
     use crate::namering::{NameRing, Tuple};
     use h2util::{NamespaceId, OpCtx};
     use proptest::prelude::*;
-    use swiftsim::ClusterConfig;
+    use swiftsim::{ClusterConfig, Meta, Payload};
 
     fn layer(n: usize, mode: MaintenanceMode) -> H2Layer {
         let cluster = Cluster::new(ClusterConfig {
@@ -540,6 +441,43 @@ mod tests {
         assert!(!layer.is_quiescent());
         layer.pump().unwrap();
         assert!(layer.is_quiescent());
+    }
+
+    #[test]
+    fn queued_inbound_gossip_is_applied_by_the_next_pump() {
+        let layer = layer(3, MaintenanceMode::Deferred);
+        let keys = H2Keys::new("alice");
+        let mut ctx = OpCtx::for_test();
+        // mw1 merges `f1` into the ring object; its announcement is lost.
+        let mw1 = layer.mw(1);
+        let mut p = NameRing::new();
+        p.apply("f1", Tuple::file(mw1.tick(), 1));
+        mw1.submit_patch(&mut ctx, &keys, ns(1), p).unwrap();
+        assert_eq!(mw1.step_merges().applied, 1);
+        mw1.take_outbox();
+        // A concurrent ring PUT hides `f1`, and only mw1 hears of it.
+        let mut hiding = NameRing::new();
+        hiding.apply("f0", Tuple::file(layer.mw(0).tick(), 1));
+        let body = Payload::from_string(crate::formatter::namering_to_string(&hiding));
+        let stamp = layer
+            .cluster()
+            .put_stamped(&mut ctx, &keys.namering(ns(1)), body, Meta::new())
+            .unwrap();
+        mw1.deliver(GossipMsg {
+            account: "alice".into(),
+            ns: ns(1),
+            stamp,
+        });
+        assert!(!layer.is_quiescent());
+        // One pump applies it, and floods the write-back of mw1's join:
+        // one delivery to mw1, then one to each peer.
+        assert_eq!(layer.pump().unwrap(), 3);
+        assert!(layer.is_quiescent());
+        for mw in layer.middlewares() {
+            let local = mw.local_ring(&keys, ns(1)).expect("gossip applied");
+            let names: Vec<&str> = local.live().map(|(name, _)| name).collect();
+            assert_eq!(names, ["f0", "f1"], "node {}", mw.node());
+        }
     }
 
     /// One scripted write `(mw, ring, name, size, merge)`: middleware `mw`

@@ -8,6 +8,17 @@ use super::*;
 /// (chain restored). Incremented by [`H2Middleware::step_merges`].
 pub const MERGE_FAILURES: &str = "merge_failures";
 
+/// Counter bumped when applying an incoming gossip message fails (the
+/// message is requeued with bounded attempts, not dropped).
+pub const GOSSIP_APPLY_FAILURES: &str = "gossip_apply_failures";
+
+/// How many times a gossip message that fails to apply is re-attempted
+/// before it is finally dropped. Transient faults redraw on every attempt,
+/// so even sustained high error rates survive this budget; a message that
+/// exhausts it was facing a persistent outage, and its news then waits for
+/// a later merge on the same ring or a `resync` (ROADMAP item 21).
+const MAX_GOSSIP_ATTEMPTS: u32 = 32;
+
 /// When patches are merged into their NameRings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintenanceMode {
@@ -26,6 +37,23 @@ pub struct GossipMsg {
     pub account: String,
     pub ns: NamespaceId,
     pub stamp: u64,
+}
+
+/// A middleware's gossip waiting to be applied, each message with the
+/// number of times its application has already failed.
+pub(super) type Inbox = Vec<(GossipMsg, u32)>;
+
+/// What one [`H2Middleware::apply_inbox`] call did.
+#[derive(Debug, Default)]
+pub struct InboxOutcome {
+    /// Messages applied, news or not.
+    pub applied: usize,
+    /// The most failed attempts among the messages requeued for the next
+    /// apply (`None`: nothing was requeued).
+    pub retrying: Option<u32>,
+    /// The error of the first message that spent its attempt budget and
+    /// was dropped.
+    pub dropped: Option<H2Error>,
 }
 
 /// What one Background Merger sweep accomplished.
@@ -411,9 +439,51 @@ impl H2Middleware {
         std::mem::take(&mut *self.outbox.lock())
     }
 
-    /// How many outbound gossip messages are queued.
+    /// Queue an inbound gossip message for the next
+    /// [`apply_inbox`](Self::apply_inbox).
+    pub fn deliver(&self, msg: GossipMsg) {
+        self.inbox.lock().push((msg, 0));
+    }
+
+    /// How many gossip messages are queued, outbound and inbound.
     pub(crate) fn queued_gossip(&self) -> usize {
-        self.outbox.lock().len()
+        let outbound = self.outbox.lock().len();
+        outbound + self.inbox.lock().len()
+    }
+
+    /// Apply the whole inbox as one [`on_gossip_batch`](Self::on_gossip_batch)
+    /// call, taken out of the queue first so deliveries never wait on the
+    /// cloud. Every message that fails is counted in
+    /// [`GOSSIP_APPLY_FAILURES`] and requeued one attempt older, so a bad
+    /// message never holds the rest of the batch hostage. A message that
+    /// spends `MAX_GOSSIP_ATTEMPTS` is dropped instead.
+    pub fn apply_inbox(&self) -> InboxOutcome {
+        let queued = std::mem::take(&mut *self.inbox.lock());
+        let mut outcome = InboxOutcome::default();
+        if queued.is_empty() {
+            return outcome;
+        }
+        let (msgs, attempts): (Vec<GossipMsg>, Vec<u32>) = queued.into_iter().unzip();
+        let results = self.on_gossip_batch(&msgs);
+        let mut retry = Inbox::new();
+        for ((msg, attempts), res) in msgs.into_iter().zip(attempts).zip(results) {
+            match res {
+                Ok(_) => outcome.applied += 1,
+                Err(e) => {
+                    self.gossip_apply_failures.incr();
+                    if attempts + 1 < MAX_GOSSIP_ATTEMPTS {
+                        retry.push((msg, attempts + 1));
+                        outcome.retrying = outcome.retrying.max(Some(attempts + 1));
+                    } else {
+                        outcome.dropped.get_or_insert(e);
+                    }
+                }
+            }
+        }
+        if !retry.is_empty() {
+            self.inbox.lock().append(&mut retry);
+        }
+        outcome
     }
 
     /// This node's local version of a ring, if it holds state for it.
@@ -432,102 +502,37 @@ impl H2Middleware {
     /// object at least as new (§3.3.2's loop-back avoidance, by write
     /// stamp).
     ///
-    /// Compared with applying messages one at a time, a batch takes the
-    /// descriptor lock O(1) times instead of O(messages): one acquisition
-    /// for the loop-back stamp check, one for applying every fetched
-    /// ring. Messages for the same ring are deduplicated — the ring is
-    /// fetched and joined once on behalf of all of them (each such message
-    /// reports `Ok(true)`, since the update was news to this node).
+    /// The loop-back check runs for the whole batch under one
+    /// descriptor-lock acquisition and creates the descriptor of every ring
+    /// that is news; `refresh` then fetches each such ring once on behalf
+    /// of all its messages (each reports `Ok(true)`) and folds them all in
+    /// under one more.
     pub fn on_gossip_batch(&self, msgs: &[GossipMsg]) -> Vec<Result<bool>> {
         let mut results: Vec<Option<Result<bool>>> = (0..msgs.len()).map(|_| None).collect();
-        // Pass 1 — loop-back avoidance for the whole batch under one lock;
-        // fresh messages are grouped by ring.
+        // Loop-back avoidance for the whole batch under one lock; the
+        // messages that are news are grouped by ring.
         let mut fresh: Vec<(FdKey, Vec<usize>)> = Vec::new();
         {
             let mut slots: FdMap<usize> = FdMap::default();
-            let fds = self.fds.lock();
+            let mut fds = self.fds.lock();
             for (i, msg) in msgs.iter().enumerate() {
                 let key = FdKey::of(&msg.account, msg.ns);
-                let stale = fds.get(&key).is_some_and(|fd| fd.knows(msg.stamp));
-                if stale {
+                if fds.get(&key).is_some_and(|fd| fd.knows(msg.stamp)) {
                     results[i] = Some(Ok(false));
+                } else if let Some(&slot) = slots.get(&key) {
+                    fresh[slot].1.push(i);
                 } else {
-                    match slots.get(&key) {
-                        Some(&slot) => fresh[slot].1.push(i),
-                        None => {
-                            slots.insert(key.clone(), fresh.len());
-                            fresh.push((key, vec![i]));
-                        }
-                    }
+                    fds.entry(key.clone()).or_default();
+                    slots.insert(key.clone(), fresh.len());
+                    fresh.push((key, vec![i]));
                 }
             }
         }
-        let any_fresh = !fresh.is_empty();
-        // Gossip runs on its own context, so batches self-sample into
-        // GOSSIP-APPLY root traces.
-        let apply = |ctx: &mut OpCtx| {
-            ctx.span_note("batch", || Note::U64(msgs.len() as u64));
-            ctx.span_note("rings", || Note::U64(fresh.len() as u64));
-            let mut first_error: Option<String> = None;
-            // Pass 2 — fetch each unique ring once, refreshing the NameRing
-            // cache (gossip is what keeps cached rings fresh across nodes).
-            let mut fetched = Vec::new();
-            for (key, idxs) in fresh {
-                let keys = H2Keys::new(&key.account);
-                match self.fetch_to_cache(ctx, &keys, &key) {
-                    Ok(global) => fetched.push((key, global, idxs)),
-                    Err(e) => {
-                        first_error.get_or_insert_with(|| e.to_string());
-                        for i in idxs {
-                            results[i] = Some(Err(e.clone()));
-                        }
-                    }
-                }
+        let (rings, idxs): (Vec<FdKey>, Vec<Vec<usize>>) = fresh.into_iter().unzip();
+        for (res, idxs) in self.refresh("GOSSIP-APPLY", rings).into_iter().zip(idxs) {
+            for i in idxs {
+                results[i] = Some(res.clone().map(|()| true));
             }
-            // Pass 3 — one descriptor-lock acquisition applies every join.
-            let mut writebacks: Vec<(FdKey, Arc<NameRing>, Vec<usize>)> = Vec::new();
-            let mut applied_ns: Vec<NamespaceId> = Vec::new();
-            {
-                let mut fds = self.fds.lock();
-                for (key, (global, stamp), idxs) in fetched {
-                    applied_ns.push(key.ns);
-                    match fds.entry(key.clone()).or_default().absorb(global, stamp) {
-                        None => {
-                            for i in idxs {
-                                results[i] = Some(Ok(true));
-                            }
-                        }
-                        Some(joined) => writebacks.push((key, joined, idxs)),
-                    }
-                }
-            }
-            for ns in applied_ns {
-                self.bump_ns_epoch(ns);
-            }
-            // Pass 4 — when this node knew updates the global object lacked,
-            // write the join back and re-gossip (our information is now part
-            // of the global version). A write-back failure fails only that
-            // ring's messages; the local join above is idempotent on requeue.
-            for (key, joined, idxs) in writebacks {
-                ctx.span_note("write_back", || {
-                    Note::Str("local updates joined into global")
-                });
-                let outcome = self
-                    .write_back(ctx, &H2Keys::new(&key.account), key.ns, &joined)
-                    .map(|()| true);
-                if let Err(e) = &outcome {
-                    first_error.get_or_insert_with(|| e.to_string());
-                }
-                for i in idxs {
-                    results[i] = Some(outcome.clone());
-                }
-            }
-            first_error
-        };
-        if any_fresh {
-            let mut ctx = OpCtx::new(self.store.cost_model());
-            self.root(&mut ctx, Stage::Gossip, "GOSSIP-APPLY", apply, Clone::clone);
-            self.absorb_background(&ctx);
         }
         results
             .into_iter()
@@ -535,11 +540,9 @@ impl H2Middleware {
             .collect()
     }
 
-    /// Bounded anti-entropy sweep: re-fetch from the cloud every NameRing
-    /// this middleware holds state for — descriptor-cache entries and
-    /// cached global rings alike — join each with the local version, and
-    /// write back + re-gossip any ring where this node knew updates the
-    /// global object lacked. Returns how many rings were refreshed.
+    /// Bounded anti-entropy sweep: `refresh` every NameRing this
+    /// middleware holds a descriptor for or has cached. Returns how many
+    /// rings were refreshed.
     ///
     /// This closes the post-fault re-convergence gap: gossip only refreshes
     /// rings whose update notifications *arrived*, so a notification dropped
@@ -547,58 +550,85 @@ impl H2Middleware {
     /// write happens to touch that ring. A resync revalidates every known
     /// ring unconditionally (each refresh bumps the namespace epoch, so
     /// dependent full-path cache entries are invalidated too). The sweep is
-    /// bounded by this node's own state — it never enumerates the cloud —
-    /// and the same call doubles as the cache refresh after a
-    /// placement-ring swap (an `add_node`, `drain_node` or `set_weight`):
-    /// the re-fetches run under the new placement, re-validating any answer
-    /// the old one produced.
+    /// bounded by this node's own state — it never enumerates the cloud,
+    /// and a ring it only caches gains no descriptor — and the same call
+    /// doubles as the cache refresh after a placement-ring swap (an
+    /// `add_node`, `drain_node` or `set_weight`): the re-fetches run under
+    /// the new placement, re-validating any answer the old one produced.
     pub fn resync(&self) -> Result<usize> {
-        let keys: Vec<FdKey> = {
-            let mut set: HashSet<FdKey> = self.fds.lock().keys().cloned().collect();
-            set.extend(self.cached_rings());
-            let mut v: Vec<FdKey> = set.into_iter().collect();
-            v.sort_by(|a, b| (&a.account, a.ns).cmp(&(&b.account, b.ns)));
-            v
-        };
-        if keys.is_empty() {
-            return Ok(0);
+        let mut set: HashSet<FdKey> = self.fds.lock().keys().cloned().collect();
+        set.extend(self.cached_rings());
+        let mut rings: Vec<FdKey> = set.into_iter().collect();
+        rings.sort_by(|a, b| (&a.account, a.ns).cmp(&(&b.account, b.ns)));
+        let results = self.refresh("RESYNC", rings);
+        let refreshed = results.len();
+        results.into_iter().collect::<Result<()>>()?;
+        Ok(refreshed)
+    }
+
+    /// The refresh that gossip and [`resync`](Self::resync) share, run as
+    /// one background root named `root`: fetch each of `rings` from the
+    /// cloud into the NameRing cache, fold every fetched ring into its
+    /// descriptor under one descriptor-lock acquisition (a ring without
+    /// one is only re-cached), bump its namespace epoch, and where this
+    /// node knew updates the global object lacked, write the join back and
+    /// re-gossip it. Returns one result per ring; a failure fails only its
+    /// own ring, and the fold is idempotent on a retry.
+    fn refresh(&self, root: &'static str, rings: Vec<FdKey>) -> Vec<Result<()>> {
+        if rings.is_empty() {
+            return Vec::new();
         }
-        let refresh_all = |ctx: &mut OpCtx| {
-            ctx.span_note("rings", || Note::U64(keys.len() as u64));
-            let mut first_error: Option<H2Error> = None;
-            let mut refreshed = 0usize;
-            for key in keys {
-                let h2keys = H2Keys::new(&key.account);
-                let (global, stamp) = match self.fetch_to_cache(ctx, &h2keys, &key) {
-                    Ok(fetched) => fetched,
+        let run = |ctx: &mut OpCtx| {
+            ctx.span_note("rings", || Note::U64(rings.len() as u64));
+            let mut results: Vec<Result<()>> = vec![Ok(()); rings.len()];
+            let mut first_error: Option<String> = None;
+            // Fetch each ring once, refreshing the NameRing cache (this is
+            // what keeps cached rings fresh across nodes).
+            let mut fetched = Vec::new();
+            for (i, key) in rings.iter().enumerate() {
+                match self.fetch_to_cache(ctx, &H2Keys::new(&key.account), key) {
+                    Ok(global) => fetched.push((i, global)),
                     Err(e) => {
-                        first_error.get_or_insert(e);
-                        continue;
-                    }
-                };
-                let joined = self
-                    .fds
-                    .lock()
-                    .get_mut(&key)
-                    .and_then(|fd| fd.absorb(global, stamp));
-                self.bump_ns_epoch(key.ns);
-                refreshed += 1;
-                if let Some(joined) = joined {
-                    if let Err(e) = self.write_back(ctx, &h2keys, key.ns, &joined) {
-                        first_error.get_or_insert(e);
+                        first_error.get_or_insert_with(|| e.to_string());
+                        results[i] = Err(e);
                     }
                 }
             }
-            match first_error {
-                Some(e) => Err(e),
-                None => Ok(refreshed),
+            // One descriptor-lock acquisition folds every fetched ring.
+            let mut folded: Vec<NamespaceId> = Vec::new();
+            let mut writebacks: Vec<(usize, Arc<NameRing>)> = Vec::new();
+            {
+                let mut fds = self.fds.lock();
+                for (i, (global, stamp)) in fetched {
+                    folded.push(rings[i].ns);
+                    let fd = fds.get_mut(&rings[i]);
+                    if let Some(joined) = fd.and_then(|fd| fd.absorb(global, stamp)) {
+                        writebacks.push((i, joined));
+                    }
+                }
             }
+            for ns in folded {
+                self.bump_ns_epoch(ns);
+            }
+            // This node knew updates the global object lacked: write the
+            // join back and re-gossip it. A failure fails only its ring.
+            for (i, joined) in writebacks {
+                ctx.span_note("write_back", || {
+                    Note::Str("local updates joined into global")
+                });
+                let key = &rings[i];
+                if let Err(e) = self.write_back(ctx, &H2Keys::new(&key.account), key.ns, &joined) {
+                    first_error.get_or_insert_with(|| e.to_string());
+                    results[i] = Err(e);
+                }
+            }
+            (results, first_error)
         };
+        // A refresh runs on its own context, so it self-samples into a
+        // root trace named `root`.
         let mut ctx = OpCtx::new(self.store.cost_model());
-        let (refreshed, _) = self.root(&mut ctx, Stage::Gossip, "RESYNC", refresh_all, |r| {
-            r.as_ref().err().map(ToString::to_string)
-        });
+        let ((results, _), _) = self.root(&mut ctx, Stage::Gossip, root, run, |(_, e)| e.clone());
         self.absorb_background(&ctx);
-        refreshed
+        results
     }
 }

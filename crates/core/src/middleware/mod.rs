@@ -11,10 +11,10 @@
 //! * the **Background Merger** — merges a node's patch chain into one "big"
 //!   patch and folds it into the NameRing object in the cloud;
 //! * the **Gossip Arrangement** — emits `(N_i, H_j, t_k)` update
-//!   notifications to peer middlewares and applies incoming ones, ignoring
-//!   a notification when this node has already heard a ring object at
-//!   least as new (§3.3.2's loop-back avoidance, keyed on the object's
-//!   write stamp).
+//!   notifications to peer middlewares through its outbox and applies the
+//!   ones queued in its inbox, ignoring a notification when this node has
+//!   already heard a ring object at least as new (§3.3.2's loop-back
+//!   avoidance, keyed on the object's write stamp).
 //!
 //! Maintenance runs in one of two modes:
 //!
@@ -68,8 +68,10 @@ use cache::{PathCache, RingCache};
 pub use content::{
     CAS_FANOUT, CONTENT_TYPE_CAS, CONTENT_TYPE_FILE, META_DIGEST, META_LOGICAL_BYTES,
 };
-use maintenance::CommitState;
-pub use maintenance::{GossipMsg, MaintenanceMode, MergeOutcome, MERGE_FAILURES};
+use maintenance::{CommitState, Inbox};
+pub use maintenance::{
+    GossipMsg, InboxOutcome, MaintenanceMode, MergeOutcome, GOSSIP_APPLY_FAILURES, MERGE_FAILURES,
+};
 pub use ring::RING_FETCHES;
 
 /// Per-NameRing state in the File Descriptor Cache: the only record this
@@ -241,6 +243,8 @@ pub struct H2Middleware {
     ring_fetches: Arc<Counter>,
     /// Merge cycles that failed and were restored for retry.
     merge_failures: Arc<Counter>,
+    /// Gossip applications that failed and were requeued or dropped.
+    gossip_apply_failures: Arc<Counter>,
     /// Backoff schedule for transient cloud failures (`Unavailable` /
     /// `Conflict`) on the middleware's own cloud ops — ring reads/writes,
     /// patch submission, descriptor I/O. Seeded per node so independent
@@ -251,7 +255,10 @@ pub struct H2Middleware {
     tracer: Arc<TraceCollector>,
     /// The registry's stage histograms, fed by every root ([`Self::root`]).
     stage_hists: StageHistograms,
+    /// Gossip this node announced, waiting for the layer to flood it.
     outbox: OrderedMutex<Vec<GossipMsg>>,
+    /// Gossip delivered to this node, waiting for [`Self::apply_inbox`].
+    inbox: OrderedMutex<Inbox>,
     /// Virtual time per stage + op counts spent on background maintenance
     /// (merges, gossip, resync) — the ablation benches report it.
     background: OrderedMutex<(StageTimes, h2util::BackendCounts)>,
@@ -289,6 +296,7 @@ impl H2Middleware {
             cas: cfg.cas,
             ring_fetches: metrics.counter(RING_FETCHES),
             merge_failures: metrics.counter(MERGE_FAILURES),
+            gossip_apply_failures: metrics.counter(GOSSIP_APPLY_FAILURES),
             retry: RetryPolicy::new(0x4852_5452 ^ node.0 as u64),
             tracer: Arc::new(TraceCollector::new(
                 cfg.trace_sample,
@@ -296,6 +304,7 @@ impl H2Middleware {
                 node.0,
             )),
             outbox: OrderedMutex::new(lock_rank::LEAF, "middleware.outbox", Vec::new()),
+            inbox: OrderedMutex::new(lock_rank::LEAF, "middleware.inbox", Inbox::new()),
             background: OrderedMutex::new(
                 lock_rank::LEAF,
                 "middleware.background",

@@ -250,6 +250,27 @@ fn a_fetched_ring_enters_the_cache_by_write_stamp() {
     assert!(Arc::ptr_eq(&cached(&mw), &compacted), "newer stamp refused");
 }
 
+/// A resync refreshes every ring this middleware has cached, yet a ring
+/// it only read gains no descriptor: descriptors are for the rings this
+/// node maintains.
+#[test]
+fn resync_refreshes_a_ring_it_only_read_without_a_descriptor() {
+    let cfg = H2Config {
+        cache_capacity: 128,
+        ..H2Config::default()
+    };
+    let (cluster, reader, keys) = setup_with(&cfg);
+    let writer = H2Middleware::new(NodeId(2), cluster, &cfg);
+    let mut ctx = OpCtx::for_test();
+    let mut p = NameRing::new();
+    p.apply("f", Tuple::file(writer.tick(), 1));
+    writer.submit_patch(&mut ctx, &keys, ns(1), p).unwrap();
+    reader.read_ring(&mut ctx, &keys, ns(1)).unwrap();
+    let entries = reader.ring_state_entries();
+    assert_eq!(reader.resync().unwrap(), 1);
+    assert_eq!(reader.ring_state_entries(), entries);
+}
+
 #[test]
 fn descriptor_roundtrip_through_cloud() {
     let (_c, mw, keys) = setup(MaintenanceMode::Eager);

@@ -14,4 +14,9 @@ impl Cluster {
         let msgs = take_outbox(node); // VIOLATION: gossip drain under the shard guard
         drop((map, msgs));
     }
+
+    fn apply_with_guard(&self, mw: &H2Middleware) {
+        let _stripe = self.stripes[0].lock();
+        mw.apply_inbox(); // VIOLATION: gossip apply under the node stripe
+    }
 }

@@ -107,6 +107,7 @@ fn inferred_rank_table_covers_the_lock_hierarchy() {
         ("cached_ms", 900, "middleware.cached_ms"),
         ("ns_epochs", 900, "middleware.ns_epochs"),
         ("outbox", 900, "middleware.outbox"),
+        ("inbox", 900, "middleware.inbox"),
         ("background", 900, "middleware.background"),
     ] {
         let got = globals

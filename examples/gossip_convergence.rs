@@ -1,5 +1,5 @@
 //! The asynchronous NameRing maintenance protocol, live: several
-//! H2Middlewares (real threads, channel gossip) concurrently
+//! H2Middlewares (real threads, gossip through inboxes) concurrently
 //! update the same directories; the CRDT merge + gossip flooding converge
 //! every node to the same view — §3.3.2 end to end.
 //!

@@ -18,8 +18,9 @@ fn p(s: &str) -> FsPath {
 
 /// The paper profile, Deferred. Gossip's loop-back check compares the write
 /// stamp of the ring object, which every rewrite advances — also a merge
-/// that folds in writes older than the ring's newest tuple — and stopping
-/// the threaded fabric applies what it left in its channels and inboxes.
+/// that folds in writes older than the ring's newest tuple — and gossip
+/// that the threaded fabric left queued at its stop stays in the
+/// middlewares' inboxes for the next pump.
 /// The schedule properties below run both profiles; `tests/chaos.rs` and
 /// `tests/prop_equivalence.rs` cover the tuned profile under faults.
 fn h2(middlewares: usize) -> H2Cloud {
