@@ -470,13 +470,35 @@ mod tests {
         });
         assert!(!layer.is_quiescent());
         // One pump applies it, and floods the write-back of mw1's join:
-        // one delivery to mw1, then one to each peer.
+        // one delivery to mw1, then one to each peer, which holds nothing
+        // of the ring and so reads it from the cloud.
         assert_eq!(layer.pump().unwrap(), 3);
         assert!(layer.is_quiescent());
+        let local = mw1.local_ring(&keys, ns(1)).expect("mw1 wrote the ring");
+        let names: Vec<&str> = local.live().map(|(name, _)| name).collect();
+        assert_eq!(names, ["f0", "f1"]);
         for mw in layer.middlewares() {
-            let local = mw.local_ring(&keys, ns(1)).expect("gossip applied");
-            let names: Vec<&str> = local.live().map(|(name, _)| name).collect();
+            let ring = mw.read_ring(&mut ctx, &keys, ns(1)).unwrap();
+            let names: Vec<&str> = ring.live().map(|(name, _)| name).collect();
             assert_eq!(names, ["f0", "f1"], "node {}", mw.node());
+        }
+    }
+
+    /// Only mw0 writes the ring; its peers never read it, so the gossip
+    /// they receive is no news and creates no state.
+    #[test]
+    fn gossip_for_a_ring_its_receiver_never_held_costs_nothing() {
+        let layer = layer(3, MaintenanceMode::Deferred);
+        let keys = H2Keys::new("alice");
+        let mut ctx = OpCtx::for_test();
+        let mw0 = layer.mw(0);
+        let mut p = NameRing::new();
+        p.apply("d", Tuple::file(mw0.tick(), 1));
+        mw0.submit_patch(&mut ctx, &keys, ns(1), p).unwrap();
+        assert_eq!(layer.pump().unwrap(), 2);
+        for mw in &layer.middlewares()[1..] {
+            assert_eq!(mw.ring_state_entries(), 0, "node {}", mw.node());
+            assert_eq!(mw.background_spend().1.total(), 0, "node {}", mw.node());
         }
     }
 

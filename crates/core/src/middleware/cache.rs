@@ -83,8 +83,8 @@ struct PathEntry {
 /// Write-stamped cache of parsed *global* rings (no local overlay),
 /// consulted by [`H2Middleware::read_ring`] — the O(d) resolve hot path.
 /// Kept fresh by write-through in `put_global_ring` and refresh on gossip;
-/// never consulted by `fetch_global_ring`, which must see the cloud's
-/// current object (merge cycles and gossip handling depend on that).
+/// never consulted by `fetch_to_cache`, which must see the cloud's
+/// current object (the ring cycle of merges and gossip depends on that).
 pub(super) struct RingCache {
     /// Striped by ring key ([`RING_SHARDS`]); each stripe is an
     /// independent LRU over an even share of the capacity. The rings are
@@ -92,14 +92,15 @@ pub(super) struct RingCache {
     ring_cache: Vec<OrderedMutex<LruCache<FdKey, Arc<NameRing>, WordBuild>>>,
     /// Write stamp ([`swiftsim::Object::modified_ms`], unique per write
     /// across the cluster) of the copy of each ring that last entered the
-    /// cache; no entry once it was dropped, or when an absent object was
-    /// cached as an empty ring. The stamp is the ring's version: it guards
-    /// a fetched copy's entry into the cache, and a refetch that brings
-    /// back the same stamp brought back the same bytes, so it is no
-    /// mutation — even after the copy was evicted. See
-    /// [`H2Middleware::cache_store`]. Taken innermost under a stripe, so
-    /// the cached copy and its stamp change together.
-    cached_ms: OrderedMutex<FdMap<u64>>,
+    /// cache (`None`: an absent object, cached as an empty ring); no entry
+    /// once it was dropped. The stamp is the ring's version: it guards a
+    /// fetched copy's entry into the cache, and a refetch that brings back
+    /// the same stamp brought back the same bytes, so it is no mutation —
+    /// even after the copy was evicted. An entry outlives its copy, so the
+    /// keys are this node's record of every ring it cached and did not
+    /// drop. See [`H2Middleware::cache_store`]. Taken innermost under a
+    /// stripe, so the cached copy and its stamp change together.
+    cached_ms: OrderedMutex<FdMap<Option<u64>>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     /// NameRing GETs that the cache absorbed (one per hit — kept as its own
@@ -238,18 +239,14 @@ impl H2Middleware {
         let unchanged = {
             let mut cache = rc.ring_shard(key).lock();
             let mut stamps = rc.cached_ms.lock();
-            let held = stamps.get(key).copied();
+            let held = stamps.get(key).copied().flatten();
             // `None` (an absent object) orders below every stamp.
             if !written && cache.peek(key).is_some() && ms < held {
                 false
             } else {
                 cache.insert(key.clone(), Arc::clone(ring));
-                let same = !written && ms.is_some() && held == ms;
-                match ms {
-                    Some(ms) => stamps.insert(key.clone(), ms),
-                    None => stamps.remove(key),
-                };
-                same
+                stamps.insert(key.clone(), ms);
+                !written && ms.is_some() && held == ms
             }
         };
         if unchanged {
@@ -269,15 +266,20 @@ impl H2Middleware {
         self.bump_ns_epoch(key.ns);
     }
 
-    /// Every ring the NameRing cache holds.
-    pub(super) fn cached_rings(&self) -> Vec<FdKey> {
+    /// The NameRing cache's record of each ring of `among` it has one for
+    /// (`None`: of every ring it has one for): the write stamp of the copy
+    /// it last took in, 0 for a copy of an absent object. A record outlives
+    /// its copy's eviction; only a drop removes it.
+    pub(super) fn cached_rings(&self, among: Option<&[FdKey]>) -> FdMap<u64> {
         let Some(rc) = &self.rings else {
-            return Vec::new();
+            return FdMap::default();
         };
-        rc.ring_cache
-            .iter()
-            .flat_map(|shard| shard.lock().keys().cloned().collect::<Vec<_>>())
-            .collect()
+        let stamps = rc.cached_ms.lock();
+        let record = |key: &FdKey| Some((key.clone(), stamps.get(key)?.unwrap_or(0)));
+        match among {
+            Some(keys) => keys.iter().filter_map(record).collect(),
+            None => stamps.keys().filter_map(record).collect(),
+        }
     }
 
     /// NameRing-cache `(hits, misses)` so far (zeros when disabled).

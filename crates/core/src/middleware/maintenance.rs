@@ -116,12 +116,8 @@ impl H2Middleware {
         if !self.group_commit {
             return self.commit_batch(ctx, keys, ns, std::iter::once(patch));
         }
-        let sync = self
-            .fds
-            .lock()
-            .entry(FdKey::new(keys, ns))
-            .or_default()
-            .sync();
+        let key = FdKey::new(keys, ns);
+        let sync = Arc::clone(&self.fds.lock().entry(key).or_default().sync);
         let mut st = sync.commit.lock();
         let ticket = st.next_ticket;
         st.next_ticket += 1;
@@ -249,9 +245,9 @@ impl H2Middleware {
 
     /// Merge this node's patch chain for `ns` into the global NameRing
     /// object: fetch each patch in chain order, merge them into one "big"
-    /// patch, fold it into the ring, write the ring back, delete the patch
-    /// objects, and queue a gossip notification. Returns true if any patch
-    /// was merged.
+    /// patch, fold it into the local version, bring the ring object up to
+    /// date through `ring_cycle` and delete the patch objects. Returns true
+    /// if any patch was merged.
     pub fn merge_ns(&self, ctx: &mut OpCtx, keys: &H2Keys, ns: NamespaceId) -> Result<bool> {
         ctx.span(Stage::Merge, "merge_ns", |ctx| {
             ctx.span_note("ns", || Note::Ns(ns));
@@ -264,7 +260,7 @@ impl H2Middleware {
         // One merge cycle per ring at a time on this node. The gate is taken
         // even when the chain is empty: an Eager submitter whose patch an
         // in-flight cycle already took must wait for that cycle to land it.
-        let Some(sync) = self.fds.lock().get_mut(&key).map(FileDescriptor::sync) else {
+        let Some(sync) = self.fds.lock().get(&key).map(|fd| Arc::clone(&fd.sync)) else {
             return Ok(false);
         };
         let _cycle = sync.merge.lock();
@@ -279,51 +275,39 @@ impl H2Middleware {
         ctx.charge_time(self.store.cost_model().patch_cycle_cpu);
         // Run the fallible cycle; on *any* failure, restore the chain so a
         // retry re-merges (crash recovery for the Background Merger).
-        let (ring, stamp) = match self.merge_cycle(ctx, keys, ns, &chain) {
-            Ok(written) => written,
-            Err(e) => {
-                self.fds
-                    .lock()
-                    .entry(key)
-                    .or_default()
-                    .pending
-                    .extend(chain);
-                return Err(e);
-            }
-        };
-        // Monotone: a patch submitted while this cycle was in flight stays
-        // in the local version, and its chain entry carries it into the
-        // global object on the next cycle — so the join is not written back.
-        self.fds
-            .lock()
-            .entry(key)
-            .or_default()
-            .absorb(ring, Some(stamp));
-        self.bump_ns_epoch(ns);
-        self.announce(keys.account(), ns, stamp);
+        if let Err(e) = self.merge_cycle(ctx, keys, &key, &chain) {
+            self.fds
+                .lock()
+                .entry(key)
+                .or_default()
+                .pending
+                .extend(chain);
+            return Err(e);
+        }
         Ok(true)
     }
 
     /// The fallible portion of one merge cycle: fetch the chain's patch
-    /// objects, merge them (plus the local version) into the global ring,
-    /// write it back and delete the consumed patches. Returns the ring
-    /// written and its write stamp.
+    /// objects and fold them into the local version, run
+    /// [`ring_cycle`](Self::ring_cycle) on the ring — which writes the
+    /// join back and announces it, unless the cloud already holds it — and
+    /// delete the consumed patches.
     fn merge_cycle(
         &self,
         ctx: &mut OpCtx,
         keys: &H2Keys,
-        ns: NamespaceId,
+        key: &FdKey,
         chain: &BTreeSet<u32>,
-    ) -> Result<(Arc<NameRing>, u64)> {
+    ) -> Result<()> {
         // Walk the linked list: start with the lowest-numbered patch,
         // repeatedly fetch the successor and merge the two.
         let mut big = NameRing::new();
         for &no in chain {
-            let key = keys.patch(ns, self.node, no);
-            match self.with_retry(ctx, Ring, "fetch_patch", |ctx| self.store.get(ctx, &key)) {
+            let patch = keys.patch(key.ns, self.node, no);
+            match self.with_retry(ctx, Ring, "fetch_patch", |ctx| self.store.get(ctx, &patch)) {
                 Ok(obj) => {
                     let s = obj.payload.as_str().ok_or_else(|| {
-                        H2Error::Corrupt(format!("patch {key} is not a string object"))
+                        H2Error::Corrupt(format!("patch {patch} is not a string object"))
                     })?;
                     big.merge_from(&formatter::patch_from_str(s)?);
                 }
@@ -334,29 +318,31 @@ impl H2Middleware {
                 Err(e) => return Err(e),
             }
         }
-        let mut ring = self.fetch_global_ring(ctx, keys, ns)?;
-        ring.merge_from(&big);
-        // Also fold in anything only our local version knows (e.g. effects
-        // of patches deleted by an earlier interrupted merge).
-        {
-            let fds = self.fds.lock();
-            if let Some(fd) = fds.get(&FdKey::new(keys, ns)) {
-                ring.merge_from(&fd.local);
+        // The local version holds every patch this node submitted, so the
+        // fold copies it only when a patch object knows more.
+        let folded = match self.fds.lock().get_mut(key) {
+            Some(fd) if !fd.local.subsumes(&big) => {
+                Arc::make_mut(&mut fd.local).merge_from(&big);
+                true
             }
+            _ => false,
+        };
+        if folded {
+            self.bump_ns_epoch(key.ns);
         }
-        let ring = Arc::new(ring);
-        let stamp = self.put_global_ring(ctx, keys, ns, &ring)?;
+        let cycle = self.ring_cycle(ctx, std::slice::from_ref(key)).pop();
+        cycle.expect("one result per ring")?;
         for &no in chain {
             // Patch objects are transient; a NotFound here is harmless.
-            let key = keys.patch(ns, self.node, no);
+            let patch = keys.patch(key.ns, self.node, no);
             match self.with_retry(ctx, Ring, "delete_patch", |ctx| {
-                self.store.delete(ctx, &key)
+                self.store.delete(ctx, &patch)
             }) {
                 Ok(()) | Err(H2Error::NotFound(_)) => {}
                 Err(e) => return Err(e),
             }
         }
-        Ok((ring, stamp))
+        Ok(())
     }
 
     /// Run the Background Merger over every descriptor with pending patches
@@ -497,138 +483,147 @@ impl H2Middleware {
     /// Handle a whole inbox of gossip tuples in one sweep, with per-message
     /// results (index-aligned with `msgs`, so a failing message can be
     /// requeued individually — batching never couples one message's fate
-    /// to another's). A message reports `Ok(true)` when its update was news
-    /// to this node and `Ok(false)` when this node has already heard a ring
-    /// object at least as new (§3.3.2's loop-back avoidance, by write
-    /// stamp).
+    /// to another's). A message reports `Ok(true)` when it is news: it
+    /// names a ring this node holds (see `held`), in an object newer than
+    /// any of it this node has heard of. Every other message reports
+    /// `Ok(false)`, costs nothing and creates no state: either this node
+    /// already heard of an object at least as new (§3.3.2's loop-back
+    /// avoidance, by write stamp), or it keeps no state for the ring and
+    /// reads that ring from the cloud when it needs it.
     ///
-    /// The loop-back check runs for the whole batch under one
-    /// descriptor-lock acquisition and creates the descriptor of every ring
-    /// that is news; `refresh` then fetches each such ring once on behalf
-    /// of all its messages (each reports `Ok(true)`) and folds them all in
-    /// under one more.
+    /// `refresh` then runs `ring_cycle` once for each ring that is news, on
+    /// behalf of all its messages.
     pub fn on_gossip_batch(&self, msgs: &[GossipMsg]) -> Vec<Result<bool>> {
-        let mut results: Vec<Option<Result<bool>>> = (0..msgs.len()).map(|_| None).collect();
-        // Loop-back avoidance for the whole batch under one lock; the
-        // messages that are news are grouped by ring.
-        let mut fresh: Vec<(FdKey, Vec<usize>)> = Vec::new();
-        {
-            let mut slots: FdMap<usize> = FdMap::default();
-            let mut fds = self.fds.lock();
-            for (i, msg) in msgs.iter().enumerate() {
-                let key = FdKey::of(&msg.account, msg.ns);
-                if fds.get(&key).is_some_and(|fd| fd.knows(msg.stamp)) {
-                    results[i] = Some(Ok(false));
-                } else if let Some(&slot) = slots.get(&key) {
-                    fresh[slot].1.push(i);
-                } else {
-                    fds.entry(key.clone()).or_default();
-                    slots.insert(key.clone(), fresh.len());
-                    fresh.push((key, vec![i]));
-                }
-            }
-        }
-        let (rings, idxs): (Vec<FdKey>, Vec<Vec<usize>>) = fresh.into_iter().unzip();
-        for (res, idxs) in self.refresh("GOSSIP-APPLY", rings).into_iter().zip(idxs) {
-            for i in idxs {
-                results[i] = Some(res.clone().map(|()| true));
-            }
-        }
-        results
+        let keys: Vec<FdKey> = msgs.iter().map(|m| FdKey::of(&m.account, m.ns)).collect();
+        let held = self.held(Some(&keys));
+        // The rings that are news, in message order, and each message's
+        // slot among them.
+        let mut rings: Vec<FdKey> = Vec::new();
+        let mut slots: FdMap<usize> = FdMap::default();
+        let news: Vec<Option<usize>> = keys
             .into_iter()
-            .map(|r| r.expect("every message settled"))
+            .zip(msgs)
+            .map(|(key, msg)| {
+                let fresh = held.get(&key).is_some_and(|&heard| heard < msg.stamp);
+                fresh.then(|| {
+                    *slots.entry(key.clone()).or_insert_with(|| {
+                        rings.push(key);
+                        rings.len() - 1
+                    })
+                })
+            })
+            .collect();
+        let results = self.refresh("GOSSIP-APPLY", &rings);
+        news.into_iter()
+            .map(|slot| slot.map_or(Ok(false), |i| results[i].clone().map(|()| true)))
             .collect()
     }
 
     /// Bounded anti-entropy sweep: `refresh` every NameRing this
-    /// middleware holds a descriptor for or has cached. Returns how many
-    /// rings were refreshed.
+    /// middleware holds (see `held`). Returns how many rings were
+    /// refreshed.
     ///
     /// This closes the post-fault re-convergence gap: gossip only refreshes
     /// rings whose update notifications *arrived*, so a notification dropped
-    /// during a fault window leaves the cached copy stale until some later
-    /// write happens to touch that ring. A resync revalidates every known
+    /// during a fault window leaves the held copy stale until some later
+    /// write happens to touch that ring. A resync revalidates every held
     /// ring unconditionally (each refresh bumps the namespace epoch, so
-    /// dependent full-path cache entries are invalidated too). The sweep is
-    /// bounded by this node's own state — it never enumerates the cloud,
-    /// and a ring it only caches gains no descriptor — and the same call
-    /// doubles as the cache refresh after a placement-ring swap (an
-    /// `add_node`, `drain_node` or `set_weight`): the re-fetches run under
-    /// the new placement, re-validating any answer the old one produced.
+    /// dependent full-path cache entries are invalidated too), a ring whose
+    /// cached copy was evicted included: its path entries outlive the copy.
+    /// The sweep is bounded by this node's own state — it never enumerates
+    /// the cloud and creates no state — and the same call doubles as the
+    /// cache refresh after a placement-ring swap (an `add_node`,
+    /// `drain_node` or `set_weight`): the re-fetches run under the new
+    /// placement, re-validating any answer the old one produced.
     pub fn resync(&self) -> Result<usize> {
-        let mut set: HashSet<FdKey> = self.fds.lock().keys().cloned().collect();
-        set.extend(self.cached_rings());
-        let mut rings: Vec<FdKey> = set.into_iter().collect();
+        let mut rings: Vec<FdKey> = self.held(None).into_keys().collect();
         rings.sort_by(|a, b| (&a.account, a.ns).cmp(&(&b.account, b.ns)));
-        let results = self.refresh("RESYNC", rings);
-        let refreshed = results.len();
+        let results = self.refresh("RESYNC", &rings);
         results.into_iter().collect::<Result<()>>()?;
-        Ok(refreshed)
+        Ok(rings.len())
     }
 
-    /// The refresh that gossip and [`resync`](Self::resync) share, run as
-    /// one background root named `root`: fetch each of `rings` from the
-    /// cloud into the NameRing cache, fold every fetched ring into its
-    /// descriptor under one descriptor-lock acquisition (a ring without
-    /// one is only re-cached), bump its namespace epoch, and where this
-    /// node knew updates the global object lacked, write the join back and
-    /// re-gossip it. Returns one result per ring; a failure fails only its
-    /// own ring, and the fold is idempotent on a retry.
-    fn refresh(&self, root: &'static str, rings: Vec<FdKey>) -> Vec<Result<()>> {
+    /// The rings this node holds among `among` (`None`: all of them), each
+    /// with the newest write stamp it has heard of the ring: every ring it
+    /// keeps a descriptor for, with the descriptor's `heard`, and every
+    /// other ring its NameRing cache keeps a record of, with the record's
+    /// stamp. A node keeps state for no other ring, so gossip and `resync`
+    /// have nothing of one to refresh: the node reads it from the cloud.
+    fn held(&self, among: Option<&[FdKey]>) -> FdMap<u64> {
+        let mut held = self.cached_rings(among);
+        let fds = self.fds.lock();
+        let heard = |key: &FdKey| Some((key.clone(), fds.get(key)?.heard));
+        match among {
+            Some(keys) => held.extend(keys.iter().filter_map(heard)),
+            None => held.extend(fds.keys().filter_map(heard)),
+        }
+        held
+    }
+
+    /// [`ring_cycle`](Self::ring_cycle) over `rings` as one background
+    /// root named `root`, the wrapper gossip and [`resync`](Self::resync)
+    /// share. Returns one result per ring.
+    fn refresh(&self, root: &'static str, rings: &[FdKey]) -> Vec<Result<()>> {
         if rings.is_empty() {
             return Vec::new();
         }
         let run = |ctx: &mut OpCtx| {
             ctx.span_note("rings", || Note::U64(rings.len() as u64));
-            let mut results: Vec<Result<()>> = vec![Ok(()); rings.len()];
-            let mut first_error: Option<String> = None;
-            // Fetch each ring once, refreshing the NameRing cache (this is
-            // what keeps cached rings fresh across nodes).
-            let mut fetched = Vec::new();
-            for (i, key) in rings.iter().enumerate() {
-                match self.fetch_to_cache(ctx, &H2Keys::new(&key.account), key) {
-                    Ok(global) => fetched.push((i, global)),
-                    Err(e) => {
-                        first_error.get_or_insert_with(|| e.to_string());
-                        results[i] = Err(e);
-                    }
-                }
-            }
-            // One descriptor-lock acquisition folds every fetched ring.
-            let mut folded: Vec<NamespaceId> = Vec::new();
-            let mut writebacks: Vec<(usize, Arc<NameRing>)> = Vec::new();
-            {
-                let mut fds = self.fds.lock();
-                for (i, (global, stamp)) in fetched {
-                    folded.push(rings[i].ns);
-                    let fd = fds.get_mut(&rings[i]);
-                    if let Some(joined) = fd.and_then(|fd| fd.absorb(global, stamp)) {
-                        writebacks.push((i, joined));
-                    }
-                }
-            }
-            for ns in folded {
-                self.bump_ns_epoch(ns);
-            }
-            // This node knew updates the global object lacked: write the
-            // join back and re-gossip it. A failure fails only its ring.
-            for (i, joined) in writebacks {
-                ctx.span_note("write_back", || {
-                    Note::Str("local updates joined into global")
-                });
-                let key = &rings[i];
-                if let Err(e) = self.write_back(ctx, &H2Keys::new(&key.account), key.ns, &joined) {
-                    first_error.get_or_insert_with(|| e.to_string());
-                    results[i] = Err(e);
-                }
-            }
-            (results, first_error)
+            self.ring_cycle(ctx, rings)
         };
         // A refresh runs on its own context, so it self-samples into a
         // root trace named `root`.
         let mut ctx = OpCtx::new(self.store.cost_model());
-        let ((results, _), _) = self.root(&mut ctx, Stage::Gossip, root, run, |(_, e)| e.clone());
+        let (results, _) = self.root(&mut ctx, Stage::Gossip, root, run, |results| {
+            results
+                .iter()
+                .find_map(|r| r.as_ref().err().map(ToString::to_string))
+        });
         self.absorb_background(&ctx);
+        results
+    }
+
+    /// The one read-modify-write of ring objects, shared by merge cycles,
+    /// gossip and resync, on the caller's context: fetch each of `rings`
+    /// from the cloud into the NameRing cache, fold every fetched ring into
+    /// its descriptor under one descriptor-lock acquisition (a ring without
+    /// one is only re-cached), bump its namespace epoch, and where this
+    /// node knew updates the global object lacked, write the join back and
+    /// announce it. Returns one result per ring; a failure fails only its
+    /// own ring, and the fold is idempotent on a retry.
+    fn ring_cycle(&self, ctx: &mut OpCtx, rings: &[FdKey]) -> Vec<Result<()>> {
+        let mut results: Vec<Result<()>> = vec![Ok(()); rings.len()];
+        let mut fetched = Vec::new();
+        for (i, key) in rings.iter().enumerate() {
+            match self.fetch_to_cache(ctx, &H2Keys::new(&key.account), key) {
+                Ok(global) => fetched.push((i, global)),
+                Err(e) => results[i] = Err(e),
+            }
+        }
+        let mut folded: Vec<NamespaceId> = Vec::new();
+        let mut writebacks: Vec<(usize, Arc<NameRing>)> = Vec::new();
+        {
+            let mut fds = self.fds.lock();
+            for (i, (global, stamp)) in fetched {
+                folded.push(rings[i].ns);
+                let fd = fds.get_mut(&rings[i]);
+                if let Some(joined) = fd.and_then(|fd| fd.absorb(global, stamp)) {
+                    writebacks.push((i, joined));
+                }
+            }
+        }
+        for ns in folded {
+            self.bump_ns_epoch(ns);
+        }
+        for (i, joined) in writebacks {
+            ctx.span_note("write_back", || {
+                Note::Str("local updates joined into global")
+            });
+            let key = &rings[i];
+            if let Err(e) = self.write_back(ctx, &H2Keys::new(&key.account), key.ns, &joined) {
+                results[i] = Err(e);
+            }
+        }
         results
     }
 }

@@ -4,17 +4,21 @@
 //! wrapped in the paper's deployment. It holds:
 //!
 //! * the **File Descriptor Cache** — one descriptor per NameRing this node
-//!   has touched, tracking the node's local (possibly not yet globally
+//!   has written, tracking the node's local (possibly not yet globally
 //!   merged) version of the ring and the chain of submitted-but-unmerged
 //!   patches (§3.3.2 phase 2, step 1), plus the ring's merge gate and
 //!   group-commit queue — the only per-ring maintenance state a node keeps;
 //! * the **Background Merger** — merges a node's patch chain into one "big"
-//!   patch and folds it into the NameRing object in the cloud;
+//!   patch, folds it into the local version and writes the join to the
+//!   cloud through the one read-modify-write that gossip and resync run
+//!   too;
 //! * the **Gossip Arrangement** — emits `(N_i, H_j, t_k)` update
 //!   notifications to peer middlewares through its outbox and applies the
-//!   ones queued in its inbox, ignoring a notification when this node has
-//!   already heard a ring object at least as new (§3.3.2's loop-back
-//!   avoidance, keyed on the object's write stamp).
+//!   ones queued in its inbox. A notification is news only for a ring this
+//!   node holds (a descriptor or a NameRing-cache record), and only if it
+//!   names an object newer than any this node has heard of (§3.3.2's
+//!   loop-back avoidance, by write stamp); a node that holds nothing of a
+//!   ring reads it from the cloud when it needs it.
 //!
 //! Maintenance runs in one of two modes:
 //!
@@ -39,7 +43,7 @@ mod ring;
 #[cfg(test)]
 mod tests;
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, OnceLock};
 
@@ -91,40 +95,18 @@ struct FileDescriptor {
     /// Next patch number to hand out.
     next_patch: u32,
     /// The newest write stamp of the ring object this node has absorbed
-    /// through a fetch or written through a merge cycle or a write-back.
-    /// Stamps are unique and monotone across the cluster, so an object
-    /// with a stamp at most this one is folded into `local` already, or
-    /// was overwritten by one that is.
+    /// through a fetch or written through a write-back. Stamps are unique
+    /// and monotone across the cluster, so an object with a stamp at most
+    /// this one is folded into `local` already, or was overwritten by one
+    /// that is: gossip carrying it is no news (§3.3.2's loop-back
+    /// avoidance; a merge can fold in a write older than the ring's newest
+    /// tuple, so the tuples' maximum stamp cannot tell).
     heard: u64,
-    /// The ring's merge gate and commit queue, built together on first
-    /// use: rings this node only hears of through gossip never need them.
-    sync: Option<Arc<RingSync>>,
+    /// The ring's merge gate and commit queue.
+    sync: Arc<RingSync>,
 }
 
 impl FileDescriptor {
-    /// The ring's merge gate and commit queue.
-    fn sync(&mut self) -> Arc<RingSync> {
-        Arc::clone(self.sync.get_or_insert_with(|| {
-            Arc::new(RingSync {
-                merge: OrderedMutex::new(lock_rank::MERGE_GATE, "middleware.merge_gate", ()),
-                commit: OrderedMutex::new(
-                    lock_rank::LEAF,
-                    "middleware.commit_queue",
-                    CommitState::default(),
-                ),
-                committed: Condvar::new(),
-            })
-        }))
-    }
-
-    /// §3.3.2's loop-back avoidance: this node has heard a ring object at
-    /// least as new as the one written at `stamp`, so a notification
-    /// carrying it is no news. (A merge can fold in a write older than the
-    /// ring's newest tuple, so the tuples' maximum stamp cannot tell.)
-    fn knows(&self, stamp: u64) -> bool {
-        self.heard >= stamp
-    }
-
     /// Record that this node absorbed or wrote the ring object stamped
     /// `stamp` (`None`: there was no object).
     fn hear(&mut self, stamp: Option<u64>) {
@@ -162,6 +144,20 @@ struct RingSync {
     /// parked on `committed`.
     commit: OrderedMutex<CommitState>,
     committed: Condvar,
+}
+
+impl Default for RingSync {
+    fn default() -> Self {
+        RingSync {
+            merge: OrderedMutex::new(lock_rank::MERGE_GATE, "middleware.merge_gate", ()),
+            commit: OrderedMutex::new(
+                lock_rank::LEAF,
+                "middleware.commit_queue",
+                CommitState::default(),
+            ),
+            committed: Condvar::new(),
+        }
+    }
 }
 
 /// Key of a per-(account, namespace) entry. It shares the account name

@@ -148,19 +148,32 @@ fn delete_then_recreate_through_patches() {
 #[test]
 fn gossip_round_trip_between_two_middlewares() {
     let (cluster, mw1, keys) = setup(MaintenanceMode::Eager);
-    let mw2 = paper_mw(2, cluster, MaintenanceMode::Eager);
+    let cfg = H2Config {
+        cache_capacity: 128,
+        ..H2Config::default()
+    };
+    let mw2 = H2Middleware::new(NodeId(2), cluster.clone(), &cfg);
+    let mw3 = H2Middleware::new(NodeId(3), cluster, &cfg);
     let mut ctx = OpCtx::for_test();
+    // mw2 reads the ring before it exists, so it holds a cached copy.
+    assert!(mw2.read_ring(&mut ctx, &keys, ns(1)).unwrap().is_empty());
     let mut p = NameRing::new();
     p.apply("shared", Tuple::file(mw1.tick(), 7));
     mw1.submit_patch(&mut ctx, &keys, ns(1), p).unwrap();
     let msgs = mw1.take_outbox();
     assert_eq!(msgs.len(), 1);
-    // mw2 learns of the update and fetches it.
+    // mw2 learns of the update and fetches it into its cache.
     assert!(matches!(mw2.on_gossip_batch(&msgs)[..], [Ok(true)]));
-    let ring = mw2.read_ring(&mut ctx, &keys, ns(1)).unwrap();
+    let mut read = OpCtx::for_test();
+    let ring = mw2.read_ring(&mut read, &keys, ns(1)).unwrap();
     assert!(ring.get("shared").is_some());
+    assert_eq!(read.counts().total(), 0, "the cached copy was refreshed");
     // Replayed gossip is aborted (loop-back avoidance).
     assert!(matches!(mw2.on_gossip_batch(&msgs)[..], [Ok(false)]));
+    // mw3 never read the ring: the message is no news and costs nothing.
+    assert!(matches!(mw3.on_gossip_batch(&msgs)[..], [Ok(false)]));
+    assert_eq!(mw3.background_spend().1.total(), 0);
+    assert_eq!(mw3.ring_state_entries(), 0);
 }
 
 #[test]
@@ -269,6 +282,47 @@ fn resync_refreshes_a_ring_it_only_read_without_a_descriptor() {
     let entries = reader.ring_state_entries();
     assert_eq!(reader.resync().unwrap(), 1);
     assert_eq!(reader.ring_state_entries(), entries);
+}
+
+/// A merge cycle is the read-modify-write gossip runs: when a refresh has
+/// already written this node's chain into the ring object, the cycle only
+/// reads and deletes its patch, and announces nothing.
+#[test]
+fn a_merge_whose_chain_the_cloud_already_holds_writes_nothing() {
+    let (cluster, mw1, keys) = setup(MaintenanceMode::Deferred);
+    let mut ctx = OpCtx::for_test();
+    let mut p = NameRing::new();
+    p.apply("f", Tuple::file(mw1.tick(), 1));
+    mw1.submit_patch(&mut ctx, &keys, ns(1), p).unwrap();
+    // A concurrent ring PUT hides the patch; its stamp reaches mw1, whose
+    // refresh writes back the join with the patch in it.
+    let mut hiding = NameRing::new();
+    hiding.apply("g", Tuple::file(mw1.tick(), 1));
+    let body = Payload::from_string(formatter::namering_to_string(&hiding));
+    let stamp = cluster
+        .put_stamped(&mut ctx, &keys.namering(ns(1)), body, Meta::new())
+        .unwrap();
+    mw1.deliver(GossipMsg {
+        account: "alice".into(),
+        ns: ns(1),
+        stamp,
+    });
+    assert_eq!(mw1.apply_inbox().applied, 1);
+    assert_eq!(mw1.take_outbox().len(), 1, "the join was written back");
+    let before = mw1.background_spend().1;
+    assert_eq!(mw1.step_merges().applied, 1);
+    let after = mw1.background_spend().1;
+    assert_eq!(after.total() - before.total(), 3);
+    let spent = (
+        after.gets - before.gets,
+        after.puts - before.puts,
+        after.deletes - before.deletes,
+    );
+    assert_eq!(spent, (2, 0, 1), "GETs, PUTs and DELETEs of the merge");
+    assert!(mw1.take_outbox().is_empty());
+    let global = mw1.fetch_global_ring(&mut ctx, &keys, ns(1)).unwrap();
+    let names: Vec<&str> = global.live().map(|(name, _)| name).collect();
+    assert_eq!(names, ["f", "g"]);
 }
 
 #[test]
@@ -538,8 +592,8 @@ fn middleware_locks_sit_in_the_validated_hierarchy() {
     assert_eq!(mw.pending_descriptors(), 1);
     let key = FdKey::new(&keys, ns(1));
     let inverted = std::thread::spawn(move || {
-        let mut fds = mw.fds.lock();
-        let Some(sync) = fds.get_mut(&key).map(FileDescriptor::sync) else {
+        let fds = mw.fds.lock();
+        let Some(sync) = fds.get(&key).map(|fd| Arc::clone(&fd.sync)) else {
             return;
         };
         // h2lint: allow(lock-order): the inversion is the point — this test asserts that the runtime validator panics on it.

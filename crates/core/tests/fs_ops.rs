@@ -724,8 +724,9 @@ fn resolve_caches_outlive_the_ring_cache_on_a_deep_chain() {
         .unwrap();
     }
     let file = |name: &str| format!("{dir}/{name}");
-    // B hears of all this now, which also moves its clock past A's: what B
-    // writes further down is newer than anything A wrote.
+    // B holds none of these rings, so their gossip costs it nothing. Its
+    // clock passes A's when it reads them on its way down: what B writes
+    // further down is newer than anything A wrote.
     fs.quiesce();
 
     // A cold STAT walks all 12 levels: one ring GET each. Every ring comes
@@ -769,6 +770,31 @@ fn resolve_caches_outlive_the_ring_cache_on_a_deep_chain() {
         "a rewritten ring is not an unchanged refetch"
     );
     assert_eq!(stat_requests(&a, &file("a.txt")), (0, Ok(8192)));
+}
+
+/// A ring B read and then lost to eviction is still B's: its path entries
+/// outlive the copy, so a rewrite whose gossip B never hears must be
+/// repaired by `resync`, though B keeps no descriptor for the ring.
+#[test]
+fn resync_repairs_a_ring_read_and_then_evicted() {
+    let fs = tuned_small_caches();
+    let a = fs.via(0);
+    let b = fs.via(1);
+    let mut ctx = OpCtx::for_test();
+    a.create_account(&mut ctx, "alice").unwrap();
+    a.mkdir(&mut ctx, "alice", &p("/d")).unwrap();
+    a.write(&mut ctx, "alice", &p("/d/f"), FileContent::Simulated(4096))
+        .unwrap();
+    fs.quiesce();
+
+    assert_eq!(stat_requests(&b, "/d/f").1, Ok(4096));
+    assert_eq!(stat_requests(&b, "/d/f"), (0, Ok(4096)));
+    evict_all_rings(b.middleware());
+    a.write(&mut ctx, "alice", &p("/d/f"), FileContent::Simulated(8192))
+        .unwrap();
+    assert!(!a.middleware().take_outbox().is_empty());
+    fs.layer().resync().unwrap();
+    assert_eq!(stat_requests(&b, "/d/f").1, Ok(8192));
 }
 
 // ----- maintenance cost of a large flat directory ---------------------------
@@ -845,14 +871,15 @@ fn flat_directory_maintenance_requests_and_virtual_time_are_pinned() {
     // serial pass spent 397.776 ms, 31 × 12 ms more.
     assert_eq!(gc.elapsed(), Duration::from_nanos(25_776_000));
     // The owner merges the 64 patches in one cycle (fetch each, fetch and
-    // rewrite the ring, delete each); each peer fetches the ring once.
+    // rewrite the ring, delete each). No peer holds the ring — none read
+    // or wrote it — so the gossip each receives costs it nothing.
     let spend: Vec<(Duration, BackendCounts)> = fs
         .layer()
         .middlewares()
         .iter()
         .map(|m| m.background_spend())
         .collect();
-    let peer = (Duration::from_nanos(11_300_000), counts(1, 0, 0));
+    let peer = (Duration::ZERO, counts(0, 0, 0));
     let owner = (Duration::from_nanos(1_416_856_000), counts(65, 1, 64));
     assert_eq!(spend, [peer, owner, peer, peer]);
 }

@@ -19,4 +19,9 @@ impl Cluster {
         let _stripe = self.stripes[0].lock();
         mw.apply_inbox(); // VIOLATION: gossip apply under the node stripe
     }
+
+    fn cycle_with_guard(&self, mw: &H2Middleware, rings: &[FdKey], op: &mut OpCtx) {
+        let _stripe = self.stripes[0].lock();
+        mw.ring_cycle(op, rings); // VIOLATION: ring read-modify-write under the node stripe
+    }
 }
