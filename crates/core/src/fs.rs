@@ -570,7 +570,7 @@ impl H2Cloud {
         self.cluster()
             .create_account_ctx(ctx, account, H2_CONTAINER, false)?;
         let keys = H2Keys::new(account);
-        mw.create_ring(ctx, &keys, NamespaceId::ROOT)
+        mw.create_ring(ctx, &keys, NamespaceId::ROOT, NameRing::new())
     }
 
     fn op_mkdir(
@@ -606,7 +606,7 @@ impl H2Cloud {
             if i == 0 {
                 mw.put_descriptor(ctx, &keys, parent_ns, name, &desc)
             } else {
-                mw.create_ring(ctx, &keys, ns)
+                mw.create_ring(ctx, &keys, ns, NameRing::new())
             }
         })?;
         let mut patch = NameRing::new();
@@ -838,7 +838,7 @@ impl H2Cloud {
                 }
                 None => {
                     let done = stack.pop().expect("the frame just read");
-                    mw.write_ring(ctx, keys, done.new_ns, &done.ring)?;
+                    mw.create_ring(ctx, keys, done.new_ns, done.ring)?;
                     // The caller names the walk's root in *its* parent.
                     let Some(parent) = stack.last_mut() else {
                         return Ok(done.new_ns);
@@ -1126,7 +1126,9 @@ impl CloudFs for H2Cloud {
 
     /// Mass import: allocate namespaces for every directory, write content
     /// objects and descriptors, and write each NameRing object exactly
-    /// once — instead of one patch-merge cycle per entry.
+    /// once — instead of one patch-merge cycle per entry. The new
+    /// directories' rings are created first, unannounced; the existing
+    /// rings that name them are rewritten after, announced.
     fn bulk_import(
         &self,
         ctx: &mut OpCtx,
@@ -1134,7 +1136,7 @@ impl CloudFs for H2Cloud {
         dirs: &[FsPath],
         files: &[(FsPath, u64)],
     ) -> Result<()> {
-        use std::collections::HashMap;
+        use std::collections::{HashMap, HashSet};
         self.check_account(account)?;
         let keys = H2Keys::new(account);
         let mw = self.layer.mw_for_account(account);
@@ -1143,6 +1145,7 @@ impl CloudFs for H2Cloud {
         // Start each touched ring from its current state so imports into a
         // live tree merge rather than clobber.
         let mut rings: HashMap<NamespaceId, NameRing> = HashMap::new();
+        let mut fresh: HashSet<NamespaceId> = HashSet::new();
         let ring_of = |mw: &H2Middleware,
                        ctx: &mut OpCtx,
                        rings: &mut HashMap<NamespaceId, NameRing>,
@@ -1183,7 +1186,8 @@ impl CloudFs for H2Cloud {
                 .get_mut(&parent_ns)
                 .expect("ring loaded")
                 .apply(name, Tuple::dir(ts, ns));
-            rings.entry(ns).or_default();
+            rings.insert(ns, NameRing::new());
+            fresh.insert(ns);
             ns_of.insert(d.clone(), ns);
         }
         for (f, size) in files {
@@ -1209,8 +1213,13 @@ impl CloudFs for H2Cloud {
                 .expect("ring loaded")
                 .apply(name, Tuple::file(mw.tick(), *size));
         }
-        for (ns, ring) in rings {
-            mw.write_ring(ctx, &keys, ns, &ring)?;
+        let (created, rewritten): (Vec<_>, Vec<_>) =
+            rings.into_iter().partition(|(ns, _)| fresh.contains(ns));
+        for (ns, ring) in created {
+            mw.create_ring(ctx, &keys, ns, ring)?;
+        }
+        for (ns, ring) in rewritten {
+            mw.write_ring(ctx, &keys, ns, &Arc::new(ring))?;
         }
         Ok(())
     }

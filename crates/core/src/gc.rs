@@ -7,7 +7,8 @@
 //!
 //! 1. walk the live tree from the root, NameRing by NameRing;
 //! 2. compact each ring: tombstones older than the horizon are dropped
-//!    (the ring object is rewritten if anything changed);
+//!    (the ring object is rewritten, and the rewrite announced, if
+//!    anything changed);
 //! 3. for every dropped directory tombstone, recursively delete the whole
 //!    orphaned subtree (descriptors, NameRings, content objects);
 //! 4. for every dropped file tombstone, delete the content object (a no-op
@@ -119,7 +120,7 @@ fn walk_and_compact(
         if view.has_tombstone_below(horizon) {
             let mut ring = view.materialize();
             let removed = ring.compact(horizon);
-            mw.write_ring(ctx, keys, ns, &ring)?;
+            mw.write_ring(ctx, keys, ns, &std::sync::Arc::new(ring))?;
             // Floor every middleware's local ring to the GC horizon. A peer
             // whose local version still held a compacted tombstone would
             // otherwise fold it back into the global object on its next
@@ -350,7 +351,7 @@ mod tests {
         let mut parent = NamespaceId::ROOT;
         for i in 0..DEEP_CHAIN {
             let child = mw.allocate_namespace();
-            mw.create_ring(ctx, &keys, child).unwrap();
+            mw.create_ring(ctx, &keys, child, NameRing::new()).unwrap();
             let name = format!("d{i}");
             mw.put_descriptor(
                 ctx,
@@ -453,6 +454,41 @@ mod tests {
             collect(&fs, &mut ctx, "alice", far_future()).unwrap();
             assert_eq!(entries(), recorded);
         }
+    }
+
+    #[test]
+    fn only_a_patch_makes_a_descriptor() {
+        // COPY, bulk import and GC compaction write rings without
+        // submitting a patch to them: the writing middleware keeps a
+        // descriptor only for the rings it patched.
+        let fs = H2Cloud::new(H2Config {
+            middlewares: 2,
+            ..H2Config::for_test()
+        });
+        let mut ctx = OpCtx::for_test();
+        fs.create_account(&mut ctx, "alice").unwrap();
+        let sticky = fs.layer().mw_for_account("alice");
+        let peer = fs
+            .layer()
+            .middlewares()
+            .iter()
+            .position(|mw| !std::sync::Arc::ptr_eq(mw, sticky))
+            .unwrap();
+        // Patches to the root: the only ring the sticky middleware patches.
+        fs.mkdir(&mut ctx, "alice", &p("/src")).unwrap();
+        let f = p("/src/f");
+        fs.via(peer)
+            .write(&mut ctx, "alice", &f, FileContent::from_str("x"))
+            .unwrap();
+        fs.quiesce();
+        fs.copy(&mut ctx, "alice", &p("/src"), &p("/c")).unwrap();
+        let (dirs, files) = ([p("/imp"), p("/imp/a")], [(p("/imp/a/g"), 1)]);
+        fs.bulk_import(&mut ctx, "alice", &dirs, &files).unwrap();
+        fs.via(peer).delete_file(&mut ctx, "alice", &f).unwrap();
+        fs.quiesce();
+        let report = collect(&fs, &mut ctx, "alice", far_future()).unwrap();
+        assert_eq!(report.rings_rewritten, 1, "{report:?}");
+        assert_eq!(sticky.ring_state_entries(), 1);
     }
 
     #[test]

@@ -392,34 +392,6 @@ impl H2Middleware {
         outcome
     }
 
-    /// Queue a gossip notification: this node wrote the ring object of
-    /// `(account, ns)` at `stamp`.
-    fn announce(&self, account: &str, ns: NamespaceId, stamp: u64) {
-        self.outbox.lock().push(GossipMsg {
-            account: account.to_string(),
-            ns,
-            stamp,
-        });
-    }
-
-    /// Write back a join in which this node's local version added updates
-    /// the global object lacked, and announce it: this node's information
-    /// is now part of the global version.
-    fn write_back(
-        &self,
-        ctx: &mut OpCtx,
-        keys: &H2Keys,
-        ns: NamespaceId,
-        joined: &Arc<NameRing>,
-    ) -> Result<()> {
-        let stamp = self.put_global_ring(ctx, keys, ns, joined)?;
-        if let Some(fd) = self.fds.lock().get_mut(&FdKey::new(keys, ns)) {
-            fd.hear(Some(stamp));
-        }
-        self.announce(keys.account(), ns, stamp);
-        Ok(())
-    }
-
     /// Drain queued outbound gossip messages.
     pub fn take_outbox(&self) -> Vec<GossipMsg> {
         std::mem::take(&mut *self.outbox.lock())
@@ -620,7 +592,7 @@ impl H2Middleware {
                 Note::Str("local updates joined into global")
             });
             let key = &rings[i];
-            if let Err(e) = self.write_back(ctx, &H2Keys::new(&key.account), key.ns, &joined) {
+            if let Err(e) = self.write_ring(ctx, &H2Keys::new(&key.account), key.ns, &joined) {
                 results[i] = Err(e);
             }
         }

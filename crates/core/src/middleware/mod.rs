@@ -4,10 +4,11 @@
 //! wrapped in the paper's deployment. It holds:
 //!
 //! * the **File Descriptor Cache** — one descriptor per NameRing this node
-//!   has written, tracking the node's local (possibly not yet globally
-//!   merged) version of the ring and the chain of submitted-but-unmerged
-//!   patches (§3.3.2 phase 2, step 1), plus the ring's merge gate and
-//!   group-commit queue — the only per-ring maintenance state a node keeps;
+//!   has submitted a patch to, tracking the node's local (possibly not yet
+//!   globally merged) version of the ring and the chain of
+//!   submitted-but-unmerged patches (§3.3.2 phase 2, step 1), plus the
+//!   ring's merge gate and group-commit queue — the only per-ring
+//!   maintenance state a node keeps;
 //! * the **Background Merger** — merges a node's patch chain into one "big"
 //!   patch, folds it into the local version and writes the join to the
 //!   cloud through the one read-modify-write that gossip and resync run
@@ -78,9 +79,10 @@ pub use maintenance::{
 };
 pub use ring::RING_FETCHES;
 
-/// Per-NameRing state in the File Descriptor Cache: the only record this
-/// node keeps about a ring it maintains, so dropping the descriptor drops
-/// all of it.
+/// Per-NameRing state in the File Descriptor Cache, one descriptor per
+/// NameRing this node has submitted a patch to: the only record this node
+/// keeps about a ring it maintains, so dropping the descriptor drops all of
+/// it. Only patch submission creates one; a ring write never does.
 #[derive(Default)]
 struct FileDescriptor {
     /// This node's local version of the ring (its own submitted patches are
@@ -95,7 +97,7 @@ struct FileDescriptor {
     /// Next patch number to hand out.
     next_patch: u32,
     /// The newest write stamp of the ring object this node has absorbed
-    /// through a fetch or written through a write-back. Stamps are unique
+    /// through a fetch or written through `write_ring`. Stamps are unique
     /// and monotone across the cluster, so an object with a stamp at most
     /// this one is folded into `local` already, or was overwritten by one
     /// that is: gossip carrying it is no news (§3.3.2's loop-back

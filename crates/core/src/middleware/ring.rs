@@ -1,7 +1,7 @@
 //! Ring reads and writes: the resolve path's cached, overlay-joined view,
-//! the exact cloud object that merge cycles and gossip read, the one write
-//! path every ring PUT funnels through, and the GC notifications that prune
-//! a ring's local state.
+//! the exact cloud object that merge cycles and gossip read, the two ring
+//! writes — an unannounced first PUT of a fresh ring and an announced
+//! rewrite — and the GC notifications that prune a ring's local state.
 
 use super::*;
 
@@ -203,13 +203,12 @@ impl H2Middleware {
             .ok_or_else(|| H2Error::Corrupt(format!("NameRing {ns} is not a string object")))
     }
 
-    /// Write a ring object back (formatter + PUT), writing through to the
+    /// PUT a ring object (formatter + PUT), writing through to the
     /// NameRing cache on success, and return the write stamp the object
-    /// landed with. Every ring write on this middleware — COPY's
-    /// `write_ring`, merge cycles, gossip write-backs, `create_ring` —
-    /// funnels through here, so the cache can never serve a ring older than
-    /// what this middleware itself last wrote.
-    pub(super) fn put_global_ring(
+    /// landed with. Only the two ring writes, `create_ring` and
+    /// `write_ring`, reach it, so the cache can never serve a ring older
+    /// than what this middleware itself last wrote.
+    fn put_global_ring(
         &self,
         ctx: &mut OpCtx,
         keys: &H2Keys,
@@ -228,31 +227,44 @@ impl H2Middleware {
         Ok(ms)
     }
 
-    /// Create the (empty) NameRing object for a fresh namespace.
-    pub fn create_ring(&self, ctx: &mut OpCtx, keys: &H2Keys, ns: NamespaceId) -> Result<()> {
-        self.put_global_ring(ctx, keys, ns, &Arc::new(NameRing::new()))
+    /// The first PUT of a fresh namespace's ring, one that no ring names
+    /// yet: the account root, a new directory, COPY's destination rings,
+    /// bulk import's new directories. No peer can hold such a ring, so the
+    /// write announces nothing, and no patch was submitted, so it creates
+    /// no descriptor.
+    pub fn create_ring(
+        &self,
+        ctx: &mut OpCtx,
+        keys: &H2Keys,
+        ns: NamespaceId,
+        ring: NameRing,
+    ) -> Result<()> {
+        self.put_global_ring(ctx, keys, ns, &Arc::new(ring))
             .map(|_| ())
     }
 
-    /// Write a fully materialised ring for a namespace this node just
-    /// created (COPY builds destination rings wholesale — no concurrent
-    /// writers can exist for a namespace nobody else has seen). Also primes
-    /// the local descriptor cache.
+    /// Rewrite a ring object a peer may hold — a ring cycle's join, GC's
+    /// compaction, bulk import into an existing directory — and announce
+    /// it: every rewrite is a `(N_i, H_j, t_k)` tuple (§3.3.2), so a peer
+    /// whose write this one overwrote hears a stamp above its own, refetches
+    /// and writes back its join. A descriptor, if this node keeps one for
+    /// the ring, hears the stamp; none is created.
     pub fn write_ring(
         &self,
         ctx: &mut OpCtx,
         keys: &H2Keys,
         ns: NamespaceId,
-        ring: &NameRing,
+        ring: &Arc<NameRing>,
     ) -> Result<()> {
-        let shared = Arc::new(ring.clone());
-        self.put_global_ring(ctx, keys, ns, &shared)?;
-        {
-            let mut fds = self.fds.lock();
-            let fd = fds.entry(FdKey::new(keys, ns)).or_default();
-            fd.local = shared;
+        let stamp = self.put_global_ring(ctx, keys, ns, ring)?;
+        if let Some(fd) = self.fds.lock().get_mut(&FdKey::new(keys, ns)) {
+            fd.hear(Some(stamp));
         }
-        self.bump_ns_epoch(ns);
+        self.outbox.lock().push(GossipMsg {
+            account: keys.account().to_string(),
+            ns,
+            stamp,
+        });
         Ok(())
     }
 }

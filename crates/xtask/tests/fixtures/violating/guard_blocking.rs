@@ -1,6 +1,6 @@
-// Fixture: a ranked guard live across a virtual-time charge or a gossip
-// drain serializes every key on the stripe behind charged work — drop the
-// guard first (or justify the serialization with an allow).
+// Fixture: a ranked guard live across a virtual-time charge, a gossip
+// drain or a ring write serializes every key on the stripe behind charged
+// work — drop the guard first (or justify the serialization with an allow).
 
 impl Cluster {
     fn flush_with_guard(&self, ctx: &mut OpCtx, key: &ObjectKey) -> Result<()> {
@@ -23,5 +23,10 @@ impl Cluster {
     fn cycle_with_guard(&self, mw: &H2Middleware, rings: &[FdKey], op: &mut OpCtx) {
         let _stripe = self.stripes[0].lock();
         mw.ring_cycle(op, rings); // VIOLATION: ring read-modify-write under the node stripe
+    }
+
+    fn rewrite_with_guard(&self, mw: &H2Middleware, keys: &H2Keys, ns: NamespaceId, op: &mut OpCtx) {
+        let _stripe = self.stripes[0].lock();
+        mw.write_ring(op, keys, ns, &self.ring); // VIOLATION: ring rewrite under the node stripe
     }
 }

@@ -491,3 +491,74 @@ fn older_stamped_write_back_reaches_every_ring_cache() {
     ];
     schedule_converges(H2Config::tuned(), &steps).unwrap();
 }
+
+/// The tuned profile on two Deferred middlewares, with the indices of the
+/// middleware `team` is routed to (the sticky one, through which bulk
+/// import and GC run) and of its peer.
+fn tuned_pair() -> (H2Cloud, usize, usize) {
+    let fs = H2Cloud::new(H2Config {
+        middlewares: 2,
+        mode: MaintenanceMode::Deferred,
+        ..H2Config::for_test()
+    });
+    let layer = fs.layer();
+    let sticky = layer
+        .middlewares()
+        .iter()
+        .position(|mw| Arc::ptr_eq(mw, layer.mw_for_account("team")))
+        .unwrap();
+    let mut ctx = OpCtx::for_test();
+    fs.create_account(&mut ctx, "team").unwrap();
+    fs.mkdir(&mut ctx, "team", &p("/d")).unwrap();
+    layer.pump().unwrap();
+    (fs, sticky, 1 - sticky)
+}
+
+/// Bulk import rewrites the ring of an existing directory; the rewrite is
+/// announced like any other, so a peer that cached the directory hears of
+/// it in one clean pump.
+#[test]
+fn bulk_import_into_a_directory_a_peer_cached_reaches_the_peer() {
+    let (fs, _, peer) = tuned_pair();
+    assert!(listing_on(&fs, peer, &p("/d")).is_empty());
+    let mut ctx = OpCtx::for_test();
+    fs.bulk_import(&mut ctx, "team", &[], &[(p("/d/x"), 1)])
+        .unwrap();
+    fs.layer().pump().unwrap();
+    assert_eq!(listing_on(&fs, peer, &p("/d")), vec!["x"]);
+}
+
+/// GC compacts `/d` from the sticky middleware's cached copy, which missed
+/// the peer's write of `f1`, so the compacted object lacks `f1`. The
+/// compaction is announced: the peer hears a stamp above its own, writes
+/// back its join, and both middlewares list `f1` after two clean pumps —
+/// no resync needed.
+#[test]
+fn gc_compaction_from_a_stale_cache_keeps_a_peers_write() {
+    use h2util::{NodeId, Timestamp};
+    let (fs, sticky, peer) = tuned_pair();
+    let mut ctx = OpCtx::for_test();
+    let f0 = p("/d/f0");
+    fs.via(sticky)
+        .write(&mut ctx, "team", &f0, FileContent::from_str("0"))
+        .unwrap();
+    fs.via(sticky).delete_file(&mut ctx, "team", &f0).unwrap();
+    fs.layer().pump().unwrap();
+    assert!(listing_on(&fs, sticky, &p("/d")).is_empty());
+    fs.via(peer)
+        .write(&mut ctx, "team", &p("/d/f1"), FileContent::from_str("1"))
+        .unwrap();
+    let drop_all = GossipFaults {
+        drop_every: 1,
+        duplicate_every: 0,
+    };
+    fs.layer().pump_with_faults(drop_all).unwrap();
+    let horizon = Timestamp::new(u64::MAX, 0, NodeId(0));
+    let report = h2cloud::gc::collect(&fs, &mut ctx, "team", horizon).unwrap();
+    assert_eq!(report.tuples_compacted, 1, "{report:?}");
+    fs.layer().pump().unwrap();
+    fs.layer().pump().unwrap();
+    for mw in [sticky, peer] {
+        assert_eq!(listing_on(&fs, mw, &p("/d")), vec!["f1"], "middleware {mw}");
+    }
+}
