@@ -271,7 +271,7 @@ fn ns_len(ns: NamespaceId) -> usize {
     dec_len(ns.seq, 2) + 1 + dec_len(u64::from(ns.node.0), 2) + 1 + dec_len(ns.millis, 0)
 }
 
-/// Exact length of [`write_ring`]'s output, so it allocates once.
+/// Exact length of [`format_ring`]'s output, so it allocates once.
 fn ring_body_len(magic: &str, ring: &NameRing) -> usize {
     let header = magic.len() + 1 + dec_len(ring.len() as u64, 0) + 1;
     let tuples: usize = ring
@@ -289,7 +289,7 @@ fn ring_body_len(magic: &str, ring: &NameRing) -> usize {
 }
 
 /// Serialise a NameRing (or, with [`PATCH_MAGIC`], a patch).
-fn write_ring(magic: &str, ring: &NameRing) -> String {
+fn format_ring(magic: &str, ring: &NameRing) -> String {
     let mut out = String::with_capacity(ring_body_len(magic, ring));
     out.push_str(magic);
     out.push(' ');
@@ -388,7 +388,7 @@ fn parse_ring(magic: &str, s: &str) -> Result<NameRing> {
 
 /// NameRing → ASCII object body.
 pub fn namering_to_string(ring: &NameRing) -> String {
-    write_ring(NAMERING_MAGIC, ring)
+    format_ring(NAMERING_MAGIC, ring)
 }
 
 /// ASCII object body → NameRing.
@@ -398,7 +398,7 @@ pub fn namering_from_str(s: &str) -> Result<NameRing> {
 
 /// Patch → ASCII object body (a patch *is* a NameRing, §3.3.2).
 pub fn patch_to_string(patch: &NameRing) -> String {
-    write_ring(PATCH_MAGIC, patch)
+    format_ring(PATCH_MAGIC, patch)
 }
 
 /// ASCII object body → patch.

@@ -1126,9 +1126,9 @@ impl CloudFs for H2Cloud {
 
     /// Mass import: allocate namespaces for every directory, write content
     /// objects and descriptors, and write each NameRing object exactly
-    /// once — instead of one patch-merge cycle per entry. The new
-    /// directories' rings are created first, unannounced; the existing
-    /// rings that name them are rewritten after, announced.
+    /// once — instead of one patch-merge cycle per entry. New directories'
+    /// rings are created whole; each existing ring gets one patch, whose
+    /// tuples stay in this node's descriptor until a ring cycle merges them.
     fn bulk_import(
         &self,
         ctx: &mut OpCtx,
@@ -1136,24 +1136,25 @@ impl CloudFs for H2Cloud {
         dirs: &[FsPath],
         files: &[(FsPath, u64)],
     ) -> Result<()> {
-        use std::collections::{HashMap, HashSet};
+        use std::collections::HashMap;
         self.check_account(account)?;
         let keys = H2Keys::new(account);
         let mw = self.layer.mw_for_account(account);
         let mut ns_of: HashMap<FsPath, NamespaceId> = HashMap::new();
         ns_of.insert(FsPath::root(), NamespaceId::ROOT);
-        // Start each touched ring from its current state so imports into a
-        // live tree merge rather than clobber.
-        let mut rings: HashMap<NamespaceId, NameRing> = HashMap::new();
-        let mut fresh: HashSet<NamespaceId> = HashSet::new();
+        // Each touched ring, an existing one read at its current state so
+        // imports merge rather than clobber, and its patch of imported tuples
+        // (none for a new ring, which is created whole).
+        type Touched = (NameRing, Option<NameRing>);
+        let mut rings: HashMap<NamespaceId, Touched> = HashMap::new();
         let ring_of = |mw: &H2Middleware,
                        ctx: &mut OpCtx,
-                       rings: &mut HashMap<NamespaceId, NameRing>,
+                       rings: &mut HashMap<NamespaceId, Touched>,
                        ns: NamespaceId|
          -> Result<()> {
             if let std::collections::hash_map::Entry::Vacant(e) = rings.entry(ns) {
                 let existing = mw.read_ring(ctx, &keys, ns)?;
-                e.insert(existing);
+                e.insert((existing, Some(NameRing::new())));
             }
             Ok(())
         };
@@ -1166,7 +1167,7 @@ impl CloudFs for H2Cloud {
                 .ok_or_else(|| H2Error::NotFound(format!("import parent {parent}")))?;
             ring_of(mw, ctx, &mut rings, parent_ns)?;
             let name = d.name().expect("non-root");
-            if rings[&parent_ns].get(name).is_some() {
+            if rings[&parent_ns].0.get(name).is_some() {
                 return Err(H2Error::AlreadyExists(d.to_string()));
             }
             let ns = mw.allocate_namespace();
@@ -1182,12 +1183,11 @@ impl CloudFs for H2Cloud {
                     created: ts,
                 },
             )?;
-            rings
-                .get_mut(&parent_ns)
-                .expect("ring loaded")
-                .apply(name, Tuple::dir(ts, ns));
-            rings.insert(ns, NameRing::new());
-            fresh.insert(ns);
+            let (ring, patch) = rings.get_mut(&parent_ns).expect("ring loaded");
+            for r in std::iter::once(ring).chain(patch) {
+                r.apply(name, Tuple::dir(ts, ns));
+            }
+            rings.insert(ns, (NameRing::new(), None));
             ns_of.insert(d.clone(), ns);
         }
         for (f, size) in files {
@@ -1208,18 +1208,21 @@ impl CloudFs for H2Cloud {
                 name,
                 Payload::simulated(*size, &f.to_string()),
             )?;
-            rings
-                .get_mut(&parent_ns)
-                .expect("ring loaded")
-                .apply(name, Tuple::file(mw.tick(), *size));
+            let (ring, patch) = rings.get_mut(&parent_ns).expect("ring loaded");
+            let tuple = Tuple::file(mw.tick(), *size);
+            for r in std::iter::once(ring).chain(patch) {
+                r.apply(name, tuple);
+            }
         }
-        let (created, rewritten): (Vec<_>, Vec<_>) =
-            rings.into_iter().partition(|(ns, _)| fresh.contains(ns));
-        for (ns, ring) in created {
+        // The new rings first: the patches name them.
+        let (patched, created): (Vec<_>, Vec<_>) = rings
+            .into_iter()
+            .partition(|(_, (_, patch))| patch.is_some());
+        for (ns, (ring, _)) in created {
             mw.create_ring(ctx, &keys, ns, ring)?;
         }
-        for (ns, ring) in rewritten {
-            mw.write_ring(ctx, &keys, ns, &Arc::new(ring))?;
+        for (ns, (_, patch)) in patched {
+            mw.submit_patch(ctx, &keys, ns, patch.expect("an existing ring"))?;
         }
         Ok(())
     }

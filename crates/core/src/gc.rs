@@ -120,13 +120,18 @@ fn walk_and_compact(
         if view.has_tombstone_below(horizon) {
             let mut ring = view.materialize();
             let removed = ring.compact(horizon);
-            mw.write_ring(ctx, keys, ns, &std::sync::Arc::new(ring))?;
-            // Floor every middleware's local ring to the GC horizon. A peer
-            // whose local version still held a compacted tombstone would
-            // otherwise fold it back into the global object on its next
-            // merge — resurrecting the tuple GC just reclaimed.
+            // Floor every middleware's local ring to the GC horizon before
+            // the rewrite is announced. A peer whose local version still
+            // held a compacted tombstone would otherwise fold it back into
+            // the global object when it absorbs the announced compaction —
+            // resurrecting the tuple GC just reclaimed.
             for m in fs.layer().middlewares() {
                 m.gc_floor(keys.account(), ns, horizon);
+            }
+            mw.write_ring(ctx, keys, ns, &std::sync::Arc::new(ring))?;
+            // Drop every cached copy after the rewrite, the write-through too.
+            for m in fs.layer().middlewares() {
+                m.invalidate_ring(keys.account(), ns);
             }
             report.rings_rewritten += 1;
             report.tuples_compacted += removed.len();
@@ -459,7 +464,8 @@ mod tests {
     #[test]
     fn only_a_patch_makes_a_descriptor() {
         // COPY, bulk import and GC compaction write rings without
-        // submitting a patch to them: the writing middleware keeps a
+        // submitting a patch to them, bar bulk import's one patch per
+        // existing ring it adds to: the writing middleware keeps a
         // descriptor only for the rings it patched.
         let fs = H2Cloud::new(H2Config {
             middlewares: 2,
@@ -482,13 +488,15 @@ mod tests {
             .unwrap();
         fs.quiesce();
         fs.copy(&mut ctx, "alice", &p("/src"), &p("/c")).unwrap();
-        let (dirs, files) = ([p("/imp"), p("/imp/a")], [(p("/imp/a/g"), 1)]);
+        let dirs = [p("/imp"), p("/imp/a")];
+        let files = [(p("/imp/a/g"), 1), (p("/c/h"), 1)];
         fs.bulk_import(&mut ctx, "alice", &dirs, &files).unwrap();
         fs.via(peer).delete_file(&mut ctx, "alice", &f).unwrap();
         fs.quiesce();
         let report = collect(&fs, &mut ctx, "alice", far_future()).unwrap();
         assert_eq!(report.rings_rewritten, 1, "{report:?}");
-        assert_eq!(sticky.ring_state_entries(), 1);
+        // The root, and `/c`, which bulk import added `h` to.
+        assert_eq!(sticky.ring_state_entries(), 2);
     }
 
     #[test]

@@ -11,29 +11,26 @@ pub const RING_FETCHES: &str = "ring_fetches";
 
 impl H2Middleware {
     /// Drop the cached copy of `(account, ns)`, if any. Called by GC after
-    /// it deletes a dead ring object out from under the middleware.
+    /// it compacts the ring object out from under the middleware.
     pub fn invalidate_ring(&self, account: &str, ns: NamespaceId) {
         self.drop_cached(&FdKey::of(account, ns));
     }
 
-    /// GC notification: the global ring for `(account, ns)` was compacted
-    /// at `horizon`. Floor this middleware's local version to the same
+    /// GC notification: the global ring for `(account, ns)` is being
+    /// compacted at `horizon`. Floor this middleware's local version to the same
     /// horizon, so a tombstone GC already reclaimed can't re-enter the
     /// global object through a later merge's local-overlay join (tombstone
-    /// resurrection). The cached global copy is dropped too — it predates
-    /// the compaction.
+    /// resurrection). GC calls it before it writes the compacted ring, and
+    /// drops the cached copies with [`invalidate_ring`](Self::invalidate_ring)
+    /// after.
     pub fn gc_floor(&self, account: &str, ns: NamespaceId, horizon: Timestamp) {
-        let key = FdKey::of(account, ns);
-        {
-            let mut fds = self.fds.lock();
-            // Copy a shared local ring only when there is something to drop.
-            if let Some(fd) = fds.get_mut(&key) {
-                if fd.local.has_tombstone_below(horizon) {
-                    Arc::make_mut(&mut fd.local).floor_tombstones(horizon);
-                }
+        let mut fds = self.fds.lock();
+        // Copy a shared local ring only when there is something to drop.
+        if let Some(fd) = fds.get_mut(&FdKey::of(account, ns)) {
+            if fd.local.has_tombstone_below(horizon) {
+                Arc::make_mut(&mut fd.local).floor_tombstones(horizon);
             }
         }
-        self.drop_cached(&key);
     }
 
     /// GC notification: the ring object for `(account, ns)` was deleted

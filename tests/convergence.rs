@@ -528,6 +528,54 @@ fn bulk_import_into_a_directory_a_peer_cached_reaches_the_peer() {
     assert_eq!(listing_on(&fs, peer, &p("/d")), vec!["x"]);
 }
 
+/// A peer's ring cycle on `/d` fetched before bulk import's tuple was
+/// merged into the ring object and writes its join back after, without
+/// it (the hiding PUT below). The importer keeps the tuple in the
+/// descriptor its patch made, so hearing the peer's stamp makes it write
+/// back a join that restores it, and both middlewares list it.
+#[test]
+fn bulk_import_overwritten_by_a_peers_stale_write_back_is_restored() {
+    use h2cloud::middleware::GossipMsg;
+    use h2cloud::{formatter, NameRing, Tuple};
+    use h2util::NamespaceId;
+    use swiftsim::{Meta, Payload};
+    let (fs, sticky, peer) = tuned_pair();
+    assert!(listing_on(&fs, peer, &p("/d")).is_empty());
+    let mut ctx = OpCtx::for_test();
+    fs.bulk_import(&mut ctx, "team", &[], &[(p("/d/x"), 1)])
+        .unwrap();
+    let mws = fs.layer().middlewares();
+    let keys = h2cloud::H2Keys::new("team");
+    let d = mws[sticky]
+        .get_descriptor(&mut ctx, &keys, NamespaceId::ROOT, "d")
+        .unwrap()
+        .ns;
+    mws[sticky].step_merges();
+    // The peer's join: the ring it fetched before the merge, plus its own
+    // update `y`, written after the merge and announced to the importer.
+    let mut stale = NameRing::new();
+    stale.apply("y", Tuple::file(mws[peer].tick(), 1));
+    let body = Payload::from_string(formatter::namering_to_string(&stale));
+    let stamp = fs
+        .cluster()
+        .put_stamped(&mut ctx, &keys.namering(d), body, Meta::new())
+        .unwrap();
+    mws[sticky].deliver(GossipMsg {
+        account: "team".into(),
+        ns: d,
+        stamp,
+    });
+    fs.layer().pump().unwrap();
+    fs.layer().pump().unwrap();
+    for mw in [sticky, peer] {
+        assert_eq!(
+            listing_on(&fs, mw, &p("/d")),
+            vec!["x", "y"],
+            "middleware {mw}"
+        );
+    }
+}
+
 /// GC compacts `/d` from the sticky middleware's cached copy, which missed
 /// the peer's write of `f1`, so the compacted object lacks `f1`. The
 /// compaction is announced: the peer hears a stamp above its own, writes
