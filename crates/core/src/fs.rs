@@ -29,7 +29,7 @@ use swiftsim::{Cluster, ClusterConfig, ObjectStore, Payload};
 use crate::keys::{DirDescriptor, H2Keys, H2_CONTAINER};
 use crate::layer::H2Layer;
 pub use crate::middleware::MaintenanceMode;
-use crate::middleware::{Fingerprint, H2Middleware, PathAnswer, META_LOGICAL_BYTES};
+use crate::middleware::{EpochMark, Fingerprint, H2Middleware, PathAnswer, META_LOGICAL_BYTES};
 use crate::namering::{ChildRef, NameRing, Tuple};
 
 /// Configuration of an H2Cloud instance.
@@ -415,8 +415,8 @@ impl H2Cloud {
                 mw.charge_lookup_step(ctx, view.from_cache());
                 let fp: Fingerprint = parent_fp
                     .iter()
-                    .copied()
-                    .chain(std::iter::once((dir_ns, epoch)))
+                    .cloned()
+                    .chain(std::iter::once(epoch))
                     .collect();
                 return match view.get(last).copied() {
                     Some(tuple) => {
@@ -455,13 +455,13 @@ impl H2Cloud {
         let comps = path.components();
         let mut ns = NamespaceId::ROOT;
         // The epoch fingerprint accumulated over the rings consulted.
-        let mut fp: Vec<(NamespaceId, u64)> =
+        let mut fp: Vec<EpochMark> =
             Vec::with_capacity(if full.is_some() { comps.len() } else { 0 });
         for (i, comp) in comps.iter().enumerate() {
             let (view, epoch) = mw.read_ring_view_stamped(ctx, keys, ns)?;
             mw.charge_lookup_step(ctx, view.from_cache());
             if full.is_some() {
-                fp.push((ns, epoch));
+                fp.push(epoch);
             }
             let Some(tuple) = view.get(comp).copied() else {
                 let full = match full {
@@ -1147,25 +1147,30 @@ impl CloudFs for H2Cloud {
         // (none for a new ring, which is created whole).
         type Touched = (NameRing, Option<NameRing>);
         let mut rings: HashMap<NamespaceId, Touched> = HashMap::new();
-        let ring_of = |mw: &H2Middleware,
-                       ctx: &mut OpCtx,
-                       rings: &mut HashMap<NamespaceId, Touched>,
-                       ns: NamespaceId|
-         -> Result<()> {
+        // A parent imported in this call, or an existing directory.
+        let parent_ns = |ctx: &mut OpCtx,
+                         ns_of: &mut HashMap<FsPath, NamespaceId>,
+                         rings: &mut HashMap<NamespaceId, Touched>,
+                         parent: FsPath|
+         -> Result<NamespaceId> {
+            let ns = match ns_of.get(&parent) {
+                Some(&ns) => ns,
+                None => {
+                    let ns = self.resolve_dir_ns(mw, ctx, &keys, &parent)?;
+                    *ns_of.entry(parent).or_insert(ns)
+                }
+            };
             if let std::collections::hash_map::Entry::Vacant(e) = rings.entry(ns) {
                 let existing = mw.read_ring(ctx, &keys, ns)?;
                 e.insert((existing, Some(NameRing::new())));
             }
-            Ok(())
+            Ok(ns)
         };
         for d in dirs {
             let parent = d
                 .parent()
                 .ok_or_else(|| H2Error::AlreadyExists("/".into()))?;
-            let &parent_ns = ns_of
-                .get(&parent)
-                .ok_or_else(|| H2Error::NotFound(format!("import parent {parent}")))?;
-            ring_of(mw, ctx, &mut rings, parent_ns)?;
+            let parent_ns = parent_ns(ctx, &mut ns_of, &mut rings, parent)?;
             let name = d.name().expect("non-root");
             if rings[&parent_ns].0.get(name).is_some() {
                 return Err(H2Error::AlreadyExists(d.to_string()));
@@ -1194,12 +1199,7 @@ impl CloudFs for H2Cloud {
             let parent = f
                 .parent()
                 .ok_or_else(|| H2Error::IsADirectory("/".into()))?;
-            let parent_ns = match ns_of.get(&parent) {
-                Some(&ns) => ns,
-                None => self.resolve_dir_ns(mw, ctx, &keys, &parent)?,
-            };
-            ns_of.insert(parent.clone(), parent_ns);
-            ring_of(mw, ctx, &mut rings, parent_ns)?;
+            let parent_ns = parent_ns(ctx, &mut ns_of, &mut rings, parent)?;
             let name = f.name().expect("non-root");
             mw.put_content(
                 ctx,

@@ -418,8 +418,8 @@ mod tests {
     #[test]
     fn gc_drops_every_per_ring_entry_of_a_dead_tree() {
         // Every middleware's per-ring state for a reclaimed directory goes
-        // with it: a churning tree must not leave one entry per directory
-        // it ever held.
+        // with it, its cache record and epoch included: a churning tree
+        // must not leave one entry per directory it ever held.
         let paper = H2Config {
             cluster: swiftsim::ClusterConfig::tiny(),
             ..H2Config::default()
@@ -435,7 +435,7 @@ mod tests {
                 fs.layer()
                     .middlewares()
                     .iter()
-                    .map(|mw| mw.ring_state_entries())
+                    .map(|mw| (mw.ring_state_entries(), mw.ring_records()))
                     .collect::<Vec<_>>()
             };
             fs.mkdir(&mut ctx, "alice", &p("/keep")).unwrap();

@@ -1,7 +1,6 @@
-//! The two read-path caches, each `Some` only while enabled: the NameRing
-//! cache of parsed global rings and the full-path resolve cache whose
-//! entries the namespace epochs validate. A disabled cache registers none
-//! of its counters, so its metrics output stays clean.
+//! The two read-path caches: the NameRing cache, whose copies and stamps
+//! sit in the ring records, and the full-path resolve cache, whose entries
+//! the records' epochs validate. A disabled cache registers no counter.
 
 use super::*;
 
@@ -27,14 +26,6 @@ pub const NEG_CACHE_HITS: &str = "neg_cache_hits";
 /// ring cache last held (same write stamp), and so invalidated nothing.
 pub const RING_REFETCH_UNCHANGED: &str = "ring_refetch_unchanged";
 
-/// Lock stripes for the NameRing cache. The cache sits on every resolve
-/// level of every operation; one mutex over the whole LRU serialised all
-/// of them. Striping by ring key keeps resolves of unrelated directories
-/// off each other's lock (total capacity is split evenly across stripes,
-/// so eviction becomes per-stripe LRU — same budget, slightly coarser
-/// recency).
-const RING_SHARDS: usize = 8;
-
 /// Lock stripes for the full-path resolve cache (entries are tiny and
 /// probed once per operation, so contention is the only sizing concern).
 const PATH_SHARDS: usize = 16;
@@ -58,21 +49,36 @@ pub enum PathAnswer {
     Missing,
 }
 
-/// The epoch fingerprint of a resolve: `(namespace, epoch)` of every ring
-/// it consulted, root first. Shared, because a hit on a directory hands it
-/// to the resolve of a child, which extends it by one ring.
-pub type Fingerprint = Arc<[(NamespaceId, u64)]>;
+/// One ring's mark in a fingerprint: the epoch its record held when a
+/// resolve read the ring, and the record's epoch itself, to re-read.
+#[derive(Debug, Clone, Default)]
+pub struct EpochMark {
+    /// The record's epoch; `None`: the ring had no record.
+    cell: Option<Arc<AtomicU64>>,
+    seen: u64,
+}
+
+impl EpochMark {
+    /// Whether the ring's record is still at the epoch this mark saw. An
+    /// epoch never takes a value twice and a removed record's reads 0, so a
+    /// mark that holds now held throughout: checking a fingerprint's marks
+    /// one by one, without a lock, is as good as at once.
+    pub(super) fn holds(&self) -> bool {
+        let current = self.cell.as_ref().map(|cell| cell.load(Ordering::Acquire));
+        self.seen != 0 && current == Some(self.seen)
+    }
+}
+
+/// The epoch fingerprint of a resolve: the [`EpochMark`] of every ring it
+/// consulted, root first. Shared, because a hit on a directory hands it to
+/// the resolve of a child, which extends it by one ring.
+pub type Fingerprint = Arc<[EpochMark]>;
 
 /// One full-path cache entry: the answer plus the epoch fingerprint of
-/// every ring consulted to produce it. The entry is valid exactly while
-/// every `(namespace, epoch)` pair still matches [`H2Middleware::ns_epoch`]
-/// — any ring write, gossip application, patch fold or GC notification on
-/// an ancestor bumps that ancestor's epoch and thereby invalidates exactly
-/// the affected subtree's entries (checked lazily at probe time).
-///
-/// The cache is keyed by the 64-bit hash of `(account, path)`; the entry
-/// keeps both so a probe can tell its own path from one that merely shares
-/// the hash (which it treats as a miss, and a store overwrites).
+/// every ring consulted to produce it, valid exactly while every mark
+/// holds (checked lazily at probe time). The cache is keyed by the 64-bit
+/// hash of `(account, path)`; the entry keeps both so a probe can tell its
+/// own path from one that merely shares the hash.
 struct PathEntry {
     account: Arc<str>,
     path: Box<str>,
@@ -80,60 +86,28 @@ struct PathEntry {
     answer: PathAnswer,
 }
 
-/// Write-stamped cache of parsed *global* rings (no local overlay),
-/// consulted by [`H2Middleware::read_ring`] — the O(d) resolve hot path.
-/// Kept fresh by write-through in `put_global_ring` and refresh on gossip;
-/// never consulted by `fetch_to_cache`, which must see the cloud's
-/// current object (the ring cycle of merges and gossip depends on that).
+/// The NameRing cache's counters. The cache keeps parsed *global* rings in
+/// the ring records for the resolve path, fresh by write-through and
+/// gossip; `fetch_to_cache` never consults it (ring cycles must see the
+/// cloud's current object).
 pub(super) struct RingCache {
-    /// Striped by ring key ([`RING_SHARDS`]); each stripe is an
-    /// independent LRU over an even share of the capacity. The rings are
-    /// shared: a hit hands out a refcount bump, not a clone of the tuples.
-    ring_cache: Vec<OrderedMutex<LruCache<FdKey, Arc<NameRing>, WordBuild>>>,
-    /// Write stamp ([`swiftsim::Object::modified_ms`], unique per write
-    /// across the cluster) of the copy of each ring that last entered the
-    /// cache (`None`: an absent object, cached as an empty ring); no entry
-    /// once it was dropped. The stamp is the ring's version: it guards a
-    /// fetched copy's entry into the cache, and a refetch that brings back
-    /// the same stamp brought back the same bytes, so it is no mutation —
-    /// even after the copy was evicted. An entry outlives its copy, so the
-    /// keys are this node's record of every ring it cached and did not
-    /// drop. See [`H2Middleware::cache_store`]. Taken innermost under a
-    /// stripe, so the cached copy and its stamp change together.
-    cached_ms: OrderedMutex<FdMap<Option<u64>>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
-    /// NameRing GETs that the cache absorbed (one per hit — kept as its own
-    /// counter so dashboards don't have to know that equivalence).
+    /// NameRing GETs that the cache absorbed (one per hit).
     gets_saved: Arc<Counter>,
     /// See [`RING_REFETCH_UNCHANGED`].
     refetch_unchanged: Arc<Counter>,
 }
 
 impl RingCache {
-    /// A cache of `capacity` parsed rings; `None` when `capacity` is 0.
+    /// `None` when `capacity` is 0.
     pub(super) fn new(capacity: usize, metrics: &MetricsRegistry) -> Option<Self> {
         (capacity > 0).then(|| RingCache {
-            ring_cache: (0..RING_SHARDS)
-                .map(|_| {
-                    OrderedMutex::new(
-                        lock_rank::CACHE_STRIPE,
-                        "middleware.ring_cache",
-                        LruCache::new(capacity.div_ceil(RING_SHARDS)),
-                    )
-                })
-                .collect(),
-            cached_ms: OrderedMutex::new(lock_rank::LEAF, "middleware.cached_ms", FdMap::default()),
             hits: metrics.counter(RING_CACHE_HITS),
             misses: metrics.counter(RING_CACHE_MISSES),
             gets_saved: metrics.counter(GETS_SAVED),
             refetch_unchanged: metrics.counter(RING_REFETCH_UNCHANGED),
         })
-    }
-
-    /// The stripe holding `key`.
-    fn ring_shard(&self, key: &FdKey) -> &OrderedMutex<LruCache<FdKey, Arc<NameRing>, WordBuild>> {
-        &self.ring_cache[key.hash as usize % RING_SHARDS]
     }
 }
 
@@ -143,17 +117,6 @@ impl RingCache {
 /// gossip, exactly the ring cache's contract.
 pub(super) struct PathCache {
     path_cache: Vec<OrderedMutex<LruCache<u64, PathEntry, WordBuild>>>,
-    /// Per-namespace mutation epochs backing the fingerprints. Bumped after
-    /// *every* mutation of this middleware's joined view of a ring —
-    /// global-cache store (written, or fetched unless the fetch brought
-    /// back the copy the cache last held), local-overlay patch fold, gossip
-    /// application, GC floor/forget/invalidate. Keyed by namespace alone:
-    /// non-root namespaces are globally unique UUIDs, and the shared `ROOT`
-    /// id merely makes a bump in one account invalidate other accounts'
-    /// root-anchored entries too — over-invalidation, never staleness.
-    /// Entries are never evicted (one u64 per touched namespace), so a
-    /// fingerprint can always be checked in O(1).
-    ns_epochs: OrderedRwLock<HashMap<NamespaceId, u64, WordBuild>>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
     neg_hits: Arc<Counter>,
@@ -179,11 +142,6 @@ impl PathCache {
                     )
                 })
                 .collect(),
-            ns_epochs: OrderedRwLock::new(
-                lock_rank::LEAF,
-                "middleware.ns_epochs",
-                HashMap::default(),
-            ),
             hits: metrics.counter(PATH_CACHE_HITS),
             misses: metrics.counter(PATH_CACHE_MISSES),
             neg_hits: metrics.counter(NEG_CACHE_HITS),
@@ -194,38 +152,50 @@ impl PathCache {
 }
 
 impl H2Middleware {
-    /// Cached copy of the global ring for `key`, if the cache is enabled
-    /// and holds one. Counts hit/miss. A hit is a refcount bump.
-    pub(super) fn cached_global(&self, key: &FdKey) -> Option<Arc<NameRing>> {
-        let rc = self.rings.as_ref()?;
-        let ring = rc.ring_shard(key).lock().get(key).map(Arc::clone);
-        match &ring {
-            Some(_) => {
+    /// What a read needs of `key`'s record, in one look: its epoch mark,
+    /// the NameRing cache's copy (a counted hit marks it most recently
+    /// used) and the descriptor's local version.
+    pub(super) fn read_record(
+        &self,
+        key: &FdKey,
+    ) -> (EpochMark, Option<Arc<NameRing>>, Option<Arc<NameRing>>) {
+        let read = {
+            let mut shard = self.ring_shard(key).lock();
+            let RingShard { records, lru, .. } = &mut *shard;
+            records.get(key).map_or(Default::default(), |record| {
+                if record.copy.is_some() {
+                    lru.get(key);
+                }
+                let mark = EpochMark {
+                    seen: record.epoch.load(Ordering::Acquire),
+                    cell: Some(Arc::clone(&record.epoch)),
+                };
+                let local = record.fd.as_ref().map(|fd| Arc::clone(&fd.local));
+                (mark, record.copy.clone(), local)
+            })
+        };
+        if let Some(rc) = &self.cache {
+            if read.1.is_some() {
                 rc.hits.incr();
                 rc.gets_saved.incr();
+            } else {
+                rc.misses.incr();
             }
-            None => rc.misses.incr(),
         }
-        ring
+        read
     }
 
     /// Store `ring` in the cache, stamped `ms` (`None`: the object was
-    /// absent and reads as an empty ring). A ring this middleware has just
-    /// `written` to the cloud replaces the entry unconditionally — the
-    /// cloud object now IS this ring. A ring obtained from a cloud *read*
-    /// is guarded: a fetch that raced with a concurrent write-through must
-    /// not replace the newer entry, so it only enters the cache if its
-    /// write stamp is at least the cached one. Write stamps only grow, so
-    /// a newer copy enters even when its newest tuple timestamp went
-    /// backwards (GC compaction can drop the newest tombstone).
+    /// absent). A ring this middleware has just `written` replaces the copy
+    /// unconditionally. A *fetched* ring enters only if its write stamp is
+    /// at least the cached copy's, so a fetch that raced a write-through
+    /// cannot replace the newer copy; stamps only grow, even where GC
+    /// compaction drops a ring's newest tuple.
     ///
     /// The epoch bumps unless a fetch brought back the copy the cache last
-    /// held — evicted since, or still there. Write stamps are unique per
-    /// write, so an equal stamp means identical bytes: nothing a path
-    /// entry was built from has changed, and the entries under this ring
-    /// outlive its eviction. A fetch that loses the guard bumps too: its
-    /// caller builds a view from a copy that is not the cached one, and the
-    /// entry it then stores must not validate.
+    /// held, evicted since or not: an equal stamp means identical bytes, so
+    /// the path entries under the ring outlive its eviction. A fetch that
+    /// loses the guard bumps too: its caller's view is not the cached copy.
     pub(super) fn cache_store(
         &self,
         key: &FdKey,
@@ -233,80 +203,43 @@ impl H2Middleware {
         ms: Option<u64>,
         written: bool,
     ) {
-        let Some(rc) = &self.rings else {
+        let Some(rc) = &self.cache else {
             return;
         };
         let unchanged = {
-            let mut cache = rc.ring_shard(key).lock();
-            let mut stamps = rc.cached_ms.lock();
-            let held = stamps.get(key).copied().flatten();
+            let mut shard = self.ring_shard(key).lock();
+            let record = shard.records.entry(key.clone()).or_default();
+            let held = record.stamp;
             // `None` (an absent object) orders below every stamp.
-            if !written && cache.peek(key).is_some() && ms < held {
-                false
-            } else {
-                cache.insert(key.clone(), Arc::clone(ring));
-                stamps.insert(key.clone(), ms);
-                !written && ms.is_some() && held == ms
+            let enters = written || record.copy.is_none() || ms >= held;
+            let unchanged = enters && !written && ms.is_some() && held == ms;
+            if enters {
+                record.copy = Some(Arc::clone(ring));
+                record.stamp = ms;
             }
+            if !unchanged {
+                bump(&record.epoch);
+            }
+            if enters {
+                // The LRU victim, if the stripe is full, loses its copy.
+                if let Some((victim, ())) = shard.lru.insert(key.clone(), ()) {
+                    if let Some(record) = shard.records.get_mut(&victim) {
+                        record.copy = None;
+                    }
+                }
+            }
+            unchanged
         };
         if unchanged {
             rc.refetch_unchanged.incr();
-        } else {
-            self.bump_ns_epoch(key.ns);
-        }
-    }
-
-    /// Drop the cached copy of `key`, if any, and bump its epoch.
-    pub(super) fn drop_cached(&self, key: &FdKey) {
-        if let Some(rc) = &self.rings {
-            let mut cache = rc.ring_shard(key).lock();
-            cache.remove(key);
-            rc.cached_ms.lock().remove(key);
-        }
-        self.bump_ns_epoch(key.ns);
-    }
-
-    /// The NameRing cache's record of each ring of `among` it has one for
-    /// (`None`: of every ring it has one for): the write stamp of the copy
-    /// it last took in, 0 for a copy of an absent object. A record outlives
-    /// its copy's eviction; only a drop removes it.
-    pub(super) fn cached_rings(&self, among: Option<&[FdKey]>) -> FdMap<u64> {
-        let Some(rc) = &self.rings else {
-            return FdMap::default();
-        };
-        let stamps = rc.cached_ms.lock();
-        let record = |key: &FdKey| Some((key.clone(), stamps.get(key)?.unwrap_or(0)));
-        match among {
-            Some(keys) => keys.iter().filter_map(record).collect(),
-            None => stamps.keys().filter_map(record).collect(),
         }
     }
 
     /// NameRing-cache `(hits, misses)` so far (zeros when disabled).
     pub fn ring_cache_stats(&self) -> (u64, u64) {
-        self.rings
+        self.cache
             .as_ref()
             .map_or((0, 0), |rc| (rc.hits.get(), rc.misses.get()))
-    }
-
-    /// Current mutation epoch of `ns` on this middleware (0 if never
-    /// bumped, or without a path cache). `PathCache::ns_epochs` says what
-    /// counts as a mutation.
-    pub fn ns_epoch(&self, ns: NamespaceId) -> u64 {
-        let Some(pc) = &self.paths else {
-            return 0;
-        };
-        pc.ns_epochs.read().get(&ns).copied().unwrap_or(0)
-    }
-
-    /// Bump `ns`'s epoch. Called *after* the mutation is visible, so a
-    /// fingerprint captured before a concurrent mutation's data is always
-    /// invalidated by its bump (the conservative direction — a racing
-    /// reader can over-invalidate, never validate stale data).
-    pub(super) fn bump_ns_epoch(&self, ns: NamespaceId) {
-        if let Some(pc) = &self.paths {
-            *pc.ns_epochs.write().entry(ns).or_insert(0) += 1;
-        }
     }
 
     /// Whether this middleware keeps a full-path cache (of positive
@@ -323,9 +256,8 @@ impl H2Middleware {
 
     /// The cached resolution of `path` under `keys`' account, with the
     /// entry's fingerprint so the resolve of a child can extend it by one
-    /// level instead of re-walking. The fingerprint is validated against
-    /// the current namespace epochs; a mismatched entry is dropped on the
-    /// spot (lazy invalidation) and reported as a miss.
+    /// level instead of re-walking. An entry whose fingerprint no longer
+    /// holds is dropped on the spot and reported as a miss.
     pub fn path_cache_lookup(
         &self,
         keys: &H2Keys,
@@ -338,19 +270,10 @@ impl H2Middleware {
         // path's own but an ancestor ring has moved on since.
         let found = match cache.get(&hash) {
             Some(entry) if *entry.path == *path && *entry.account == *keys.account() => {
-                // Epoch map is the innermost lock in this crate: it is only
-                // ever taken as a leaf, so holding the path stripe across
-                // it is safe.
-                let epochs = pc.ns_epochs.read();
-                let valid = entry
-                    .fp
-                    .iter()
-                    .all(|(ns, e)| epochs.get(ns).copied().unwrap_or(0) == *e);
-                if valid {
-                    Ok((entry.answer, Arc::clone(&entry.fp)))
-                } else {
-                    Err(true)
-                }
+                let valid = entry.fp.iter().all(EpochMark::holds);
+                valid
+                    .then(|| (entry.answer, Arc::clone(&entry.fp)))
+                    .ok_or(true)
             }
             _ => Err(false),
         };

@@ -117,7 +117,7 @@ impl H2Middleware {
             return self.commit_batch(ctx, keys, ns, std::iter::once(patch));
         }
         let key = FdKey::new(keys, ns);
-        let sync = Arc::clone(&self.fds.lock().entry(key).or_default().sync);
+        let sync = self.with_descriptor(&key, |fd, _| Arc::clone(&fd.sync));
         let mut st = sync.commit.lock();
         let ticket = st.next_ticket;
         st.next_ticket += 1;
@@ -189,14 +189,12 @@ impl H2Middleware {
             combined.merge_from(&patch);
         }
         let key = FdKey::new(keys, ns);
-        let base = {
-            let mut fds = self.fds.lock();
-            let fd = fds.entry(key.clone()).or_default();
+        let base = self.with_descriptor(&key, |fd, _| {
             let base = fd.next_patch;
             fd.next_patch += count;
             fd.pending.insert(base);
             base
-        };
+        });
         // Built once: retries re-send the same shared bytes.
         let payload = Payload::from_string(formatter::patch_to_string(&combined));
         let patch_key = keys.patch(ns, self.node, base);
@@ -204,30 +202,22 @@ impl H2Middleware {
             self.store
                 .put(ctx, &patch_key, payload.clone(), Meta::new())
         });
-        {
-            let mut fds = self.fds.lock();
-            let fd = fds.entry(key).or_default();
+        self.with_descriptor(&key, |fd, epoch| {
             if put.is_ok() {
                 Arc::make_mut(&mut fd.local).merge_from(&combined);
-                // A concurrent merge cycle may have consumed the chain entry
-                // while the PUT was in flight; it saw NotFound for this
-                // patch object and skipped it, so the object just written
-                // is referenced by nothing. Re-chain it: the next cycle
-                // merges and deletes it. (The content is also safe in
-                // `fd.local`, which every cycle folds in.)
+                // A merge cycle running during the PUT may have consumed
+                // the chain entry and skipped the then-missing object:
+                // re-chain it, so the next cycle merges and deletes it.
                 fd.pending.insert(base);
+                // The local overlay gained the batch.
+                bump(epoch);
             } else {
-                // The patch object never made it to the cloud: drop the
-                // chain entry so the merger does not chase a ghost, and
-                // skip the local fold so the failed write stays invisible,
-                // like any other failed operation.
+                // The patch never reached the cloud: unchain it and skip
+                // the fold, so the failed write stays invisible.
                 fd.pending.remove(&base);
             }
-        }
+        });
         put?;
-        // The local overlay gained the batch: write-through invalidation
-        // for any path/negative entry under this ring.
-        self.bump_ns_epoch(ns);
         if self.mode == MaintenanceMode::Eager {
             self.merge_ns(ctx, keys, ns)?;
         }
@@ -236,11 +226,22 @@ impl H2Middleware {
 
     /// How many descriptors have unmerged patch chains.
     pub fn pending_descriptors(&self) -> usize {
-        self.fds
-            .lock()
-            .values()
-            .filter(|fd| !fd.pending.is_empty())
-            .count()
+        self.pending_rings().len()
+    }
+
+    /// The rings whose descriptors have unmerged patch chains.
+    fn pending_rings(&self) -> Vec<FdKey> {
+        let mut rings = Vec::new();
+        for shard in &self.rings {
+            let shard = shard.lock();
+            for key in &shard.patched {
+                let fd = shard.records.get(key).and_then(|r| r.fd.as_ref());
+                if fd.is_some_and(|fd| !fd.pending.is_empty()) {
+                    rings.push(key.clone());
+                }
+            }
+        }
+        rings
     }
 
     /// Merge this node's patch chain for `ns` into the global NameRing
@@ -260,28 +261,20 @@ impl H2Middleware {
         // One merge cycle per ring at a time on this node. The gate is taken
         // even when the chain is empty: an Eager submitter whose patch an
         // in-flight cycle already took must wait for that cycle to land it.
-        let Some(sync) = self.fds.lock().get(&key).map(|fd| Arc::clone(&fd.sync)) else {
+        let Some(sync) = self.with_fd(&key, |fd| Arc::clone(&fd.sync)) else {
             return Ok(false);
         };
         let _cycle = sync.merge.lock();
-        let chain = {
-            let mut fds = self.fds.lock();
-            match fds.get_mut(&key) {
-                Some(fd) if !fd.pending.is_empty() => std::mem::take(&mut fd.pending),
-                _ => return Ok(false),
-            }
+        let chain = self.with_fd(&key, |fd| std::mem::take(&mut fd.pending));
+        let Some(chain) = chain.filter(|chain| !chain.is_empty()) else {
+            return Ok(false);
         };
         // h2lint: allow(guard-across-blocking): the merge gate serializes this ring's merge cycles on this node by design; only the same ring's next cycle (or an Eager submitter waiting for its patch to land) waits.
         ctx.charge_time(self.store.cost_model().patch_cycle_cpu);
         // Run the fallible cycle; on *any* failure, restore the chain so a
         // retry re-merges (crash recovery for the Background Merger).
         if let Err(e) = self.merge_cycle(ctx, keys, &key, &chain) {
-            self.fds
-                .lock()
-                .entry(key)
-                .or_default()
-                .pending
-                .extend(chain);
+            self.with_descriptor(&key, |fd, _| fd.pending.extend(chain));
             return Err(e);
         }
         Ok(true)
@@ -320,16 +313,13 @@ impl H2Middleware {
         }
         // The local version holds every patch this node submitted, so the
         // fold copies it only when a patch object knows more.
-        let folded = match self.fds.lock().get_mut(key) {
+        self.with_record(key, |record| match &mut record.fd {
             Some(fd) if !fd.local.subsumes(&big) => {
                 Arc::make_mut(&mut fd.local).merge_from(&big);
-                true
+                bump(&record.epoch);
             }
-            _ => false,
-        };
-        if folded {
-            self.bump_ns_epoch(key.ns);
-        }
+            _ => {}
+        });
         let cycle = self.ring_cycle(ctx, std::slice::from_ref(key)).pop();
         cycle.expect("one result per ring")?;
         for &no in chain {
@@ -354,13 +344,7 @@ impl H2Middleware {
     /// callers that loop "until nothing merges" terminate even while some
     /// rings keep failing.
     pub fn step_merges(&self) -> MergeOutcome {
-        let work: Vec<FdKey> = {
-            let fds = self.fds.lock();
-            fds.iter()
-                .filter(|(_, fd)| !fd.pending.is_empty())
-                .map(|(key, _)| key.clone())
-                .collect()
-        };
+        let work = self.pending_rings();
         if work.is_empty() {
             return MergeOutcome::default();
         }
@@ -447,37 +431,31 @@ impl H2Middleware {
     /// This node's local version of a ring, if it holds state for it.
     #[cfg(test)]
     pub(crate) fn local_ring(&self, keys: &H2Keys, ns: NamespaceId) -> Option<Arc<NameRing>> {
-        let fds = self.fds.lock();
-        fds.get(&FdKey::new(keys, ns))
-            .map(|fd| Arc::clone(&fd.local))
+        self.with_fd(&FdKey::new(keys, ns), |fd| Arc::clone(&fd.local))
     }
 
     /// Handle a whole inbox of gossip tuples in one sweep, with per-message
     /// results (index-aligned with `msgs`, so a failing message can be
-    /// requeued individually — batching never couples one message's fate
-    /// to another's). A message reports `Ok(true)` when it is news: it
-    /// names a ring this node holds (see `held`), in an object newer than
-    /// any of it this node has heard of. Every other message reports
-    /// `Ok(false)`, costs nothing and creates no state: either this node
-    /// already heard of an object at least as new (§3.3.2's loop-back
-    /// avoidance, by write stamp), or it keeps no state for the ring and
-    /// reads that ring from the cloud when it needs it.
+    /// requeued individually). A message reports `Ok(true)` when it is
+    /// news: it names a ring this node keeps a record of, in an object newer
+    /// than any of it this node has heard of ([`RingRecord::heard`]). Every
+    /// other message reports `Ok(false)`, costs nothing and creates no
+    /// state: it is old news (§3.3.2's loop-back avoidance), or this node
+    /// keeps nothing of the ring and reads it from the cloud when needed.
     ///
     /// `refresh` then runs `ring_cycle` once for each ring that is news, on
     /// behalf of all its messages.
     pub fn on_gossip_batch(&self, msgs: &[GossipMsg]) -> Vec<Result<bool>> {
-        let keys: Vec<FdKey> = msgs.iter().map(|m| FdKey::of(&m.account, m.ns)).collect();
-        let held = self.held(Some(&keys));
         // The rings that are news, in message order, and each message's
         // slot among them.
         let mut rings: Vec<FdKey> = Vec::new();
         let mut slots: FdMap<usize> = FdMap::default();
-        let news: Vec<Option<usize>> = keys
-            .into_iter()
-            .zip(msgs)
-            .map(|(key, msg)| {
-                let fresh = held.get(&key).is_some_and(|&heard| heard < msg.stamp);
-                fresh.then(|| {
+        let news: Vec<Option<usize>> = msgs
+            .iter()
+            .map(|msg| {
+                let key = FdKey::of(&msg.account, msg.ns);
+                let heard = self.with_record(&key, |record| record.heard());
+                heard.is_some_and(|heard| heard < msg.stamp).then(|| {
                     *slots.entry(key.clone()).or_insert_with(|| {
                         rings.push(key);
                         rings.len() - 1
@@ -492,44 +470,27 @@ impl H2Middleware {
     }
 
     /// Bounded anti-entropy sweep: `refresh` every NameRing this
-    /// middleware holds (see `held`). Returns how many rings were
-    /// refreshed.
+    /// middleware keeps a record of. Returns how many rings were refreshed.
     ///
     /// This closes the post-fault re-convergence gap: gossip only refreshes
     /// rings whose update notifications *arrived*, so a notification dropped
     /// during a fault window leaves the held copy stale until some later
-    /// write happens to touch that ring. A resync revalidates every held
-    /// ring unconditionally (each refresh bumps the namespace epoch, so
-    /// dependent full-path cache entries are invalidated too), a ring whose
-    /// cached copy was evicted included: its path entries outlive the copy.
-    /// The sweep is bounded by this node's own state — it never enumerates
-    /// the cloud and creates no state — and the same call doubles as the
-    /// cache refresh after a placement-ring swap (an `add_node`,
-    /// `drain_node` or `set_weight`): the re-fetches run under the new
-    /// placement, re-validating any answer the old one produced.
+    /// write happens to touch that ring. A resync revalidates every record
+    /// (each refresh bumps its epoch, invalidating dependent path entries),
+    /// one whose copy was evicted included: its path entries outlive the
+    /// copy. The sweep is bounded by this node's own state and creates
+    /// none, and it doubles as the cache refresh after a placement-ring
+    /// swap (an `add_node`, `drain_node` or `set_weight`): the re-fetches
+    /// run under the new placement.
     pub fn resync(&self) -> Result<usize> {
-        let mut rings: Vec<FdKey> = self.held(None).into_keys().collect();
+        let mut rings: Vec<FdKey> = Vec::new();
+        for shard in &self.rings {
+            rings.extend(shard.lock().records.keys().cloned());
+        }
         rings.sort_by(|a, b| (&a.account, a.ns).cmp(&(&b.account, b.ns)));
         let results = self.refresh("RESYNC", &rings);
         results.into_iter().collect::<Result<()>>()?;
         Ok(rings.len())
-    }
-
-    /// The rings this node holds among `among` (`None`: all of them), each
-    /// with the newest write stamp it has heard of the ring: every ring it
-    /// keeps a descriptor for, with the descriptor's `heard`, and every
-    /// other ring its NameRing cache keeps a record of, with the record's
-    /// stamp. A node keeps state for no other ring, so gossip and `resync`
-    /// have nothing of one to refresh: the node reads it from the cloud.
-    fn held(&self, among: Option<&[FdKey]>) -> FdMap<u64> {
-        let mut held = self.cached_rings(among);
-        let fds = self.fds.lock();
-        let heard = |key: &FdKey| Some((key.clone(), fds.get(key)?.heard));
-        match among {
-            Some(keys) => held.extend(keys.iter().filter_map(heard)),
-            None => held.extend(fds.keys().filter_map(heard)),
-        }
-        held
     }
 
     /// [`ring_cycle`](Self::ring_cycle) over `rings` as one background
@@ -558,10 +519,9 @@ impl H2Middleware {
     /// The one read-modify-write of ring objects, shared by merge cycles,
     /// gossip and resync, on the caller's context: fetch each of `rings`
     /// from the cloud into the NameRing cache, fold every fetched ring into
-    /// its descriptor under one descriptor-lock acquisition (a ring without
-    /// one is only re-cached), bump its namespace epoch, and where this
-    /// node knew updates the global object lacked, write the join back and
-    /// announce it. Returns one result per ring; a failure fails only its
+    /// its descriptor (a ring without one is only re-cached) and bump its
+    /// epoch under the record's lock, and where this node knew updates the
+    /// global object lacked, write the join back and announce it. Returns one result per ring; a failure fails only its
     /// own ring, and the fold is idempotent on a retry.
     fn ring_cycle(&self, ctx: &mut OpCtx, rings: &[FdKey]) -> Vec<Result<()>> {
         let mut results: Vec<Result<()>> = vec![Ok(()); rings.len()];
@@ -572,20 +532,15 @@ impl H2Middleware {
                 Err(e) => results[i] = Err(e),
             }
         }
-        let mut folded: Vec<NamespaceId> = Vec::new();
         let mut writebacks: Vec<(usize, Arc<NameRing>)> = Vec::new();
-        {
-            let mut fds = self.fds.lock();
-            for (i, (global, stamp)) in fetched {
-                folded.push(rings[i].ns);
-                let fd = fds.get_mut(&rings[i]);
-                if let Some(joined) = fd.and_then(|fd| fd.absorb(global, stamp)) {
-                    writebacks.push((i, joined));
-                }
+        for (i, (global, stamp)) in fetched {
+            let joined = self.with_record(&rings[i], |record| {
+                bump(&record.epoch);
+                record.fd.as_mut()?.absorb(global, stamp)
+            });
+            if let Some(joined) = joined.flatten() {
+                writebacks.push((i, joined));
             }
-        }
-        for ns in folded {
-            self.bump_ns_epoch(ns);
         }
         for (i, joined) in writebacks {
             ctx.span_note("write_back", || {

@@ -1,14 +1,14 @@
 //! The H2Middleware (§4.2): H2 Lookup, NameRing Maintenance, Gossip.
 //!
 //! Each middleware wraps the object cloud the way a Swift proxy server is
-//! wrapped in the paper's deployment. It holds:
+//! wrapped in the paper's deployment. It holds one record per NameRing it
+//! knows of, in one striped map, and in it:
 //!
 //! * the **File Descriptor Cache** — one descriptor per NameRing this node
 //!   has submitted a patch to, tracking the node's local (possibly not yet
 //!   globally merged) version of the ring and the chain of
 //!   submitted-but-unmerged patches (§3.3.2 phase 2, step 1), plus the
-//!   ring's merge gate and group-commit queue — the only per-ring
-//!   maintenance state a node keeps;
+//!   ring's merge gate and group-commit queue;
 //! * the **Background Merger** — merges a node's patch chain into one "big"
 //!   patch, folds it into the local version and writes the join to the
 //!   cloud through the one read-modify-write that gossip and resync run
@@ -16,10 +16,9 @@
 //! * the **Gossip Arrangement** — emits `(N_i, H_j, t_k)` update
 //!   notifications to peer middlewares through its outbox and applies the
 //!   ones queued in its inbox. A notification is news only for a ring this
-//!   node holds (a descriptor or a NameRing-cache record), and only if it
-//!   names an object newer than any this node has heard of (§3.3.2's
-//!   loop-back avoidance, by write stamp); a node that holds nothing of a
-//!   ring reads it from the cloud when it needs it.
+//!   node holds a record of, and only if it names an object newer than any
+//!   this node has heard of (§3.3.2's loop-back avoidance, by write stamp);
+//!   a node that holds nothing of a ring reads it from the cloud.
 //!
 //! Maintenance runs in one of two modes:
 //!
@@ -31,7 +30,7 @@
 //!   merge when [`H2Middleware::step_merges`] (or the layer's pump/threads)
 //!   runs, the paper's actual asynchronous protocol.
 //!
-//! This file holds the middleware, its descriptors and the retry and
+//! This file holds the middleware, its ring records and the retry and
 //! accounting shell; `content.rs` has both content planes, `cache.rs` the
 //! NameRing and full-path caches, `ring.rs` ring reads and writes and the
 //! GC notifications, `maintenance.rs` patch submission, merge, gossip and
@@ -44,7 +43,7 @@ mod ring;
 #[cfg(test)]
 mod tests;
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, OnceLock};
 
@@ -56,7 +55,7 @@ use h2util::trace::Stage::{self, Content, Ring};
 use h2util::trace::{Note, StageHistograms, StageTimes, TraceCollector, DEFAULT_TRACE_CAP};
 use h2util::{
     hash64, lock_rank, H2Error, HybridClock, LruCache, NamespaceId, NodeId, OpCtx, OrderedMutex,
-    OrderedRwLock, Result, RetryPolicy, Timestamp, WordBuild,
+    Result, RetryPolicy, Timestamp, WordBuild,
 };
 use swiftsim::{Cluster, Meta, Object, ObjectKey, ObjectStore, Payload};
 
@@ -66,8 +65,8 @@ use crate::keys::{DirDescriptor, H2Keys};
 use crate::namering::{NameRing, RingView};
 
 pub use cache::{
-    Fingerprint, PathAnswer, GETS_SAVED, NEG_CACHE_HITS, PATH_CACHE_HITS, PATH_CACHE_MISSES,
-    RING_CACHE_HITS, RING_CACHE_MISSES, RING_REFETCH_UNCHANGED,
+    EpochMark, Fingerprint, PathAnswer, GETS_SAVED, NEG_CACHE_HITS, PATH_CACHE_HITS,
+    PATH_CACHE_MISSES, RING_CACHE_HITS, RING_CACHE_MISSES, RING_REFETCH_UNCHANGED,
 };
 use cache::{PathCache, RingCache};
 pub use content::{
@@ -80,9 +79,9 @@ pub use maintenance::{
 pub use ring::RING_FETCHES;
 
 /// Per-NameRing state in the File Descriptor Cache, one descriptor per
-/// NameRing this node has submitted a patch to: the only record this node
-/// keeps about a ring it maintains, so dropping the descriptor drops all of
-/// it. Only patch submission creates one; a ring write never does.
+/// NameRing this node has submitted a patch to, kept in the ring's
+/// [`RingRecord`]. Only patch submission creates one; a ring write never
+/// does.
 #[derive(Default)]
 struct FileDescriptor {
     /// This node's local version of the ring (its own submitted patches are
@@ -97,12 +96,11 @@ struct FileDescriptor {
     /// Next patch number to hand out.
     next_patch: u32,
     /// The newest write stamp of the ring object this node has absorbed
-    /// through a fetch or written through `write_ring`. Stamps are unique
-    /// and monotone across the cluster, so an object with a stamp at most
-    /// this one is folded into `local` already, or was overwritten by one
-    /// that is: gossip carrying it is no news (§3.3.2's loop-back
-    /// avoidance; a merge can fold in a write older than the ring's newest
-    /// tuple, so the tuples' maximum stamp cannot tell).
+    /// through a ring cycle or written through `write_ring`. Stamps are
+    /// unique and monotone across the cluster, so an object with a stamp at
+    /// most this one is folded into `local` already, or was overwritten by
+    /// one that is (a merge can fold in a write older than the ring's
+    /// newest tuple, so the tuples' maximum stamp cannot tell).
     heard: u64,
     /// The ring's merge gate and commit queue.
     sync: Arc<RingSync>,
@@ -162,12 +160,80 @@ impl Default for RingSync {
     }
 }
 
+/// Lock stripes of the ring records, each with an even share of the
+/// NameRing cache's capacity (so eviction is per-stripe LRU).
+const RING_SHARDS: usize = 8;
+
+/// Everything this node knows about one NameRing, under one stripe lock. A
+/// record exists while it keeps a descriptor, which only a patch makes, or
+/// a cache record, which only the NameRing cache makes while it is on.
+#[derive(Default)]
+struct RingRecord {
+    /// Boxed: most records are cache records, which it keeps small.
+    fd: Option<Box<FileDescriptor>>,
+    /// The NameRing cache's copy of the ring object, without the local
+    /// overlay; the stripe's LRU evicts it and keeps the record.
+    copy: Option<Arc<NameRing>>,
+    /// Write stamp of the copy that last entered the cache (`None`: an
+    /// absent object, or none entered): it guards a fetched copy's entry,
+    /// and a refetch with the same stamp brought back the same bytes. See
+    /// [`H2Middleware::cache_store`].
+    stamp: Option<u64>,
+    /// The namespace epoch, [`bump`]ed after every mutation of this node's
+    /// joined view of the ring; 0: never bumped. Shared with the path
+    /// cache's fingerprints ([`EpochMark`]), which re-read it unlocked.
+    epoch: Arc<AtomicU64>,
+}
+
+impl RingRecord {
+    /// The newest write stamp of the ring this node has heard of, which
+    /// gossip must exceed to be news: the descriptor's `heard`, else the
+    /// cached copy's stamp. Never their maximum: a resolve-path fetch can
+    /// cache a peer's stale write-back without folding it into `local`, and
+    /// the peer's announcement must still make this node write back.
+    fn heard(&self) -> u64 {
+        self.fd
+            .as_ref()
+            .map_or(self.stamp.unwrap_or(0), |fd| fd.heard)
+    }
+}
+
+/// Move a ring's epoch on, under its record's lock with the mutation it
+/// announces. An epoch only grows and a removed record's reads 0, so a mark
+/// never holds again once its ring has moved on. The `Release` pairs with
+/// [`EpochMark`]'s `Acquire` loads.
+fn bump(epoch: &AtomicU64) {
+    epoch.fetch_add(1, Ordering::Release);
+}
+
+/// One lock stripe of the ring records.
+struct RingShard {
+    records: FdMap<RingRecord>,
+    /// The records holding a descriptor, so the merger's sweep walks the
+    /// rings this node patched, not every cache record.
+    patched: HashSet<FdKey, WordBuild>,
+    /// The NameRing cache's recency over the records holding a copy.
+    lru: LruCache<FdKey, (), WordBuild>,
+}
+
+impl RingShard {
+    /// Drop `key`'s record. Its epoch reads 0 from now on, so no
+    /// fingerprint built on it validates again.
+    fn remove(&mut self, key: &FdKey) {
+        self.lru.remove(key);
+        self.patched.remove(key);
+        if let Some(record) = self.records.remove(key) {
+            record.epoch.store(0, Ordering::Release);
+        }
+    }
+}
+
 /// Key of a per-(account, namespace) entry. It shares the account name
 /// with the [`H2Keys`] it was minted from and carries its hash — the
 /// account's XXH64, which `H2Keys` computed once for the whole operation,
 /// folded with the namespace's words — so minting one allocates nothing and
 /// no map hashes the account text per probe. The same hash picks the
-/// ring-cache stripe.
+/// record's stripe.
 #[derive(Debug, Clone)]
 struct FdKey {
     hash: u64,
@@ -219,13 +285,14 @@ pub struct H2Middleware {
     mode: MaintenanceMode,
     clock: HybridClock,
     ns_alloc: NamespaceAllocator,
-    /// The NameRing cache (see [`RingCache`]); `None` when
-    /// `cache_capacity` is 0.
-    rings: Option<RingCache>,
+    /// The ring records, striped by ring key.
+    rings: Vec<OrderedMutex<RingShard>>,
+    /// The NameRing cache's counters; `None` when `cache_capacity` is 0,
+    /// and then no record keeps a copy or stamp.
+    cache: Option<RingCache>,
     /// The full-path resolve cache (see [`PathCache`]); `None` unless the
     /// ring cache is on and it keeps positive or negative answers.
     paths: Option<PathCache>,
-    fds: OrderedMutex<FdMap<FileDescriptor>>,
     /// When true, concurrent `submit_patch` calls against the same ring
     /// coalesce behind a per-ring commit leader (one combined patch PUT per
     /// batch); when false, every submission is a batch of one.
@@ -286,9 +353,21 @@ impl H2Middleware {
             clock: HybridClock::new(node, 1_600_000_000_000),
             ns_alloc: NamespaceAllocator::new(node),
             mode: cfg.mode,
-            rings: RingCache::new(cfg.cache_capacity, metrics),
+            rings: (0..RING_SHARDS)
+                .map(|_| {
+                    OrderedMutex::new(
+                        lock_rank::LEAF,
+                        "middleware.rings",
+                        RingShard {
+                            records: FdMap::default(),
+                            patched: HashSet::default(),
+                            lru: LruCache::new(cfg.cache_capacity.div_ceil(RING_SHARDS)),
+                        },
+                    )
+                })
+                .collect(),
+            cache: RingCache::new(cfg.cache_capacity, metrics),
             paths: PathCache::new(cfg, metrics),
-            fds: OrderedMutex::new(lock_rank::LEAF, "middleware.fds", FdMap::default()),
             group_commit: cfg.group_commit,
             part_stamp: AtomicU64::new(0),
             cas: cfg.cas,
@@ -408,6 +487,39 @@ impl H2Middleware {
         let mut bg = self.background.lock();
         bg.0.add(&stages);
         bg.1.add(&counts);
+    }
+
+    /// The stripe holding `key`'s record.
+    fn ring_shard(&self, key: &FdKey) -> &OrderedMutex<RingShard> {
+        &self.rings[key.hash as usize % RING_SHARDS]
+    }
+
+    /// `f` on `key`'s record, if there is one.
+    fn with_record<T>(&self, key: &FdKey, f: impl FnOnce(&mut RingRecord) -> T) -> Option<T> {
+        self.ring_shard(key).lock().records.get_mut(key).map(f)
+    }
+
+    /// `f` on `key`'s descriptor, if there is one.
+    fn with_fd<T>(&self, key: &FdKey, f: impl FnOnce(&mut FileDescriptor) -> T) -> Option<T> {
+        let mut shard = self.ring_shard(key).lock();
+        shard.records.get_mut(key)?.fd.as_deref_mut().map(f)
+    }
+
+    /// `f` on `key`'s descriptor, made first if there is none (only patch
+    /// submission does that), and its record's epoch.
+    fn with_descriptor<T>(
+        &self,
+        key: &FdKey,
+        f: impl FnOnce(&mut FileDescriptor, &AtomicU64) -> T,
+    ) -> T {
+        let mut guard = self.ring_shard(key).lock();
+        let shard = &mut *guard;
+        let record = shard.records.entry(key.clone()).or_default();
+        if record.fd.is_none() {
+            shard.patched.insert(key.clone());
+        }
+        let fd = record.fd.get_or_insert_with(Default::default);
+        f(fd, &record.epoch)
     }
 
     /// Built once per process: every directory descriptor shares this map.

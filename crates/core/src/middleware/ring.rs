@@ -10,46 +10,59 @@ use super::*;
 pub const RING_FETCHES: &str = "ring_fetches";
 
 impl H2Middleware {
-    /// Drop the cached copy of `(account, ns)`, if any. Called by GC after
-    /// it compacts the ring object out from under the middleware.
+    /// Drop the cached copy of `(account, ns)` and its stamp, and with them
+    /// every path entry built on the ring: a record that keeps a descriptor
+    /// gets a new epoch, any other goes. Called by GC after it compacts the
+    /// ring object out from under the middleware.
     pub fn invalidate_ring(&self, account: &str, ns: NamespaceId) {
-        self.drop_cached(&FdKey::of(account, ns));
-    }
-
-    /// GC notification: the global ring for `(account, ns)` is being
-    /// compacted at `horizon`. Floor this middleware's local version to the same
-    /// horizon, so a tombstone GC already reclaimed can't re-enter the
-    /// global object through a later merge's local-overlay join (tombstone
-    /// resurrection). GC calls it before it writes the compacted ring, and
-    /// drops the cached copies with [`invalidate_ring`](Self::invalidate_ring)
-    /// after.
-    pub fn gc_floor(&self, account: &str, ns: NamespaceId, horizon: Timestamp) {
-        let mut fds = self.fds.lock();
-        // Copy a shared local ring only when there is something to drop.
-        if let Some(fd) = fds.get_mut(&FdKey::of(account, ns)) {
-            if fd.local.has_tombstone_below(horizon) {
-                Arc::make_mut(&mut fd.local).floor_tombstones(horizon);
+        let key = FdKey::of(account, ns);
+        let mut guard = self.ring_shard(&key).lock();
+        let shard = &mut *guard;
+        match shard.records.get_mut(&key) {
+            Some(record) if record.fd.is_some() => {
+                shard.lru.remove(&key);
+                record.copy = None;
+                record.stamp = None;
+                bump(&record.epoch);
             }
+            _ => shard.remove(&key),
         }
     }
 
-    /// GC notification: the ring object for `(account, ns)` was deleted
-    /// (its directory is unreachable). Drop every bit of local state that
-    /// refers to it — the descriptor, with its chain, merge gate and commit
-    /// queue, and the cached copy — so this middleware can't write the dead
-    /// ring back.
-    pub fn forget_ring(&self, account: &str, ns: NamespaceId) {
-        let key = FdKey::of(account, ns);
-        self.fds.lock().remove(&key);
-        self.drop_cached(&key);
+    /// GC notification: the global ring for `(account, ns)` is being
+    /// compacted at `horizon`. Floor this middleware's local version to the
+    /// same horizon, so a tombstone GC reclaimed can't re-enter the global
+    /// object through a later merge's join (tombstone resurrection). GC
+    /// calls it before it writes the compacted ring, and
+    /// [`invalidate_ring`](Self::invalidate_ring) after.
+    pub fn gc_floor(&self, account: &str, ns: NamespaceId, horizon: Timestamp) {
+        self.with_fd(&FdKey::of(account, ns), |fd| {
+            // Copy a shared local ring only when there is something to drop.
+            if fd.local.has_tombstone_below(horizon) {
+                Arc::make_mut(&mut fd.local).floor_tombstones(horizon);
+            }
+        });
     }
 
-    /// Entries across this middleware's per-ring maintenance maps — the
-    /// descriptor cache is the only one. (The ring cache and its write
-    /// stamps are caches, which GC notifications prune on their own.)
+    /// GC notification: the ring object for `(account, ns)` was deleted
+    /// (its directory is unreachable). Drop its record, descriptor and all,
+    /// so this middleware can't write the dead ring back.
+    pub fn forget_ring(&self, account: &str, ns: NamespaceId) {
+        let key = FdKey::of(account, ns);
+        self.ring_shard(&key).lock().remove(&key);
+    }
+
+    /// How many descriptors this middleware keeps: its per-ring
+    /// maintenance state.
     #[cfg(test)]
     pub(crate) fn ring_state_entries(&self) -> usize {
-        self.fds.lock().len()
+        self.rings.iter().map(|s| s.lock().patched.len()).sum()
+    }
+
+    /// How many ring records this middleware keeps, descriptors or not.
+    #[cfg(test)]
+    pub(crate) fn ring_records(&self) -> usize {
+        self.rings.iter().map(|s| s.lock().records.len()).sum()
     }
 
     /// Materialised variant of [`read_ring_view`](Self::read_ring_view) for
@@ -73,38 +86,34 @@ impl H2Middleware {
         self.read_ring_view_stamped(ctx, keys, ns).map(|(v, _)| v)
     }
 
-    /// [`read_ring_view`](Self::read_ring_view) plus the namespace epoch
-    /// observed *before* the ring was read. Fingerprinting resolves with
-    /// this pre-read epoch is conservative by construction: any mutation
-    /// that lands after the epoch read bumps past it, so an entry built
-    /// from this view can never validate against data it did not see. (The
-    /// cost is one wasted store when the read was a cloud fetch of a copy
-    /// the cache had not held before — that fetch's own cache store bumps
-    /// the epoch — which the next walk repairs. Refetching an evicted ring
-    /// that nobody rewrote bumps nothing and wastes nothing.)
+    /// [`read_ring_view`](Self::read_ring_view) plus the ring's epoch mark,
+    /// read with the cached copy and the local version, or before a fetch.
+    /// Any mutation after that bumps past it, so an entry built from this
+    /// view never validates against data it did not see. (A fetch of a copy
+    /// the cache did not hold bumps too, wasting the entry stored from it
+    /// until the next walk; refetching an unchanged evicted ring does not.)
     pub fn read_ring_view_stamped(
         &self,
         ctx: &mut OpCtx,
         keys: &H2Keys,
         ns: NamespaceId,
-    ) -> Result<(RingView, u64)> {
+    ) -> Result<(RingView, EpochMark)> {
         ctx.span(Stage::Resolve, "read_ring", |ctx| {
             ctx.span_note("ns", || Note::Ns(ns));
             let key = FdKey::new(keys, ns);
-            let epoch = self.ns_epoch(ns);
-            let (global, hit) = match self.cached_global(&key) {
+            let (epoch, cached, overlay) = self.read_record(&key);
+            let (global, hit) = match cached {
                 Some(cached) => {
                     ctx.span_note("ring_cache", || Note::Str("hit"));
                     (cached, true)
                 }
                 None => {
-                    if self.rings.is_some() {
+                    if self.cache.is_some() {
                         ctx.span_note("ring_cache", || Note::Str("miss"));
                     }
                     (self.fetch_to_cache(ctx, keys, &key)?.0, false)
                 }
             };
-            let overlay = self.fds.lock().get(&key).map(|fd| Arc::clone(&fd.local));
             let view = RingView::new(global, overlay);
             Ok((if hit { view.mark_cached() } else { view }, epoch))
         })
@@ -254,9 +263,7 @@ impl H2Middleware {
         ring: &Arc<NameRing>,
     ) -> Result<()> {
         let stamp = self.put_global_ring(ctx, keys, ns, ring)?;
-        if let Some(fd) = self.fds.lock().get_mut(&FdKey::new(keys, ns)) {
-            fd.hear(Some(stamp));
-        }
+        self.with_fd(&FdKey::new(keys, ns), |fd| fd.hear(Some(stamp)));
         self.outbox.lock().push(GossipMsg {
             account: keys.account().to_string(),
             ns,

@@ -248,16 +248,16 @@ fn a_fetched_ring_enters_the_cache_by_write_stamp() {
         }
         Arc::new(ring)
     };
-    let cached = |mw: &H2Middleware| mw.cached_global(&key).unwrap();
+    let cached = |mw: &H2Middleware| mw.read_record(&key).1.unwrap();
     let held = ring(&[
         ("f", Tuple::file(old, 1)),
         ("g", Tuple::file(old, 1).tombstone(mid)),
     ]);
     mw.cache_store(&key, &held, Some(20), true);
-    let epoch = mw.ns_epoch(ns(1));
+    let mark = mw.read_record(&key).0;
     mw.cache_store(&key, &ring(&[("f", Tuple::file(new, 1))]), Some(10), false);
     assert!(Arc::ptr_eq(&cached(&mw), &held), "older stamp replaced");
-    assert!(mw.ns_epoch(ns(1)) > epoch, "refused fetch bumped no epoch");
+    assert!(!mark.holds(), "refused fetch bumped no epoch");
     let compacted = ring(&[("f", Tuple::file(old, 1))]);
     mw.cache_store(&key, &compacted, Some(30), false);
     assert!(Arc::ptr_eq(&cached(&mw), &compacted), "newer stamp refused");
@@ -578,9 +578,10 @@ fn merge_pump_loop_terminates_while_merges_keep_failing() {
 #[test]
 fn middleware_locks_sit_in_the_validated_hierarchy() {
     // The merge gate is held across a cycle's cloud requests, so it
-    // ranks outside every store lock; `fds` is a leaf. Taking the gate
-    // under `fds` inverts the hierarchy, and the validator must report
-    // it as a panic naming both locks, not let it deadlock some day.
+    // ranks outside every store lock; a ring-record stripe is a leaf.
+    // Taking the gate under the stripe inverts the hierarchy, and the
+    // validator must report it as a panic naming both locks, not let it
+    // deadlock some day.
     if !h2util::lockorder::validation_enabled() {
         return;
     }
@@ -592,19 +593,20 @@ fn middleware_locks_sit_in_the_validated_hierarchy() {
     assert_eq!(mw.pending_descriptors(), 1);
     let key = FdKey::new(&keys, ns(1));
     let inverted = std::thread::spawn(move || {
-        let fds = mw.fds.lock();
-        let Some(sync) = fds.get(&key).map(|fd| Arc::clone(&fd.sync)) else {
+        let shard = mw.ring_shard(&key).lock();
+        let Some(fd) = shard.records.get(&key).and_then(|r| r.fd.as_ref()) else {
             return;
         };
+        let sync = Arc::clone(&fd.sync);
         // h2lint: allow(lock-order): the inversion is the point — this test asserts that the runtime validator panics on it.
         let _gate = sync.merge.lock();
     })
     .join()
-    .expect_err("taking the merge gate under `fds` must panic");
+    .expect_err("taking the merge gate under a record stripe must panic");
     let msg = inverted.downcast_ref::<String>().map_or("", String::as_str);
     assert!(msg.contains("lock-order violation"), "{msg}");
     assert!(
-        msg.contains("middleware.merge_gate") && msg.contains("middleware.fds"),
+        msg.contains("middleware.merge_gate") && msg.contains("middleware.rings"),
         "{msg}"
     );
 }

@@ -797,6 +797,98 @@ fn resync_repairs_a_ring_read_and_then_evicted() {
     assert_eq!(stat_requests(&b, "/d/f").1, Ok(8192));
 }
 
+/// Path-cache hits so far, across the middlewares of `fs`.
+fn path_hits(fs: &H2Cloud) -> u64 {
+    fs.metrics()
+        .counter_value(h2cloud::middleware::PATH_CACHE_HITS)
+}
+
+/// GC's invalidation removes a ring record B keeps no descriptor in; the
+/// record B's next read makes draws a fresh epoch. A path entry built on
+/// the old record must die with it, though the new record has seen as many
+/// bumps as the old one had when the entry was stored: epochs come from
+/// one counter per middleware, not one per record.
+#[test]
+fn a_remade_ring_record_cannot_revalidate_an_old_path_entry() {
+    let fs = tuned_small_caches();
+    let a = fs.via(0);
+    let b = fs.via(1);
+    let mut ctx = OpCtx::for_test();
+    a.create_account(&mut ctx, "alice").unwrap();
+    a.mkdir(&mut ctx, "alice", &p("/d")).unwrap();
+    a.write(&mut ctx, "alice", &p("/d/f"), FileContent::Simulated(64))
+        .unwrap();
+    fs.quiesce();
+    // The first STAT fetches `/d`'s ring, so what it stores is born
+    // invalid; the second stores an entry that holds, and the third hits.
+    for _ in 0..2 {
+        assert_eq!(stat_requests(&b, "/d/f").1, Ok(64));
+    }
+    let hits = path_hits(&fs);
+    assert_eq!(stat_requests(&b, "/d/f"), (0, Ok(64)));
+    assert_eq!(path_hits(&fs) - hits, 1);
+
+    let keys = h2cloud::H2Keys::new("alice");
+    let d = b
+        .middleware()
+        .get_descriptor(&mut ctx, &keys, h2util::NamespaceId::ROOT, "d")
+        .unwrap()
+        .ns;
+    b.middleware().invalidate_ring("alice", d);
+    a.delete_file(&mut ctx, "alice", &p("/d/f")).unwrap();
+    let drop_all = h2cloud::layer::GossipFaults {
+        drop_every: 1,
+        duplicate_every: 0,
+    };
+    fs.layer().pump_with_faults(drop_all).unwrap();
+    assert!(b.list(&mut ctx, "alice", &p("/d")).unwrap().is_empty());
+    assert!(matches!(
+        b.stat(&mut ctx, "alice", &p("/d/f")),
+        Err(h2util::H2Error::NotFound(_))
+    ));
+}
+
+/// Every account's root is the namespace `ROOT`, but epochs are kept per
+/// account: a MKDIR at one account's root leaves another account's path
+/// entries on the same middleware valid.
+#[test]
+fn a_root_write_in_one_account_keeps_another_accounts_path_entries() {
+    let fs = H2Cloud::new(H2Config::for_test());
+    let mut ctx = OpCtx::for_test();
+    for account in ["alice", "bob"] {
+        fs.create_account(&mut ctx, account).unwrap();
+    }
+    fs.mkdir(&mut ctx, "bob", &p("/d")).unwrap();
+    fs.write(&mut ctx, "bob", &p("/d/f"), FileContent::Simulated(64))
+        .unwrap();
+    let stat_is_a_hit = || {
+        let hits = path_hits(&fs);
+        let mut ctx = OpCtx::for_test();
+        assert_eq!(fs.stat(&mut ctx, "bob", &p("/d/f")).unwrap().size, 64);
+        path_hits(&fs) - hits == 1
+    };
+    assert!((0..3).any(|_| stat_is_a_hit()), "bob's entry never held");
+    fs.mkdir(&mut ctx, "alice", &p("/x")).unwrap();
+    assert!(
+        stat_is_a_hit(),
+        "alice's root write invalidated bob's entry"
+    );
+}
+
+/// Bulk import adds a directory to one that exists: the new directory's
+/// parent resolves like a file's.
+#[test]
+fn bulk_import_adds_a_directory_to_an_existing_one() {
+    let (fs, mut ctx) = setup();
+    fs.mkdir(&mut ctx, "alice", &p("/d")).unwrap();
+    fs.bulk_import(&mut ctx, "alice", &[p("/d/x")], &[(p("/d/x/f"), 3)])
+        .unwrap();
+    fs.quiesce();
+    assert_eq!(fs.list(&mut ctx, "alice", &p("/d")).unwrap(), ["x"]);
+    assert_eq!(fs.list(&mut ctx, "alice", &p("/d/x")).unwrap(), ["f"]);
+    assert_eq!(fs.stat(&mut ctx, "alice", &p("/d/x/f")).unwrap().size, 3);
+}
+
 // ----- maintenance cost of a large flat directory ---------------------------
 
 /// 64 mutations into a bulk-imported 4 096-file directory under the tuned

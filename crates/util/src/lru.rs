@@ -145,20 +145,22 @@ impl<K: Eq + Hash + Clone, V, S: BuildHasher + Default> LruCache<K, V, S> {
     }
 
     /// Insert or replace `key`, evicting the least recently used entry if
-    /// the cache is full. No-op when capacity is 0.
-    pub fn insert(&mut self, key: K, value: V) {
+    /// the cache is full, and hand back the evicted entry. No-op when
+    /// capacity is 0.
+    pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
         if self.capacity == 0 {
-            return;
+            return None;
         }
         if let Some(&slot) = self.map.get(&key) {
             self.node_mut(slot).value = value;
             self.touch(slot);
-            return;
+            return None;
         }
-        if self.map.len() == self.capacity {
+        let evicted = (self.map.len() == self.capacity).then(|| {
             let victim = self.release(self.tail);
             self.map.remove(&victim.key);
-        }
+            (victim.key, victim.value)
+        });
         let node = Some(Node {
             key: key.clone(),
             value,
@@ -177,6 +179,7 @@ impl<K: Eq + Hash + Clone, V, S: BuildHasher + Default> LruCache<K, V, S> {
         };
         self.map.insert(key, slot);
         self.link_front(slot);
+        evicted
     }
 
     /// Drop `key` if present; returns true when an entry was removed.
@@ -230,7 +233,7 @@ mod tests {
         c.insert("b", 2);
         // Touch "a" so "b" is the cold one.
         assert!(c.get(&"a").is_some());
-        c.insert("c", 3);
+        assert_eq!(c.insert("c", 3), Some(("b", 2)));
         assert_eq!(c.len(), 2);
         assert_eq!(c.peek(&"b"), None, "cold entry should be evicted");
         assert!(c.peek(&"a").is_some());

@@ -99,13 +99,10 @@ fn inferred_rank_table_covers_the_lock_hierarchy() {
         ("pending", 900, "objectstore.migration_pending"),
         // crates/core
         ("merge", 20, "middleware.merge_gate"),
-        ("ring_cache", 800, "middleware.ring_cache"),
-        ("ring_shard", 800, "middleware.ring_cache"),
         ("path_cache", 800, "middleware.path_cache"),
-        ("fds", 900, "middleware.fds"),
+        ("rings", 900, "middleware.rings"),
+        ("ring_shard", 900, "middleware.rings"),
         ("commit", 900, "middleware.commit_queue"),
-        ("cached_ms", 900, "middleware.cached_ms"),
-        ("ns_epochs", 900, "middleware.ns_epochs"),
         ("outbox", 900, "middleware.outbox"),
         ("inbox", 900, "middleware.inbox"),
         ("background", 900, "middleware.background"),

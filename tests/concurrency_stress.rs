@@ -369,6 +369,91 @@ fn submit_patch_chain_survives_concurrent_merges() {
 }
 
 #[test]
+fn one_rings_record_survives_reads_patches_gossip_and_invalidations() {
+    // Everything a middleware knows of a ring sits in one record behind one
+    // stripe lock. Hammer one ring's record from every path at once: patch
+    // submissions, resolve-path reads, merges with gossip applied on both
+    // middlewares (each a ring cycle), and GC's invalidation. Nothing
+    // submitted may be lost, and once the layer is quiet both middlewares
+    // read what the cloud holds.
+    const WRITERS: usize = 2;
+    const PATCHES: usize = 150;
+
+    let fs = H2Cloud::new(H2Config {
+        middlewares: 2,
+        mode: MaintenanceMode::Deferred,
+        cluster: ClusterConfig {
+            cost: Arc::new(CostModel::zero()),
+            ..ClusterConfig::default()
+        },
+        cache_capacity: 16,
+        trace_sample: 0.0,
+        ..H2Config::tuned()
+    });
+    let mut ctx = OpCtx::for_test();
+    fs.create_account(&mut ctx, "team").unwrap();
+    let (mw, peer) = (fs.layer().mw(0), fs.layer().mw(1));
+    let keys = H2Keys::new("team");
+    let ns = NamespaceId::ROOT;
+    let done = std::sync::atomic::AtomicUsize::new(0);
+    let running = || done.load(std::sync::atomic::Ordering::Relaxed) < WRITERS;
+
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let (keys, done) = (&keys, &done);
+            scope.spawn(move || {
+                let mut ctx = OpCtx::for_test();
+                for i in 0..PATCHES {
+                    let mut patch = NameRing::new();
+                    patch.apply(&format!("w{w}-f{i:03}"), Tuple::file(mw.tick(), 1));
+                    mw.submit_patch(&mut ctx, keys, ns, patch).unwrap();
+                }
+                done.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            });
+        }
+        // Merges, with every announcement applied on both middlewares.
+        scope.spawn(|| {
+            while running() {
+                mw.step_merges();
+                for msg in mw.take_outbox() {
+                    peer.deliver(msg.clone());
+                    mw.deliver(msg);
+                }
+                mw.apply_inbox();
+                peer.apply_inbox();
+            }
+        });
+        // Reads on both middlewares, and GC's invalidation of the ring.
+        scope.spawn(|| {
+            let mut ctx = OpCtx::for_test();
+            while running() {
+                for m in [mw, peer] {
+                    m.read_ring_view(&mut ctx, &keys, ns).unwrap();
+                }
+            }
+        });
+        scope.spawn(|| {
+            while running() {
+                for m in [mw, peer] {
+                    m.invalidate_ring("team", ns);
+                }
+                std::thread::yield_now();
+            }
+        });
+    });
+    fs.quiesce();
+    fs.layer().resync().unwrap();
+    assert_eq!(mw.pending_descriptors(), 0, "quiesce left pending chains");
+    let mut ctx = OpCtx::for_test();
+    let global = mw.fetch_global_ring(&mut ctx, &keys, ns).unwrap();
+    assert_eq!(global.live_len(), WRITERS * PATCHES, "an update was lost");
+    for m in [mw, peer] {
+        let view = m.read_ring(&mut ctx, &keys, ns).unwrap();
+        assert_eq!(view.live_len(), WRITERS * PATCHES, "node {}", m.node());
+    }
+}
+
+#[test]
 fn h2cloud_concurrent_structure_churn_stays_consistent() {
     // Threads repeatedly create + remove their own directories while one
     // thread GCs concurrently — the tree must end consistent and fsck

@@ -576,6 +576,58 @@ fn bulk_import_overwritten_by_a_peers_stale_write_back_is_restored() {
     }
 }
 
+/// A resolve-path fetch caches a copy without folding it into the
+/// descriptor. Here the copy is a peer's stale write-back (the hiding PUT
+/// below), which dropped the sticky middleware's merged `x`; the sticky
+/// middleware re-caches it after `invalidate_ring` and lists `/d` from it.
+/// The peer's announcement must still be news: the descriptor has heard
+/// only its own write, whatever stamp the cached copy carries. So the
+/// sticky middleware writes back its join, and both middlewares list `x`
+/// and `y`. Were the two stamps merged into one, `x` would be lost from
+/// the cloud.
+#[test]
+fn a_stale_write_back_a_read_re_cached_is_still_news() {
+    use h2cloud::middleware::GossipMsg;
+    use h2cloud::{formatter, NameRing, Tuple};
+    use h2util::NamespaceId;
+    use swiftsim::{Meta, Payload};
+    let (fs, sticky, peer) = tuned_pair();
+    let mut ctx = OpCtx::for_test();
+    fs.via(sticky)
+        .write(&mut ctx, "team", &p("/d/x"), FileContent::from_str("x"))
+        .unwrap();
+    let mws = fs.layer().middlewares();
+    mws[sticky].step_merges();
+    let keys = h2cloud::H2Keys::new("team");
+    let d = mws[sticky]
+        .get_descriptor(&mut ctx, &keys, NamespaceId::ROOT, "d")
+        .unwrap()
+        .ns;
+    let mut stale = NameRing::new();
+    stale.apply("y", Tuple::file(mws[peer].tick(), 1));
+    let body = Payload::from_string(formatter::namering_to_string(&stale));
+    let stamp = fs
+        .cluster()
+        .put_stamped(&mut ctx, &keys.namering(d), body, Meta::new())
+        .unwrap();
+    mws[sticky].invalidate_ring("team", d);
+    assert_eq!(listing_on(&fs, sticky, &p("/d")), vec!["x", "y"]);
+    mws[sticky].deliver(GossipMsg {
+        account: "team".into(),
+        ns: d,
+        stamp,
+    });
+    fs.layer().pump().unwrap();
+    fs.layer().pump().unwrap();
+    for mw in [sticky, peer] {
+        assert_eq!(
+            listing_on(&fs, mw, &p("/d")),
+            vec!["x", "y"],
+            "middleware {mw}"
+        );
+    }
+}
+
 /// GC compacts `/d` from the sticky middleware's cached copy, which missed
 /// the peer's write of `f1`, so the compacted object lacks `f1`. The
 /// compaction is announced: the peer hears a stamp above its own, writes
