@@ -682,7 +682,9 @@ impl H2Cloud {
             } => {
                 // The directory's NameRing and entire subtree are keyed by
                 // its namespace, which does not change — this is the O(1)
-                // MOVE the paper gets from preserving hierarchy in H2.
+                // MOVE the paper gets from preserving hierarchy in H2. The
+                // new name goes in before the old one goes out, so a failed
+                // step never leaves the directory under neither name.
                 let desc = mw.get_descriptor(ctx, &keys, parent_ns, &name)?;
                 mw.put_descriptor(
                     ctx,
@@ -695,14 +697,16 @@ impl H2Cloud {
                         created: desc.created,
                     },
                 )?;
-                self.cluster().delete(ctx, &keys.child(parent_ns, &name))?;
-                let ts = mw.tick();
-                let mut out_patch = NameRing::new();
-                out_patch.apply(&name, Tuple::dir(ts, ns).tombstone(mw.tick()));
-                mw.submit_patch(ctx, &keys, parent_ns, out_patch)?;
                 let mut in_patch = NameRing::new();
                 in_patch.apply(to_name, Tuple::dir(mw.tick(), ns));
-                mw.submit_patch(ctx, &keys, dst_parent_ns, in_patch)
+                mw.submit_patch(ctx, &keys, dst_parent_ns, in_patch)?;
+                let mut out_patch = NameRing::new();
+                out_patch.apply(&name, Tuple::dir(mw.tick(), ns).tombstone(mw.tick()));
+                mw.submit_patch(ctx, &keys, parent_ns, out_patch)?;
+                // The old descriptor is unreachable once the tombstone is
+                // durable, so its reclaim is best-effort.
+                let _ = self.cluster().delete(ctx, &keys.child(parent_ns, &name));
+                Ok(())
             }
             Resolved::File {
                 parent_ns,
@@ -711,16 +715,21 @@ impl H2Cloud {
                 ..
             } => {
                 // A file's content object is keyed by its parent namespace,
-                // so moving it re-keys the object: one server-side copy +
-                // delete, then the two parent patches.
+                // so moving it re-keys the object: one server-side copy,
+                // the two parent patches, then the source's delete. As in
+                // DELETE, the tuples change before the content goes: content
+                // deleted first would leave a live name pointing at nothing.
                 mw.copy_content(ctx, &keys, parent_ns, &name, dst_parent_ns, to_name)?;
-                mw.delete_content(ctx, &keys, parent_ns, &name)?;
+                let mut in_patch = NameRing::new();
+                in_patch.apply(to_name, Tuple::file(mw.tick(), size));
+                mw.submit_patch(ctx, &keys, dst_parent_ns, in_patch)?;
                 let mut out_patch = NameRing::new();
                 out_patch.apply(&name, Tuple::file(mw.tick(), size).tombstone(mw.tick()));
                 mw.submit_patch(ctx, &keys, parent_ns, out_patch)?;
-                let mut in_patch = NameRing::new();
-                in_patch.apply(to_name, Tuple::file(mw.tick(), size));
-                mw.submit_patch(ctx, &keys, dst_parent_ns, in_patch)
+                // Best-effort: the tombstone is durable, so a failed DELETE
+                // leaves garbage that GC reclaims when it compacts it.
+                let _ = mw.delete_content(ctx, &keys, parent_ns, &name);
+                Ok(())
             }
         }
     }

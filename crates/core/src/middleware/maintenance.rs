@@ -245,10 +245,11 @@ impl H2Middleware {
     }
 
     /// Merge this node's patch chain for `ns` into the global NameRing
-    /// object: fetch each patch in chain order, merge them into one "big"
-    /// patch, fold it into the local version, bring the ring object up to
-    /// date through `ring_cycle` and delete the patch objects. Returns true
-    /// if any patch was merged.
+    /// object: fetch the chain's patches as one bounded parallel section
+    /// (issued in chain order), merge them into one "big" patch, fold it
+    /// into the local version, bring the ring object up to date through
+    /// `ring_cycle` and delete the patch objects as a second section.
+    /// Returns true if any patch was merged.
     pub fn merge_ns(&self, ctx: &mut OpCtx, keys: &H2Keys, ns: NamespaceId) -> Result<bool> {
         ctx.span(Stage::Merge, "merge_ns", |ctx| {
             ctx.span_note("ns", || Note::Ns(ns));
@@ -292,10 +293,14 @@ impl H2Middleware {
         key: &FdKey,
         chain: &BTreeSet<u32>,
     ) -> Result<()> {
-        // Walk the linked list: start with the lowest-numbered patch,
-        // repeatedly fetch the successor and merge the two.
+        // Walk the linked list: the descriptor knows every number in the
+        // chain, so its patches are fetched as one bounded parallel
+        // section, issued in chain order, each folded into one "big" patch
+        // as it arrives.
         let mut big = NameRing::new();
-        for &no in chain {
+        let mut fetch = chain.iter();
+        ctx.parallel(chain.len(), |ctx, _| {
+            let no = *fetch.next().expect("one item per chained patch");
             let patch = keys.patch(key.ns, self.node, no);
             match self.with_retry(ctx, Ring, "fetch_patch", |ctx| self.store.get(ctx, &patch)) {
                 Ok(obj) => {
@@ -303,14 +308,15 @@ impl H2Middleware {
                         H2Error::Corrupt(format!("patch {patch} is not a string object"))
                     })?;
                     big.merge_from(&formatter::patch_from_str(s)?);
+                    Ok(())
                 }
                 // A patch can be missing if a previous merge crashed between
                 // deleting patches and clearing state; the local ring
                 // already contains its effect, so skip it.
-                Err(H2Error::NotFound(_)) => {}
-                Err(e) => return Err(e),
+                Err(H2Error::NotFound(_)) => Ok(()),
+                Err(e) => Err(e),
             }
-        }
+        })?;
         // The local version holds every patch this node submitted, so the
         // fold copies it only when a patch object knows more.
         self.with_record(key, |record| match &mut record.fd {
@@ -322,16 +328,19 @@ impl H2Middleware {
         });
         let cycle = self.ring_cycle(ctx, std::slice::from_ref(key)).pop();
         cycle.expect("one result per ring")?;
-        for &no in chain {
-            // Patch objects are transient; a NotFound here is harmless.
+        // Patch objects are transient; a NotFound here is harmless. The
+        // consumed chain goes as one bounded parallel section too.
+        let mut delete = chain.iter();
+        ctx.parallel(chain.len(), |ctx, _| {
+            let no = *delete.next().expect("one item per chained patch");
             let patch = keys.patch(key.ns, self.node, no);
             match self.with_retry(ctx, Ring, "delete_patch", |ctx| {
                 self.store.delete(ctx, &patch)
             }) {
-                Ok(()) | Err(H2Error::NotFound(_)) => {}
-                Err(e) => return Err(e),
+                Ok(()) | Err(H2Error::NotFound(_)) => Ok(()),
+                Err(e) => Err(e),
             }
-        }
+        })?;
         Ok(())
     }
 

@@ -450,6 +450,60 @@ fn merge_drains_a_gapped_chain_in_order_and_restores_it() {
     assert_eq!(patches(&mut ctx), [false, false, false]);
 }
 
+/// A Deferred cycle over a chain wider than the client pool (33 patches,
+/// `parallelism` 32) on the paper's rack fetches the chain in two waves and
+/// deletes it in two: its spend is the cycle CPU, each wave's slowest
+/// request, and the ring's GET and PUT. The requests are those of a serial
+/// walk.
+#[test]
+fn a_merge_cycle_fetches_and_deletes_its_chain_in_waves() {
+    let cluster = Cluster::new(ClusterConfig::default());
+    cluster.create_account("alice").unwrap();
+    cluster
+        .create_container("alice", crate::keys::H2_CONTAINER, false)
+        .unwrap();
+    let cfg = H2Config {
+        mode: MaintenanceMode::Deferred,
+        ..H2Config::tuned()
+    };
+    let mw = H2Middleware::new(NodeId(1), cluster.clone(), &cfg);
+    let keys = H2Keys::new("alice");
+    let mut ctx = OpCtx::new(cluster.cost_model());
+    mw.create_ring(&mut ctx, &keys, ns(1), NameRing::new())
+        .unwrap();
+    for i in 0..33u64 {
+        let mut p = NameRing::new();
+        p.apply(&format!("f{i:02}"), Tuple::file(mw.tick(), i));
+        mw.submit_patch(&mut ctx, &keys, ns(1), p).unwrap();
+    }
+    // The sizes the cycle's requests are charged by, read at no cost.
+    let size = |key: &ObjectKey| {
+        let obj = mw.store().get(&mut OpCtx::for_test(), key).unwrap();
+        obj.payload.len() as usize
+    };
+    let patch_sizes: Vec<usize> = (0..33)
+        .map(|no| size(&keys.patch(ns(1), NodeId(1), no)))
+        .collect();
+    let ring_before = size(&keys.namering(ns(1)));
+    assert_eq!(mw.background_spend().1.total(), 0);
+
+    assert_eq!(mw.step_merges().applied, 1);
+
+    let model = cluster.cost_model();
+    let wave = |sizes: &[usize]| sizes.iter().map(|&n| model.get_cost(n)).max().unwrap();
+    let expected = model.patch_cycle_cpu
+        + wave(&patch_sizes[..32])
+        + wave(&patch_sizes[32..])
+        + model.get_cost(ring_before)
+        + model.put_cost(size(&keys.namering(ns(1))))
+        + model.delete_cost() * 2;
+    let (spent, counts) = mw.background_spend();
+    assert_eq!(spent, expected);
+    let requests = (counts.gets, counts.puts, counts.deletes, counts.total());
+    assert_eq!(requests, (34, 1, 33, 68), "GETs, PUTs, DELETEs, all");
+    assert_eq!(mw.pending_descriptors(), 0);
+}
+
 #[test]
 fn namespaces_allocated_are_unique_per_middleware() {
     let (_c, mw, _keys) = setup(MaintenanceMode::Eager);

@@ -962,11 +962,15 @@ fn flat_directory_maintenance_requests_and_virtual_time_are_pinned() {
     // The 32 content DELETEs (12 ms each, NotFound) are one wave: a
     // serial pass spent 397.776 ms, 31 × 12 ms more.
     assert_eq!(gc.elapsed(), Duration::from_nanos(25_776_000));
-    // The owner merges the 64 patches in one cycle (fetch each, fetch and
-    // rewrite the ring, delete each). Before them, set-up's quiesce merged
-    // bulk import's one patch, `/flat`'s tuple in the root: 2 GETs, a PUT
-    // and a DELETE, 58.036 ms. No peer holds the ring — none read or wrote
-    // it — so the gossip each receives costs it nothing.
+    // The owner merges the 64 patches in one cycle of 83.112 ms: 15 ms of
+    // cycle CPU, two fetch waves of 32 patch GETs (9.512 ms a wave), the
+    // ring's GET and PUT (25.088 ms together) and two delete waves of 32
+    // patch DELETEs (12 ms a wave). Fetching and deleting each patch in
+    // turn paid 64 × 9.512 ms + 64 × 12 ms, 1 333.744 ms more. Before
+    // them, set-up's quiesce merged bulk import's one patch, `/flat`'s
+    // tuple in the root: 2 GETs, a PUT and a DELETE, 58.036 ms. No peer
+    // holds the ring — none read or wrote it — so the gossip each receives
+    // costs it nothing.
     let spend: Vec<(Duration, BackendCounts)> = fs
         .layer()
         .middlewares()
@@ -974,7 +978,7 @@ fn flat_directory_maintenance_requests_and_virtual_time_are_pinned() {
         .map(|m| m.background_spend())
         .collect();
     let peer = (Duration::ZERO, counts(0, 0, 0));
-    let owner = (Duration::from_nanos(1_474_892_000), counts(67, 2, 65));
+    let owner = (Duration::from_nanos(141_148_000), counts(67, 2, 65));
     assert_eq!(spend, [peer, owner, peer, peer]);
 }
 
@@ -1127,4 +1131,52 @@ fn flat_directory_list_detailed_requests_and_virtual_time_are_pinned() {
             replica_errors: 3,
         })
     );
+}
+
+// ----- MOVE under a failing store --------------------------------------------
+
+/// A MOVE renames before it deletes: when every PUT fails, its patches
+/// never land, so the MOVE fails and changes nothing visible. The source
+/// keeps its name and its content, on the paper and the tuned profile,
+/// for a file and a directory.
+#[test]
+fn a_move_renames_before_it_deletes() {
+    use h2util::faults::{FaultPlan, FaultSpec, OpClass};
+
+    let profiles = [("paper", H2Config::default()), ("tuned", H2Config::tuned())];
+    for (profile, config) in profiles {
+        let fs = H2Cloud::new(H2Config {
+            cluster: swiftsim::ClusterConfig::tiny(),
+            ..config
+        });
+        let mut ctx = OpCtx::for_test();
+        fs.create_account(&mut ctx, "alice").unwrap();
+        for dir in ["/a", "/a/d", "/b"] {
+            fs.mkdir(&mut ctx, "alice", &p(dir)).unwrap();
+        }
+        for (file, text) in [("/a/f", "kept"), ("/a/d/g", "deep")] {
+            let content = FileContent::from_str(text);
+            fs.write(&mut ctx, "alice", &p(file), content).unwrap();
+        }
+        let failing = FaultPlan::new(1).set(OpClass::Put, FaultSpec::errors(1.0));
+        fs.cluster().set_fault_plan(Some(failing));
+        for (from, to) in [("/a/f", "/b/g"), ("/a/d", "/b/e")] {
+            let err = fs.mv(&mut ctx, "alice", &p(from), &p(to)).unwrap_err();
+            assert_eq!(err.code(), "unavailable", "{profile}: mv {from} {to}");
+        }
+        fs.cluster().set_fault_plan(None);
+
+        assert_eq!(fs.list(&mut ctx, "alice", &p("/a")).unwrap(), ["d", "f"]);
+        assert!(fs.list(&mut ctx, "alice", &p("/b")).unwrap().is_empty());
+        for (file, text) in [("/a/f", "kept"), ("/a/d/g", "deep")] {
+            let read = fs.read(&mut ctx, "alice", &p(file));
+            assert_eq!(
+                read.unwrap(),
+                FileContent::from_str(text),
+                "{profile}: {file}"
+            );
+        }
+        let report = fsck(&fs, &mut ctx, "alice").unwrap();
+        assert!(report.is_clean(), "{profile}: {report:?}");
+    }
 }
