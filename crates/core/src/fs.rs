@@ -699,7 +699,13 @@ impl H2Cloud {
                 )?;
                 let mut in_patch = NameRing::new();
                 in_patch.apply(to_name, Tuple::dir(mw.tick(), ns));
-                mw.submit_patch(ctx, &keys, dst_parent_ns, in_patch)?;
+                if let Err(e) = mw.submit_patch(ctx, &keys, dst_parent_ns, in_patch) {
+                    // Nothing names the new descriptor: reclaim it now.
+                    let _ = self
+                        .cluster()
+                        .delete(ctx, &keys.child(dst_parent_ns, to_name));
+                    return Err(e);
+                }
                 let mut out_patch = NameRing::new();
                 out_patch.apply(&name, Tuple::dir(mw.tick(), ns).tombstone(mw.tick()));
                 mw.submit_patch(ctx, &keys, parent_ns, out_patch)?;
@@ -722,7 +728,11 @@ impl H2Cloud {
                 mw.copy_content(ctx, &keys, parent_ns, &name, dst_parent_ns, to_name)?;
                 let mut in_patch = NameRing::new();
                 in_patch.apply(to_name, Tuple::file(mw.tick(), size));
-                mw.submit_patch(ctx, &keys, dst_parent_ns, in_patch)?;
+                if let Err(e) = mw.submit_patch(ctx, &keys, dst_parent_ns, in_patch) {
+                    // Nothing names the copy: reclaim it now.
+                    let _ = mw.delete_content(ctx, &keys, dst_parent_ns, to_name);
+                    return Err(e);
+                }
                 let mut out_patch = NameRing::new();
                 out_patch.apply(&name, Tuple::file(mw.tick(), size).tombstone(mw.tick()));
                 mw.submit_patch(ctx, &keys, parent_ns, out_patch)?;

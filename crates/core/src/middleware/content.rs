@@ -112,7 +112,11 @@ impl H2Middleware {
         }
     }
 
-    /// Delete a file's content.
+    /// Delete a file's content: delete the object, then, if it was a CAS
+    /// manifest, release the block references it held. A repeated delete —
+    /// or one retried past its own torn tombstone — finds no manifest and
+    /// releases nothing, so references drop exactly once per committed
+    /// generation. A whole-object file is the one DELETE.
     pub fn delete_content(
         &self,
         ctx: &mut OpCtx,
@@ -121,12 +125,11 @@ impl H2Middleware {
         name: &str,
     ) -> Result<()> {
         let key = keys.child(ns, name);
-        if self.cas {
-            return self.cas_delete(ctx, &key);
-        }
-        self.with_retry(ctx, Content, "delete_content", |ctx| {
-            self.store.delete(ctx, &key)
-        })
+        let prev = self.with_retry(ctx, Content, "delete_content", |ctx| {
+            self.store.delete_returning_prev(ctx, &key)
+        })?;
+        self.cas_release_manifest(ctx, &prev);
+        Ok(())
     }
 
     /// Server-side copy of a file's content: one COPY for a whole-object
@@ -447,18 +450,6 @@ impl H2Middleware {
             )));
         }
         Ok(obj.payload)
-    }
-
-    /// Delete a CAS file: tombstone the manifest, then release the block
-    /// references it held. A repeated delete — or one retried past its own
-    /// torn tombstone — finds no manifest and releases nothing, so
-    /// references drop exactly once per committed generation.
-    fn cas_delete(&self, ctx: &mut OpCtx, key: &ObjectKey) -> Result<()> {
-        let prev = self.with_retry(ctx, Content, "delete_content", |ctx| {
-            self.store.delete_returning_prev(ctx, key)
-        })?;
-        self.cas_release_manifest(ctx, &prev);
-        Ok(())
     }
 
     /// Server-side copy of a CAS file: no content moves — the destination

@@ -170,7 +170,8 @@ impl H2Middleware {
     /// and chain the base, both in one critical section before the PUT,
     /// then PUT, re-validate the descriptor and (Eager) merge. A failed PUT
     /// unchains the base and skips the local fold, so the whole batch
-    /// stays invisible.
+    /// stays invisible; a failed merge after it is counted in
+    /// [`MERGE_FAILURES`] and left to the next cycle.
     ///
     /// Chaining before the PUT keeps the batch visible to
     /// `pending_descriptors` throughout, so `is_quiescent` never reports a
@@ -218,8 +219,11 @@ impl H2Middleware {
             }
         });
         put?;
-        if self.mode == MaintenanceMode::Eager {
-            self.merge_ns(ctx, keys, ns)?;
+        // The submit reports the patch, not its merge: once the PUT landed
+        // the update is durable and chained, and a failed merge restored
+        // the chain for the next cycle.
+        if self.mode == MaintenanceMode::Eager && self.merge_ns(ctx, keys, ns).is_err() {
+            self.merge_failures.incr();
         }
         Ok(())
     }
@@ -447,7 +451,7 @@ impl H2Middleware {
     /// results (index-aligned with `msgs`, so a failing message can be
     /// requeued individually). A message reports `Ok(true)` when it is
     /// news: it names a ring this node keeps a record of, in an object newer
-    /// than any of it this node has heard of ([`RingRecord::heard`]). Every
+    /// than any of it this node has heard of (`RingRecord::heard`). Every
     /// other message reports `Ok(false)`, costs nothing and creates no
     /// state: it is old news (§3.3.2's loop-back avoidance), or this node
     /// keeps nothing of the ring and reads it from the cloud when needed.

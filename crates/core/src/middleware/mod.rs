@@ -62,7 +62,7 @@ use swiftsim::{Cluster, Meta, Object, ObjectKey, ObjectStore, Payload};
 use crate::formatter;
 use crate::fs::H2Config;
 use crate::keys::{DirDescriptor, H2Keys};
-use crate::namering::{NameRing, RingView};
+use crate::namering::{NameRing, RingView, Tuple};
 
 pub use cache::{
     EpochMark, Fingerprint, PathAnswer, GETS_SAVED, NEG_CACHE_HITS, PATH_CACHE_HITS,

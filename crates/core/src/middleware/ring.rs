@@ -1,7 +1,8 @@
 //! Ring reads and writes: the resolve path's cached, overlay-joined view,
 //! the exact cloud object that merge cycles and gossip read, the two ring
 //! writes — an unannounced first PUT of a fresh ring and an announced
-//! rewrite — and the GC notifications that prune a ring's local state.
+//! rewrite — and the two GC notifications that prune a ring's local state:
+//! a compaction's floor and a dead ring's removal.
 
 use super::*;
 
@@ -12,8 +13,9 @@ pub const RING_FETCHES: &str = "ring_fetches";
 impl H2Middleware {
     /// Drop the cached copy of `(account, ns)` and its stamp, and with them
     /// every path entry built on the ring: a record that keeps a descriptor
-    /// gets a new epoch, any other goes. Called by GC after it compacts the
-    /// ring object out from under the middleware.
+    /// gets a new epoch, any other goes. No rewrite needs it — each one
+    /// refreshes the writer's copy and is announced to the peers — so only
+    /// tests and probes call it, to make the next read go to the cloud.
     pub fn invalidate_ring(&self, account: &str, ns: NamespaceId) {
         let key = FdKey::of(account, ns);
         let mut guard = self.ring_shard(&key).lock();
@@ -30,16 +32,20 @@ impl H2Middleware {
     }
 
     /// GC notification: the global ring for `(account, ns)` is being
-    /// compacted at `horizon`. Floor this middleware's local version to the
-    /// same horizon, so a tombstone GC reclaimed can't re-enter the global
-    /// object through a later merge's join (tombstone resurrection). GC
-    /// calls it before it writes the compacted ring, and
-    /// [`invalidate_ring`](Self::invalidate_ring) after.
-    pub fn gc_floor(&self, account: &str, ns: NamespaceId, horizon: Timestamp) {
+    /// compacted, and `removed` holds the tombstones it drops, in name
+    /// order. Drop from this middleware's local version every tuple those
+    /// tombstones cover, so neither a reclaimed tombstone nor the older
+    /// live tuple it deleted can re-enter the global object through a
+    /// later join (resurrection of an acknowledged DELETE). GC calls it
+    /// before it writes the compacted ring.
+    pub fn gc_floor(&self, account: &str, ns: NamespaceId, removed: &[(String, Tuple)]) {
         self.with_fd(&FdKey::of(account, ns), |fd| {
             // Copy a shared local ring only when there is something to drop.
-            if fd.local.has_tombstone_below(horizon) {
-                Arc::make_mut(&mut fd.local).floor_tombstones(horizon);
+            let covered = |(name, t): &(String, Tuple)| {
+                fd.local.get_raw(name).is_some_and(|ours| t.covers(ours))
+            };
+            if removed.iter().any(covered) {
+                Arc::make_mut(&mut fd.local).drop_covered(removed);
             }
         });
     }

@@ -96,7 +96,7 @@ impl Tuple {
 
     /// Whether this tuple wins the merge against `other` — or is `other`:
     /// joining `other` into a ring holding this tuple changes nothing.
-    fn covers(&self, other: &Tuple) -> bool {
+    pub(crate) fn covers(&self, other: &Tuple) -> bool {
         self.merge_key() >= other.merge_key()
     }
 }
@@ -354,51 +354,50 @@ impl NameRing {
         a
     }
 
-    /// Whether the ring holds a tombstone with `ts < horizon` — one that
-    /// [`compact`](Self::compact) would drop.
-    pub fn has_tombstone_below(&self, horizon: Timestamp) -> bool {
-        self.entries.iter().any(|e| doomed(&e.tuple, horizon))
-    }
-
     /// Drop tombstones with `ts < horizon` — the deferred "really removing
     /// the tuple from the NameRing … when this NameRing is in use". Returns
-    /// the removed `(name, tuple)` pairs so callers can reclaim the
-    /// children's objects.
+    /// the removed `(name, tuple)` pairs, in name order, so callers can
+    /// reclaim the children's objects.
     pub fn compact(&mut self, horizon: Timestamp) -> Vec<(String, Tuple)> {
         let mut removed = Vec::new();
-        self.drop_tombstones(horizon, |name, t| removed.push((name.to_string(), *t)));
+        self.drop_where(
+            |_, t| doomed(t, horizon),
+            |name, t| removed.push((name.to_string(), *t)),
+        );
         removed
     }
 
-    /// Drop tombstones below `horizon` without reporting them. GC floors
-    /// every middleware's *local* ring with this after compacting the
-    /// global object: a stale local tombstone that survived here would
-    /// re-enter the global ring through the next merge's
-    /// `merge_from(&fd.local)` join — resurrecting a tuple GC already
-    /// reclaimed. Returns how many tombstones were dropped.
-    pub fn floor_tombstones(&mut self, horizon: Timestamp) -> usize {
-        self.drop_tombstones(horizon, |_, _| {})
+    /// Drop every tuple that the tombstone `dropped` holds for its name
+    /// covers in the merge order (`dropped`: tombstones in name order, as
+    /// [`compact`](Self::compact) returns them). GC floors every local ring
+    /// with this, so neither a compacted tombstone nor the live tuple it
+    /// deleted rejoins the global ring. Returns how many were dropped.
+    pub fn drop_covered(&mut self, dropped: &[(String, Tuple)]) -> usize {
+        self.drop_where(
+            |name, t| {
+                dropped
+                    .binary_search_by(|(n, _)| n.as_str().cmp(name))
+                    .is_ok_and(|i| dropped[i].1.covers(t))
+            },
+            |_, _| {},
+        )
     }
 
-    /// Rebuild the ring without the tombstones below `horizon`, handing
-    /// each dropped tuple to `on_drop`; recomputes the version. Returns how
-    /// many were dropped.
-    fn drop_tombstones(
+    /// Rebuild the ring without the tuples `doomed` picks, handing each
+    /// dropped tuple to `on_drop`; recomputes the version. Returns how many
+    /// were dropped.
+    fn drop_where(
         &mut self,
-        horizon: Timestamp,
+        doomed: impl Fn(&str, &Tuple) -> bool,
         mut on_drop: impl FnMut(&str, &Tuple),
     ) -> usize {
-        let dropped = self
-            .entries
-            .iter()
-            .filter(|e| doomed(&e.tuple, horizon))
-            .count();
+        let dropped = self.iter().filter(|(name, t)| doomed(name, t)).count();
         if dropped == 0 {
             return 0;
         }
         let mut kept = NameRing::with_capacity(self.len() - dropped, self.names.len());
         for (name, t) in self.iter() {
-            if doomed(t, horizon) {
+            if doomed(name, t) {
                 on_drop(name, t);
             } else {
                 kept.push(name, *t);

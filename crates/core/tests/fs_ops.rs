@@ -1138,7 +1138,8 @@ fn flat_directory_list_detailed_requests_and_virtual_time_are_pinned() {
 /// A MOVE renames before it deletes: when every PUT fails, its patches
 /// never land, so the MOVE fails and changes nothing visible. The source
 /// keeps its name and its content, on the paper and the tuned profile,
-/// for a file and a directory.
+/// for a file and a directory, and the destination's copied content and
+/// new descriptor, which no tuple names, are reclaimed at once.
 #[test]
 fn a_move_renames_before_it_deletes() {
     use h2util::faults::{FaultPlan, FaultSpec, OpClass};
@@ -1176,6 +1177,58 @@ fn a_move_renames_before_it_deletes() {
                 "{profile}: {file}"
             );
         }
+        let report = fsck(&fs, &mut ctx, "alice").unwrap();
+        assert!(report.is_clean(), "{profile}: {report:?}");
+        let keys = h2cloud::H2Keys::new("alice");
+        let mw = fs.layer().mw_for_account("alice");
+        let b = mw.get_descriptor(&mut ctx, &keys, h2util::NamespaceId::ROOT, "b");
+        let b = b.unwrap().ns;
+        let copy = fs.read_relative(&mut ctx, "alice", b, "g").unwrap_err();
+        assert_eq!(copy.code(), "not-found", "{profile}: /b/g's content");
+        let desc = mw.get_descriptor(&mut ctx, &keys, b, "e").unwrap_err();
+        assert_eq!(desc.code(), "not-found", "{profile}: /b/e's descriptor");
+    }
+}
+
+// ----- Eager submits under a failing store -----------------------------------
+
+/// An Eager submit reports its patch, not the merge after it: with every
+/// DELETE failing, a file delete's patch lands and its merge fails at the
+/// patch's delete. The DELETE is acknowledged — `/a` no longer lists `h` —
+/// so it returns `Ok`, and the failed merge is counted and left to the
+/// next cycle: once the faults clear and the layer quiesces, the ring
+/// object holds the tombstone. On the paper and the tuned profile.
+#[test]
+fn an_eager_submit_reports_its_patch_not_its_merge() {
+    use h2cloud::middleware::MERGE_FAILURES;
+    use h2util::faults::{FaultPlan, FaultSpec, OpClass};
+
+    let profiles = [("paper", H2Config::default()), ("tuned", H2Config::tuned())];
+    for (profile, config) in profiles {
+        let fs = H2Cloud::new(H2Config {
+            cluster: swiftsim::ClusterConfig::tiny(),
+            ..config
+        });
+        let mut ctx = OpCtx::for_test();
+        fs.create_account(&mut ctx, "alice").unwrap();
+        fs.mkdir(&mut ctx, "alice", &p("/a")).unwrap();
+        let h = FileContent::from_str("h");
+        fs.write(&mut ctx, "alice", &p("/a/h"), h).unwrap();
+        let failing = FaultPlan::new(1).set(OpClass::Delete, FaultSpec::errors(1.0));
+        fs.cluster().set_fault_plan(Some(failing));
+        let deleted = fs.delete_file(&mut ctx, "alice", &p("/a/h"));
+        deleted.unwrap_or_else(|e| panic!("{profile}: {e}"));
+        assert!(fs.list(&mut ctx, "alice", &p("/a")).unwrap().is_empty());
+        fs.cluster().set_fault_plan(None);
+        let mw = fs.layer().mw_for_account("alice");
+        assert!(mw.metrics().counter_value(MERGE_FAILURES) >= 1, "{profile}");
+        fs.quiesce();
+
+        let keys = h2cloud::H2Keys::new("alice");
+        let a = mw.get_descriptor(&mut ctx, &keys, h2util::NamespaceId::ROOT, "a");
+        let ring = mw.fetch_global_ring(&mut ctx, &keys, a.unwrap().ns);
+        let h = ring.unwrap().get_raw("h").copied();
+        assert!(h.is_some_and(|t| t.deleted), "{profile}: {h:?}");
         let report = fsck(&fs, &mut ctx, "alice").unwrap();
         assert!(report.is_clean(), "{profile}: {report:?}");
     }

@@ -215,7 +215,8 @@ enum Step {
     /// Small patches merge tuple by tuple, large ones in one lockstep pass.
     Merge(Vec<(String, Tuple)>),
     Compact(Timestamp),
-    Floor(Timestamp),
+    /// The tombstones a compaction elsewhere dropped, by name.
+    DropCovered(BTreeMap<String, Tuple>),
 }
 
 fn model_steps() -> impl Strategy<Value = Vec<Step>> {
@@ -226,7 +227,14 @@ fn model_steps() -> impl Strategy<Value = Vec<Step>> {
         prop::collection::vec(entry(), 1..9).prop_map(Step::Merge),
         prop::collection::vec(entry(), 9..201).prop_map(Step::Merge),
         model_timestamp().prop_map(Step::Compact),
-        model_timestamp().prop_map(Step::Floor),
+        prop::collection::vec(entry(), 0..6).prop_map(|tombstones| {
+            Step::DropCovered(
+                tombstones
+                    .into_iter()
+                    .map(|(n, t)| (n, Tuple { deleted: true, ..t }))
+                    .collect(),
+            )
+        }),
     ];
     prop::collection::vec(step, 1..24)
 }
@@ -286,9 +294,7 @@ fn run_against_model(steps: Vec<Step>) -> Result<(), TestCaseError> {
                 }
             }
             Step::Compact(horizon) => {
-                let any_doomed = ring.has_tombstone_below(horizon);
                 let removed = ring.compact(horizon);
-                prop_assert_eq!(any_doomed, !removed.is_empty());
                 let doomed: Vec<(String, Tuple)> = model
                     .iter()
                     .filter(|(_, t)| t.deleted && t.ts < horizon)
@@ -297,10 +303,15 @@ fn run_against_model(steps: Vec<Step>) -> Result<(), TestCaseError> {
                 model.retain(|_, t| !(t.deleted && t.ts < horizon));
                 prop_assert_eq!(removed, doomed);
             }
-            Step::Floor(horizon) => {
+            Step::DropCovered(tombstones) => {
                 let before = model.len();
-                model.retain(|_, t| !(t.deleted && t.ts < horizon));
-                prop_assert_eq!(ring.floor_tombstones(horizon), before - model.len());
+                model.retain(|n, t| {
+                    tombstones
+                        .get(n)
+                        .is_none_or(|tomb| merge_key(tomb) < merge_key(t))
+                });
+                let dropped: Vec<(String, Tuple)> = tombstones.into_iter().collect();
+                prop_assert_eq!(ring.drop_covered(&dropped), before - model.len());
             }
         }
         agrees(&ring, &model)?;

@@ -662,3 +662,63 @@ fn gc_compaction_from_a_stale_cache_keeps_a_peers_write() {
         assert_eq!(listing_on(&fs, mw, &p("/d")), vec!["f1"], "middleware {mw}");
     }
 }
+
+/// GC must not undo an acknowledged DELETE. The peer writes `/d/f`, and
+/// after a pump its local version holds `f` live. The sticky middleware
+/// deletes `f` and merges; GC compacts the tombstone while the merge's
+/// announcement is still queued, or after it was lost. GC's floor drops
+/// from the peer's local version the live tuple the compacted tombstone
+/// covers, so when the peer absorbs the compaction it does not put `f`
+/// back — live, with its content reclaimed. On the paper and the tuned
+/// profile.
+#[test]
+fn gc_does_not_undo_an_acknowledged_delete() {
+    use h2util::{NodeId, Timestamp};
+    let far_future = Timestamp::new(u64::MAX, 0, NodeId(0));
+    for (profile, config) in [("paper", H2Config::default()), ("tuned", H2Config::tuned())] {
+        for lost in [false, true] {
+            let case = format!("{profile}, announcement lost: {lost}");
+            let fs = H2Cloud::new(H2Config {
+                middlewares: 2,
+                mode: MaintenanceMode::Deferred,
+                cluster: ClusterConfig::tiny(),
+                ..config.clone()
+            });
+            let layer = fs.layer();
+            let mws = layer.middlewares();
+            let sticky = mws
+                .iter()
+                .position(|mw| Arc::ptr_eq(mw, layer.mw_for_account("team")))
+                .unwrap();
+            let peer = 1 - sticky;
+            let mut ctx = OpCtx::for_test();
+            fs.create_account(&mut ctx, "team").unwrap();
+            fs.mkdir(&mut ctx, "team", &p("/d")).unwrap();
+            layer.pump().unwrap();
+            let f = p("/d/f");
+            fs.via(peer)
+                .write(&mut ctx, "team", &f, FileContent::from_str("f"))
+                .unwrap();
+            layer.pump().unwrap();
+            fs.via(sticky).delete_file(&mut ctx, "team", &f).unwrap();
+            mws[sticky].step_merges();
+            if lost {
+                mws[sticky].take_outbox();
+            }
+            let report = h2cloud::gc::collect(&fs, &mut ctx, "team", far_future).unwrap();
+            assert_eq!(report.tuples_compacted, 1, "{case}: {report:?}");
+            for _ in 0..3 {
+                layer.pump().unwrap();
+            }
+            for mw in [sticky, peer] {
+                let listed = listing_on(&fs, mw, &p("/d"));
+                assert!(
+                    listed.is_empty(),
+                    "{case}: middleware {mw} lists {listed:?}"
+                );
+            }
+            let fsck = h2cloud::check::fsck(&fs, &mut ctx, "team").unwrap();
+            assert!(fsck.is_clean(), "{case}: {:?}", fsck.violations);
+        }
+    }
+}

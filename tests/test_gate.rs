@@ -173,3 +173,44 @@ fn no_source_file_outgrows_the_split_threshold() {
         "sources over {MAX_FILE_LINES} lines: {long:#?}"
     );
 }
+
+/// Calls into every middleware outside the layer that owns them, per
+/// non-test source of `crates/core/src` (the text before its inline test
+/// module). Real middlewares are separate processes that share only the
+/// cloud and gossip (§3.3); each call here reaches into a peer's memory. The filesystem reads the peers' traces
+/// (`recent_traces`), and GC floors their local rings (`gc_floor`) and
+/// forgets dead rings (`forget_ring`). A new one must argue its case
+/// against ROADMAP item 24(c) and raise this table.
+const PEER_CALLS: &[(&str, usize)] = &[("fs.rs", 1), ("gc.rs", 2)];
+
+#[test]
+fn calls_into_peers_are_pinned() {
+    let dir = root().join("crates/core/src");
+    let mut sources = Vec::new();
+    files(&dir, ".rs", &mut sources);
+    let mut found: Vec<(String, usize)> = sources
+        .iter()
+        .filter(|path| !path.ends_with("layer.rs") && !path.ends_with("tests.rs"))
+        .filter_map(|path| {
+            let text = std::fs::read_to_string(path).expect("readable");
+            // The file's inline test module closes it; `tests.rs` files are
+            // test modules whole.
+            let tests = text.find("#[cfg(test)]\nmod tests {");
+            let code = tests.map_or(&text[..], |end| &text[..end]);
+            let calls = code.matches(".middlewares()").count();
+            let name = path.strip_prefix(&dir).expect("under src");
+            (calls > 0).then(|| (name.display().to_string(), calls))
+        })
+        .collect();
+    found.sort();
+    let want: Vec<(String, usize)> = PEER_CALLS
+        .iter()
+        .map(|&(name, calls)| (name.to_string(), calls))
+        .collect();
+    assert!(
+        sources.len() > 10,
+        "the scan found {} sources",
+        sources.len()
+    );
+    assert_eq!(found, want, "calls into every middleware, per source");
+}
