@@ -250,9 +250,9 @@ impl H2Middleware {
 
     /// Merge this node's patch chain for `ns` into the global NameRing
     /// object: fetch the chain's patches as one bounded parallel section
-    /// (issued in chain order), merge them into one "big" patch, fold it
-    /// into the local version, bring the ring object up to date through
-    /// `ring_cycle` and delete the patch objects as a second section.
+    /// (issued in chain order) to check that each can be read, bring the
+    /// ring object up to date with the local version through `ring_cycle`
+    /// and delete the patch objects as a second section.
     /// Returns true if any patch was merged.
     pub fn merge_ns(&self, ctx: &mut OpCtx, keys: &H2Keys, ns: NamespaceId) -> Result<bool> {
         ctx.span(Stage::Merge, "merge_ns", |ctx| {
@@ -285,8 +285,8 @@ impl H2Middleware {
         Ok(true)
     }
 
-    /// The fallible portion of one merge cycle: fetch the chain's patch
-    /// objects and fold them into the local version, run
+    /// The fallible portion of one merge cycle: check that the chain's
+    /// patch objects can be read, run
     /// [`ring_cycle`](Self::ring_cycle) on the ring — which writes the
     /// join back and announces it, unless the cloud already holds it — and
     /// delete the consumed patches.
@@ -299,9 +299,10 @@ impl H2Middleware {
     ) -> Result<()> {
         // Walk the linked list: the descriptor knows every number in the
         // chain, so its patches are fetched as one bounded parallel
-        // section, issued in chain order, each folded into one "big" patch
-        // as it arrives.
-        let mut big = NameRing::new();
+        // section, issued in chain order. The wave only checks that each
+        // chained patch can be read: `commit_batch` folded every patch
+        // into the local version when its PUT landed, and folding a patch
+        // object again would bring back a tuple a GC floor dropped since.
         let mut fetch = chain.iter();
         ctx.parallel(chain.len(), |ctx, _| {
             let no = *fetch.next().expect("one item per chained patch");
@@ -311,8 +312,7 @@ impl H2Middleware {
                     let s = obj.payload.as_str().ok_or_else(|| {
                         H2Error::Corrupt(format!("patch {patch} is not a string object"))
                     })?;
-                    big.merge_from(&formatter::patch_from_str(s)?);
-                    Ok(())
+                    formatter::patch_from_str(s).map(drop)
                 }
                 // A patch can be missing if a previous merge crashed between
                 // deleting patches and clearing state; the local ring
@@ -321,15 +321,6 @@ impl H2Middleware {
                 Err(e) => Err(e),
             }
         })?;
-        // The local version holds every patch this node submitted, so the
-        // fold copies it only when a patch object knows more.
-        self.with_record(key, |record| match &mut record.fd {
-            Some(fd) if !fd.local.subsumes(&big) => {
-                Arc::make_mut(&mut fd.local).merge_from(&big);
-                bump(&record.epoch);
-            }
-            _ => {}
-        });
         let cycle = self.ring_cycle(ctx, std::slice::from_ref(key)).pop();
         cycle.expect("one result per ring")?;
         // Patch objects are transient; a NotFound here is harmless. The
@@ -351,6 +342,10 @@ impl H2Middleware {
     /// Run the Background Merger over every descriptor with pending patches
     /// (Deferred mode's pump). Background spend is accounted internally.
     ///
+    /// The rings' cycles do not depend on each other, so they run as one
+    /// bounded [`OpCtx::parallel`] section, issued in `pending_rings`
+    /// order: the requests are those of a serial sweep, and the modelled
+    /// time is ⌈R / parallelism⌉ waves, each as long as its slowest cycle.
     /// Every ring with a pending chain is attempted; a failing cycle
     /// restores its chain, bumps [`MERGE_FAILURES`], and does *not* stop
     /// the sweep. The outcome separates applied from failed counts so
@@ -366,9 +361,10 @@ impl H2Middleware {
         let merge_all = |ctx: &mut OpCtx| {
             let mut outcome = MergeOutcome::default();
             let mut first_error: Option<H2Error> = None;
-            for FdKey { account, ns, .. } in work {
-                let keys = H2Keys::new(&account);
-                match self.merge_ns(ctx, &keys, ns) {
+            // Every item reports `Ok`, so a failing cycle ends nothing.
+            let wave = ctx.parallel(work.len(), |ctx, i| {
+                let FdKey { account, ns, .. } = &work[i];
+                match self.merge_ns(ctx, &H2Keys::new(account), *ns) {
                     Ok(true) => outcome.applied += 1,
                     Ok(false) => {}
                     Err(e) => {
@@ -377,7 +373,9 @@ impl H2Middleware {
                         first_error.get_or_insert(e);
                     }
                 }
-            }
+                Ok(())
+            });
+            wave.expect("a merge item never fails");
             (outcome, first_error)
         };
         let mut ctx = OpCtx::new(self.store.cost_model());

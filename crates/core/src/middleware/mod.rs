@@ -9,10 +9,10 @@
 //!   globally merged) version of the ring and the chain of
 //!   submitted-but-unmerged patches (§3.3.2 phase 2, step 1), plus the
 //!   ring's merge gate and group-commit queue;
-//! * the **Background Merger** — merges a node's patch chain into one "big"
-//!   patch, folds it into the local version and writes the join to the
-//!   cloud through the one read-modify-write that gossip and resync run
-//!   too;
+//! * the **Background Merger** — writes a node's patch chain, already
+//!   folded into its local version at submission, to the cloud through the
+//!   one read-modify-write that gossip and resync run too, and deletes the
+//!   chain's patch objects; a pump runs its rings' cycles as one wave;
 //! * the **Gossip Arrangement** — emits `(N_i, H_j, t_k)` update
 //!   notifications to peer middlewares through its outbox and applies the
 //!   ones queued in its inbox. A notification is news only for a ring this

@@ -450,13 +450,8 @@ fn merge_drains_a_gapped_chain_in_order_and_restores_it() {
     assert_eq!(patches(&mut ctx), [false, false, false]);
 }
 
-/// A Deferred cycle over a chain wider than the client pool (33 patches,
-/// `parallelism` 32) on the paper's rack fetches the chain in two waves and
-/// deletes it in two: its spend is the cycle CPU, each wave's slowest
-/// request, and the ring's GET and PUT. The requests are those of a serial
-/// walk.
-#[test]
-fn a_merge_cycle_fetches_and_deletes_its_chain_in_waves() {
+/// The tuned profile in Deferred mode on the paper's rack cost model.
+fn rack_deferred() -> (Arc<Cluster>, Arc<H2Middleware>, H2Keys) {
     let cluster = Cluster::new(ClusterConfig::default());
     cluster.create_account("alice").unwrap();
     cluster
@@ -467,7 +462,17 @@ fn a_merge_cycle_fetches_and_deletes_its_chain_in_waves() {
         ..H2Config::tuned()
     };
     let mw = H2Middleware::new(NodeId(1), cluster.clone(), &cfg);
-    let keys = H2Keys::new("alice");
+    (cluster, mw, H2Keys::new("alice"))
+}
+
+/// A Deferred cycle over a chain wider than the client pool (33 patches,
+/// `parallelism` 32) on the paper's rack fetches the chain in two waves and
+/// deletes it in two: its spend is the cycle CPU, each wave's slowest
+/// request, and the ring's GET and PUT. The requests are those of a serial
+/// walk.
+#[test]
+fn a_merge_cycle_fetches_and_deletes_its_chain_in_waves() {
+    let (cluster, mw, keys) = rack_deferred();
     let mut ctx = OpCtx::new(cluster.cost_model());
     mw.create_ring(&mut ctx, &keys, ns(1), NameRing::new())
         .unwrap();
@@ -502,6 +507,105 @@ fn a_merge_cycle_fetches_and_deletes_its_chain_in_waves() {
     let requests = (counts.gets, counts.puts, counts.deletes, counts.total());
     assert_eq!(requests, (34, 1, 33, 68), "GETs, PUTs, DELETEs, all");
     assert_eq!(mw.pending_descriptors(), 0);
+}
+
+/// A Deferred pump over more pending rings than the client pool holds (33
+/// rings, `parallelism` 32) on the paper's rack runs their cycles in two
+/// waves, each as long as its slowest cycle: the cycle CPU, the patch GET,
+/// the ring's GET and PUT, and the patch DELETE. The requests are those of
+/// a serial sweep.
+#[test]
+fn a_merge_pump_runs_its_rings_cycles_in_waves() {
+    let (cluster, mw, keys) = rack_deferred();
+    let mut ctx = OpCtx::new(cluster.cost_model());
+    let rings: Vec<NamespaceId> = (1..=33).map(ns).collect();
+    for (i, &ring) in rings.iter().enumerate() {
+        mw.create_ring(&mut ctx, &keys, ring, NameRing::new())
+            .unwrap();
+        let mut p = NameRing::new();
+        p.apply(&format!("f{i:02}"), Tuple::file(mw.tick(), i as u64));
+        mw.submit_patch(&mut ctx, &keys, ring, p).unwrap();
+    }
+    // The sizes each cycle's requests are charged by, read at no cost.
+    let size = |key: &ObjectKey| {
+        let obj = mw.store().get(&mut OpCtx::for_test(), key).unwrap();
+        obj.payload.len() as usize
+    };
+    let model = cluster.cost_model();
+    let before: Vec<std::time::Duration> = rings
+        .iter()
+        .map(|&ring| {
+            model.patch_cycle_cpu
+                + model.get_cost(size(&keys.patch(ring, NodeId(1), 0)))
+                + model.get_cost(size(&keys.namering(ring)))
+                + model.delete_cost()
+        })
+        .collect();
+    assert_eq!(mw.background_spend().1.total(), 0);
+
+    let outcome = mw.step_merges();
+    assert_eq!(
+        outcome,
+        MergeOutcome {
+            applied: 33,
+            failed: 0
+        }
+    );
+
+    let cycles: Vec<std::time::Duration> = rings
+        .iter()
+        .zip(before)
+        .map(|(&ring, cost)| cost + model.put_cost(size(&keys.namering(ring))))
+        .collect();
+    // Every cycle costs the same here, so which ring lands in the second
+    // wave does not matter: two waves of one cycle each. A serial sweep
+    // spends 33.
+    let slowest = *cycles.iter().max().unwrap();
+    assert!(cycles.iter().all(|&cycle| cycle == slowest), "{cycles:?}");
+    let (spent, counts) = mw.background_spend();
+    assert_eq!(spent, slowest * 2);
+    let requests = (counts.gets, counts.puts, counts.deletes, counts.total());
+    assert_eq!(requests, (66, 33, 33, 132), "GETs, PUTs, DELETEs, all");
+    assert_eq!(mw.pending_descriptors(), 0);
+}
+
+/// A ring whose cycle fails does not stop the pump: with one of three
+/// pending rings' objects unparseable, the sweep still merges the other
+/// two and restores the failing ring's chain.
+#[test]
+fn a_failing_ring_does_not_stop_the_pump() {
+    let (_c, mw, keys) = setup(MaintenanceMode::Deferred);
+    let mut ctx = OpCtx::for_test();
+    let rings = [ns(1), ns(2), ns(3)];
+    for ring in rings {
+        let mut p = NameRing::new();
+        p.apply("f", Tuple::file(mw.tick(), 1));
+        mw.submit_patch(&mut ctx, &keys, ring, p).unwrap();
+    }
+    let garbage = Payload::from_string("not a NameRing\n".to_string());
+    mw.store()
+        .put(&mut ctx, &keys.namering(ns(2)), garbage, Meta::new())
+        .unwrap();
+
+    let outcome = mw.step_merges();
+    assert_eq!(
+        outcome,
+        MergeOutcome {
+            applied: 2,
+            failed: 1
+        }
+    );
+    assert_eq!(mw.metrics().counter_value(MERGE_FAILURES), 1);
+    // Only the failing ring's chain is left, and its patch object with it.
+    assert_eq!(mw.pending_descriptors(), 1);
+    for ring in rings {
+        let patch = mw.store().get(&mut ctx, &keys.patch(ring, NodeId(1), 0));
+        assert_eq!(patch.is_ok(), ring == ns(2), "{ring}");
+    }
+    for ring in [ns(1), ns(3)] {
+        let global = mw.fetch_global_ring(&mut ctx, &keys, ring).unwrap();
+        assert!(global.get("f").is_some(), "{ring}");
+    }
 }
 
 #[test]

@@ -722,3 +722,61 @@ fn gc_does_not_undo_an_acknowledged_delete() {
         }
     }
 }
+
+/// GC's floor holds against a node's own pending patch. The peer's
+/// overwrite of `/d/f` stays in its chain while the sticky middleware, its
+/// clock well ahead, deletes `f` and GC compacts the tombstone and floors
+/// the peer's local version. The peer's next merge cycle must not fold its
+/// patch object back in and write `f` back live, with its content
+/// reclaimed. On the paper and the tuned profile.
+#[test]
+fn gc_floor_holds_against_a_pending_patch() {
+    use h2util::{NodeId, Timestamp};
+    let far_future = Timestamp::new(u64::MAX, 0, NodeId(0));
+    for (profile, config) in [("paper", H2Config::default()), ("tuned", H2Config::tuned())] {
+        let fs = H2Cloud::new(H2Config {
+            middlewares: 2,
+            mode: MaintenanceMode::Deferred,
+            cluster: ClusterConfig::tiny(),
+            ..config
+        });
+        let layer = fs.layer();
+        let mws = layer.middlewares();
+        let sticky = mws
+            .iter()
+            .position(|mw| Arc::ptr_eq(mw, layer.mw_for_account("team")))
+            .unwrap();
+        let peer = 1 - sticky;
+        let mut ctx = OpCtx::for_test();
+        fs.create_account(&mut ctx, "team").unwrap();
+        fs.mkdir(&mut ctx, "team", &p("/d")).unwrap();
+        let f = p("/d/f");
+        fs.via(sticky)
+            .write(&mut ctx, "team", &f, FileContent::from_str("f"))
+            .unwrap();
+        layer.pump().unwrap();
+        fs.via(peer)
+            .write(&mut ctx, "team", &f, FileContent::from_str("g"))
+            .unwrap();
+        for _ in 0..50 {
+            mws[sticky].tick();
+        }
+        fs.via(sticky).delete_file(&mut ctx, "team", &f).unwrap();
+        mws[sticky].step_merges();
+        let report = h2cloud::gc::collect(&fs, &mut ctx, "team", far_future).unwrap();
+        assert_eq!(report.tuples_compacted, 1, "{profile}: {report:?}");
+        for _ in 0..3 {
+            layer.pump().unwrap();
+        }
+        for mw in [sticky, peer] {
+            let listed = listing_on(&fs, mw, &p("/d"));
+            assert!(
+                listed.is_empty(),
+                "{profile}: middleware {mw} lists {}",
+                listed.join(", ")
+            );
+        }
+        let fsck = h2cloud::check::fsck(&fs, &mut ctx, "team").unwrap();
+        assert!(fsck.is_clean(), "{profile}: {:?}", fsck.violations);
+    }
+}
