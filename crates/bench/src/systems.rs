@@ -223,21 +223,21 @@ mod tests {
 
     const PINNED_CHARGES: &str = "\
 == H2Cloud
-mkdir /a | 96072000 | GETx3 PUTx4 DELETEx1 | ok
-mkdir /a/b | 110084000 | GETx4 PUTx4 DELETEx1 | ok
-mkdir /a/b/c | 124096000 | GETx5 PUTx4 DELETEx1 | ok
-write /a/b/f hello | 124096000 | GETx5 PUTx3 DELETEx1 | ok
-write-sim /a/b/c/s 4096 | 138144000 | GETx6 PUTx3 DELETEx1 | ok
-write /a/b/f hello-again | 124096000 | GETx5 PUTx3 DELETEx1 | ok
+mkdir /a | 86560000 | GETx2 PUTx4 DELETEx1 | ok
+mkdir /a/b | 100572000 | GETx3 PUTx4 DELETEx1 | ok
+mkdir /a/b/c | 114584000 | GETx4 PUTx4 DELETEx1 | ok
+write /a/b/f hello | 114584000 | GETx4 PUTx3 DELETEx1 | ok
+write-sim /a/b/c/s 4096 | 128632000 | GETx5 PUTx3 DELETEx1 | ok
+write /a/b/f hello-again | 114584000 | GETx4 PUTx3 DELETEx1 | ok
 stat /a/b/f | 42036000 | GETx3 | ok
 stat /a/b | 28024000 | GETx2 | ok
 stat / | 0 |  | ok
 list_detailed /a/b | 47060000 | GETx3 HEADx2 | ok
-mv /a/b /a/m | 234168000 | GETx9 PUTx5 DELETEx3 | ok
+mv /a/b /a/m | 215144000 | GETx7 PUTx5 DELETEx3 | ok
 mv /a/m /a/m | 0 |  | ok
-copy /a/m /k | 204171000 | GETx7 PUTx6 DELETEx1 COPYx2 | ok
-delete /k/f | 114572000 | GETx4 PUTx2 DELETEx2 | ok
-rmdir /k | 88560000 | GETx3 PUTx2 DELETEx1 | ok
+copy /a/m /k | 194659000 | GETx6 PUTx6 DELETEx1 COPYx2 | ok
+delete /k/f | 105060000 | GETx3 PUTx2 DELETEx2 | ok
+rmdir /k | 79048000 | GETx2 PUTx2 DELETEx1 | ok
 mkdir /a | 9512000 | GETx1 | already exists: /a
 mkdir / | 0 |  | already exists: /
 rmdir /a/m/f | 42036000 | GETx3 | not a directory: /a/m/f

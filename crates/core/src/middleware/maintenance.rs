@@ -86,9 +86,9 @@ struct CommitResult {
 #[derive(Default)]
 pub(super) struct CommitState {
     /// True while a leader is processing; arrivals during that window park.
-    busy: bool,
+    pub(super) busy: bool,
     /// Waiting patches, tagged with their wake-up tickets.
-    batch: Vec<(u64, NameRing)>,
+    pub(super) batch: Vec<(u64, NameRing)>,
     /// Finished results, keyed by ticket, awaiting pickup.
     results: HashMap<u64, CommitResult>,
     next_ticket: u64,
@@ -168,10 +168,12 @@ impl H2Middleware {
     /// one combined patch, allocate the batch a contiguous patch-number
     /// range (only the base number carries an object — the combined PUT)
     /// and chain the base, both in one critical section before the PUT,
-    /// then PUT, re-validate the descriptor and (Eager) merge. A failed PUT
-    /// unchains the base and skips the local fold, so the whole batch
-    /// stays invisible; a failed merge after it is counted in
-    /// [`MERGE_FAILURES`] and left to the next cycle.
+    /// then PUT, re-validate the descriptor and (Eager) merge. A landed PUT
+    /// folds the batch into the local version, the copy a merge cycle
+    /// merges; the patch object is the chain's durable record and is never
+    /// read back. A failed PUT unchains the base and skips the local fold,
+    /// so the whole batch stays invisible; a failed merge after it is
+    /// counted in [`MERGE_FAILURES`] and left to the next cycle.
     ///
     /// Chaining before the PUT keeps the batch visible to
     /// `pending_descriptors` throughout, so `is_quiescent` never reports a
@@ -249,10 +251,9 @@ impl H2Middleware {
     }
 
     /// Merge this node's patch chain for `ns` into the global NameRing
-    /// object: fetch the chain's patches as one bounded parallel section
-    /// (issued in chain order) to check that each can be read, bring the
-    /// ring object up to date with the local version through `ring_cycle`
-    /// and delete the patch objects as a second section.
+    /// object: bring the ring object up to date with the local version,
+    /// which holds every chained patch already, through `ring_cycle`, and
+    /// delete the chain's patch objects as one bounded parallel section.
     /// Returns true if any patch was merged.
     pub fn merge_ns(&self, ctx: &mut OpCtx, keys: &H2Keys, ns: NamespaceId) -> Result<bool> {
         ctx.span(Stage::Merge, "merge_ns", |ctx| {
@@ -285,11 +286,15 @@ impl H2Middleware {
         Ok(true)
     }
 
-    /// The fallible portion of one merge cycle: check that the chain's
-    /// patch objects can be read, run
+    /// The fallible portion of one merge cycle: run
     /// [`ring_cycle`](Self::ring_cycle) on the ring — which writes the
     /// join back and announces it, unless the cloud already holds it — and
     /// delete the consumed patches.
+    ///
+    /// The cycle reads no patch object: `commit_batch` folded each one into
+    /// the local version when its PUT landed, so the ring cycle's join
+    /// already carries the whole chain. The objects are the durable record
+    /// of the chain for crash recovery, not an input of the merge.
     fn merge_cycle(
         &self,
         ctx: &mut OpCtx,
@@ -297,34 +302,11 @@ impl H2Middleware {
         key: &FdKey,
         chain: &BTreeSet<u32>,
     ) -> Result<()> {
-        // Walk the linked list: the descriptor knows every number in the
-        // chain, so its patches are fetched as one bounded parallel
-        // section, issued in chain order. The wave only checks that each
-        // chained patch can be read: `commit_batch` folded every patch
-        // into the local version when its PUT landed, and folding a patch
-        // object again would bring back a tuple a GC floor dropped since.
-        let mut fetch = chain.iter();
-        ctx.parallel(chain.len(), |ctx, _| {
-            let no = *fetch.next().expect("one item per chained patch");
-            let patch = keys.patch(key.ns, self.node, no);
-            match self.with_retry(ctx, Ring, "fetch_patch", |ctx| self.store.get(ctx, &patch)) {
-                Ok(obj) => {
-                    let s = obj.payload.as_str().ok_or_else(|| {
-                        H2Error::Corrupt(format!("patch {patch} is not a string object"))
-                    })?;
-                    formatter::patch_from_str(s).map(drop)
-                }
-                // A patch can be missing if a previous merge crashed between
-                // deleting patches and clearing state; the local ring
-                // already contains its effect, so skip it.
-                Err(H2Error::NotFound(_)) => Ok(()),
-                Err(e) => Err(e),
-            }
-        })?;
         let cycle = self.ring_cycle(ctx, std::slice::from_ref(key)).pop();
         cycle.expect("one result per ring")?;
         // Patch objects are transient; a NotFound here is harmless. The
-        // consumed chain goes as one bounded parallel section too.
+        // consumed chain goes as one bounded parallel section, issued in
+        // chain order.
         let mut delete = chain.iter();
         ctx.parallel(chain.len(), |ctx, _| {
             let no = *delete.next().expect("one item per chained patch");

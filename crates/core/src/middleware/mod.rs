@@ -12,7 +12,8 @@
 //! * the **Background Merger** — writes a node's patch chain, already
 //!   folded into its local version at submission, to the cloud through the
 //!   one read-modify-write that gossip and resync run too, and deletes the
-//!   chain's patch objects; a pump runs its rings' cycles as one wave;
+//!   chain's patch objects without reading them back; a pump runs its
+//!   rings' cycles as one wave;
 //! * the **Gossip Arrangement** — emits `(N_i, H_j, t_k)` update
 //!   notifications to peer middlewares through its outbox and applies the
 //!   ones queued in its inbox. A notification is news only for a ring this

@@ -286,7 +286,7 @@ fn resync_refreshes_a_ring_it_only_read_without_a_descriptor() {
 
 /// A merge cycle is the read-modify-write gossip runs: when a refresh has
 /// already written this node's chain into the ring object, the cycle only
-/// reads and deletes its patch, and announces nothing.
+/// reads the ring and deletes its patch, and announces nothing.
 #[test]
 fn a_merge_whose_chain_the_cloud_already_holds_writes_nothing() {
     let (cluster, mw1, keys) = setup(MaintenanceMode::Deferred);
@@ -312,13 +312,13 @@ fn a_merge_whose_chain_the_cloud_already_holds_writes_nothing() {
     let before = mw1.background_spend().1;
     assert_eq!(mw1.step_merges().applied, 1);
     let after = mw1.background_spend().1;
-    assert_eq!(after.total() - before.total(), 3);
+    assert_eq!(after.total() - before.total(), 2);
     let spent = (
         after.gets - before.gets,
         after.puts - before.puts,
         after.deletes - before.deletes,
     );
-    assert_eq!(spent, (2, 0, 1), "GETs, PUTs and DELETEs of the merge");
+    assert_eq!(spent, (1, 0, 1), "GETs, PUTs and DELETEs of the merge");
     assert!(mw1.take_outbox().is_empty());
     let global = mw1.fetch_global_ring(&mut ctx, &keys, ns(1)).unwrap();
     let names: Vec<&str> = global.live().map(|(name, _)| name).collect();
@@ -422,25 +422,29 @@ fn merge_drains_a_gapped_chain_in_order_and_restores_it() {
     set_down(false);
     assert_eq!(mw.pending_descriptors(), 1);
     assert_eq!(patches(&mut ctx), [true, false, true]);
-    // The retry fetches patches 0 and 2, in that order.
+    // The retry reads no patch back and deletes patches 0 and 2, in that
+    // order.
     ctx.begin_trace(Stage::Merge, "MERGE");
     assert!(mw.merge_ns(&mut ctx, &keys, ns(1)).unwrap());
     let spans = ctx.end_trace(None).unwrap();
-    let fetched: Vec<String> = spans
-        .iter()
-        .filter(|s| s.name == "GET")
-        .flat_map(|s| &s.notes)
-        .filter(|(k, _)| *k == "key")
-        .map(|(_, v)| v.to_string())
-        .filter(|k| k.contains(".Patch"))
-        .collect();
+    let patch_keys = |request: &str| -> Vec<String> {
+        spans
+            .iter()
+            .filter(|s| s.name == request)
+            .flat_map(|s| &s.notes)
+            .filter(|(k, _)| *k == "key")
+            .map(|(_, v)| v.to_string())
+            .filter(|k| k.contains(".Patch"))
+            .collect()
+    };
     let key_of = |no| {
         keys.patch(ns(1), NodeId(1), no)
             .ring_key()
             .as_str()
             .to_string()
     };
-    assert_eq!(fetched, [key_of(0), key_of(2)]);
+    assert_eq!(patch_keys("GET"), Vec::<String>::new());
+    assert_eq!(patch_keys("DELETE"), [key_of(0), key_of(2)]);
     // Drained: the global ring holds the first and last names, and no
     // patch object is left.
     assert_eq!(mw.pending_descriptors(), 0);
@@ -466,12 +470,11 @@ fn rack_deferred() -> (Arc<Cluster>, Arc<H2Middleware>, H2Keys) {
 }
 
 /// A Deferred cycle over a chain wider than the client pool (33 patches,
-/// `parallelism` 32) on the paper's rack fetches the chain in two waves and
-/// deletes it in two: its spend is the cycle CPU, each wave's slowest
-/// request, and the ring's GET and PUT. The requests are those of a serial
-/// walk.
+/// `parallelism` 32) on the paper's rack reads none of its patches back and
+/// deletes the chain in two waves: its spend is the cycle CPU, the ring's
+/// GET and PUT, and two DELETEs. The requests are those of a serial walk.
 #[test]
-fn a_merge_cycle_fetches_and_deletes_its_chain_in_waves() {
+fn a_merge_cycle_deletes_its_chain_in_waves() {
     let (cluster, mw, keys) = rack_deferred();
     let mut ctx = OpCtx::new(cluster.cost_model());
     mw.create_ring(&mut ctx, &keys, ns(1), NameRing::new())
@@ -486,34 +489,28 @@ fn a_merge_cycle_fetches_and_deletes_its_chain_in_waves() {
         let obj = mw.store().get(&mut OpCtx::for_test(), key).unwrap();
         obj.payload.len() as usize
     };
-    let patch_sizes: Vec<usize> = (0..33)
-        .map(|no| size(&keys.patch(ns(1), NodeId(1), no)))
-        .collect();
     let ring_before = size(&keys.namering(ns(1)));
     assert_eq!(mw.background_spend().1.total(), 0);
 
     assert_eq!(mw.step_merges().applied, 1);
 
     let model = cluster.cost_model();
-    let wave = |sizes: &[usize]| sizes.iter().map(|&n| model.get_cost(n)).max().unwrap();
     let expected = model.patch_cycle_cpu
-        + wave(&patch_sizes[..32])
-        + wave(&patch_sizes[32..])
         + model.get_cost(ring_before)
         + model.put_cost(size(&keys.namering(ns(1))))
         + model.delete_cost() * 2;
     let (spent, counts) = mw.background_spend();
     assert_eq!(spent, expected);
     let requests = (counts.gets, counts.puts, counts.deletes, counts.total());
-    assert_eq!(requests, (34, 1, 33, 68), "GETs, PUTs, DELETEs, all");
+    assert_eq!(requests, (1, 1, 33, 35), "GETs, PUTs, DELETEs, all");
     assert_eq!(mw.pending_descriptors(), 0);
 }
 
 /// A Deferred pump over more pending rings than the client pool holds (33
 /// rings, `parallelism` 32) on the paper's rack runs their cycles in two
-/// waves, each as long as its slowest cycle: the cycle CPU, the patch GET,
-/// the ring's GET and PUT, and the patch DELETE. The requests are those of
-/// a serial sweep.
+/// waves, each as long as its slowest cycle: the cycle CPU, the ring's GET
+/// and PUT, and the patch DELETE. The requests are those of a serial
+/// sweep.
 #[test]
 fn a_merge_pump_runs_its_rings_cycles_in_waves() {
     let (cluster, mw, keys) = rack_deferred();
@@ -535,10 +532,7 @@ fn a_merge_pump_runs_its_rings_cycles_in_waves() {
     let before: Vec<std::time::Duration> = rings
         .iter()
         .map(|&ring| {
-            model.patch_cycle_cpu
-                + model.get_cost(size(&keys.patch(ring, NodeId(1), 0)))
-                + model.get_cost(size(&keys.namering(ring)))
-                + model.delete_cost()
+            model.patch_cycle_cpu + model.get_cost(size(&keys.namering(ring))) + model.delete_cost()
         })
         .collect();
     assert_eq!(mw.background_spend().1.total(), 0);
@@ -565,7 +559,7 @@ fn a_merge_pump_runs_its_rings_cycles_in_waves() {
     let (spent, counts) = mw.background_spend();
     assert_eq!(spent, slowest * 2);
     let requests = (counts.gets, counts.puts, counts.deletes, counts.total());
-    assert_eq!(requests, (66, 33, 33, 132), "GETs, PUTs, DELETEs, all");
+    assert_eq!(requests, (33, 33, 33, 99), "GETs, PUTs, DELETEs, all");
     assert_eq!(mw.pending_descriptors(), 0);
 }
 
@@ -683,6 +677,68 @@ fn group_commit_coalesces_concurrent_submissions() {
     assert_eq!(mw.pending_descriptors(), 0);
     let global = mw.fetch_global_ring(&mut ctx, &keys, ns(1)).unwrap();
     assert_eq!(global.live_len(), THREADS * PER_THREAD);
+}
+
+/// A merge cycle reads no patch object back: it takes the chain from the
+/// local version, into which `commit_batch` folded each batch when its PUT
+/// landed. So the one object a batch writes must be exactly the batch that
+/// was folded — for a lone submit, and for a group-commit batch of three
+/// submitters, two of them parked behind a commit in flight and the third
+/// leading the batch that carries all three.
+#[test]
+fn a_committed_patch_object_is_its_batch() {
+    let (_c, mw, keys) = setup_grouped(MaintenanceMode::Deferred);
+    let patch_object = |ring: NamespaceId, no: u32| {
+        let key = keys.patch(ring, NodeId(1), no);
+        let obj = mw.store().get(&mut OpCtx::for_test(), &key)?;
+        formatter::patch_from_str(obj.payload.as_str().expect("a string body"))
+    };
+    let file = |name: &str| {
+        let mut p = NameRing::new();
+        p.apply(name, Tuple::file(mw.tick(), 1));
+        p
+    };
+
+    let lone = file("lone");
+    mw.submit_patch(&mut OpCtx::for_test(), &keys, ns(1), lone.clone())
+        .unwrap();
+    assert_eq!(patch_object(ns(1), 0).unwrap(), lone);
+    assert_eq!(*mw.local_ring(&keys, ns(1)).unwrap(), lone);
+
+    // A commit in flight on the ring parks the first two submitters.
+    let sync = mw.with_descriptor(&FdKey::new(&keys, ns(2)), |fd, _| Arc::clone(&fd.sync));
+    sync.commit.lock().busy = true;
+    let patches = [file("a"), file("b"), file("c")];
+    let parked: Vec<_> = patches[..2]
+        .iter()
+        .map(|p| {
+            let (mw, p) = (Arc::clone(&mw), p.clone());
+            std::thread::spawn(move || {
+                let keys = H2Keys::new("alice");
+                mw.submit_patch(&mut OpCtx::for_test(), &keys, ns(2), p)
+            })
+        })
+        .collect();
+    while sync.commit.lock().batch.len() < 2 {
+        std::thread::yield_now();
+    }
+    sync.commit.lock().busy = false;
+    mw.submit_patch(&mut OpCtx::for_test(), &keys, ns(2), patches[2].clone())
+        .unwrap();
+    for submitter in parked {
+        submitter.join().unwrap().unwrap();
+    }
+    let mut batch = NameRing::new();
+    for p in &patches {
+        batch.merge_from(p);
+    }
+    assert_eq!(batch.live_len(), 3);
+    // One object for the batch, at the base of its patch-number range.
+    assert_eq!(patch_object(ns(2), 0).unwrap(), batch);
+    for no in 1..3 {
+        assert!(matches!(patch_object(ns(2), no), Err(H2Error::NotFound(_))));
+    }
+    assert_eq!(*mw.local_ring(&keys, ns(2)).unwrap(), batch);
 }
 
 #[test]

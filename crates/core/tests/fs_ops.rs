@@ -962,15 +962,14 @@ fn flat_directory_maintenance_requests_and_virtual_time_are_pinned() {
     // The 32 content DELETEs (12 ms each, NotFound) are one wave: a
     // serial pass spent 397.776 ms, 31 × 12 ms more.
     assert_eq!(gc.elapsed(), Duration::from_nanos(25_776_000));
-    // The owner merges the 64 patches in one cycle of 83.112 ms: 15 ms of
-    // cycle CPU, two fetch waves of 32 patch GETs (9.512 ms a wave), the
-    // ring's GET and PUT (25.088 ms together) and two delete waves of 32
-    // patch DELETEs (12 ms a wave). Fetching and deleting each patch in
-    // turn paid 64 × 9.512 ms + 64 × 12 ms, 1 333.744 ms more. Before
-    // them, set-up's quiesce merged bulk import's one patch, `/flat`'s
-    // tuple in the root: 2 GETs, a PUT and a DELETE, 58.036 ms. No peer
-    // holds the ring — none read or wrote it — so the gossip each receives
-    // costs it nothing.
+    // The owner merges the 64 patches in one cycle of 64.088 ms: 15 ms of
+    // cycle CPU, the ring's GET and PUT (25.088 ms together) and two
+    // delete waves of 32 patch DELETEs (12 ms a wave); it reads no patch
+    // back. Deleting each patch in turn would cost 62 × 12 ms more. Before
+    // it, set-up's quiesce merged bulk import's one patch, `/flat`'s tuple
+    // in the root: a GET, a PUT and a DELETE, 48.524 ms. No peer holds the
+    // ring — none read or wrote it — so the gossip each receives costs it
+    // nothing.
     let spend: Vec<(Duration, BackendCounts)> = fs
         .layer()
         .middlewares()
@@ -978,7 +977,7 @@ fn flat_directory_maintenance_requests_and_virtual_time_are_pinned() {
         .map(|m| m.background_spend())
         .collect();
     let peer = (Duration::ZERO, counts(0, 0, 0));
-    let owner = (Duration::from_nanos(141_148_000), counts(67, 2, 65));
+    let owner = (Duration::from_nanos(112_612_000), counts(2, 2, 65));
     assert_eq!(spend, [peer, owner, peer, peer]);
 }
 
