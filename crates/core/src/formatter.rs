@@ -271,9 +271,13 @@ fn ns_len(ns: NamespaceId) -> usize {
     dec_len(ns.seq, 2) + 1 + dec_len(u64::from(ns.node.0), 2) + 1 + dec_len(ns.millis, 0)
 }
 
-/// Exact length of [`format_ring`]'s output, so it allocates once.
-fn ring_body_len(magic: &str, ring: &NameRing) -> usize {
-    let header = magic.len() + 1 + dec_len(ring.len() as u64, 0) + 1;
+/// Exact length of a header line counting `tuples`.
+fn header_len(magic: &str, tuples: usize) -> usize {
+    magic.len() + 1 + dec_len(tuples as u64, 0) + 1
+}
+
+/// Exact length of [`push_tuples`]'s output for `ring`.
+fn tuple_lines_len(ring: &NameRing) -> usize {
     let tuples: usize = ring
         .iter()
         .map(|(_, t)| {
@@ -285,34 +289,44 @@ fn ring_body_len(magic: &str, ring: &NameRing) -> usize {
             ts_len(t.ts) + aux + 7
         })
         .sum();
-    header + ring.name_bytes() + tuples
+    ring.name_bytes() + tuples
 }
 
 /// Serialise a NameRing (or, with [`PATCH_MAGIC`], a patch).
 fn format_ring(magic: &str, ring: &NameRing) -> String {
-    let mut out = String::with_capacity(ring_body_len(magic, ring));
+    let mut out = String::with_capacity(header_len(magic, ring.len()) + tuple_lines_len(ring));
+    push_header(&mut out, magic, ring.len());
+    push_tuples(&mut out, ring);
+    out
+}
+
+/// The header line: magic and tuple count.
+fn push_header(out: &mut String, magic: &str, tuples: usize) {
     out.push_str(magic);
     out.push(' ');
-    push_dec(&mut out, ring.len() as u64, 0);
+    push_dec(out, tuples as u64, 0);
     out.push('\n');
+}
+
+/// One line per tuple of `ring`, in its order.
+fn push_tuples(out: &mut String, ring: &NameRing) {
     for (name, t) in ring.iter() {
         out.push_str(name);
         out.push('\t');
-        push_ts(&mut out, t.ts);
+        push_ts(out, t.ts);
         match t.child {
             ChildRef::File { size } => {
                 out.push_str("\tF\t");
-                push_dec(&mut out, size, 0);
+                push_dec(out, size, 0);
             }
             ChildRef::Dir { ns } => {
                 out.push_str("\tD\t");
-                push_ns(&mut out, ns);
+                push_ns(out, ns);
             }
         }
         // The paper's Deleted tag.
         out.push_str(if t.deleted { "\tD\n" } else { "\tA\n" });
     }
-    out
 }
 
 /// Shortest tuple line the Formatter writes, after the name: a
@@ -399,6 +413,22 @@ pub fn namering_from_str(s: &str) -> Result<NameRing> {
 /// Patch → ASCII object body (a patch *is* a NameRing, §3.3.2).
 pub fn patch_to_string(patch: &NameRing) -> String {
     format_ring(PATCH_MAGIC, patch)
+}
+
+/// A patch segment's next body: `held`, the body the segment's earlier
+/// submits wrote with `tuples` tuples ("" and 0 for a fresh segment),
+/// followed by `batch`'s tuples. Only the batch is formatted: the held
+/// lines are copied as they are, and a name that both hold parses by the
+/// merge rule. A fresh segment's body is [`patch_to_string`]'s.
+pub(crate) fn patch_extend(held: &str, tuples: usize, batch: &NameRing) -> String {
+    let lines = held.split_once('\n').map_or("", |(_, lines)| lines);
+    let total = tuples + batch.len();
+    let len = header_len(PATCH_MAGIC, total) + lines.len() + tuple_lines_len(batch);
+    let mut out = String::with_capacity(len);
+    push_header(&mut out, PATCH_MAGIC, total);
+    out.push_str(lines);
+    push_tuples(&mut out, batch);
+    out
 }
 
 /// ASCII object body → patch.
@@ -492,6 +522,22 @@ mod tests {
         assert_eq!(patch_from_str(&s).unwrap(), r);
         // A patch is not accepted where a NameRing is expected.
         assert_eq!(namering_from_str(&s).unwrap_err().code(), "corrupt");
+    }
+
+    #[test]
+    fn an_extended_segment_parses_to_the_join_of_its_batches() {
+        let first = sample_ring();
+        let fresh = patch_extend("", 0, &first);
+        assert_eq!(fresh, patch_to_string(&first));
+        // The second batch re-creates `gone` and adds a name.
+        let mut second = NameRing::new();
+        second.apply("gone", Tuple::file(ts(6), 8));
+        second.apply("zed", Tuple::file(ts(7), 1));
+        let body = patch_extend(&fresh, first.len(), &second);
+        assert!(body.starts_with("H2PT1 6\n"), "{body}");
+        let mut joined = first.clone();
+        joined.merge_from(&second);
+        assert_eq!(patch_from_str(&body).unwrap(), joined);
     }
 
     #[test]

@@ -72,12 +72,11 @@ pub struct H2Config {
     pub trace_sample: f64,
     /// Group-commit patch submission: concurrent `submit_patch` calls to
     /// the same NameRing coalesce behind a per-ring commit leader that
-    /// allocates a contiguous patch-number range and PUTs one combined
-    /// patch object for the whole batch (see DESIGN.md, "Concurrency
-    /// model"). Observationally equivalent to per-call submission, but
-    /// collapses the per-submitter PUT (and, in Eager mode, the
-    /// per-submitter merge cycle) under contention. On in the tuned
-    /// profile.
+    /// appends the whole batch to the ring's patch segment in one PUT
+    /// (see DESIGN.md, "Group-commit patch submission"). Observationally
+    /// equivalent to per-call submission, but collapses the per-submitter
+    /// PUT (and, in Eager mode, the per-submitter merge cycle) under
+    /// contention. On in the tuned profile.
     pub group_commit: bool,
     /// Full-path resolve cache: each middleware keeps a map from resolved
     /// full path → descriptor, fingerprinted by the version epoch of every

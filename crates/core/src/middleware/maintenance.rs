@@ -1,6 +1,13 @@
 //! NameRing Maintenance (§3.3.2): patch submission with group commit, the
 //! Background Merger, and the Gossip Arrangement with its anti-entropy
 //! `resync`.
+//!
+//! A node's patch chain for a ring is a run of segments. A segment is one
+//! patch object, `{ns}::/NameRing/.Node{n}.Patch{k}`, that each submit
+//! re-PUTs with its batch appended, until a merge takes the chain or the
+//! segment holds [`SEGMENT_SUBMITS`] submits; a merge then deletes one
+//! object per segment, not one per write. At most one PUT per segment key
+//! is in flight: a submit that finds one writes a fresh segment instead.
 
 use super::*;
 
@@ -18,6 +25,95 @@ pub const GOSSIP_APPLY_FAILURES: &str = "gossip_apply_failures";
 /// exhausts it was facing a persistent outage, and its news then waits for
 /// a later merge on the same ring or a `resync` (ROADMAP item 21).
 const MAX_GOSSIP_ATTEMPTS: u32 = 32;
+
+/// How many submits one patch segment gathers before the next submit
+/// opens a fresh one. Every rewrite re-sends the segment's whole body, so
+/// the cap bounds a rewrite's bytes, while a merge still deletes one
+/// object per run of up to this many submits.
+pub(super) const SEGMENT_SUBMITS: u32 = 32;
+
+/// A ring's open patch segment on this node: the chained patch object the
+/// next submit rewrites with its batch appended.
+pub(super) struct Segment {
+    /// Its number in the chain.
+    no: u32,
+    /// The body its acknowledged submits wrote.
+    body: Payload,
+    /// The tuples `body` holds.
+    tuples: usize,
+    /// The acknowledged submits `body` holds.
+    submits: u32,
+    /// True while a PUT of the segment is in flight. A submit that finds
+    /// it so writes a fresh segment instead: one PUT per segment key in
+    /// flight, so no rewrite lands over a later one.
+    writing: bool,
+}
+
+/// The segment one commit writes: its number, and the body and tuple
+/// count its acknowledged submits left (`None`: a fresh segment).
+pub(super) type Claim = (u32, Option<(Payload, usize)>);
+
+impl FileDescriptor {
+    /// Claim a segment for one commit: the open segment, unless its PUT is
+    /// in flight; else a fresh one, chained before its PUT and made the
+    /// open one.
+    pub(super) fn claim_segment(&mut self) -> Claim {
+        if let Some(seg) = self.open.as_mut().filter(|seg| !seg.writing) {
+            seg.writing = true;
+            return (seg.no, Some((seg.body.clone(), seg.tuples)));
+        }
+        let no = self.next_patch;
+        self.next_patch += 1;
+        self.pending.insert(no);
+        self.open = Some(Segment {
+            no,
+            body: Payload::from_static(""),
+            tuples: 0,
+            submits: 0,
+            writing: true,
+        });
+        (no, None)
+    }
+
+    /// Settle a commit's PUT of segment `no` (`fresh`: the claim made it).
+    /// A landed PUT chains the segment again — a merge cycle running during
+    /// the PUT may have consumed the chain entry and deleted the object
+    /// before it landed, so the next cycle deletes it — and, if the
+    /// segment is still the open one, makes `landed` (body, tuples,
+    /// submits added) its acknowledged state, closing it once it holds
+    /// [`SEGMENT_SUBMITS`] submits. A failed PUT leaves a segment's
+    /// acknowledged state and its chain entry as they were; a fresh
+    /// segment has none, so it is unchained and closed.
+    pub(super) fn settle_segment(
+        &mut self,
+        no: u32,
+        fresh: bool,
+        landed: Option<(Payload, usize, u32)>,
+    ) {
+        let open = self.open.as_mut().filter(|seg| seg.no == no);
+        let close = if let Some((body, tuples, submits)) = landed {
+            self.pending.insert(no);
+            open.is_some_and(|seg| {
+                seg.body = body;
+                seg.tuples = tuples;
+                seg.submits += submits;
+                seg.writing = false;
+                seg.submits >= SEGMENT_SUBMITS
+            })
+        } else {
+            if fresh {
+                self.pending.remove(&no);
+            }
+            open.is_some_and(|seg| {
+                seg.writing = false;
+                fresh
+            })
+        };
+        if close {
+            self.open = None;
+        }
+    }
+}
 
 /// When patches are merged into their NameRings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,16 +260,17 @@ impl H2Middleware {
         own.outcome
     }
 
-    /// Commit a batch of patches on the caller's context: join them into
-    /// one combined patch, allocate the batch a contiguous patch-number
-    /// range (only the base number carries an object — the combined PUT)
-    /// and chain the base, both in one critical section before the PUT,
-    /// then PUT, re-validate the descriptor and (Eager) merge. A landed PUT
-    /// folds the batch into the local version, the copy a merge cycle
-    /// merges; the patch object is the chain's durable record and is never
-    /// read back. A failed PUT unchains the base and skips the local fold,
-    /// so the whole batch stays invisible; a failed merge after it is
-    /// counted in [`MERGE_FAILURES`] and left to the next cycle.
+    /// Commit a batch of patches on the caller's context: join them, claim
+    /// a segment — the ring's open one, or a fresh one chained before the
+    /// PUT — and PUT the segment's acknowledged body with the batch's
+    /// tuples appended, then settle the descriptor and (Eager) merge. Only
+    /// the batch is formatted. A landed PUT folds the batch into the local
+    /// version, the copy a merge cycle merges; the segment object is the
+    /// chain's durable record and is never read back. A failed PUT skips
+    /// the local fold, so the whole batch stays invisible: a rewritten
+    /// segment stays chained with its acknowledged tuples, a fresh one is
+    /// unchained. A failed merge after a landed PUT is counted in
+    /// [`MERGE_FAILURES`] and left to the next cycle.
     ///
     /// Chaining before the PUT keeps the batch visible to
     /// `pending_descriptors` throughout, so `is_quiescent` never reports a
@@ -192,33 +289,27 @@ impl H2Middleware {
             combined.merge_from(&patch);
         }
         let key = FdKey::new(keys, ns);
-        let base = self.with_descriptor(&key, |fd, _| {
-            let base = fd.next_patch;
-            fd.next_patch += count;
-            fd.pending.insert(base);
-            base
+        let (no, held) = self.with_descriptor(&key, |fd, _| fd.claim_segment());
+        let (held_body, held_tuples) = held.as_ref().map_or(("", 0), |(body, tuples)| {
+            (body.as_str().expect("a segment body is text"), *tuples)
         });
+        let tuples = held_tuples + combined.len();
         // Built once: retries re-send the same shared bytes.
-        let payload = Payload::from_string(formatter::patch_to_string(&combined));
-        let patch_key = keys.patch(ns, self.node, base);
+        let payload =
+            Payload::from_string(formatter::patch_extend(held_body, held_tuples, &combined));
+        let patch_key = keys.patch(ns, self.node, no);
         let put = self.with_retry(ctx, Ring, "submit_patch", |ctx| {
             self.store
                 .put(ctx, &patch_key, payload.clone(), Meta::new())
         });
+        let landed = put.is_ok().then_some((payload, tuples, count));
         self.with_descriptor(&key, |fd, epoch| {
-            if put.is_ok() {
+            if landed.is_some() {
                 Arc::make_mut(&mut fd.local).merge_from(&combined);
-                // A merge cycle running during the PUT may have consumed
-                // the chain entry and skipped the then-missing object:
-                // re-chain it, so the next cycle merges and deletes it.
-                fd.pending.insert(base);
                 // The local overlay gained the batch.
                 bump(epoch);
-            } else {
-                // The patch never reached the cloud: unchain it and skip
-                // the fold, so the failed write stays invisible.
-                fd.pending.remove(&base);
             }
+            fd.settle_segment(no, held.is_none(), landed);
         });
         put?;
         // The submit reports the patch, not its merge: once the PUT landed
@@ -271,7 +362,11 @@ impl H2Middleware {
             return Ok(false);
         };
         let _cycle = sync.merge.lock();
-        let chain = self.with_fd(&key, |fd| std::mem::take(&mut fd.pending));
+        // Taking the chain closes the open segment: the cycle deletes it.
+        let chain = self.with_fd(&key, |fd| {
+            fd.open = None;
+            std::mem::take(&mut fd.pending)
+        });
         let Some(chain) = chain.filter(|chain| !chain.is_empty()) else {
             return Ok(false);
         };

@@ -12,8 +12,8 @@
 //! * the **Background Merger** — writes a node's patch chain, already
 //!   folded into its local version at submission, to the cloud through the
 //!   one read-modify-write that gossip and resync run too, and deletes the
-//!   chain's patch objects without reading them back; a pump runs its
-//!   rings' cycles as one wave;
+//!   chain's patch objects, one segment of up to 32 submits each, without
+//!   reading them back; a pump runs its rings' cycles as one wave;
 //! * the **Gossip Arrangement** — emits `(N_i, H_j, t_k)` update
 //!   notifications to peer middlewares through its outbox and applies the
 //!   ones queued in its inbox. A notification is news only for a ring this
@@ -73,7 +73,7 @@ use cache::{PathCache, RingCache};
 pub use content::{
     CAS_FANOUT, CONTENT_TYPE_CAS, CONTENT_TYPE_FILE, META_DIGEST, META_LOGICAL_BYTES,
 };
-use maintenance::{CommitState, Inbox};
+use maintenance::{CommitState, Inbox, Segment};
 pub use maintenance::{
     GossipMsg, InboxOutcome, MaintenanceMode, MergeOutcome, GOSSIP_APPLY_FAILURES, MERGE_FAILURES,
 };
@@ -90,12 +90,19 @@ struct FileDescriptor {
     /// `Arc`-backed so the resolve path can snapshot it without cloning the
     /// tuple map; writers go through `Arc::make_mut`.
     local: Arc<NameRing>,
-    /// Patch numbers submitted but not yet merged (the patch chain,
-    /// starting at 0 like the paper's "patch No. 0"). Numbers are handed
-    /// out monotonically, so set order is submission order.
+    /// Numbers of the patch objects written but not yet merged (the patch
+    /// chain, starting at 0 like the paper's "patch No. 0"). Each object
+    /// is a segment: the run of submits' tuples one [`Segment`] gathered.
+    /// Numbers are handed out monotonically, so set order is submission
+    /// order.
     pending: BTreeSet<u32>,
-    /// Next patch number to hand out.
+    /// Next segment number to hand out: it advances per segment, not per
+    /// submit, and restarts at 0 for a new descriptor.
     next_patch: u32,
+    /// The segment this node's submits append to, until a merge takes the
+    /// chain or it holds [`SEGMENT_SUBMITS`](maintenance::SEGMENT_SUBMITS)
+    /// submits.
+    open: Option<Segment>,
     /// The newest write stamp of the ring object this node has absorbed
     /// through a ring cycle or written through `write_ring`. Stamps are
     /// unique and monotone across the cluster, so an object with a stamp at

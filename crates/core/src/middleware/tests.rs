@@ -1,3 +1,4 @@
+use super::maintenance::SEGMENT_SUBMITS;
 use super::*;
 use crate::namering::Tuple;
 use swiftsim::ClusterConfig;
@@ -33,6 +34,13 @@ fn setup(mode: MaintenanceMode) -> (Arc<Cluster>, Arc<H2Middleware>, H2Keys) {
 
 fn ns(seq: u64) -> NamespaceId {
     NamespaceId::new(seq, NodeId(1), 42)
+}
+
+/// Patch object `no` of node 1's chain for `ring`, parsed; read at no cost.
+fn patch_object(mw: &H2Middleware, keys: &H2Keys, ring: NamespaceId, no: u32) -> Result<NameRing> {
+    let key = keys.patch(ring, NodeId(1), no);
+    let obj = mw.store().get(&mut OpCtx::for_test(), &key)?;
+    formatter::patch_from_str(obj.payload.as_str().expect("a string body"))
 }
 
 #[test]
@@ -386,9 +394,10 @@ fn merge_failure_restores_the_patch_chain_for_retry() {
 
 #[test]
 fn merge_drains_a_gapped_chain_in_order_and_restores_it() {
-    // Three submissions, the middle one's PUT failing: the chain loses
-    // its middle number, survives a failed merge whole, and a good
-    // merge then walks what is left in submission order.
+    // Three submissions into one segment, the middle one's PUT failing:
+    // the segment keeps the first and last and never the middle, survives
+    // a failed merge whole, and a good merge then deletes it without
+    // reading it back.
     let (cluster, mw, keys) = setup(MaintenanceMode::Deferred);
     let mut ctx = OpCtx::for_test();
     let set_down = |down: bool| {
@@ -396,34 +405,35 @@ fn merge_drains_a_gapped_chain_in_order_and_restores_it() {
             cluster.set_node_down(h2ring::DeviceId(i), down);
         }
     };
-    let mut submit = |name: &str| {
+    let file = |name: &str| {
         let mut p = NameRing::new();
         p.apply(name, Tuple::file(mw.tick(), 1));
-        mw.submit_patch(&mut ctx, &keys, ns(1), p)
+        p
     };
-    submit("first").unwrap();
+    let (first, middle, last) = (file("first"), file("middle"), file("last"));
+    let mut submit = |p: &NameRing| mw.submit_patch(&mut ctx, &keys, ns(1), p.clone());
+    submit(&first).unwrap();
     set_down(true);
-    assert!(submit("middle").is_err());
+    assert!(submit(&middle).is_err());
     set_down(false);
-    submit("last").unwrap();
+    submit(&last).unwrap();
     let mut ctx = OpCtx::for_test();
-    let patch_exists = |ctx: &mut OpCtx, no: u32| {
-        mw.store()
-            .get(ctx, &keys.patch(ns(1), NodeId(1), no))
-            .is_ok()
-    };
-    let patches = |ctx: &mut OpCtx| (0..3).map(|no| patch_exists(ctx, no)).collect::<Vec<_>>();
-    // Patch 1 never reached the cloud and left the chain.
-    assert_eq!(patches(&mut ctx), [true, false, true]);
+    let segment = |no: u32| patch_object(&mw, &keys, ns(1), no);
+    let patches = || (0..3).map(|no| segment(no).is_ok()).collect::<Vec<_>>();
+    // All three submits went to segment 0, and it holds exactly the two
+    // acknowledged ones.
+    let mut acked = first.clone();
+    acked.merge_from(&last);
+    assert_eq!(segment(0).unwrap(), acked);
+    assert_eq!(patches(), [true, false, false]);
     assert_eq!(mw.pending_descriptors(), 1);
     // A failed merge restores the chain.
     set_down(true);
     assert_eq!(mw.step_merges().failed, 1);
     set_down(false);
     assert_eq!(mw.pending_descriptors(), 1);
-    assert_eq!(patches(&mut ctx), [true, false, true]);
-    // The retry reads no patch back and deletes patches 0 and 2, in that
-    // order.
+    assert_eq!(segment(0).unwrap(), acked);
+    // The retry reads no patch back and deletes the one segment.
     ctx.begin_trace(Stage::Merge, "MERGE");
     assert!(mw.merge_ns(&mut ctx, &keys, ns(1)).unwrap());
     let spans = ctx.end_trace(None).unwrap();
@@ -444,14 +454,14 @@ fn merge_drains_a_gapped_chain_in_order_and_restores_it() {
             .to_string()
     };
     assert_eq!(patch_keys("GET"), Vec::<String>::new());
-    assert_eq!(patch_keys("DELETE"), [key_of(0), key_of(2)]);
+    assert_eq!(patch_keys("DELETE"), [key_of(0)]);
     // Drained: the global ring holds the first and last names, and no
     // patch object is left.
     assert_eq!(mw.pending_descriptors(), 0);
     let g = mw.fetch_global_ring(&mut ctx, &keys, ns(1)).unwrap();
     let names: Vec<&str> = g.iter().map(|(name, _)| name).collect();
     assert_eq!(names, ["first", "last"]);
-    assert_eq!(patches(&mut ctx), [false, false, false]);
+    assert_eq!(patches(), [false, false, false]);
 }
 
 /// The tuned profile in Deferred mode on the paper's rack cost model.
@@ -469,10 +479,12 @@ fn rack_deferred() -> (Arc<Cluster>, Arc<H2Middleware>, H2Keys) {
     (cluster, mw, H2Keys::new("alice"))
 }
 
-/// A Deferred cycle over a chain wider than the client pool (33 patches,
-/// `parallelism` 32) on the paper's rack reads none of its patches back and
-/// deletes the chain in two waves: its spend is the cycle CPU, the ring's
-/// GET and PUT, and two DELETEs. The requests are those of a serial walk.
+/// A Deferred cycle over 33 submits on the paper's rack: they fill one
+/// segment of [`SEGMENT_SUBMITS`] (32) and open a second, so the chain is
+/// two patch objects. The cycle reads neither back and deletes both in one
+/// wave: its spend is the cycle CPU, the ring's GET and PUT, and one
+/// DELETE. A serial walk spends a DELETE more; one object per submit
+/// deletes 33 in two waves of the client pool (`parallelism` 32).
 #[test]
 fn a_merge_cycle_deletes_its_chain_in_waves() {
     let (cluster, mw, keys) = rack_deferred();
@@ -490,6 +502,12 @@ fn a_merge_cycle_deletes_its_chain_in_waves() {
         obj.payload.len() as usize
     };
     let ring_before = size(&keys.namering(ns(1)));
+    let segments = || {
+        (0..3)
+            .map(|no| patch_object(&mw, &keys, ns(1), no).is_ok())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(segments(), [true, true, false]);
     assert_eq!(mw.background_spend().1.total(), 0);
 
     assert_eq!(mw.step_merges().applied, 1);
@@ -498,12 +516,140 @@ fn a_merge_cycle_deletes_its_chain_in_waves() {
     let expected = model.patch_cycle_cpu
         + model.get_cost(ring_before)
         + model.put_cost(size(&keys.namering(ns(1))))
-        + model.delete_cost() * 2;
+        + model.delete_cost();
+    let (spent, counts) = mw.background_spend();
+    assert_eq!(spent, expected);
+    assert_eq!(spent, std::time::Duration::from_micros(48_536));
+    let requests = (counts.gets, counts.puts, counts.deletes, counts.total());
+    assert_eq!(requests, (1, 1, 2, 4), "GETs, PUTs, DELETEs, all");
+    assert_eq!(mw.pending_descriptors(), 0);
+    assert_eq!(segments(), [false, false, false]);
+}
+
+/// A Deferred ring with 65 submits and one merge on the paper's rack: the
+/// submits fill two segments of [`SEGMENT_SUBMITS`] and open a third, and
+/// the cycle deletes the three as one wave.
+#[test]
+fn a_segment_closes_at_its_submit_cap() {
+    let (cluster, mw, keys) = rack_deferred();
+    let mut ctx = OpCtx::new(cluster.cost_model());
+    mw.create_ring(&mut ctx, &keys, ns(1), NameRing::new())
+        .unwrap();
+    let submits = 2 * SEGMENT_SUBMITS + 1;
+    for i in 0..submits {
+        let mut p = NameRing::new();
+        p.apply(&format!("f{i:02}"), Tuple::file(mw.tick(), 1));
+        mw.submit_patch(&mut ctx, &keys, ns(1), p).unwrap();
+    }
+    let segment = |no: u32| patch_object(&mw, &keys, ns(1), no);
+    let sizes: Vec<usize> = (0..3).map(|no| segment(no).unwrap().len()).collect();
+    assert_eq!(sizes, [32, 32, 1]);
+    assert!(matches!(segment(3), Err(H2Error::NotFound(_))));
+    // The sizes the cycle's requests are charged by, read at no cost.
+    let size = |key: &ObjectKey| {
+        let obj = mw.store().get(&mut OpCtx::for_test(), key).unwrap();
+        obj.payload.len() as usize
+    };
+    let ring_before = size(&keys.namering(ns(1)));
+
+    assert_eq!(mw.step_merges().applied, 1);
+
+    let model = cluster.cost_model();
+    let expected = model.patch_cycle_cpu
+        + model.get_cost(ring_before)
+        + model.put_cost(size(&keys.namering(ns(1))))
+        + model.delete_cost();
     let (spent, counts) = mw.background_spend();
     assert_eq!(spent, expected);
     let requests = (counts.gets, counts.puts, counts.deletes, counts.total());
-    assert_eq!(requests, (1, 1, 33, 35), "GETs, PUTs, DELETEs, all");
-    assert_eq!(mw.pending_descriptors(), 0);
+    assert_eq!(requests, (1, 1, 3, 5), "GETs, PUTs, DELETEs, all");
+    assert!((0..3).all(|no| matches!(segment(no), Err(H2Error::NotFound(_)))));
+    let ring = mw.fetch_global_ring(&mut OpCtx::for_test(), &keys, ns(1));
+    assert_eq!(ring.unwrap().live_len(), submits as usize);
+}
+
+/// A segment rewrite that fails (every device down) between two
+/// acknowledged submits, on both profiles: the rewrite after it carries
+/// the first and the last submit, and never the failed one, so the object
+/// parses to exactly the acknowledged tuples, and so do the local and the
+/// merged ring.
+#[test]
+fn a_failed_rewrite_leaves_the_segment_its_acknowledged_tuples() {
+    let profiles = [H2Config::default(), H2Config::tuned()];
+    for profile in profiles {
+        let (cluster, mw, keys) = setup_with(&H2Config {
+            mode: MaintenanceMode::Deferred,
+            ..profile
+        });
+        let set_down = |down: bool| {
+            for i in 0..4 {
+                cluster.set_node_down(h2ring::DeviceId(i), down);
+            }
+        };
+        let file = |name: &str| {
+            let mut p = NameRing::new();
+            p.apply(name, Tuple::file(mw.tick(), 1));
+            p
+        };
+        let segment = || patch_object(&mw, &keys, ns(1), 0).unwrap();
+        let mut ctx = OpCtx::for_test();
+        let (a, b, c) = (file("a"), file("b"), file("c"));
+        mw.submit_patch(&mut ctx, &keys, ns(1), a.clone()).unwrap();
+        set_down(true);
+        assert!(mw.submit_patch(&mut ctx, &keys, ns(1), b).is_err());
+        set_down(false);
+        assert_eq!(
+            segment(),
+            a,
+            "the failed rewrite left the acknowledged body"
+        );
+        mw.submit_patch(&mut ctx, &keys, ns(1), c.clone()).unwrap();
+        let mut acked = a;
+        acked.merge_from(&c);
+        assert_eq!(segment(), acked);
+        assert_eq!(*mw.local_ring(&keys, ns(1)).unwrap(), acked);
+        assert_eq!(mw.step_merges().applied, 1);
+        let global = mw.fetch_global_ring(&mut ctx, &keys, ns(1)).unwrap();
+        let names: Vec<&str> = global.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["a", "c"]);
+    }
+}
+
+/// The segment state machine on one descriptor: a claim that meets the
+/// open segment's PUT in flight opens a fresh segment, so one PUT per
+/// segment key is ever in flight; a landed PUT makes its body the open
+/// segment's; a failed rewrite keeps the acknowledged body and the chain
+/// entry, and a failed fresh segment leaves the chain.
+#[test]
+fn a_claim_meeting_a_segment_in_flight_opens_a_fresh_one() {
+    let body = |text: &'static str| Payload::from_static(text);
+    let mut fd = FileDescriptor::default();
+    assert_eq!(fd.claim_segment(), (0, None));
+    // Segment 0's PUT is in flight: the next claim writes segment 1.
+    assert_eq!(fd.claim_segment(), (1, None));
+    assert_eq!(fd.pending, BTreeSet::from([0, 1]));
+    // Segment 0 lands but is no longer the open one; segment 1 lands and
+    // takes the next claim, with its acknowledged body.
+    fd.settle_segment(0, true, Some((body("zero"), 1, 1)));
+    fd.settle_segment(1, true, Some((body("one"), 1, 1)));
+    assert_eq!(fd.claim_segment(), (1, Some((body("one"), 1))));
+    // The rewrite fails: segment 1 keeps its body and its chain entry.
+    fd.settle_segment(1, false, None);
+    assert_eq!(fd.pending, BTreeSet::from([0, 1]));
+    assert_eq!(fd.claim_segment(), (1, Some((body("one"), 1))));
+    // A merge takes the chain while the rewrite is in flight: the landed
+    // rewrite chains segment 1 again, for the next cycle to delete, and
+    // the next claim opens segment 2.
+    let taken = std::mem::take(&mut fd.pending);
+    fd.open = None;
+    assert_eq!(taken, BTreeSet::from([0, 1]));
+    fd.settle_segment(1, false, Some((body("one two"), 2, 1)));
+    assert_eq!(fd.pending, BTreeSet::from([1]));
+    assert_eq!(fd.claim_segment(), (2, None));
+    // A fresh segment whose PUT fails leaves the chain and closes.
+    fd.settle_segment(2, true, None);
+    assert_eq!(fd.pending, BTreeSet::from([1]));
+    assert_eq!(fd.claim_segment(), (3, None));
 }
 
 /// A Deferred pump over more pending rings than the client pool holds (33
@@ -681,18 +827,13 @@ fn group_commit_coalesces_concurrent_submissions() {
 
 /// A merge cycle reads no patch object back: it takes the chain from the
 /// local version, into which `commit_batch` folded each batch when its PUT
-/// landed. So the one object a batch writes must be exactly the batch that
+/// landed. So the segment a batch opens must hold exactly the batch that
 /// was folded — for a lone submit, and for a group-commit batch of three
 /// submitters, two of them parked behind a commit in flight and the third
 /// leading the batch that carries all three.
 #[test]
 fn a_committed_patch_object_is_its_batch() {
     let (_c, mw, keys) = setup_grouped(MaintenanceMode::Deferred);
-    let patch_object = |ring: NamespaceId, no: u32| {
-        let key = keys.patch(ring, NodeId(1), no);
-        let obj = mw.store().get(&mut OpCtx::for_test(), &key)?;
-        formatter::patch_from_str(obj.payload.as_str().expect("a string body"))
-    };
     let file = |name: &str| {
         let mut p = NameRing::new();
         p.apply(name, Tuple::file(mw.tick(), 1));
@@ -702,7 +843,7 @@ fn a_committed_patch_object_is_its_batch() {
     let lone = file("lone");
     mw.submit_patch(&mut OpCtx::for_test(), &keys, ns(1), lone.clone())
         .unwrap();
-    assert_eq!(patch_object(ns(1), 0).unwrap(), lone);
+    assert_eq!(patch_object(&mw, &keys, ns(1), 0).unwrap(), lone);
     assert_eq!(*mw.local_ring(&keys, ns(1)).unwrap(), lone);
 
     // A commit in flight on the ring parks the first two submitters.
@@ -733,10 +874,13 @@ fn a_committed_patch_object_is_its_batch() {
         batch.merge_from(p);
     }
     assert_eq!(batch.live_len(), 3);
-    // One object for the batch, at the base of its patch-number range.
-    assert_eq!(patch_object(ns(2), 0).unwrap(), batch);
+    // One object for the batch: segment 0, and no number past it.
+    assert_eq!(patch_object(&mw, &keys, ns(2), 0).unwrap(), batch);
     for no in 1..3 {
-        assert!(matches!(patch_object(ns(2), no), Err(H2Error::NotFound(_))));
+        assert!(matches!(
+            patch_object(&mw, &keys, ns(2), no),
+            Err(H2Error::NotFound(_))
+        ));
     }
     assert_eq!(*mw.local_ring(&keys, ns(2)).unwrap(), batch);
 }

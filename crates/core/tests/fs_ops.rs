@@ -954,20 +954,23 @@ fn flat_directory_maintenance_requests_and_virtual_time_are_pinned() {
     // a leaf) and a patch; each delete a patch and one content delete. A
     // leaf and a manifest per file cost 128 PUTs, 64 DELETEs and
     // 2 605.996 ms: 32 × 12.012 ms (a sub-KiB PUT) + 32 × 12 ms (a block
-    // reclaim) more.
+    // reclaim) more. Each patch PUT re-sends its segment's whole body: the
+    // 28th to 32nd submits of each 32-submit segment pass 1 KiB, ten
+    // 12 µs transfer units more than one object per submit's 1 837.612 ms.
     assert_eq!(ops.counts(), counts(0, 96, 32));
-    assert_eq!(ops.elapsed(), Duration::from_nanos(1_837_612_000));
+    assert_eq!(ops.elapsed(), Duration::from_nanos(1_837_732_000));
     // The ring comes from the ring cache; the content deletes were eager.
     assert_eq!(gc.counts(), counts(0, 1, 32));
     // The 32 content DELETEs (12 ms each, NotFound) are one wave: a
     // serial pass spent 397.776 ms, 31 × 12 ms more.
     assert_eq!(gc.elapsed(), Duration::from_nanos(25_776_000));
-    // The owner merges the 64 patches in one cycle of 64.088 ms: 15 ms of
-    // cycle CPU, the ring's GET and PUT (25.088 ms together) and two
-    // delete waves of 32 patch DELETEs (12 ms a wave); it reads no patch
-    // back. Deleting each patch in turn would cost 62 × 12 ms more. Before
-    // it, set-up's quiesce merged bulk import's one patch, `/flat`'s tuple
-    // in the root: a GET, a PUT and a DELETE, 48.524 ms. No peer holds the
+    // The owner merges the 64 submits' two segments in one cycle of
+    // 52.088 ms: 15 ms of cycle CPU, the ring's GET and PUT (25.088 ms
+    // together) and one wave of 2 segment DELETEs (12 ms); it reads no
+    // patch back. Deleting them in turn would cost 12 ms more, and one
+    // object per submit 64 DELETEs in two waves, 12 ms more. Before it,
+    // set-up's quiesce merged bulk import's one patch, `/flat`'s tuple in
+    // the root: a GET, a PUT and a DELETE, 48.524 ms. No peer holds the
     // ring — none read or wrote it — so the gossip each receives costs it
     // nothing.
     let spend: Vec<(Duration, BackendCounts)> = fs
@@ -977,7 +980,7 @@ fn flat_directory_maintenance_requests_and_virtual_time_are_pinned() {
         .map(|m| m.background_spend())
         .collect();
     let peer = (Duration::ZERO, counts(0, 0, 0));
-    let owner = (Duration::from_nanos(112_612_000), counts(2, 2, 65));
+    let owner = (Duration::from_nanos(100_612_000), counts(2, 2, 3));
     assert_eq!(spend, [peer, owner, peer, peer]);
 }
 

@@ -290,7 +290,16 @@ fn submit_patch_chain_survives_concurrent_merges() {
     // orphaned in the cloud — referenced by no chain, never merged, never
     // deleted — while `is_quiescent` reported a quiet layer. This hammers
     // direct patch submissions against a concurrent merger and asserts
-    // nothing is lost and nothing leaks.
+    // nothing is lost and nothing leaks. A patch object is a segment that
+    // later submits rewrite: without group commit, two submitters meet
+    // one open segment, and the second must write a fresh one rather than
+    // race the first one's rewrite; with it, the commit leader writes.
+    for group_commit in [false, true] {
+        chain_survives_concurrent_merges(group_commit);
+    }
+}
+
+fn chain_survives_concurrent_merges(group_commit: bool) {
     const WRITERS: usize = 4;
     const PATCHES: usize = 50;
 
@@ -303,6 +312,7 @@ fn submit_patch_chain_survives_concurrent_merges() {
         },
         cache_capacity: 128,
         trace_sample: 0.0,
+        group_commit,
         ..H2Config::default()
     }));
     let mut ctx = OpCtx::for_test();
@@ -349,21 +359,22 @@ fn submit_patch_chain_survives_concurrent_merges() {
             let name = format!("w{w}-f{i:03}");
             assert!(
                 global.get(&name).is_some(),
-                "update {name} lost in the submit/merge race"
+                "update {name} lost in the submit/merge race (group commit {group_commit})"
             );
         }
     }
     assert_eq!(global.live_len(), WRITERS * PATCHES);
 
-    // No orphaned patch objects: numbers are allocated densely from 0, so
-    // every object a writer ever PUT lives at one of these keys — all must
-    // have been merged and deleted (probe a little past the end too).
+    // No orphaned patch objects: segment numbers are allocated densely
+    // from 0, at most one per submit, so every object a writer ever PUT
+    // lives at one of these keys — all must have been merged and deleted
+    // (probe a little past the end too).
     let total = (WRITERS * PATCHES) as u32;
     for no in 0..total + 8 {
         let key = keys.patch(ns, mw.node(), no);
         assert!(
             matches!(fs.cluster().get(&mut ctx, &key), Err(H2Error::NotFound(_))),
-            "orphaned patch object #{no} left in the cloud"
+            "orphaned patch object #{no} left in the cloud (group commit {group_commit})"
         );
     }
 }
