@@ -20,7 +20,10 @@
 //! 6. with the CAS content plane active, every file's content re-reads
 //!    cleanly — the CAS read path re-hashes every branch and leaf block
 //!    against its content address, so a clean read is an end-to-end
-//!    integrity proof of the file's whole block tree.
+//!    integrity proof of the file's whole block tree;
+//! 7. no tombstone marked reclaimed names a live object: GC sends no
+//!    DELETE for it, so one that exists would never be reclaimed. This
+//!    costs one HEAD per marked tombstone.
 //!
 //! Used by integration tests after random workloads, failure injection and
 //! GC — and usable by operators the way a real deployment would run a
@@ -29,6 +32,7 @@
 use std::collections::{HashMap, HashSet};
 
 use h2util::{H2Error, NamespaceId, OpCtx, Result};
+use swiftsim::ObjectStore;
 
 use crate::fs::H2Cloud;
 use crate::keys::H2Keys;
@@ -66,15 +70,27 @@ pub fn fsck(fs: &H2Cloud, ctx: &mut OpCtx, account: &str) -> Result<FsckReport> 
     while let Some((ns, dir_path)) = stack.pop() {
         let ring = mw.read_ring_view(ctx, &keys, ns)?;
         for (name, tuple) in ring.iter() {
-            if tuple.deleted {
-                report.tombstones += 1;
-                continue;
-            }
             let child_path = if dir_path == "/" {
                 format!("/{name}")
             } else {
                 format!("{dir_path}/{name}")
             };
+            if tuple.deleted {
+                report.tombstones += 1;
+                // (7) a marked tombstone's object is gone.
+                if tuple.reclaimed {
+                    match fs.cluster().head(ctx, &keys.child(ns, name)) {
+                        Ok(_) => report.violations.push(format!(
+                            "{child_path}: reclaimed tombstone names a live object"
+                        )),
+                        Err(H2Error::NotFound(_)) => {}
+                        Err(e) => report.violations.push(format!(
+                            "{child_path}: reclaimed tombstone's object unreadable: {e}"
+                        )),
+                    }
+                }
+                continue;
+            }
             match tuple.child {
                 ChildRef::Dir { ns: child_ns } => {
                     report.dirs += 1;
@@ -175,7 +191,6 @@ mod tests {
     use super::*;
     use crate::fs::H2Config;
     use h2fsapi::{CloudFs, FileContent, FsPath};
-    use swiftsim::ObjectStore;
 
     fn p(s: &str) -> FsPath {
         FsPath::parse(s).unwrap()
@@ -394,6 +409,37 @@ mod tests {
             "{:?}",
             report.violations
         );
+    }
+
+    #[test]
+    fn detects_a_reclaimed_tombstone_naming_a_live_object() {
+        let (fs, mut ctx) = setup();
+        for name in ["/f", "/g"] {
+            fs.write(&mut ctx, "alice", &p(name), FileContent::Simulated(7))
+                .unwrap();
+        }
+        // Forge: tombstone both names without deleting their content, and
+        // mark `f`'s reclaimed. An unmarked tombstone's object is garbage
+        // GC deletes; a marked one's would never be reclaimed.
+        let keys = H2Keys::new("alice");
+        let mw = fs.layer().mw_for_account("alice").clone();
+        let tomb = || crate::namering::Tuple::file(mw.tick(), 7).tombstone(mw.tick());
+        let mut patch = crate::namering::NameRing::new();
+        patch.apply("f", tomb().mark_reclaimed());
+        patch.apply("g", tomb());
+        mw.submit_patch(&mut ctx, &keys, NamespaceId::ROOT, patch)
+            .unwrap();
+        let report = fsck(&fs, &mut ctx, "alice").unwrap();
+        assert_eq!(report.tombstones, 2);
+        assert_eq!(
+            report.violations,
+            ["/f: reclaimed tombstone names a live object"]
+        );
+        // Once the object is gone, the mark is true.
+        fs.cluster()
+            .delete(&mut ctx, &keys.child(NamespaceId::ROOT, "f"))
+            .unwrap();
+        assert!(fsck(&fs, &mut ctx, "alice").unwrap().is_clean());
     }
 
     #[test]

@@ -324,8 +324,13 @@ fn push_tuples(out: &mut String, ring: &NameRing) {
                 push_ns(out, ns);
             }
         }
-        // The paper's Deleted tag.
-        out.push_str(if t.deleted { "\tD\n" } else { "\tA\n" });
+        // The paper's Deleted tag, `R` for a tombstone marked reclaimed:
+        // one byte either way, so a mark never changes a body's length.
+        out.push_str(match (t.deleted, t.reclaimed) {
+            (false, _) => "\tA\n",
+            (true, false) => "\tD\n",
+            (true, true) => "\tR\n",
+        });
     }
 }
 
@@ -382,14 +387,21 @@ fn parse_ring(magic: &str, s: &str) -> Result<NameRing> {
             },
             other => return Err(H2Error::Corrupt(format!("bad child kind {other:?}"))),
         };
-        let deleted = match flag {
-            "A" => false,
-            "D" => true,
+        let (deleted, reclaimed) = match flag {
+            "A" => (false, false),
+            "D" => (true, false),
+            "R" => (true, true),
             other => return Err(H2Error::Corrupt(format!("bad deleted flag {other:?}"))),
+        };
+        let tuple = Tuple {
+            ts,
+            child,
+            deleted,
+            reclaimed,
         };
         // Formatter order appends; anything else (hand-edited or foreign
         // bodies, duplicate names) takes the merge rule, as it always has.
-        ring.push(name, Tuple { ts, child, deleted });
+        ring.push(name, tuple);
         seen += 1;
     }
     if seen != count {
@@ -501,6 +513,22 @@ mod tests {
         assert!(s.starts_with("H2NR1 4\n"));
         let back = namering_from_str(&s).unwrap();
         assert_eq!(back, r);
+    }
+
+    #[test]
+    fn a_reclaimed_mark_round_trips_and_keeps_the_body_length() {
+        let r = sample_ring();
+        let mut marked = r.clone();
+        let gone = *r.get_raw("gone").unwrap();
+        marked.apply("gone", gone.mark_reclaimed());
+        let (plain, body) = (namering_to_string(&r), namering_to_string(&marked));
+        assert_eq!(body.len(), plain.len());
+        assert!(body.contains("gone\t5.0000.01\tF\t7\tR\n"), "{body}");
+        let back = namering_from_str(&body).unwrap();
+        assert_eq!(back, marked);
+        let t = back.get_raw("gone").unwrap();
+        assert!(t.deleted && t.reclaimed);
+        assert!(back.get("gone").is_none());
     }
 
     #[test]

@@ -203,6 +203,29 @@ fn resolved_from(parent_ns: NamespaceId, name: &str, tuple: Tuple) -> Resolved {
     }
 }
 
+/// Fake deletion (§3.3.3a): submit the tombstone `tomb` for `name` in
+/// `parent_ns`, then `reclaim` the object the name keys. The reclaim is
+/// best-effort: the tombstone is durable, so a failed or torn DELETE leaves
+/// garbage that GC deletes when it compacts the tombstone. One that left no
+/// object marks the tombstone reclaimed, and GC sends no second DELETE.
+fn tombstone_then_reclaim(
+    mw: &H2Middleware,
+    ctx: &mut OpCtx,
+    keys: &H2Keys,
+    parent_ns: NamespaceId,
+    name: &str,
+    tomb: Tuple,
+    reclaim: impl FnOnce(&mut OpCtx) -> Result<()>,
+) -> Result<()> {
+    let mut patch = NameRing::new();
+    patch.apply(name, tomb);
+    mw.submit_patch(ctx, keys, parent_ns, patch)?;
+    if matches!(reclaim(ctx), Ok(()) | Err(H2Error::NotFound(_))) {
+        mw.mark_reclaimed(keys, parent_ns, name, tomb);
+    }
+    Ok(())
+}
+
 /// `path` as text. An operation builds it once and by `push_str`: the
 /// `Display` machinery behind `to_string` costs several times the copy.
 fn path_string(path: &FsPath) -> String {
@@ -705,13 +728,12 @@ impl H2Cloud {
                         .delete(ctx, &keys.child(dst_parent_ns, to_name));
                     return Err(e);
                 }
-                let mut out_patch = NameRing::new();
-                out_patch.apply(&name, Tuple::dir(mw.tick(), ns).tombstone(mw.tick()));
-                mw.submit_patch(ctx, &keys, parent_ns, out_patch)?;
                 // The old descriptor is unreachable once the tombstone is
-                // durable, so its reclaim is best-effort.
-                let _ = self.cluster().delete(ctx, &keys.child(parent_ns, &name));
-                Ok(())
+                // durable.
+                let tomb = Tuple::dir(mw.tick(), ns).tombstone(mw.tick());
+                tombstone_then_reclaim(mw, ctx, &keys, parent_ns, &name, tomb, |ctx| {
+                    self.cluster().delete(ctx, &keys.child(parent_ns, &name))
+                })
             }
             Resolved::File {
                 parent_ns,
@@ -732,13 +754,10 @@ impl H2Cloud {
                     let _ = mw.delete_content(ctx, &keys, dst_parent_ns, to_name);
                     return Err(e);
                 }
-                let mut out_patch = NameRing::new();
-                out_patch.apply(&name, Tuple::file(mw.tick(), size).tombstone(mw.tick()));
-                mw.submit_patch(ctx, &keys, parent_ns, out_patch)?;
-                // Best-effort: the tombstone is durable, so a failed DELETE
-                // leaves garbage that GC reclaims when it compacts it.
-                let _ = mw.delete_content(ctx, &keys, parent_ns, &name);
-                Ok(())
+                let tomb = Tuple::file(mw.tick(), size).tombstone(mw.tick());
+                tombstone_then_reclaim(mw, ctx, &keys, parent_ns, &name, tomb, |ctx| {
+                    mw.delete_content(ctx, &keys, parent_ns, &name)
+                })
             }
         }
     }
@@ -1003,17 +1022,13 @@ impl H2Cloud {
                 size,
                 ..
             } => {
-                // Fake deletion (§3.3.3a): tombstone the tuple FIRST, so a
-                // failed delete changes nothing visible — content deleted
-                // first would leave a live name pointing at nothing.
-                let mut patch = NameRing::new();
-                patch.apply(&name, Tuple::file(mw.tick(), size).tombstone(mw.tick()));
-                mw.submit_patch(ctx, &keys, parent_ns, patch)?;
-                // Eager content reclaim is best-effort: the tombstone is
-                // durable, so if this DELETE fails the object is merely
-                // garbage — GC deletes it when it compacts the tombstone.
-                let _ = mw.delete_content(ctx, &keys, parent_ns, &name);
-                Ok(())
+                // Tombstone the tuple FIRST, so a failed delete changes
+                // nothing visible — content deleted first would leave a
+                // live name pointing at nothing.
+                let tomb = Tuple::file(mw.tick(), size).tombstone(mw.tick());
+                tombstone_then_reclaim(mw, ctx, &keys, parent_ns, &name, tomb, |ctx| {
+                    mw.delete_content(ctx, &keys, parent_ns, &name)
+                })
             }
             _ => Err(H2Error::IsADirectory(path.to_string())),
         }

@@ -13,9 +13,18 @@
 //!    object — a rewrite that refreshes this node's cached copy and is
 //!    announced to the peers, like every other ring rewrite;
 //! 3. for every dropped directory tombstone, recursively delete the whole
-//!    orphaned subtree (descriptors, NameRings, content objects);
-//! 4. for every dropped file tombstone, delete the content object (a no-op
-//!    if the file delete already reclaimed it eagerly).
+//!    orphaned subtree (descriptors, NameRings, content objects), and the
+//!    directory's descriptor — also under a MOVE's tombstone, whose
+//!    namespace lives on under the new name, since a failed DELETE may have
+//!    left the old one behind;
+//! 4. for every dropped file tombstone, delete the content object.
+//!
+//! A tombstone marked reclaimed skips step 3's descriptor DELETE and step
+//! 4's content DELETE, and so does each marked tombstone a dead subtree
+//! holds: the node that wrote it deleted that object already (a DELETE, or
+//! a MOVE's DELETE of the old key) and said so before the tombstone's merge.
+//! An unmarked one is sent its DELETE, which finds nothing when an Eager
+//! node's foreground DELETE succeeded, and what a failed one left otherwise.
 //!
 //! Compaction and reclamation fan out: the doomed rings are compacted as
 //! one bounded [`OpCtx::parallel`] section, issued in walk order; a
@@ -37,7 +46,7 @@ use swiftsim::ObjectStore;
 use crate::fs::H2Cloud;
 use crate::keys::H2Keys;
 use crate::middleware::H2Middleware;
-use crate::namering::ChildRef;
+use crate::namering::{ChildRef, Tuple};
 
 /// Outcome of one GC pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,6 +57,8 @@ pub struct GcReport {
     pub objects_deleted: usize,
     /// NameRing objects rewritten.
     pub rings_rewritten: usize,
+    /// DELETEs not sent: the tombstone was marked reclaimed.
+    pub deletes_skipped: usize,
 }
 
 /// Run a GC pass over `account`'s tree. Tombstones with timestamps `<
@@ -127,29 +138,36 @@ fn compact_ring(
             let (name, tuple) = &removed[i];
             match tuple.child {
                 ChildRef::File { .. } => {
-                    delete_quiet(mw.delete_content(ctx, keys, ns, name), report)
+                    delete_named(tuple, report, || mw.delete_content(ctx, keys, ns, name))
                 }
-                // Only reclaim subtrees nothing live points at: a MOVE's
-                // tombstone still names the (re-parented, live) namespace.
-                ChildRef::Dir { ns: dead_ns } if !live.contains(&dead_ns) => {
-                    delete_subtree(fs, mw, ctx, keys, dead_ns, report)?;
+                ChildRef::Dir { ns: dir_ns } => {
+                    // Only reclaim subtrees nothing live points at: a MOVE's
+                    // tombstone still names the (re-parented, live)
+                    // namespace.
+                    if !live.contains(&dir_ns) {
+                        delete_subtree(fs, mw, ctx, keys, dir_ns, live, report)?;
+                    }
                     // The descriptor.
-                    delete_quiet(fs.cluster().delete(ctx, &keys.child(ns, name)), report)
+                    delete_named(tuple, report, || {
+                        fs.cluster().delete(ctx, &keys.child(ns, name))
+                    })
                 }
-                ChildRef::Dir { .. } => Ok(()),
             }
         })
     })
 }
 
 /// Delete everything reachable from `ns` (the directory was tombstoned:
-/// nothing live points here anymore).
+/// nothing live points here anymore) but the `live` namespaces a
+/// tombstone in it names: a directory moved out before its parent was
+/// removed lives on under its new name.
 fn delete_subtree(
     fs: &H2Cloud,
     mw: &H2Middleware,
     ctx: &mut OpCtx,
     keys: &H2Keys,
     ns: NamespaceId,
+    live: &HashSet<NamespaceId>,
     report: &mut GcReport,
 ) -> Result<()> {
     let mut stack = vec![ns];
@@ -157,16 +175,23 @@ fn delete_subtree(
         let ring = mw.read_ring_view(ctx, keys, ns)?;
         // The ring's children are one bounded parallel wave, before the
         // ring object itself; child rings are visited depth-first after.
-        let children: Vec<(&str, ChildRef)> = ring.iter().map(|(n, t)| (n, t.child)).collect();
+        let children: Vec<(&str, &Tuple)> = ring.iter().collect();
         ctx.in_stage(Stage::Content, |ctx| {
-            ctx.parallel(children.len(), |ctx, i| match children[i] {
-                (name, ChildRef::File { .. }) => {
-                    delete_quiet(mw.delete_content(ctx, keys, ns, name), report)
-                }
-                (name, ChildRef::Dir { ns: child_ns }) => {
-                    stack.push(child_ns);
-                    // The descriptor.
-                    delete_quiet(fs.cluster().delete(ctx, &keys.child(ns, name)), report)
+            ctx.parallel(children.len(), |ctx, i| {
+                let (name, tuple) = children[i];
+                match tuple.child {
+                    ChildRef::File { .. } => {
+                        delete_named(tuple, report, || mw.delete_content(ctx, keys, ns, name))
+                    }
+                    ChildRef::Dir { ns: child_ns } => {
+                        if !live.contains(&child_ns) {
+                            stack.push(child_ns);
+                        }
+                        // The descriptor.
+                        delete_named(tuple, report, || {
+                            fs.cluster().delete(ctx, &keys.child(ns, name))
+                        })
+                    }
                 }
             })
         })?;
@@ -182,7 +207,23 @@ fn delete_subtree(
     Ok(())
 }
 
-/// Tally one object delete, tolerating its prior eager reclaim.
+/// Delete the object `tuple`'s name keys, unless its tombstone is marked
+/// reclaimed: its node deleted that object already.
+fn delete_named(
+    tuple: &Tuple,
+    report: &mut GcReport,
+    delete: impl FnOnce() -> Result<()>,
+) -> Result<()> {
+    if tuple.reclaimed {
+        report.deletes_skipped += 1;
+        return Ok(());
+    }
+    delete_quiet(delete(), report)
+}
+
+/// Tally one object delete, tolerating its prior reclaim: an Eager node's
+/// foreground DELETE removes the object without marking its tombstone, so
+/// GC's DELETE finds nothing.
 fn delete_quiet(outcome: Result<()>, report: &mut GcReport) -> Result<()> {
     match outcome {
         Ok(()) => {
@@ -312,6 +353,29 @@ mod tests {
             .unwrap();
         collect(&fs, &mut ctx, "alice", far_future()).unwrap();
         assert!(fs.read(&mut ctx, "alice", &p("/final/trip.jpg")).is_ok());
+    }
+
+    #[test]
+    fn gc_keeps_a_directory_moved_out_of_a_removed_one() {
+        // The removed directory's ring still holds the moved directory's
+        // tombstone, naming a namespace that lives on under `/c`: reclaiming
+        // the dead subtree must stop there.
+        let (fs, mut ctx) = setup();
+        fs.mkdir(&mut ctx, "alice", &p("/a")).unwrap();
+        fs.mkdir(&mut ctx, "alice", &p("/a/b")).unwrap();
+        fs.write(&mut ctx, "alice", &p("/a/b/f"), FileContent::from_str("x"))
+            .unwrap();
+        fs.mv(&mut ctx, "alice", &p("/a/b"), &p("/c")).unwrap();
+        fs.rmdir(&mut ctx, "alice", &p("/a")).unwrap();
+        collect(&fs, &mut ctx, "alice", far_future()).unwrap();
+        assert_eq!(
+            fs.read(&mut ctx, "alice", &p("/c/f")).unwrap(),
+            FileContent::from_str("x")
+        );
+        let report = crate::check::fsck(&fs, &mut ctx, "alice").unwrap();
+        assert!(report.is_clean(), "{:?}", report.violations);
+        // The root ring, `/c`'s descriptor and ring, and `f`.
+        assert_eq!(fs.storage_stats().objects, 4);
     }
 
     /// Levels in the deep-chain regressions: a few thousand stack frames
@@ -495,6 +559,7 @@ mod tests {
             tuples_compacted: 1,
             objects_deleted: 0,
             rings_rewritten: 1,
+            deletes_skipped: 0,
         };
         assert_eq!(report, compacted);
         // The walk reads each live ring once and the compaction its ring
@@ -540,6 +605,7 @@ mod tests {
             tuples_compacted: 3,
             objects_deleted: 0,
             rings_rewritten: 3,
+            deletes_skipped: 0,
         };
         assert_eq!(report, compacted);
         // The walk's 21 GETs, then per compacted ring a GET, the PUT and

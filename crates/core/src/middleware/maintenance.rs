@@ -341,6 +341,20 @@ impl H2Middleware {
         rings
     }
 
+    /// Mark `name`'s tombstone `tomb` reclaimed in this node's local
+    /// version of `ns`: the caller deleted the object the name keys. It
+    /// marks only while the local version still holds `tomb` and the chain
+    /// is pending, so the merge that is due anyway writes the mark; an
+    /// Eager submit merged in its own op, and marks nothing. The epoch
+    /// stays: a mark changes nothing a reader of live tuples sees.
+    pub fn mark_reclaimed(&self, keys: &H2Keys, ns: NamespaceId, name: &str, tomb: Tuple) {
+        self.with_fd(&FdKey::new(keys, ns), |fd| {
+            if !fd.pending.is_empty() && fd.local.get_raw(name) == Some(&tomb) {
+                Arc::make_mut(&mut fd.local).apply(name, tomb.mark_reclaimed());
+            }
+        });
+    }
+
     /// Merge this node's patch chain for `ns` into the global NameRing
     /// object: bring the ring object up to date with the local version,
     /// which holds every chained patch already, through `ring_cycle`, and

@@ -40,9 +40,10 @@ impl H2Middleware {
     /// before it writes the compacted ring.
     pub fn gc_floor(&self, account: &str, ns: NamespaceId, removed: &[(String, Tuple)]) {
         self.with_fd(&FdKey::of(account, ns), |fd| {
-            // Copy a shared local ring only when there is something to drop.
+            // Copy a shared local ring only when there is something to drop:
+            // the test is `drop_covered`'s, a tombstone in either state.
             let covered = |(name, t): &(String, Tuple)| {
-                fd.local.get_raw(name).is_some_and(|ours| t.covers(ours))
+                fd.local.get_raw(name).is_some_and(|ours| t.floors(ours))
             };
             if removed.iter().any(covered) {
                 Arc::make_mut(&mut fd.local).drop_covered(removed);

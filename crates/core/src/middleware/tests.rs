@@ -154,6 +154,33 @@ fn delete_then_recreate_through_patches() {
 }
 
 #[test]
+fn a_mark_lands_only_on_an_unmerged_tombstone_and_falls_to_gc_floor() {
+    for mode in [MaintenanceMode::Eager, MaintenanceMode::Deferred] {
+        let (_c, mw, keys) = setup(mode);
+        let mut ctx = OpCtx::for_test();
+        let tomb = Tuple::file(mw.tick(), 1).tombstone(mw.tick());
+        let mut p = NameRing::new();
+        p.apply("f", tomb);
+        mw.submit_patch(&mut ctx, &keys, ns(1), p).unwrap();
+        let held = || mw.local_ring(&keys, ns(1)).unwrap().get_raw("f").copied();
+        // Another tombstone's mark changes nothing.
+        let other = Tuple::file(mw.tick(), 1).tombstone(mw.tick());
+        mw.mark_reclaimed(&keys, ns(1), "f", other);
+        assert_eq!(held(), Some(tomb));
+        // An Eager submit merged its patch already: no mark.
+        mw.mark_reclaimed(&keys, ns(1), "f", tomb);
+        let want = match mode {
+            MaintenanceMode::Eager => tomb,
+            _ => tomb.mark_reclaimed(),
+        };
+        assert_eq!(held(), Some(want), "{mode:?}");
+        // GC compacting the unmarked tombstone drops the marked copy.
+        mw.gc_floor(keys.account(), ns(1), &[("f".to_string(), tomb)]);
+        assert_eq!(held(), None, "{mode:?}");
+    }
+}
+
+#[test]
 fn gossip_round_trip_between_two_middlewares() {
     let (cluster, mw1, keys) = setup(MaintenanceMode::Eager);
     let cfg = H2Config {

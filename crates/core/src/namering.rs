@@ -59,6 +59,10 @@ pub struct Tuple {
     pub ts: Timestamp,
     pub child: ChildRef,
     pub deleted: bool,
+    /// Set only on a tombstone: the object the child's name keys (a file's
+    /// content, a directory's descriptor) was already deleted, so GC sends
+    /// no DELETE for it when it compacts the tombstone.
+    pub reclaimed: bool,
 }
 
 impl Tuple {
@@ -67,6 +71,7 @@ impl Tuple {
             ts,
             child: ChildRef::File { size },
             deleted: false,
+            reclaimed: false,
         }
     }
 
@@ -75,6 +80,7 @@ impl Tuple {
             ts,
             child: ChildRef::Dir { ns },
             deleted: false,
+            reclaimed: false,
         }
     }
 
@@ -83,21 +89,41 @@ impl Tuple {
             ts,
             child: self.child,
             deleted: true,
+            reclaimed: false,
+        }
+    }
+
+    /// This tombstone, marked reclaimed: it wins the merge against its
+    /// unmarked self.
+    pub fn mark_reclaimed(self) -> Self {
+        debug_assert!(self.deleted, "only a tombstone is marked");
+        Tuple {
+            reclaimed: true,
+            ..self
         }
     }
 
     /// Total order used by the merge: timestamp first (larger wins, as the
     /// paper specifies), then — only for byte-identical timestamps, which
     /// hybrid clocks make impossible for distinct events — a deterministic
-    /// tie-break so the merge stays commutative no matter what.
-    fn merge_key(&self) -> (Timestamp, bool, ChildRef) {
-        (self.ts, self.deleted, self.child)
+    /// tie-break so the merge stays commutative no matter what. The one
+    /// same-stamp pair that does occur is a tombstone and its marked copy,
+    /// and the mark wins.
+    fn merge_key(&self) -> (Timestamp, bool, bool, ChildRef) {
+        (self.ts, self.deleted, self.reclaimed, self.child)
     }
 
     /// Whether this tuple wins the merge against `other` — or is `other`:
     /// joining `other` into a ring holding this tuple changes nothing.
     pub(crate) fn covers(&self, other: &Tuple) -> bool {
         self.merge_key() >= other.merge_key()
+    }
+
+    /// Whether GC dropping this tombstone drops `other` too: `other` loses
+    /// to it in either of its states, so a marked copy of a compacted
+    /// unmarked tombstone goes with it.
+    pub(crate) fn floors(&self, other: &Tuple) -> bool {
+        self.mark_reclaimed().covers(other)
     }
 }
 
@@ -368,16 +394,17 @@ impl NameRing {
     }
 
     /// Drop every tuple that the tombstone `dropped` holds for its name
-    /// covers in the merge order (`dropped`: tombstones in name order, as
-    /// [`compact`](Self::compact) returns them). GC floors every local ring
-    /// with this, so neither a compacted tombstone nor the live tuple it
-    /// deleted rejoins the global ring. Returns how many were dropped.
+    /// covers in the merge order, in either of its states (`dropped`:
+    /// tombstones in name order, as [`compact`](Self::compact) returns
+    /// them). GC floors every local ring with this, so neither a compacted
+    /// tombstone, nor its marked copy, nor the live tuple it deleted
+    /// rejoins the global ring. Returns how many were dropped.
     pub fn drop_covered(&mut self, dropped: &[(String, Tuple)]) -> usize {
         self.drop_where(
             |name, t| {
                 dropped
                     .binary_search_by(|(n, _)| n.as_str().cmp(name))
-                    .is_ok_and(|i| dropped[i].1.covers(t))
+                    .is_ok_and(|i| dropped[i].1.floors(t))
             },
             |_, _| {},
         )
@@ -672,6 +699,29 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert!(r.get_raw("new").is_some());
         assert!(r.get("live").is_some());
+    }
+
+    #[test]
+    fn a_reclaimed_mark_wins_its_tombstone_and_falls_with_it() {
+        let tomb = Tuple::file(ts(1, 0, 1), 1).tombstone(ts(2, 0, 1));
+        let marked = tomb.mark_reclaimed();
+        for (first, second) in [(tomb, marked), (marked, tomb)] {
+            let mut r = NameRing::new();
+            r.apply("f", first);
+            r.apply("f", second);
+            assert_eq!(r.get_raw("f"), Some(&marked));
+            assert!(r.get("f").is_none());
+        }
+        // A newer tuple still wins against the mark.
+        let mut r = NameRing::new();
+        r.apply("f", marked);
+        r.apply("f", Tuple::file(ts(3, 0, 1), 5));
+        assert_eq!(r.get("f").unwrap().child, ChildRef::File { size: 5 });
+        // GC compacting the unmarked tombstone drops the marked copy too.
+        let mut local = NameRing::new();
+        local.apply("f", marked);
+        assert_eq!(local.drop_covered(&[("f".to_string(), tomb)]), 1);
+        assert!(local.is_empty());
     }
 
     #[test]

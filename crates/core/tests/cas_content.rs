@@ -550,6 +550,7 @@ fn seeded_faults_draw_the_same_over_cas_reclamation_and_gc() {
         tuples_compacted: 6,
         objects_deleted: 8,
         rings_rewritten: 1,
+        deletes_skipped: 0,
     };
     assert_eq!(
         (

@@ -28,12 +28,20 @@ fn arb_child() -> impl Strategy<Value = ChildRef> {
     ]
 }
 
-fn arb_tuple() -> impl Strategy<Value = Tuple> {
-    (arb_timestamp(), arb_child(), any::<bool>()).prop_map(|(ts, child, deleted)| Tuple {
+/// A tuple in one of its three states: live, a tombstone, or a tombstone
+/// marked reclaimed (only a tombstone carries the mark).
+fn tuple_in_state(ts: Timestamp, child: ChildRef, state: u8) -> Tuple {
+    Tuple {
         ts,
         child,
-        deleted,
-    })
+        deleted: state > 0,
+        reclaimed: state > 1,
+    }
+}
+
+fn arb_tuple() -> impl Strategy<Value = Tuple> {
+    (arb_timestamp(), arb_child(), 0u8..3)
+        .prop_map(|(ts, child, state)| tuple_in_state(ts, child, state))
 }
 
 fn arb_ring() -> impl Strategy<Value = NameRing> {
@@ -115,6 +123,58 @@ proptest! {
     }
 
     #[test]
+    fn a_marked_tombstone_wins_its_unmarked_twin(
+        a in arb_ring(),
+        name in arb_name(),
+        t in arb_tuple(),
+    ) {
+        // Whichever twin lands first, the ring ends holding the marked one,
+        // unless it held a tuple that beats both.
+        let tomb = Tuple { deleted: true, reclaimed: false, ..t };
+        let marked = tomb.mark_reclaimed();
+        let original = a.get_raw(&name).copied();
+        let mut one = a.clone();
+        one.apply(&name, tomb);
+        one.apply(&name, marked);
+        let mut other = a;
+        other.apply(&name, marked);
+        other.apply(&name, tomb);
+        prop_assert_eq!(&one, &other);
+        let want = match original {
+            Some(o) if merge_key(&o) > merge_key(&marked) => o,
+            _ => marked,
+        };
+        prop_assert_eq!(one.get_raw(&name), Some(&want));
+        prop_assert_eq!(one.get(&name).is_none(), want.deleted);
+    }
+
+    #[test]
+    fn drop_covered_drops_a_same_stamp_tombstone_in_either_state(
+        a in arb_ring(),
+        name in arb_name(),
+        t in arb_tuple(),
+        held_marked in any::<bool>(),
+        dropped_marked in any::<bool>(),
+    ) {
+        // GC compacted `name`'s tombstone in one state while a local ring
+        // holds the same tombstone in the other: the local copy must go,
+        // or it would rejoin the ring GC just compacted.
+        let tomb = Tuple { deleted: true, reclaimed: false, ..t };
+        let state = |marked: bool| if marked { tomb.mark_reclaimed() } else { tomb };
+        let mut local = a;
+        local.apply(&name, state(held_marked));
+        let held = *local.get_raw(&name).unwrap();
+        let twin = held.ts == tomb.ts && held.deleted && held.child == tomb.child;
+        let goes = merge_key(&tomb.mark_reclaimed()) >= merge_key(&held);
+        prop_assert!(!twin || goes);
+        let before = local.len();
+        let dropped = local.drop_covered(&[(name.clone(), state(dropped_marked))]);
+        prop_assert_eq!(dropped, usize::from(goes));
+        prop_assert_eq!(local.get_raw(&name).is_some(), !goes);
+        prop_assert_eq!(local.len() + dropped, before);
+    }
+
+    #[test]
     fn compact_only_removes_old_tombstones(a in arb_ring(), horizon in arb_timestamp()) {
         let mut c = a.clone();
         let removed = c.compact(horizon);
@@ -141,8 +201,10 @@ proptest! {
 
 type Model = BTreeMap<String, Tuple>;
 
-fn merge_key(t: &Tuple) -> (Timestamp, bool, ChildRef) {
-    (t.ts, t.deleted, t.child)
+/// The merge order, spelled out: a newer stamp wins; at one stamp a
+/// tombstone beats a live tuple, and a marked tombstone its unmarked twin.
+fn merge_key(t: &Tuple) -> (Timestamp, bool, bool, ChildRef) {
+    (t.ts, t.deleted, t.reclaimed, t.child)
 }
 
 fn model_apply(model: &mut Model, name: &str, t: Tuple) {
@@ -164,7 +226,11 @@ fn reference_line(name: &str, t: &Tuple) -> String {
         ChildRef::File { size } => ('F', size.to_string()),
         ChildRef::Dir { ns } => ('D', ns.to_string()),
     };
-    let flag = if t.deleted { 'D' } else { 'A' };
+    let flag = match (t.deleted, t.reclaimed) {
+        (false, _) => 'A',
+        (true, false) => 'D',
+        (true, true) => 'R',
+    };
     format!("{name}\t{}\t{kind}\t{aux}\t{flag}\n", t.ts)
 }
 
@@ -202,11 +268,8 @@ fn model_tuple() -> impl Strategy<Value = Tuple> {
             ns: NamespaceId::new(seq, NodeId(node), ms)
         }),
     ];
-    (model_timestamp(), child, any::<bool>()).prop_map(|(ts, child, deleted)| Tuple {
-        ts,
-        child,
-        deleted,
-    })
+    (model_timestamp(), child, 0u8..3)
+        .prop_map(|(ts, child, state)| tuple_in_state(ts, child, state))
 }
 
 #[derive(Debug, Clone)]
@@ -217,6 +280,8 @@ enum Step {
     Compact(Timestamp),
     /// The tombstones a compaction elsewhere dropped, by name.
     DropCovered(BTreeMap<String, Tuple>),
+    /// A node marks the tombstone it holds for a name reclaimed.
+    Mark(String),
 }
 
 fn model_steps() -> impl Strategy<Value = Vec<Step>> {
@@ -235,6 +300,7 @@ fn model_steps() -> impl Strategy<Value = Vec<Step>> {
                     .collect(),
             )
         }),
+        model_name().prop_map(Step::Mark),
     ];
     prop::collection::vec(step, 1..24)
 }
@@ -305,13 +371,32 @@ fn run_against_model(steps: Vec<Step>) -> Result<(), TestCaseError> {
             }
             Step::DropCovered(tombstones) => {
                 let before = model.len();
+                // A dropped tombstone takes every tuple it covers in either
+                // of its states.
                 model.retain(|n, t| {
-                    tombstones
-                        .get(n)
-                        .is_none_or(|tomb| merge_key(tomb) < merge_key(t))
+                    tombstones.get(n).is_none_or(|tomb| {
+                        merge_key(&Tuple {
+                            reclaimed: true,
+                            ..*tomb
+                        }) < merge_key(t)
+                    })
                 });
                 let dropped: Vec<(String, Tuple)> = tombstones.into_iter().collect();
                 prop_assert_eq!(ring.drop_covered(&dropped), before - model.len());
+            }
+            Step::Mark(name) => {
+                if let Some(t) = ring.get_raw(&name).copied().filter(|t| t.deleted) {
+                    ring.apply(&name, t.mark_reclaimed());
+                    model_apply(
+                        &mut model,
+                        &name,
+                        Tuple {
+                            reclaimed: true,
+                            ..t
+                        },
+                    );
+                    prop_assert!(ring.get_raw(&name).unwrap().reclaimed);
+                }
             }
         }
         agrees(&ring, &model)?;

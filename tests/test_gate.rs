@@ -9,7 +9,7 @@ use std::path::{Path, PathBuf};
 
 /// Integration-test files at this commit. Raise it when you add one; a PR
 /// that lowers it says in CHANGES.md which file went and why.
-const TEST_FILES: usize = 20;
+const TEST_FILES: usize = 21;
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
